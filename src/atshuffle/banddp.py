@@ -18,6 +18,7 @@ forbidden pairs (p = 0) propagate as -inf and simply kill paths.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,6 +31,9 @@ from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
 DEFAULT_WINDOW_CAP = 22
 FAST_WINDOW = 16
 ENUM_SAMPLER_CAP = 7
+# the rejection sampler turns at most this many uniforms into rows at a time,
+# which bounds its temporaries to about 1 MB each
+ROW_CHUNK_ELEMENTS = 1 << 17
 
 NEG_INF = -math.inf
 
@@ -444,6 +448,21 @@ class EnumerationSampler:
         return self._rows[idx]
 
 
+@functools.lru_cache(maxsize=32)
+def _mallows_cdfs(n: int, q: float) -> tuple:
+    """Read-only insertion CDFs, one per count of remaining labels (1..n)."""
+    phi = (1.0 - q) / q
+    logphi = math.log(phi) if phi > 0 else NEG_INF
+    cdfs = []
+    for remaining in range(1, n + 1):
+        lw = np.arange(remaining) * logphi
+        w = np.exp(lw - lw.max())
+        cdf = np.cumsum(w) / w.sum()
+        cdf.setflags(write=False)
+        cdfs.append(cdf)
+    return tuple(cdfs)
+
+
 class MallowsRejectionSampler:
     """Insertion sampling for constant-bias instances, rejecting off-band draws.
 
@@ -456,6 +475,8 @@ class MallowsRejectionSampler:
     """
 
     strategy = "mallows-rejection"
+    _TOO_LOW = ("rejection sampler acceptance too low for this localization; "
+                "use the band DP sampler")
 
     def __init__(self, n: int, q: float, ell: LocalizationVector | None,
                  max_tries: int = 400):
@@ -468,32 +489,18 @@ class MallowsRejectionSampler:
             self._cdfs = None
         else:
             self._degenerate = None
-            phi = (1.0 - q) / q
-            logphi = math.log(phi) if phi > 0 else NEG_INF
-            cdfs = []
-            for remaining in range(1, n + 1):
-                lw = np.arange(remaining) * logphi
-                w = np.exp(lw - lw.max())
-                cdfs.append(np.cumsum(w) / w.sum())
-            self._cdfs = cdfs
+            self._cdfs = _mallows_cdfs(n, q)
 
-    def _propose(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        n = self.n
-        if self._degenerate is not None:
-            return np.tile(self._degenerate, (size, 1))
-        u = rng.random((size, n))
-        ranks = np.empty((size, n), dtype=np.int64)
-        for pos in range(n):
-            remaining = n - pos
-            ranks[:, pos] = np.searchsorted(self._cdfs[remaining - 1], u[:, pos],
-                                            side="right")
+    def _rows_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """One insertion permutation per row of a (size, n) block of uniforms."""
+        size, n = u.shape
+        ranks = np.empty((n, size), dtype=np.int64)
+        for pos, col in enumerate(u.T):
+            ranks[pos] = self._cdfs[n - pos - 1].searchsorted(col, side="right")
         rows = np.empty((size, n), dtype=np.int64)
-        for r in range(size):
+        for r, rk in enumerate(ranks.T):
             avail = list(range(1, n + 1))
-            row = rows[r]
-            rk = ranks[r]
-            for pos in range(n):
-                row[pos] = avail.pop(rk[pos])
+            rows[r] = [avail.pop(k) for k in rk.tolist()]
         return rows
 
     def _accept(self, rows: np.ndarray) -> np.ndarray:
@@ -507,21 +514,36 @@ class MallowsRejectionSampler:
                       axis=1)
 
     def draw_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size accepted rows.
+
+        Each try draws uniforms for a full batch, so the stream does not
+        depend on acceptance, but turns them into rows only in chunks, in
+        order, until the accepted rows suffice.
+        """
+        if self._degenerate is not None:
+            # the only row there is: accepted always or never
+            rows = np.tile(self._degenerate, (size, 1))
+            if not np.all(self._accept(rows)):
+                raise CapExceeded(self._TOO_LOW)
+            return rows
         out = np.empty((size, self.n), dtype=np.int64)
+        chunk = max(1, ROW_CHUNK_ELEMENTS // self.n)
         got = 0
         tries = 0
         while got < size:
             if tries >= self.max_tries:
-                raise CapExceeded(
-                    "rejection sampler acceptance too low for this localization; "
-                    "use the band DP sampler")
-            want = size - got
-            batch = max(32, int(want * 1.1))
-            rows = self._propose(rng, batch)
-            keep = rows[self._accept(rows)]
-            take = min(len(keep), want)
-            out[got:got + take] = keep[:take]
-            got += take
+                raise CapExceeded(self._TOO_LOW)
+            batch = max(32, int((size - got) * 1.1))
+            u = rng.random((batch, self.n))
+            start = 0
+            while start < batch and got < size:
+                stop = min(batch, start + size - got, start + chunk)
+                rows = self._rows_from_uniforms(u[start:stop])
+                keep = rows[self._accept(rows)]
+                take = min(len(keep), size - got)
+                out[got:got + take] = keep[:take]
+                got += take
+                start = stop
             tries += 1
         return out
 
@@ -573,8 +595,7 @@ def exact_localized_sampler(p: BiasMatrix, ell: LocalizationVector | None,
 
 def heat_bath_block_sample(sigma: Permutation, block: tuple, p: BiasMatrix,
                            ell: LocalizationVector | None,
-                           rng: np.random.Generator,
-                           sampler_cache: dict | None = None) -> Permutation:
+                           rng: np.random.Generator) -> Permutation:
     """Resample sigma on the interval block from the conditional measure.
 
     The complement assignment is turned into a boundary, the interior is
@@ -582,14 +603,13 @@ def heat_bath_block_sample(sigma: Permutation, block: tuple, p: BiasMatrix,
     biased), an exact conditional draw is taken there, and the draw is
     embedded back.  sigma outside the block is untouched.
     """
-    rows = heat_bath_block_rows(sigma, block, p, ell, rng, 1, sampler_cache)
+    rows = heat_bath_block_rows(sigma, block, p, ell, rng, 1)
     return Permutation(rows[0], _validate=False)
 
 
 def heat_bath_block_rows(sigma: Permutation, block: tuple, p: BiasMatrix,
                          ell: LocalizationVector | None,
-                         rng: np.random.Generator, size: int,
-                         sampler_cache: dict | None = None) -> np.ndarray:
+                         rng: np.random.Generator, size: int) -> np.ndarray:
     a, b = block
     n = sigma.n
     if not (1 <= a <= b <= n):
@@ -597,18 +617,8 @@ def heat_bath_block_rows(sigma: Permutation, block: tuple, p: BiasMatrix,
     if ell is not None and not is_localized(sigma, ell):
         raise ContractError("state is outside the localized set")
     boundary = BoundaryAssignment.from_permutation(sigma, a - 1, n - b)
-    key = None
-    sampler = None
-    if sampler_cache is not None:
-        key = (block, tuple(boundary.left), tuple(boundary.right))
-        sampler = sampler_cache.get(key)
-    if sampler is None:
-        sub_p, sub_ell, r = restrict_instance(boundary, p, ell)
-        sampler = (exact_localized_sampler(sub_p, sub_ell), r)
-        if sampler_cache is not None:
-            sampler_cache[key] = sampler
-    sub_sampler, r = sampler
-    sub_rows = sub_sampler.draw_rows(rng, size)
+    sub_p, sub_ell, r = restrict_instance(boundary, p, ell)
+    sub_rows = exact_localized_sampler(sub_p, sub_ell).draw_rows(rng, size)
     rows = np.tile(sigma.forward, (size, 1))
     rows[:, a - 1:b] = r[sub_rows - 1]
     return rows

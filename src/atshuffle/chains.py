@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .banddp import BandDP, heat_bath_block_sample, heat_bath_block_rows
+from .banddp import BandDP, heat_bath_block_sample
 from .errors import CapExceeded, ContractError
 from .measure import (DistributionTable, TransitionMatrix, enumerate_stationary,
                       check_detailed_balance)
@@ -415,6 +415,14 @@ class BlockSchedule:
     def sizes(self) -> list:
         return [sum(b - a + 1 for a, b in blk) for blk in self.blocks()]
 
+    def probabilities(self) -> np.ndarray:
+        """Block selection law: size-weighted, or uniform over blocks."""
+        if self.selection == "size":
+            sizes = np.array(self.sizes(), dtype=np.float64)
+            return sizes / sizes.sum()
+        count = len(self.blocks())
+        return np.full(count, 1.0 / count)
+
     def chi(self) -> int:
         cover = np.zeros(self.n, dtype=np.int64)
         for blk in self.blocks():
@@ -456,32 +464,27 @@ def _segment_alphabets(sigma: Permutation, segments: list,
 
 def block_step(sigma: Permutation, schedule: BlockSchedule, p: BiasMatrix,
                ell: LocalizationVector | None, rng: np.random.Generator,
-               sampler_cache: dict | None = None) -> Permutation:
+               choice: int | None = None) -> Permutation:
     """One heat-bath block update.
 
-    A block is chosen (size-weighted by default), then its configuration is
-    replaced by an exact draw from the conditional stationary law given the
-    complement.  Multi-segment blocks resample segments independently when
-    every occupant fits a single segment (the conditional law factorizes);
-    otherwise the whole line is resampled with the complement pinned.
+    A block is chosen from rng by schedule.probabilities(), unless choice
+    gives its index, then its configuration is replaced by an exact draw from
+    the conditional stationary law given the complement.  Multi-segment
+    blocks resample segments independently when every occupant fits a single
+    segment (the conditional law factorizes); otherwise the whole line is
+    resampled with the complement pinned.
     """
     blocks = schedule.blocks()
-    if schedule.selection == "size":
-        sizes = np.array(schedule.sizes(), dtype=np.float64)
-        probs = sizes / sizes.sum()
-    else:
-        probs = np.full(len(blocks), 1.0 / len(blocks))
-    choice = int(rng.choice(len(blocks), p=probs))
+    if choice is None:
+        choice = int(rng.choice(len(blocks), p=schedule.probabilities()))
     segments = blocks[choice]
     if len(segments) == 1:
-        return heat_bath_block_sample(sigma, segments[0], p, ell, rng,
-                                      sampler_cache=sampler_cache)
+        return heat_bath_block_sample(sigma, segments[0], p, ell, rng)
     split = _segment_alphabets(sigma, segments, ell)
     if split is not None:
         out = sigma
         for seg in segments:
-            out = heat_bath_block_sample(out, seg, p, ell, rng,
-                                         sampler_cache=sampler_cache)
+            out = heat_bath_block_sample(out, seg, p, ell, rng)
         return out
     # joint resample with the complement pinned (small instances only)
     if ell is None:
@@ -491,8 +494,7 @@ def block_step(sigma: Permutation, schedule: BlockSchedule, p: BiasMatrix,
         in_block.update(range(a, b + 1))
     pins = {pos: sigma.at(pos) for pos in range(1, sigma.n + 1)
             if pos not in in_block}
-    dp = BandDP(p, ell, pins=pins)
-    return dp.sample(rng)
+    return BandDP(p, ell, pins=pins).sample(rng)
 
 
 def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
@@ -503,14 +505,8 @@ def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
         mu = enumerate_stationary(n, p, ell)
     states = mu.support
     m = len(states)
-    blocks = schedule.blocks()
-    if schedule.selection == "size":
-        sizes = np.array(schedule.sizes(), dtype=np.float64)
-        weights = sizes / sizes.sum()
-    else:
-        weights = np.full(len(blocks), 1.0 / len(blocks))
     P = np.zeros((m, m))
-    for blk, wb in zip(blocks, weights):
+    for blk, wb in zip(schedule.blocks(), schedule.probabilities()):
         positions = []
         for a, b in blk:
             positions.extend(range(a, b + 1))
@@ -591,46 +587,20 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
         a = Permutation(x0a.forward.copy(), _validate=False)
         b = Permutation(x0b.forward.copy(), _validate=False)
         pick_rng = derive_rng(seed, experiment_id("twin-blocks"))
-        blocks = schedule.blocks()
-        if schedule.selection == "size":
-            sizes = np.array(schedule.sizes(), dtype=np.float64)
-            probs = sizes / sizes.sum()
-        else:
-            probs = np.full(len(blocks), 1.0 / len(blocks))
+        count = len(schedule.blocks())
+        probs = schedule.probabilities()
         for t in range(1, T + 1):
-            choice = int(pick_rng.choice(len(blocks), p=probs))
+            choice = int(pick_rng.choice(count, p=probs))
             # one derived seed per step, consumed independently by each chain,
             # so rejections cannot desynchronize the coupling
-            step_rng_a = derive_rng(seed, experiment_id("twin-step"), t)
-            step_rng_b = derive_rng(seed, experiment_id("twin-step"), t)
-            a = _block_update_chosen(a, blocks[choice], p, ell, step_rng_a)
-            b = _block_update_chosen(b, blocks[choice], p, ell, step_rng_b)
+            a = block_step(a, schedule, p, ell,
+                           derive_rng(seed, experiment_id("twin-step"), t), choice)
+            b = block_step(b, schedule, p, ell,
+                           derive_rng(seed, experiment_id("twin-step"), t), choice)
             if np.array_equal(a.forward, b.forward):
                 return t, {"driver": driver}
         return None, {"driver": driver}
     raise ContractError(f"unknown driver {driver}")
-
-
-def _block_update_chosen(sigma: Permutation, segments: list, p: BiasMatrix,
-                         ell: LocalizationVector | None,
-                         rng: np.random.Generator) -> Permutation:
-    """Heat-bath update of one already-chosen block."""
-    if len(segments) == 1:
-        return heat_bath_block_sample(sigma, segments[0], p, ell, rng)
-    split = _segment_alphabets(sigma, segments, ell)
-    if split is not None:
-        out = sigma
-        for seg in segments:
-            out = heat_bath_block_sample(out, seg, p, ell, rng)
-        return out
-    if ell is None:
-        raise CapExceeded("joint multi-segment resampling needs a localization window")
-    in_block = set()
-    for a, b in segments:
-        in_block.update(range(a, b + 1))
-    pins = {pos: sigma.at(pos) for pos in range(1, sigma.n + 1)
-            if pos not in in_block}
-    return BandDP(p, ell, pins=pins).sample(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +637,18 @@ def ensemble_chain_run(p: BiasMatrix, starts: np.ndarray, steps: int,
                        checkpoints=(), checkpoint_fn=None, chunk: int = 2048):
     """Advance R independent chains in lockstep (vectorized over replicas).
 
-    starts is an (R, n) array of forward rows.  checkpoint_fn(t, F, INV) is
-    called at each step index in checkpoints (0 means before any step).
+    starts is an (R, n) array of forward rows, each in the localized set when
+    ell is given.  checkpoint_fn(t, F, INV) is called at each step index in
+    checkpoints (0 means before any step).
     """
     F = np.array(starts, dtype=np.int64, copy=True)
     R, n = F.shape
     INV = np.empty_like(F)
     INV[np.arange(R)[:, None], F - 1] = np.arange(1, n + 1)[None, :]
+    if ell is not None:
+        d = INV - np.arange(1, n + 1)[None, :]
+        if ell.n != n or not np.all((d >= -ell.lo) & (d <= ell.hi)):
+            raise ContractError("starts must be localized")
     dense = p.dense()
     marks = sorted(set(int(c) for c in checkpoints))
     if checkpoint_fn is not None and marks and marks[0] == 0:

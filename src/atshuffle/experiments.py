@@ -938,14 +938,25 @@ def lower_bound_experiment(n: int, p: BiasMatrix, eta: float = 0.5,
 # block-dynamics mixing
 # ---------------------------------------------------------------------------
 
-def _twin_block_worker(args):
-    (fa, fb, p_text, ell_text, T, seed, kind, M, selection) = args
-    p = BiasMatrix.from_text(p_text)
-    ell = LocalizationVector.from_text(ell_text) if ell_text else None
-    schedule = BlockSchedule(kind, p.n, M, selection)
-    t, _ = twin_chain_coupling_run(Permutation(fa), Permutation(fb), p, ell,
-                                   T, seed, driver="block", schedule=schedule)
+# the shared part of every task of a block_chain_mixing pool, set once per
+# worker process by the pool initializer
+_block_instance = None
+
+
+def _set_block_instance(instance):
+    global _block_instance
+    _block_instance = instance
+
+
+def _twin_block_time(instance, seed):
+    bottom, top, p, ell, schedule, step_cap = instance
+    t, _ = twin_chain_coupling_run(bottom, top, p, ell, step_cap, seed,
+                                   driver="block", schedule=schedule)
     return t
+
+
+def _twin_block_worker(seed):
+    return _twin_block_time(_block_instance, seed)
 
 
 def block_chain_mixing(n: int, p: BiasMatrix, ell: LocalizationVector,
@@ -957,19 +968,16 @@ def block_chain_mixing(n: int, p: BiasMatrix, ell: LocalizationVector,
     At enumerable sizes the exact inverse gap of the restricted block kernel
     is recorded alongside.
     """
-    bottom = Permutation.identity(n)
-    top = max_localized_state(ell)
-    work = []
-    for rep in range(replicas):
-        work.append((bottom.to_tuple(), top.to_tuple(), p.to_text(),
-                     ell.to_text(), step_cap, int(derive_rng(
-                         seed, experiment_id("twin-block"), rep).integers(0, 2 ** 62)),
-                     schedule.kind, schedule.M, schedule.selection))
+    instance = (Permutation.identity(n), max_localized_state(ell), p, ell,
+                schedule, step_cap)
+    seeds = [int(derive_rng(seed, experiment_id("twin-block"), rep).integers(0, 2 ** 62))
+             for rep in range(replicas)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            times = list(ex.map(_twin_block_worker, work))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_block_instance,
+                                 initargs=(instance,)) as ex:
+            times = list(ex.map(_twin_block_worker, seeds))
     else:
-        times = [_twin_block_worker(w) for w in work]
+        times = [_twin_block_time(instance, s) for s in seeds]
     hit = np.array([t is not None for t in times])
     frac = float(np.mean(hit))
     se = _se_bernoulli(frac, replicas)

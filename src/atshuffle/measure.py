@@ -248,8 +248,9 @@ def spectral_gap(P: TransitionMatrix, mu: DistributionTable,
     """1 - lambda_2 of a reversible kernel, via the symmetrized matrix.
 
     Uses a full symmetric eigendecomposition below dense_cutoff states and
-    Lanczos iteration with the top eigenvector deflated above it.  A
-    singleton chain has gap 1 by convention.
+    Lanczos iteration with the top eigenvector deflated above it, started
+    from a fixed vector so that reruns give the same bits.  A singleton chain
+    has gap 1 by convention.
     """
     m = len(P.states)
     if m == 1:
@@ -275,7 +276,9 @@ def spectral_gap(P: TransitionMatrix, mu: DistributionTable,
             return y - v * (v @ y)
 
         op = spla.LinearOperator((m, m), matvec=matvec, dtype=np.float64)
-        vals = spla.eigsh(op, k=1, which="LA", tol=tol,
+        v0 = np.random.default_rng(0).standard_normal(m)
+        v0 -= v * (v @ v0)
+        vals = spla.eigsh(op, k=1, which="LA", tol=tol, v0=v0,
                           return_eigenvectors=False, maxiter=100 * m)
         lam2 = float(vals[0])
     return 1.0 - lam2

@@ -331,6 +331,10 @@ class BiasMatrix:
         iu = np.triu_indices(self.n, k=1)
         return tuple(float(v) for v in self._dense[iu])
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so an unpickled matrix is read-only
+        return (BiasMatrix, (self._dense,))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiasMatrix):
             return NotImplemented

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -152,6 +153,48 @@ def test_mallows_degenerate_cases():
     rev = MallowsRejectionSampler(6, 0.0, LocalizationVector.unbounded(6))
     rows = rev.draw_rows(np.random.default_rng(0), 3)
     assert np.all(rows == np.arange(6, 0, -1))
+    # the reversal is the only draw and lies outside a narrow window
+    narrow = MallowsRejectionSampler(6, 0.0, LocalizationVector.constant(6, 2))
+    rng = np.random.default_rng(0)
+    with pytest.raises(CapExceeded):
+        narrow.draw_rows(rng, 1)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+# sha256 of the int64 rows and the generator's next uniform after
+# draw_rows(default_rng(123), size) at n = 40, q = 0.7, recorded before the
+# rows were built lazily: the stream and the accepted rows must not change
+MALLOWS_PINS = {
+    (None, 1): ("4435f196ec7fe3b284fd52e3238de403c3f6a014a3ecdd37469292275e9e567f",
+                0.11283803181979435),
+    (None, 500): ("ec809747c7a0bd7f6865f50fb7b43e843e3cfaceaa2141ec9a3b7470b7c2e242",
+                  0.8745306172473346),
+    (4, 1): ("a60bbd52158acac723c23b7a9e4e71c63b735352f77b8f194e74e12bb329f0d1",
+             0.11283803181979435),
+    (4, 500): ("7596c9e11c572be605c7d3483fdb457adf45a41a2bbd45029a9f0582960cf98e",
+               0.9762651676676615),
+    # more rows than one conversion chunk
+    (4, 5000): ("672c5cb5e8151f84cc39a18841708f59e960d534f167fe6aaee5ec4ac9277420",
+                0.5310215797370997),
+}
+
+
+@pytest.mark.parametrize("ell_width, size", sorted(MALLOWS_PINS, key=str))
+def test_mallows_pinned_stream(ell_width, size):
+    ell = None if ell_width is None else LocalizationVector.constant(40, ell_width)
+    rng = np.random.default_rng(123)
+    rows = MallowsRejectionSampler(40, 0.7, ell).draw_rows(rng, size)
+    digest, next_u = MALLOWS_PINS[(ell_width, size)]
+    assert rows.dtype == np.int64 and rows.shape == (size, 40)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+    assert rng.random() == next_u
+
+
+def test_mallows_tables_are_shared_and_read_only():
+    a = MallowsRejectionSampler(12, 0.7, None)
+    b = MallowsRejectionSampler(12, 0.7, LocalizationVector.constant(12, 3))
+    assert a._cdfs is b._cdfs
+    assert not any(cdf.flags.writeable for cdf in a._cdfs)
 
 
 def test_dispatcher_strategies():

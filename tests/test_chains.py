@@ -111,6 +111,11 @@ def test_ensemble_stepper_matches_scalar_stepper():
                                 steps, derive_rng(7, 1), ell=ell)
     assert tuple(F[0]) == sigma.to_tuple()
     assert tuple(INV[0]) == tuple(sigma.inverse)
+    # like restricted_at_step, the ensemble refuses starts outside the set
+    starts = np.stack([Permutation.identity(n).forward,
+                       Permutation.reversal(n).forward])
+    with pytest.raises(ContractError):
+        ensemble_chain_run(p, starts, 1, derive_rng(7, 1), ell=ell)
 
 
 def test_eta_projection_examples():

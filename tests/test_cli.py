@@ -83,6 +83,16 @@ def test_cap_violation_surfaces(tmp_path):
     assert "CapExceeded" in man["error"]
 
 
+def test_burnin_rejects_start_outside_window(tmp_path):
+    # the default reversal start puts particle 1 at distance 19 > ell = 2
+    cfg = write_config(tmp_path, "b.json", {
+        "command": "burnin", "n": 20, "p": {"family": "constant-q", "q": 0.75},
+        "ell": 2, "replicas": 4, "T": 10})
+    assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 2
+    man = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert "ContractError" in man["error"]
+
+
 def test_sample_and_chain_commands(tmp_path):
     cfg = write_config(tmp_path, "s.json", {
         "command": "sample", "n": 6, "p": {"family": "constant-q", "q": 0.7},

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -248,6 +249,32 @@ def test_block_chain_mixing_small():
                              replicas=20, step_cap=50, seed=9)
     assert res.verdict.passed, res.verdict.details
     assert res.meta["median_time"] <= 20
+
+
+# digests of block_chain_mixing's sorted JSON record, with its coalesced
+# counts at t = 1..10 and meta, recorded before the block update path lost its
+# text round-trip; ell = 9 makes the heat-bath blocks use the Mallows sampler
+BLOCK_PINS = {
+    3: ("aa1fea2d5e43087270077f6e980f8a2cc111c79c8bdb514b3036c67fc20dfd89",
+        [0, 5, 5, 7, 8, 8, 8, 8, 8, 8], {"max_time": 5, "median_time": 2.0}),
+    9: ("f3e1eb8c9c0a63daa356cb6410076bde0d0553267954612477c4fed5e2addd76",
+        [0, 3, 4, 5, 6, 8, 8, 8, 8, 8], {"max_time": 6, "median_time": 3.5}),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("ell_width", sorted(BLOCK_PINS))
+def test_block_chain_mixing_pinned_stream(ell_width, jobs):
+    n = 30
+    p = BiasMatrix.constant(n, 0.75)
+    ell = LocalizationVector.constant(n, ell_width)
+    res = block_chain_mixing(n, p, ell, BlockSchedule.west_east(n),
+                             replicas=8, step_cap=30, seed=11, jobs=jobs)
+    digest, counts, meta = BLOCK_PINS[ell_width]
+    assert [round(pt.estimate * 8) for pt in res.series[:10]] == counts
+    assert res.meta == meta
+    text = json.dumps(res.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_block_chain_mixing_exact_gap_recorded():

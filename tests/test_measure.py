@@ -116,6 +116,15 @@ def test_spectral_gap_iterative_matches_dense():
     assert iterative == pytest.approx(dense, abs=1e-7)
 
 
+def test_spectral_gap_iterative_is_deterministic():
+    p = BiasMatrix.random_biased(6, 0.3, np.random.default_rng(3))
+    mu = enumerate_stationary(6, p)
+    P = build_transition_matrix(6, p, mu=mu)
+    first = spectral_gap(P, mu, dense_cutoff=0)
+    assert spectral_gap(P, mu, dense_cutoff=0) == first
+    assert first == pytest.approx(spectral_gap(P, mu), abs=1e-9)
+
+
 def test_tv_distance():
     p = BiasMatrix.constant(2, 0.6)
     mu = enumerate_stationary(2, p)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -187,6 +188,9 @@ def test_bias_matrix_families_and_serialization():
     assert BiasMatrix.constant_from_epsilon(4, 0.5).get(1, 2) == pytest.approx(0.6)
     round_trip = BiasMatrix.from_text(p.to_text())
     assert round_trip == p
+    unpickled = pickle.loads(pickle.dumps(p))
+    assert unpickled.dense().tobytes() == p.dense().tobytes()
+    assert not unpickled.dense().flags.writeable
     # a tampered certificate is rejected
     bad = p.to_text().replace(f"epsilon {p.epsilon!r}", "epsilon 0.9")
     with pytest.raises(ContractError):

@@ -16,6 +16,8 @@ tuple (master, key1, key2, ...) to numpy's SeedSequence.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import random
@@ -149,12 +151,16 @@ class AsepState:
 
     @classmethod
     def left_packed(cls, n: int, k: int) -> "AsepState":
+        if not 0 <= k <= n:
+            raise ContractError("k must lie in 0..n")
         occ = np.zeros(n, dtype=np.int8)
         occ[:k] = 1
         return cls(occ)
 
     @classmethod
     def right_packed(cls, n: int, k: int) -> "AsepState":
+        if not 0 <= k <= n:
+            raise ContractError("k must lie in 0..n")
         occ = np.zeros(n, dtype=np.int8)
         occ[n - k:] = 1
         return cls(occ)
@@ -695,126 +701,243 @@ def ensemble_max_displacement(INV: np.ndarray) -> np.ndarray:
     return np.max(np.abs(INV - np.arange(1, n + 1)[None, :]), axis=1)
 
 
+# ---------------------------------------------------------------------------
+# scalar coupling drivers: plain-list state, one shared draw per step
+# ---------------------------------------------------------------------------
+
+_AUDIT_CHUNK = 8192
+
+# A site of a coupled top/bottom ASEP pair holds the code 2*top + bottom.
+_DIFFERS = (0, 1, 1, 0)          # top and bottom disagree at the site
+_BOTTOM_MINUS_TOP = (0, 1, -1, 0)
+
+
+def _pair_moves() -> tuple:
+    """One-edge transitions of a coupled pair, as two tables (u >= q, u < q).
+
+    Entry ``x << 2 | y`` of a table gives the new codes of an edge whose sites
+    hold x and y, and the change in the number of disagreeing sites.  Each
+    process whose edge holds one particle moves it left iff u < q.
+    """
+    tables = ([], [])
+    for left, table in enumerate(tables):
+        for x in range(4):
+            for y in range(4):
+                movable = x ^ y
+                nx, ny = (x | movable, y & ~movable) if left else \
+                    (x & ~movable, y | movable)
+                table.append((nx, ny, _DIFFERS[nx] + _DIFFERS[ny]
+                              - _DIFFERS[x] - _DIFFERS[y]))
+    return tuple(map(tuple, tables))
+
+
+_PAIR_MOVES = _pair_moves()
+
+
 def asep_pair_coalescence(n: int, k: int, q: float, seed: int,
                           t_cap: int) -> int | None:
-    """Meeting time of the monotone top/bottom ASEP coupling (shared draws)."""
+    """Meeting time of the monotone top/bottom ASEP coupling (shared draws).
+
+    Step t draws the edge as ``random.Random(seed).randrange(n - 1)`` does
+    (getrandbits with rejection), then its uniform with ``random()``.
+    """
+    top = AsepState.right_packed(n, k).occ.tolist()
+    bot = AsepState.left_packed(n, k).occ.tolist()
+    codes = [2 * a + b for a, b in zip(top, bot)]
     rnd = random.Random(seed)
-    top = [0] * n
-    bot = [0] * n
-    for v in range(n - k, n):
-        top[v] = 1
-    for v in range(k):
-        bot[v] = 1
-    diff = sum(1 for a, b in zip(top, bot) if a != b)
+    diff = sum(_DIFFERS[c] for c in codes)
     if diff == 0:
         return 0
+    m = n - 1
+    bits = m.bit_length()
+    getrandbits = rnd.getrandbits
+    uniform = rnd.random
+    to_right, to_left = _PAIR_MOVES
     for t in range(1, t_cap + 1):
-        i = rnd.randrange(0, n - 1)
-        u = rnd.random()
-        left = 1 if u < q else 0
-        before = int(top[i] != bot[i]) + int(top[i + 1] != bot[i + 1])
-        for Y in (top, bot):
-            if Y[i] + Y[i + 1] == 1:
-                Y[i] = left
-                Y[i + 1] = 1 - left
-        after = int(top[i] != bot[i]) + int(top[i + 1] != bot[i + 1])
-        diff += after - before
-        if diff == 0:
-            return t
+        i = getrandbits(bits)
+        while i >= m:
+            i = getrandbits(bits)
+        key = codes[i] << 2 | codes[i + 1]
+        x, y, change = to_left[key] if uniform() < q else to_right[key]
+        codes[i] = x
+        codes[i + 1] = y
+        if change:
+            diff += change
+            if not diff:
+                return t
     return None
+
+
+def _audit_draws(rng: np.random.Generator, n: int, steps: int):
+    """The audits' shared draws, chunk by chunk: (steps done, edges, us)."""
+    t = 0
+    while t < steps:
+        edges = rng.integers(1, n, size=_AUDIT_CHUNK).tolist()
+        us = rng.random(_AUDIT_CHUNK).tolist()
+        take = min(_AUDIT_CHUNK, steps - t)
+        yield t, edges[:take], us[:take]
+        t += take
 
 
 def domination_audit_run(n: int, p: BiasMatrix, q: float, ks, steps: int,
                          seed: int, ell: LocalizationVector | None = None,
                          start: Permutation | None = None,
-                         audit_every: int = 1,
                          log_path: str | None = None) -> dict:
     """Long coupled run of the chain and a k-family of ASEPs with audits.
 
     Audits the domination invariant (prefix counts of each projection
-    dominate the coupled ASEP's) every audit_every steps; returns counts.
+    dominate the coupled ASEP's) after every step; returns counts.
     Violations, if any, are appended to log_path as line-delimited records
     with the step, edge, uniform variate, and both states.
     """
     sigma = start if start is not None else Permutation.reversal(n)
+    if sigma.n != n:
+        raise ContractError("start must be a permutation of n labels")
     if ell is not None and not is_localized(sigma, ell):
         raise ContractError("start must be localized")
-    F = sigma.forward.copy()
-    ks = np.array(sorted(ks), dtype=np.int64)
-    K = len(ks)
-    Y = np.zeros((K, n), dtype=np.int8)
-    for idx, k in enumerate(ks):
-        Y[idx] = (F <= k).astype(np.int8)
-    dense = p.dense()
+    ks = sorted(int(k) for k in ks)
+    F = sigma.forward.tolist()
+    Y = [[int(v <= k) for v in F] for k in ks]
+    violations = _domination_audit(F, Y, p, q, ks, steps, seed, ell, log_path)
+    return {"steps": steps, "audits": steps, "violations": violations,
+            "ks": ks}
+
+
+def _domination_audit(F: list, Y: list, p: BiasMatrix, q: float, ks: list,
+                      steps: int, seed: int,
+                      ell: LocalizationVector | None = None,
+                      log_path: str | None = None, flagged=None) -> int:
+    """Audited coupled run from chain row F and ASEP rows Y (one per k in ks).
+
+    Returns the number of steps after which some projection fails to
+    dominate its ASEP; each such step is appended to flagged when given.
+    For each k the run keeps D_k[j] = (eta_k - Y_k prefix count over the
+    first j sites) and the number of negative entries over all k.  A step at
+    edge e changes only D_k[e], so it is recomputed from D_k[e - 1] and the
+    new cell values; a full recount after every draw chunk cross-checks it.
+    """
+    n = len(F)
     if q / (1.0 - q) > 1.0 + p.epsilon + 1e-12:
         raise ContractError("need q/(1-q) <= 1+eps for domination")
-    lo = ell.lo if ell is not None else None
-    hi = ell.hi if ell is not None else None
+    K = len(ks)
+    # bit j of eta_mask[label] is set iff label <= ks[j]; bit j of y[i] is
+    # Y[j][i], so one ASEP update moves every process on the edge at once
+    eta_mask = [sum(1 << j for j, k in enumerate(ks) if label <= k)
+                for label in range(n + 1)]
+    y = [sum(row[i] << j for j, row in enumerate(Y)) for i in range(n)]
+    prob = p.dense().tolist()
+    lo = ell.lo.tolist() if ell is not None else None
+    hi = ell.hi.tolist() if ell is not None else None
+
+    def recount():
+        D = [list(itertools.accumulate(
+            [((eta_mask[F[i]] >> j) & 1) - ((y[i] >> j) & 1)
+             for i in range(n)], initial=0)) for j in range(K)]
+        return D, sum(d < 0 for row in D for d in row)
+
+    D, negative = recount()
+    violations = 0
     rng = derive_rng(seed, experiment_id("domination-audit"))
-    violations = 0
-    audits = 0
-    chunk = 8192
-    log_fh = open(log_path, "a") if log_path else None
-    t = 0
-    while t < steps:
-        edges = rng.integers(1, n, size=chunk)
-        us = rng.random(chunk)
-        for e, u in zip(edges[:steps - t], us[:steps - t]):
-            t += 1
-            a = F[e - 1]
-            b = F[e]
-            pair_lo, pair_hi = (a, b) if a < b else (b, a)
-            want_lo_ahead = u < dense[pair_lo - 1, pair_hi - 1]
-            do_swap = (want_lo_ahead and a > b) or (not want_lo_ahead and a < b)
-            if do_swap and lo is not None:
-                do_swap = (e + 1 - a) <= hi[a - 1] and (b - e) <= lo[b - 1]
-            if do_swap:
-                F[e - 1] = b
-                F[e] = a
-            s = Y[:, e - 1] + Y[:, e]
-            active = s == 1
-            if np.any(active):
-                left = 1 if u < q else 0
-                Y[active, e - 1] = left
-                Y[active, e] = 1 - left
-            if t % audit_every == 0:
-                audits += 1
-                eta_prefix = np.cumsum(F[None, :] <= ks[:, None], axis=1)
-                y_prefix = np.cumsum(Y, axis=1)
-                if not np.all(eta_prefix >= y_prefix):
+    with (open(log_path, "a") if log_path
+          else contextlib.nullcontext()) as log_fh:
+        for t, edges, us in _audit_draws(rng, n, steps):
+            for e, u in zip(edges, us):
+                t += 1
+                i = e - 1
+                a = F[i]
+                b = F[e]
+                # order-based orientation: the smaller label ends ahead iff
+                # u < p[low][high]
+                swap = (u >= prob[a - 1][b - 1] if a < b
+                        else u < prob[b - 1][a - 1])
+                if swap and lo is not None:
+                    swap = (e + 1 - a) <= hi[a - 1] and (b - e) <= lo[b - 1]
+                if swap:
+                    F[i] = b
+                    F[e] = a
+                    changed = eta_mask[a] ^ eta_mask[b]
+                else:
+                    changed = 0
+                yi = y[i]
+                movable = yi ^ y[e]
+                if movable:
+                    new_yi = yi | movable if u < q else yi & ~movable
+                    moved = new_yi ^ yi
+                    y[i] = new_yi
+                    y[e] ^= moved
+                    changed |= moved
+                if changed:
+                    eta = eta_mask[F[i]]
+                    yi = y[i]
+                    while changed:
+                        low = changed & -changed
+                        changed ^= low
+                        j = low.bit_length() - 1
+                        Dj = D[j]
+                        d = Dj[i] + ((eta >> j) & 1) - ((yi >> j) & 1)
+                        old = Dj[e]
+                        Dj[e] = d
+                        negative += (d < 0) - (old < 0)
+                if negative:
                     violations += 1
+                    if flagged is not None:
+                        flagged.append(t)
                     if log_fh is not None:
-                        write_coupling_violation(
-                            log_fh, t, int(e), float(u),
-                            [F.tolist()] + [row.tolist() for row in Y])
-    if log_fh is not None:
-        log_fh.close()
-    return {"steps": steps, "audits": audits, "violations": violations,
-            "ks": [int(k) for k in ks]}
+                        rows = [[(v >> j) & 1 for v in y] for j in range(K)]
+                        write_coupling_violation(log_fh, t, e, u, [F] + rows)
+            if recount() != (D, negative):
+                raise AssertionError("incremental domination audit disagrees "
+                                     f"with the full recount at step {t}")
+    return violations
 
 
-def asep_monotone_audit_run(n: int, k: int, q: float, steps: int, seed: int,
-                            audit_every: int = 1) -> dict:
-    """Long coupled top/bottom ASEP run with order audits."""
-    rng = derive_rng(seed, experiment_id("asep-monotone-audit"))
-    top = AsepState.right_packed(n, k).occ.astype(np.int64)
-    bot = AsepState.left_packed(n, k).occ.astype(np.int64)
+def asep_monotone_audit_run(n: int, k: int, q: float, steps: int,
+                            seed: int) -> dict:
+    """Long coupled top/bottom ASEP run with an order audit after every step."""
+    top = AsepState.right_packed(n, k).occ.tolist()
+    bot = AsepState.left_packed(n, k).occ.tolist()
+    violations = _monotone_audit(top, bot, q, steps, seed)
+    return {"steps": steps, "audits": steps, "violations": violations}
+
+
+def _monotone_audit(top: list, bot: list, q: float, steps: int, seed: int,
+                    flagged=None) -> int:
+    """Audited coupled top/bottom run; counts steps with bottom not <= top.
+
+    Keeps D[j] = (bottom - top prefix count over the first j sites) and its
+    number of negative entries, updated incrementally as in
+    ``_domination_audit`` and recounted after every draw chunk.
+    """
+    n = len(top)
+    codes = [2 * a + b for a, b in zip(top, bot)]
+
+    def recount():
+        D = list(itertools.accumulate(
+            (_BOTTOM_MINUS_TOP[c] for c in codes), initial=0))
+        return D, sum(d < 0 for d in D)
+
+    D, negative = recount()
     violations = 0
-    audits = 0
-    chunk = 8192
-    t = 0
-    while t < steps:
-        edges = rng.integers(1, n, size=chunk)
-        us = rng.random(chunk)
-        for e, u in zip(edges[:steps - t], us[:steps - t]):
+    to_right, to_left = _PAIR_MOVES
+    rng = derive_rng(seed, experiment_id("asep-monotone-audit"))
+    for t, edges, us in _audit_draws(rng, n, steps):
+        for e, u in zip(edges, us):
             t += 1
-            left = 1 if u < q else 0
-            for Y in (bot, top):
-                if Y[e - 1] + Y[e] == 1:
-                    Y[e - 1] = left
-                    Y[e] = 1 - left
-            if t % audit_every == 0:
-                audits += 1
-                if not np.all(np.cumsum(bot) >= np.cumsum(top)):
-                    violations += 1
-    return {"steps": steps, "audits": audits, "violations": violations}
+            i = e - 1
+            key = codes[i] << 2 | codes[e]
+            x, y, _ = to_left[key] if u < q else to_right[key]
+            codes[i] = x
+            codes[e] = y
+            d = D[i] + _BOTTOM_MINUS_TOP[x]
+            old = D[e]
+            if d != old:
+                D[e] = d
+                negative += (d < 0) - (old < 0)
+            if negative:
+                violations += 1
+                if flagged is not None:
+                    flagged.append(t)
+        if recount() != (D, negative):
+            raise AssertionError("incremental monotone audit disagrees "
+                                 f"with the full recount at step {t}")
+    return violations

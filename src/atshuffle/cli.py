@@ -7,7 +7,7 @@ Usage:
               --seed 7 --out DIR
 
 The config file is JSON with a fixed key set per command (unknown keys are
-rejected).  Common keys:
+rejected, and so are configs missing a key the command needs).  Common keys:
 
     command   one of exact | sample | chain | asep | burnin | spatial |
               disconnect | blockcheck | mix | lowerbound
@@ -44,8 +44,8 @@ from .banddp import exact_localized_sampler
 from .chains import (BlockSchedule, derive_rng,
                      ensemble_chain_run, experiment_id, write_checkpoint)
 from .errors import CapExceeded, ContractError, EmptySupport, NotReversible
-from .experiments import (ExperimentResult, SeriesPoint, Verdict,
-                          asep_tail_check, block_chain_mixing,
+from .experiments import (FAMILY_PARAMS, ExperimentResult, SeriesPoint,
+                          Verdict, asep_tail_check, block_chain_mixing,
                           block_decomposition_check, burn_in_profile,
                           burn_in_scaling, disconnect_probability,
                           localization_tail_check, lower_bound_experiment,
@@ -72,6 +72,19 @@ _ALLOWED_KEYS = {
     "mix": _COMMON_KEYS | {"delta", "method", "budget"},
     "lowerbound": _COMMON_KEYS | {"eta", "replicas", "threshold"},
 }
+# keys a command cannot run without; a tuple means "one of these"
+_REQUIRED_KEYS = {
+    "exact": ("n", "p"),
+    "sample": ("n", "p"),
+    "chain": ("n", "p"),
+    "asep": ("n", "k", "q"),
+    "burnin": (("n", "ns"), "p"),
+    "spatial": ("n", "p", "eta", "eta_bar", "rs"),
+    "disconnect": ("n", "p"),
+    "blockcheck": ("n", "p"),
+    "mix": (("n", "ns"), "p"),
+    "lowerbound": ("n", "p"),
+}
 
 
 class RunConfig:
@@ -89,6 +102,21 @@ class RunConfig:
         if unknown:
             raise ContractError(
                 f"unknown config keys for {command}: {sorted(unknown)}")
+        for need in _REQUIRED_KEYS[command]:
+            options = need if isinstance(need, tuple) else (need,)
+            if not any(key in raw for key in options):
+                raise ContractError(
+                    f"{command} needs the config key {' or '.join(options)}")
+        spec = raw.get("p")
+        if isinstance(spec, dict) and "family" in spec:
+            kind = spec["family"]
+            if not isinstance(kind, str) or kind not in FAMILY_PARAMS:
+                raise ContractError(f"unknown family {kind!r}; choose from "
+                                    + ", ".join(FAMILY_PARAMS))
+            for key in FAMILY_PARAMS[kind]:
+                if key not in spec:
+                    raise ContractError(
+                        f"family {kind} needs the key {key!r} in p")
         self.command = command
         self.raw = dict(raw)
         self.seed = int(seed_override if seed_override is not None
@@ -279,6 +307,9 @@ def _run_asep(cfg: RunConfig, outdir: str):
 
 def _run_burnin(cfg: RunConfig, outdir: str):
     if "ns" in cfg.raw:
+        if cfg.raw.get("ell") is not None:
+            raise ContractError("burnin over ns runs unrestricted chains; "
+                                "drop ell or run each n with its own config")
         res = burn_in_scaling(
             [int(v) for v in cfg.raw["ns"]], _family_dict(cfg.raw["p"]),
             T_mult=int(cfg.raw.get("T_mult", 8)),
@@ -428,6 +459,9 @@ def run(cfg: RunConfig) -> int:
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         status = 2
+    except Exception as exc:
+        manifest["error"] = f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         manifest["runtime_s"] = round(time.time() - t0, 3)
         manifest["finished"] = datetime.datetime.now(

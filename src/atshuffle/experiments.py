@@ -164,6 +164,12 @@ def disconnect_product_bound(eps: float, k: int) -> float:
     return out
 
 
+# the parameters make_family reads for each family kind
+FAMILY_PARAMS = {"constant-q": ("q",), "constant-eps": ("eps",),
+                 "totally-asymmetric": (), "random-eps": ("eps",),
+                 "monotone-eps": ("eps",)}
+
+
 def make_family(n: int, family: dict, seed: int = 0) -> BiasMatrix:
     """Build a named bias-matrix family instance for size n."""
     kind = family["kind"]

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from atshuffle import cli
 from atshuffle.cli import RunConfig, generate_instance, main, run
 from atshuffle.errors import ContractError
 from atshuffle.perms import BiasMatrix
@@ -173,3 +174,54 @@ def test_failed_verdict_exit_status(tmp_path):
         assert code == 0
     else:
         assert code == 1
+
+
+def test_burnin_over_ns_refuses_ell(tmp_path):
+    # ell used to be dropped silently when the config had ns
+    cfg = write_config(tmp_path, "bns.json", {
+        "command": "burnin", "ns": [8, 12],
+        "p": {"family": "constant-q", "q": 0.75}, "ell": 1, "replicas": 4,
+        "T_mult": 1})
+    assert main(["--config", cfg, "--out", str(tmp_path / "bns")]) == 2
+    man = json.loads((tmp_path / "bns" / "manifest.json").read_text())
+    assert "ContractError" in man["error"] and "ell" in man["error"]
+    assert not (tmp_path / "bns" / "result.json").exists()
+
+
+@pytest.mark.parametrize("raw, missing", [
+    ({"command": "burnin", "p": {"family": "constant-q", "q": 0.75}},
+     "n or ns"),
+    ({"command": "exact", "n": 3, "p": {"family": "constant-q"}}, "'q'"),
+    ({"command": "mix", "p": {"family": "constant-eps"}, "ns": [8]}, "'eps'"),
+    ({"command": "asep", "n": 10, "k": 3}, "key q"),
+    ({"command": "lowerbound", "n": 36}, "key p"),
+])
+def test_missing_required_keys_are_config_errors(tmp_path, capsys, raw,
+                                                 missing):
+    with pytest.raises(ContractError, match=missing):
+        RunConfig(raw)
+    cfg = write_config(tmp_path, "miss.json", raw)
+    assert main(["--config", cfg, "--out", str(tmp_path / "miss")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_unknown_family_is_a_config_error():
+    with pytest.raises(ContractError, match="unknown family"):
+        RunConfig({"command": "exact", "n": 3, "p": {"family": "bogus"}})
+    with pytest.raises(ContractError, match="unknown family"):
+        RunConfig({"command": "exact", "n": 3, "p": {"family": ["q"]}})
+
+
+def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
+    def broken(cfg, outdir):
+        raise RuntimeError("handler blew up")
+
+    monkeypatch.setitem(cli._HANDLERS, "exact", broken)
+    cfg = RunConfig({"command": "exact", "n": 3,
+                     "p": {"family": "constant-q", "q": 0.6}},
+                    out=str(tmp_path / "x"))
+    with pytest.raises(RuntimeError):
+        run(cfg)
+    man = json.loads((tmp_path / "x" / "manifest.json").read_text())
+    assert man["error"] == "RuntimeError: handler blew up"
+    assert man["incomplete"] is True

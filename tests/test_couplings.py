@@ -3,11 +3,15 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import audit_oracle
+from atshuffle import chains
 from atshuffle.chains import (AsepState, UpdateDraw, asep_monotone_audit_run,
-                              coupled_asep_step, coupled_domination_step,
-                              domination_audit_run, eta_projection,
-                              left_order_leq)
+                              asep_pair_coalescence, coupled_asep_step,
+                              coupled_domination_step, domination_audit_run,
+                              eta_projection, left_order_leq)
 from atshuffle.errors import ContractError
 from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
                              is_localized, random_admissible_localization)
@@ -192,3 +196,131 @@ def test_restricted_move_graph_is_connected():
                         seen.add(t)
                         queue.append(t)
             assert len(seen) == len(states)
+
+
+# ---------------------------------------------------------------------------
+# incremental audits and list-state coalescence against the full-recount oracle
+# ---------------------------------------------------------------------------
+
+def random_occupancy(n, k, rng):
+    occ = [0] * n
+    for v in rng.choice(n, size=k, replace=False):
+        occ[v] = 1
+    return occ
+
+
+def localized_start(n, ell, rng):
+    f = list(range(1, n + 1))
+    for i in rng.integers(0, n - 1, size=4 * n):
+        g = f.copy()
+        g[i], g[i + 1] = g[i + 1], g[i]
+        if is_localized(Permutation(g), ell):
+            f = g
+    return f
+
+
+def check_domination_against_oracle(tmp_path, n, p, q, ks, steps, seed, ell,
+                                    F0, Y0):
+    ours, theirs = tmp_path / "ours.jsonl", tmp_path / "oracle.jsonl"
+    for log in (ours, theirs):
+        log.unlink(missing_ok=True)
+    flagged = []
+    got = chains._domination_audit(list(F0), [list(r) for r in Y0], p, q, ks,
+                                   steps, seed, ell, str(ours), flagged)
+    want, want_flagged = audit_oracle.domination_audit(
+        F0, Y0, p, q, ks, steps, seed, ell, str(theirs))
+    assert (got, flagged) == (want, want_flagged)
+    assert ours.read_bytes() == theirs.read_bytes()
+    assert len(ours.read_text().splitlines()) == want
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 14), data=st.data(), seed=st.integers(0, 2 ** 32),
+       steps=st.integers(0, 400), family=st.sampled_from(
+           ["constant", "random", "totally-asymmetric"]),
+       q=st.floats(0.5, 0.75), restricted=st.booleans(),
+       inject=st.booleans())
+def test_domination_audit_matches_full_recount(tmp_path_factory, n, data,
+                                               seed, steps, family, q,
+                                               restricted, inject):
+    rng = np.random.default_rng(seed)
+    ks = sorted(data.draw(st.lists(st.integers(1, n - 1), min_size=1,
+                                   max_size=6), label="ks"))
+    p = {"constant": BiasMatrix.constant(n, 0.75),
+         "random": BiasMatrix.random_biased(n, 2.0, rng),
+         "totally-asymmetric": BiasMatrix.totally_asymmetric(n)}[family]
+    if restricted:
+        ell = random_admissible_localization(n, rng, max_ell=2)
+        F0 = localized_start(n, ell, rng)
+    else:
+        ell = None
+        F0 = [int(v) for v in rng.permutation(n) + 1]
+    if inject:
+        # ASEP rows that need not dominate their projections
+        Y0 = [random_occupancy(n, k, rng) for k in ks]
+    else:
+        Y0 = [[int(v <= k) for v in F0] for k in ks]
+    violations = check_domination_against_oracle(
+        tmp_path_factory.mktemp("dom"), n, p, q, ks, steps, seed, ell, F0, Y0)
+    if not inject:
+        assert violations == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 14), data=st.data(), seed=st.integers(0, 2 ** 32),
+       steps=st.integers(0, 400), q=st.floats(0.05, 0.95),
+       inject=st.booleans())
+def test_monotone_audit_matches_full_recount(n, data, seed, steps, q, inject):
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(0, n), label="k")
+    if inject:
+        top, bot = random_occupancy(n, k, rng), random_occupancy(n, k, rng)
+    else:
+        top = AsepState.right_packed(n, k).occ.tolist()
+        bot = AsepState.left_packed(n, k).occ.tolist()
+    flagged = []
+    got = chains._monotone_audit(top, bot, q, steps, seed, flagged)
+    assert (got, flagged) == audit_oracle.monotone_audit(top, bot, q, steps,
+                                                         seed)
+    if not inject:
+        assert got == 0
+
+
+def test_injected_violations_flagged_across_draw_chunks(tmp_path):
+    # more than two draw chunks, so the per-chunk recount runs three times
+    n, steps, seed = 12, 2 * 8192 + 17, 3
+    p = BiasMatrix.constant(n, 0.75)
+    ks = [2, 5, 9]
+    F0 = list(range(n, 0, -1))
+    # left-packed ASEP rows lie left of the reversal's right-packed projections
+    Y0 = [[int(i < k) for i in range(n)] for k in ks]
+    assert check_domination_against_oracle(tmp_path, n, p, 0.75, ks, steps,
+                                           seed, None, F0, Y0) > 0
+    top = [1, 1, 0, 0, 0, 0, 0, 0]   # top left of bottom: out of order
+    bot = [0, 0, 0, 0, 0, 0, 1, 1]
+    flagged = []
+    got = chains._monotone_audit(top, bot, 0.6, steps, seed, flagged)
+    assert got > 0 and flagged[0] == 1
+    assert (got, flagged) == audit_oracle.monotone_audit(top, bot, 0.6,
+                                                         steps, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), data=st.data(), q=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2 ** 64), t_cap=st.integers(0, 3000))
+def test_pair_coalescence_matches_reference(n, data, q, seed, t_cap):
+    k = data.draw(st.integers(0, n), label="k")
+    assert asep_pair_coalescence(n, k, q, seed, t_cap) == \
+        audit_oracle.pair_coalescence(n, k, q, seed, t_cap)
+
+
+def test_coupling_drivers_reject_bad_sizes():
+    for k in (-1, 5):
+        with pytest.raises(ContractError):
+            asep_pair_coalescence(4, k, 0.75, 0, 10)
+        with pytest.raises(ContractError):
+            asep_monotone_audit_run(4, k, 0.75, 10, 0)
+    with pytest.raises(ContractError):
+        domination_audit_run(5, BiasMatrix.constant(5, 0.75), 0.75, [2], 10,
+                             0, start=Permutation.identity(4))

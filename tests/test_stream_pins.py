@@ -1,0 +1,59 @@
+"""Pinned outputs of the scalar coupling drivers.
+
+The values were recorded with the original numpy/randrange implementations;
+the list-state drivers must reproduce them exactly (same draw streams, same
+meeting times, same result files).
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from atshuffle.chains import (asep_monotone_audit_run, asep_pair_coalescence,
+                              domination_audit_run)
+from atshuffle.cli import main
+from atshuffle.perms import BiasMatrix, LocalizationVector, Permutation
+
+Q = 0.75
+COALESCENCE_SEEDS = (1, 2, 3, 2 ** 61 + 7)
+MEETING_TIMES = {
+    32: [4453, 3051, 3175, 3432],
+    64: [13364, 13398, 13570, 13664],
+    128: [59585, 58170, 59973, 59309],
+}
+# sha256 of result.json of the CLI config MIX_CONFIG
+MIX_CONFIG = {"command": "mix", "ns": [32, 64, 128],
+              "p": {"family": "constant-q", "q": Q}, "method": "coupling",
+              "budget": 4, "seed": 11}
+MIX_DIGEST = "8bc32141de316c6680a2d8d13740a2c4e529c19fbebd40d26717a1f8ed99249b"
+
+
+@pytest.mark.parametrize("n", sorted(MEETING_TIMES))
+def test_coalescence_meeting_times_pinned(n):
+    t_cap = int(40 * n * n / (2 * Q - 1))
+    assert [asep_pair_coalescence(n, n // 2, Q, seed, t_cap)
+            for seed in COALESCENCE_SEEDS] == MEETING_TIMES[n]
+    assert asep_pair_coalescence(n, n // 2, Q, 5, 100) is None
+
+
+def test_audit_result_dicts_pinned():
+    p = BiasMatrix.constant(40, Q)
+    assert domination_audit_run(40, p, Q, ks=[39, 1, 8, 16], steps=20000,
+                                seed=6) == {
+        "steps": 20000, "audits": 20000, "violations": 0, "ks": [1, 8, 16, 39]}
+    assert domination_audit_run(
+        40, p, Q, ks=[1, 4, 16, 39], steps=20000, seed=7,
+        ell=LocalizationVector.constant(40, 8),
+        start=Permutation.identity(40)) == {
+        "steps": 20000, "audits": 20000, "violations": 0, "ks": [1, 4, 16, 39]}
+    assert asep_monotone_audit_run(50, 20, Q, steps=20000, seed=5) == {
+        "steps": 20000, "audits": 20000, "violations": 0}
+
+
+def test_cli_mix_result_pinned(tmp_path):
+    cfg = tmp_path / "mix.json"
+    cfg.write_text(json.dumps(MIX_CONFIG))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    data = (tmp_path / "o" / "result.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == MIX_DIGEST

@@ -637,32 +637,54 @@ def write_coupling_violation(fh, step: int, edge: int, u: float, states) -> None
 # vectorized ensembles (used by the experiments module)
 # ---------------------------------------------------------------------------
 
+def _inverse_rows(F: np.ndarray) -> np.ndarray:
+    """Row-wise inverses of an (R, n) stack of 1-based permutation rows."""
+    R, n = F.shape
+    INV = np.empty_like(F)
+    INV[np.arange(R)[:, None], F - 1] = np.arange(1, n + 1)[None, :]
+    return INV
+
+
 def ensemble_chain_run(p: BiasMatrix, starts: np.ndarray, steps: int,
                        rng: np.random.Generator,
                        ell: LocalizationVector | None = None,
                        checkpoints=(), checkpoint_fn=None, chunk: int = 2048):
     """Advance R independent chains in lockstep (vectorized over replicas).
 
-    starts is an (R, n) array of forward rows, each in the localized set when
-    ell is given.  checkpoint_fn(t, F, INV) is called at each step index in
-    checkpoints (0 means before any step).
+    starts is an (R, n) array of forward rows, each a permutation of 1..n and
+    in the localized set when ell is given.  checkpoint_fn(t, F, INV) is
+    called at each step index in checkpoints (0 means before any step), each
+    of which must lie in [0, steps]; INV is the exact inverse of that step's
+    F.  Returns the final (F, INV).
     """
-    F = np.array(starts, dtype=np.int64, copy=True)
+    if steps < 0:
+        raise ContractError("steps must be >= 0")
+    # C order, so the flat view below aliases F instead of copying it
+    F = np.array(starts, dtype=np.int64, order="C")
     R, n = F.shape
-    INV = np.empty_like(F)
-    INV[np.arange(R)[:, None], F - 1] = np.arange(1, n + 1)[None, :]
+    if not np.array_equal(np.sort(F, axis=1),
+                          np.broadcast_to(np.arange(1, n + 1), F.shape)):
+        raise ContractError("every start row must be a permutation of 1..n")
     if ell is not None:
-        d = INV - np.arange(1, n + 1)[None, :]
+        d = _inverse_rows(F) - np.arange(1, n + 1)[None, :]
         if ell.n != n or not np.all((d >= -ell.lo) & (d <= ell.hi)):
             raise ContractError("starts must be localized")
-    dense = p.dense()
-    marks = sorted(set(int(c) for c in checkpoints))
-    if checkpoint_fn is not None and marks and marks[0] == 0:
-        checkpoint_fn(0, F, INV)
-        marks = marks[1:]
-    lo = ell.lo if ell is not None else None
-    hi = ell.hi if ell is not None else None
-    rows = np.arange(R)
+    marks = sorted({int(c) for c in checkpoints})
+    if marks and not 0 <= marks[0] <= marks[-1] <= steps:
+        raise ContractError(f"checkpoints must lie in [0, {steps}]")
+    if checkpoint_fn is None:
+        marks = []
+    if marks and marks[0] == 0:
+        checkpoint_fn(0, F, _inverse_rows(F))
+        marks.pop(0)
+    # p[b][a] at flat index b*(n+1) + a of a zero-padded copy of p.dense()
+    stride = n + 1
+    pflat = np.zeros((stride, stride))
+    pflat[1:, 1:] = p.dense()
+    pflat = pflat.ravel()
+    Ff = F.ravel()
+    Fn = Ff[1:]
+    row_offset = np.arange(R) * n
     # chunk size depends only on R, so the draw stream is independent of the
     # horizon; the bound keeps the draw buffers around 32 MB
     chunk = max(1, min(chunk, 4_194_304 // R))
@@ -670,30 +692,24 @@ def ensemble_chain_run(p: BiasMatrix, starts: np.ndarray, steps: int,
     while t < steps:
         edges = rng.integers(1, n, size=(chunk, R))
         us = rng.random((chunk, R))
+        # edge e of row r becomes the flat index of its left cell
+        edges += row_offset - 1
         for s in range(min(chunk, steps - t)):
-            e = edges[s]
-            u = us[s]
-            a = F[rows, e - 1]
-            b = F[rows, e]
-            do = u < dense[b - 1, a - 1]
-            if lo is not None:
-                do &= (e + 1 - a) <= hi[a - 1]
-                do &= (b - e) <= lo[b - 1]
-            if np.any(do):
-                r = rows[do]
-                ee = e[do]
-                aa = a[do]
-                bb = b[do]
-                F[r, ee - 1] = bb
-                F[r, ee] = aa
-                INV[r, aa - 1] = ee + 1
-                INV[r, bb - 1] = ee
+            i = edges[s]
+            a = Ff[i]
+            b = Fn[i]
+            do = us[s] < pflat[b * stride + a]
+            if ell is not None:
+                e = i - row_offset + 1
+                do &= (e + 1 - a) <= ell.hi[a - 1]
+                do &= (b - e) <= ell.lo[b - 1]
+            Ff[i] = np.where(do, b, a)
+            Fn[i] = np.where(do, a, b)
             t += 1
-            while marks and marks[0] == t:
-                if checkpoint_fn is not None:
-                    checkpoint_fn(t, F, INV)
+            if marks and marks[0] == t:
+                checkpoint_fn(t, F, _inverse_rows(F))
                 marks.pop(0)
-    return F, INV
+    return F, _inverse_rows(F)
 
 
 def ensemble_max_displacement(INV: np.ndarray) -> np.ndarray:

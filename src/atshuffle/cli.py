@@ -86,6 +86,15 @@ _REQUIRED_KEYS = {
     "lowerbound": ("n", "p"),
 }
 
+# keys whose values must be JSON integers (bools are refused); "ns" holds a
+# list of them
+_INT_KEYS = ("n", "seed", "replicas", "T", "T_mult", "steps",
+             "checkpoint_every", "budget", "samples", "k", "cap_enum")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 class RunConfig:
     """Validated, fully resolved run configuration."""
@@ -107,6 +116,14 @@ class RunConfig:
             if not any(key in raw for key in options):
                 raise ContractError(
                     f"{command} needs the config key {' or '.join(options)}")
+        for key in _INT_KEYS:
+            if key in raw and not _is_int(raw[key]):
+                raise ContractError(
+                    f"config key {key} must be an integer, got {raw[key]!r}")
+        if "ns" in raw and not (isinstance(raw["ns"], list)
+                                and all(map(_is_int, raw["ns"]))):
+            raise ContractError(
+                f"config key ns must be a list of integers, got {raw['ns']!r}")
         spec = raw.get("p")
         if isinstance(spec, dict) and "family" in spec:
             kind = spec["family"]
@@ -265,6 +282,8 @@ def _run_chain(cfg: RunConfig, outdir: str):
     ell = _load_ell(cfg.raw.get("ell"), n)
     steps = int(cfg.raw.get("steps", 10 * n * n))
     every = int(cfg.raw.get("checkpoint_every", max(1, steps // 100)))
+    if every < 1:
+        raise ContractError("checkpoint_every must be >= 1")
     init = cfg.raw.get("init", "reversal")
     tracked = [int(k) for k in cfg.raw.get("tracked_ks", [])]
     start = {"identity": Permutation.identity(n),

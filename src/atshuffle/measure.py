@@ -249,7 +249,8 @@ def spectral_gap(P: TransitionMatrix, mu: DistributionTable,
 
     Uses a full symmetric eigendecomposition below dense_cutoff states and
     Lanczos iteration with the top eigenvector deflated above it, started
-    from a fixed vector so that reruns give the same bits.  A singleton chain
+    from a fixed vector so that reruns give the same bits; if Lanczos does not
+    converge it raises CapExceeded naming dense_cutoff.  A singleton chain
     has gap 1 by convention.
     """
     m = len(P.states)
@@ -278,8 +279,13 @@ def spectral_gap(P: TransitionMatrix, mu: DistributionTable,
         op = spla.LinearOperator((m, m), matvec=matvec, dtype=np.float64)
         v0 = np.random.default_rng(0).standard_normal(m)
         v0 -= v * (v @ v0)
-        vals = spla.eigsh(op, k=1, which="LA", tol=tol, v0=v0,
-                          return_eigenvectors=False, maxiter=100 * m)
+        try:
+            vals = spla.eigsh(op, k=1, which="LA", tol=tol, v0=v0,
+                              return_eigenvectors=False, maxiter=100 * m)
+        except spla.ArpackNoConvergence as exc:
+            raise CapExceeded(
+                f"Lanczos did not converge on {m} states; raise dense_cutoff "
+                f"above {m} to use the dense eigensolver") from exc
         lam2 = float(vals[0])
     return 1.0 - lam2
 

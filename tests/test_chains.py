@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from atshuffle.banddp import heat_bath_block_rows
@@ -116,6 +118,100 @@ def test_ensemble_stepper_matches_scalar_stepper():
                        Permutation.reversal(n).forward])
     with pytest.raises(ContractError):
         ensemble_chain_run(p, starts, 1, derive_rng(7, 1), ell=ell)
+
+
+def _ensemble_oracle(p, starts, steps, rng, ell, chunk):
+    """States of every row after each step, by the scalar steps on the
+    ensemble's draw layout: column r of each (chunk, R) block drives row r."""
+    R, n = starts.shape
+    rows = [Permutation(tuple(int(v) for v in r)) for r in starts]
+    history = [[r.to_tuple() for r in rows]]
+    while len(history) <= steps:
+        edges = rng.integers(1, n, size=(chunk, R))
+        us = rng.random((chunk, R))
+        for s in range(min(chunk, steps + 1 - len(history))):
+            for r in range(R):
+                draw = UpdateDraw(len(history), int(edges[s, r]),
+                                  float(us[s, r]))
+                rows[r] = (at_step(rows[r], p, draw) if ell is None
+                           else restricted_at_step(rows[r], p, ell, draw))
+            history.append([r.to_tuple() for r in rows])
+    return history
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 9), R=st.integers(2, 5), data=st.data(),
+       seed=st.integers(0, 2 ** 32), steps=st.integers(0, 60),
+       chunk=st.sampled_from([2048, 1, 7]), restricted=st.booleans(),
+       layout=st.sampled_from(["C", "F", "transposed"]))
+def test_ensemble_stepper_matches_scalar_oracle(n, R, data, seed, steps,
+                                                chunk, restricted, layout):
+    rng = np.random.default_rng(seed)
+    # entries drawn from {0, 1/2, 1} and a uniform, so exact 0s and 1s occur
+    upper = rng.choice([0.0, 0.5, 1.0, rng.random()], size=(n, n))
+    p = BiasMatrix(upper)
+    ell = random_admissible_localization(n, rng, max_ell=2) if restricted \
+        else None
+    # random localized starts: a short restricted walk from the identity
+    walk_ell = ell if restricted else LocalizationVector.constant(n, n)
+    starts = []
+    for _ in range(R):
+        sigma = Permutation.identity(n)
+        for t in range(int(rng.integers(0, 4 * n))):
+            sigma = restricted_at_step(sigma, BiasMatrix.constant(n, 0.5),
+                                       walk_ell, UpdateDraw(
+                                           t, int(rng.integers(1, n)),
+                                           float(rng.random())))
+        starts.append(sigma.forward)
+    starts = np.array(starts, dtype=np.int64)
+    if layout == "F":
+        starts = np.asfortranarray(starts)
+    elif layout == "transposed":
+        starts = np.ascontiguousarray(starts.T).T
+    marks = data.draw(st.lists(st.integers(0, steps), max_size=6),
+                      label="checkpoints")
+    if data.draw(st.booleans(), label="ends"):
+        marks = marks + [0, steps]
+    before = starts.copy()
+    history = _ensemble_oracle(p, starts, steps, derive_rng(seed, 1), ell,
+                               chunk)
+    seen = []
+
+    def snap(t, F, INV):
+        assert [tuple(r) for r in F.tolist()] == history[t]
+        assert np.array_equal(INV, np.argsort(F, axis=1) + 1)
+        seen.append(t)
+
+    F, INV = ensemble_chain_run(p, starts, steps, derive_rng(seed, 1), ell=ell,
+                                checkpoints=marks, checkpoint_fn=snap,
+                                chunk=chunk)
+    assert seen == sorted(set(marks))
+    assert [tuple(r) for r in F.tolist()] == history[steps]
+    assert np.array_equal(INV, np.argsort(F, axis=1) + 1)
+    # the caller's starts are never written to
+    assert np.array_equal(starts, before)
+
+
+def test_ensemble_contract_errors():
+    p = BiasMatrix.constant(4, 0.6)
+    starts = np.tile(np.arange(1, 5), (3, 1))
+    with pytest.raises(ContractError, match="steps"):
+        ensemble_chain_run(p, starts, -1, derive_rng(1))
+    for marks in ([-1], [0, 11], [11]):
+        with pytest.raises(ContractError, match="checkpoints"):
+            ensemble_chain_run(p, starts, 10, derive_rng(1), checkpoints=marks,
+                               checkpoint_fn=lambda t, F, INV: None)
+    for bad in ([1, 2, 2, 4], [0, 1, 2, 3], [1, 2, 3, 5]):
+        rows = starts.copy()
+        rows[1] = bad
+        with pytest.raises(ContractError, match="permutation"):
+            ensemble_chain_run(p, rows, 10, derive_rng(1))
+    # zero steps with checkpoint 0 fires once and returns the starts
+    seen = []
+    F, INV = ensemble_chain_run(p, starts, 0, derive_rng(1), checkpoints=[0],
+                                checkpoint_fn=lambda t, F, INV: seen.append(t))
+    assert seen == [0] and np.array_equal(F, starts)
+    assert np.array_equal(INV, starts)
 
 
 def test_eta_projection_examples():

@@ -225,3 +225,49 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
     man = json.loads((tmp_path / "x" / "manifest.json").read_text())
     assert man["error"] == "RuntimeError: handler blew up"
     assert man["incomplete"] is True
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"command": "burnin", "n": 8, "p": {"family": "constant-q", "q": 0.75},
+      "replicas": 4, "T": -5}, "steps must be >= 0"),
+    ({"command": "chain", "n": 6, "p": {"family": "constant-q", "q": 0.7},
+      "steps": 40, "checkpoint_every": 0}, "checkpoint_every"),
+])
+def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
+                                                            message):
+    # both used to crash with a traceback and exit 1
+    cfg = write_config(tmp_path, "h.json", raw)
+    assert main(["--config", cfg, "--out", str(tmp_path / "h")]) == 2
+    man = json.loads((tmp_path / "h" / "manifest.json").read_text())
+    assert "ContractError" in man["error"] and message in man["error"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "three"), ("n", 3.0), ("n", True), ("seed", "7"), ("cap_enum", 1.5),
+    ("ns", [8, "12"]), ("ns", 8),
+])
+def test_non_integer_values_are_config_errors(tmp_path, capsys, key, value):
+    raw = {"command": "exact", "n": 3, "p": {"family": "constant-q", "q": 0.6}}
+    if key == "ns":
+        raw = {"command": "mix", "ns": [8], "p": raw["p"]}
+    raw[key] = value
+    with pytest.raises(ContractError, match=f"config key {key} must be"):
+        RunConfig(raw)
+    cfg = write_config(tmp_path, "t.json", raw)
+    assert main(["--config", cfg, "--out", str(tmp_path / "t")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_exact_gap_non_convergence_exits_2(tmp_path, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", [], [])
+
+    # n = 8 has 40320 states, above the dense cutoff, so the gap uses eigsh
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    cfg = write_config(tmp_path, "g.json", {
+        "command": "exact", "n": 8, "p": {"family": "constant-q", "q": 0.6}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "g")]) == 2
+    man = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    assert "CapExceeded" in man["error"] and "dense_cutoff" in man["error"]

@@ -125,6 +125,22 @@ def test_spectral_gap_iterative_is_deterministic():
     assert first == pytest.approx(spectral_gap(P, mu), abs=1e-9)
 
 
+
+def test_spectral_gap_non_convergence_is_a_cap(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    p = BiasMatrix.constant(4, 0.7)
+    mu = enumerate_stationary(4, p)
+    P = build_transition_matrix(4, p, mu=mu)
+    with pytest.raises(CapExceeded, match="dense_cutoff.*24|24.*dense_cutoff"):
+        spectral_gap(P, mu, dense_cutoff=1)
+    # the dense path never calls eigsh
+    assert 0.0 < spectral_gap(P, mu) < 2.0
+
 def test_tv_distance():
     p = BiasMatrix.constant(2, 0.6)
     mu = enumerate_stationary(2, p)

@@ -1,8 +1,10 @@
-"""Pinned outputs of the scalar coupling drivers.
+"""Pinned outputs of the scalar coupling drivers and the ensemble stepper.
 
-The values were recorded with the original numpy/randrange implementations;
-the list-state drivers must reproduce them exactly (same draw streams, same
-meeting times, same result files).
+The coupling values were recorded with the original numpy/randrange
+implementations; the list-state drivers must reproduce them exactly (same draw
+streams, same meeting times, same result files).  The ensemble values were
+recorded with the row-indexed stepper that kept INV current at every step; the
+flat-indexed stepper must reproduce them byte for byte.
 """
 
 import hashlib
@@ -27,6 +29,24 @@ MIX_CONFIG = {"command": "mix", "ns": [32, 64, 128],
               "p": {"family": "constant-q", "q": Q}, "method": "coupling",
               "budget": 4, "seed": 11}
 MIX_DIGEST = "8bc32141de316c6680a2d8d13740a2c4e529c19fbebd40d26717a1f8ed99249b"
+# (config, artifact, sha256) of CLI runs driven by ensemble_chain_run: burnin
+# spans three 2048-step draw chunks, chain takes the restricted branch and
+# fires 101 checkpoints
+ENSEMBLE_PINS = {
+    "burnin": ({"command": "burnin", "n": 16,
+                "p": {"family": "constant-q", "q": Q}, "T": 5000,
+                "replicas": 40, "seed": 5}, "result.json",
+               "f7ecca18570772928978cd5896715c35e44ebbd92a65abbc55447a94dbe5bdfd"),
+    "lowerbound": ({"command": "lowerbound", "n": 32,
+                    "p": {"family": "constant-q", "q": Q}, "seed": 6},
+                   "result.json",
+                   "1d73528fb9b175568d2a8d3a9056c2dd92f7b5ab1864259ccb37e9e1f96d99c5"),
+    "chain": ({"command": "chain", "n": 12,
+               "p": {"family": "random-eps", "eps": 0.5}, "ell": 2,
+               "init": "identity", "steps": 3000, "tracked_ks": [3, 6],
+               "seed": 7}, "trajectory.jsonl",
+              "7b408915326db1ed718b682789c8c343cfd28350b9f1cca3bdc1ba74e9477d8b"),
+}
 
 
 @pytest.mark.parametrize("n", sorted(MEETING_TIMES))
@@ -57,3 +77,13 @@ def test_cli_mix_result_pinned(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     data = (tmp_path / "o" / "result.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == MIX_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(ENSEMBLE_PINS))
+def test_cli_ensemble_artifacts_pinned(tmp_path, name):
+    config, artifact, digest = ENSEMBLE_PINS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    data = (tmp_path / "o" / artifact).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

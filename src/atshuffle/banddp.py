@@ -34,26 +34,24 @@ ENUM_SAMPLER_CAP = 7
 # the rejection sampler turns at most this many uniforms into rows at a time,
 # which bounds its temporaries to about 1 MB each
 ROW_CHUNK_ELEMENTS = 1 << 17
+# a BandDP layer holds per word its mask and its forward and backward log
+# weights; the layers may take MEMORY_BUDGET bytes, the budget that
+# measure.exact_mixing_time gives its rows
+BYTES_PER_STATE = 24
+MEMORY_BUDGET = 2 * 10 ** 9
 
 NEG_INF = -math.inf
 
 
-def _group_logsumexp(keys: np.ndarray, vals: np.ndarray):
-    """Collapse duplicate keys by log-sum-exp; non-finite values are dropped."""
-    finite = np.isfinite(vals)
-    keys = keys[finite]
-    vals = vals[finite]
-    if keys.size == 0:
-        return keys, vals
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    v = vals[order]
-    starts = np.r_[0, np.nonzero(np.diff(k))[0] + 1]
-    uniq = k[starts]
-    vmax = np.maximum.reduceat(v, starts)
-    rep = np.repeat(vmax, np.diff(np.r_[starts, len(v)]))
-    sums = np.add.reduceat(np.exp(v - rep), starts)
-    return uniq, vmax + np.log(sums)
+def _placeable(words: np.ndarray, j: int) -> np.ndarray:
+    """Which words can place their slot-j particle next.
+
+    Slot j must be free, and for j > 0 slot 0 must be placed already, since
+    its particle leaves the window with this step.
+    """
+    if j == 0:
+        return (words & 1) == 0
+    return (words & ((1 << j) | 1)) == 1
 
 
 class BandDP:
@@ -62,6 +60,10 @@ class BandDP:
     Optional pins force specific particles at specific positions, which makes
     the same engine compute conditional partition functions, conditional
     samples, and conditional marginals.
+
+    Every layer word has exactly Lp set bits among its low W - 1 bits, so a
+    layer holds at most C(W - 1, Lp) words; the constructor refuses instances
+    whose layers would not fit MEMORY_BUDGET.
     """
 
     def __init__(self, p: BiasMatrix, ell: LocalizationVector,
@@ -80,6 +82,14 @@ class BandDP:
             raise CapExceeded(
                 f"window width {self.W} exceeds cap {window_cap}; tighten the "
                 "localization vector or raise the cap")
+        need = ((self.n + 1) * math.comb(self.W - 1, self.Lp) * BYTES_PER_STATE
+                + 4 * (1 << (self.W - 1)))
+        if need > MEMORY_BUDGET:
+            raise CapExceeded(
+                f"band DP at window width {self.W} and n = {self.n} needs about "
+                f"{need / 1e9:.1f} GB, above its {MEMORY_BUDGET / 1e9:.0f} GB "
+                "budget; tighten the localization vector (window_cap, "
+                "--cap-window on the CLI, bounds its width)")
         self.pin_at = np.zeros(self.n + 2, dtype=np.int64)
         if pins:
             for pos, lab in pins.items():
@@ -99,6 +109,7 @@ class BandDP:
         self._fwd = None       # list of (masks, logv) per layer t = 0..n
         self._bwd = None       # list of logv arrays aligned with _fwd masks
         self._logZ = None
+        self._pos = None       # int32 position table over the 2^(W-1) words
 
     # -- window helpers ----------------------------------------------------
     def _base(self, t: int) -> int:
@@ -121,60 +132,86 @@ class BandDP:
                 m |= 1 << j
         return m
 
-    def _slot_candidates(self, t: int):
-        """Valid (slot, particle) pairs for position t+1, pins applied."""
+    def _layer_tables(self, t: int):
+        """Candidates for position t+1 and their step weights, pins applied.
+
+        Returns (slots, particles, weigh): candidate c puts particle
+        particles[c] from window slot slots[c], and weigh(c, words) is the log
+        weight of that placement from each word, the prefix sum plus a
+        subset sum of log p[y][x] over the word's set bits read from two
+        half-word tables.  The tables double in ascending bit order, so their
+        entries are the same bits as when built one candidate at a time.
+        """
         pos = t + 1
         base = self._base(t)
-        pin = int(self.pin_at[pos])
-        out = []
-        for j in range(self.W):
-            x = base + j
-            if not 1 <= x <= self.n:
-                continue
-            if pin and x != pin:
-                continue
-            if not (x - self._lo[x - 1] <= pos <= x + self._hi[x - 1]):
-                continue
-            out.append((j, x))
-        return out
-
-    def _interaction_tables(self, base: int, x: int):
-        """Half-word lookup tables for sum over set bits of log p[window][x]."""
-        coefs = np.zeros(self.W)
-        for j in range(self.W):
-            y = base + j
-            if 1 <= y <= self.n and y != x:
-                coefs[j] = self._log[y - 1, x - 1]
+        ys = base + np.arange(self.W)
+        inside = (ys >= 1) & (ys <= self.n)
+        yi = ys[inside] - 1
+        ok = inside.copy()
+        ok[inside] = (yi + 1 - self._lo[yi] <= pos) & (pos <= yi + 1 + self._hi[yi])
+        pin = self.pin_at[pos]
+        if pin:
+            ok &= ys == pin
+        slots = np.flatnonzero(ok)
+        xs = ys[slots]
+        coefs = np.zeros((slots.size, self.W))
+        coefs[:, inside] = self._log[yi[None, :], xs[:, None] - 1]
+        coefs[np.arange(slots.size), slots] = 0.0
         wlo = self.W // 2
-        tab_lo = np.zeros(1)
+        tab_lo = np.zeros((slots.size, 1))
         for b in range(wlo):
-            tab_lo = np.concatenate([tab_lo, tab_lo + coefs[b]])
-        tab_hi = np.zeros(1)
+            tab_lo = np.concatenate([tab_lo, tab_lo + coefs[:, b:b + 1]], axis=1)
+        tab_hi = np.zeros((slots.size, 1))
         for b in range(wlo, self.W):
-            tab_hi = np.concatenate([tab_hi, tab_hi + coefs[b]])
-        return tab_lo, tab_hi, wlo
+            tab_hi = np.concatenate([tab_hi, tab_hi + coefs[:, b:b + 1]], axis=1)
+        pre = self._prefix[xs - 1, max(base - 1, 0)]
+        lo_mask = (1 << wlo) - 1
 
-    def _step_weight(self, masks: np.ndarray, base: int, x: int, tabs) -> np.ndarray:
-        tab_lo, tab_hi, wlo = tabs
-        pre = self._prefix[x - 1, max(base - 1, 0)]
-        return pre + tab_lo[masks & ((1 << wlo) - 1)] + tab_hi[masks >> wlo]
+        def weigh(c, words):
+            return pre[c] + tab_lo[c][words & lo_mask] + tab_hi[c][words >> wlo]
 
-    def _transitions(self, t: int, masks: np.ndarray):
-        """Per-slot transitions from layer t: (slot, particle, sel, dst, dlogw)."""
-        base = self._base(t)
-        out = []
-        for j, x in self._slot_candidates(t):
-            sel = (masks >> j) & 1 == 0
-            if j > 0:
-                sel = sel & ((masks & 1) == 1)
-            if not np.any(sel):
-                continue
+        return slots.tolist(), xs, weigh
+
+    def _positions(self, masks: np.ndarray) -> np.ndarray:
+        """The position table with masks[i] -> i; other entries are stale."""
+        if self._pos is None:
+            self._pos = np.zeros(1 << (self.W - 1), dtype=np.int32)
+        self._pos[masks] = np.arange(masks.size, dtype=np.int32)
+        return self._pos
+
+    def _advance(self, t: int, masks: np.ndarray, logv: np.ndarray):
+        """Push distinct layer-t words with log weights to layer t+1.
+
+        Returns the next layer's words in increasing order with their
+        log-sum-exp weights; -inf contributions are dropped, so a word enters
+        only through a path of positive weight.  A step is injective for a
+        fixed slot, so each slot adds at most one contribution per word, and
+        words accumulate slot by slot: per-word maxima first, then exp-sums.
+        """
+        slots, _, weigh = self._layer_tables(t)
+        seen = np.zeros(1 << (self.W - 1), dtype=bool)
+        moves = []
+        for c, j in enumerate(slots):
+            sel = np.flatnonzero(_placeable(masks, j))
             src = masks[sel]
-            tabs = self._interaction_tables(base, x)
-            dw = self._step_weight(src, base, x, tabs)
+            vals = logv[sel] + weigh(c, src)
+            finite = np.isfinite(vals)
+            if not finite.all():    # needs an exact 0 in p or a -inf input
+                src = src[finite]
+                vals = vals[finite]
             dst = (src | (1 << j)) >> 1
-            out.append((j, x, sel, dst, dw))
-        return out
+            seen[dst] = True
+            moves.append((dst, vals))
+        keys = np.flatnonzero(seen)
+        pos = self._positions(keys)
+        moves = [(pos[dst], vals) for dst, vals in moves]
+        vmax = np.full(keys.size, NEG_INF)
+        for idx, vals in moves:
+            vmax[idx] = np.maximum(vmax[idx], vals)
+        sums = np.zeros(keys.size)
+        for idx, vals in moves:
+            sums[idx] += np.exp(vals - vmax[idx])
+        return keys, vmax + np.log(sums)
 
     # -- passes ------------------------------------------------------------
     def _forward(self):
@@ -184,17 +221,7 @@ class BandDP:
         logv = np.zeros(1)
         layers = [(masks, logv)]
         for t in range(self.n):
-            keys, vals = [], []
-            for _, _, sel, dst, dw in self._transitions(t, masks):
-                keys.append(dst)
-                vals.append(logv[sel] + dw)
-            if keys:
-                keys = np.concatenate(keys)
-                vals = np.concatenate(vals)
-                masks, logv = _group_logsumexp(keys, vals)
-            else:
-                masks = np.array([], dtype=np.int64)
-                logv = np.array([])
+            masks, logv = self._advance(t, masks, logv)
             if masks.size == 0:
                 raise EmptySupport(
                     f"no localized completion survives past position {t + 1}")
@@ -208,6 +235,10 @@ class BandDP:
         return layers
 
     def _backward(self):
+        # Every forward word has positive weight, so a step of finite weight
+        # always lands on a word of the next layer; a step that misses has
+        # weight -inf, and so has its contribution whatever stale table entry
+        # it reads (clipped into range).
         if self._bwd is not None:
             return self._bwd
         layers = self._forward()
@@ -218,15 +249,15 @@ class BandDP:
         bwd[self.n] = b
         for t in range(self.n - 1, -1, -1):
             masks = layers[t][0]
-            nxt_masks = layers[t + 1][0]
             nxt_b = bwd[t + 1]
+            pos = self._positions(layers[t + 1][0])
+            slots, _, weigh = self._layer_tables(t)
             b = np.full(masks.size, NEG_INF)
-            for _, _, sel, dst, dw in self._transitions(t, masks):
-                pos_idx = np.searchsorted(nxt_masks, dst)
-                ok = (pos_idx < nxt_masks.size)
-                pos_idx = np.minimum(pos_idx, nxt_masks.size - 1)
-                ok &= nxt_masks[pos_idx] == dst
-                contrib = np.where(ok, nxt_b[pos_idx] + dw, NEG_INF)
+            for c, j in enumerate(slots):
+                sel = np.flatnonzero(_placeable(masks, j))
+                src = masks[sel]
+                dst = (src | (1 << j)) >> 1
+                contrib = nxt_b.take(pos[dst], mode="clip") + weigh(c, src)
                 b[sel] = np.logaddexp(b[sel], contrib)
             bwd[t] = b
         self._bwd = bwd
@@ -253,23 +284,20 @@ class BandDP:
     def propagate(self, t0: int, t1: int, masks: np.ndarray, logv: np.ndarray):
         """Push an arbitrary layer-t0 vector forward to layer t1.
 
-        Positions in (t0, t1] must respect this instance's pins; used to build
-        bridge transfer sums between two cuts.
+        masks must be distinct window words below 2^(W-1), as every layer's
+        are.  Positions in (t0, t1] must respect this instance's pins; used
+        to build bridge transfer sums between two cuts.
         """
         if not 0 <= t0 <= t1 <= self.n:
             raise ContractError("bad propagation range")
         masks = np.asarray(masks, dtype=np.int64)
         logv = np.asarray(logv, dtype=np.float64)
+        if masks.size and (masks.min() < 0 or masks.max() >= 1 << (self.W - 1)
+                           or np.unique(masks).size != masks.size):
+            raise ContractError(
+                f"propagate needs distinct window words below 2^{self.W - 1}")
         for t in range(t0, t1):
-            keys, vals = [], []
-            for _, _, sel, dst, dw in self._transitions(t, masks):
-                keys.append(dst)
-                vals.append(logv[sel] + dw)
-            if keys:
-                masks, logv = _group_logsumexp(np.concatenate(keys),
-                                               np.concatenate(vals))
-            else:
-                return np.array([], dtype=np.int64), np.array([])
+            masks, logv = self._advance(t, masks, logv)
         return masks, logv
 
     def cut_law(self, t: int):
@@ -294,7 +322,11 @@ class BandDP:
         return masks, probs
 
     def sample_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, n) array of exact draws, one permutation per row."""
+        """(size, n) array of exact draws, one permutation per row.
+
+        Rows sit on words of positive forward weight, so as in the backward
+        pass a stale table entry is read only by a step of weight -inf.
+        """
         layers = self._forward()
         bwd = self._backward()
         self.log_partition()
@@ -302,25 +334,16 @@ class BandDP:
         rows = np.empty((R, self.n), dtype=np.int64)
         cur = np.full(R, self._init_mask(), dtype=np.int64)
         for t in range(self.n):
-            base = self._base(t)
-            nxt_masks = layers[t + 1][0]
             nxt_b = bwd[t + 1]
-            cands = self._slot_candidates(t)
-            weights = np.full((R, len(cands)), NEG_INF)
-            dsts = np.empty((R, len(cands)), dtype=np.int64)
-            for c, (j, x) in enumerate(cands):
-                valid = (cur >> j) & 1 == 0
-                if j > 0:
-                    valid &= (cur & 1) == 1
-                tabs = self._interaction_tables(base, x)
-                dw = self._step_weight(cur, base, x, tabs)
+            pos = self._positions(layers[t + 1][0])
+            slots, xs, weigh = self._layer_tables(t)
+            weights = np.full((R, len(slots)), NEG_INF)
+            dsts = np.empty((R, len(slots)), dtype=np.int64)
+            for c, j in enumerate(slots):
                 dst = (cur | (1 << j)) >> 1
-                idx = np.searchsorted(nxt_masks, dst)
-                ok = idx < nxt_masks.size
-                idx = np.minimum(idx, nxt_masks.size - 1)
-                ok &= nxt_masks[idx] == dst
-                w = np.where(valid & ok, dw + nxt_b[idx], NEG_INF)
-                weights[:, c] = w
+                weights[:, c] = np.where(
+                    _placeable(cur, j),
+                    weigh(c, cur) + nxt_b.take(pos[dst], mode="clip"), NEG_INF)
                 dsts[:, c] = dst
             wmax = weights.max(axis=1)
             if np.any(~np.isfinite(wmax)):
@@ -328,8 +351,8 @@ class BandDP:
             probs = np.exp(weights - wmax[:, None])
             cdf = np.cumsum(probs, axis=1)
             u = rng.random(R) * cdf[:, -1]
-            choice = np.minimum((u[:, None] >= cdf).sum(axis=1), len(cands) - 1)
-            rows[:, t] = np.array([x for _, x in cands], dtype=np.int64)[choice]
+            choice = np.minimum((u[:, None] >= cdf).sum(axis=1), len(slots) - 1)
+            rows[:, t] = xs[choice]
             cur = dsts[np.arange(R), choice]
         return rows
 
@@ -349,19 +372,18 @@ class BandDP:
         frontier = {(int(m), ()): float(v) for m, v in zip(masks, logv)
                     if np.isfinite(v)}
         for t in range(a - 1, b):
-            base = self._base(t)
+            slots, xs, weigh = self._layer_tables(t)
             new = {}
             by_mask = {}
             for (m, asg), v in frontier.items():
                 by_mask.setdefault(m, []).append((asg, v))
-            for j, x in self._slot_candidates(t):
-                tabs = self._interaction_tables(base, x)
+            for c, (j, x) in enumerate(zip(slots, xs.tolist())):
                 for m, entries in by_mask.items():
                     if (m >> j) & 1:
                         continue
                     if j > 0 and not (m & 1):
                         continue
-                    dw = float(self._step_weight(np.array([m]), base, x, tabs)[0])
+                    dw = float(weigh(c, m))
                     if not math.isfinite(dw):
                         continue
                     dst = (m | (1 << j)) >> 1

@@ -90,10 +90,23 @@ _REQUIRED_KEYS = {
 # list of them
 _INT_KEYS = ("n", "seed", "replicas", "T", "T_mult", "steps",
              "checkpoint_every", "budget", "samples", "k", "cap_enum")
+# keys whose values must be JSON numbers (bools are refused), per command;
+# spatial's eta is a boundary, not a number
+_FLOAT_KEYS = {
+    "asep": ("q",),
+    "burnin": ("quantile",),
+    "spatial": ("threshold",),
+    "mix": ("delta",),
+    "lowerbound": ("eta", "threshold"),
+}
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class RunConfig:
@@ -120,6 +133,10 @@ class RunConfig:
             if key in raw and not _is_int(raw[key]):
                 raise ContractError(
                     f"config key {key} must be an integer, got {raw[key]!r}")
+        for key in _FLOAT_KEYS.get(command, ()):
+            if key in raw and not _is_number(raw[key]):
+                raise ContractError(
+                    f"config key {key} must be a number, got {raw[key]!r}")
         if "ns" in raw and not (isinstance(raw["ns"], list)
                                 and all(map(_is_int, raw["ns"]))):
             raise ContractError(
@@ -134,6 +151,10 @@ class RunConfig:
                 if key not in spec:
                     raise ContractError(
                         f"family {kind} needs the key {key!r} in p")
+                if not _is_number(spec[key]):
+                    raise ContractError(
+                        f"config key p.{key} must be a number, "
+                        f"got {spec[key]!r}")
         self.command = command
         self.raw = dict(raw)
         self.seed = int(seed_override if seed_override is not None

@@ -212,29 +212,33 @@ def build_transition_matrix(n: int, p: BiasMatrix,
     if mu is None:
         mu = enumerate_stationary(n, p, ell, cap=cap)
     states = mu.support
-    index = {s: i for i, s in enumerate(states)}
-    dense_p = p.dense()
     m = len(states)
-    rows, cols, vals = [], [], []
+    perms = np.array(states, dtype=np.int64).reshape(m, n)
+    dense_p = p.dense()
     edge_prob = 1.0 / (n - 1) if n > 1 else 1.0
-    for si, state in enumerate(states):
-        diag = 0.0
-        for i in range(n - 1):
-            a, b = state[i], state[i + 1]
-            swapped = state[:i] + (b, a) + state[i + 2:]
-            p_swap = dense_p[b - 1, a - 1]
-            tj = index.get(swapped)
-            if tj is None:
-                diag += edge_prob  # rejected proposal keeps the state
-            else:
-                rows.append(si)
-                cols.append(tj)
-                vals.append(edge_prob * p_swap)
-                diag += edge_prob * (1.0 - p_swap)
-        rows.append(si)
-        cols.append(si)
-        vals.append(diag)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    # each state is one base-n integer (digit sigma(i) - 1 at place n-1-i);
+    # swapping positions i, i+1 adds (b - a) * (place_i - place_{i+1})
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = (perms - 1) @ place
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    src = np.arange(m)
+    rows, cols, vals = [src], [src], []
+    diag = np.zeros(m)
+    for i in range(n - 1):
+        a, b = perms[:, i], perms[:, i + 1]
+        swapped = keys + (b - a) * (place[i] - place[i + 1])
+        at = np.minimum(np.searchsorted(sorted_keys, swapped), m - 1)
+        found = sorted_keys[at] == swapped
+        p_swap = dense_p[b - 1, a - 1]
+        # a rejected proposal keeps the state
+        diag += np.where(found, edge_prob * (1.0 - p_swap), edge_prob)
+        rows.append(src[found])
+        cols.append(order[at[found]])
+        vals.append(edge_prob * p_swap[found])
+    matrix = sp.csr_matrix((np.concatenate([diag] + vals),
+                            (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(m, m))
     matrix.sum_duplicates()
     out = TransitionMatrix(states, matrix)
     if check_balance:

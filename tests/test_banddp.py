@@ -4,8 +4,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from banddp_oracle import ReferenceBandDP, random_bias_with_certain_pairs
 from atshuffle.banddp import (BandDP, BandDPSampler, EnumerationSampler,
                               MallowsRejectionSampler,
                               band_dp_conditional_marginal, band_dp_partition,
@@ -41,6 +44,16 @@ def test_partition_matches_enumeration_random_sweep():
         ell = random_admissible_localization(n, rng, max_ell=3)
         mu = enumerate_stationary(n, p, ell)
         assert band_dp_partition(p, ell) == pytest.approx(mu.logZ, abs=1e-9)
+
+
+def test_partition_with_extreme_biases():
+    # paths into one word differ by hundreds of log units here, so the
+    # log-sum-exp must shift each word by its own maximum
+    for q in (1e-300, 1e-200):
+        p = BiasMatrix.constant(8, q)
+        ell = LocalizationVector.constant(8, 3)
+        assert band_dp_partition(p, ell) == pytest.approx(
+            enumerate_stationary(8, p, ell).logZ, rel=1e-12)
 
 
 def test_partition_unrestricted_and_frozen():
@@ -266,3 +279,75 @@ def test_heat_bath_preserves_stationarity_exactly():
         K = exact_block_kernel(n, p, ell, BlockSchedule.west_east(n), mu=mu)
         after = mu.probs @ K.matrix
         assert np.allclose(after, mu.probs, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_band_dp_passes_match_the_reference(n, seed, data):
+    rng = np.random.default_rng(seed)
+    p = random_bias_with_certain_pairs(n, rng)
+    ell = random_admissible_localization(
+        n, rng, max_ell=data.draw(st.integers(0, n - 1)))
+    cap = 2 * n
+    try:
+        row = ReferenceBandDP(p, ell, window_cap=cap).sample_rows(rng, 1)[0]
+    except EmptySupport:
+        with pytest.raises(EmptySupport):
+            BandDP(p, ell, window_cap=cap).log_partition()
+        return
+    # pins copied from an exact draw keep the support nonempty
+    pinned = data.draw(st.sets(st.integers(1, n), max_size=3))
+    pins = {pos: int(row[pos - 1]) for pos in pinned}
+    fast = BandDP(p, ell, pins=pins, window_cap=cap)
+    ref = ReferenceBandDP(p, ell, pins=pins, window_cap=cap)
+    assert fast.log_partition() == pytest.approx(ref.log_partition(),
+                                                 rel=0, abs=1e-12)
+    for t in range(n + 1):
+        fm, fv = fast.forward_layer(t)
+        rm, rv = ref.forward_layer(t)
+        assert np.array_equal(fm, rm)
+        np.testing.assert_allclose(fv, rv, rtol=0, atol=1e-12)
+        assert fast.backward_layer(t)[1].tobytes() == \
+            ref.backward_layer(t)[1].tobytes()
+        cm, cp = fast.cut_law(t)
+        rcm, rcp = ref.cut_law(t)
+        assert np.array_equal(cm, rcm)
+        np.testing.assert_allclose(cp, rcp, rtol=0, atol=1e-12)
+    g_fast, g_ref = (np.random.default_rng(seed + 1) for _ in range(2))
+    size = data.draw(st.integers(1, 50))
+    assert np.array_equal(fast.sample_rows(g_fast, size),
+                          ref.sample_rows(g_ref, size))
+    assert g_fast.random() == g_ref.random()
+    t0 = data.draw(st.integers(0, n))
+    t1 = data.draw(st.integers(t0, n))
+    masks, logv = ref.forward_layer(t0)
+    starts = [(masks, logv), (masks[:1], np.zeros(1)),
+              (masks, np.where(np.arange(masks.size) % 2, -np.inf, logv))]
+    for start in starts:
+        bm, bv = fast.propagate(t0, t1, *start)
+        rm, rv = ref.propagate(t0, t1, *start)
+        assert np.array_equal(bm, rm)
+        np.testing.assert_allclose(bv, rv, rtol=0, atol=1e-12)
+    a = data.draw(st.integers(1, n))
+    b = data.draw(st.integers(a, min(n, a + 3)))
+    fm = fast.region_marginal((a, b))
+    rm = ref.region_marginal((a, b))
+    assert fm.support == rm.support
+    np.testing.assert_allclose(fm.probs, rm.probs, rtol=0, atol=1e-12)
+    assert fm.logZ == pytest.approx(rm.logZ, rel=0, abs=1e-12)
+
+
+def test_propagate_refuses_words_outside_the_window():
+    p = BiasMatrix.constant(6, 0.7)
+    dp = BandDP(p, LocalizationVector.constant(6, 1))   # W = 3
+    with pytest.raises(ContractError):
+        dp.propagate(0, 2, np.array([4]), np.zeros(1))
+    with pytest.raises(ContractError):
+        dp.propagate(0, 2, np.array([1, 1]), np.zeros(2))
+
+
+def test_memory_cap_refuses_wide_windows_up_front():
+    # W = 22 at n = 400 would need about 3.4 GB of layers
+    ell = LocalizationVector([10] * 400, [11] * 400)
+    with pytest.raises(CapExceeded, match="window_cap"):
+        BandDP(BiasMatrix.constant(400, 0.7), ell)

@@ -84,6 +84,17 @@ def test_cap_violation_surfaces(tmp_path):
     assert "CapExceeded" in man["error"]
 
 
+def test_band_dp_memory_cap_surfaces(tmp_path):
+    # W = 22 passes the default window cap, but its layers at n = 400 would
+    # need about 3.4 GB: the sampler refuses before allocating any
+    cfg = write_config(tmp_path, "wide.json", {
+        "command": "sample", "n": 400, "p": {"family": "random-eps", "eps": 0.5},
+        "ell": [[10, 11]] * 400, "samples": 1})
+    assert main(["--config", cfg, "--out", str(tmp_path / "wide")]) == 2
+    man = json.loads((tmp_path / "wide" / "manifest.json").read_text())
+    assert "CapExceeded" in man["error"] and "--cap-window" in man["error"]
+
+
 def test_burnin_rejects_start_outside_window(tmp_path):
     # the default reversal start puts particle 1 at distance 19 > ell = 2
     cfg = write_config(tmp_path, "b.json", {
@@ -242,15 +253,35 @@ def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
     assert "ContractError" in man["error"] and message in man["error"]
 
 
+# a valid config of a command that reads each key below (default: exact)
+CQ = {"family": "constant-q", "q": 0.75}
+KEY_CONFIGS = {
+    "ns": {"command": "mix", "ns": [8], "p": CQ},
+    "delta": {"command": "mix", "ns": [8], "p": CQ},
+    "quantile": {"command": "burnin", "n": 8, "p": CQ, "replicas": 4},
+    "eta": {"command": "lowerbound", "n": 8, "p": CQ},
+    "threshold": {"command": "lowerbound", "n": 8, "p": CQ},
+    "q": {"command": "asep", "n": 6, "k": 3, "q": 0.7},
+    "p.eps": {"command": "exact", "n": 3,
+              "p": {"family": "random-eps", "eps": 0.5}},
+}
+
+
 @pytest.mark.parametrize("key, value", [
     ("n", "three"), ("n", 3.0), ("n", True), ("seed", "7"), ("cap_enum", 1.5),
     ("ns", [8, "12"]), ("ns", 8),
+    # keys read as floats: numbers only, and no bools
+    ("quantile", "high"), ("quantile", True), ("delta", "x"),
+    ("threshold", None), ("eta", "half"), ("q", "x"), ("p.q", "x"),
+    ("p.eps", False),
 ])
 def test_non_integer_values_are_config_errors(tmp_path, capsys, key, value):
-    raw = {"command": "exact", "n": 3, "p": {"family": "constant-q", "q": 0.6}}
-    if key == "ns":
-        raw = {"command": "mix", "ns": [8], "p": raw["p"]}
-    raw[key] = value
+    raw = json.loads(json.dumps(KEY_CONFIGS.get(key, {
+        "command": "exact", "n": 3, "p": {"family": "constant-q", "q": 0.6}})))
+    if key.startswith("p."):
+        raw["p"][key[2:]] = value
+    else:
+        raw[key] = value
     with pytest.raises(ContractError, match=f"config key {key} must be"):
         RunConfig(raw)
     cfg = write_config(tmp_path, "t.json", raw)

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from banddp_oracle import (random_bias_with_certain_pairs,
+                           reference_transition_matrix)
 from atshuffle.errors import CapExceeded, ContractError, NotReversible
 from atshuffle.measure import (DistributionTable, build_transition_matrix,
                                check_detailed_balance, enumerate_stationary,
@@ -189,3 +193,28 @@ def test_exact_mixing_time_batched_matches_unbatched():
     t_batch, curve_batch = exact_mixing_time(P, mu, 0.25, batch_bytes=24 * 7)
     assert t_full == t_batch
     assert np.allclose(curve_full, curve_batch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 7), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_kernel_matches_the_reference_build(n, seed, data):
+    rng = np.random.default_rng(seed)
+    p = random_bias_with_certain_pairs(n, rng)
+    ell = None
+    if data.draw(st.booleans()):
+        ell = random_admissible_localization(
+            n, rng, max_ell=data.draw(st.integers(0, n - 1)))
+    try:
+        mu = enumerate_stationary(n, p, ell)
+    except ContractError:
+        return      # every localized state has weight 0
+    if data.draw(st.booleans()):
+        # any state order, not only the lexicographic one
+        order = rng.permutation(len(mu.support))
+        mu = DistributionTable([mu.support[i] for i in order],
+                               mu.probs[order], mu.logZ)
+    fast = build_transition_matrix(n, p, ell, mu=mu, check_balance=False)
+    ref = reference_transition_matrix(n, p, mu)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(fast.matrix, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -4,14 +4,18 @@ The coupling values were recorded with the original numpy/randrange
 implementations; the list-state drivers must reproduce them exactly (same draw
 streams, same meeting times, same result files).  The ensemble values were
 recorded with the row-indexed stepper that kept INV current at every step; the
-flat-indexed stepper must reproduce them byte for byte.
+flat-indexed stepper must reproduce them byte for byte.  The band DP and
+kernel values were recorded with the argsort/searchsorted band DP and the
+state-by-state kernel build.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from atshuffle.banddp import BandDP
 from atshuffle.chains import (asep_monotone_audit_run, asep_pair_coalescence,
                               domination_audit_run)
 from atshuffle.cli import main
@@ -47,6 +51,22 @@ ENSEMBLE_PINS = {
                "seed": 7}, "trajectory.jsonl",
               "7b408915326db1ed718b682789c8c343cfd28350b9f1cca3bdc1ba74e9477d8b"),
 }
+# sha256 of BandDP.sample_rows at n = 24, W = 19 and the generator's next
+# uniform after it
+BAND_DP_ROWS = ("a75c86707a3d22ed2c2046f3aa7b5833c4476e62dcd277a6392e35c36428ca30",
+                0.4963587251624958)
+# (config, artifact, sha256) of CLI runs on the band DP (sample takes the
+# band-dp strategy at W = 15) and on the exact kernel and its gap
+EXACT_PINS = {
+    "sample": ({"command": "sample", "n": 100,
+                "p": {"family": "random-eps", "eps": 0.5}, "ell": 7,
+                "samples": 200, "seed": 9}, "samples.jsonl",
+               "b77ea7bc023a97d4a1a222609fc53677882f08f43b14bc1c71b9c0d792aa2eaf"),
+    "exact": ({"command": "exact", "n": 8,
+               "p": {"family": "random-eps", "eps": 0.5}, "seed": 4},
+              "result.json",
+              "fef8f76577fabe4843bc7361f1b68e647e60cf08c44806757023779cd28c9e09"),
+}
 
 
 @pytest.mark.parametrize("n", sorted(MEETING_TIMES))
@@ -71,19 +91,34 @@ def test_audit_result_dicts_pinned():
         "steps": 20000, "audits": 20000, "violations": 0}
 
 
-def test_cli_mix_result_pinned(tmp_path):
-    cfg = tmp_path / "mix.json"
-    cfg.write_text(json.dumps(MIX_CONFIG))
+def cli_artifact_digest(tmp_path, config, artifact):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    data = (tmp_path / "o" / "result.json").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == MIX_DIGEST
+    return hashlib.sha256((tmp_path / "o" / artifact).read_bytes()).hexdigest()
+
+
+def test_cli_mix_result_pinned(tmp_path):
+    assert cli_artifact_digest(tmp_path, MIX_CONFIG, "result.json") == MIX_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(ENSEMBLE_PINS))
 def test_cli_ensemble_artifacts_pinned(tmp_path, name):
     config, artifact, digest = ENSEMBLE_PINS[name]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    data = (tmp_path / "o" / artifact).read_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+    assert cli_artifact_digest(tmp_path, config, artifact) == digest
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PINS))
+def test_cli_band_dp_and_kernel_artifacts_pinned(tmp_path, name):
+    config, artifact, digest = EXACT_PINS[name]
+    assert cli_artifact_digest(tmp_path, config, artifact) == digest
+
+
+def test_band_dp_rows_pinned():
+    p = BiasMatrix.random_biased(24, 0.5, np.random.default_rng(31))
+    dp = BandDP(p, LocalizationVector.constant(24, 9))
+    assert dp.W == 19
+    rng = np.random.default_rng(32)
+    rows = dp.sample_rows(rng, 300)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == BAND_DP_ROWS[0]
+    assert rng.random() == BAND_DP_ROWS[1]

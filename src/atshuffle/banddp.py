@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import CapExceeded, ContractError, EmptySupport
-from .measure import DistributionTable, enumerate_stationary
+from .measure import MEMORY_BUDGET, DistributionTable, enumerate_stationary
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                     Permutation, is_localized, restrict_instance, embed)
 
@@ -35,10 +35,12 @@ ENUM_SAMPLER_CAP = 7
 # which bounds its temporaries to about 1 MB each
 ROW_CHUNK_ELEMENTS = 1 << 17
 # a BandDP layer holds per word its mask and its forward and backward log
-# weights; the layers may take MEMORY_BUDGET bytes, the budget that
-# measure.exact_mixing_time gives its rows
+# weights; the layers may take measure.MEMORY_BUDGET bytes
 BYTES_PER_STATE = 24
-MEMORY_BUDGET = 2 * 10 ** 9
+# a layer step sorts its next words when they are fewer than 2^(W-1) /
+# SORT_FRACTION, and marks them in a dense array over the window words
+# otherwise; sorting is the faster of the two below about this share
+SORT_FRACTION = 8
 
 NEG_INF = -math.inf
 
@@ -179,6 +181,24 @@ class BandDP:
         self._pos[masks] = np.arange(masks.size, dtype=np.int32)
         return self._pos
 
+    def _distinct_words(self, dsts: list) -> np.ndarray:
+        """The distinct words of the arrays dsts, in increasing order.
+
+        Few words are sorted; many are marked in a dense array over the
+        2^(W-1) window words, whose scan would dominate a small layer (a
+        pinned DP, or propagate from one word).  Both give the same keys.
+        """
+        total = sum(d.size for d in dsts)
+        if total * SORT_FRACTION < 1 << (self.W - 1):
+            words = np.sort(np.concatenate([np.empty(0, dtype=np.int64)] + dsts))
+            keep = np.ones(words.size, dtype=bool)
+            np.not_equal(words[1:], words[:-1], out=keep[1:])
+            return words[keep]
+        seen = np.zeros(1 << (self.W - 1), dtype=bool)
+        for dst in dsts:
+            seen[dst] = True
+        return np.flatnonzero(seen)
+
     def _advance(self, t: int, masks: np.ndarray, logv: np.ndarray):
         """Push distinct layer-t words with log weights to layer t+1.
 
@@ -189,7 +209,6 @@ class BandDP:
         words accumulate slot by slot: per-word maxima first, then exp-sums.
         """
         slots, _, weigh = self._layer_tables(t)
-        seen = np.zeros(1 << (self.W - 1), dtype=bool)
         moves = []
         for c, j in enumerate(slots):
             sel = np.flatnonzero(_placeable(masks, j))
@@ -199,10 +218,8 @@ class BandDP:
             if not finite.all():    # needs an exact 0 in p or a -inf input
                 src = src[finite]
                 vals = vals[finite]
-            dst = (src | (1 << j)) >> 1
-            seen[dst] = True
-            moves.append((dst, vals))
-        keys = np.flatnonzero(seen)
+            moves.append(((src | (1 << j)) >> 1, vals))
+        keys = self._distinct_words([dst for dst, _ in moves])
         pos = self._positions(keys)
         moves = [(pos[dst], vals) for dst, vals in moves]
         vmax = np.full(keys.size, NEG_INF)

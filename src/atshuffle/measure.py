@@ -21,6 +21,8 @@ from .perms import BiasMatrix, LocalizationVector, Permutation, is_localized
 
 DEFAULT_ENUM_CAP = 8
 HARD_ENUM_CAP = 10
+# bytes that exact_mixing_time's row batches, and banddp.BandDP's layers, may take
+MEMORY_BUDGET = 2 * 10 ** 9
 
 
 def log_weight(sigma, p: BiasMatrix) -> float:
@@ -315,7 +317,7 @@ def _tv_rows_to_mu(rows: np.ndarray, mu_probs: np.ndarray) -> np.ndarray:
 
 
 def exact_mixing_time(P: TransitionMatrix, mu: DistributionTable, delta: float,
-                      t_cap: int = 10 ** 6, batch_bytes: int = 2 * 10 ** 9):
+                      t_cap: int = 10 ** 6, batch_bytes: int = MEMORY_BUDGET):
     """Smallest t with max over starts x0 of TV(P^t(x0, .), mu) <= delta.
 
     Returns (t_mix, tv_curve) where tv_curve[t] is the worst-case TV after t

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from banddp_oracle import ReferenceBandDP, random_bias_with_certain_pairs
+from atshuffle import banddp
 from atshuffle.banddp import (BandDP, BandDPSampler, EnumerationSampler,
                               MallowsRejectionSampler,
                               band_dp_conditional_marginal, band_dp_partition,
@@ -335,6 +336,27 @@ def test_band_dp_passes_match_the_reference(n, seed, data):
     assert fm.support == rm.support
     np.testing.assert_allclose(fm.probs, rm.probs, rtol=0, atol=1e-12)
     assert fm.logZ == pytest.approx(rm.logZ, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("pins", [{}, {3: 1, 9: 12, 14: 15}])
+def test_sorted_and_marked_word_collection_agree(monkeypatch, pins):
+    # SORT_FRACTION = 0 sorts every layer's words, 2^62 marks them all
+    p = random_bias_with_certain_pairs(16, np.random.default_rng(8))
+    ell = LocalizationVector.constant(16, 5)     # W = 11
+    runs = []
+    for fraction in (0, 2 ** 62):
+        monkeypatch.setattr(banddp, "SORT_FRACTION", fraction)
+        dp = BandDP(p, ell, pins=pins)
+        masks = dp.forward_layer(4)[0]
+        runs.append(([dp.forward_layer(t) for t in range(17)],
+                     [dp.backward_layer(t)[1] for t in range(17)],
+                     dp.propagate(4, 14, masks[-1:], np.zeros(1)),
+                     dp.sample_rows(np.random.default_rng(9), 20)))
+    (fwd0, bwd0, prop0, rows0), (fwd1, bwd1, prop1, rows1) = runs
+    for (m0, v0), (m1, v1) in zip(fwd0 + [prop0], fwd1 + [prop1]):
+        assert m0.tobytes() == m1.tobytes() and v0.tobytes() == v1.tobytes()
+    assert all(b0.tobytes() == b1.tobytes() for b0, b1 in zip(bwd0, bwd1))
+    assert np.array_equal(rows0, rows1)
 
 
 def test_propagate_refuses_words_outside_the_window():

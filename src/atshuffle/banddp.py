@@ -26,7 +26,7 @@ import numpy as np
 from .errors import CapExceeded, ContractError, EmptySupport
 from .measure import MEMORY_BUDGET, DistributionTable, enumerate_stationary
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
-                    Permutation, is_localized, restrict_instance, embed)
+                    Permutation, is_localized, restrict_instance)
 
 DEFAULT_WINDOW_CAP = 22
 FAST_WINDOW = 16
@@ -514,15 +514,14 @@ class MallowsRejectionSampler:
     """
 
     strategy = "mallows-rejection"
+    _MAX_TRIES = 400
     _TOO_LOW = ("rejection sampler acceptance too low for this localization; "
                 "use the band DP sampler")
 
-    def __init__(self, n: int, q: float, ell: LocalizationVector | None,
-                 max_tries: int = 400):
+    def __init__(self, n: int, q: float, ell: LocalizationVector | None):
         self.n = n
         self.q = q
         self.ell = ell
-        self.max_tries = max_tries
         if q <= 0.0 or q >= 1.0:
             self._degenerate = np.arange(1, n + 1) if q == 1.0 else np.arange(n, 0, -1)
             self._cdfs = None
@@ -570,7 +569,7 @@ class MallowsRejectionSampler:
         got = 0
         tries = 0
         while got < size:
-            if tries >= self.max_tries:
+            if tries >= self._MAX_TRIES:
                 raise CapExceeded(self._TOO_LOW)
             batch = max(32, int((size - got) * 1.1))
             u = rng.random((batch, self.n))
@@ -599,8 +598,6 @@ class BandDPSampler:
 
 
 def exact_localized_sampler(p: BiasMatrix, ell: LocalizationVector | None,
-                            enum_cap: int = ENUM_SAMPLER_CAP,
-                            fast_window: int = FAST_WINDOW,
                             window_cap: int = DEFAULT_WINDOW_CAP):
     """Pick an exact sampler for mu(. | localized set).
 
@@ -611,12 +608,12 @@ def exact_localized_sampler(p: BiasMatrix, ell: LocalizationVector | None,
     large n).
     """
     n = p.n
-    if n <= enum_cap:
+    if n <= ENUM_SAMPLER_CAP:
         return EnumerationSampler(p, ell)
     q = p.constant_q()
     if ell is not None:
         W = ell.l_max_minus + ell.l_max_plus + 1
-        if W <= fast_window:
+        if W <= FAST_WINDOW:
             return BandDPSampler(p, ell, window_cap=window_cap)
         if q is not None:
             return MallowsRejectionSampler(n, q, ell)

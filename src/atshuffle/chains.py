@@ -231,8 +231,7 @@ def coupled_asep_step(Y: AsepState, Yp: AsepState, q: float,
 
 def coupled_domination_step(sigma: Permutation, p: BiasMatrix, aseps: dict,
                             q: float, draw: UpdateDraw,
-                            ell: LocalizationVector | None = None,
-                            audit: bool = True) -> tuple:
+                            ell: LocalizationVector | None = None) -> tuple:
     """Advance the chain and a family {k: AsepState} on one shared draw.
 
     The chain uses the order-based convention, each ASEP resolves to (1,0)
@@ -243,16 +242,14 @@ def coupled_domination_step(sigma: Permutation, p: BiasMatrix, aseps: dict,
     eps = p.epsilon
     if q / (1.0 - q) > 1.0 + eps + 1e-12:
         raise ContractError("need q/(1-q) <= 1+eps for domination")
-    if audit:
-        for k, Y in aseps.items():
-            if not left_order_leq(eta_projection(sigma, k), Y):
-                raise ContractError(f"precondition eta_{k} <= Y fails")
+    for k, Y in aseps.items():
+        if not left_order_leq(eta_projection(sigma, k), Y):
+            raise ContractError(f"precondition eta_{k} <= Y fails")
     new_sigma = _ordered_pair_update(sigma, p, draw, ell)
     new_aseps = {k: asep_step(Y, q, draw) for k, Y in aseps.items()}
-    if audit:
-        for k, Y in new_aseps.items():
-            if not left_order_leq(eta_projection(new_sigma, k), Y):
-                raise AssertionError(f"domination invariant broken at k={k}")
+    for k, Y in new_aseps.items():
+        if not left_order_leq(eta_projection(new_sigma, k), Y):
+            raise AssertionError(f"domination invariant broken at k={k}")
     return new_sigma, new_aseps
 
 
@@ -260,8 +257,8 @@ def coupled_domination_step(sigma: Permutation, p: BiasMatrix, aseps: dict,
 # ASEP stationary law
 # ---------------------------------------------------------------------------
 
-def asep_stationary(n: int, k: int, q: float, cap_states: int = 500000,
-                    verify_balance: bool = True) -> DistributionTable:
+def asep_stationary(n: int, k: int, q: float,
+                    cap_states: int = 500000) -> DistributionTable:
     """Exact stationary law: nu(Y) proportional to (q/(1-q))^(#(1 before 0) pairs).
 
     The exponent counts pairs i<j with Y(i)=1, Y(j)=0; the opposite
@@ -293,9 +290,8 @@ def asep_stationary(n: int, k: int, q: float, cap_states: int = 500000,
     m = logw.max()
     w = np.exp(logw - m)
     table = DistributionTable(support, w / w.sum(), float(m + math.log(w.sum())))
-    if verify_balance:
-        P = asep_transition_matrix(n, k, q, states=support)
-        check_detailed_balance(P, table)
+    P = asep_transition_matrix(n, k, q, states=support)
+    check_detailed_balance(P, table)
     return table
 
 

@@ -36,6 +36,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,33 +46,60 @@ from .chains import (BlockSchedule, derive_rng,
                      ensemble_chain_run, experiment_id, write_checkpoint)
 from .errors import CapExceeded, ContractError, EmptySupport, NotReversible
 from .experiments import (FAMILY_PARAMS, ExperimentResult, SeriesPoint,
-                          Verdict, asep_tail_check, block_chain_mixing,
-                          block_decomposition_check, burn_in_profile,
-                          burn_in_scaling, disconnect_probability,
-                          localization_tail_check, lower_bound_experiment,
+                          Verdict, asep_tail_check, block_decomposition_check,
+                          burn_in_profile, burn_in_scaling,
+                          disconnect_probability, lower_bound_experiment,
                           make_family, mixing_scaling, spatial_decay_curve)
 from .measure import (build_transition_matrix, enumerate_stationary,
                       spectral_gap)
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                     Permutation, instance_fingerprint, is_localized)
 
-COMMANDS = ("exact", "sample", "chain", "asep", "burnin", "spatial",
-            "disconnect", "blockcheck", "mix", "lowerbound")
+# the kind of a config key, as its type error names it
+INT, INTS, NUMBER = "an integer", "a list of integers", "a number"
 
-_COMMON_KEYS = {"command", "n", "ns", "p", "ell", "seed", "out"}
-_ALLOWED_KEYS = {
-    "exact": _COMMON_KEYS | {"cap_enum"},
-    "sample": _COMMON_KEYS | {"samples"},
-    "chain": _COMMON_KEYS | {"steps", "init", "checkpoint_every", "tracked_ks"},
-    "asep": _COMMON_KEYS | {"k", "q", "rs"},
-    "burnin": _COMMON_KEYS | {"T_mult", "replicas", "quantile", "init", "T"},
-    "spatial": _COMMON_KEYS | {"eta", "eta_bar", "rs", "mode", "budget",
-                               "threshold"},
-    "disconnect": _COMMON_KEYS | {"ks", "mode", "budget", "boundary"},
-    "blockcheck": _COMMON_KEYS | {"schedule", "selection"},
-    "mix": _COMMON_KEYS | {"delta", "method", "budget"},
-    "lowerbound": _COMMON_KEYS | {"eta", "replicas", "threshold"},
+
+class KeyRule(NamedTuple):
+    """A config key's kind (None: free-form, checked where it is read) and
+    range (a phrase for the error and the predicate it names), if any."""
+
+    kind: str | None
+    bound: str | None = None
+    ok: Callable | None = None
+
+
+FREE = KeyRule(None)
+_COMMON_KEYS = {
+    "command": FREE, "p": FREE, "ell": FREE, "out": FREE,
+    "n": KeyRule(INT, ">= 2", lambda v: v >= 2),
+    "ns": KeyRule(INTS, "a non-empty list of integers >= 2",
+                  lambda v: v != [] and min(v) >= 2),
+    "seed": KeyRule(INT),
 }
+# the keys each command accepts; defaults live in the experiment signatures
+CONFIG_KEYS = {command: {**_COMMON_KEYS, **keys} for command, keys in {
+    "exact": {"cap_enum": KeyRule(INT)},
+    "sample": {"samples": KeyRule(INT)},
+    "chain": {"steps": KeyRule(INT), "init": FREE,
+              "checkpoint_every": KeyRule(INT), "tracked_ks": KeyRule(INTS)},
+    "asep": {"k": KeyRule(INT), "q": KeyRule(NUMBER), "rs": KeyRule(INTS)},
+    # the stderr of each burn-in checkpoint needs two replicas (ddof = 1)
+    "burnin": {"T_mult": KeyRule(INT),
+               "replicas": KeyRule(INT, ">= 2", lambda v: v >= 2),
+               "quantile": KeyRule(NUMBER, "in (0, 1)", lambda v: 0 < v < 1),
+               "init": FREE, "T": KeyRule(INT)},
+    "spatial": {"eta": FREE, "eta_bar": FREE, "rs": KeyRule(INTS),
+                "mode": FREE, "budget": KeyRule(INT),
+                "threshold": KeyRule(NUMBER)},
+    "disconnect": {"ks": KeyRule(INTS), "mode": FREE,
+                   "budget": KeyRule(INT), "boundary": FREE},
+    "blockcheck": {"schedule": FREE, "selection": FREE},
+    "mix": {"delta": KeyRule(NUMBER), "method": FREE, "budget": KeyRule(INT)},
+    "lowerbound": {"eta": KeyRule(NUMBER),
+                   "replicas": KeyRule(INT, ">= 1", lambda v: v >= 1),
+                   "threshold": KeyRule(NUMBER)},
+}.items()}
+COMMANDS = tuple(CONFIG_KEYS)
 # keys a command cannot run without; a tuple means "one of these"
 _REQUIRED_KEYS = {
     "exact": ("n", "p"),
@@ -86,31 +114,18 @@ _REQUIRED_KEYS = {
     "lowerbound": ("n", "p"),
 }
 
-# keys whose values must be JSON integers (bools are refused); "ns" holds a
-# list of them
-_INT_KEYS = ("n", "seed", "replicas", "T", "T_mult", "steps",
-             "checkpoint_every", "budget", "samples", "k", "cap_enum")
-# keys whose values must be JSON numbers (bools are refused), per command;
-# spatial's eta is a boundary, not a number
-_FLOAT_KEYS = {
-    "asep": ("q",),
-    "burnin": ("quantile",),
-    "spatial": ("threshold",),
-    "mix": ("delta",),
-    "lowerbound": ("eta", "threshold"),
-}
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _has_kind(value, kind: str) -> bool:
+    """Whether a JSON value is of the kind; bools are not numbers."""
+    if kind == INTS:
+        return isinstance(value, list) and all(_has_kind(v, INT) for v in value)
+    return (isinstance(value, int if kind == INT else (int, float))
+            and not isinstance(value, bool))
 
 
 class RunConfig:
-    """Validated, fully resolved run configuration."""
+    """Validated, fully resolved run configuration: ``raw`` as given, and
+    ``values`` with number-kind values converted to float."""
 
     def __init__(self, raw: dict, seed_override=None, cap_enum=None,
                  cap_window=None, jobs: int = 1, out: str | None = None):
@@ -120,7 +135,8 @@ class RunConfig:
         if command not in COMMANDS:
             raise ContractError(f"unknown command {command!r}; choose from "
                                 + ", ".join(COMMANDS))
-        unknown = set(raw) - _ALLOWED_KEYS[command]
+        rules = CONFIG_KEYS[command]
+        unknown = set(raw) - set(rules)
         if unknown:
             raise ContractError(
                 f"unknown config keys for {command}: {sorted(unknown)}")
@@ -129,18 +145,16 @@ class RunConfig:
             if not any(key in raw for key in options):
                 raise ContractError(
                     f"{command} needs the config key {' or '.join(options)}")
-        for key in _INT_KEYS:
-            if key in raw and not _is_int(raw[key]):
+        self.values = {}
+        for key, value in raw.items():
+            rule = rules[key]
+            if rule.kind is not None and not _has_kind(value, rule.kind):
                 raise ContractError(
-                    f"config key {key} must be an integer, got {raw[key]!r}")
-        for key in _FLOAT_KEYS.get(command, ()):
-            if key in raw and not _is_number(raw[key]):
+                    f"config key {key} must be {rule.kind}, got {value!r}")
+            if rule.ok is not None and not rule.ok(value):
                 raise ContractError(
-                    f"config key {key} must be a number, got {raw[key]!r}")
-        if "ns" in raw and not (isinstance(raw["ns"], list)
-                                and all(map(_is_int, raw["ns"]))):
-            raise ContractError(
-                f"config key ns must be a list of integers, got {raw['ns']!r}")
+                    f"config key {key} must be {rule.bound}, got {value!r}")
+            self.values[key] = float(value) if rule.kind == NUMBER else value
         spec = raw.get("p")
         if isinstance(spec, dict) and "family" in spec:
             kind = spec["family"]
@@ -151,18 +165,24 @@ class RunConfig:
                 if key not in spec:
                     raise ContractError(
                         f"family {kind} needs the key {key!r} in p")
-                if not _is_number(spec[key]):
+                if not _has_kind(spec[key], NUMBER):
                     raise ContractError(
                         f"config key p.{key} must be a number, "
                         f"got {spec[key]!r}")
+        if jobs < 1:
+            raise ContractError(f"--jobs must be >= 1, got {jobs}")
         self.command = command
         self.raw = dict(raw)
-        self.seed = int(seed_override if seed_override is not None
-                        else raw.get("seed", 0))
+        self.seed = (seed_override if seed_override is not None
+                     else raw.get("seed", 0))
         self.cap_enum = cap_enum
         self.cap_window = cap_window
-        self.jobs = max(1, int(jobs))
+        self.jobs = jobs
         self.out = out or raw.get("out") or "atshuffle-out"
+
+    def pick(self, *keys) -> dict:
+        """The validated values of those keys that the config sets."""
+        return {key: self.values[key] for key in keys if key in self.values}
 
     def resolved(self) -> dict:
         out = dict(self.raw)
@@ -175,16 +195,12 @@ class RunConfig:
         return out
 
 
-def _load_bias(spec, n: int | None, seed: int) -> BiasMatrix:
+def _load_bias(spec, n: int, seed: int) -> BiasMatrix:
     if isinstance(spec, dict) and "file" in spec:
         with open(spec["file"]) as fh:
             return BiasMatrix.from_text(fh.read())
     if isinstance(spec, dict) and "family" in spec:
-        if n is None:
-            raise ContractError("family instances need n")
-        fam = dict(spec)
-        fam["kind"] = fam.pop("family")
-        return make_family(n, fam, seed)
+        return make_family(n, _family_dict(spec), seed)
     raise ContractError("p must be {'family': ...} or {'file': ...}")
 
 
@@ -245,9 +261,9 @@ def generate_instance(family: str, n: int, epsilon: float | None, seed: int,
 # ---------------------------------------------------------------------------
 
 def _run_exact(cfg: RunConfig, outdir: str):
-    n = int(cfg.raw["n"])
-    p = _load_bias(cfg.raw["p"], n, cfg.seed)
-    ell = _load_ell(cfg.raw.get("ell"), n)
+    n = cfg.values["n"]
+    p = _load_bias(cfg.values["p"], n, cfg.seed)
+    ell = _load_ell(cfg.values.get("ell"), n)
     kwargs = {}
     if cfg.cap_enum is not None:
         kwargs["cap"] = cfg.cap_enum
@@ -270,10 +286,10 @@ def _run_exact(cfg: RunConfig, outdir: str):
 
 
 def _run_sample(cfg: RunConfig, outdir: str):
-    n = int(cfg.raw["n"])
-    p = _load_bias(cfg.raw["p"], n, cfg.seed)
-    ell = _load_ell(cfg.raw.get("ell"), n)
-    samples = int(cfg.raw.get("samples", 100))
+    n = cfg.values["n"]
+    p = _load_bias(cfg.values["p"], n, cfg.seed)
+    ell = _load_ell(cfg.values.get("ell"), n)
+    samples = cfg.values.get("samples", 100)
     kwargs = {}
     if cfg.cap_window is not None:
         kwargs["window_cap"] = cfg.cap_window
@@ -298,15 +314,15 @@ def _run_sample(cfg: RunConfig, outdir: str):
 
 
 def _run_chain(cfg: RunConfig, outdir: str):
-    n = int(cfg.raw["n"])
-    p = _load_bias(cfg.raw["p"], n, cfg.seed)
-    ell = _load_ell(cfg.raw.get("ell"), n)
-    steps = int(cfg.raw.get("steps", 10 * n * n))
-    every = int(cfg.raw.get("checkpoint_every", max(1, steps // 100)))
+    n = cfg.values["n"]
+    p = _load_bias(cfg.values["p"], n, cfg.seed)
+    ell = _load_ell(cfg.values.get("ell"), n)
+    steps = cfg.values.get("steps", 10 * n * n)
+    every = cfg.values.get("checkpoint_every", max(1, steps // 100))
     if every < 1:
         raise ContractError("checkpoint_every must be >= 1")
-    init = cfg.raw.get("init", "reversal")
-    tracked = [int(k) for k in cfg.raw.get("tracked_ks", [])]
+    init = cfg.values.get("init", "reversal")
+    tracked = cfg.values.get("tracked_ks", [])
     start = {"identity": Permutation.identity(n),
              "reversal": Permutation.reversal(n)}.get(init)
     if start is None:
@@ -339,31 +355,25 @@ def _run_chain(cfg: RunConfig, outdir: str):
 
 
 def _run_asep(cfg: RunConfig, outdir: str):
-    res = asep_tail_check(int(cfg.raw["n"]), int(cfg.raw["k"]),
-                          float(cfg.raw["q"]),
-                          cfg.raw.get("rs"))
+    res = asep_tail_check(cfg.values["n"], cfg.values["k"], cfg.values["q"],
+                          **cfg.pick("rs"))
     return res, res.write(outdir, "result")
 
 
 def _run_burnin(cfg: RunConfig, outdir: str):
-    if "ns" in cfg.raw:
-        if cfg.raw.get("ell") is not None:
+    if "ns" in cfg.values:
+        if cfg.values.get("ell") is not None:
             raise ContractError("burnin over ns runs unrestricted chains; "
                                 "drop ell or run each n with its own config")
         res = burn_in_scaling(
-            [int(v) for v in cfg.raw["ns"]], _family_dict(cfg.raw["p"]),
-            T_mult=int(cfg.raw.get("T_mult", 8)),
-            replicas=int(cfg.raw.get("replicas", 100)),
-            seed=cfg.seed, quantile=float(cfg.raw.get("quantile", 0.99)))
+            cfg.values["ns"], _family_dict(cfg.values["p"]), seed=cfg.seed,
+            **cfg.pick("T_mult", "replicas", "quantile"))
     else:
-        n = int(cfg.raw["n"])
-        p = _load_bias(cfg.raw["p"], n, cfg.seed)
+        n = cfg.values["n"]
         res = burn_in_profile(
-            n, p, cfg.raw.get("init", "reversal"),
-            int(cfg.raw["T"]) if "T" in cfg.raw else None,
-            replicas=int(cfg.raw.get("replicas", 100)), seed=cfg.seed,
-            ell=_load_ell(cfg.raw.get("ell"), n),
-            quantile=float(cfg.raw.get("quantile", 0.99)))
+            n, _load_bias(cfg.values["p"], n, cfg.seed), seed=cfg.seed,
+            ell=_load_ell(cfg.values.get("ell"), n),
+            **cfg.pick("init", "T", "replicas", "quantile"))
     return res, res.write(outdir, "result")
 
 
@@ -373,47 +383,41 @@ def _boundary_from_spec(spec, n: int) -> BoundaryAssignment:
 
 
 def _run_spatial(cfg: RunConfig, outdir: str):
-    n = int(cfg.raw["n"])
-    p = _load_bias(cfg.raw["p"], n, cfg.seed)
-    ell = _load_ell(cfg.raw.get("ell"), n)
+    n = cfg.values["n"]
+    p = _load_bias(cfg.values["p"], n, cfg.seed)
+    ell = _load_ell(cfg.values.get("ell"), n)
     if ell is None:
         raise ContractError("spatial needs a localization vector")
-    eta = _boundary_from_spec(cfg.raw["eta"], n)
-    eta_bar = _boundary_from_spec(cfg.raw["eta_bar"], n)
+    eta = _boundary_from_spec(cfg.values["eta"], n)
+    eta_bar = _boundary_from_spec(cfg.values["eta_bar"], n)
     res = spatial_decay_curve(
-        p, ell, eta, eta_bar, [int(r) for r in cfg.raw["rs"]],
-        mode=cfg.raw.get("mode", "exact"),
-        budget=int(cfg.raw.get("budget", 4000)), seed=cfg.seed,
-        threshold=float(cfg.raw.get("threshold", 0.05)),
-        window_cap=cfg.cap_window)
+        p, ell, eta, eta_bar, cfg.values["rs"], seed=cfg.seed,
+        window_cap=cfg.cap_window, **cfg.pick("mode", "budget", "threshold"))
     return res, res.write(outdir, "result")
 
 
 def _run_disconnect(cfg: RunConfig, outdir: str):
-    n = int(cfg.raw["n"])
-    p = _load_bias(cfg.raw["p"], n, cfg.seed)
-    ell = _load_ell(cfg.raw.get("ell"), n)
+    n = cfg.values["n"]
+    p = _load_bias(cfg.values["p"], n, cfg.seed)
+    ell = _load_ell(cfg.values.get("ell"), n)
     boundary = None
-    if cfg.raw.get("boundary") is not None:
-        boundary = _boundary_from_spec(cfg.raw["boundary"], n)
+    if cfg.values.get("boundary") is not None:
+        boundary = _boundary_from_spec(cfg.values["boundary"], n)
     res = disconnect_probability(
-        p, ell, boundary, cfg.raw.get("ks"),
-        mode=cfg.raw.get("mode", "exact"),
-        budget=int(cfg.raw.get("budget", 20000)), seed=cfg.seed,
-        window_cap=cfg.cap_window)
+        p, ell, boundary, seed=cfg.seed, window_cap=cfg.cap_window,
+        **cfg.pick("ks", "mode", "budget"))
     return res, res.write(outdir, "result")
 
 
 def _run_blockcheck(cfg: RunConfig, outdir: str):
-    n = int(cfg.raw["n"])
-    p = _load_bias(cfg.raw["p"], n, cfg.seed)
-    ell = _load_ell(cfg.raw.get("ell"), n)
-    kind = cfg.raw.get("schedule", "west-east")
-    selection = cfg.raw.get("selection", "size")
+    n = cfg.values["n"]
+    p = _load_bias(cfg.values["p"], n, cfg.seed)
+    ell = _load_ell(cfg.values.get("ell"), n)
+    kind = cfg.values.get("schedule", "west-east")
     if kind == "west-east":
-        schedule = BlockSchedule.west_east(n, selection)
+        schedule = BlockSchedule.west_east(n, **cfg.pick("selection"))
     elif kind == "single":
-        schedule = BlockSchedule.single(n, selection)
+        schedule = BlockSchedule.single(n, **cfg.pick("selection"))
     else:
         raise ContractError("blockcheck supports west-east or single schedules")
     res = block_decomposition_check(n, p, ell, schedule)
@@ -422,12 +426,9 @@ def _run_blockcheck(cfg: RunConfig, outdir: str):
 
 def _run_mix(cfg: RunConfig, outdir: str):
     res = mixing_scaling(
-        [int(v) for v in cfg.raw["ns"]] if "ns" in cfg.raw
-        else [int(cfg.raw["n"])],
-        _family_dict(cfg.raw["p"]),
-        delta=float(cfg.raw.get("delta", 0.25)),
-        method=cfg.raw.get("method", "coupling"),
-        budget=int(cfg.raw.get("budget", 16)), seed=cfg.seed, jobs=cfg.jobs)
+        cfg.values["ns"] if "ns" in cfg.values else [cfg.values["n"]],
+        _family_dict(cfg.values["p"]), seed=cfg.seed, jobs=cfg.jobs,
+        **cfg.pick("delta", "method", "budget"))
     paths = res.write(outdir, "result")
     for key, curve in res.meta.get("tv_curves", {}).items():
         cpath = os.path.join(outdir, f"tv_curve_n{key}.csv")
@@ -440,12 +441,10 @@ def _run_mix(cfg: RunConfig, outdir: str):
 
 
 def _run_lowerbound(cfg: RunConfig, outdir: str):
-    n = int(cfg.raw["n"])
-    p = _load_bias(cfg.raw["p"], n, cfg.seed)
+    n = cfg.values["n"]
     res = lower_bound_experiment(
-        n, p, eta=float(cfg.raw.get("eta", 0.5)),
-        replicas=int(cfg.raw.get("replicas", 500)), seed=cfg.seed,
-        threshold=float(cfg.raw.get("threshold", 0.05)))
+        n, _load_bias(cfg.values["p"], n, cfg.seed), seed=cfg.seed,
+        **cfg.pick("eta", "replicas", "threshold"))
     return res, res.write(outdir, "result")
 
 

@@ -234,18 +234,17 @@ def _start_rows(n: int, init, replicas: int, rng) -> np.ndarray:
 def burn_in_profile(n: int, p: BiasMatrix, init="reversal", T: int | None = None,
                     checkpoints=None, replicas: int = 100, seed: int = 0,
                     ell: LocalizationVector | None = None,
-                    quantile: float = 0.99,
-                    c0_log: float | None = None) -> ExperimentResult:
+                    quantile: float = 0.99) -> ExperimentResult:
     """Max-displacement profile of an ensemble along the run.
 
     The verdict compares the terminal displacement quantile against
-    c0_log * log(n) (frozen calibration by default).
+    c0_log * log(n), c0_log from the frozen calibration.
     """
     if T is None:
         T = 8 * n * n
     if checkpoints is None:
         checkpoints = sorted({0, T // 8, T // 4, T // 2, (3 * T) // 4, T})
-    c0 = BURNIN_THRESHOLDS["c0_log"] if c0_log is None else c0_log
+    c0 = BURNIN_THRESHOLDS["c0_log"]
     rng = derive_rng(seed, experiment_id("burn-in"), n)
     starts = _start_rows(n, init, replicas, rng)
     profile = {}
@@ -281,20 +280,16 @@ def burn_in_profile(n: int, p: BiasMatrix, init="reversal", T: int | None = None
 
 
 def burn_in_scaling(ns, family: dict, T_mult: int = 8, replicas: int = 100,
-                    seed: int = 0, quantile: float = 0.99,
-                    additive_cap: float | None = None,
-                    c0_log: float | None = None) -> ExperimentResult:
+                    seed: int = 0, quantile: float = 0.99) -> ExperimentResult:
     """Terminal displacement quantile versus n; additive growth per doubling."""
-    cap = (BURNIN_THRESHOLDS["additive_per_doubling"]
-           if additive_cap is None else additive_cap)
+    cap = BURNIN_THRESHOLDS["additive_per_doubling"]
     series = []
     qs = []
     sub = {}
     for n in ns:
         p = make_family(n, family, seed)
         res = burn_in_profile(n, p, "reversal", T_mult * n * n,
-                              replicas=replicas, seed=seed, quantile=quantile,
-                              c0_log=c0_log)
+                              replicas=replicas, seed=seed, quantile=quantile)
         qn = res.verdict.details["final_quantile"]
         qs.append(qn)
         sub[n] = res.verdict.as_dict()
@@ -490,14 +485,8 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
 # ---------------------------------------------------------------------------
 
 def _reflect_bias(p: BiasMatrix) -> BiasMatrix:
-    n = p.n
-    d = p.dense()
-    out = np.ones((n, n))
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if a != b:
-                out[a - 1, b - 1] = d[n - b, n - a]
-    return BiasMatrix(np.triu(out, k=1))
+    # the mirror image's p(a, b) is p(n + 1 - b, n + 1 - a)
+    return BiasMatrix(np.triu(p.dense()[::-1, ::-1].T, k=1))
 
 
 def _reflect_ell(ell: LocalizationVector) -> LocalizationVector:
@@ -838,7 +827,14 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
 
 def _statistic_bracket(n: int, p: BiasMatrix, delta: float, budget: int,
                        seed: int):
-    """Bracket T_mix: statistic TV lower bound and twin-coalescence upper bound."""
+    """Bracket T_mix: statistic TV lower bound and twin-coalescence upper bound.
+
+    The lower bound compares against exact reference draws, which only
+    constant-bias instances have at every n.
+    """
+    if p.constant_q() is None:
+        raise ContractError("statistic mode needs a constant-bias family; "
+                            "this instance has no reference sampler")
     rng = derive_rng(seed, experiment_id("statistic-mode"), n)
     replicas = max(200, budget)
     grid = sorted({max(1, int(c * n * n)) for c in
@@ -851,23 +847,15 @@ def _statistic_bracket(n: int, p: BiasMatrix, delta: float, budget: int,
 
     ensemble_chain_run(p, starts, grid[-1], rng, checkpoints=grid,
                        checkpoint_fn=snap)
-    sampler = exact_localized_sampler(p, None) if p.constant_q() is not None \
-        else None
-    if sampler is not None:
-        ref_rows = sampler.draw_rows(rng, 20000)
-        Rr = ref_rows.shape[0]
-        inv1 = np.argmax(ref_rows == 1, axis=1) + 1
-        ref_counts = np.bincount(inv1, minlength=n + 1)[1:] / Rr
-        null_a = np.bincount(inv1[:Rr // 2], minlength=n + 1)[1:] / (Rr // 2)
-        null_b = np.bincount(inv1[Rr // 2:], minlength=n + 1)[1:] / (Rr - Rr // 2)
-        bias0 = 0.5 * float(np.sum(np.abs(null_a - null_b)))
-    else:
-        ref_counts = None
-        bias0 = 0.0
+    ref_rows = exact_localized_sampler(p, None).draw_rows(rng, 20000)
+    Rr = ref_rows.shape[0]
+    inv1 = np.argmax(ref_rows == 1, axis=1) + 1
+    ref_counts = np.bincount(inv1, minlength=n + 1)[1:] / Rr
+    null_a = np.bincount(inv1[:Rr // 2], minlength=n + 1)[1:] / (Rr // 2)
+    null_b = np.bincount(inv1[Rr // 2:], minlength=n + 1)[1:] / (Rr - Rr // 2)
+    bias0 = 0.5 * float(np.sum(np.abs(null_a - null_b)))
     t_lb = 0
     for t in grid:
-        if ref_counts is None:
-            break
         emp = np.bincount(hist[t], minlength=n + 1)[1:] / replicas
         tv = 0.5 * float(np.sum(np.abs(emp - ref_counts)))
         if tv > delta + bias0:

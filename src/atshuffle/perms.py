@@ -351,7 +351,7 @@ class BiasMatrix:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str, check_certificate: bool = True) -> "BiasMatrix":
+    def from_text(cls, text: str) -> "BiasMatrix":
         n = None
         eps_header = None
         entries = {}
@@ -380,7 +380,7 @@ class BiasMatrix:
                     raise ContractError(f"missing entry for pair ({i}, {j})")
                 up[i - 1, j - 1] = entries[(i, j)]
         out = cls(up)
-        if check_certificate and eps_header is not None and out.epsilon != eps_header:
+        if eps_header is not None and out.epsilon != eps_header:
             raise ContractError(
                 f"epsilon certificate mismatch: header {eps_header!r}, recomputed {out.epsilon!r}")
         return out

@@ -206,6 +206,25 @@ def test_burnin_over_ns_refuses_ell(tmp_path):
     ({"command": "mix", "p": {"family": "constant-eps"}, "ns": [8]}, "'eps'"),
     ({"command": "asep", "n": 10, "k": 3}, "key q"),
     ({"command": "lowerbound", "n": 36}, "key p"),
+    # values out of range, which used to reach the experiments: burnin with
+    # replicas 0 or quantile 1.5 crashed, replicas 1 passed on NaN stderrs
+    ({"command": "burnin", "n": 8, "p": {"family": "constant-q", "q": 0.75},
+      "replicas": 0}, "replicas must be >= 2"),
+    ({"command": "burnin", "n": 8, "p": {"family": "constant-q", "q": 0.75},
+      "replicas": 1}, "replicas must be >= 2"),
+    ({"command": "lowerbound", "n": 8,
+      "p": {"family": "constant-q", "q": 0.75}, "replicas": 0},
+     "replicas must be >= 1"),
+    ({"command": "burnin", "n": 8, "p": {"family": "constant-q", "q": 0.75},
+      "quantile": 1.5}, "quantile must be in"),
+    ({"command": "burnin", "n": 8, "p": {"family": "constant-q", "q": 0.75},
+      "quantile": 0}, "quantile must be in"),
+    ({"command": "mix", "ns": [], "p": {"family": "constant-q", "q": 0.75}},
+     "ns must be a non-empty list"),
+    ({"command": "mix", "ns": [8, 1], "p": {"family": "constant-q", "q": 0.75}},
+     "ns must be a non-empty list"),
+    ({"command": "exact", "n": 1, "p": {"family": "constant-q", "q": 0.6}},
+     "n must be >= 2"),
 ])
 def test_missing_required_keys_are_config_errors(tmp_path, capsys, raw,
                                                  missing):
@@ -213,6 +232,17 @@ def test_missing_required_keys_are_config_errors(tmp_path, capsys, raw,
         RunConfig(raw)
     cfg = write_config(tmp_path, "miss.json", raw)
     assert main(["--config", cfg, "--out", str(tmp_path / "miss")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys):
+    # --jobs 0 used to be raised to 1 without a word
+    raw = {"command": "exact", "n": 3, "p": {"family": "constant-q", "q": 0.6}}
+    with pytest.raises(ContractError, match="--jobs must be >= 1"):
+        RunConfig(raw, jobs=0)
+    cfg = write_config(tmp_path, "j.json", raw)
+    assert main(["--config", cfg, "--jobs", "0",
+                 "--out", str(tmp_path / "j")]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -243,6 +273,11 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
       "replicas": 4, "T": -5}, "steps must be >= 0"),
     ({"command": "chain", "n": 6, "p": {"family": "constant-q", "q": 0.7},
       "steps": 40, "checkpoint_every": 0}, "checkpoint_every"),
+    # statistic mode has no reference draws for a non-constant family; it
+    # used to record lower bounds of 0 and pass
+    ({"command": "mix", "ns": [8, 12],
+      "p": {"family": "random-eps", "eps": 0.5}, "method": "statistic",
+      "budget": 8, "seed": 3}, "no reference sampler"),
 ])
 def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
                                                             message):
@@ -253,40 +288,59 @@ def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
     assert "ContractError" in man["error"] and message in man["error"]
 
 
-# a valid config of a command that reads each key below (default: exact)
-CQ = {"family": "constant-q", "q": 0.75}
-KEY_CONFIGS = {
-    "ns": {"command": "mix", "ns": [8], "p": CQ},
-    "delta": {"command": "mix", "ns": [8], "p": CQ},
-    "quantile": {"command": "burnin", "n": 8, "p": CQ, "replicas": 4},
-    "eta": {"command": "lowerbound", "n": 8, "p": CQ},
-    "threshold": {"command": "lowerbound", "n": 8, "p": CQ},
-    "q": {"command": "asep", "n": 6, "k": 3, "q": 0.7},
-    "p.eps": {"command": "exact", "n": 3,
-              "p": {"family": "random-eps", "eps": 0.5}},
-}
-
-
-@pytest.mark.parametrize("key, value", [
+# a valid value of each key some command requires
+REQUIRED_VALUES = {"n": 8, "p": {"family": "constant-q", "q": 0.75}, "k": 3,
+                   "q": 0.7, "eta": {}, "eta_bar": {}, "rs": [2]}
+# the kind of every typed key in the CLI's key table
+TYPED_KEYS = {key: rule.kind for rules in cli.CONFIG_KEYS.values()
+              for key, rule in rules.items() if rule.kind is not None}
+# values of the wrong type for each kind: bools are no numbers
+WRONG_VALUES = {cli.INT: ("three", 3.0, True), cli.INTS: (8, [8, "12"]),
+                cli.NUMBER: ("x", True, None)}
+NON_INTEGER_CASES = [
     ("n", "three"), ("n", 3.0), ("n", True), ("seed", "7"), ("cap_enum", 1.5),
     ("ns", [8, "12"]), ("ns", 8),
     # keys read as floats: numbers only, and no bools
     ("quantile", "high"), ("quantile", True), ("delta", "x"),
     ("threshold", None), ("eta", "half"), ("q", "x"), ("p.q", "x"),
     ("p.eps", False),
-])
+]
+NON_INTEGER_CASES += [
+    (key, value) for key in sorted(TYPED_KEYS)
+    if key not in {k for k, _ in NON_INTEGER_CASES}
+    for value in WRONG_VALUES[TYPED_KEYS[key]]]
+
+
+def valid_config(command):
+    raw = {"command": command}
+    for need in cli._REQUIRED_KEYS[command]:
+        key = need[0] if isinstance(need, tuple) else need
+        raw[key] = json.loads(json.dumps(REQUIRED_VALUES[key]))
+    RunConfig(raw)
+    return raw
+
+
+@pytest.mark.parametrize("key, value", NON_INTEGER_CASES)
 def test_non_integer_values_are_config_errors(tmp_path, capsys, key, value):
-    raw = json.loads(json.dumps(KEY_CONFIGS.get(key, {
-        "command": "exact", "n": 3, "p": {"family": "constant-q", "q": 0.6}})))
-    if key.startswith("p."):
-        raw["p"][key[2:]] = value
-    else:
-        raw[key] = value
-    with pytest.raises(ContractError, match=f"config key {key} must be"):
-        RunConfig(raw)
-    cfg = write_config(tmp_path, "t.json", raw)
-    assert main(["--config", cfg, "--out", str(tmp_path / "t")]) == 2
-    assert "config error" in capsys.readouterr().err
+    # every command whose key table types the key; family parameters are
+    # checked on exact
+    commands = ["exact"] if key.startswith("p.") else [
+        command for command, rules in cli.CONFIG_KEYS.items()
+        if key in rules and rules[key].kind is not None]
+    assert commands
+    for command in commands:
+        raw = valid_config(command)
+        if key == "p.eps":
+            raw["p"] = {"family": "random-eps", "eps": value}
+        elif key.startswith("p."):
+            raw["p"][key[2:]] = value
+        else:
+            raw[key] = value
+        with pytest.raises(ContractError, match=f"config key {key} must be"):
+            RunConfig(raw)
+        cfg = write_config(tmp_path, "t.json", raw)
+        assert main(["--config", cfg, "--out", str(tmp_path / "t")]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_exact_gap_non_convergence_exits_2(tmp_path, monkeypatch):

@@ -34,6 +34,12 @@ MIX_CONFIG = {"command": "mix", "ns": [32, 64, 128],
               "p": {"family": "constant-q", "q": Q}, "method": "coupling",
               "budget": 4, "seed": 11}
 MIX_DIGEST = "8bc32141de316c6680a2d8d13740a2c4e529c19fbebd40d26717a1f8ed99249b"
+# sha256 of result.json of CLI mix in statistic mode: T_lb [64, 216] <=
+# T_ub [145, 398]
+STATISTIC_CONFIG = {"command": "mix", "ns": [8, 12],
+                    "p": {"family": "constant-q", "q": Q},
+                    "method": "statistic", "budget": 8, "seed": 3}
+STATISTIC_DIGEST = "ed6880107907289038170ee736f3f1eee316b64a026d48360c4186e47a7af5c8"
 # (config, artifact, sha256) of CLI runs driven by ensemble_chain_run: burnin
 # spans three 2048-step draw chunks, chain takes the restricted branch and
 # fires 101 checkpoints
@@ -108,6 +114,11 @@ def cli_artifact_digest(tmp_path, config, artifact):
 
 def test_cli_mix_result_pinned(tmp_path):
     assert cli_artifact_digest(tmp_path, MIX_CONFIG, "result.json") == MIX_DIGEST
+
+
+def test_cli_mix_statistic_result_pinned(tmp_path):
+    assert (cli_artifact_digest(tmp_path, STATISTIC_CONFIG, "result.json")
+            == STATISTIC_DIGEST)
 
 
 @pytest.mark.parametrize("name", sorted(ENSEMBLE_PINS))

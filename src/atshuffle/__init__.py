@@ -14,7 +14,7 @@ from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                     disconnecting_positions, embed, instance_fingerprint,
                     is_disconnecting, is_localized, max_displacement,
                     max_localized_state, random_admissible_localization,
-                    relabel_map, restrict, restrict_instance)
+                    relabel_map, restrict_instance)
 from .measure import (DistributionTable, TransitionMatrix,
                       build_transition_matrix, check_detailed_balance,
                       enumerate_stationary, exact_mixing_time, log_weight,

@@ -489,7 +489,13 @@ class EnumerationSampler:
 
 @functools.lru_cache(maxsize=32)
 def _mallows_cdfs(n: int, q: float) -> tuple:
-    """Read-only insertion CDFs, one per count of remaining labels (1..n)."""
+    """Read-only insertion CDFs, one per count of remaining labels (1..n).
+
+    Returns (cdfs, table).  table is None unless one row's ranks fit a
+    conversion chunk (n * n <= ROW_CHUNK_ELEMENTS); then it holds the same
+    CDFs as an (n, n) array whose row pos is the CDF for n - pos remaining
+    labels, padded with +inf.
+    """
     phi = (1.0 - q) / q
     logphi = math.log(phi) if phi > 0 else NEG_INF
     cdfs = []
@@ -499,7 +505,13 @@ def _mallows_cdfs(n: int, q: float) -> tuple:
         cdf = np.cumsum(w) / w.sum()
         cdf.setflags(write=False)
         cdfs.append(cdf)
-    return tuple(cdfs)
+    table = None
+    if n * n <= ROW_CHUNK_ELEMENTS:
+        table = np.full((n, n), math.inf)
+        for pos in range(n):
+            table[pos, :n - pos] = cdfs[n - pos - 1]
+        table.setflags(write=False)
+    return tuple(cdfs), table
 
 
 class MallowsRejectionSampler:
@@ -524,19 +536,29 @@ class MallowsRejectionSampler:
         self.ell = ell
         if q <= 0.0 or q >= 1.0:
             self._degenerate = np.arange(1, n + 1) if q == 1.0 else np.arange(n, 0, -1)
-            self._cdfs = None
+            self._cdfs = self._table = None
         else:
             self._degenerate = None
-            self._cdfs = _mallows_cdfs(n, q)
+            self._cdfs, self._table = _mallows_cdfs(n, q)
 
     def _rows_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """One insertion permutation per row of a (size, n) block of uniforms."""
+        """One insertion permutation per row of a (size, n) block of uniforms.
+
+        A chunk whose (size, n, n) comparison fits ROW_CHUNK_ELEMENTS takes
+        all ranks at once from the padded table: the count of CDF entries
+        <= u is searchsorted(side="right") on the sorted CDF, and the +inf
+        padding counts for none.  Larger chunks search column by column.
+        """
         size, n = u.shape
-        ranks = np.empty((n, size), dtype=np.int64)
-        for pos, col in enumerate(u.T):
-            ranks[pos] = self._cdfs[n - pos - 1].searchsorted(col, side="right")
+        if size * n * n <= ROW_CHUNK_ELEMENTS:
+            ranks = (self._table <= u[:, :, None]).sum(axis=2)
+        else:
+            ranks = np.empty((n, size), dtype=np.int64)
+            for pos, col in enumerate(u.T):
+                ranks[pos] = self._cdfs[n - pos - 1].searchsorted(col, side="right")
+            ranks = ranks.T
         rows = np.empty((size, n), dtype=np.int64)
-        for r, rk in enumerate(ranks.T):
+        for r, rk in enumerate(ranks):
             avail = list(range(1, n + 1))
             rows[r] = [avail.pop(k) for k in rk.tolist()]
         return rows

@@ -19,13 +19,19 @@ rejected, and so are configs missing a key the command needs).  Common keys:
     ell       null (unrestricted), an integer (constant window), a list of
               [lo, hi] pairs, or {"file": "localization.txt"}
     seed      master seed (the --seed flag wins)
+    jobs, cap_enum, cap_window
+              run settings, as the --jobs, --cap-enum and --cap-window flags
+              (a flag wins)
 
-Every run echoes the resolved config into the output directory, writes the
-result JSON and CSV series, and a manifest listing seeds, code version,
-timestamps, and the verdict.  Result files carry no timestamps, so a rerun
-with the same config and master seed is byte-identical; wall-clock metadata
-lives only in the manifest.  Replica r of experiment e draws its stream from
-SeedSequence([master, crc32(e), r]).
+Only a command that reads a key accepts it: ns belongs to burnin and mix, and
+mix, lowerbound and asep take no ell (asep takes no p either).
+
+Every run echoes the resolved config into the output directory (itself a
+config that reruns the same run), writes the result JSON and CSV series, and
+a manifest listing seeds, code version, timestamps, and the verdict.  Result
+files carry no timestamps, so a rerun with the same config and master seed
+is byte-identical; wall-clock metadata lives only in the manifest.  Replica
+r of experiment e draws its stream from SeedSequence([master, crc32(e), r]).
 """
 
 from __future__ import annotations
@@ -70,32 +76,39 @@ class KeyRule(NamedTuple):
 
 FREE = KeyRule(None)
 _COMMON_KEYS = {
-    "command": FREE, "p": FREE, "ell": FREE, "out": FREE,
+    "command": FREE, "out": FREE,
     "n": KeyRule(INT, ">= 2", lambda v: v >= 2),
-    "ns": KeyRule(INTS, "a non-empty list of integers >= 2",
-                  lambda v: v != [] and min(v) >= 2),
     "seed": KeyRule(INT),
+    # run settings, as resolved_config.json records them; their flags win
+    "jobs": KeyRule(INT, ">= 1", lambda v: v >= 1),
+    "cap_enum": KeyRule(INT), "cap_window": KeyRule(INT),
 }
-# the keys each command accepts; defaults live in the experiment signatures
+_INSTANCE_KEYS = {"p": FREE, "ell": FREE}
+_NS_KEY = {"ns": KeyRule(INTS, "a non-empty list of integers >= 2",
+                         lambda v: v != [] and min(v) >= 2)}
+# the keys each command accepts, each read by the command; defaults live in
+# the experiment signatures
 CONFIG_KEYS = {command: {**_COMMON_KEYS, **keys} for command, keys in {
-    "exact": {"cap_enum": KeyRule(INT)},
-    "sample": {"samples": KeyRule(INT)},
-    "chain": {"steps": KeyRule(INT), "init": FREE,
+    "exact": _INSTANCE_KEYS,
+    "sample": {**_INSTANCE_KEYS, "samples": KeyRule(INT)},
+    "chain": {**_INSTANCE_KEYS, "steps": KeyRule(INT), "init": FREE,
               "checkpoint_every": KeyRule(INT), "tracked_ks": KeyRule(INTS)},
     "asep": {"k": KeyRule(INT), "q": KeyRule(NUMBER), "rs": KeyRule(INTS)},
     # the stderr of each burn-in checkpoint needs two replicas (ddof = 1)
-    "burnin": {"T_mult": KeyRule(INT),
+    "burnin": {**_INSTANCE_KEYS, **_NS_KEY, "T_mult": KeyRule(INT),
                "replicas": KeyRule(INT, ">= 2", lambda v: v >= 2),
                "quantile": KeyRule(NUMBER, "in (0, 1)", lambda v: 0 < v < 1),
                "init": FREE, "T": KeyRule(INT)},
-    "spatial": {"eta": FREE, "eta_bar": FREE, "rs": KeyRule(INTS),
-                "mode": FREE, "budget": KeyRule(INT),
+    "spatial": {**_INSTANCE_KEYS, "eta": FREE, "eta_bar": FREE,
+                "rs": KeyRule(INTS), "mode": FREE, "budget": KeyRule(INT),
                 "threshold": KeyRule(NUMBER)},
-    "disconnect": {"ks": KeyRule(INTS), "mode": FREE,
+    "disconnect": {**_INSTANCE_KEYS, "ks": KeyRule(INTS), "mode": FREE,
                    "budget": KeyRule(INT), "boundary": FREE},
-    "blockcheck": {"schedule": FREE, "selection": FREE},
-    "mix": {"delta": KeyRule(NUMBER), "method": FREE, "budget": KeyRule(INT)},
-    "lowerbound": {"eta": KeyRule(NUMBER),
+    "blockcheck": {**_INSTANCE_KEYS, "schedule": FREE, "selection": FREE},
+    # mix and lowerbound run unrestricted chains: no ell
+    "mix": {"p": FREE, **_NS_KEY, "delta": KeyRule(NUMBER), "method": FREE,
+            "budget": KeyRule(INT)},
+    "lowerbound": {"p": FREE, "eta": KeyRule(NUMBER),
                    "replicas": KeyRule(INT, ">= 1", lambda v: v >= 1),
                    "threshold": KeyRule(NUMBER)},
 }.items()}
@@ -128,7 +141,8 @@ class RunConfig:
     ``values`` with number-kind values converted to float."""
 
     def __init__(self, raw: dict, seed_override=None, cap_enum=None,
-                 cap_window=None, jobs: int = 1, out: str | None = None):
+                 cap_window=None, jobs: int | None = None,
+                 out: str | None = None):
         if "command" not in raw:
             raise ContractError("config must name a command")
         command = raw["command"]
@@ -169,15 +183,17 @@ class RunConfig:
                     raise ContractError(
                         f"config key p.{key} must be a number, "
                         f"got {spec[key]!r}")
-        if jobs < 1:
+        if jobs is not None and jobs < 1:
             raise ContractError(f"--jobs must be >= 1, got {jobs}")
         self.command = command
         self.raw = dict(raw)
+        # a flag beats the config's value
         self.seed = (seed_override if seed_override is not None
                      else raw.get("seed", 0))
-        self.cap_enum = cap_enum
-        self.cap_window = cap_window
-        self.jobs = jobs
+        self.cap_enum = cap_enum if cap_enum is not None else raw.get("cap_enum")
+        self.cap_window = (cap_window if cap_window is not None
+                           else raw.get("cap_window"))
+        self.jobs = jobs if jobs is not None else raw.get("jobs", 1)
         self.out = out or raw.get("out") or "atshuffle-out"
 
     def pick(self, *keys) -> dict:
@@ -517,7 +533,8 @@ def main(argv=None) -> int:
         description="biased adjacent-transposition shuffle laboratory")
     ap.add_argument("--config", help="JSON run configuration")
     ap.add_argument("--seed", type=int, default=None, help="master seed")
-    ap.add_argument("--jobs", type=int, default=1, help="worker bound")
+    ap.add_argument("--jobs", type=int, default=None,
+                    help="worker bound (default 1)")
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--cap-enum", type=int, default=None,
                     help="enumeration size cap")

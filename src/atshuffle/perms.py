@@ -9,6 +9,7 @@ swaps keep the two arrays in sync.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ import numpy as np
 from .errors import ContractError, EmptySupport
 
 UNBOUNDED = math.inf
+# marks a lazily computed value that may itself be None
+_LAZY = object()
 
 
 class Permutation:
@@ -73,7 +76,7 @@ class Permutation:
         return Permutation(self.forward.copy(), _validate=False)
 
     def to_tuple(self) -> tuple:
-        return tuple(int(x) for x in self.forward)
+        return tuple(self.forward.tolist())
 
     def check_consistent(self) -> None:
         """Assert forward/inverse are mutually inverse (debug helper)."""
@@ -142,6 +145,16 @@ class LocalizationVector:
         self.lo = np.minimum(lo_arr, k - 1).astype(np.int64)
         self.hi = np.minimum(hi_arr, n - k).astype(np.int64)
         self.n = n
+
+    @classmethod
+    def _trusted(cls, lo: np.ndarray, hi: np.ndarray) -> "LocalizationVector":
+        """A vector from int64 arrays already truncated to lo[k] <= k - 1 and
+        hi[k] <= n - k, kept without copying or checking."""
+        out = cls.__new__(cls)
+        out.lo = lo
+        out.hi = hi
+        out.n = int(lo.size)
+        return out
 
     @classmethod
     def constant(cls, n: int, ell) -> "LocalizationVector":
@@ -238,7 +251,7 @@ class BiasMatrix:
     p[j][i] = 1 - p[i][j] holds identically.  The diagonal is unused.
     """
 
-    __slots__ = ("n", "_dense", "_log", "_epsilon")
+    __slots__ = ("n", "_dense", "_log", "_epsilon", "_q")
 
     def __init__(self, upper):
         up = np.array(upper, dtype=np.float64)
@@ -257,6 +270,21 @@ class BiasMatrix:
         self._dense.setflags(write=False)
         self._log = None
         self._epsilon = None
+        self._q = _LAZY
+
+    @classmethod
+    def _trusted(cls, dense: np.ndarray, q=_LAZY) -> "BiasMatrix":
+        """A matrix over a dense array the constructor would have built (upper
+        triangle in [0, 1], its mirror 1 - p below, ones on the diagonal),
+        kept without checking; q is its constant_q() when known."""
+        out = cls.__new__(cls)
+        out.n = dense.shape[0]
+        out._dense = dense
+        out._dense.setflags(write=False)
+        out._log = None
+        out._epsilon = None
+        out._q = q
+        return out
 
     def get(self, i: int, j: int) -> float:
         """p[i][j] for particle labels i != j (1-based)."""
@@ -314,18 +342,32 @@ class BiasMatrix:
         return True
 
     def submatrix(self, labels) -> "BiasMatrix":
-        """Bias matrix on a subset of labels (1-based), in the given order."""
+        """Bias matrix on strictly increasing labels (1-based).
+
+        Increasing labels keep the upper triangle upper, so the principal
+        submatrix is the matrix the constructor would build and is taken as
+        it is.  A constant parent hands its constant_q() down.
+        """
         idx = np.asarray(labels, dtype=np.int64) - 1
-        return BiasMatrix(self._dense[np.ix_(idx, idx)])
+        if idx.ndim != 1 or (idx.size and (idx[0] < 0 or idx[-1] >= self.n
+                                           or np.any(idx[1:] <= idx[:-1]))):
+            raise ContractError(
+                f"submatrix needs strictly increasing labels in 1..{self.n}")
+        q = self.constant_q()
+        return BiasMatrix._trusted(
+            self._dense[np.ix_(idx, idx)],
+            q if q is not None and idx.size >= 2 else _LAZY)
 
     def constant_q(self) -> float | None:
         """The common upper-triangle value if the matrix is constant, else None."""
-        if self.n < 2:
-            return 1.0
-        iu = np.triu_indices(self.n, k=1)
-        vals = self._dense[iu]
-        q = float(vals[0])
-        return q if np.all(vals == q) else None
+        if self._q is _LAZY:
+            if self.n < 2:
+                self._q = 1.0
+            else:
+                vals = self._dense[np.triu_indices(self.n, k=1)]
+                q = float(vals[0])
+                self._q = q if np.all(vals == q) else None
+        return self._q
 
     def to_tuple(self) -> tuple:
         iu = np.triu_indices(self.n, k=1)
@@ -344,10 +386,21 @@ class BiasMatrix:
         return f"BiasMatrix(n={self.n}, epsilon={self.epsilon:.6g})"
 
     def to_text(self) -> str:
-        lines = ["# atshuffle bias matrix v1", f"n {self.n}", f"epsilon {self.epsilon!r}"]
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                lines.append(f"p {i} {j} {self.get(i, j)!r}")
+        n = self.n
+        # one repr per distinct bit pattern, so 0.0 and -0.0 stay apart
+        bits, which = np.unique(self._dense[np.triu_indices(n, k=1)].view(np.int64),
+                                return_inverse=True)
+        reprs = [repr(v) for v in bits.view(np.float64).tolist()]
+        vals = [reprs[w] for w in which.tolist()]
+        cells = [f"{j} " for j in range(1, n + 1)]
+        lines = ["# atshuffle bias matrix v1", f"n {n}", f"epsilon {self.epsilon!r}"]
+        start = 0
+        for i in range(1, n):
+            # row i holds the pairs (i, j), j = i+1..n, in order
+            stop = start + n - i
+            row = map(str.__add__, cells[i:], vals[start:stop])
+            lines.append(f"p {i} " + f"\np {i} ".join(row))
+            start = stop
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -512,9 +565,10 @@ def relabel_map(boundary: BoundaryAssignment) -> np.ndarray:
 
     Returned as an int array with r[x-1] = r(x), labels 1-based.
     """
-    used = boundary.assigned_labels()
-    free = [k for k in range(1, boundary.n + 1) if k not in used]
-    return np.array(free, dtype=np.int64)
+    free = np.ones(boundary.n + 1, dtype=bool)
+    free[0] = False
+    free[[*boundary.left, *boundary.right]] = False
+    return np.flatnonzero(free)
 
 
 def induced_localization(boundary: BoundaryAssignment,
@@ -525,21 +579,24 @@ def induced_localization(boundary: BoundaryAssignment,
     (some induced window is empty or excludes displacement 0, which cannot
     happen for an extendable boundary).
     """
-    r = relabel_map(boundary)
-    m = boundary.interior_size
-    i = boundary.i
-    lo = np.empty(m, dtype=np.int64)
-    hi = np.empty(m, dtype=np.int64)
-    for k in range(1, m + 1):
-        rb = int(r[k - 1])
-        raw_lo = int(ell.lo[rb - 1]) + k + i - rb
-        raw_hi = int(ell.hi[rb - 1]) + rb - k - i
-        if raw_lo < 0 or raw_hi < 0:
-            raise EmptySupport(
-                f"boundary admits no localized completion (particle {rb})")
-        lo[k - 1] = min(raw_lo, k - 1)
-        hi[k - 1] = min(raw_hi, m - k)
-    return LocalizationVector(lo, hi)
+    return _induced(relabel_map(boundary), boundary.i, ell)
+
+
+def _induced(r: np.ndarray, i: int, ell: LocalizationVector) -> LocalizationVector:
+    """induced_localization from the relabel map r and the left boundary size i."""
+    m = r.size
+    k = np.arange(1, m + 1)
+    # label r(k) becomes interior particle k, at home in position k + i,
+    # which is shift places left of its old home r(k)
+    shift = r - k - i
+    raw_lo = ell.lo[r - 1] - shift
+    raw_hi = ell.hi[r - 1] + shift
+    bad = np.flatnonzero((raw_lo < 0) | (raw_hi < 0))
+    if bad.size:
+        raise EmptySupport(
+            f"boundary admits no localized completion (particle {int(r[bad[0]])})")
+    return LocalizationVector._trusted(np.minimum(raw_lo, k - 1),
+                                       np.minimum(raw_hi, m - k))
 
 
 def restrict_instance(boundary: BoundaryAssignment, p: BiasMatrix,
@@ -547,37 +604,18 @@ def restrict_instance(boundary: BoundaryAssignment, p: BiasMatrix,
     """Relabeled interior instance: (sub bias matrix, sub localization, r map).
 
     The sub bias matrix is q[k][k'] = p[r(k)][r(k')]; the sub localization is
-    the induced one (None stays None).
+    the induced one (None stays None).  A permutation that agrees with the
+    boundary has the relabeled interior np.searchsorted(r, interior) + 1.
     """
     r = relabel_map(boundary)
     sub_p = p.submatrix(r)
-    sub_ell = induced_localization(boundary, ell) if ell is not None else None
+    sub_ell = _induced(r, boundary.i, ell) if ell is not None else None
     return sub_p, sub_ell, r
-
-
-def restrict(sigma: Permutation, boundary: BoundaryAssignment, p: BiasMatrix,
-             ell: LocalizationVector | None):
-    """Relabeled interior permutation plus the induced instance.
-
-    Returns (sub_sigma, sub_p, sub_ell, r) where sub_sigma(x) is the rank of
-    sigma(i + x) among the non-boundary labels.
-    """
-    vals = boundary.values()
-    for pos, v in vals.items():
-        if sigma.at(pos) != v:
-            raise ContractError(
-                f"permutation disagrees with boundary at position {pos}")
-    sub_p, sub_ell, r = restrict_instance(boundary, p, ell)
-    i = boundary.i
-    m = boundary.interior_size
-    interior = sigma.forward[i:i + m]
-    sub_forward = np.searchsorted(r, interior) + 1
-    return Permutation(sub_forward), sub_p, sub_ell, r
 
 
 def embed(sub_sigma: Permutation, boundary: BoundaryAssignment,
           r: np.ndarray) -> Permutation:
-    """Inverse of restrict: rebuild the full permutation from the interior."""
+    """Rebuild the full permutation from its relabeled interior sub_sigma."""
     n = boundary.n
     i = boundary.i
     forward = np.empty(n, dtype=np.int64)
@@ -619,25 +657,32 @@ def max_localized_state(ell: LocalizationVector) -> Permutation:
     slack for the positions after pos, i.e. min_{m < t} (deadline(s_m) - m)
     >= pos over the remaining particles s_1 < s_2 < ...  Used as the "far"
     start of twin-chain experiments (identity is the near one).
+
+    The window starts k - lo[k] are nondecreasing as well, so the remaining
+    particles whose window opens by pos form a prefix s_1 .. s_cut.  No
+    particle past it can be chosen, and both scans stop at cut.
     """
     if not ell.is_admissible():
         raise ContractError("extreme state construction needs an admissible vector")
     n = ell.n
-    deadline = np.arange(1, n + 1) + ell.hi
+    labels = np.arange(1, n + 1)
+    start = (labels - ell.lo).tolist()
+    deadline = (labels + ell.hi).tolist()
     remaining = list(range(1, n + 1))
     forward = np.empty(n, dtype=np.int64)
     for pos in range(1, n + 1):
+        cut = bisect.bisect_right(remaining, bisect.bisect_right(start, pos))
         choice_idx = None
         prefix_min = math.inf
-        slack_ok_until = len(remaining)
-        for m, k in enumerate(remaining):
+        slack_ok_until = cut
+        for m in range(cut):
             if prefix_min < pos:
                 slack_ok_until = m
                 break
-            prefix_min = min(prefix_min, int(deadline[k - 1]) - (m + 1))
+            prefix_min = min(prefix_min, deadline[remaining[m] - 1] - (m + 1))
         for t in range(slack_ok_until - 1, -1, -1):
             k = remaining[t]
-            if k - int(ell.lo[k - 1]) <= pos <= int(deadline[k - 1]):
+            if start[k - 1] <= pos <= deadline[k - 1]:
                 choice_idx = t
                 break
         if choice_idx is None:

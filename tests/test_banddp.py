@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import block_oracle
 from banddp_oracle import ReferenceBandDP, random_bias_with_certain_pairs
 from atshuffle import banddp
 from atshuffle.banddp import (BandDP, BandDPSampler, EnumerationSampler,
@@ -207,8 +208,40 @@ def test_mallows_pinned_stream(ell_width, size):
 def test_mallows_tables_are_shared_and_read_only():
     a = MallowsRejectionSampler(12, 0.7, None)
     b = MallowsRejectionSampler(12, 0.7, LocalizationVector.constant(12, 3))
-    assert a._cdfs is b._cdfs
+    assert a._cdfs is b._cdfs and a._table is b._table
     assert not any(cdf.flags.writeable for cdf in a._cdfs)
+    assert not a._table.flags.writeable
+    # no row of ranks fits a chunk above n = 362, so no table is built
+    wide = MallowsRejectionSampler(363, 0.7, None)
+    assert wide._table is None
+    assert sorted(wide.draw_rows(np.random.default_rng(0), 1)[0]) == \
+        list(range(1, 364))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 80), q=st.floats(0.5, 0.95),
+       seed=st.integers(0, 2 ** 32 - 1), ties=st.floats(0.0, 0.5))
+def test_mallows_rank_paths_match_reference(n, q, seed, ties):
+    """Both rank paths, each forced by the chunk shape, give the reference
+    rows on the same uniforms, including uniforms equal to a CDF entry."""
+    sampler = MallowsRejectionSampler(n, q, None)
+    rng = np.random.default_rng(seed)
+    table_rows = banddp.ROW_CHUNK_ELEMENTS // (n * n)
+    u = rng.random((table_rows + 1, n))
+    for row, pos in zip(*np.nonzero(rng.random(u.shape) < ties)):
+        # ties with entries below the CDF's top, as a uniform below 1 can be
+        cdf = sampler._cdfs[n - pos - 1]
+        below = int(np.searchsorted(cdf, cdf[-1]))
+        if below:
+            u[row, pos] = cdf[rng.integers(0, below)]
+    want = block_oracle.mallows_rows(sampler._cdfs, u)
+    # one chunk too large for the table, one as large as fits, single rows
+    assert np.array_equal(sampler._rows_from_uniforms(u), want)
+    assert np.array_equal(sampler._rows_from_uniforms(u[:table_rows]),
+                          want[:table_rows])
+    for r in range(min(8, table_rows)):
+        assert np.array_equal(sampler._rows_from_uniforms(u[r:r + 1]),
+                              want[r:r + 1])
 
 
 def test_dispatcher_strategies():

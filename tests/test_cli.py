@@ -60,7 +60,7 @@ def test_byte_identical_reruns(tmp_path):
     assert ca == cb
 
 
-def test_unknown_keys_rejected(tmp_path):
+def test_unknown_keys_rejected(tmp_path, capsys):
     with pytest.raises(ContractError):
         RunConfig({"command": "exact", "n": 3,
                    "p": {"family": "constant-q", "q": 0.6}, "bogus": 1})
@@ -68,6 +68,60 @@ def test_unknown_keys_rejected(tmp_path):
         "command": "exact", "n": 3, "p": {"family": "constant-q", "q": 0.6},
         "bogus": 1})
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    # keys of other commands: these used to run and silently ignore the key
+    fam = {"family": "constant-q", "q": 0.75}
+    for raw, key in [
+            ({"command": "lowerbound", "n": 16, "p": fam, "ell": 1}, "ell"),
+            ({"command": "mix", "ns": [8, 12], "p": fam, "ell": 2}, "ell"),
+            ({"command": "exact", "n": 3, "p": fam, "ns": [5, 6]}, "ns"),
+            ({"command": "asep", "n": 10, "k": 3, "q": 0.7, "p": fam}, "p"),
+            ({"command": "asep", "n": 10, "k": 3, "q": 0.7, "ell": 1}, "ell")]:
+        with pytest.raises(ContractError, match=f"unknown config keys for "
+                                                f"{raw['command']}: \\['{key}'\\]"):
+            RunConfig(raw)
+        cfg = write_config(tmp_path, "other.json", raw)
+        assert main(["--config", cfg, "--out", str(tmp_path / "u")]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not (tmp_path / "u").exists()
+
+
+@pytest.mark.parametrize("raw, flags", [
+    ({"command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.6}},
+     ["--cap-enum", "100000"]),
+    ({"command": "sample", "n": 12, "p": {"family": "random-eps", "eps": 0.5},
+      "ell": 2, "samples": 5}, ["--cap-window", "20", "--jobs", "2"]),
+])
+def test_resolved_config_reruns(tmp_path, raw, flags):
+    # resolved_config.json records the run settings, which configs used to
+    # refuse as unknown keys
+    cfg = write_config(tmp_path, "first.json", raw)
+    assert main(["--config", cfg, "--seed", "5", "--out", str(tmp_path / "a"),
+                 *flags]) == 0
+    again = str(tmp_path / "a" / "resolved_config.json")
+    assert main(["--config", again, "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "result.json").read_bytes()
+            == (tmp_path / "b" / "result.json").read_bytes())
+
+
+def test_run_settings_from_config_and_flags():
+    raw = {"command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.6},
+           "jobs": 2, "cap_enum": 2, "cap_window": 9}
+    cfg = RunConfig(raw)
+    assert (cfg.jobs, cfg.cap_enum, cfg.cap_window) == (2, 2, 9)
+    cfg = RunConfig(raw, cap_enum=7, cap_window=11, jobs=1)
+    assert (cfg.jobs, cfg.cap_enum, cfg.cap_window) == (1, 7, 11)
+    assert RunConfig({k: v for k, v in raw.items() if k != "jobs"}).jobs == 1
+    with pytest.raises(ContractError, match="config key jobs must be >= 1"):
+        RunConfig({**raw, "jobs": 0})
+
+
+def test_exact_reads_cap_enum_from_the_config(tmp_path):
+    # the key was accepted and ignored: no soft-cap warning at n = 4 > 2
+    cfg = write_config(tmp_path, "e.json", {
+        "command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.6},
+        "cap_enum": 2})
+    with pytest.warns(UserWarning, match="above the soft cap 2"):
+        assert main(["--config", cfg, "--out", str(tmp_path / "e")]) == 0
 
 
 def test_unknown_command_rejected():
@@ -305,8 +359,11 @@ NON_INTEGER_CASES = [
     ("threshold", None), ("eta", "half"), ("q", "x"), ("p.q", "x"),
     ("p.eps", False),
 ]
+# the run settings came last to the table; sorting them last keeps the ids
+# of the cases before them
 NON_INTEGER_CASES += [
-    (key, value) for key in sorted(TYPED_KEYS)
+    (key, value)
+    for key in sorted(TYPED_KEYS, key=lambda k: (k in ("cap_window", "jobs"), k))
     if key not in {k for k, _ in NON_INTEGER_CASES}
     for value in WRONG_VALUES[TYPED_KEYS[key]]]
 

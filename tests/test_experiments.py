@@ -277,6 +277,23 @@ def test_block_chain_mixing_pinned_stream(ell_width, jobs):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_block_chain_mixing_pinned_at_a_mallows_sized_block():
+    # the n = 30 pins resample about 20 labels per block; here each block
+    # draws on about 80 labels through the Mallows sampler's single rows;
+    # recorded before heat-bath blocks built trusted sub-instances
+    n = 120
+    res = block_chain_mixing(n, BiasMatrix.constant(n, 0.75),
+                             LocalizationVector.constant(n, 12),
+                             BlockSchedule.west_east(n), replicas=4,
+                             step_cap=20, seed=12)
+    assert [round(pt.estimate * 4) for pt in res.series[:10]] == \
+        [0, 0, 0, 1, 1, 2, 3, 3, 4, 4]
+    assert res.meta == {"max_time": 9, "median_time": 6.5}
+    text = json.dumps(res.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "07313a120139c60be36409d8dd46abaaeb26db585f8be7489b47a92fdf6aefd7"
+
+
 def test_block_chain_mixing_exact_gap_recorded():
     n = 6
     p = BiasMatrix.constant(n, 0.7)

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import CapExceeded, ContractError, EmptySupport
 from .measure import MEMORY_BUDGET, DistributionTable, enumerate_stationary
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
-                    Permutation, is_localized, restrict_instance)
+                    Permutation, is_localized, localized_rows,
+                    restrict_instance)
 
 DEFAULT_WINDOW_CAP = 22
 FAST_WINDOW = 16
@@ -566,12 +567,7 @@ class MallowsRejectionSampler:
     def _accept(self, rows: np.ndarray) -> np.ndarray:
         if self.ell is None:
             return np.ones(len(rows), dtype=bool)
-        R, n = rows.shape
-        inv = np.empty_like(rows)
-        inv[np.arange(R)[:, None], rows - 1] = np.arange(1, n + 1)[None, :]
-        d = inv - np.arange(1, n + 1)[None, :]
-        return np.all((d >= -self.ell.lo[None, :]) & (d <= self.ell.hi[None, :]),
-                      axis=1)
+        return localized_rows(rows, self.ell)
 
     def draw_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """size accepted rows.

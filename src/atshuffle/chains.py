@@ -29,9 +29,10 @@ import scipy.sparse as sp
 
 from .banddp import BandDP, heat_bath_block_sample
 from .errors import CapExceeded, ContractError
-from .measure import (DistributionTable, TransitionMatrix, enumerate_stationary,
-                      check_detailed_balance)
-from .perms import (BiasMatrix, LocalizationVector, Permutation, is_localized)
+from .measure import (DistributionTable, TransitionMatrix, _swap_kernel,
+                      check_detailed_balance, enumerate_stationary)
+from .perms import (BiasMatrix, LocalizationVector, Permutation, inverse_rows,
+                    is_localized, localized_rows)
 
 
 def derive_rng(master: int, *keys: int) -> np.random.Generator:
@@ -257,6 +258,14 @@ def coupled_domination_step(sigma: Permutation, p: BiasMatrix, aseps: dict,
 # ASEP stationary law
 # ---------------------------------------------------------------------------
 
+def _asep_states(n: int, k: int) -> np.ndarray:
+    """The k-particle occupancy rows on n sites, in combinations order."""
+    sites = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    occ = np.zeros((len(sites), n), dtype=np.int64)
+    occ[np.arange(len(sites))[:, None], sites] = 1
+    return occ
+
+
 def asep_stationary(n: int, k: int, q: float,
                     cap_states: int = 500000) -> DistributionTable:
     """Exact stationary law: nu(Y) proportional to (q/(1-q))^(#(1 before 0) pairs).
@@ -266,7 +275,6 @@ def asep_stationary(n: int, k: int, q: float,
     nu(1,0)/nu(0,1) = q/(1-q)), so the orientation here is fixed by an
     explicit detailed-balance verification at construction.
     """
-    from itertools import combinations
     if not 0.0 < q < 1.0:
         raise ContractError("q must lie in (0, 1)")
     if not 0 <= k <= n:
@@ -276,57 +284,27 @@ def asep_stationary(n: int, k: int, q: float,
             f"binomial({n},{k}) exceeds the state cap; use asep_rightmost_tail "
             "for tail queries")
     log_rho = math.log(q) - math.log(1.0 - q)
-    support = []
-    logw = []
-    for positions in combinations(range(n), k):
-        occ = np.zeros(n, dtype=np.int8)
-        occ[list(positions)] = 1
-        # pairs (1 before 0): for each particle, holes to its right
-        holes_after = np.cumsum(occ[::-1] == 0)[::-1]
-        n10 = int(sum(holes_after[v] for v in positions))
-        support.append(tuple(int(x) for x in occ))
-        logw.append(n10 * log_rho)
-    logw = np.array(logw)
+    occ = _asep_states(n, k)
+    # pairs (1 before 0): for each particle, the holes to its right
+    holes_after = np.cumsum(occ[:, ::-1] == 0, axis=1)[:, ::-1]
+    logw = np.sum(occ * holes_after, axis=1) * log_rho
     m = logw.max()
     w = np.exp(logw - m)
+    support = list(map(tuple, occ.tolist()))
     table = DistributionTable(support, w / w.sum(), float(m + math.log(w.sum())))
-    P = asep_transition_matrix(n, k, q, states=support)
-    check_detailed_balance(P, table)
+    check_detailed_balance(asep_transition_matrix(n, k, q, states=support), table)
     return table
 
 
 def asep_transition_matrix(n: int, k: int, q: float,
                            states: list | None = None) -> TransitionMatrix:
     """Exact one-step ASEP kernel on the k-particle occupancy states."""
-    from itertools import combinations
-    if states is None:
-        states = []
-        for positions in combinations(range(n), k):
-            occ = np.zeros(n, dtype=np.int8)
-            occ[list(positions)] = 1
-            states.append(tuple(int(x) for x in occ))
-    index = {s: i for i, s in enumerate(states)}
-    edge_prob = 1.0 / (n - 1)
-    rows, cols, vals = [], [], []
-    for si, s in enumerate(states):
-        diag = 0.0
-        for i in range(n - 1):
-            a, b = s[i], s[i + 1]
-            if a + b != 1:
-                diag += edge_prob
-                continue
-            swapped = s[:i] + (b, a) + s[i + 2:]
-            p_move = (1.0 - q) if (a, b) == (1, 0) else q
-            rows.append(si)
-            cols.append(index[swapped])
-            vals.append(edge_prob * p_move)
-            diag += edge_prob * (1.0 - p_move)
-        rows.append(si)
-        cols.append(si)
-        vals.append(diag)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(states), len(states)))
-    matrix.sum_duplicates()
-    return TransitionMatrix(list(states), matrix)
+    occ = (_asep_states(n, k) if states is None
+           else np.array(states, dtype=np.int64).reshape(len(states), n))
+    # a particle hops right with probability 1 - q and left with q
+    table = np.array([[1.0, 1.0 - q], [q, 1.0]])
+    return TransitionMatrix(list(map(tuple, occ.tolist())),
+                            _swap_kernel(occ, table))
 
 
 def _log_q_binomial(m: int, k: int, phi: float) -> float:
@@ -376,6 +354,11 @@ class BlockSchedule:
     n: int
     M: int = 0
     selection: str = "size"  # "size" per heat-bath definition, or "uniform"
+
+    def __post_init__(self):
+        if self.selection not in ("size", "uniform"):
+            raise ContractError(f"unknown block selection {self.selection!r}; "
+                                "choose size or uniform")
 
     @classmethod
     def west_east(cls, n: int, selection: str = "size") -> "BlockSchedule":
@@ -433,13 +416,6 @@ class BlockSchedule:
         if np.any(cover == 0):
             raise ContractError("blocks do not cover all positions")
         return int(cover.max())
-
-    def covers(self) -> bool:
-        try:
-            self.chi()
-            return True
-        except ContractError:
-            return False
 
 
 def _segment_alphabets(sigma: Permutation, segments: list,
@@ -506,22 +482,19 @@ def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
     if mu is None:
         mu = enumerate_stationary(n, p, ell)
     states = mu.support
-    m = len(states)
-    P = np.zeros((m, m))
+    S = np.array(states, dtype=np.int64).reshape(len(states), n)
+    P = np.zeros((len(states), len(states)))
     for blk, wb in zip(schedule.blocks(), schedule.probabilities()):
-        positions = []
+        comp = np.ones(n, dtype=bool)
         for a, b in blk:
-            positions.extend(range(a, b + 1))
-        comp = [pos for pos in range(1, n + 1) if pos not in positions]
-        groups = {}
-        for si, s in enumerate(states):
-            key = tuple(s[pos - 1] for pos in comp)
-            groups.setdefault(key, []).append(si)
-        for members in groups.values():
+            comp[a - 1:b] = False
+        # states agreeing off the block share one key of their complement
+        keys = (S[:, comp] - 1) @ n ** np.arange(comp.sum(), dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        cuts = np.flatnonzero(np.diff(keys[order])) + 1
+        for members in np.split(order, cuts):
             probs = mu.probs[members]
-            probs = probs / probs.sum()
-            for si in members:
-                P[si, members] += wb * probs
+            P[np.ix_(members, members)] += wb * (probs / probs.sum())
     out = TransitionMatrix(states, sp.csr_matrix(P))
     check_detailed_balance(out, mu)
     out.reversible = True
@@ -633,14 +606,6 @@ def write_coupling_violation(fh, step: int, edge: int, u: float, states) -> None
 # vectorized ensembles (used by the experiments module)
 # ---------------------------------------------------------------------------
 
-def _inverse_rows(F: np.ndarray) -> np.ndarray:
-    """Row-wise inverses of an (R, n) stack of 1-based permutation rows."""
-    R, n = F.shape
-    INV = np.empty_like(F)
-    INV[np.arange(R)[:, None], F - 1] = np.arange(1, n + 1)[None, :]
-    return INV
-
-
 def ensemble_chain_run(p: BiasMatrix, starts: np.ndarray, steps: int,
                        rng: np.random.Generator,
                        ell: LocalizationVector | None = None,
@@ -661,17 +626,15 @@ def ensemble_chain_run(p: BiasMatrix, starts: np.ndarray, steps: int,
     if not np.array_equal(np.sort(F, axis=1),
                           np.broadcast_to(np.arange(1, n + 1), F.shape)):
         raise ContractError("every start row must be a permutation of 1..n")
-    if ell is not None:
-        d = _inverse_rows(F) - np.arange(1, n + 1)[None, :]
-        if ell.n != n or not np.all((d >= -ell.lo) & (d <= ell.hi)):
-            raise ContractError("starts must be localized")
+    if ell is not None and (ell.n != n or not localized_rows(F, ell).all()):
+        raise ContractError("starts must be localized")
     marks = sorted({int(c) for c in checkpoints})
     if marks and not 0 <= marks[0] <= marks[-1] <= steps:
         raise ContractError(f"checkpoints must lie in [0, {steps}]")
     if checkpoint_fn is None:
         marks = []
     if marks and marks[0] == 0:
-        checkpoint_fn(0, F, _inverse_rows(F))
+        checkpoint_fn(0, F, inverse_rows(F))
         marks.pop(0)
     # p[b][a] at flat index b*(n+1) + a of a zero-padded copy of p.dense()
     stride = n + 1
@@ -703,9 +666,9 @@ def ensemble_chain_run(p: BiasMatrix, starts: np.ndarray, steps: int,
             Fn[i] = np.where(do, a, b)
             t += 1
             if marks and marks[0] == t:
-                checkpoint_fn(t, F, _inverse_rows(F))
+                checkpoint_fn(t, F, inverse_rows(F))
                 marks.pop(0)
-    return F, _inverse_rows(F)
+    return F, inverse_rows(F)
 
 
 def ensemble_max_displacement(INV: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ from .experiments import (FAMILY_PARAMS, ExperimentResult, SeriesPoint,
 from .measure import (build_transition_matrix, enumerate_stationary,
                       spectral_gap)
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
-                    Permutation, instance_fingerprint, is_localized)
+                    Permutation, instance_fingerprint, localized_rows)
 
 # the kind of a config key, as its type error names it
 INT, INTS, NUMBER = "an integer", "a list of integers", "a number"
@@ -106,8 +106,9 @@ CONFIG_KEYS = {command: {**_COMMON_KEYS, **keys} for command, keys in {
                    "budget": KeyRule(INT), "boundary": FREE},
     "blockcheck": {**_INSTANCE_KEYS, "schedule": FREE, "selection": FREE},
     # mix and lowerbound run unrestricted chains: no ell
-    "mix": {"p": FREE, **_NS_KEY, "delta": KeyRule(NUMBER), "method": FREE,
-            "budget": KeyRule(INT)},
+    "mix": {"p": FREE, **_NS_KEY,
+            "delta": KeyRule(NUMBER, "in (0, 0.5]", lambda v: 0 < v <= 0.5),
+            "method": FREE, "budget": KeyRule(INT)},
     "lowerbound": {"p": FREE, "eta": KeyRule(NUMBER),
                    "replicas": KeyRule(INT, ">= 1", lambda v: v >= 1),
                    "threshold": KeyRule(NUMBER)},
@@ -313,12 +314,9 @@ def _run_sample(cfg: RunConfig, outdir: str):
     rows = sampler.draw_rows(
         derive_rng(cfg.seed, experiment_id("sample")), samples)
     path = os.path.join(outdir, "samples.jsonl")
-    ok = True
+    ok = ell is None or bool(localized_rows(rows, ell).all())
     with open(path, "w") as fh:
         for row in rows:
-            perm = Permutation(row, _validate=False)
-            if ell is not None and not is_localized(perm, ell):
-                ok = False
             fh.write(json.dumps(list(map(int, row))) + "\n")
     verdict = Verdict(ok, "every draw lies in the localized set",
                       {"strategy": sampler.strategy})

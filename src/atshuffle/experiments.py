@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .banddp import BandDP, exact_localized_sampler
+from .banddp import BandDP, DEFAULT_WINDOW_CAP, exact_localized_sampler
 from .chains import (BlockSchedule, asep_pair_coalescence,
                      asep_rightmost_tail, asep_stationary,
                      derive_rng, ensemble_chain_run,
@@ -26,7 +26,7 @@ from .errors import CapExceeded, ContractError, EmptySupport
 from .measure import (DEFAULT_ENUM_CAP, build_transition_matrix,
                       enumerate_stationary, exact_mixing_time, spectral_gap)
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
-                    Permutation, instance_fingerprint,
+                    Permutation, instance_fingerprint, inverse_rows,
                     max_localized_state, random_admissible_localization,
                     restrict_instance)
 
@@ -334,11 +334,13 @@ def localization_tail_check(n: int, p: BiasMatrix,
               "eps": eps if math.isfinite(eps) else "inf"}
     if mode == "exact":
         mu = enumerate_stationary(n, p, ell)
+        # run_min[:, s - 1] > k: no particle of [k] in the first s positions
+        run_min = np.minimum.accumulate(np.array(mu.support), axis=1)
         series = []
         violations = 0
         worst_margin = math.inf
         for k in range(1, n):
-            prob = sum(pr for s, pr in zip(mu.support, mu.probs) if s[0] > k)
+            prob = _mass(mu.probs, run_min[:, 0] > k)
             bound = geometric_bound(eps, k)
             series.append(SeriesPoint(k, prob, 0.0, len(mu.support)))
             if prob > bound + 1e-12:
@@ -347,8 +349,7 @@ def localization_tail_check(n: int, p: BiasMatrix,
         first_hit_viol = 0
         for k in range(1, n):
             for s in range(1, n - k + 1):
-                prob = sum(pr for st, pr in zip(mu.support, mu.probs)
-                           if all(st[i] > k for i in range(s)))
+                prob = _mass(mu.probs, run_min[:, s - 1] > k)
                 if prob > geometric_bound(eps, k * s) + 1e-12:
                     first_hit_viol += 1
         passed = violations == 0 and first_hit_viol == 0
@@ -365,9 +366,7 @@ def localization_tail_check(n: int, p: BiasMatrix,
     rng = derive_rng(seed, experiment_id("localization-tail"))
     rows = sampler.draw_rows(rng, samples)
     R = rows.shape[0]
-    inv = np.empty_like(rows)
-    inv[np.arange(R)[:, None], rows - 1] = np.arange(1, n + 1)[None, :]
-    disp = np.abs(inv - np.arange(1, n + 1)[None, :])
+    disp = np.abs(inverse_rows(rows) - np.arange(1, n + 1)[None, :])
     if rs is None:
         rs = list(range(1, 9))
     series = []
@@ -399,8 +398,9 @@ def localization_tail_check(n: int, p: BiasMatrix,
 # disconnecting positions
 # ---------------------------------------------------------------------------
 
-def _is_disconnecting_tuple(state: tuple, k: int) -> bool:
-    return max(state[:k]) == k
+def _mass(probs: np.ndarray, mask: np.ndarray) -> float:
+    """Total probability of the states in mask, summed in state order."""
+    return float(np.cumsum(probs[mask])[-1]) if mask.any() else 0.0
 
 
 def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
@@ -413,19 +413,18 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
     if eps < 0:
         raise ContractError("needs a 0-positively biased instance")
     i_off = boundary.i if boundary is not None else 0
+    k_lo, k_hi = 1, n
     if boundary is not None:
         if ell is None:
             raise ContractError("boundary mode needs a localization vector")
-        k_lo = boundary.i + ell.l_max_minus
+        k_lo = max(boundary.i + ell.l_max_minus, 1)
         k_hi = n - boundary.j - ell.l_max_plus
-        if ks is None:
-            ks = list(range(max(k_lo, 1), k_hi + 1))
-        for k in ks:
-            if not k_lo <= k <= k_hi:
-                raise ContractError(
-                    f"k={k} outside the valid range [{k_lo}, {k_hi}]")
-    elif ks is None:
-        ks = list(range(1, n + 1))
+    if ks is None:
+        ks = list(range(k_lo, k_hi + 1))
+    for k in ks:
+        if not k_lo <= k <= k_hi:
+            raise ContractError(
+                f"k={k} outside the valid range [{k_lo}, {k_hi}]")
     fp = instance_fingerprint(p, ell)
     params = {"n": n, "ks": list(map(int, ks)), "mode": mode, "seed": seed,
               "boundary": boundary.values() if boundary else None}
@@ -433,27 +432,25 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
     violations = 0
     if mode == "exact":
         mu = enumerate_stationary(n, p, ell)
+        states = np.array(mu.support)
+        probs = mu.probs
         if boundary is not None:
             pins = boundary.values()
-            keep = [idx for idx, s in enumerate(mu.support)
-                    if all(s[pos - 1] == v for pos, v in pins.items())]
-            if not keep:
+            keep = np.all(states[:, [pos - 1 for pos in pins]]
+                          == list(pins.values()), axis=1)
+            if not keep.any():
                 raise EmptySupport("boundary admits no localized completion")
-            probs = mu.probs[keep] / mu.probs[keep].sum()
-            states = [mu.support[idx] for idx in keep]
-        else:
-            probs = mu.probs
-            states = mu.support
+            probs = probs[keep] / probs[keep].sum()
+            states = states[keep]
+        run_max = np.maximum.accumulate(states, axis=1)
         for k in ks:
-            est = float(sum(pr for s, pr in zip(states, probs)
-                            if _is_disconnecting_tuple(s, k)))
+            est = _mass(probs, run_max[:, k - 1] == k)
             bound = disconnect_product_bound(eps, k - i_off)
             series.append(SeriesPoint(k, est, 0.0, len(states)))
             if est < bound - 1e-12:
                 violations += 1
         passed = violations == 0
     else:
-        from .banddp import DEFAULT_WINDOW_CAP
         cap = DEFAULT_WINDOW_CAP if window_cap is None else window_cap
         if boundary is not None:
             dp = BandDP(p, ell, pins=boundary.values(), window_cap=cap)
@@ -483,22 +480,6 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
 # ---------------------------------------------------------------------------
 # spatial mixing decay
 # ---------------------------------------------------------------------------
-
-def _reflect_bias(p: BiasMatrix) -> BiasMatrix:
-    # the mirror image's p(a, b) is p(n + 1 - b, n + 1 - a)
-    return BiasMatrix(np.triu(p.dense()[::-1, ::-1].T, k=1))
-
-
-def _reflect_ell(ell: LocalizationVector) -> LocalizationVector:
-    return LocalizationVector(ell.hi[::-1], ell.lo[::-1])
-
-
-def _reflect_boundary(b: BoundaryAssignment) -> BoundaryAssignment:
-    n = b.n
-    left = tuple(n + 1 - v for v in reversed(b.right))
-    right = tuple(n + 1 - v for v in reversed(b.left))
-    return BoundaryAssignment(n, left, right)
-
 
 def _cut_tv(dpA: BandDP, dpB: BandDP, t: int) -> float:
     mA, pA = dpA.cut_law(t)
@@ -555,36 +536,31 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
         raise ContractError("boundaries must pin the same positions")
     if not (eta.is_localized(ell) and eta_bar.is_localized(ell)):
         raise ContractError("boundaries must be localized")
-    if eta.i == 0 and eta.j > 0:
-        # mirror to reduce to a left boundary
-        return spatial_decay_curve(_reflect_bias(p), _reflect_ell(ell),
-                                   _reflect_boundary(eta),
-                                   _reflect_boundary(eta_bar), rs, mode,
-                                   budget, seed, threshold, r2_min, window_cap)
     i, j = eta.i, eta.j
     fp = instance_fingerprint(p, ell)
     params = {"n": n, "i": i, "j": j, "rs": list(map(int, rs)), "mode": mode,
               "seed": seed, "eta": eta.values(), "eta_bar": eta_bar.values()}
     series = []
     identical = eta.values() == eta_bar.values()
-    from .banddp import DEFAULT_WINDOW_CAP
     cap = DEFAULT_WINDOW_CAP if window_cap is None else window_cap
     if mode == "exact":
         dpA = BandDP(p, ell, pins=eta.values(), window_cap=cap)
         dpB = BandDP(p, ell, pins=eta_bar.values(), window_cap=cap)
         for r in rs:
-            m1 = i + r
-            if j == 0:
-                if m1 >= n:
-                    raise ContractError(f"r={r} leaves an empty far region")
-                tv = _cut_tv(dpA, dpB, m1)
-            else:
-                m2 = n - j - r
+            m1, m2 = i + r, n - j - r
+            if i and j:
                 if m2 - m1 < ell.l_max_minus + ell.l_max_plus:
                     raise ContractError(
                         f"r={r}: windows can span the gap; exact mode needs "
                         "|A_r| >= l_max_minus + l_max_plus")
                 tv = _two_sided_tv(dpA, dpB, m1, m2)
+            else:
+                # a one-sided far region, [m1 + 1, n] or [1, m2], meets the
+                # rest of the line only through the placed set at its cut
+                cut, far = (m1, n - m1) if j == 0 else (m2, m2)
+                if far <= 0:
+                    raise ContractError(f"r={r} leaves an empty far region")
+                tv = _cut_tv(dpA, dpB, cut)
             series.append(SeriesPoint(r, tv, 0.0, 1))
     elif mode == "sampled":
         rng = derive_rng(seed, experiment_id("spatial-coupling"))
@@ -603,10 +579,12 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
             rminB = np.minimum.accumulate(rowsB[:, ::-1], axis=1)[:, ::-1]
             rboth = (rminA == sites[None, :]) & (rminB == sites[None, :])
         for r in rs:
-            m1 = i + r
-            hit = np.any(both[:, i:m1], axis=1)
-            if j > 0:
-                m2 = n - j - r
+            m1, m2 = i + r, n - j - r
+            # a common disconnecting point between each boundary and A_r
+            hit = np.ones(budget, dtype=bool)
+            if i or not j:
+                hit &= np.any(both[:, i:m1], axis=1)
+            if j:
                 hit &= np.any(rboth[:, m2:n - j], axis=1)
             fail = 1.0 - float(np.mean(hit))
             series.append(SeriesPoint(r, fail, _se_bernoulli(fail, budget),
@@ -656,11 +634,7 @@ def block_decomposition_check(n: int, p: BiasMatrix,
     sub_records = []
     for blk in blocks:
         a, b = blk[0]
-        boundaries = {}
-        for s in mu.support:
-            key = (s[:a - 1], s[b:])
-            boundaries[key] = boundaries.get(key, 0) + 1
-        for left, right in boundaries:
+        for left, right in dict.fromkeys((s[:a - 1], s[b:]) for s in mu.support):
             bnd = BoundaryAssignment(n, left, right)
             sub_p, sub_ell, _ = restrict_instance(bnd, p, ell)
             m = bnd.interior_size
@@ -717,11 +691,11 @@ def asep_tail_check(n: int, k: int, q: float, rs=None,
     exact_crosscheck = None
     if math.comb(n, k) <= 20000:
         nu = asep_stationary(n, k, q, cap_states=cap_states)
+        # the rightmost occupied site of each state, 0 for the empty one
+        rightmost = np.max(np.array(nu.support) * np.arange(1, n + 1), axis=1)
         worst = 0.0
         for r in rs:
-            direct = sum(pr for s, pr in zip(nu.support, nu.probs)
-                         if (max((idx + 1 for idx, v in enumerate(s) if v),
-                                 default=0)) >= k + r)
+            direct = _mass(nu.probs, rightmost >= k + r)
             worst = max(worst, abs(direct - asep_rightmost_tail(n, k, q, r)))
         exact_crosscheck = worst
     passed = violations == 0
@@ -749,6 +723,9 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
                    method: str = "coupling", budget: int = 16, seed: int = 0,
                    jobs: int = 1, slope_window=(1.7, 2.3)) -> ExperimentResult:
     """Mixing-time scaling in n: exact small-n values or coupling estimates."""
+    if method in ("coupling", "statistic") and len(set(ns)) < 2:
+        raise ContractError(f"{method} mode fits a slope over n; it needs at "
+                            f"least two distinct sizes, got {list(ns)}")
     params = {"ns": list(map(int, ns)), "family": family, "delta": delta,
               "method": method, "budget": budget, "seed": seed}
     series = []

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import CapExceeded, ContractError, NotReversible
-from .perms import BiasMatrix, LocalizationVector, Permutation, is_localized
+from .perms import BiasMatrix, LocalizationVector, Permutation
 
 DEFAULT_ENUM_CAP = 8
 HARD_ENUM_CAP = 10
@@ -200,6 +200,43 @@ def check_detailed_balance(P: TransitionMatrix, mu: DistributionTable,
             f"detailed balance fails for pair {x} -> {y}: relative error {rel[worst]:.3e}")
 
 
+def _swap_kernel(digits: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
+    """Kernel of one uniform adjacent swap on the states, rows of digits.
+
+    Digits a, b at positions i, i+1 swap with probability table[b][a] if the
+    swapped word is a state and differs from the word; otherwise the state
+    stays.
+    """
+    m, n = digits.shape
+    edge_prob = 1.0 / (n - 1) if n > 1 else 1.0
+    # each state is one base-K integer (digit i at place n-1-i); swapping
+    # positions i, i+1 adds (b - a) * (place_i - place_{i+1})
+    place = len(table) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = digits @ place
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    src = np.arange(m)
+    rows, cols, vals = [src], [src], []
+    diag = np.zeros(m)
+    for i in range(n - 1):
+        a, b = digits[:, i], digits[:, i + 1]
+        step = (b - a) * (place[i] - place[i + 1])
+        swapped = keys + step
+        at = np.minimum(np.searchsorted(sorted_keys, swapped), m - 1)
+        moves = (sorted_keys[at] == swapped) & (step != 0)
+        p_swap = table[b, a]
+        # a rejected proposal keeps the state
+        diag += np.where(moves, edge_prob * (1.0 - p_swap), edge_prob)
+        rows.append(src[moves])
+        cols.append(order[at[moves]])
+        vals.append(edge_prob * p_swap[moves])
+    matrix = sp.csr_matrix((np.concatenate([diag] + vals),
+                            (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(m, m))
+    matrix.sum_duplicates()
+    return matrix
+
+
 def build_transition_matrix(n: int, p: BiasMatrix,
                             ell: LocalizationVector | None = None,
                             cap: int = DEFAULT_ENUM_CAP,
@@ -214,35 +251,8 @@ def build_transition_matrix(n: int, p: BiasMatrix,
     if mu is None:
         mu = enumerate_stationary(n, p, ell, cap=cap)
     states = mu.support
-    m = len(states)
-    perms = np.array(states, dtype=np.int64).reshape(m, n)
-    dense_p = p.dense()
-    edge_prob = 1.0 / (n - 1) if n > 1 else 1.0
-    # each state is one base-n integer (digit sigma(i) - 1 at place n-1-i);
-    # swapping positions i, i+1 adds (b - a) * (place_i - place_{i+1})
-    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = (perms - 1) @ place
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    src = np.arange(m)
-    rows, cols, vals = [src], [src], []
-    diag = np.zeros(m)
-    for i in range(n - 1):
-        a, b = perms[:, i], perms[:, i + 1]
-        swapped = keys + (b - a) * (place[i] - place[i + 1])
-        at = np.minimum(np.searchsorted(sorted_keys, swapped), m - 1)
-        found = sorted_keys[at] == swapped
-        p_swap = dense_p[b - 1, a - 1]
-        # a rejected proposal keeps the state
-        diag += np.where(found, edge_prob * (1.0 - p_swap), edge_prob)
-        rows.append(src[found])
-        cols.append(order[at[found]])
-        vals.append(edge_prob * p_swap[found])
-    matrix = sp.csr_matrix((np.concatenate([diag] + vals),
-                            (np.concatenate(rows), np.concatenate(cols))),
-                           shape=(m, m))
-    matrix.sum_duplicates()
-    out = TransitionMatrix(states, matrix)
+    digits = np.array(states, dtype=np.int64).reshape(len(states), n) - 1
+    out = TransitionMatrix(states, _swap_kernel(digits, p.dense()))
     if check_balance:
         check_detailed_balance(out, mu)
         out.reversible = True

@@ -243,6 +243,22 @@ def is_localized(sigma: Permutation, ell: LocalizationVector) -> bool:
     return bool(np.all(d >= -ell.lo) and np.all(d <= ell.hi))
 
 
+def inverse_rows(F: np.ndarray) -> np.ndarray:
+    """Row-wise inverses of an (R, n) stack of 1-based permutation rows."""
+    R, n = F.shape
+    INV = np.empty_like(F)
+    INV[np.arange(R)[:, None], F - 1] = np.arange(1, n + 1)[None, :]
+    return INV
+
+
+def localized_rows(F: np.ndarray, ell: LocalizationVector) -> np.ndarray:
+    """is_localized for each row of an (R, n) stack of 1-based permutation rows."""
+    if F.shape[1] != ell.n:
+        raise ContractError("size mismatch between permutation and localization")
+    d = inverse_rows(F) - np.arange(1, ell.n + 1)
+    return np.all((d >= -ell.lo) & (d <= ell.hi), axis=1)
+
+
 class BiasMatrix:
     """Pairwise ordering preferences p[i][j] = P(i ends up ahead of j).
 
@@ -324,9 +340,6 @@ class BiasMatrix:
                     ratios = np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0), math.inf)
                 self._epsilon = float(np.min(ratios) - 1.0)
         return self._epsilon
-
-    def is_positively_biased(self, eps: float = 0.0) -> bool:
-        return self.epsilon >= eps
 
     def is_monotone(self) -> bool:
         """p[i][j] nondecreasing in j (i<j) and nonincreasing in i (i+1<j)."""

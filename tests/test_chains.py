@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from banddp_oracle import random_bias_with_certain_pairs
+from kernel_oracle import (reference_asep_transition_matrix,
+                           reference_asep_weights, reference_block_kernel)
 from atshuffle.banddp import heat_bath_block_rows
 from atshuffle.chains import (AsepState, BlockSchedule, DrawStream, UpdateDraw,
                               asep_rightmost_tail, asep_stationary, asep_step,
@@ -255,6 +258,30 @@ def test_asep_stationary_detailed_balance():
     check_detailed_balance(P, nu)
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 9), data=st.data(),
+       q=st.sampled_from([0.3, 0.55, 0.7, 0.9, 0.999]))
+def test_asep_law_and_kernel_match_the_reference_build(n, data, q):
+    k = data.draw(st.integers(0, n))
+    support, probs, logZ = reference_asep_weights(n, k, q)
+    nu = asep_stationary(n, k, q)
+    assert nu.support == support and nu.logZ == logZ
+    assert np.array_equal(nu.probs, probs)
+    states = support
+    if data.draw(st.booleans()):
+        # any state order, not only the combinations one
+        order = data.draw(st.permutations(range(len(states))))
+        states = [states[i] for i in order]
+    fast = asep_transition_matrix(n, k, q, states=states).matrix
+    ref = reference_asep_transition_matrix(n, q, states)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(fast, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    if states is support:
+        assert np.array_equal(asep_transition_matrix(n, k, q).matrix.data,
+                              ref.data)
+
+
 def test_asep_rightmost_tail_matches_enumeration():
     for (n, k, q) in ((3, 1, 0.75), (8, 3, 0.7), (9, 5, 0.9)):
         nu = asep_stationary(n, k, q)
@@ -279,6 +306,15 @@ def test_block_schedules():
     for n, M in ((25, 2), (60, 3), (100, 4)):
         sched = BlockSchedule.interleaved(n, M)
         assert sched.chi() == 2
+
+
+def test_block_schedule_refuses_an_unknown_selection():
+    # an unknown selection used to fall back to uniform without a word
+    for make in (BlockSchedule.west_east, BlockSchedule.single,
+                 lambda n, selection: BlockSchedule.interleaved(n, 1, selection)):
+        with pytest.raises(ContractError, match="unknown block selection 'bogus'"):
+            make(6, selection="bogus")
+    assert BlockSchedule.single(4, "uniform").probabilities().tolist() == [1.0]
 
 
 def test_block_step_preserves_stationarity():
@@ -357,6 +393,28 @@ def test_exact_block_kernel_matches_block_step_frequencies():
         out = block_step(start, schedule, p, ell, rng)
         assert is_localized(out, ell)
         assert mu.prob_of(out.to_tuple()) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_block_kernel_matches_the_reference_build(n, seed, data):
+    rng = np.random.default_rng(seed)
+    p = random_bias_with_certain_pairs(n, rng)
+    ell = None
+    if data.draw(st.booleans()):
+        ell = random_admissible_localization(
+            n, rng, max_ell=data.draw(st.integers(0, n - 1)))
+    try:
+        mu = enumerate_stationary(n, p, ell)
+    except ContractError:
+        return      # every localized state has weight 0
+    selection = data.draw(st.sampled_from(["size", "uniform"]))
+    schedule = data.draw(st.sampled_from([
+        BlockSchedule.west_east(n, selection), BlockSchedule.single(n, selection),
+        BlockSchedule.interleaved(n, 1, selection)]))
+    K = exact_block_kernel(n, p, ell, schedule, mu=mu)
+    ref = reference_block_kernel(n, schedule, mu)
+    assert np.array_equal(K.matrix.toarray(), ref)
 
 
 def test_twin_chain_coupling():

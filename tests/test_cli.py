@@ -279,6 +279,11 @@ def test_burnin_over_ns_refuses_ell(tmp_path):
      "ns must be a non-empty list"),
     ({"command": "exact", "n": 1, "p": {"family": "constant-q", "q": 0.6}},
      "n must be >= 2"),
+    # statistic mode used to run with any delta and exit 1
+    ({"command": "mix", "ns": [8, 12], "p": {"family": "constant-q", "q": 0.75},
+      "method": "statistic", "delta": -1}, "delta must be in \\(0, 0.5\\]"),
+    ({"command": "mix", "ns": [8, 12], "p": {"family": "constant-q", "q": 0.75},
+      "delta": 0.75}, "delta must be in \\(0, 0.5\\]"),
 ])
 def test_missing_required_keys_are_config_errors(tmp_path, capsys, raw,
                                                  missing):
@@ -332,6 +337,14 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
     ({"command": "mix", "ns": [8, 12],
       "p": {"family": "random-eps", "eps": 0.5}, "method": "statistic",
       "budget": 8, "seed": 3}, "no reference sampler"),
+    # a slope over one size used to be recorded as NaN, exit 1
+    ({"command": "mix", "n": 8, "p": {"family": "constant-q", "q": 0.75}},
+     "two distinct sizes"),
+    ({"command": "mix", "ns": [8, 8], "p": {"family": "constant-q", "q": 0.75},
+      "method": "statistic"}, "two distinct sizes"),
+    # an unknown selection used to run as uniform and echo the bad value
+    ({"command": "blockcheck", "n": 4, "p": {"family": "constant-q", "q": 0.6},
+      "selection": "bogus"}, "unknown block selection 'bogus'"),
 ])
 def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
                                                             message):
@@ -340,6 +353,7 @@ def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
     assert main(["--config", cfg, "--out", str(tmp_path / "h")]) == 2
     man = json.loads((tmp_path / "h" / "manifest.json").read_text())
     assert "ContractError" in man["error"] and message in man["error"]
+    assert not (tmp_path / "h" / "result.json").exists()
 
 
 # a valid value of each key some command requires

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from atshuffle.chains import BlockSchedule
+from atshuffle.chains import BlockSchedule, derive_rng, experiment_id
 from atshuffle.errors import ContractError
 from atshuffle.experiments import (asep_tail_check, block_chain_mixing,
                                    block_decomposition_check, burn_in_profile,
@@ -20,6 +20,7 @@ from atshuffle.banddp import BandDP
 from atshuffle.measure import enumerate_stationary
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
                              LocalizationVector, Permutation,
+                             instance_fingerprint,
                              random_admissible_localization)
 
 
@@ -100,6 +101,42 @@ def test_disconnect_probability_contracts():
     assert res.verdict.passed
 
 
+def state_loop_mass(mu, keep, pins=None):
+    """The sum of the probabilities of the states kept, one state at a time,
+    renormalized to the states that agree with pins when given."""
+    pairs = list(zip(mu.support, mu.probs))
+    if pins is not None:
+        idx = [t for t, (s, _) in enumerate(pairs)
+               if all(s[pos - 1] == v for pos, v in pins.items())]
+        probs = mu.probs[idx] / mu.probs[idx].sum()
+        pairs = [(pairs[t][0], pr) for t, pr in zip(idx, probs)]
+    return float(sum(pr for s, pr in pairs if keep(s)))
+
+
+def test_exact_tail_and_disconnect_sums_match_state_loops():
+    # the exact modes read the support as one array; their figures must be
+    # the state-by-state sums bit for bit
+    for inst in regression_instances(count=24):
+        n, p, ell = inst["n"], inst["p"], inst["ell"]
+        mu = enumerate_stationary(n, p, ell)
+        tail = localization_tail_check(n, p, ell, mode="exact")
+        assert [pt.estimate for pt in tail.series] == [
+            state_loop_mass(mu, lambda s, k=k: s[0] > k) for k in range(1, n)]
+        disc = disconnect_probability(p, ell, mode="exact")
+        assert [pt.estimate for pt in disc.series] == [
+            state_loop_mass(mu, lambda s, k=k: max(s[:k]) == k)
+            for k in range(1, n + 1)]
+    n = 8
+    p = BiasMatrix.random_biased(n, 0.5, np.random.default_rng(9))
+    ell = LocalizationVector.constant(n, 2)
+    b = BoundaryAssignment(n, (2,), (8,))
+    mu = enumerate_stationary(n, p, ell)
+    disc = disconnect_probability(p, ell, b, mode="exact")
+    assert [pt.estimate for pt in disc.series] == [
+        state_loop_mass(mu, lambda s, k=k: max(s[:k]) == k, b.values())
+        for k in disc.params["ks"]]
+
+
 def test_disconnect_probability_random_regression():
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -176,6 +213,64 @@ def test_spatial_mirrored_right_boundary():
     assert tvs == sorted(tvs, reverse=True)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_spatial_right_boundary_cut_directly(seed):
+    # right boundaries used to be mirrored, and the result recorded the
+    # mirrored boundary and instance
+    rng = np.random.default_rng(seed)
+    n = 8
+    p = BiasMatrix.random_biased(n, 0.5, rng) if seed % 2 \
+        else BiasMatrix.constant(n, 0.7)
+    ell = (LocalizationVector.constant(n, 2) if seed < 2
+           else random_admissible_localization(n, rng, max_ell=2))
+    j = 1 + seed % 2
+    # the right ends of two localized states with positive weight
+    support = enumerate_stationary(n, p, ell).support
+    ends = sorted({s[n - j:] for s in support})
+    eta_a, eta_b = (BoundaryAssignment(n, (), ends[t]) for t in (0, -1))
+    rs = [1, 2, 3, 4]
+    res = spatial_decay_curve(p, ell, eta_a, eta_b, rs, mode="exact")
+    for pt, r in zip(res.series, rs):
+        tv_enum = enum_region_tv(n, p, ell, eta_a, eta_b, (1, n - j - r))
+        assert pt.estimate == pytest.approx(tv_enum, abs=1e-10)
+    sampled = spatial_decay_curve(p, ell, eta_a, eta_b, rs, mode="sampled",
+                                  budget=3000, seed=seed)
+    for pe, ps in zip(res.series, sampled.series):
+        assert ps.estimate + 3 * ps.stderr >= pe.estimate - 1e-12
+    for out in (res, sampled):
+        assert out.fingerprint == instance_fingerprint(p, ell)
+        assert (out.params["i"], out.params["j"]) == (0, j)
+        assert out.params["eta"] == eta_a.values()
+        assert out.params["eta_bar"] == eta_b.values()
+    with pytest.raises(ContractError, match="empty far region"):
+        spatial_decay_curve(p, ell, eta_a, eta_b, [n - j], mode="exact")
+
+
+def test_spatial_sampled_right_boundary_reads_the_right_cuts():
+    # the coupling fails unless some s in [n - j - r + 1, n - j] has the
+    # labels s..n at positions s..n in both draws
+    n, j, budget, seed = 10, 1, 400, 3
+    p = BiasMatrix.random_biased(n, 0.5, np.random.default_rng(seed))
+    ell = LocalizationVector.constant(n, 2)
+    eta_a = BoundaryAssignment(n, (), (n,))
+    eta_b = BoundaryAssignment(n, (), (n - 2,))
+    rs = [1, 2, 3, 4]
+    res = spatial_decay_curve(p, ell, eta_a, eta_b, rs, mode="sampled",
+                              budget=budget, seed=seed)
+    rng = derive_rng(seed, experiment_id("spatial-coupling"))
+    rows = [BandDP(p, ell, pins=eta.values()).sample_rows(rng, budget)
+            for eta in (eta_a, eta_b)]
+
+    def cut(row, s):
+        return set(row[s - 1:].tolist()) == set(range(s, n + 1))
+
+    for pt, r in zip(res.series, rs):
+        hits = sum(any(cut(ra, s) and cut(rb, s)
+                       for s in range(n - j - r + 1, n - j + 1))
+                   for ra, rb in zip(*rows))
+        assert pt.estimate == 1.0 - hits / budget
+
+
 def test_spatial_sampled_upper_bounds_exact():
     n = 8
     p = BiasMatrix.constant(n, 0.75)
@@ -231,6 +326,16 @@ def test_mixing_scaling_coupling_small():
                          method="coupling", budget=6, seed=7,
                          slope_window=(1.5, 2.5))
     assert res.verdict.passed, res.verdict.details
+
+
+@pytest.mark.parametrize("method, ns", [("coupling", [16]),
+                                        ("coupling", [16, 16]),
+                                        ("statistic", [8, 8])])
+def test_mixing_scaling_slope_modes_need_two_sizes(method, ns):
+    # one size used to fit a slope on a single point and record NaN
+    with pytest.raises(ContractError, match="two distinct sizes"):
+        mixing_scaling(ns, {"kind": "constant-q", "q": 0.75}, method=method,
+                       budget=4)
 
 
 def test_lower_bound_experiment_small():

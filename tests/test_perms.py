@@ -12,8 +12,9 @@ from atshuffle.errors import ContractError, EmptySupport
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                              Permutation, apply_adjacent_transposition,
                              disconnecting_positions, embed,
-                             induced_localization, is_disconnecting,
-                             is_localized, max_displacement,
+                             induced_localization, inverse_rows,
+                             is_disconnecting, is_localized, localized_rows,
+                             max_displacement,
                              max_localized_state,
                              random_admissible_localization, relabel_map,
                              restrict_instance)
@@ -42,6 +43,27 @@ def test_is_localized_examples():
     assert is_localized(Permutation.identity(6), LocalizationVector.constant(6, 0))
     assert not is_localized(Permutation((2, 1, 3, 4)), LocalizationVector.constant(4, 0))
     assert is_localized(Permutation((2, 1, 3, 4)), LocalizationVector.constant(4, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), R=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
+       max_ell=st.integers(0, 4))
+def test_row_checks_match_the_permutation_checks(n, R, seed, max_ell):
+    rng = np.random.default_rng(seed)
+    ell = random_admissible_localization(n, rng, max_ell=max_ell)
+    # displaced rows, some localized and some not
+    F = np.array([rng.permutation(n) + 1 if r % 2 else
+                  max_localized_state(ell).forward for r in range(R)],
+                 dtype=np.int64).reshape(R, n)
+    INV = inverse_rows(F)
+    ok = localized_rows(F, ell)
+    assert ok.dtype == bool and ok.shape == (R,)
+    for row, inv, flag in zip(F, INV, ok):
+        sigma = Permutation(row)
+        assert np.array_equal(inv, sigma.inverse)
+        assert flag == is_localized(sigma, ell)
+    with pytest.raises(ContractError, match="size mismatch"):
+        localized_rows(np.ones((R, n + 1), dtype=np.int64), ell)
 
 
 def test_disconnecting_examples():

@@ -488,10 +488,10 @@ def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
         comp = np.ones(n, dtype=bool)
         for a, b in blk:
             comp[a - 1:b] = False
-        # states agreeing off the block share one key of their complement
-        keys = (S[:, comp] - 1) @ n ** np.arange(comp.sum(), dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        cuts = np.flatnonzero(np.diff(keys[order])) + 1
+        # states agreeing off the block share one complement row
+        _, group = np.unique(S[:, comp], axis=0, return_inverse=True)
+        order = np.argsort(group, kind="stable")
+        cuts = np.flatnonzero(np.diff(group[order])) + 1
         for members in np.split(order, cuts):
             probs = mu.probs[members]
             P[np.ix_(members, members)] += wb * (probs / probs.sum())

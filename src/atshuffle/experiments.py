@@ -585,7 +585,7 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
             if i or not j:
                 hit &= np.any(both[:, i:m1], axis=1)
             if j:
-                hit &= np.any(rboth[:, m2:n - j], axis=1)
+                hit &= np.any(rboth[:, max(m2, 0):n - j], axis=1)
             fail = 1.0 - float(np.mean(hit))
             series.append(SeriesPoint(r, fail, _se_bernoulli(fail, budget),
                                       budget))

@@ -209,9 +209,11 @@ def _swap_kernel(digits: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
     """
     m, n = digits.shape
     edge_prob = 1.0 / (n - 1) if n > 1 else 1.0
-    # each state is one base-K integer (digit i at place n-1-i); swapping
-    # positions i, i+1 adds (b - a) * (place_i - place_{i+1})
-    place = len(table) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # each state is one base-K integer (digit i at place n-1-i; Python ints
+    # past int64); swapping i, i+1 adds (b - a) * (place_i - place_{i+1})
+    K = len(table)
+    place = np.array([K ** e for e in range(n - 1, -1, -1)],
+                     dtype=np.int64 if K ** n < 2 ** 63 else object)
     keys = digits @ place
     order = np.argsort(keys)
     sorted_keys = keys[order]
@@ -220,7 +222,7 @@ def _swap_kernel(digits: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
     diag = np.zeros(m)
     for i in range(n - 1):
         a, b = digits[:, i], digits[:, i + 1]
-        step = (b - a) * (place[i] - place[i + 1])
+        step = np.multiply(b - a, place[i] - place[i + 1], dtype=place.dtype)
         swapped = keys + step
         at = np.minimum(np.searchsorted(sorted_keys, swapped), m - 1)
         moves = (sorted_keys[at] == swapped) & (step != 0)

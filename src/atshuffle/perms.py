@@ -237,10 +237,7 @@ class LocalizationVector:
 
 def is_localized(sigma: Permutation, ell: LocalizationVector) -> bool:
     """True iff position(k) - k lies in [-lo[k], hi[k]] for every particle k."""
-    if sigma.n != ell.n:
-        raise ContractError("size mismatch between permutation and localization")
-    d = sigma.inverse - np.arange(1, sigma.n + 1)
-    return bool(np.all(d >= -ell.lo) and np.all(d <= ell.hi))
+    return bool(localized_rows(sigma.forward[None, :], ell)[0])
 
 
 def inverse_rows(F: np.ndarray) -> np.ndarray:

@@ -345,6 +345,13 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
     # an unknown selection used to run as uniform and echo the bad value
     ({"command": "blockcheck", "n": 4, "p": {"family": "constant-q", "q": 0.6},
       "selection": "bogus"}, "unknown block selection 'bogus'"),
+    # without a boundary, k ranges over 1..n: exact mode used to record 0
+    # for k > n and sampled mode crashed
+    ({"command": "disconnect", "n": 6, "p": {"family": "constant-q", "q": 0.7},
+      "ks": [7]}, "k=7 outside the valid range [1, 6]"),
+    ({"command": "disconnect", "n": 6, "p": {"family": "constant-q", "q": 0.7},
+      "ks": [0, 2], "mode": "sampled", "budget": 50},
+     "k=0 outside the valid range [1, 6]"),
 ])
 def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
                                                             message):

@@ -254,7 +254,8 @@ def test_spatial_sampled_right_boundary_reads_the_right_cuts():
     ell = LocalizationVector.constant(n, 2)
     eta_a = BoundaryAssignment(n, (), (n,))
     eta_b = BoundaryAssignment(n, (), (n - 2,))
-    rs = [1, 2, 3, 4]
+    # r = n - j + 1 reaches past site 1: every site is read, as on the left
+    rs = [1, 2, 3, 4, n - j + 1]
     res = spatial_decay_curve(p, ell, eta_a, eta_b, rs, mode="sampled",
                               budget=budget, seed=seed)
     rng = derive_rng(seed, experiment_id("spatial-coupling"))
@@ -266,7 +267,7 @@ def test_spatial_sampled_right_boundary_reads_the_right_cuts():
 
     for pt, r in zip(res.series, rs):
         hits = sum(any(cut(ra, s) and cut(rb, s)
-                       for s in range(n - j - r + 1, n - j + 1))
+                       for s in range(max(n - j - r, 0) + 1, n - j + 1))
                    for ra, rb in zip(*rows))
         assert pt.estimate == 1.0 - hits / budget
 

@@ -113,27 +113,15 @@ class BandDP:
         self._bwd = None       # list of logv arrays aligned with _fwd masks
         self._logZ = None
         self._pos = None       # int32 position table over the 2^(W-1) words
+        # the word before the first placement and after the last: every
+        # layer word has exactly Lp set bits, and at either end they are the
+        # lowest Lp slots (particles below 1, or the last Lp particles)
+        self._end_word = (1 << self.Lp) - 1
 
     # -- window helpers ----------------------------------------------------
     def _base(self, t: int) -> int:
         """Lowest window particle while choosing position t+1."""
         return t + 1 - self.Lp
-
-    def _init_mask(self) -> int:
-        base = self._base(0)
-        m = 0
-        for j in range(self.W):
-            if base + j < 1:
-                m |= 1 << j
-        return m
-
-    def _final_mask(self) -> int:
-        base = self._base(self.n)
-        m = 0
-        for j in range(self.W):
-            if 1 <= base + j <= self.n:
-                m |= 1 << j
-        return m
 
     def _layer_tables(self, t: int):
         """Candidates for position t+1 and their step weights, pins applied.
@@ -173,7 +161,7 @@ class BandDP:
         def weigh(c, words):
             return pre[c] + tab_lo[c][words & lo_mask] + tab_hi[c][words >> wlo]
 
-        return slots.tolist(), xs, weigh
+        return slots.tolist(), xs.tolist(), weigh
 
     def _positions(self, masks: np.ndarray) -> np.ndarray:
         """The position table with masks[i] -> i; other entries are stale."""
@@ -187,7 +175,7 @@ class BandDP:
 
         Few words are sorted; many are marked in a dense array over the
         2^(W-1) window words, whose scan would dominate a small layer (a
-        pinned DP, or propagate from one word).  Both give the same keys.
+        pinned DP).  Both give the same keys.
         """
         total = sum(d.size for d in dsts)
         if total * SORT_FRACTION < 1 << (self.W - 1):
@@ -200,26 +188,38 @@ class BandDP:
             seen[dst] = True
         return np.flatnonzero(seen)
 
+    def _moves(self, t: int, words: np.ndarray):
+        """The placements at position t+1 from layer-t words.
+
+        Yields (j, x, sel, dst, dw) for each candidate that some word can
+        place: sel indexes the words that can place particle x from window
+        slot j next, dst holds their next words and dw the log weights of
+        those steps.  A step is injective for a fixed candidate.
+        """
+        slots, xs, weigh = self._layer_tables(t)
+        for c, j in enumerate(slots):
+            sel = _placeable(words, j).nonzero()[0]
+            if sel.size:
+                src = words[sel]
+                yield j, xs[c], sel, (src | (1 << j)) >> 1, weigh(c, src)
+
     def _advance(self, t: int, masks: np.ndarray, logv: np.ndarray):
         """Push distinct layer-t words with log weights to layer t+1.
 
         Returns the next layer's words in increasing order with their
         log-sum-exp weights; -inf contributions are dropped, so a word enters
-        only through a path of positive weight.  A step is injective for a
-        fixed slot, so each slot adds at most one contribution per word, and
-        words accumulate slot by slot: per-word maxima first, then exp-sums.
+        only through a path of positive weight.  Each candidate adds at most
+        one contribution per word, and words accumulate candidate by
+        candidate: per-word maxima first, then exp-sums.
         """
-        slots, _, weigh = self._layer_tables(t)
         moves = []
-        for c, j in enumerate(slots):
-            sel = np.flatnonzero(_placeable(masks, j))
-            src = masks[sel]
-            vals = logv[sel] + weigh(c, src)
+        for _, _, sel, dst, dw in self._moves(t, masks):
+            vals = logv[sel] + dw
             finite = np.isfinite(vals)
             if not finite.all():    # needs an exact 0 in p or a -inf input
-                src = src[finite]
+                dst = dst[finite]
                 vals = vals[finite]
-            moves.append(((src | (1 << j)) >> 1, vals))
+            moves.append((dst, vals))
         keys = self._distinct_words([dst for dst, _ in moves])
         pos = self._positions(keys)
         moves = [(pos[dst], vals) for dst, vals in moves]
@@ -231,11 +231,35 @@ class BandDP:
             sums[idx] += np.exp(vals - vmax[idx])
         return keys, vmax + np.log(sums)
 
+    def _tagged_step(self, t: int, tags: np.ndarray, words: np.ndarray,
+                     logv: np.ndarray, rows: np.ndarray | None = None):
+        """Push (tag, word) entries with log weights from layer t to t+1.
+
+        Returns (tags, words, logv, rows), sorted by tag, then word; entries
+        that meet merge by log-sum-exp, those of weight zero drop out.
+        Without rows each entry keeps its tag.  rows holds one row of placed
+        particles per tag: a step appends the particle it places and
+        renumbers the tags to the distinct new rows in increasing order.
+        """
+        span = 1 << (self.W - 1)
+        keys, vals = [], []
+        for _, x, sel, dst, dw in self._moves(t, words):
+            tag = tags[sel] if rows is None else tags[sel] * (self.n + 1) + x
+            keys.append(tag * span + dst)
+            vals.append(logv[sel] + dw)
+        keys, logv = _merge(np.concatenate(keys), np.concatenate(vals))
+        tags, words = np.divmod(keys, span)
+        if rows is not None:
+            codes, tags = np.unique(tags, return_inverse=True)
+            rows = np.column_stack([rows[codes // (self.n + 1)],
+                                    codes % (self.n + 1)])
+        return tags, words, logv, rows
+
     # -- passes ------------------------------------------------------------
     def _forward(self):
         if self._fwd is not None:
             return self._fwd
-        masks = np.array([self._init_mask()], dtype=np.int64)
+        masks = np.array([self._end_word], dtype=np.int64)
         logv = np.zeros(1)
         layers = [(masks, logv)]
         for t in range(self.n):
@@ -245,9 +269,8 @@ class BandDP:
                     f"no localized completion survives past position {t + 1}")
             layers.append((masks, logv))
         self._fwd = layers
-        final = self._final_mask()
-        idx = np.searchsorted(layers[-1][0], final)
-        if idx >= layers[-1][0].size or layers[-1][0][idx] != final:
+        idx = np.searchsorted(layers[-1][0], self._end_word)
+        if idx >= layers[-1][0].size or layers[-1][0][idx] != self._end_word:
             raise EmptySupport("no path reaches the fully placed state")
         self._logZ = float(layers[-1][1][idx])
         return layers
@@ -263,23 +286,24 @@ class BandDP:
         bwd = [None] * (self.n + 1)
         final_masks = layers[self.n][0]
         b = np.full(final_masks.size, NEG_INF)
-        b[np.searchsorted(final_masks, self._final_mask())] = 0.0
+        b[np.searchsorted(final_masks, self._end_word)] = 0.0
         bwd[self.n] = b
         for t in range(self.n - 1, -1, -1):
             masks = layers[t][0]
             nxt_b = bwd[t + 1]
             pos = self._positions(layers[t + 1][0])
-            slots, _, weigh = self._layer_tables(t)
             b = np.full(masks.size, NEG_INF)
-            for c, j in enumerate(slots):
-                sel = np.flatnonzero(_placeable(masks, j))
-                src = masks[sel]
-                dst = (src | (1 << j)) >> 1
-                contrib = nxt_b.take(pos[dst], mode="clip") + weigh(c, src)
+            for _, _, sel, dst, dw in self._moves(t, masks):
+                contrib = nxt_b.take(pos[dst], mode="clip") + dw
                 b[sel] = np.logaddexp(b[sel], contrib)
             bwd[t] = b
         self._bwd = bwd
         return bwd
+
+    def _completion(self, t: int, words: np.ndarray) -> np.ndarray:
+        """Log completion weights of words reached with positive weight."""
+        masks = self._forward()[t][0]
+        return self._backward()[t][np.searchsorted(masks, words)]
 
     # -- public operations ---------------------------------------------------
     def log_partition(self) -> float:
@@ -299,25 +323,6 @@ class BandDP:
         bwd = self._backward()
         return layers[t][0], bwd[t]
 
-    def propagate(self, t0: int, t1: int, masks: np.ndarray, logv: np.ndarray):
-        """Push an arbitrary layer-t0 vector forward to layer t1.
-
-        masks must be distinct window words below 2^(W-1), as every layer's
-        are.  Positions in (t0, t1] must respect this instance's pins; used
-        to build bridge transfer sums between two cuts.
-        """
-        if not 0 <= t0 <= t1 <= self.n:
-            raise ContractError("bad propagation range")
-        masks = np.asarray(masks, dtype=np.int64)
-        logv = np.asarray(logv, dtype=np.float64)
-        if masks.size and (masks.min() < 0 or masks.max() >= 1 << (self.W - 1)
-                           or np.unique(masks).size != masks.size):
-            raise ContractError(
-                f"propagate needs distinct window words below 2^{self.W - 1}")
-        for t in range(t0, t1):
-            masks, logv = self._advance(t, masks, logv)
-        return masks, logv
-
     def cut_law(self, t: int):
         """Exact law of the placed-set word after t placements.
 
@@ -327,17 +332,24 @@ class BandDP:
         """
         if not 0 <= t <= self.n:
             raise ContractError("cut position out of range")
-        layers = self._forward()
-        bwd = self._backward()
-        masks, logv = layers[t]
-        w = logv + bwd[t]
-        finite = np.isfinite(w)
-        masks = masks[finite]
-        w = w[finite]
-        w -= w.max()
-        probs = np.exp(w)
-        probs /= probs.sum()
-        return masks, probs
+        masks, logv = self._forward()[t]
+        return _law(masks, logv + self._backward()[t])
+
+    def cut_pair_law(self, t1: int, t2: int):
+        """Exact joint law of the placed-set words after t1 and t2 placements.
+
+        Returns (keys, probs) in increasing key order, where the key of the
+        words w1 after t1 and w2 after t2 placements is w1 << (W - 1) | w2.
+        The pass from t1 to t2 carries each word of layer t1 as its tag.
+        """
+        if not 0 <= t1 <= t2 <= self.n:
+            raise ContractError("cut positions out of range")
+        words, logv = self._forward()[t1]
+        tags = words
+        for t in range(t1, t2):
+            tags, words, logv, _ = self._tagged_step(t, tags, words, logv)
+        return _law(tags << (self.W - 1) | words,
+                    logv + self._completion(t2, words))
 
     def sample_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n) array of exact draws, one permutation per row.
@@ -350,93 +362,82 @@ class BandDP:
         self.log_partition()
         R = size
         rows = np.empty((R, self.n), dtype=np.int64)
-        cur = np.full(R, self._init_mask(), dtype=np.int64)
+        cur = np.full(R, self._end_word, dtype=np.int64)
         for t in range(self.n):
             nxt_b = bwd[t + 1]
             pos = self._positions(layers[t + 1][0])
-            slots, xs, weigh = self._layer_tables(t)
-            weights = np.full((R, len(slots)), NEG_INF)
-            dsts = np.empty((R, len(slots)), dtype=np.int64)
-            for c, j in enumerate(slots):
-                dst = (cur | (1 << j)) >> 1
-                weights[:, c] = np.where(
-                    _placeable(cur, j),
-                    weigh(c, cur) + nxt_b.take(pos[dst], mode="clip"), NEG_INF)
-                dsts[:, c] = dst
-            wmax = weights.max(axis=1)
+            moves = list(self._moves(t, cur))
+            # one row per candidate some draw can place; a draw's entry
+            # stays -inf where it cannot place the candidate
+            weights = np.full((len(moves), R), NEG_INF)
+            for c, (_, _, sel, dst, dw) in enumerate(moves):
+                weights[c, sel] = dw + nxt_b.take(pos[dst], mode="clip")
+            wmax = weights.max(axis=0)
             if np.any(~np.isfinite(wmax)):
                 raise AssertionError("sampler reached a dead-end state")
-            probs = np.exp(weights - wmax[:, None])
-            cdf = np.cumsum(probs, axis=1)
-            u = rng.random(R) * cdf[:, -1]
-            choice = np.minimum((u[:, None] >= cdf).sum(axis=1), len(slots) - 1)
-            rows[:, t] = xs[choice]
-            cur = dsts[np.arange(R), choice]
+            cdf = np.cumsum(np.exp(weights - wmax), axis=0)
+            u = rng.random(R) * cdf[-1]
+            choice = np.minimum((u >= cdf).sum(axis=0), len(moves) - 1)
+            slot, rows[:, t] = np.array([m[:2] for m in moves])[choice].T
+            cur = (cur | (1 << slot)) >> 1
         return rows
 
     def sample(self, rng: np.random.Generator) -> Permutation:
         return Permutation(self.sample_rows(rng, 1)[0], _validate=False)
 
     def region_marginal(self, region: tuple, cap_states: int = 200000) -> DistributionTable:
-        """Exact joint law of the particles at positions [region[0], region[1]]."""
+        """Exact joint law of the particles at positions [region[0], region[1]].
+
+        The pass over the region tags each entry with its row of placed
+        particles; cap_states bounds the (tag, word) entries of a step.
+        """
         a, b = region
         if not (1 <= a <= b <= self.n):
             raise ContractError("region must be a nonempty position interval")
-        layers = self._forward()
-        bwd = self._backward()
         logZ = self.log_partition()
-        masks, logv = layers[a - 1]
-        # frontier of (mask, partial assignment) pairs
-        frontier = {(int(m), ()): float(v) for m, v in zip(masks, logv)
-                    if np.isfinite(v)}
+        words, logv = self._forward()[a - 1]
+        tags = np.zeros(words.size, dtype=np.int64)
+        rows = np.zeros((1, 0), dtype=np.int64)
         for t in range(a - 1, b):
-            slots, xs, weigh = self._layer_tables(t)
-            new = {}
-            by_mask = {}
-            for (m, asg), v in frontier.items():
-                by_mask.setdefault(m, []).append((asg, v))
-            for c, (j, x) in enumerate(zip(slots, xs.tolist())):
-                for m, entries in by_mask.items():
-                    if (m >> j) & 1:
-                        continue
-                    if j > 0 and not (m & 1):
-                        continue
-                    dw = float(weigh(c, m))
-                    if not math.isfinite(dw):
-                        continue
-                    dst = (m | (1 << j)) >> 1
-                    for asg, v in entries:
-                        key = (dst, asg + (x,))
-                        val = v + dw
-                        if key in new:
-                            new[key] = float(np.logaddexp(new[key], val))
-                        else:
-                            new[key] = val
-            frontier = new
-            if len(frontier) > cap_states:
+            tags, words, logv, rows = self._tagged_step(t, tags, words, logv,
+                                                        rows)
+            if words.size > cap_states:
                 raise CapExceeded(
-                    f"region marginal needs {len(frontier)} partial states, "
+                    f"region marginal needs {words.size} partial states, "
                     f"cap is {cap_states}")
-        end_masks = layers[b][0]
-        totals = {}
-        for (m, asg), v in frontier.items():
-            idx = int(np.searchsorted(end_masks, m))
-            if idx >= end_masks.size or end_masks[idx] != m:
-                continue
-            tail = float(bwd[b][idx])
-            if not math.isfinite(tail):
-                continue
-            val = v + tail - logZ
-            if asg in totals:
-                totals[asg] = float(np.logaddexp(totals[asg], val))
-            else:
-                totals[asg] = val
-        if not totals:
+        logw = logv + self._completion(b, words)
+        if not np.isfinite(logw).any():
             raise EmptySupport("empty conditional support on the region")
-        support = sorted(totals)
-        probs = np.exp(np.array([totals[s] for s in support]))
-        probs /= probs.sum()
-        return DistributionTable(support, probs, logZ)
+        tags, probs = _law(tags, logw)
+        return DistributionTable(list(map(tuple, rows[tags].tolist())), probs,
+                                 logZ)
+
+
+def _merge(keys: np.ndarray, logv: np.ndarray):
+    """Distinct keys in increasing order with the log-sum-exp of their values.
+
+    Non-finite values drop out, so no key of weight zero is returned.
+    """
+    finite = np.isfinite(logv)
+    keys, inv = np.unique(keys[finite], return_inverse=True)
+    logv = logv[finite]
+    vmax = np.full(keys.size, NEG_INF)
+    np.maximum.at(vmax, inv, logv)
+    sums = np.zeros(keys.size)
+    np.add.at(sums, inv, np.exp(logv - vmax[inv]))
+    return keys, vmax + np.log(sums)
+
+
+def _law(keys: np.ndarray, logw: np.ndarray):
+    """(distinct keys in increasing order, probabilities) from log weights.
+
+    _merge keeps the weight of a key with one entry bit for bit.
+    """
+    keys, logw = _merge(keys, logw)
+    logw -= logw.max()
+    probs = np.exp(logw)
+    probs /= probs.sum()
+    return keys, probs
 
 
 def band_dp_partition(p: BiasMatrix, ell: LocalizationVector,

@@ -48,8 +48,9 @@ import numpy as np
 
 from . import __version__
 from .banddp import exact_localized_sampler
-from .chains import (BlockSchedule, derive_rng,
-                     ensemble_chain_run, experiment_id, write_checkpoint)
+from .chains import (BlockSchedule, derive_rng, ensemble_chain_run,
+                     ensemble_max_displacement, experiment_id,
+                     write_checkpoint)
 from .errors import CapExceeded, ContractError, EmptySupport, NotReversible
 from .experiments import (FAMILY_PARAMS, ExperimentResult, SeriesPoint,
                           Verdict, asep_tail_check, block_decomposition_check,
@@ -348,19 +349,16 @@ def _run_chain(cfg: RunConfig, outdir: str):
     recs = []
 
     def snap(t, F, INV):
-        recs.append((t, F[0].copy()))
+        recs.append((t, F[0].copy(), int(ensemble_max_displacement(INV)[0])))
 
     ensemble_chain_run(p, rows, steps, rng, ell=ell, checkpoints=marks,
                        checkpoint_fn=snap)
     with open(path, "w") as fh:
-        for t, f in recs:
+        for t, f, _ in recs:
             write_checkpoint(fh, t, Permutation(f, _validate=False), tracked)
-    from .perms import max_displacement
-    final = Permutation(recs[-1][1], _validate=False)
-    series = [SeriesPoint(t, float(max_displacement(
-        Permutation(f, _validate=False))), 0.0, 1) for t, f in recs]
+    series = [SeriesPoint(t, float(d), 0.0, 1) for t, _, d in recs]
     verdict = Verdict(True, "record-only trajectory",
-                      {"final_max_displacement": max_displacement(final)})
+                      {"final_max_displacement": recs[-1][2]})
     res = ExperimentResult("chain", instance_fingerprint(p, ell),
                            cfg.resolved(), series, verdict, {"steps": steps})
     paths = res.write(outdir, "result")

@@ -481,40 +481,15 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
 # spatial mixing decay
 # ---------------------------------------------------------------------------
 
-def _cut_tv(dpA: BandDP, dpB: BandDP, t: int) -> float:
-    mA, pA = dpA.cut_law(t)
-    mB, pB = dpB.cut_law(t)
+def _law_tv(lawA: tuple, lawB: tuple) -> float:
+    """TV distance of two laws given as (distinct keys, probabilities)."""
+    (mA, pA), (mB, pB) = lawA, lawB
     union = np.union1d(mA, mB)
     a = np.zeros(union.size)
     b = np.zeros(union.size)
     a[np.searchsorted(union, mA)] = pA
     b[np.searchsorted(union, mB)] = pB
     return 0.5 * float(np.sum(np.abs(a - b)))
-
-
-def _two_sided_tv(dpA: BandDP, dpB: BandDP, m1: int, m2: int) -> float:
-    """TV of the joint cut-pair laws; exact when no window spans the gap."""
-    W = {}
-    for tag, dp in (("A", dpA), ("B", dpB)):
-        masks1, f1 = dp.forward_layer(m1)
-        masks2, b2 = dp.backward_layer(m2)
-        logZ = dp.log_partition()
-        table = {}
-        for mk, fv in zip(masks1, f1):
-            if not np.isfinite(fv):
-                continue
-            bm, bv = dp.propagate(m1, m2, np.array([mk]), np.array([0.0]))
-            idx = np.searchsorted(masks2, bm)
-            ok = (idx < masks2.size)
-            idx = np.minimum(idx, masks2.size - 1)
-            ok &= masks2[idx] == bm
-            for mk2, gv, o, ix in zip(bm, bv, ok, idx):
-                if not o or not np.isfinite(b2[ix]):
-                    continue
-                table[(int(mk), int(mk2))] = math.exp(fv + gv + b2[ix] - logZ)
-        W[tag] = table
-    keys = set(W["A"]) | set(W["B"])
-    return 0.5 * sum(abs(W["A"].get(k, 0.0) - W["B"].get(k, 0.0)) for k in keys)
 
 
 def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
@@ -553,14 +528,14 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
                     raise ContractError(
                         f"r={r}: windows can span the gap; exact mode needs "
                         "|A_r| >= l_max_minus + l_max_plus")
-                tv = _two_sided_tv(dpA, dpB, m1, m2)
+                tv = _law_tv(dpA.cut_pair_law(m1, m2), dpB.cut_pair_law(m1, m2))
             else:
                 # a one-sided far region, [m1 + 1, n] or [1, m2], meets the
                 # rest of the line only through the placed set at its cut
                 cut, far = (m1, n - m1) if j == 0 else (m2, m2)
                 if far <= 0:
                     raise ContractError(f"r={r} leaves an empty far region")
-                tv = _cut_tv(dpA, dpB, cut)
+                tv = _law_tv(dpA.cut_law(cut), dpB.cut_law(cut))
             series.append(SeriesPoint(r, tv, 0.0, 1))
     elif mode == "sampled":
         rng = derive_rng(seed, experiment_id("spatial-coupling"))

@@ -208,7 +208,9 @@ def _swap_kernel(digits: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
     stays.
     """
     m, n = digits.shape
-    edge_prob = 1.0 / (n - 1) if n > 1 else 1.0
+    if n < 2:       # no edge: every state stays
+        return sp.identity(m, format="csr")
+    edge_prob = 1.0 / (n - 1)
     # each state is one base-K integer (digit i at place n-1-i; Python ints
     # past int64); swapping i, i+1 adds (b - a) * (place_i - place_{i+1})
     K = len(table)

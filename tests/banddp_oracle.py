@@ -3,8 +3,10 @@
 ``ReferenceBandDP`` keeps the straightforward passes on top of the engine's
 constructor and window helpers: per-candidate interaction tables built one
 candidate at a time, a forward step that concatenates every transition and
-collapses duplicate words by argsort and reduceat, and a backward pass and
-sampler that find next-layer words with ``searchsorted``.
+collapses duplicate words by argsort and reduceat, a backward pass and
+sampler that find next-layer words with ``searchsorted``, a cut-pair law that
+pushes each word of the first cut alone to the second, and a region marginal
+over a dict frontier of (word, partial row) pairs.
 ``reference_transition_matrix`` is the per-state dict-of-tuples kernel build.
 The fast paths must reproduce these: the same layer words, bit-identical
 backward layers, draws and kernels, and forward log weights within 1e-12.
@@ -120,7 +122,7 @@ class ReferenceBandDP(BandDP):
     def _forward(self):
         if self._fwd is not None:
             return self._fwd
-        masks = np.array([self._init_mask()], dtype=np.int64)
+        masks = np.array([self._end_word], dtype=np.int64)
         logv = np.zeros(1)
         layers = [(masks, logv)]
         for t in range(self.n):
@@ -130,7 +132,7 @@ class ReferenceBandDP(BandDP):
                     f"no localized completion survives past position {t + 1}")
             layers.append((masks, logv))
         self._fwd = layers
-        final = self._final_mask()
+        final = self._end_word
         idx = np.searchsorted(layers[-1][0], final)
         if idx >= layers[-1][0].size or layers[-1][0][idx] != final:
             raise EmptySupport("no path reaches the fully placed state")
@@ -144,7 +146,7 @@ class ReferenceBandDP(BandDP):
         bwd = [None] * (self.n + 1)
         final_masks = layers[self.n][0]
         b = np.full(final_masks.size, NEG_INF)
-        b[np.searchsorted(final_masks, self._final_mask())] = 0.0
+        b[np.searchsorted(final_masks, self._end_word)] = 0.0
         bwd[self.n] = b
         for t in range(self.n - 1, -1, -1):
             masks = layers[t][0]
@@ -162,12 +164,32 @@ class ReferenceBandDP(BandDP):
         self._bwd = bwd
         return bwd
 
-    def propagate(self, t0, t1, masks, logv):
-        masks = np.asarray(masks, dtype=np.int64)
-        logv = np.asarray(logv, dtype=np.float64)
-        for t in range(t0, t1):
-            masks, logv = self._step(t, masks, logv)
-        return masks, logv
+    def cut_pair_law(self, t1, t2):
+        """Joint law of the words after t1 and t2 placements, word by word.
+
+        Each word of layer t1 is pushed alone to layer t2; keys are
+        w1 << (W - 1) | w2 in increasing order.
+        """
+        layers = self._forward()
+        bwd = self._backward()
+        logZ = self.log_partition()
+        masks2 = layers[t2][0]
+        keys, probs = [], []
+        for w1, fv in zip(*layers[t1]):
+            words, logv = np.array([w1]), np.array([0.0])
+            for t in range(t1, t2):
+                words, logv = self._step(t, words, logv)
+            for w2, gv in zip(words, logv):
+                idx = int(np.searchsorted(masks2, w2))
+                if idx >= masks2.size or masks2[idx] != w2:
+                    continue
+                val = fv + gv + bwd[t2][idx] - logZ
+                if math.isfinite(val):
+                    keys.append(int(w1) << (self.W - 1) | int(w2))
+                    probs.append(math.exp(val))
+        order = np.argsort(keys)
+        return (np.array(keys, dtype=np.int64)[order],
+                np.array(probs)[order])
 
     def sample_rows(self, rng, size):
         layers = self._forward()
@@ -175,7 +197,7 @@ class ReferenceBandDP(BandDP):
         self.log_partition()
         R = size
         rows = np.empty((R, self.n), dtype=np.int64)
-        cur = np.full(R, self._init_mask(), dtype=np.int64)
+        cur = np.full(R, self._end_word, dtype=np.int64)
         for t in range(self.n):
             base = self._base(t)
             nxt_masks = layers[t + 1][0]

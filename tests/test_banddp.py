@@ -16,7 +16,7 @@ from atshuffle.banddp import (BandDP, BandDPSampler, EnumerationSampler,
                               band_dp_conditional_marginal, band_dp_partition,
                               band_dp_sample, exact_localized_sampler,
                               heat_bath_block_rows, heat_bath_block_sample)
-from atshuffle.errors import CapExceeded, ContractError, EmptySupport
+from atshuffle.errors import CapExceeded, EmptySupport
 from atshuffle.measure import enumerate_stationary, log_weight
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
                              LocalizationVector, Permutation, is_localized,
@@ -137,6 +137,17 @@ def test_conditional_marginal_consistency_with_partition():
     mu = enumerate_stationary(5, p, ell)
     for s, pr in zip(marg.support, marg.probs):
         assert pr == pytest.approx(mu.prob_of(s), abs=1e-10)
+
+
+def test_region_marginal_cap_counts_partial_states():
+    # the distinct (word, partial row) pairs after positions 3, 4, 5 and 6
+    # number 12, 26, 60 and 146; the cap applies to each step
+    dp = BandDP(BiasMatrix.constant(12, 0.7), LocalizationVector.constant(12, 2))
+    for cap, need in ((11, 12), (59, 60), (145, 146)):
+        with pytest.raises(CapExceeded,
+                           match=f"needs {need} partial states, cap is {cap}"):
+            dp.region_marginal((3, 6), cap_states=cap)
+    assert len(dp.region_marginal((3, 6), cap_states=146).support) == 146
 
 
 def test_empty_conditional_support():
@@ -352,16 +363,12 @@ def test_band_dp_passes_match_the_reference(n, seed, data):
     assert np.array_equal(fast.sample_rows(g_fast, size),
                           ref.sample_rows(g_ref, size))
     assert g_fast.random() == g_ref.random()
-    t0 = data.draw(st.integers(0, n))
-    t1 = data.draw(st.integers(t0, n))
-    masks, logv = ref.forward_layer(t0)
-    starts = [(masks, logv), (masks[:1], np.zeros(1)),
-              (masks, np.where(np.arange(masks.size) % 2, -np.inf, logv))]
-    for start in starts:
-        bm, bv = fast.propagate(t0, t1, *start)
-        rm, rv = ref.propagate(t0, t1, *start)
-        assert np.array_equal(bm, rm)
-        np.testing.assert_allclose(bv, rv, rtol=0, atol=1e-12)
+    t1 = data.draw(st.integers(0, n))
+    t2 = data.draw(st.integers(t1, n))
+    km, kp = fast.cut_pair_law(t1, t2)
+    rkm, rkp = ref.cut_pair_law(t1, t2)
+    assert np.array_equal(km, rkm)
+    np.testing.assert_allclose(kp, rkp, rtol=0, atol=1e-12)
     a = data.draw(st.integers(1, n))
     b = data.draw(st.integers(a, min(n, a + 3)))
     fm = fast.region_marginal((a, b))
@@ -380,25 +387,14 @@ def test_sorted_and_marked_word_collection_agree(monkeypatch, pins):
     for fraction in (0, 2 ** 62):
         monkeypatch.setattr(banddp, "SORT_FRACTION", fraction)
         dp = BandDP(p, ell, pins=pins)
-        masks = dp.forward_layer(4)[0]
         runs.append(([dp.forward_layer(t) for t in range(17)],
                      [dp.backward_layer(t)[1] for t in range(17)],
-                     dp.propagate(4, 14, masks[-1:], np.zeros(1)),
                      dp.sample_rows(np.random.default_rng(9), 20)))
-    (fwd0, bwd0, prop0, rows0), (fwd1, bwd1, prop1, rows1) = runs
-    for (m0, v0), (m1, v1) in zip(fwd0 + [prop0], fwd1 + [prop1]):
+    (fwd0, bwd0, rows0), (fwd1, bwd1, rows1) = runs
+    for (m0, v0), (m1, v1) in zip(fwd0, fwd1):
         assert m0.tobytes() == m1.tobytes() and v0.tobytes() == v1.tobytes()
     assert all(b0.tobytes() == b1.tobytes() for b0, b1 in zip(bwd0, bwd1))
     assert np.array_equal(rows0, rows1)
-
-
-def test_propagate_refuses_words_outside_the_window():
-    p = BiasMatrix.constant(6, 0.7)
-    dp = BandDP(p, LocalizationVector.constant(6, 1))   # W = 3
-    with pytest.raises(ContractError):
-        dp.propagate(0, 2, np.array([4]), np.zeros(1))
-    with pytest.raises(ContractError):
-        dp.propagate(0, 2, np.array([1, 1]), np.zeros(2))
 
 
 def test_memory_cap_refuses_wide_windows_up_front():

@@ -176,6 +176,12 @@ def test_sample_and_chain_commands(tmp_path):
             (tmp_path / "t" / "trajectory.jsonl").read_text().splitlines()]
     assert recs[0]["step"] == 0 and recs[-1]["step"] == 200
     assert "2" in recs[0]["projections"]
+    # the series and the verdict repeat each checkpoint's displacement
+    res = json.loads((tmp_path / "t" / "result.json").read_text())
+    assert [(pt["x"], pt["estimate"]) for pt in res["series"]] == \
+        [(r["step"], r["max_displacement"]) for r in recs]
+    assert res["verdict"]["details"]["final_max_displacement"] == \
+        recs[-1]["max_displacement"]
 
 
 def test_asep_burnin_blockcheck_lowerbound_spatial(tmp_path):
@@ -193,6 +199,12 @@ def test_asep_burnin_blockcheck_lowerbound_spatial(tmp_path):
                      "p": {"family": "constant-q", "q": 0.75}, "ell": 2,
                      "eta": {"left": [1]}, "eta_bar": {"left": [3]},
                      "rs": [2, 4, 6, 8]}),
+        ("spatial-two-sided", {"command": "spatial", "n": 40,
+                               "p": {"family": "constant-q", "q": 0.75},
+                               "ell": 3,
+                               "eta": {"left": [1], "right": [40]},
+                               "eta_bar": {"left": [4], "right": [37]},
+                               "rs": [3, 5, 7, 9, 11, 13]}),
     ]
     for name, obj in runs:
         cfg = write_config(tmp_path, f"{name}.json", obj)

@@ -15,7 +15,7 @@ from atshuffle.experiments import (asep_tail_check, block_chain_mixing,
                                    localization_tail_check,
                                    lower_bound_experiment, mixing_scaling,
                                    regression_instances, spatial_decay_curve,
-                                   _cut_tv)
+                                   _law_tv)
 from atshuffle.banddp import BandDP
 from atshuffle.measure import enumerate_stationary
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
@@ -25,7 +25,7 @@ from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
 
 
 def enum_region_tv(n, p, ell, eta_a, eta_b, region):
-    mu = enumerate_stationary(n, p, ell)
+    mu = enumerate_stationary(n, p, ell, cap=n)
     laws = []
     for eta in (eta_a, eta_b):
         pins = eta.values()
@@ -175,21 +175,30 @@ def test_spatial_exact_matches_enumeration_one_sided():
         dpA = BandDP(p, ell, pins=eta_a.values())
         dpB = BandDP(p, ell, pins=eta_b.values())
         for r in range(1, 5):
-            tv_cut = _cut_tv(dpA, dpB, 1 + r)
+            tv_cut = _law_tv(dpA.cut_law(1 + r), dpB.cut_law(1 + r))
             tv_enum = enum_region_tv(n, p, ell, eta_a, eta_b, (2 + r, n))
             assert tv_cut == pytest.approx(tv_enum, abs=1e-10)
 
 
 def test_spatial_exact_matches_enumeration_two_sided():
-    n = 8
-    p = BiasMatrix.constant(n, 0.7)
-    ell = LocalizationVector.constant(n, 1)
-    eta_a = BoundaryAssignment(n, (1,), (8,))
-    eta_b = BoundaryAssignment(n, (2,), (7,))
-    res = spatial_decay_curve(p, ell, eta_a, eta_b, [1, 2], mode="exact")
-    for pt, r in zip(res.series, (1, 2)):
-        tv_enum = enum_region_tv(n, p, ell, eta_a, eta_b, (2 + r, n - 1 - r))
-        assert pt.estimate == pytest.approx(tv_enum, abs=1e-10)
+    cases = [(8, BiasMatrix.constant(8, 0.7), LocalizationVector.constant(8, 1),
+              ((1,), (8,)), ((2,), (7,)))]
+    # a random-eps instance with asymmetric windows, pinned at the two
+    # extreme end pairs of its support
+    n = 9
+    p = BiasMatrix.random_biased(n, 0.5, np.random.default_rng(6))
+    ell = LocalizationVector([1] * n, [2] * n)
+    ends = sorted({(s[:1], s[-1:])
+                   for s in enumerate_stationary(n, p, ell, cap=n).support})
+    cases.append((n, p, ell, ends[0], ends[-1]))
+    for n, p, ell, ends_a, ends_b in cases:
+        eta_a = BoundaryAssignment(n, *ends_a)
+        eta_b = BoundaryAssignment(n, *ends_b)
+        res = spatial_decay_curve(p, ell, eta_a, eta_b, [1, 2], mode="exact")
+        for pt, r in zip(res.series, (1, 2)):
+            tv_enum = enum_region_tv(n, p, ell, eta_a, eta_b,
+                                     (2 + r, n - 1 - r))
+            assert pt.estimate == pytest.approx(tv_enum, abs=1e-10)
 
 
 def test_spatial_identical_boundaries():

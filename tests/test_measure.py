@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from banddp_oracle import (random_bias_with_certain_pairs,
                            reference_transition_matrix)
+from atshuffle.chains import asep_stationary
 from atshuffle.errors import CapExceeded, ContractError, NotReversible
 from atshuffle.measure import (DistributionTable, build_transition_matrix,
                                check_detailed_balance, enumerate_stationary,
@@ -109,6 +110,14 @@ def test_spectral_gap_range_and_singleton():
     mu0 = enumerate_stationary(4, p4, ell0)
     P0 = build_transition_matrix(4, p4, ell0, mu=mu0)
     assert spectral_gap(P0, mu0) == 1.0
+
+
+def test_chains_without_an_edge_stay_put():
+    # one site has no edge to swap across, so the kernel is the identity
+    P = build_transition_matrix(1, BiasMatrix.constant(1, 0.6))
+    assert P.states == [(1,)] and P.matrix.toarray().tolist() == [[1.0]]
+    for k in (0, 1):
+        assert asep_stationary(1, k, 0.6).probs.tolist() == [1.0]
 
 
 def test_spectral_gap_iterative_matches_dense():

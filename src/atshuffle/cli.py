@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -91,7 +92,8 @@ _NS_KEY = {"ns": KeyRule(INTS, "a non-empty list of integers >= 2",
 # the experiment signatures
 CONFIG_KEYS = {command: {**_COMMON_KEYS, **keys} for command, keys in {
     "exact": _INSTANCE_KEYS,
-    "sample": {**_INSTANCE_KEYS, "samples": KeyRule(INT)},
+    "sample": {**_INSTANCE_KEYS,
+               "samples": KeyRule(INT, ">= 1", lambda v: v >= 1)},
     "chain": {**_INSTANCE_KEYS, "steps": KeyRule(INT), "init": FREE,
               "checkpoint_every": KeyRule(INT), "tracked_ks": KeyRule(INTS)},
     "asep": {"k": KeyRule(INT), "q": KeyRule(NUMBER), "rs": KeyRule(INTS)},
@@ -213,10 +215,22 @@ class RunConfig:
         return out
 
 
+def _read_file(spec: dict, key: str) -> str:
+    """The text of the file a {"file": path} config value names."""
+    path = spec["file"]
+    if not isinstance(path, str):
+        raise ContractError(f"{key}'s file must be a path, got {path!r}")
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ContractError(
+            f"cannot read {key}'s file {path!r}: {exc}") from exc
+
+
 def _load_bias(spec, n: int, seed: int) -> BiasMatrix:
     if isinstance(spec, dict) and "file" in spec:
-        with open(spec["file"]) as fh:
-            return BiasMatrix.from_text(fh.read())
+        return BiasMatrix.from_text(_read_file(spec, "p"))
     if isinstance(spec, dict) and "family" in spec:
         return make_family(n, _family_dict(spec), seed)
     raise ContractError("p must be {'family': ...} or {'file': ...}")
@@ -226,15 +240,18 @@ def _load_ell(spec, n: int | None) -> LocalizationVector | None:
     if spec is None:
         return None
     if isinstance(spec, dict) and "file" in spec:
-        with open(spec["file"]) as fh:
-            return LocalizationVector.from_text(fh.read())
-    if isinstance(spec, int):
+        return LocalizationVector.from_text(_read_file(spec, "ell"))
+    if _has_kind(spec, INT):
         if n is None:
             raise ContractError("constant localization needs n")
         return LocalizationVector.constant(n, spec)
-    if isinstance(spec, list):
+    if isinstance(spec, list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(_has_kind(v, INT) or v == math.inf for v in pair)
+            for pair in spec):
         return LocalizationVector([a for a, _ in spec], [b for _, b in spec])
-    raise ContractError("ell must be null, an int, [[lo,hi],...], or a file")
+    raise ContractError(f"ell must be null, an int, [[lo,hi],...], or a file; "
+                        f"got {spec!r}")
 
 
 def _family_dict(spec) -> dict:
@@ -338,10 +355,15 @@ def _run_chain(cfg: RunConfig, outdir: str):
         raise ContractError("checkpoint_every must be >= 1")
     init = cfg.values.get("init", "reversal")
     tracked = cfg.values.get("tracked_ks", [])
-    start = {"identity": Permutation.identity(n),
-             "reversal": Permutation.reversal(n)}.get(init)
-    if start is None:
-        start = Permutation(list(init))
+    if init == "identity":
+        start = Permutation.identity(n)
+    elif init == "reversal":
+        start = Permutation.reversal(n)
+    elif _has_kind(init, INTS) and sorted(init) == list(range(1, n + 1)):
+        start = Permutation(init)
+    else:
+        raise ContractError(f"unknown start {init!r}; choose identity, "
+                            f"reversal or a permutation of 1..{n} as a list")
     rng = derive_rng(cfg.seed, experiment_id("chain"))
     rows = start.forward[None, :]
     path = os.path.join(outdir, "trajectory.jsonl")

@@ -77,31 +77,87 @@ class ExperimentResult:
     verdict: Verdict
     meta: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
+    def _fields(self) -> dict:
+        """The record's top-level entries other than the series."""
         return {
             "schema": 1,
             "experiment": self.experiment,
             "fingerprint": self.fingerprint,
             "params": _plain(self.params),
-            "series": [pt.as_dict() for pt in self.series],
             "verdict": self.verdict.as_dict(),
             "meta": _plain(self.meta),
         }
 
+    def to_json_dict(self) -> dict:
+        return {**self._fields(),
+                "series": [pt.as_dict() for pt in self.series]}
+
     def write(self, outdir, stem: str) -> list:
-        """Write <stem>.json and <stem>.csv into outdir; returns the paths."""
+        """Write <stem>.json and <stem>.csv into outdir; returns the paths.
+
+        <stem>.json holds the bytes of ``json.dump(self.to_json_dict(), fh,
+        sort_keys=True, indent=1)`` and a newline.  The series, the one entry
+        that grows with the run, is formatted from ``repr`` of its columns
+        instead of going through json's pure-Python indenting encoder.
+        """
         import os
         os.makedirs(outdir, exist_ok=True)
         jpath = os.path.join(outdir, f"{stem}.json")
         cpath = os.path.join(outdir, f"{stem}.csv")
-        with open(jpath, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        with open(cpath, "w") as fh:
-            fh.write("x,estimate,stderr\n")
-            for pt in self.series:
-                fh.write(f"{pt.x!r},{pt.estimate!r},{pt.stderr!r}\n")
+        # the one line that starts with a single space and "series" holds the
+        # top-level series: nested keys sit deeper, and json escapes newlines
+        # inside strings
+        head, _, tail = json.dumps(
+            {**self._fields(), "series": None}, sort_keys=True,
+            indent=1).partition('\n "series": null')
+        with open(jpath, "w") as jfh, open(cpath, "w") as cfh:
+            jfh.write(head + '\n "series": ')
+            cfh.write("x,estimate,stderr\n")
+            for jtext, ctext in _series_texts(self.series):
+                jfh.write(jtext)
+                cfh.write(ctext)
+            jfh.write(tail + "\n")
         return [jpath, cpath]
+
+
+# series points formatted per write, so that the text held at once stays a
+# few MB whatever the length of the series
+_SERIES_CHUNK = 4096
+# one series point as json.dump(..., sort_keys=True, indent=1) nests it
+_POINT_JSON = ('  {\n   "estimate": %s,\n   "n_replicas": %s,\n'
+               '   "stderr": %s,\n   "x": %s\n  }')
+
+
+def _list_items(encoded: str) -> list:
+    """The item texts of the repr ``[a, b, ...]`` of a list of numbers."""
+    return encoded[1:-1].split(", ") if encoded != "[]" else []
+
+
+def _json_floats(encoded: str) -> str:
+    """json's spelling of the repr of a list of floats: it writes nan, inf
+    and -inf, which occur in no finite float's repr, as NaN, Infinity and
+    -Infinity, and every other float as repr does."""
+    return encoded.replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def _series_texts(series: list):
+    """Yield (JSON, CSV) text pieces of a series: the JSON pieces join to
+    result.json's series entry, the CSV pieces to result.csv's rows."""
+    if not series:
+        yield "[]", ""
+        return
+    for start in range(0, len(series), _SERIES_CHUNK):
+        part = series[start:start + _SERIES_CHUNK]
+        xs = repr([float(pt.x) for pt in part])
+        ests = repr([float(pt.estimate) for pt in part])
+        ses = repr([float(pt.stderr) for pt in part])
+        reps = _list_items(repr([int(pt.n_replicas) for pt in part]))
+        jx, je, js = (_list_items(_json_floats(col)) for col in (xs, ests, ses))
+        points = ",\n".join(map(_POINT_JSON.__mod__, zip(je, reps, js, jx)))
+        rows = "".join(f"{x},{e},{s}\n" for x, e, s
+                       in zip(*map(_list_items, (xs, ests, ses))))
+        yield ("[\n" if start == 0 else ",\n") + points, rows
+    yield "\n ]", ""
 
 
 def _plain(obj):

@@ -121,9 +121,9 @@ class DistributionTable:
         """Two columns: rank (by decreasing probability) and probability."""
         order = np.argsort(-self.probs, kind="stable")
         with open(path, "w") as fh:
-            fh.write("rank,probability\n")
-            for rank, i in enumerate(order, start=1):
-                fh.write(f"{rank},{float(self.probs[i])!r}\n")
+            fh.write("rank,probability\n" + "".join(
+                f"{rank},{pr!r}\n"
+                for rank, pr in enumerate(self.probs[order].tolist(), start=1)))
 
 
 def enumerate_stationary(n: int, p: BiasMatrix, ell: LocalizationVector | None = None,
@@ -156,7 +156,7 @@ def enumerate_stationary(n: int, p: BiasMatrix, ell: LocalizationVector | None =
     w = np.exp(logw - m)
     Z = float(w.sum())
     logZ = math.log(Z) + m
-    support = [tuple(int(x) for x in row) for row in perms]
+    support = list(map(tuple, perms.tolist()))
     return DistributionTable(support, w / Z, logZ)
 
 

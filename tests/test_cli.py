@@ -183,6 +183,14 @@ def test_sample_and_chain_commands(tmp_path):
     assert res["verdict"]["details"]["final_max_displacement"] == \
         recs[-1]["max_displacement"]
 
+    # a listed start, which used to raise TypeError from a dict lookup
+    cfg = write_config(tmp_path, "l.json", {
+        "command": "chain", "n": 4, "p": {"family": "constant-q", "q": 0.7},
+        "init": [2, 4, 1, 3], "steps": 10})
+    assert main(["--config", cfg, "--out", str(tmp_path / "l")]) == 0
+    first = (tmp_path / "l" / "trajectory.jsonl").read_text().splitlines()[0]
+    assert json.loads(first)["permutation"] == [2, 4, 1, 3]
+
 
 def test_asep_burnin_blockcheck_lowerbound_spatial(tmp_path):
     runs = [
@@ -296,6 +304,11 @@ def test_burnin_over_ns_refuses_ell(tmp_path):
       "method": "statistic", "delta": -1}, "delta must be in \\(0, 0.5\\]"),
     ({"command": "mix", "ns": [8, 12], "p": {"family": "constant-q", "q": 0.75},
       "delta": 0.75}, "delta must be in \\(0, 0.5\\]"),
+    # sample used to crash on an empty or negative draw count
+    ({"command": "sample", "n": 8, "p": {"family": "constant-q", "q": 0.75},
+      "samples": 0}, "samples must be >= 1"),
+    ({"command": "sample", "n": 8, "p": {"family": "constant-q", "q": 0.75},
+      "samples": -3}, "samples must be >= 1"),
 ])
 def test_missing_required_keys_are_config_errors(tmp_path, capsys, raw,
                                                  missing):
@@ -364,6 +377,22 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
     ({"command": "disconnect", "n": 6, "p": {"family": "constant-q", "q": 0.7},
       "ks": [0, 2], "mode": "sampled", "budget": 50},
      "k=0 outside the valid range [1, 6]"),
+    # chain starts other than the two names and a permutation list used to
+    # crash, or, for a string of digits, to run from its characters
+    *[({"command": "chain", "n": 4, "p": {"family": "constant-q", "q": 0.7},
+        "steps": 10, "init": init}, "unknown start")
+      for init in (7, "bogus", "4321", [1, 2, 2, 4], [1, 2, 3], [1, 2, 3, True])],
+    # a bool used to run as window 1; bare numbers or triples as pairs, and
+    # missing files, used to crash
+    *[({"command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.7},
+        "ell": ell}, "ell must be")
+      for ell in (True, [1, 1, 1, 1], [[1, 1, 1]] * 4, [[1, True]] * 4,
+                  [[1, 1.5]] * 4)],
+    ({"command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.7},
+      "ell": {"file": "missing-localization.txt"}}, "cannot read ell's file"),
+    ({"command": "exact", "n": 4, "p": {"file": "missing-instance.txt"}},
+     "cannot read p's file"),
+    ({"command": "exact", "n": 4, "p": {"file": 3}}, "p's file must be a path"),
 ])
 def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
                                                             message):

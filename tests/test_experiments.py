@@ -1,14 +1,22 @@
 import hashlib
+import io
 import itertools
 import json
 import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from atshuffle import experiments
 from atshuffle.chains import BlockSchedule, derive_rng, experiment_id
 from atshuffle.errors import ContractError
-from atshuffle.experiments import (asep_tail_check, block_chain_mixing,
+from atshuffle.experiments import (ExperimentResult, SeriesPoint, Verdict,
+                                   asep_tail_check, block_chain_mixing,
                                    block_decomposition_check, burn_in_profile,
                                    disconnect_probability,
                                    disconnect_product_bound,
@@ -432,6 +440,53 @@ def test_result_records_are_deterministic():
     a = localization_tail_check(5, p, None, mode="exact").to_json_dict()
     b = localization_tail_check(5, p, None, mode="exact").to_json_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# JSON values for params, meta and verdict details: non-ASCII text, every
+# float, and "series" as a nested key
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.just("series") | st.text(), inner,
+                                     max_size=3)),
+    max_leaves=8)
+JSON_DICTS = st.dictionaries(st.just("series") | st.text(), JSON_VALUES,
+                             max_size=4)
+RESULTS = st.builds(
+    ExperimentResult, st.text(), st.text(), JSON_DICTS,
+    st.lists(st.builds(SeriesPoint, st.floats(), st.floats(), st.floats(),
+                       st.integers()), max_size=12),
+    st.builds(Verdict, st.booleans(), st.text(), JSON_DICTS), JSON_DICTS)
+EDGE_RESULT = ExperimentResult(
+    "exäct", "fingerprint", {"series": [float("nan"), -0.0], "ключ": "значение"},
+    [SeriesPoint(0, float("nan"), float("inf"), 1),
+     SeriesPoint(-0.0, 5e-324, float("-inf"), 0),
+     SeriesPoint(2.2250738585072014e-308, -1e-310, 1e300, 7)],
+    Verdict(False, "bound ≤ 1", {"series": {"x": float("inf")}}),
+    {"series": "omitted"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(res=RESULTS, chunk=st.integers(1, 4))
+@example(res=EDGE_RESULT, chunk=1)
+@example(res=EDGE_RESULT, chunk=4096)
+@example(res=ExperimentResult("e", "f", {}, [], Verdict(True, "b")), chunk=1)
+def test_write_matches_json_dump_and_the_row_loop(res, chunk):
+    # the series is written in chunks of any size; the JSON bytes are json's
+    # own and the CSV rows those of one f-string per point
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(experiments, "_SERIES_CHUNK", chunk):
+        jpath, cpath = res.write(os.path.join(tmp, "out"), "r")
+        with open(jpath) as fh:
+            written_json = fh.read()
+        with open(cpath) as fh:
+            written_csv = fh.read()
+    expected = io.StringIO()
+    json.dump(res.to_json_dict(), expected, sort_keys=True, indent=1)
+    expected.write("\n")
+    assert written_json == expected.getvalue()
+    assert written_csv == "x,estimate,stderr\n" + "".join(
+        f"{pt.x!r},{pt.estimate!r},{pt.stderr!r}\n" for pt in res.series)
 
 
 def test_regression_instances_fixed_seed():

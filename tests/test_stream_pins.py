@@ -77,6 +77,13 @@ EXACT_CONFIG = {"command": "exact", "n": 8,
 EXACT_GAP = 0.029170059140116833
 GAP_TOL = 1e-8
 EXACT_DIGEST = "c2855f554904811bdfc4d573743396378661c5d96cfbac45121a6e1deb00d694"
+# sha256 of the two tables of the same run; neither holds the gap
+EXACT_TABLE_DIGESTS = {
+    "result.csv":
+        "fd2cf3096304d1def3a2722d419a479b0bb2049b37b0e9a1dc7150e9d5dd4550",
+    "distribution.csv":
+        "9e551001124e3f487706b9435d87596f363eae51655c87497d4f9590b64123e5",
+}
 
 
 @pytest.mark.parametrize("n", sorted(MEETING_TIMES))
@@ -139,6 +146,12 @@ def test_cli_exact_result_pinned(tmp_path):
     gapless = re.sub(rb'"gap": [^,}\n]*', b'"gap": null', data)
     assert gapless.count(b'"gap": null') == 1
     assert hashlib.sha256(gapless).hexdigest() == EXACT_DIGEST
+
+
+def test_cli_exact_tables_pinned(tmp_path):
+    cli_artifact(tmp_path, EXACT_CONFIG, "result.csv")
+    assert {name: hashlib.sha256((tmp_path / "o" / name).read_bytes())
+            .hexdigest() for name in EXACT_TABLE_DIGESTS} == EXACT_TABLE_DIGESTS
 
 
 def test_band_dp_rows_pinned():

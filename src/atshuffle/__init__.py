@@ -22,10 +22,9 @@ from .measure import (DistributionTable, TransitionMatrix,
 from .banddp import (BandDP, band_dp_conditional_marginal, band_dp_partition,
                      band_dp_sample, exact_localized_sampler,
                      heat_bath_block_sample)
-from .chains import (AsepState, BlockSchedule, DrawStream, UpdateDraw,
+from .chains import (AsepState, BlockSchedule, UpdateDraw,
                      asep_rightmost_tail, asep_stationary, asep_step, at_step,
                      block_step, coupled_asep_step, coupled_domination_step,
                      derive_rng, eta_projection, exact_block_kernel,
-                     left_order_leq, restricted_at_step,
-                     twin_chain_coupling_run)
+                     left_order_leq, twin_chain_coupling_run)
 from .errors import CapExceeded, ContractError, EmptySupport, NotReversible

@@ -1,7 +1,9 @@
 """The stochastic processes and their couplings.
 
-Two update orientations appear on purpose.  ``at_step`` follows the documented
-single-chain convention (swap iff u < p[behind][ahead]); the coupled steps use
+Two update orientations appear on purpose.  ``at_step``, the one scalar
+reference of the chain and, with a localization vector, of the restricted
+chain, follows the documented single-chain convention (swap iff
+u < p[behind][ahead]), as do the twin chains; the coupled steps use
 the order-based convention (the smaller label ends up ahead iff
 u < p[low][high]).  Both produce the same one-step kernel, but only the
 order-based form nests the events of the permutation chain inside the ASEP
@@ -9,9 +11,12 @@ events, which is what makes the domination couplings preserve their
 invariants pathwise.
 
 Every process is a deterministic function of a stream of UpdateDraw values;
-couplings are just several consumers of one stream.  Substreams are derived
-from a master seed via ``derive_rng(master, *keys)``, which feeds the integer
-tuple (master, key1, key2, ...) to numpy's SeedSequence.
+couplings are just several consumers of one stream.  The scalar drivers (the
+twin chains and the audits) read theirs from ``_audit_draws`` as plain lists,
+in fixed chunks so that the stream does not depend on the horizon.
+Substreams are derived from a master seed via ``derive_rng(master, *keys)``,
+which feeds the integer tuple (master, key1, key2, ...) to numpy's
+SeedSequence.
 """
 
 from __future__ import annotations
@@ -60,40 +65,9 @@ class UpdateDraw:
             raise ContractError("edge must be >= 1")
 
 
-class DrawStream:
-    """Sequence of UpdateDraw values for a chain on n sites."""
-
-    def __init__(self, n: int, rng: np.random.Generator):
-        if n < 2:
-            raise ContractError("need at least two sites")
-        self.n = n
-        self.rng = rng
-        self.t = 0
-
-    def __next__(self) -> UpdateDraw:
-        d = UpdateDraw(self.t, int(self.rng.integers(1, self.n)),
-                       float(self.rng.random()))
-        self.t += 1
-        return d
-
-    def draw(self) -> UpdateDraw:
-        return next(self)
-
-
 # ---------------------------------------------------------------------------
 # single-site steps
 # ---------------------------------------------------------------------------
-
-def at_step(sigma: Permutation, p: BiasMatrix, draw: UpdateDraw) -> Permutation:
-    """One adjacent-transposition update; swap iff u < p[behind][ahead]."""
-    if not 1 <= draw.edge <= sigma.n - 1:
-        raise ContractError("edge out of range")
-    out = sigma.copy()
-    a, b = out.at(draw.edge), out.at(draw.edge + 1)
-    if draw.u < p.get(b, a):
-        out.swap(draw.edge)
-    return out
-
 
 def _swap_keeps_localized(sigma: Permutation, edge: int,
                           ell: LocalizationVector) -> bool:
@@ -106,17 +80,23 @@ def _swap_keeps_localized(sigma: Permutation, edge: int,
     return (edge + 1 - a) <= int(ell.hi[a - 1]) and (b - edge) <= int(ell.lo[b - 1])
 
 
-def restricted_at_step(sigma: Permutation, p: BiasMatrix,
-                       ell: LocalizationVector, draw: UpdateDraw) -> Permutation:
-    """at_step with moves leaving the localized set rejected in place."""
-    if not is_localized(sigma, ell):
+def at_step(sigma: Permutation, p: BiasMatrix, draw: UpdateDraw,
+            ell: LocalizationVector | None = None) -> Permutation:
+    """One adjacent-transposition update; swap iff u < p[behind][ahead].
+
+    With ell, sigma must lie in the localized set, and a swap that would
+    leave it is rejected in place (the restricted chain).
+    """
+    if not 1 <= draw.edge <= sigma.n - 1:
+        raise ContractError("edge out of range")
+    if ell is not None and not is_localized(sigma, ell):
         raise ContractError("state is outside the localized set")
-    a, b = sigma.at(draw.edge), sigma.at(draw.edge + 1)
-    if draw.u < p.get(b, a) and _swap_keeps_localized(sigma, draw.edge, ell):
-        out = sigma.copy()
+    out = sigma.copy()
+    a, b = out.at(draw.edge), out.at(draw.edge + 1)
+    if draw.u < p.get(b, a) and (ell is None
+                                 or _swap_keeps_localized(out, draw.edge, ell)):
         out.swap(draw.edge)
-        return out
-    return sigma.copy()
+    return out
 
 
 def _ordered_pair_update(sigma: Permutation, p: BiasMatrix, draw: UpdateDraw,
@@ -168,11 +148,6 @@ class AsepState:
 
     def prefix_counts(self) -> np.ndarray:
         return np.cumsum(self.occ)
-
-    def rightmost(self) -> int:
-        """Largest occupied site (0 if empty)."""
-        idx = np.nonzero(self.occ)[0]
-        return int(idx[-1]) + 1 if idx.size else 0
 
     def to_tuple(self) -> tuple:
         return tuple(int(v) for v in self.occ)
@@ -418,26 +393,22 @@ class BlockSchedule:
         return int(cover.max())
 
 
-def _segment_alphabets(sigma: Permutation, segments: list,
-                       ell: LocalizationVector | None):
-    """Map each block occupant to the segments its window touches.
+def _segments_factorize(sigma: Permutation, segments: list,
+                        ell: LocalizationVector | None) -> bool:
+    """Whether the window of every block occupant touches exactly one segment.
 
-    Returns None when some occupant could sit in more than one segment, in
-    which case the conditional law does not factorize.
+    Only then does the conditional law factorize over the segments.
     """
     if ell is None:
-        return None if len(segments) > 1 else {0: []}
-    feasible = {}
-    for s, (a, b) in enumerate(segments):
+        return len(segments) == 1
+    for a, b in segments:
         for pos in range(a, b + 1):
-            x = sigma.at(pos)
-            lo, hi = ell.window(x)
+            lo, hi = ell.window(sigma.at(pos))
             touch = [t for t, (aa, bb) in enumerate(segments)
                      if not (hi < aa or lo > bb)]
             if len(touch) != 1:
-                return None
-            feasible.setdefault(touch[0], []).append(x)
-    return feasible
+                return False
+    return True
 
 
 def block_step(sigma: Permutation, schedule: BlockSchedule, p: BiasMatrix,
@@ -458,8 +429,7 @@ def block_step(sigma: Permutation, schedule: BlockSchedule, p: BiasMatrix,
     segments = blocks[choice]
     if len(segments) == 1:
         return heat_bath_block_sample(sigma, segments[0], p, ell, rng)
-    split = _segment_alphabets(sigma, segments, ell)
-    if split is not None:
+    if _segments_factorize(sigma, segments, ell):
         out = sigma
         for seg in segments:
             out = heat_bath_block_sample(out, seg, p, ell, rng)
@@ -511,48 +481,42 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
                             schedule: BlockSchedule | None = None):
     """Run two chains on identical draws; return the first meeting time.
 
-    Returns (t, aux) with t = None on timeout.  For the block driver each
-    step gets its own derived substream, so a rejection in one chain cannot
-    desynchronize later steps; coalescence is absorbing for all drivers.
+    Returns (t, aux) with t = None on timeout.  The at driver applies
+    ``at_step``'s rule to both chains, on the ``_audit_draws`` stream and
+    restricted when ell is given.  For the block driver each step gets its
+    own derived substream, so a rejection in one chain cannot desynchronize
+    later steps; coalescence is absorbing for both drivers.
     """
-    if x0a.n != x0b.n:
+    if not x0a.n == x0b.n == p.n:
         raise ContractError("sizes must match")
-    if isinstance(seed, np.random.Generator):
-        seed = int(seed.integers(0, 2 ** 62))
     n = x0a.n
-    if driver in ("at", "restricted"):
-        use_ell = ell if driver == "restricted" else None
-        if use_ell is not None:
-            if not (is_localized(x0a, use_ell) and is_localized(x0b, use_ell)):
-                raise ContractError("starts must be localized")
-        fa = x0a.forward.copy()
-        fb = x0b.forward.copy()
-        diff = int(np.sum(fa != fb))
+    if driver == "at":
+        if ell is not None and not (is_localized(x0a, ell)
+                                    and is_localized(x0b, ell)):
+            raise ContractError("starts must be localized")
+        fa = x0a.forward.tolist()
+        fb = x0b.forward.tolist()
+        diff = sum(a != b for a, b in zip(fa, fb))
         if diff == 0:
             return 0, {"driver": driver}
-        dense = p.dense()
-        lo = use_ell.lo if use_ell is not None else None
-        hi = use_ell.hi if use_ell is not None else None
+        prob = p.dense().tolist()
+        lo = ell.lo.tolist() if ell is not None else None
+        hi = ell.hi.tolist() if ell is not None else None
         rng = derive_rng(seed, experiment_id("twin-draws"))
-        chunk = 8192
-        t = 0
-        while t < T:
-            # fixed-size chunks keep the draw stream independent of T
-            edges = rng.integers(1, n, size=chunk)
-            us = rng.random(chunk)
-            for e, u in zip(edges[:T - t], us[:T - t]):
+        for t, edges, us in _audit_draws(rng, n, T):
+            for e, u in zip(edges, us):
                 t += 1
-                before = int(fa[e - 1] != fb[e - 1]) + int(fa[e] != fb[e])
+                i = e - 1
+                before = (fa[i] != fb[i]) + (fa[e] != fb[e])
                 for f in (fa, fb):
-                    a = f[e - 1]
+                    a = f[i]
                     b = f[e]
-                    if u < dense[b - 1, a - 1]:
+                    if u < prob[b - 1][a - 1]:
                         if lo is None or ((e + 1 - a) <= hi[a - 1]
                                           and (b - e) <= lo[b - 1]):
-                            f[e - 1] = b
+                            f[i] = b
                             f[e] = a
-                after = int(fa[e - 1] != fb[e - 1]) + int(fa[e] != fb[e])
-                diff += after - before
+                diff += (fa[i] != fb[i]) + (fa[e] != fb[e]) - before
                 if diff == 0:
                     return t, {"driver": driver}
         return None, {"driver": driver}
@@ -575,7 +539,7 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
             if np.array_equal(a.forward, b.forward):
                 return t, {"driver": driver}
         return None, {"driver": driver}
-    raise ContractError(f"unknown driver {driver}")
+    raise ContractError(f"unknown driver {driver!r}; choose at or block")
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +708,8 @@ def asep_pair_coalescence(n: int, k: int, q: float, seed: int,
 
 
 def _audit_draws(rng: np.random.Generator, n: int, steps: int):
-    """The audits' shared draws, chunk by chunk: (steps done, edges, us)."""
+    """The scalar drivers' shared draws, chunk by chunk: (steps done, edges,
+    us)."""
     t = 0
     while t < steps:
         edges = rng.integers(1, n, size=_AUDIT_CHUNK).tolist()

@@ -96,22 +96,27 @@ CONFIG_KEYS = {command: {**_COMMON_KEYS, **keys} for command, keys in {
                "samples": KeyRule(INT, ">= 1", lambda v: v >= 1)},
     "chain": {**_INSTANCE_KEYS, "steps": KeyRule(INT), "init": FREE,
               "checkpoint_every": KeyRule(INT), "tracked_ks": KeyRule(INTS)},
-    "asep": {"k": KeyRule(INT), "q": KeyRule(NUMBER), "rs": KeyRule(INTS)},
+    "asep": {"k": KeyRule(INT), "q": KeyRule(NUMBER),
+             "rs": KeyRule(INTS, "non-empty", lambda v: v != [])},
     # the stderr of each burn-in checkpoint needs two replicas (ddof = 1)
     "burnin": {**_INSTANCE_KEYS, **_NS_KEY, "T_mult": KeyRule(INT),
                "replicas": KeyRule(INT, ">= 2", lambda v: v >= 2),
                "quantile": KeyRule(NUMBER, "in (0, 1)", lambda v: 0 < v < 1),
                "init": FREE, "T": KeyRule(INT)},
     "spatial": {**_INSTANCE_KEYS, "eta": FREE, "eta_bar": FREE,
-                "rs": KeyRule(INTS), "mode": FREE, "budget": KeyRule(INT),
+                "rs": KeyRule(INTS, "non-empty", lambda v: v != []),
+                "mode": FREE,
+                "budget": KeyRule(INT, ">= 1", lambda v: v >= 1),
                 "threshold": KeyRule(NUMBER)},
     "disconnect": {**_INSTANCE_KEYS, "ks": KeyRule(INTS), "mode": FREE,
-                   "budget": KeyRule(INT), "boundary": FREE},
+                   "budget": KeyRule(INT, ">= 1", lambda v: v >= 1),
+                   "boundary": FREE},
     "blockcheck": {**_INSTANCE_KEYS, "schedule": FREE, "selection": FREE},
-    # mix and lowerbound run unrestricted chains: no ell
+    # mix and lowerbound run unrestricted chains: no ell; the stderr of
+    # each mix fit needs two runs per size (ddof = 1)
     "mix": {"p": FREE, **_NS_KEY,
             "delta": KeyRule(NUMBER, "in (0, 0.5]", lambda v: 0 < v <= 0.5),
-            "method": FREE, "budget": KeyRule(INT)},
+            "method": FREE, "budget": KeyRule(INT, ">= 2", lambda v: v >= 2)},
     "lowerbound": {"p": FREE, "eta": KeyRule(NUMBER),
                    "replicas": KeyRule(INT, ">= 1", lambda v: v >= 1),
                    "threshold": KeyRule(NUMBER)},
@@ -215,22 +220,28 @@ class RunConfig:
         return out
 
 
-def _read_file(spec: dict, key: str) -> str:
-    """The text of the file a {"file": path} config value names."""
+def _parse_file(spec: dict, key: str, parse):
+    """The file a {"file": path} config value names, read and given to
+    parse."""
     path = spec["file"]
     if not isinstance(path, str):
         raise ContractError(f"{key}'s file must be a path, got {path!r}")
     try:
         with open(path) as fh:
-            return fh.read()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ContractError(
             f"cannot read {key}'s file {path!r}: {exc}") from exc
+    try:
+        return parse(text)
+    except (ValueError, IndexError) as exc:
+        raise ContractError(
+            f"malformed {key} file {path!r}: {exc}") from exc
 
 
 def _load_bias(spec, n: int, seed: int) -> BiasMatrix:
     if isinstance(spec, dict) and "file" in spec:
-        return BiasMatrix.from_text(_read_file(spec, "p"))
+        return _parse_file(spec, "p", BiasMatrix.from_text)
     if isinstance(spec, dict) and "family" in spec:
         return make_family(n, _family_dict(spec), seed)
     raise ContractError("p must be {'family': ...} or {'file': ...}")
@@ -240,7 +251,7 @@ def _load_ell(spec, n: int | None) -> LocalizationVector | None:
     if spec is None:
         return None
     if isinstance(spec, dict) and "file" in spec:
-        return LocalizationVector.from_text(_read_file(spec, "ell"))
+        return _parse_file(spec, "ell", LocalizationVector.from_text)
     if _has_kind(spec, INT):
         if n is None:
             raise ContractError("constant localization needs n")

@@ -108,15 +108,6 @@ class DistributionTable:
         i = self._index.get(tuple(state))
         return float(self.probs[i]) if i is not None else 0.0
 
-    def index_of(self, state) -> int | None:
-        return self._index.get(tuple(state))
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        idx = rng.choice(len(self.support), size=size, p=self.probs)
-        if size is None:
-            return self.support[int(idx)]
-        return [self.support[int(i)] for i in idx]
-
     def to_csv(self, path) -> None:
         """Two columns: rank (by decreasing probability) and probability."""
         order = np.argsort(-self.probs, kind="stable")
@@ -162,24 +153,19 @@ def enumerate_stationary(n: int, p: BiasMatrix, ell: LocalizationVector | None =
 
 @dataclass
 class TransitionMatrix:
-    """Sparse row-stochastic kernel over an indexed state list."""
+    """Sparse row-stochastic kernel over a state list."""
 
     states: list
     matrix: sp.csr_matrix
     reversible: bool = False
-    _index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self._index = {s: i for i, s in enumerate(self.states)}
         sums = np.asarray(self.matrix.sum(axis=1)).ravel()
         if np.any(np.abs(sums - 1.0) > 1e-12):
             raise ContractError("rows must sum to 1 within 1e-12")
 
     def __len__(self):
         return len(self.states)
-
-    def index_of(self, state) -> int:
-        return self._index[tuple(state)]
 
 
 def check_detailed_balance(P: TransitionMatrix, mu: DistributionTable,

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ContractError, EmptySupport
 
-UNBOUNDED = math.inf
 # marks a lazily computed value that may itself be None
 _LAZY = object()
 
@@ -77,12 +76,6 @@ class Permutation:
 
     def to_tuple(self) -> tuple:
         return tuple(self.forward.tolist())
-
-    def check_consistent(self) -> None:
-        """Assert forward/inverse are mutually inverse (debug helper)."""
-        n = self.n
-        if not np.array_equal(self.inverse[self.forward - 1], np.arange(1, n + 1)):
-            raise AssertionError("forward/inverse arrays out of sync")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
@@ -160,10 +153,6 @@ class LocalizationVector:
     def constant(cls, n: int, ell) -> "LocalizationVector":
         return cls([ell] * n, [ell] * n)
 
-    @classmethod
-    def unbounded(cls, n: int) -> "LocalizationVector":
-        return cls([UNBOUNDED] * n, [UNBOUNDED] * n)
-
     @property
     def l_max_minus(self) -> int:
         return int(self.lo.max()) if self.n else 0
@@ -188,10 +177,6 @@ class LocalizationVector:
         starts = k - self.lo
         ends = k + self.hi
         return bool(np.all(np.diff(starts) >= 0) and np.all(np.diff(ends) >= 0))
-
-    def is_unrestricted(self) -> bool:
-        k = np.arange(1, self.n + 1)
-        return bool(np.all(self.lo == k - 1) and np.all(self.hi == self.n - k))
 
     def to_tuple(self) -> tuple:
         return tuple((int(a), int(b)) for a, b in zip(self.lo, self.hi))
@@ -543,18 +528,12 @@ class BoundaryAssignment:
     def interior_size(self) -> int:
         return self.n - self.i - self.j
 
-    def positions(self) -> list:
-        return list(range(1, self.i + 1)) + list(range(self.n - self.j + 1, self.n + 1))
-
     def values(self) -> dict:
         """Position -> particle map over A^c."""
         out = {pos: int(v) for pos, v in zip(range(1, self.i + 1), self.left)}
         out.update({pos: int(v) for pos, v in
                     zip(range(self.n - self.j + 1, self.n + 1), self.right)})
         return out
-
-    def assigned_labels(self) -> set:
-        return set(self.left) | set(self.right)
 
     def is_localized(self, ell: LocalizationVector) -> bool:
         for pos, v in self.values().items():

@@ -19,7 +19,7 @@ from atshuffle.perms import BiasMatrix, LocalizationVector, Permutation, is_loca
 
 
 def relabel_map(boundary):
-    used = boundary.assigned_labels()
+    used = set(boundary.left) | set(boundary.right)
     free = [k for k in range(1, boundary.n + 1) if k not in used]
     return np.array(free, dtype=np.int64)
 

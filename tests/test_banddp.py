@@ -176,7 +176,8 @@ def test_mallows_degenerate_cases():
     tas = MallowsRejectionSampler(6, 1.0, ell)
     rows = tas.draw_rows(np.random.default_rng(0), 8)
     assert np.all(rows == np.arange(1, 7))
-    rev = MallowsRejectionSampler(6, 0.0, LocalizationVector.unbounded(6))
+    rev = MallowsRejectionSampler(6, 0.0,
+                                  LocalizationVector.constant(6, math.inf))
     rows = rev.draw_rows(np.random.default_rng(0), 3)
     assert np.all(rows == np.arange(6, 0, -1))
     # the reversal is the only draw and lies outside a narrow window

@@ -10,17 +10,19 @@ from banddp_oracle import random_bias_with_certain_pairs
 from kernel_oracle import (reference_asep_transition_matrix,
                            reference_asep_weights, reference_block_kernel)
 from atshuffle.banddp import heat_bath_block_rows
-from atshuffle.chains import (AsepState, BlockSchedule, DrawStream, UpdateDraw,
-                              asep_rightmost_tail, asep_stationary, asep_step,
+from atshuffle.chains import (AsepState, BlockSchedule, UpdateDraw,
+                              _audit_draws, asep_rightmost_tail,
+                              asep_stationary, asep_step,
                               asep_transition_matrix, at_step, block_step,
                               derive_rng, ensemble_chain_run, eta_projection,
-                              exact_block_kernel, left_order_leq,
-                              restricted_at_step, twin_chain_coupling_run)
+                              exact_block_kernel, experiment_id,
+                              left_order_leq, twin_chain_coupling_run)
 from atshuffle.errors import ContractError
 from atshuffle.measure import (build_transition_matrix, check_detailed_balance,
                                enumerate_stationary, spectral_gap)
 from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
-                             is_localized, random_admissible_localization)
+                             is_localized, max_localized_state,
+                             random_admissible_localization)
 
 
 def test_at_step_examples():
@@ -39,18 +41,18 @@ def test_restricted_at_step_examples():
     sid = Permutation.identity(3)
     for e in (1, 2):
         for u in (0.0, 0.99):
-            assert restricted_at_step(sid, p, ell0,
-                                      UpdateDraw(0, e, u)).to_tuple() == (1, 2, 3)
+            assert at_step(sid, p, UpdateDraw(0, e, u),
+                           ell0).to_tuple() == (1, 2, 3)
     ell1 = LocalizationVector.constant(3, 1)
-    out = restricted_at_step(Permutation((2, 1, 3)), p, ell1, UpdateDraw(0, 2, 0.0))
+    out = at_step(Permutation((2, 1, 3)), p, UpdateDraw(0, 2, 0.0), ell1)
     assert out.to_tuple() == (2, 1, 3)
     with pytest.raises(ContractError):
-        restricted_at_step(Permutation((3, 2, 1)), p, ell1, UpdateDraw(0, 1, 0.5))
+        at_step(Permutation((3, 2, 1)), p, UpdateDraw(0, 1, 0.5), ell1)
 
 
 def _one_step_chi_square(rows, mu, P, start):
     cnt = Counter(tuple(int(v) for v in r) for r in rows)
-    row = P.matrix[P.index_of(start.to_tuple())].toarray().ravel()
+    row = P.matrix[P.states.index(start.to_tuple())].toarray().ravel()
     observed = np.array([cnt.get(s, 0) for s in mu.support], dtype=float)
     expected = row * len(rows)
     keep = expected >= 5
@@ -110,13 +112,13 @@ def test_ensemble_stepper_matches_scalar_stepper():
     us = master.random((2048, 1))
     sigma = Permutation((2, 1, 3, 5, 4))
     for s in range(steps):
-        sigma = restricted_at_step(sigma, p, ell,
-                                   UpdateDraw(s, int(edges[s, 0]), float(us[s, 0])))
+        sigma = at_step(sigma, p,
+                        UpdateDraw(s, int(edges[s, 0]), float(us[s, 0])), ell)
     F, INV = ensemble_chain_run(p, Permutation((2, 1, 3, 5, 4)).forward[None, :],
                                 steps, derive_rng(7, 1), ell=ell)
     assert tuple(F[0]) == sigma.to_tuple()
     assert tuple(INV[0]) == tuple(sigma.inverse)
-    # like restricted_at_step, the ensemble refuses starts outside the set
+    # like the restricted at_step, the ensemble refuses starts outside the set
     starts = np.stack([Permutation.identity(n).forward,
                        Permutation.reversal(n).forward])
     with pytest.raises(ContractError):
@@ -136,8 +138,7 @@ def _ensemble_oracle(p, starts, steps, rng, ell, chunk):
             for r in range(R):
                 draw = UpdateDraw(len(history), int(edges[s, r]),
                                   float(us[s, r]))
-                rows[r] = (at_step(rows[r], p, draw) if ell is None
-                           else restricted_at_step(rows[r], p, ell, draw))
+                rows[r] = at_step(rows[r], p, draw, ell)
             history.append([r.to_tuple() for r in rows])
     return history
 
@@ -161,10 +162,8 @@ def test_ensemble_stepper_matches_scalar_oracle(n, R, data, seed, steps,
     for _ in range(R):
         sigma = Permutation.identity(n)
         for t in range(int(rng.integers(0, 4 * n))):
-            sigma = restricted_at_step(sigma, BiasMatrix.constant(n, 0.5),
-                                       walk_ell, UpdateDraw(
-                                           t, int(rng.integers(1, n)),
-                                           float(rng.random())))
+            sigma = at_step(sigma, BiasMatrix.constant(n, 0.5), UpdateDraw(
+                t, int(rng.integers(1, n)), float(rng.random())), walk_ell)
         starts.append(sigma.forward)
     starts = np.array(starts, dtype=np.int64)
     if layout == "F":
@@ -392,7 +391,7 @@ def test_exact_block_kernel_matches_block_step_frequencies():
     for b_idx, count in Counter(int(x) for x in picks).items():
         rows = heat_bath_block_rows(start, blocks[b_idx][0], p, ell, rng, count)
         cnt.update(tuple(int(v) for v in r) for r in rows)
-    row = K.matrix[K.index_of(start.to_tuple())].toarray().ravel()
+    row = K.matrix[K.states.index(start.to_tuple())].toarray().ravel()
     observed = np.array([cnt.get(s, 0) for s in mu.support], dtype=float)
     expected = row * R
     keep = expected >= 5
@@ -437,14 +436,18 @@ def test_twin_chain_coupling():
     t, _ = twin_chain_coupling_run(Permutation((1, 2)), Permutation((2, 1)),
                                    p, None, 2000, seed=1)
     assert t is not None and t <= 100
-    # restricted driver
+    # a bias matrix of another size used to run on its corner or crash
+    for m in (1, 3):
+        with pytest.raises(ContractError, match="sizes must match"):
+            twin_chain_coupling_run(Permutation((1, 2)), Permutation((2, 1)),
+                                    BiasMatrix.constant(m, 0.6), None, 100, 1)
+    # ell selects the restricted chain
     n = 5
     ell = LocalizationVector.constant(n, 2)
-    from atshuffle.perms import max_localized_state
     t, _ = twin_chain_coupling_run(Permutation.identity(n),
                                    max_localized_state(ell),
                                    BiasMatrix.constant(n, 0.75), ell,
-                                   200000, seed=2, driver="restricted")
+                                   200000, seed=2)
     assert t is not None
     # block driver with a single block coalesces in exactly one step
     t, _ = twin_chain_coupling_run(Permutation.identity(n),
@@ -453,6 +456,42 @@ def test_twin_chain_coupling():
                                    5, seed=3, driver="block",
                                    schedule=BlockSchedule.single(n))
     assert t == 1
+
+
+def _first_agreement(a, b, p, ell, T, seed):
+    """The twin's meeting time by two at_step chains on its draw stream."""
+    if a == b:
+        return 0
+    rng = derive_rng(seed, experiment_id("twin-draws"))
+    for t, edges, us in _audit_draws(rng, a.n, T):
+        for e, u in zip(edges, us):
+            t += 1
+            draw = UpdateDraw(t, e, u)
+            a, b = at_step(a, p, draw, ell), at_step(b, p, draw, ell)
+            if a == b:
+                return t
+    return None
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       restricted=st.booleans(), T=st.integers(0, 1000))
+def test_twin_meets_when_two_at_step_chains_first_agree(n, seed, restricted,
+                                                        T):
+    rng = np.random.default_rng(seed)
+    p = random_bias_with_certain_pairs(n, rng)
+    ell = random_admissible_localization(n, rng, max_ell=n - 1) if restricted \
+        else None
+    # localized starts: short restricted walks from the two extreme states
+    walk_ell = ell if restricted else LocalizationVector.constant(n, n)
+    starts = []
+    for sigma in (Permutation.identity(n), max_localized_state(walk_ell)):
+        for t in range(int(rng.integers(0, 2 * n))):
+            sigma = at_step(sigma, BiasMatrix.constant(n, 0.5), UpdateDraw(
+                t, int(rng.integers(1, n)), float(rng.random())), walk_ell)
+        starts.append(sigma)
+    t, _ = twin_chain_coupling_run(*starts, p, ell, T, seed)
+    assert t == _first_agreement(*starts, p, ell, T, seed)
 
 
 def test_coalesced_twins_never_separate():
@@ -468,14 +507,11 @@ def test_coalesced_twins_never_separate():
     assert t1 == t2
 
 
-def test_draw_stream():
-    stream = DrawStream(5, np.random.default_rng(0))
-    d0 = stream.draw()
-    d1 = stream.draw()
-    assert d0.t == 0 and d1.t == 1
-    assert 1 <= d0.edge <= 4 and 0.0 <= d0.u < 1.0
+def test_update_draw_contract():
     with pytest.raises(ContractError):
         UpdateDraw(0, 1, 1.5)
+    with pytest.raises(ContractError):
+        UpdateDraw(0, 0, 0.5)
 
 
 def test_checkpoint_and_audit_records(tmp_path):

@@ -309,6 +309,22 @@ def test_burnin_over_ns_refuses_ell(tmp_path):
       "samples": 0}, "samples must be >= 1"),
     ({"command": "sample", "n": 8, "p": {"family": "constant-q", "q": 0.75},
       "samples": -3}, "samples must be >= 1"),
+    # an empty rs used to pass: spatial with a -Infinity slope, asep with an
+    # empty series
+    ({"command": "spatial", "n": 8, "p": {"family": "constant-q", "q": 0.75},
+      "ell": 2, "eta": {}, "eta_bar": {}, "rs": []}, "rs must be non-empty"),
+    ({"command": "asep", "n": 8, "k": 3, "q": 0.7, "rs": []},
+     "rs must be non-empty"),
+    # a sampled run on no draws used to crash on an empty reduction
+    ({"command": "spatial", "n": 8, "p": {"family": "constant-q", "q": 0.75},
+      "ell": 2, "eta": {}, "eta_bar": {}, "rs": [2], "mode": "sampled",
+      "budget": 0}, "budget must be >= 1"),
+    ({"command": "disconnect", "n": 6, "p": {"family": "constant-q", "q": 0.7},
+      "mode": "sampled", "budget": 0}, "budget must be >= 1"),
+    # a mix stderr over fewer than two runs used to be NaN, a failed verdict
+    *[({"command": "mix", "ns": [8, 12],
+        "p": {"family": "constant-q", "q": 0.75}, "budget": budget},
+       "budget must be >= 2") for budget in (0, 1)],
 ])
 def test_missing_required_keys_are_config_errors(tmp_path, capsys, raw,
                                                  missing):
@@ -402,6 +418,22 @@ def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
     man = json.loads((tmp_path / "h" / "manifest.json").read_text())
     assert "ContractError" in man["error"] and message in man["error"]
     assert not (tmp_path / "h" / "result.json").exists()
+
+
+@pytest.mark.parametrize("key, text", [
+    ("p", "n abc\n"), ("p", "n\n"),
+    ("ell", "n 4\nell 1 x 1\n"), ("ell", "n 4\nell\n")])
+def test_malformed_instance_files_exit_2_naming_the_file(tmp_path, key, text):
+    # from_text's ValueError or IndexError used to end in a traceback, exit 1
+    path = tmp_path / f"{key}.txt"
+    path.write_text(text)
+    raw = {"command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.7},
+           key: {"file": str(path)}}
+    cfg = write_config(tmp_path, "m.json", raw)
+    assert main(["--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    man = json.loads((tmp_path / "m" / "manifest.json").read_text())
+    assert "ContractError" in man["error"]
+    assert f"malformed {key} file {str(path)!r}" in man["error"]
 
 
 # a valid value of each key some command requires

@@ -55,7 +55,7 @@ def test_transition_matrix_n2():
     mu = enumerate_stationary(2, p)
     P = build_transition_matrix(2, p, mu=mu)
     assert P.reversible
-    i12, i21 = P.index_of((1, 2)), P.index_of((2, 1))
+    i12, i21 = P.states.index((1, 2)), P.states.index((2, 1))
     assert P.matrix[i12, i21] == pytest.approx(0.4)
     assert P.matrix[i21, i12] == pytest.approx(0.6)
     assert spectral_gap(P, mu) == pytest.approx(1.0, abs=1e-9)
@@ -67,7 +67,7 @@ def test_rejection_mass_goes_to_diagonal():
     ell = LocalizationVector.constant(3, 1)
     mu = enumerate_stationary(3, p, ell)
     P = build_transition_matrix(3, p, ell, mu=mu)
-    s = P.index_of((2, 1, 3))
+    s = P.states.index((2, 1, 3))
     assert (2, 3, 1) not in [tuple(x) for x in mu.support]
     # edge 1: stay with p[2][1] = 0.4; edge 2: the swap is rejected entirely
     row = P.matrix[s].toarray().ravel()

@@ -18,9 +18,10 @@ import pytest
 
 from atshuffle.banddp import BandDP
 from atshuffle.chains import (asep_monotone_audit_run, asep_pair_coalescence,
-                              domination_audit_run)
+                              domination_audit_run, twin_chain_coupling_run)
 from atshuffle.cli import main
-from atshuffle.perms import BiasMatrix, LocalizationVector, Permutation
+from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
+                             max_localized_state)
 
 Q = 0.75
 COALESCENCE_SEEDS = (1, 2, 3, 2 ** 61 + 7)
@@ -29,6 +30,17 @@ MEETING_TIMES = {
     64: [13364, 13398, 13570, 13664],
     128: [59585, 58170, 59973, 59309],
 }
+# twin AT chains, identity against reversal at constant Q with T = 40 n^2,
+# meeting times for the seeds 1, 2 and 3 (recorded with the numpy-scalar
+# twin loop)
+TWIN_MEETING_TIMES = {
+    32: [3827, 3765, 3720],
+    64: [16270, 15142, 16166],
+    128: [62848, 67547, 67415],
+}
+# the restricted twin: n = 32, random-eps 0.5 (instance rng 0), ell = 3,
+# identity against max_localized_state, seed 1
+RESTRICTED_TWIN_TIME = 837
 # sha256 of result.json of the CLI config MIX_CONFIG
 MIX_CONFIG = {"command": "mix", "ns": [32, 64, 128],
               "p": {"family": "constant-q", "q": Q}, "method": "coupling",
@@ -92,6 +104,26 @@ def test_coalescence_meeting_times_pinned(n):
     assert [asep_pair_coalescence(n, n // 2, Q, seed, t_cap)
             for seed in COALESCENCE_SEEDS] == MEETING_TIMES[n]
     assert asep_pair_coalescence(n, n // 2, Q, 5, 100) is None
+
+
+@pytest.mark.parametrize("n", sorted(TWIN_MEETING_TIMES))
+def test_twin_meeting_times_pinned(n):
+    p = BiasMatrix.constant(n, Q)
+    assert [twin_chain_coupling_run(
+        Permutation.identity(n), Permutation.reversal(n), p, None,
+        40 * n * n, seed)[0] for seed in (1, 2, 3)] == TWIN_MEETING_TIMES[n]
+
+
+def test_restricted_twin_and_timeout_pinned():
+    n = 32
+    p = BiasMatrix.random_biased(n, 0.5, np.random.default_rng(0))
+    ell = LocalizationVector.constant(n, 3)
+    assert twin_chain_coupling_run(
+        Permutation.identity(n), max_localized_state(ell), p, ell,
+        40 * n * n, 1)[0] == RESTRICTED_TWIN_TIME
+    assert twin_chain_coupling_run(
+        Permutation.identity(n), Permutation.reversal(n),
+        BiasMatrix.constant(n, Q), None, 1000, 1)[0] is None
 
 
 def test_audit_result_dicts_pinned():

@@ -44,7 +44,7 @@ print(f"T_mix(1/4) = {t_mix}; worst-case TV curve head: "
 # Conditioning on a localization window shrinks the support; with window 0
 # the identity is the only state left.
 frozen = enumerate_stationary(n, p, LocalizationVector.constant(n, 0))
-print(f"window-0 support: {frozen.support} with probability {frozen.probs[0]}")
+print(f"window-0 support: {frozen.support.tolist()} with probability {frozen.probs[0]}")
 
 # A random epsilon-biased instance with a random admissible window.
 rng = np.random.default_rng(7)

@@ -52,7 +52,8 @@ ell8 = LocalizationVector.constant(n, 2)
 bnd = BoundaryAssignment(n, (2,), ())  # particle 2 pinned to position 1
 marg = band_dp_conditional_marginal(p8, ell8, bnd, (2, 3))
 print("law of positions (2,3) given the pin:")
-for state, prob in sorted(zip(marg.support, marg.probs), key=lambda x: -x[1])[:4]:
+for state, prob in sorted(zip(map(tuple, marg.support.tolist()), marg.probs),
+                          key=lambda x: -x[1])[:4]:
     print(f"  {state}: {prob:.4f}")
 
 # Heat-bath block resampling: replace an interval by an exact conditional

@@ -323,24 +323,24 @@ class BandDP:
         bwd = self._backward()
         return layers[t][0], bwd[t]
 
-    def cut_law(self, t: int):
+    def cut_law(self, t: int) -> DistributionTable:
         """Exact law of the placed-set word after t placements.
 
-        Returns (masks, probs); the mask identifies the unordered set of the
-        first t placed particles, which is the sufficient statistic of the
-        prefix for everything to its right.
+        The rows are the words (w,) in increasing order; a word identifies the
+        unordered set of the first t placed particles, which is the
+        sufficient statistic of the prefix for everything to its right.
         """
         if not 0 <= t <= self.n:
             raise ContractError("cut position out of range")
         masks, logv = self._forward()[t]
-        return _law(masks, logv + self._backward()[t])
+        return _law(masks[:, None], np.arange(masks.size),
+                    logv + self._backward()[t], self.log_partition())
 
-    def cut_pair_law(self, t1: int, t2: int):
+    def cut_pair_law(self, t1: int, t2: int) -> DistributionTable:
         """Exact joint law of the placed-set words after t1 and t2 placements.
 
-        Returns (keys, probs) in increasing key order, where the key of the
-        words w1 after t1 and w2 after t2 placements is w1 << (W - 1) | w2.
-        The pass from t1 to t2 carries each word of layer t1 as its tag.
+        The rows are the pairs (w1, w2) in increasing order.  The pass from
+        t1 to t2 carries each word of layer t1 as its tag.
         """
         if not 0 <= t1 <= t2 <= self.n:
             raise ContractError("cut positions out of range")
@@ -348,8 +348,8 @@ class BandDP:
         tags = words
         for t in range(t1, t2):
             tags, words, logv, _ = self._tagged_step(t, tags, words, logv)
-        return _law(tags << (self.W - 1) | words,
-                    logv + self._completion(t2, words))
+        return _law(np.column_stack([tags, words]), np.arange(words.size),
+                    logv + self._completion(t2, words), self.log_partition())
 
     def sample_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n) array of exact draws, one permutation per row.
@@ -408,9 +408,7 @@ class BandDP:
         logw = logv + self._completion(b, words)
         if not np.isfinite(logw).any():
             raise EmptySupport("empty conditional support on the region")
-        tags, probs = _law(tags, logw)
-        return DistributionTable(list(map(tuple, rows[tags].tolist())), probs,
-                                 logZ)
+        return _law(rows, tags, logw, logZ)
 
 
 def _merge(keys: np.ndarray, logv: np.ndarray):
@@ -428,16 +426,15 @@ def _merge(keys: np.ndarray, logv: np.ndarray):
     return keys, vmax + np.log(sums)
 
 
-def _law(keys: np.ndarray, logw: np.ndarray):
-    """(distinct keys in increasing order, probabilities) from log weights.
-
-    _merge keeps the weight of a key with one entry bit for bit.
+def _law(rows: np.ndarray, keys: np.ndarray, logw: np.ndarray, logZ: float):
+    """Table of rows[key] over the distinct keys, in increasing order, from
+    log weights; _merge keeps the weight of a key with one entry bit for bit.
     """
     keys, logw = _merge(keys, logw)
     logw -= logw.max()
     probs = np.exp(logw)
     probs /= probs.sum()
-    return keys, probs
+    return DistributionTable(rows[keys], probs, logZ)
 
 
 def band_dp_partition(p: BiasMatrix, ell: LocalizationVector,
@@ -482,11 +479,10 @@ class EnumerationSampler:
 
     def __init__(self, p: BiasMatrix, ell: LocalizationVector | None):
         self.table = enumerate_stationary(p.n, p, ell, cap=max(ENUM_SAMPLER_CAP, p.n))
-        self._rows = np.array(self.table.support, dtype=np.int64)
 
     def draw_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = rng.choice(len(self.table.support), size=size, p=self.table.probs)
-        return self._rows[idx]
+        idx = rng.choice(len(self.table), size=size, p=self.table.probs)
+        return self.table.support[idx]
 
 
 @functools.lru_cache(maxsize=32)

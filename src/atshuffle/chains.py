@@ -34,8 +34,9 @@ import scipy.sparse as sp
 
 from .banddp import BandDP, heat_bath_block_sample
 from .errors import CapExceeded, ContractError
-from .measure import (DistributionTable, TransitionMatrix, _swap_kernel,
-                      check_detailed_balance, enumerate_stationary)
+from .measure import (MEMORY_BUDGET, DistributionTable, TransitionMatrix,
+                      _state_rows, _swap_kernel, check_detailed_balance,
+                      enumerate_stationary)
 from .perms import (BiasMatrix, LocalizationVector, Permutation, inverse_rows,
                     is_localized, localized_rows)
 
@@ -265,21 +266,18 @@ def asep_stationary(n: int, k: int, q: float,
     logw = np.sum(occ * holes_after, axis=1) * log_rho
     m = logw.max()
     w = np.exp(logw - m)
-    support = list(map(tuple, occ.tolist()))
-    table = DistributionTable(support, w / w.sum(), float(m + math.log(w.sum())))
-    check_detailed_balance(asep_transition_matrix(n, k, q, states=support), table)
+    table = DistributionTable(occ, w / w.sum(), float(m + math.log(w.sum())))
+    check_detailed_balance(asep_transition_matrix(n, k, q, table.support), table)
     return table
 
 
 def asep_transition_matrix(n: int, k: int, q: float,
-                           states: list | None = None) -> TransitionMatrix:
-    """Exact one-step ASEP kernel on the k-particle occupancy states."""
-    occ = (_asep_states(n, k) if states is None
-           else np.array(states, dtype=np.int64).reshape(len(states), n))
+                           states=None) -> TransitionMatrix:
+    """Exact one-step ASEP kernel on the k-particle occupancy states (rows)."""
+    occ = _state_rows(_asep_states(n, k) if states is None else states)
     # a particle hops right with probability 1 - q and left with q
     table = np.array([[1.0, 1.0 - q], [q, 1.0]])
-    return TransitionMatrix(list(map(tuple, occ.tolist())),
-                            _swap_kernel(occ, table))
+    return TransitionMatrix(occ, _swap_kernel(occ, table))
 
 
 def _log_q_binomial(m: int, k: int, phi: float) -> float:
@@ -448,12 +446,22 @@ def block_step(sigma: Permutation, schedule: BlockSchedule, p: BiasMatrix,
 def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
                        schedule: BlockSchedule,
                        mu: DistributionTable | None = None) -> TransitionMatrix:
-    """Exact heat-bath block kernel by enumeration (small n)."""
+    """Exact heat-bath block kernel by enumeration (small n).
+
+    The kernel is built dense; above measure.MEMORY_BUDGET bytes it raises
+    CapExceeded before allocating.
+    """
     if mu is None:
         mu = enumerate_stationary(n, p, ell)
-    states = mu.support
-    S = np.array(states, dtype=np.int64).reshape(len(states), n)
-    P = np.zeros((len(states), len(states)))
+    S = mu.support
+    need = 8 * len(S) ** 2
+    if need > MEMORY_BUDGET:
+        raise CapExceeded(
+            f"the exact block kernel over {len(S)} states needs a dense "
+            f"{need} byte array, above the {MEMORY_BUDGET} byte budget "
+            "(measure.MEMORY_BUDGET); use a smaller n or a tighter "
+            "localization vector")
+    P = np.zeros((len(S), len(S)))
     for blk, wb in zip(schedule.blocks(), schedule.probabilities()):
         comp = np.ones(n, dtype=bool)
         for a, b in blk:
@@ -465,7 +473,7 @@ def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
         for members in np.split(order, cuts):
             probs = mu.probs[members]
             P[np.ix_(members, members)] += wb * (probs / probs.sum())
-    out = TransitionMatrix(states, sp.csr_matrix(P))
+    out = TransitionMatrix(S, sp.csr_matrix(P))
     check_detailed_balance(out, mu)
     out.reversible = True
     return out

@@ -64,7 +64,7 @@ from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                     Permutation, instance_fingerprint, localized_rows)
 
 # the kind of a config key, as its type error names it
-INT, INTS, NUMBER = "an integer", "a list of integers", "a number"
+INT, INTS, NUMBER = "an integer", "a list of integers", "a finite number"
 
 
 class KeyRule(NamedTuple):
@@ -138,11 +138,14 @@ _REQUIRED_KEYS = {
 
 
 def _has_kind(value, kind: str) -> bool:
-    """Whether a JSON value is of the kind; bools are not numbers."""
+    """Whether a JSON value is of the kind; bools are not numbers, and
+    NaN, Infinity and integers past the float range are not finite numbers."""
     if kind == INTS:
         return isinstance(value, list) and all(_has_kind(v, INT) for v in value)
-    return (isinstance(value, int if kind == INT else (int, float))
-            and not isinstance(value, bool))
+    if kind == INT:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 class RunConfig:
@@ -190,7 +193,7 @@ class RunConfig:
                         f"family {kind} needs the key {key!r} in p")
                 if not _has_kind(spec[key], NUMBER):
                     raise ContractError(
-                        f"config key p.{key} must be a number, "
+                        f"config key p.{key} must be {NUMBER}, "
                         f"got {spec[key]!r}")
         if jobs is not None and jobs < 1:
             raise ContractError(f"--jobs must be >= 1, got {jobs}")
@@ -320,11 +323,11 @@ def _run_exact(cfg: RunConfig, outdir: str):
               for i, pr in enumerate(mu.probs)]
     verdict = Verdict(True, "detailed balance holds (checked at build)",
                       {"logZ": mu.logZ, "Z": float(np.exp(mu.logZ)),
-                       "gap": gap, "states": len(mu.support)})
+                       "gap": gap, "states": len(mu)})
     res = ExperimentResult("exact", instance_fingerprint(p, ell),
                            cfg.resolved(), series, verdict,
-                           {"support": [list(s) for s in mu.support]
-                            if len(mu.support) <= 5040 else "omitted"})
+                           {"support": mu.support.tolist()
+                            if len(mu) <= 5040 else "omitted"})
     paths = res.write(outdir, "result")
     mu.to_csv(os.path.join(outdir, "distribution.csv"))
     paths.append(os.path.join(outdir, "distribution.csv"))
@@ -422,7 +425,14 @@ def _run_burnin(cfg: RunConfig, outdir: str):
     return res, res.write(outdir, "result")
 
 
-def _boundary_from_spec(spec, n: int) -> BoundaryAssignment:
+def _boundary_from_spec(spec, n: int, key: str) -> BoundaryAssignment:
+    """The boundary of a {"left": [..], "right": [..]} config value; either
+    list may be left out."""
+    if not (isinstance(spec, dict) and set(spec) <= {"left", "right"}
+            and all(_has_kind(v, INTS) for v in spec.values())):
+        raise ContractError(
+            f'{key} must be {{"left": [...], "right": [...]}} with lists of '
+            f"integers, got {spec!r}")
     return BoundaryAssignment(n, tuple(spec.get("left", ())),
                               tuple(spec.get("right", ())))
 
@@ -433,8 +443,8 @@ def _run_spatial(cfg: RunConfig, outdir: str):
     ell = _load_ell(cfg.values.get("ell"), n)
     if ell is None:
         raise ContractError("spatial needs a localization vector")
-    eta = _boundary_from_spec(cfg.values["eta"], n)
-    eta_bar = _boundary_from_spec(cfg.values["eta_bar"], n)
+    eta = _boundary_from_spec(cfg.values["eta"], n, "eta")
+    eta_bar = _boundary_from_spec(cfg.values["eta_bar"], n, "eta_bar")
     res = spatial_decay_curve(
         p, ell, eta, eta_bar, cfg.values["rs"], seed=cfg.seed,
         window_cap=cfg.cap_window, **cfg.pick("mode", "budget", "threshold"))
@@ -447,7 +457,7 @@ def _run_disconnect(cfg: RunConfig, outdir: str):
     ell = _load_ell(cfg.values.get("ell"), n)
     boundary = None
     if cfg.values.get("boundary") is not None:
-        boundary = _boundary_from_spec(cfg.values["boundary"], n)
+        boundary = _boundary_from_spec(cfg.values["boundary"], n, "boundary")
     res = disconnect_probability(
         p, ell, boundary, seed=cfg.seed, window_cap=cfg.cap_window,
         **cfg.pick("ks", "mode", "budget"))

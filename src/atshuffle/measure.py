@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,16 +79,34 @@ def _localized_perms(n: int, ell: LocalizationVector | None) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def _state_rows(rows) -> np.ndarray:
+    """rows as a read-only (m, n) int64 array; a read-only one is kept."""
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.int64
+            and not rows.flags.writeable):
+        rows = np.array(rows, dtype=np.int64, ndmin=2)  # ragged: ValueError
+        rows.setflags(write=False)
+    return rows
+
+
+def _row_ranks(rows: np.ndarray) -> np.ndarray:
+    """Each row's rank among the distinct rows in lexicographic order."""
+    order = np.lexsort(rows.T[::-1])
+    new = np.any(np.diff(rows[order], axis=0) != 0, axis=1)
+    ranks = np.empty(len(rows), dtype=np.int64)
+    ranks[order] = np.cumsum(np.concatenate([[False], new]))
+    return ranks
+
+
 @dataclass
 class DistributionTable:
-    """Exact finite distribution: aligned support/probability lists plus logZ."""
+    """Exact finite distribution: distinct support rows, aligned probs, logZ."""
 
-    support: list
+    support: np.ndarray
     probs: np.ndarray
     logZ: float
-    _index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        self.support = _state_rows(self.support)
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if len(self.support) != len(self.probs):
             raise ContractError("support and probs must align")
@@ -97,16 +115,16 @@ class DistributionTable:
         s = float(self.probs.sum())
         if abs(s - 1.0) > 1e-12:
             raise ContractError(f"probabilities sum to {s}, not 1")
-        self._index = {state: i for i, state in enumerate(self.support)}
-        if len(self._index) != len(self.support):
+        if _row_ranks(self.support).max() != len(self) - 1:
             raise ContractError("support entries must be distinct")
 
     def __len__(self):
         return len(self.support)
 
     def prob_of(self, state) -> float:
-        i = self._index.get(tuple(state))
-        return float(self.probs[i]) if i is not None else 0.0
+        if np.shape(state) != self.support.shape[1:]:
+            return 0.0
+        return float(self.probs[np.all(self.support == state, axis=1)].sum())
 
     def to_csv(self, path) -> None:
         """Two columns: rank (by decreasing probability) and probability."""
@@ -115,6 +133,18 @@ class DistributionTable:
             fh.write("rank,probability\n" + "".join(
                 f"{rank},{pr!r}\n"
                 for rank, pr in enumerate(self.probs[order].tolist(), start=1)))
+
+
+def check_enumerable(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
+    """Raise CapExceeded if enumerate_stationary refuses size n at this cap.
+
+    Sizes up to cap + 2 (never above HARD_ENUM_CAP) are enumerated, those
+    above cap with a warning.
+    """
+    if n > min(cap + 2, HARD_ENUM_CAP):
+        raise CapExceeded(
+            f"n={n} exceeds the enumeration cap {cap}; use the band DP "
+            "(band_dp_partition / band_dp_sample) for localized instances")
 
 
 def enumerate_stationary(n: int, p: BiasMatrix, ell: LocalizationVector | None = None,
@@ -126,10 +156,7 @@ def enumerate_stationary(n: int, p: BiasMatrix, ell: LocalizationVector | None =
     support: the set of positive-weight states is closed under the chain, so
     kernels and spectral quantities live there.
     """
-    if n > min(cap + 2, HARD_ENUM_CAP):
-        raise CapExceeded(
-            f"n={n} exceeds the enumeration cap {cap}; use the band DP "
-            "(band_dp_partition / band_dp_sample) for localized instances")
+    check_enumerable(n, cap)
     if n > cap:
         warnings.warn(f"enumerating n={n} states above the soft cap {cap}")
     if p.n != n or (ell is not None and ell.n != n):
@@ -147,19 +174,19 @@ def enumerate_stationary(n: int, p: BiasMatrix, ell: LocalizationVector | None =
     w = np.exp(logw - m)
     Z = float(w.sum())
     logZ = math.log(Z) + m
-    support = list(map(tuple, perms.tolist()))
-    return DistributionTable(support, w / Z, logZ)
+    return DistributionTable(perms, w / Z, logZ)
 
 
 @dataclass
 class TransitionMatrix:
-    """Sparse row-stochastic kernel over a state list."""
+    """Sparse row-stochastic kernel over states, rows as in DistributionTable."""
 
-    states: list
+    states: np.ndarray
     matrix: sp.csr_matrix
     reversible: bool = False
 
     def __post_init__(self):
+        self.states = _state_rows(self.states)
         sums = np.asarray(self.matrix.sum(axis=1)).ravel()
         if np.any(np.abs(sums - 1.0) > 1e-12):
             raise ContractError("rows must sum to 1 within 1e-12")
@@ -171,7 +198,7 @@ class TransitionMatrix:
 def check_detailed_balance(P: TransitionMatrix, mu: DistributionTable,
                            rtol: float = 1e-10) -> None:
     """Raise NotReversible (naming a violating pair) unless mu P is in balance."""
-    if P.states != mu.support:
+    if not (P.states is mu.support or np.array_equal(P.states, mu.support)):
         raise ContractError("kernel and distribution must share a state list")
     M = P.matrix.tocoo()
     flows = mu.probs[M.row] * M.data
@@ -181,7 +208,7 @@ def check_detailed_balance(P: TransitionMatrix, mu: DistributionTable,
     rel = np.abs(flows - flows_back) / scale
     worst = int(np.argmax(rel))
     if rel[worst] > rtol:
-        x, y = P.states[M.row[worst]], P.states[M.col[worst]]
+        x, y = (tuple(P.states[i].tolist()) for i in (M.row[worst], M.col[worst]))
         raise NotReversible(
             f"detailed balance fails for pair {x} -> {y}: relative error {rel[worst]:.3e}")
 
@@ -240,9 +267,7 @@ def build_transition_matrix(n: int, p: BiasMatrix,
     """
     if mu is None:
         mu = enumerate_stationary(n, p, ell, cap=cap)
-    states = mu.support
-    digits = np.array(states, dtype=np.int64).reshape(len(states), n) - 1
-    out = TransitionMatrix(states, _swap_kernel(digits, p.dense()))
+    out = TransitionMatrix(mu.support, _swap_kernel(mu.support - 1, p.dense()))
     if check_balance:
         check_detailed_balance(out, mu)
         out.reversible = True
@@ -297,19 +322,17 @@ def spectral_gap(P: TransitionMatrix, mu: DistributionTable,
 
 
 def tv_distance(a: DistributionTable, b: DistributionTable) -> float:
-    """Half L1 distance; states missing from a support count as probability 0."""
-    if a.support is b.support or a.support == b.support:
+    """Half L1 distance of the laws aligned on the sorted union of their rows;
+    supports of different widths are at distance 1."""
+    if a.support is b.support or np.array_equal(a.support, b.support):
         return 0.5 * float(np.sum(np.abs(a.probs - b.probs)))
-    total = 0.0
-    seen = set()
-    for state, pa in zip(a.support, a.probs):
-        pb = b.prob_of(state)
-        total += abs(float(pa) - pb)
-        seen.add(state)
-    for state, pb in zip(b.support, b.probs):
-        if state not in seen:
-            total += float(pb)
-    return 0.5 * total
+    if a.support.shape[1] != b.support.shape[1]:
+        return 1.0
+    at = _row_ranks(np.concatenate([a.support, b.support]))
+    p = np.zeros((2, at.max() + 1))
+    p[0, at[:len(a)]] = a.probs
+    p[1, at[len(a):]] = b.probs
+    return 0.5 * float(np.sum(np.abs(p[0] - p[1])))
 
 
 def _tv_rows_to_mu(rows: np.ndarray, mu_probs: np.ndarray) -> np.ndarray:

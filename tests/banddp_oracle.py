@@ -282,7 +282,7 @@ class ReferenceBandDP(BandDP):
 
 def reference_transition_matrix(n, p, mu):
     """CSR one-step kernel over mu.support, built state by state."""
-    states = mu.support
+    states = list(map(tuple, mu.support.tolist()))
     index = {s: i for i, s in enumerate(states)}
     dense_p = p.dense()
     m = len(states)

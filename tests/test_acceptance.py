@@ -75,7 +75,7 @@ def test_criterion_2_band_dp_equals_brute_force():
         p = BiasMatrix.random_biased(n, 0.5, rng)
         ell = random_admissible_localization(n, rng, max_ell=3)
         mu = enumerate_stationary(n, p, ell)
-        sigma0 = mu.support[int(rng.choice(len(mu.support), p=mu.probs))]
+        sigma0 = tuple(mu.support[int(rng.choice(len(mu), p=mu.probs))].tolist())
         i = int(rng.integers(1, 3))
         j = int(rng.integers(0, 2))
         if i + j >= n - 1:
@@ -88,13 +88,14 @@ def test_criterion_2_band_dp_equals_brute_force():
         pins = bnd.values()
         tot = {}
         Z = 0.0
-        for s, pr in zip(mu.support, mu.probs):
+        for s, pr in zip(mu.support.tolist(), mu.probs):
             if all(s[pos - 1] == v for pos, v in pins.items()):
                 Z += pr
                 key = tuple(s[x - 1] for x in range(a, b + 1))
                 tot[key] = tot.get(key, 0.0) + pr
-        assert set(tot) == set(marg.support)
-        for s, pr in zip(marg.support, marg.probs):
+        marg_support = list(map(tuple, marg.support.tolist()))
+        assert set(tot) == set(marg_support)
+        for s, pr in zip(marg_support, marg.probs):
             worst_marg = max(worst_marg,
                              abs(math.log(pr) - math.log(tot[s] / Z)))
         mcount += 1

@@ -9,6 +9,7 @@ from scipy import stats
 from banddp_oracle import random_bias_with_certain_pairs
 from kernel_oracle import (reference_asep_transition_matrix,
                            reference_asep_weights, reference_block_kernel)
+from atshuffle import chains
 from atshuffle.banddp import heat_bath_block_rows
 from atshuffle.chains import (AsepState, BlockSchedule, UpdateDraw,
                               _audit_draws, asep_rightmost_tail,
@@ -17,7 +18,7 @@ from atshuffle.chains import (AsepState, BlockSchedule, UpdateDraw,
                               derive_rng, ensemble_chain_run, eta_projection,
                               exact_block_kernel, experiment_id,
                               left_order_leq, twin_chain_coupling_run)
-from atshuffle.errors import ContractError
+from atshuffle.errors import CapExceeded, ContractError
 from atshuffle.measure import (build_transition_matrix, check_detailed_balance,
                                enumerate_stationary, spectral_gap)
 from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
@@ -52,8 +53,9 @@ def test_restricted_at_step_examples():
 
 def _one_step_chi_square(rows, mu, P, start):
     cnt = Counter(tuple(int(v) for v in r) for r in rows)
-    row = P.matrix[P.states.index(start.to_tuple())].toarray().ravel()
-    observed = np.array([cnt.get(s, 0) for s in mu.support], dtype=float)
+    row = P.matrix[P.states.tolist().index(list(start.to_tuple()))].toarray().ravel()
+    observed = np.array([cnt.get(s, 0) for s in map(tuple, mu.support.tolist())],
+                        dtype=float)
     expected = row * len(rows)
     keep = expected >= 5
     assert float(observed[~keep].sum()) == 0.0
@@ -264,7 +266,7 @@ def test_asep_law_and_kernel_match_the_reference_build(n, data, q):
     k = data.draw(st.integers(0, n))
     support, probs, logZ = reference_asep_weights(n, k, q)
     nu = asep_stationary(n, k, q)
-    assert nu.support == support and nu.logZ == logZ
+    assert nu.support.tolist() == list(map(list, support)) and nu.logZ == logZ
     assert np.array_equal(nu.probs, probs)
     states = support
     if data.draw(st.booleans()):
@@ -288,7 +290,8 @@ def test_asep_kernel_keys_past_int64_match_the_reference_build(k):
     n, q = 100, 0.7
     nu = asep_stationary(n, k, q)
     fast = asep_transition_matrix(n, k, q, states=nu.support).matrix
-    ref = reference_asep_transition_matrix(n, q, nu.support)
+    ref = reference_asep_transition_matrix(n, q,
+                                           list(map(tuple, nu.support.tolist())))
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(fast, name), getattr(ref, name))
 
@@ -352,7 +355,8 @@ def test_block_step_preserves_stationarity():
                                         rng, count)
             for row in rows:
                 cnt[tuple(int(v) for v in row)] += 1
-    observed = np.array([cnt.get(s, 0) for s in mu.support], dtype=float)
+    observed = np.array([cnt.get(s, 0) for s in map(tuple, mu.support.tolist())],
+                        dtype=float)
     expected = mu.probs * R
     keep = expected >= 5
     chi2 = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
@@ -391,8 +395,9 @@ def test_exact_block_kernel_matches_block_step_frequencies():
     for b_idx, count in Counter(int(x) for x in picks).items():
         rows = heat_bath_block_rows(start, blocks[b_idx][0], p, ell, rng, count)
         cnt.update(tuple(int(v) for v in r) for r in rows)
-    row = K.matrix[K.states.index(start.to_tuple())].toarray().ravel()
-    observed = np.array([cnt.get(s, 0) for s in mu.support], dtype=float)
+    row = K.matrix[K.states.tolist().index(list(start.to_tuple()))].toarray().ravel()
+    observed = np.array([cnt.get(s, 0) for s in map(tuple, mu.support.tolist())],
+                        dtype=float)
     expected = row * R
     keep = expected >= 5
     assert float(observed[~keep].sum()) == 0.0
@@ -539,3 +544,16 @@ def test_checkpoint_and_audit_records(tmp_path):
                                log_path=str(log))
     assert rec["violations"] == 0
     assert not log.exists() or log.read_text() == ""
+
+
+def test_exact_block_kernel_refuses_above_the_memory_budget(monkeypatch):
+    # n = 4 has 24 states: a dense kernel of 8 * 24**2 = 4608 bytes
+    n = 4
+    p = BiasMatrix.constant(n, 0.65)
+    mu = enumerate_stationary(n, p)
+    schedule = BlockSchedule.west_east(n)
+    monkeypatch.setattr(chains, "MEMORY_BUDGET", 4607)
+    with pytest.raises(CapExceeded, match="24 states.*4608 byte.*4607 byte"):
+        exact_block_kernel(n, p, None, schedule, mu=mu)
+    monkeypatch.setattr(chains, "MEMORY_BUDGET", 4608)
+    assert exact_block_kernel(n, p, None, schedule, mu=mu).states is mu.support

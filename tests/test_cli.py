@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from atshuffle import cli
+from atshuffle import cli, experiments
 from atshuffle.cli import RunConfig, generate_instance, main, run
 from atshuffle.errors import ContractError
 from atshuffle.perms import BiasMatrix
@@ -507,3 +507,73 @@ def test_exact_gap_non_convergence_exits_2(tmp_path, monkeypatch):
     assert main(["--config", cfg, "--out", str(tmp_path / "g")]) == 2
     man = json.loads((tmp_path / "g" / "manifest.json").read_text())
     assert "CapExceeded" in man["error"] and "dense_cutoff" in man["error"]
+
+
+SPATIAL = {"command": "spatial", "n": 8,
+           "p": {"family": "constant-q", "q": 0.75}, "ell": 2,
+           "eta": {"left": [1]}, "eta_bar": {"left": [3]}, "rs": [2, 3]}
+
+
+@pytest.mark.parametrize("raw, message", [
+    # a boundary that is no dict used to end in an AttributeError, exit 1
+    ({**SPATIAL, "eta": "x"}, "eta must be"),
+    ({"command": "disconnect", "n": 6, "p": {"family": "constant-q", "q": 0.7},
+      "ell": 1, "boundary": 5}, "boundary must be"),
+    # a misspelt side used to be dropped with its pins, exit 0
+    ({**SPATIAL, "eta": {"left": [1], "rigth": [6]}}, "eta must be"),
+    # 1.5 used to be truncated to 1, so the boundaries were equal and the
+    # curve passed with TV 0
+    ({**SPATIAL, "eta": {"left": [1.5]}, "eta_bar": {"left": [1]}},
+     "eta must be"),
+    ({**SPATIAL, "eta_bar": {"left": [True]}}, "eta_bar must be"),
+])
+def test_malformed_boundaries_exit_2(tmp_path, raw, message):
+    cfg = write_config(tmp_path, "b.json", raw)
+    assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 2
+    man = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert "ContractError" in man["error"] and message in man["error"]
+    assert not (tmp_path / "b" / "result.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    # a NaN threshold used to reach the verdict as "<= nan", exit 1
+    ("threshold", math.nan), ("threshold", math.inf),
+    ("eta", -math.inf), ("p.q", math.nan),
+    # an integer past the float range used to end in an OverflowError
+    pytest.param("threshold", 10 ** 400, id="threshold-10**400")])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, key, value):
+    raw = {"command": "lowerbound", "n": 16,
+           "p": {"family": "constant-q", "q": 0.75}}
+    if key.startswith("p."):
+        raw["p"][key[2:]] = value
+    else:
+        raw[key] = value
+    with pytest.raises(ContractError, match=f"config key {key} must be "
+                                            "a finite number"):
+        RunConfig(raw)
+    cfg = write_config(tmp_path, "f.json", raw)
+    assert main(["--config", cfg, "--out", str(tmp_path / "f")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_infinite_ell_entries_stay_accepted(tmp_path):
+    cfg = write_config(tmp_path, "e.json", {
+        "command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.7},
+        "ell": [[math.inf, math.inf]] * 4})
+    assert main(["--config", cfg, "--out", str(tmp_path / "e")]) == 0
+
+
+def test_mix_exact_refuses_an_oversized_n_before_enumerating(tmp_path,
+                                                             monkeypatch):
+    # n = 8 used to run (over four minutes at 1.6 GB) before n = 12 was
+    # refused
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated before the cap check")
+
+    monkeypatch.setattr(experiments, "enumerate_stationary", never)
+    cfg = write_config(tmp_path, "m.json", {
+        "command": "mix", "ns": [8, 12],
+        "p": {"family": "constant-q", "q": 0.75}, "method": "exact"})
+    assert main(["--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    man = json.loads((tmp_path / "m" / "manifest.json").read_text())
+    assert "CapExceeded" in man["error"] and "n=12" in man["error"]

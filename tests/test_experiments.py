@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atshuffle import experiments
+from atshuffle import chains, experiments
 from atshuffle.chains import BlockSchedule, derive_rng, experiment_id
 from atshuffle.errors import ContractError
 from atshuffle.experiments import (ExperimentResult, SeriesPoint, Verdict,
@@ -22,10 +22,9 @@ from atshuffle.experiments import (ExperimentResult, SeriesPoint, Verdict,
                                    disconnect_product_bound,
                                    localization_tail_check,
                                    lower_bound_experiment, mixing_scaling,
-                                   regression_instances, spatial_decay_curve,
-                                   _law_tv)
+                                   regression_instances, spatial_decay_curve)
 from atshuffle.banddp import BandDP
-from atshuffle.measure import enumerate_stationary
+from atshuffle.measure import enumerate_stationary, tv_distance
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
                              LocalizationVector, Permutation,
                              instance_fingerprint,
@@ -183,7 +182,7 @@ def test_spatial_exact_matches_enumeration_one_sided():
         dpA = BandDP(p, ell, pins=eta_a.values())
         dpB = BandDP(p, ell, pins=eta_b.values())
         for r in range(1, 5):
-            tv_cut = _law_tv(dpA.cut_law(1 + r), dpB.cut_law(1 + r))
+            tv_cut = tv_distance(dpA.cut_law(1 + r), dpB.cut_law(1 + r))
             tv_enum = enum_region_tv(n, p, ell, eta_a, eta_b, (2 + r, n))
             assert tv_cut == pytest.approx(tv_enum, abs=1e-10)
 
@@ -196,8 +195,8 @@ def test_spatial_exact_matches_enumeration_two_sided():
     n = 9
     p = BiasMatrix.random_biased(n, 0.5, np.random.default_rng(6))
     ell = LocalizationVector([1] * n, [2] * n)
-    ends = sorted({(s[:1], s[-1:])
-                   for s in enumerate_stationary(n, p, ell, cap=n).support})
+    ends = sorted({(s[:1], s[-1:]) for s in map(
+        tuple, enumerate_stationary(n, p, ell, cap=n).support.tolist())})
     cases.append((n, p, ell, ends[0], ends[-1]))
     for n, p, ell, ends_a, ends_b in cases:
         eta_a = BoundaryAssignment(n, *ends_a)
@@ -243,7 +242,7 @@ def test_spatial_right_boundary_cut_directly(seed):
     j = 1 + seed % 2
     # the right ends of two localized states with positive weight
     support = enumerate_stationary(n, p, ell).support
-    ends = sorted({s[n - j:] for s in support})
+    ends = sorted({s[n - j:] for s in map(tuple, support.tolist())})
     eta_a, eta_b = (BoundaryAssignment(n, (), ends[t]) for t in (0, -1))
     rs = [1, 2, 3, 4]
     res = spatial_decay_curve(p, ell, eta_a, eta_b, rs, mode="exact")
@@ -425,6 +424,18 @@ def test_block_chain_mixing_exact_gap_recorded():
                              replicas=10, step_cap=30, seed=10)
     assert "exact_inverse_block_gap" in res.meta
     assert res.meta["exact_inverse_block_gap"] >= 1.0
+
+
+
+def test_block_chain_mixing_skips_a_kernel_above_the_budget(monkeypatch):
+    # window 5 keeps all 6! states: a dense kernel of 4,147,200 bytes
+    n = 6
+    monkeypatch.setattr(chains, "MEMORY_BUDGET", 8 * 720 ** 2 - 1)
+    res = block_chain_mixing(n, BiasMatrix.constant(n, 0.7),
+                             LocalizationVector.constant(n, 5),
+                             BlockSchedule.west_east(n), replicas=4,
+                             step_cap=30, seed=10)
+    assert "exact_inverse_block_gap" not in res.meta
 
 
 def test_burn_in_profile_identity_start_stays_local():

@@ -38,7 +38,7 @@ def test_enumerate_stationary_examples():
     assert mu3.prob_of((1, 2, 3)) == pytest.approx(0.216 / 0.76, abs=1e-12)
 
     only = enumerate_stationary(3, p3, LocalizationVector.constant(3, 0))
-    assert only.support == [(1, 2, 3)]
+    assert only.support.tolist() == [[1, 2, 3]]
     assert only.probs[0] == 1.0
 
 
@@ -55,7 +55,7 @@ def test_transition_matrix_n2():
     mu = enumerate_stationary(2, p)
     P = build_transition_matrix(2, p, mu=mu)
     assert P.reversible
-    i12, i21 = P.states.index((1, 2)), P.states.index((2, 1))
+    i12, i21 = P.states.tolist().index([1, 2]), P.states.tolist().index([2, 1])
     assert P.matrix[i12, i21] == pytest.approx(0.4)
     assert P.matrix[i21, i12] == pytest.approx(0.6)
     assert spectral_gap(P, mu) == pytest.approx(1.0, abs=1e-9)
@@ -67,7 +67,7 @@ def test_rejection_mass_goes_to_diagonal():
     ell = LocalizationVector.constant(3, 1)
     mu = enumerate_stationary(3, p, ell)
     P = build_transition_matrix(3, p, ell, mu=mu)
-    s = P.states.index((2, 1, 3))
+    s = P.states.tolist().index([2, 1, 3])
     assert (2, 3, 1) not in [tuple(x) for x in mu.support]
     # edge 1: stay with p[2][1] = 0.4; edge 2: the swap is rejected entirely
     row = P.matrix[s].toarray().ravel()
@@ -115,7 +115,7 @@ def test_spectral_gap_range_and_singleton():
 def test_chains_without_an_edge_stay_put():
     # one site has no edge to swap across, so the kernel is the identity
     P = build_transition_matrix(1, BiasMatrix.constant(1, 0.6))
-    assert P.states == [(1,)] and P.matrix.toarray().tolist() == [[1.0]]
+    assert P.states.tolist() == [[1]] and P.matrix.toarray().tolist() == [[1.0]]
     for k in (0, 1):
         assert asep_stationary(1, k, 0.6).probs.tolist() == [1.0]
 
@@ -220,10 +220,72 @@ def test_kernel_matches_the_reference_build(n, seed, data):
     if data.draw(st.booleans()):
         # any state order, not only the lexicographic one
         order = rng.permutation(len(mu.support))
-        mu = DistributionTable([mu.support[i] for i in order],
-                               mu.probs[order], mu.logZ)
+        mu = DistributionTable(mu.support[order], mu.probs[order], mu.logZ)
     fast = build_transition_matrix(n, p, ell, mu=mu, check_balance=False)
     ref = reference_transition_matrix(n, p, mu)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(fast.matrix, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_kernel_shares_the_read_only_support():
+    p = BiasMatrix.constant(4, 0.7)
+    mu = enumerate_stationary(4, p)
+    P = build_transition_matrix(4, p, mu=mu)
+    assert P.states is mu.support
+    assert mu.support.dtype == np.int64 and mu.support.shape == (24, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        mu.support[0, 0] = 2
+
+
+def test_table_rows_and_their_edges():
+    # equal-length tuples are accepted and copied into one read-only array
+    t = DistributionTable([(1, 2), (2, 1)], [0.25, 0.75], 0.0)
+    assert t.support.tolist() == [[1, 2], [2, 1]]
+    assert not t.support.flags.writeable
+    assert t.prob_of((2, 1)) == 0.75 and t.prob_of([1, 2]) == 0.25
+    # rows outside the support, also of another length, have probability 0
+    assert t.prob_of((3, 1)) == 0.0 and t.prob_of((1, 2, 3)) == 0.0
+    with pytest.raises(ContractError, match="distinct"):
+        DistributionTable([(1, 2), (2, 1), (1, 2)], [0.25, 0.25, 0.5], 0.0)
+    with pytest.raises(ValueError):
+        DistributionTable([(1, 2), (1,)], [0.5, 0.5], 0.0)
+    # a flat list is one row
+    assert DistributionTable([1, 2], [1.0], 0.0).support.tolist() == [[1, 2]]
+    # supports of different widths share no row
+    assert tv_distance(t, DistributionTable([(1, 2, 3)], [1.0], 0.0)) == 1.0
+
+
+def dict_tv(a, b):
+    """TV by a dict over the rows as tuples, one row at a time."""
+    pa = dict(zip(map(tuple, a.support.tolist()), a.probs.tolist()))
+    pb = dict(zip(map(tuple, b.support.tolist()), b.probs.tolist()))
+    return 0.5 * sum(abs(pa.get(s, 0.0) - pb.get(s, 0.0))
+                     for s in set(pa) | set(pb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), width=st.integers(1, 3))
+def test_tv_distance_aligns_rows_in_any_order(seed, width):
+    rng = np.random.default_rng(seed)
+    cells = np.array(list(np.ndindex(*(3,) * width)), dtype=np.int64) - 1
+    tables = []
+    for _ in range(2):
+        rows = cells[rng.random(len(cells)) < 0.6]
+        if len(rows) == 0:
+            rows = cells[:1]
+        w = rng.random(len(rows))
+        tables.append(DistributionTable(rows, w / w.sum(), 0.0))
+    a, b = tables
+    tv = tv_distance(a, b)
+    assert tv == pytest.approx(dict_tv(a, b), rel=0, abs=1e-15)
+    assert tv_distance(b, a) == tv
+    # the union is sorted, so the order of either support does not matter
+    order = rng.permutation(len(b))
+    shuffled = DistributionTable(b.support[order], b.probs[order], 0.0)
+    assert tv_distance(a, shuffled) == tv
+    # equal supports are compared row by row in their own order
+    twin = DistributionTable(shuffled.support.copy(),
+                             rng.permutation(shuffled.probs), 0.0)
+    assert tv_distance(shuffled, twin) == \
+        0.5 * float(np.sum(np.abs(shuffled.probs - twin.probs)))

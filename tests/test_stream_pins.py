@@ -16,11 +16,13 @@ import re
 import numpy as np
 import pytest
 
-from atshuffle.banddp import BandDP
+from atshuffle.banddp import BandDP, band_dp_conditional_marginal
 from atshuffle.chains import (asep_monotone_audit_run, asep_pair_coalescence,
                               domination_audit_run, twin_chain_coupling_run)
 from atshuffle.cli import main
-from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
+from atshuffle.experiments import localization_tail_check
+from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
+                             LocalizationVector, Permutation,
                              max_localized_state)
 
 Q = 0.75
@@ -96,6 +98,49 @@ EXACT_TABLE_DIGESTS = {
     "distribution.csv":
         "9e551001124e3f487706b9435d87596f363eae51655c87497d4f9590b64123e5",
 }
+
+# (config, sha256 of result.json) of CLI runs on exact supports and laws:
+# spatial TVs of cut laws and pair-cut laws, a block kernel, a small exact
+# run whose meta holds the support, a pinned disconnect table and the ASEP
+# enumeration crosscheck (recorded with tuple-list supports)
+EXACT_LAW_PINS = {
+    "spatial-one-sided": (
+        {"command": "spatial", "n": 60, "p": {"family": "constant-q", "q": Q},
+         "ell": 3, "eta": {"left": [1]}, "eta_bar": {"left": [4]},
+         "rs": list(range(3, 37)), "mode": "exact"},
+        "e37c913064d89f2d82b90443f1aeef3e801ef9836ae271f820edd613a0bd2103"),
+    "spatial-two-sided": (
+        {"command": "spatial", "n": 40,
+         "p": {"family": "random-eps", "eps": 0.5}, "ell": 3,
+         "eta": {"left": [1], "right": [40]},
+         "eta_bar": {"left": [3], "right": [38]}, "rs": [2, 4, 6, 8],
+         "mode": "exact", "threshold": 1.0},
+        "9fa92303150a1e0fe3b67a4c3bb6e342bbee4420dced1ff94c8c703bfe76f9b9"),
+    "blockcheck": (
+        {"command": "blockcheck", "n": 6,
+         "p": {"family": "random-eps", "eps": 0.5}, "ell": 2},
+        "e198b5c1fedc6058947dd12f68bb694dea3fb51f668cebc3933e15e1141fac85"),
+    "exact": (
+        {"command": "exact", "n": 5,
+         "p": {"family": "random-eps", "eps": 0.5}, "ell": 2},
+        "799aa772f692b6885ffee9da087141adbbabd720ae0ec53972db268ec80f0d4a"),
+    "disconnect": (
+        {"command": "disconnect", "n": 7,
+         "p": {"family": "random-eps", "eps": 0.5}, "ell": 2,
+         "mode": "exact", "boundary": {"left": [2]}},
+        "aba9bb80b2f5a1aab3bb1b5ba6f62970cd23269bcee265cf721aa2ed8dbe119d"),
+    "asep": (
+        {"command": "asep", "n": 12, "k": 5, "q": 0.7},
+        "f9a65e3538bb5e9c683dbea9ef3b1517886c86ccff4d4bb93882626bf45c8e5c"),
+}
+# sha256 of the int64 rows then the probs of band_dp_conditional_marginal at
+# n = 12 (103 rows)
+REGION_MARGINAL_DIGEST = (
+    "e19d6a360f5724777c7daabf7ddf43e45facf47401d308c0038caa67db3ab2b7")
+# sha256 of the sorted-key JSON record of an exact localization_tail_check
+# at n = 7
+TAIL_RECORD_DIGEST = (
+    "7f1572942186696ba8fc4238345e16a7ad42079c25520222004a9f37dbdfc984")
 
 
 @pytest.mark.parametrize("n", sorted(MEETING_TIMES))
@@ -194,3 +239,29 @@ def test_band_dp_rows_pinned():
     rows = dp.sample_rows(rng, 300)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == BAND_DP_ROWS[0]
     assert rng.random() == BAND_DP_ROWS[1]
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_LAW_PINS))
+def test_cli_exact_law_results_pinned(tmp_path, name):
+    config, digest = EXACT_LAW_PINS[name]
+    assert cli_artifact_digest(tmp_path, config, "result.json") == digest
+
+
+def test_region_marginal_pinned():
+    n = 12
+    p = BiasMatrix.random_biased(n, 0.5, np.random.default_rng(41))
+    marg = band_dp_conditional_marginal(
+        p, LocalizationVector.constant(n, 2), BoundaryAssignment(n, (2,), (11,)),
+        (4, 7))
+    rows = np.asarray(marg.support, dtype=np.int64)
+    assert len(marg) == 103
+    assert (hashlib.sha256(rows.tobytes() + marg.probs.tobytes()).hexdigest()
+            == REGION_MARGINAL_DIGEST)
+
+
+def test_exact_tail_record_pinned():
+    p = BiasMatrix.random_biased(7, 0.5, np.random.default_rng(42))
+    res = localization_tail_check(7, p, LocalizationVector.constant(7, 2),
+                                  mode="exact")
+    record = json.dumps(res.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(record).hexdigest() == TAIL_RECORD_DIGEST

@@ -6,7 +6,9 @@ streams, same meeting times, same result files).  The ensemble values were
 recorded with the row-indexed stepper that kept INV current at every step; the
 flat-indexed stepper must reproduce them byte for byte.  The band DP and
 kernel values were recorded with the argsort/searchsorted band DP and the
-state-by-state kernel build.
+state-by-state kernel build.  The Mallows values were recorded with the
+list.pop rank-to-label loop for every chunk and rejection only after a whole
+row was built.
 """
 
 import hashlib
@@ -16,7 +18,8 @@ import re
 import numpy as np
 import pytest
 
-from atshuffle.banddp import BandDP, band_dp_conditional_marginal
+from atshuffle.banddp import (BandDP, MallowsRejectionSampler,
+                              band_dp_conditional_marginal)
 from atshuffle.chains import (asep_monotone_audit_run, asep_pair_coalescence,
                               domination_audit_run, twin_chain_coupling_run)
 from atshuffle.cli import main
@@ -132,6 +135,33 @@ EXACT_LAW_PINS = {
     "asep": (
         {"command": "asep", "n": 12, "k": 5, "q": 0.7},
         "f9a65e3538bb5e9c683dbea9ef3b1517886c86ccff4d4bb93882626bf45c8e5c"),
+}
+# sha256 of result.json of CLI runs that draw 20,000 unwindowed Mallows rows:
+# lowerbound's stationary_mc at n = 128 and mix statistic's reference law of
+# particle 1's position
+MALLOWS_CLI_PINS = {
+    "lowerbound": (
+        {"command": "lowerbound", "n": 128,
+         "p": {"family": "constant-q", "q": Q}, "replicas": 100, "seed": 13},
+        "16e1fcfe549842cc1fe6b828dad0517bac9b8f7355caa107e23d20a63cbf2cd1"),
+    "statistic": (
+        {"command": "mix", "ns": [32, 64],
+         "p": {"family": "constant-q", "q": Q}, "method": "statistic",
+         "budget": 8, "seed": 17},
+        "12d942d098a8c15e69be2507e2941d2ab2968f61466c7d0df394ab86b15b4e00"),
+}
+# sha256 of MallowsRejectionSampler rows at q = Q and the generator's next
+# uniform after them: (n, ell, draws per call, calls, seed) -> pin
+MALLOWS_ROW_PINS = {
+    (300, 12, 1, 200, 19): (
+        "7fc85266a7ebad45afab7b48345aad08f4f4a4d9629773bf51edd0c6238881c4",
+        0.5279024809891051),
+    (300, 12, 64, 1, 29): (
+        "b06051ee972bf718d6ddd713ca784cb0787770bbb7ddf4b99f735d722626af93",
+        0.19001081315287116),
+    (128, None, 3000, 1, 23): (
+        "2e59591291e9162b81f002d5971934f738aec4641769d06289c323846860be9c",
+        0.7730328887658874),
 }
 # sha256 of the int64 rows then the probs of band_dp_conditional_marginal at
 # n = 12 (103 rows)
@@ -265,3 +295,21 @@ def test_exact_tail_record_pinned():
                                   mode="exact")
     record = json.dumps(res.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(record).hexdigest() == TAIL_RECORD_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(MALLOWS_CLI_PINS))
+def test_cli_mallows_results_pinned(tmp_path, name):
+    config, digest = MALLOWS_CLI_PINS[name]
+    assert cli_artifact_digest(tmp_path, config, "result.json") == digest
+
+
+@pytest.mark.parametrize("key", sorted(MALLOWS_ROW_PINS, key=str))
+def test_mallows_rows_pinned(key):
+    n, ell, size, calls, seed = key
+    sampler = MallowsRejectionSampler(
+        n, Q, None if ell is None else LocalizationVector.constant(n, ell))
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([sampler.draw_rows(rng, size) for _ in range(calls)])
+    assert rows.shape == (size * calls, n)
+    assert (hashlib.sha256(rows.tobytes()).hexdigest(), rng.random()) \
+        == MALLOWS_ROW_PINS[key]

@@ -35,6 +35,13 @@ ENUM_SAMPLER_CAP = 7
 # the rejection sampler turns at most this many uniforms into rows at a time,
 # which bounds its temporaries to about 1 MB each
 ROW_CHUNK_ELEMENTS = 1 << 17
+# a chunk of at least this many rows is turned into labels by one slab
+# decode, a smaller one row by row.  The slab wins from about 32-48 rows at
+# n = 20-300, but its cost per row grows as n^2 against the row loop's n, and
+# at the rows of a full chunk it loses from about n = 900; a chunk holds at
+# most ROW_CHUNK_ELEMENTS // n rows, so 160 confines the slab to n <= 819,
+# where it is 1.2-7x faster (2-core Xeon, numpy 2.4)
+SLAB_MIN_ROWS = 160
 # a BandDP layer holds per word its mask and its forward and backward log
 # weights; the layers may take measure.MEMORY_BUDGET bytes
 BYTES_PER_STATE = 24
@@ -501,6 +508,9 @@ def _mallows_cdfs(n: int, q: float) -> tuple:
         lw = np.arange(remaining) * logphi
         w = np.exp(lw - lw.max())
         cdf = np.cumsum(w) / w.sum()
+        # a top rounded below 1 would give some u < 1 the rank `remaining`,
+        # which names no label
+        cdf[-1] = 1.0
         cdf.setflags(write=False)
         cdfs.append(cdf)
     table = None
@@ -510,6 +520,26 @@ def _mallows_cdfs(n: int, q: float) -> tuple:
             table[pos, :n - pos] = cdfs[n - pos - 1]
         table.setflags(write=False)
     return tuple(cdfs), table
+
+
+def _slab_rows(ranks: np.ndarray) -> np.ndarray:
+    """Rows of labels 1..n from an (n, size) array of insertion ranks.
+
+    Rank k at position i is the index of its label among the labels not
+    placed before i.  Decoding right to left, the suffix from i + 1 on holds
+    the 0-based label indices among the labels left after i; inserting
+    position i's pick shifts every index at or above it by one.  Each step
+    is one numpy call over the whole (n - i, size) slab, in the smallest
+    unsigned dtype that holds n - 1.
+    """
+    n = ranks.shape[0]
+    v = np.ascontiguousarray(ranks, dtype=np.min_scalar_type(n - 1))
+    for i in range(n - 2, -1, -1):
+        tail = v[i + 1:]
+        tail += tail >= v[i]
+    rows = v.T.astype(np.int64, order="C")
+    rows += 1
+    return rows
 
 
 class MallowsRejectionSampler:
@@ -532,6 +562,12 @@ class MallowsRejectionSampler:
         self.n = n
         self.q = q
         self.ell = ell
+        # label x may sit at positions _first[x].._last[x] (index 0 unused)
+        self._first = self._last = None
+        if ell is not None:
+            labels = np.arange(n + 1)
+            self._first = (labels - np.r_[0, ell.lo]).tolist()
+            self._last = (labels + np.r_[0, ell.hi]).tolist()
         if q <= 0.0 or q >= 1.0:
             self._degenerate = np.arange(1, n + 1) if q == 1.0 else np.arange(n, 0, -1)
             self._cdfs = self._table = None
@@ -539,27 +575,44 @@ class MallowsRejectionSampler:
             self._degenerate = None
             self._cdfs, self._table = _mallows_cdfs(n, q)
 
-    def _rows_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """One insertion permutation per row of a (size, n) block of uniforms.
+    def _rows_from_uniforms(self, u: np.ndarray) -> tuple:
+        """Insertion rows of a (size, n) block of uniforms and which to keep.
 
         A chunk whose (size, n, n) comparison fits ROW_CHUNK_ELEMENTS takes
         all ranks at once from the padded table: the count of CDF entries
         <= u is searchsorted(side="right") on the sorted CDF, and the +inf
         padding counts for none.  Larger chunks search column by column.
+        A chunk of SLAB_MIN_ROWS or more rows is decoded as one slab;
+        smaller ones row by row, where a windowed sampler stops a row at its
+        first label outside its window.  Rows not kept hold no permutation.
         """
         size, n = u.shape
         if size * n * n <= ROW_CHUNK_ELEMENTS:
-            ranks = (self._table <= u[:, :, None]).sum(axis=2)
+            ranks = (self._table <= u[:, :, None]).sum(axis=2).T
         else:
-            ranks = np.empty((n, size), dtype=np.int64)
+            ranks = np.empty((n, size), dtype=np.min_scalar_type(n - 1))
             for pos, col in enumerate(u.T):
                 ranks[pos] = self._cdfs[n - pos - 1].searchsorted(col, side="right")
-            ranks = ranks.T
-        rows = np.empty((size, n), dtype=np.int64)
-        for r, rk in enumerate(ranks):
+        if size >= SLAB_MIN_ROWS:
+            rows = _slab_rows(ranks)
+            return rows, self._accept(rows)
+        rows = np.zeros((size, n), dtype=np.int64)
+        keep = np.ones(size, dtype=bool)
+        for r, rk in enumerate(ranks.T.tolist()):
             avail = list(range(1, n + 1))
-            rows[r] = [avail.pop(k) for k in rk.tolist()]
-        return rows
+            if self._first is None:
+                rows[r] = [avail.pop(k) for k in rk]
+                continue
+            row = []
+            for pos, k in enumerate(rk, 1):
+                x = avail.pop(k)
+                if not self._first[x] <= pos <= self._last[x]:
+                    keep[r] = False
+                    break
+                row.append(x)
+            else:
+                rows[r] = row
+        return rows, keep
 
     def _accept(self, rows: np.ndarray) -> np.ndarray:
         if self.ell is None:
@@ -591,8 +644,8 @@ class MallowsRejectionSampler:
             start = 0
             while start < batch and got < size:
                 stop = min(batch, start + size - got, start + chunk)
-                rows = self._rows_from_uniforms(u[start:stop])
-                keep = rows[self._accept(rows)]
+                rows, keep = self._rows_from_uniforms(u[start:stop])
+                keep = rows[keep]
                 take = min(len(keep), size - got)
                 out[got:got + take] = keep[:take]
                 got += take

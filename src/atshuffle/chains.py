@@ -443,6 +443,18 @@ def block_step(sigma: Permutation, schedule: BlockSchedule, p: BiasMatrix,
     return BandDP(p, ell, pins=pins).sample(rng)
 
 
+def check_dense_kernel(states: int) -> None:
+    """Raise CapExceeded if a dense kernel over states states would take
+    more than measure.MEMORY_BUDGET bytes."""
+    need = 8 * states ** 2
+    if need > MEMORY_BUDGET:
+        raise CapExceeded(
+            f"the exact block kernel over {states} states needs a dense "
+            f"{need} byte array, above the {MEMORY_BUDGET} byte budget "
+            "(measure.MEMORY_BUDGET); use a smaller n or a tighter "
+            "localization vector")
+
+
 def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
                        schedule: BlockSchedule,
                        mu: DistributionTable | None = None) -> TransitionMatrix:
@@ -454,13 +466,7 @@ def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
     if mu is None:
         mu = enumerate_stationary(n, p, ell)
     S = mu.support
-    need = 8 * len(S) ** 2
-    if need > MEMORY_BUDGET:
-        raise CapExceeded(
-            f"the exact block kernel over {len(S)} states needs a dense "
-            f"{need} byte array, above the {MEMORY_BUDGET} byte budget "
-            "(measure.MEMORY_BUDGET); use a smaller n or a tighter "
-            "localization vector")
+    check_dense_kernel(len(S))
     P = np.zeros((len(S), len(S)))
     for blk, wb in zip(schedule.blocks(), schedule.probabilities()):
         comp = np.ones(n, dtype=bool)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .banddp import BandDP, DEFAULT_WINDOW_CAP, exact_localized_sampler
 from .chains import (BlockSchedule, asep_pair_coalescence,
-                     asep_rightmost_tail, asep_stationary,
+                     asep_rightmost_tail, asep_stationary, check_dense_kernel,
                      derive_rng, ensemble_chain_run,
                      ensemble_max_displacement, exact_block_kernel,
                      experiment_id, twin_chain_coupling_run)
@@ -646,6 +646,10 @@ def block_decomposition_check(n: int, p: BiasMatrix,
         if len(blk) != 1:
             raise ContractError(
                 "decomposition check supports interval blocks only")
+    if ell is None and p.dense().min() > 0.0:
+        # no window and no forbidden pair: all n! states carry weight, so
+        # the dense block kernel can refuse before the enumeration
+        check_dense_kernel(math.factorial(n))
     mu = enumerate_stationary(n, p, ell)
     # the dense block kernel refuses above the memory budget before any gap
     K = exact_block_kernel(n, p, ell, schedule, mu=mu)

@@ -20,7 +20,7 @@ from atshuffle.errors import CapExceeded, EmptySupport
 from atshuffle.measure import enumerate_stationary, log_weight
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
                              LocalizationVector, Permutation, is_localized,
-                             random_admissible_localization)
+                             localized_rows, random_admissible_localization)
 
 
 def brute_conditional(mu, pins):
@@ -232,6 +232,19 @@ def test_mallows_tables_are_shared_and_read_only():
         list(range(1, 364))
 
 
+def uniforms_with_ties(sampler, rng, size, ties):
+    """(size, n) uniforms, each with chance ties equal to a CDF entry below
+    the CDF's top, as a uniform below 1 can be."""
+    n = sampler.n
+    u = rng.random((size, n))
+    for row, pos in zip(*np.nonzero(rng.random(u.shape) < ties)):
+        cdf = sampler._cdfs[n - pos - 1]
+        below = int(np.searchsorted(cdf, cdf[-1]))
+        if below:
+            u[row, pos] = cdf[rng.integers(0, below)]
+    return u
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(8, 80), q=st.floats(0.5, 0.95),
        seed=st.integers(0, 2 ** 32 - 1), ties=st.floats(0.0, 0.5))
@@ -241,21 +254,85 @@ def test_mallows_rank_paths_match_reference(n, q, seed, ties):
     sampler = MallowsRejectionSampler(n, q, None)
     rng = np.random.default_rng(seed)
     table_rows = banddp.ROW_CHUNK_ELEMENTS // (n * n)
-    u = rng.random((table_rows + 1, n))
-    for row, pos in zip(*np.nonzero(rng.random(u.shape) < ties)):
-        # ties with entries below the CDF's top, as a uniform below 1 can be
-        cdf = sampler._cdfs[n - pos - 1]
-        below = int(np.searchsorted(cdf, cdf[-1]))
-        if below:
-            u[row, pos] = cdf[rng.integers(0, below)]
+    u = uniforms_with_ties(sampler, rng, table_rows + 1, ties)
     want = block_oracle.mallows_rows(sampler._cdfs, u)
     # one chunk too large for the table, one as large as fits, single rows
-    assert np.array_equal(sampler._rows_from_uniforms(u), want)
-    assert np.array_equal(sampler._rows_from_uniforms(u[:table_rows]),
+    assert np.array_equal(sampler._rows_from_uniforms(u)[0], want)
+    assert np.array_equal(sampler._rows_from_uniforms(u[:table_rows])[0],
                           want[:table_rows])
     for r in range(min(8, table_rows)):
-        assert np.array_equal(sampler._rows_from_uniforms(u[r:r + 1]),
+        assert np.array_equal(sampler._rows_from_uniforms(u[r:r + 1])[0],
                               want[r:r + 1])
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_mallows_decode_paths_match_reference(n, monkeypatch):
+    """Row by row below SLAB_MIN_ROWS and as one slab at it, the rows are
+    the reference rows, across the uint8/uint16 change of the slab dtype,
+    and a windowed sampler keeps exactly the localized ones."""
+    slabs = []
+    slab_rows = banddp._slab_rows
+    monkeypatch.setattr(banddp, "_slab_rows",
+                        lambda ranks: slabs.append(ranks.dtype) or
+                        slab_rows(ranks))
+    plain = MallowsRejectionSampler(n, 0.75, None)
+    windowed = MallowsRejectionSampler(n, 0.75, LocalizationVector.constant(n, 12))
+    u = uniforms_with_ties(plain, np.random.default_rng(n), banddp.SLAB_MIN_ROWS,
+                           ties=0.005)
+    want = block_oracle.mallows_rows(plain._cdfs, u)
+    local = localized_rows(want, windowed.ell)
+    assert 20 < local.sum() < len(local) - 20
+    for size in (banddp.SLAB_MIN_ROWS - 1, banddp.SLAB_MIN_ROWS):
+        rows, keep = plain._rows_from_uniforms(u[:size])
+        assert np.array_equal(rows, want[:size]) and keep.all()
+        rows, keep = windowed._rows_from_uniforms(u[:size])
+        assert np.array_equal(keep, local[:size])
+        assert np.array_equal(rows[keep], want[:size][local[:size]])
+    assert slabs == [np.min_scalar_type(n - 1)] * 2
+    assert slabs[0] == (np.uint8 if n <= 256 else np.uint16)
+    # the largest label index, n - 1, in the slab's dtype: the reversal
+    reversal = np.arange(n - 1, -1, -1)[:, None].repeat(3, axis=1)
+    assert np.array_equal(banddp._slab_rows(reversal),
+                          np.tile(np.arange(n, 0, -1), (3, 1)))
+
+
+def test_mallows_cdf_tops_are_one():
+    # at q = 0.6, n = 300, 182 of the CDFs summed to a top below 1, so the
+    # largest uniform below 1 had a rank past the last label
+    sampler = MallowsRejectionSampler(300, 0.6, None)
+    assert all(cdf[-1] == 1.0 for cdf in sampler._cdfs)
+    u = np.full((banddp.SLAB_MIN_ROWS, 300), np.nextafter(1.0, 0.0))
+    want = block_oracle.mallows_rows(sampler._cdfs, u[:1])
+    assert np.array_equal(np.sort(want[0]), np.arange(1, 301))
+    for size in (1, banddp.SLAB_MIN_ROWS):
+        rows, keep = sampler._rows_from_uniforms(u[:size])
+        assert keep.all() and np.array_equal(rows, np.tile(want, (size, 1)))
+
+
+def reference_draws(sampler, rng, size):
+    """draw_rows from the reference rows: each try a full batch of
+    uniforms, its rows filtered by localized_rows."""
+    out = []
+    got = 0
+    while got < size:
+        u = rng.random((max(32, int((size - got) * 1.1)), sampler.n))
+        rows = block_oracle.mallows_rows(sampler._cdfs, u)
+        rows = rows[localized_rows(rows, sampler.ell)][:size - got]
+        out.append(rows)
+        got += len(rows)
+    return np.concatenate(out)
+
+
+def test_windowed_mallows_draws_are_the_filtered_reference_rows():
+    n = 300
+    sampler = MallowsRejectionSampler(n, 0.75, LocalizationVector.constant(n, 12))
+    rng, ref_rng = np.random.default_rng(51), np.random.default_rng(51)
+    for _ in range(20):
+        assert np.array_equal(sampler.draw_rows(rng, 1),
+                              reference_draws(sampler, ref_rng, 1))
+    assert np.array_equal(sampler.draw_rows(rng, 64),
+                          reference_draws(sampler, ref_rng, 64))
+    assert rng.random() == ref_rng.random()
 
 
 def test_dispatcher_strategies():

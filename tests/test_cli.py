@@ -577,3 +577,20 @@ def test_mix_exact_refuses_an_oversized_n_before_enumerating(tmp_path,
     assert main(["--config", cfg, "--out", str(tmp_path / "m")]) == 2
     man = json.loads((tmp_path / "m" / "manifest.json").read_text())
     assert "CapExceeded" in man["error"] and "n=12" in man["error"]
+
+
+def test_blockcheck_refuses_its_dense_kernel_before_enumerating(tmp_path,
+                                                               monkeypatch):
+    # with no window and no forbidden pair all 9! states carry weight, so
+    # the kernel's 8 * 362880^2 bytes are known before any enumeration,
+    # which used to take 2.2 s before the kernel refused
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated before the kernel budget check")
+
+    monkeypatch.setattr(experiments, "enumerate_stationary", never)
+    cfg = write_config(tmp_path, "b.json", {
+        "command": "blockcheck", "n": 9,
+        "p": {"family": "random-eps", "eps": 0.5}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 2
+    man = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert "CapExceeded" in man["error"] and "362880 states" in man["error"]

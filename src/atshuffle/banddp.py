@@ -496,10 +496,12 @@ class EnumerationSampler:
 def _mallows_cdfs(n: int, q: float) -> tuple:
     """Read-only insertion CDFs, one per count of remaining labels (1..n).
 
-    Returns (cdfs, table).  table is None unless one row's ranks fit a
-    conversion chunk (n * n <= ROW_CHUNK_ELEMENTS); then it holds the same
-    CDFs as an (n, n) array whose row pos is the CDF for n - pos remaining
-    labels, padded with +inf.
+    Returns (cdfs, table, spread).  table and spread are None unless one
+    row's ranks fit a conversion chunk (n * n <= ROW_CHUNK_ELEMENTS); then
+    table holds the same CDFs as an (n, n + 1) array whose row pos is -inf,
+    then the CDF for m = n - pos remaining labels, padded with +inf, and
+    spread[pos] is phi^m - 1, the scale of that row's truncated-geometric
+    inverse CDF, capped at the largest finite float.
     """
     phi = (1.0 - q) / q
     logphi = math.log(phi) if phi > 0 else NEG_INF
@@ -509,17 +511,26 @@ def _mallows_cdfs(n: int, q: float) -> tuple:
         w = np.exp(lw - lw.max())
         cdf = np.cumsum(w) / w.sum()
         # a top rounded below 1 would give some u < 1 the rank `remaining`,
-        # which names no label
+        # which names no label; entries rounded above 1 would leave the top
+        # below them.  No u < 1 counts an entry >= 1, so setting the top to
+        # 1 and clipping those entries to it changes no rank, and the CDF is
+        # nondecreasing
+        np.minimum(cdf, 1.0, out=cdf)
         cdf[-1] = 1.0
         cdf.setflags(write=False)
         cdfs.append(cdf)
-    table = None
+    table = spread = None
     if n * n <= ROW_CHUNK_ELEMENTS:
-        table = np.full((n, n), math.inf)
+        table = np.full((n, n + 1), math.inf)
+        table[:, 0] = NEG_INF
         for pos in range(n):
-            table[pos, :n - pos] = cdfs[n - pos - 1]
+            table[pos, 1:n - pos + 1] = cdfs[n - pos - 1]
         table.setflags(write=False)
-    return tuple(cdfs), table
+        with np.errstate(over="ignore"):
+            spread = np.expm1(np.arange(n, 0, -1) * logphi)
+        spread = np.minimum(spread, np.finfo(np.float64).max)
+        spread.setflags(write=False)
+    return tuple(cdfs), table, spread
 
 
 def _slab_rows(ranks: np.ndarray) -> np.ndarray:
@@ -550,18 +561,22 @@ class MallowsRejectionSampler:
     reproduces weights phi^(inversion count).  Draws violating the
     localization window are rejected, so accepted draws are exact conditional
     samples.  Acceptance is near 1 for windows wider than the displacement
-    scale; a try cap guards degenerate combinations.
+    scale; a try cap guards degenerate combinations.  When rejection gives
+    up, fallback (a function of no arguments) builds the sampler that draws
+    in its place from then on, and strategy becomes its strategy; without
+    one, giving up is a CapExceeded.
     """
 
     strategy = "mallows-rejection"
     _MAX_TRIES = 400
-    _TOO_LOW = ("rejection sampler acceptance too low for this localization; "
-                "use the band DP sampler")
 
-    def __init__(self, n: int, q: float, ell: LocalizationVector | None):
+    def __init__(self, n: int, q: float, ell: LocalizationVector | None,
+                 fallback=None):
         self.n = n
         self.q = q
         self.ell = ell
+        self._fallback = fallback
+        self._instead = None
         # label x may sit at positions _first[x].._last[x] (index 0 unused)
         self._first = self._last = None
         if ell is not None:
@@ -573,22 +588,25 @@ class MallowsRejectionSampler:
             self._cdfs = self._table = None
         else:
             self._degenerate = None
-            self._cdfs, self._table = _mallows_cdfs(n, q)
+            self._cdfs, self._table, self._spread = _mallows_cdfs(n, q)
+            logphi = math.log((1.0 - q) / q)
+            # at phi = 1 the spread is 0, so every guess is 0
+            self._rate = 1.0 / logphi if logphi else 0.0
 
     def _rows_from_uniforms(self, u: np.ndarray) -> tuple:
         """Insertion rows of a (size, n) block of uniforms and which to keep.
 
-        A chunk whose (size, n, n) comparison fits ROW_CHUNK_ELEMENTS takes
-        all ranks at once from the padded table: the count of CDF entries
-        <= u is searchsorted(side="right") on the sorted CDF, and the +inf
-        padding counts for none.  Larger chunks search column by column.
-        A chunk of SLAB_MIN_ROWS or more rows is decoded as one slab;
-        smaller ones row by row, where a windowed sampler stops a row at its
-        first label outside its window.  Rows not kept hold no permutation.
+        A rank is the count of CDF entries <= u, searchsorted(side="right")
+        on the sorted CDF.  A chunk with size * n * n <= ROW_CHUNK_ELEMENTS,
+        which bounds the table rows that _table_ranks may compare, takes its
+        ranks there; larger chunks search column by column.  A chunk of
+        SLAB_MIN_ROWS or more rows is decoded as one slab; smaller ones row
+        by row, where a windowed sampler stops a row at its first label
+        outside its window.  Rows not kept hold no permutation.
         """
         size, n = u.shape
         if size * n * n <= ROW_CHUNK_ELEMENTS:
-            ranks = (self._table <= u[:, :, None]).sum(axis=2).T
+            ranks = self._table_ranks(u).T
         else:
             ranks = np.empty((n, size), dtype=np.min_scalar_type(n - 1))
             for pos, col in enumerate(u.T):
@@ -614,6 +632,31 @@ class MallowsRejectionSampler:
                 rows[r] = row
         return rows, keep
 
+    def _table_ranks(self, u: np.ndarray) -> np.ndarray:
+        """The (size, n) ranks of a block of uniforms, in O(size n).
+
+        Each rank is guessed from the truncated-geometric inverse CDF,
+        floor(log1p(u (phi^m - 1)) / log phi), clipped into [0, m - 1], and
+        checked against its table row: on a nondecreasing CDF,
+        cdf[k - 1] <= u < cdf[k] says that exactly k entries are <= u.  An
+        entry that fails the check (a guess rounded across a CDF entry, a
+        NaN guess, phi = 1) counts the entries of its own table row instead.
+        """
+        size, n = u.shape
+        guess = np.log1p(u * self._spread)
+        guess *= self._rate
+        np.floor(guess, out=guess)
+        # fmin and fmax take the bound in place of a NaN guess
+        np.fmin(guess, np.arange(n - 1, -1, -1), out=guess)
+        k = np.fmax(guess, 0, out=guess).astype(np.intp)
+        # the flat table index of cdf[k - 1], or of the -inf before cdf[0]
+        at = k + np.arange(0, n * (n + 1), n + 1)
+        bad = ~((self._table.take(at) <= u) & (u < self._table.take(at + 1)))
+        if bad.any():
+            rows = self._table[np.broadcast_to(np.arange(n), u.shape)[bad], 1:]
+            k[bad] = (rows <= u[bad][:, None]).sum(axis=1)
+        return k
+
     def _accept(self, rows: np.ndarray) -> np.ndarray:
         if self.ell is None:
             return np.ones(len(rows), dtype=bool)
@@ -626,11 +669,13 @@ class MallowsRejectionSampler:
         depend on acceptance, but turns them into rows only in chunks, in
         order, until the accepted rows suffice.
         """
+        if self._instead is not None:
+            return self._instead.draw_rows(rng, size)
         if self._degenerate is not None:
             # the only row there is: accepted always or never
             rows = np.tile(self._degenerate, (size, 1))
             if not np.all(self._accept(rows)):
-                raise CapExceeded(self._TOO_LOW)
+                return self._give_up(rng, size)
             return rows
         out = np.empty((size, self.n), dtype=np.int64)
         chunk = max(1, ROW_CHUNK_ELEMENTS // self.n)
@@ -638,7 +683,7 @@ class MallowsRejectionSampler:
         tries = 0
         while got < size:
             if tries >= self._MAX_TRIES:
-                raise CapExceeded(self._TOO_LOW)
+                return self._give_up(rng, size)
             batch = max(32, int((size - got) * 1.1))
             u = rng.random((batch, self.n))
             start = 0
@@ -652,6 +697,19 @@ class MallowsRejectionSampler:
                 start = stop
             tries += 1
         return out
+
+    def _give_up(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """All size rows from the fallback sampler, which draws from now on."""
+        if self._fallback is None:
+            # only a window rejects, so there is one
+            W = self.ell.l_max_minus + self.ell.l_max_plus + 1
+            raise CapExceeded(
+                "rejection sampler acceptance too low for this localization, "
+                f"and its window width {W} is above the band DP's cap; widen "
+                f"ell, or raise cap_window (--cap-window on the CLI) to {W}")
+        self._instead = self._fallback()
+        self.strategy = self._instead.strategy
+        return self._instead.draw_rows(rng, size)
 
 
 class BandDPSampler:
@@ -670,8 +728,9 @@ def exact_localized_sampler(p: BiasMatrix, ell: LocalizationVector | None,
     """Pick an exact sampler for mu(. | localized set).
 
     Preference order: full enumeration at tiny n, the band DP when the window
-    is narrow, insertion-plus-rejection for constant-bias instances, then the
-    band DP up to the hard window cap.  Raises CapExceeded when nothing exact
+    is narrow, insertion-plus-rejection for constant-bias instances (falling
+    back on the band DP, within the window cap, if rejection gives up), then
+    the band DP up to the window cap.  Raises CapExceeded when nothing exact
     is feasible (there is no general-purpose unrestricted exact sampler at
     large n).
     """
@@ -684,7 +743,11 @@ def exact_localized_sampler(p: BiasMatrix, ell: LocalizationVector | None,
         if W <= FAST_WINDOW:
             return BandDPSampler(p, ell, window_cap=window_cap)
         if q is not None:
-            return MallowsRejectionSampler(n, q, ell)
+            fallback = None
+            if W <= window_cap:
+                fallback = functools.partial(BandDPSampler, p, ell,
+                                             window_cap=window_cap)
+            return MallowsRejectionSampler(n, q, ell, fallback)
         if W <= window_cap:
             return BandDPSampler(p, ell, window_cap=window_cap)
         raise CapExceeded(

@@ -249,7 +249,7 @@ class BiasMatrix:
     p[j][i] = 1 - p[i][j] holds identically.  The diagonal is unused.
     """
 
-    __slots__ = ("n", "_dense", "_log", "_epsilon", "_q")
+    __slots__ = ("n", "_dense", "_idx", "_log", "_epsilon", "_q", "_sha")
 
     def __init__(self, upper):
         up = np.array(upper, dtype=np.float64)
@@ -263,42 +263,39 @@ class BiasMatrix:
         dense = np.ones((n, n), dtype=np.float64)
         dense[iu] = vals
         dense[(iu[1], iu[0])] = 1.0 - vals
+        dense.setflags(write=False)
         self.n = n
         self._dense = dense
-        self._dense.setflags(write=False)
+        self._idx = None
         self._log = None
         self._epsilon = None
         self._q = _LAZY
-
-    @classmethod
-    def _trusted(cls, dense: np.ndarray, q=_LAZY) -> "BiasMatrix":
-        """A matrix over a dense array the constructor would have built (upper
-        triangle in [0, 1], its mirror 1 - p below, ones on the diagonal),
-        kept without checking; q is its constant_q() when known."""
-        out = cls.__new__(cls)
-        out.n = dense.shape[0]
-        out._dense = dense
-        out._dense.setflags(write=False)
-        out._log = None
-        out._epsilon = None
-        out._q = q
-        return out
+        self._sha = None
 
     def get(self, i: int, j: int) -> float:
         """p[i][j] for particle labels i != j (1-based)."""
         if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ContractError(f"bad label pair ({i}, {j})")
-        return float(self._dense[i - 1, j - 1])
+        return float(self.dense()[i - 1, j - 1])
 
     def dense(self) -> np.ndarray:
-        """Read-only (n, n) array, 0-indexed; diagonal entries are unused (1.0)."""
+        """Read-only (n, n) array, 0-indexed; diagonal entries are unused (1.0).
+
+        A submatrix gathers its entries from its parent's array here, on
+        first use.
+        """
+        if self._idx is not None:
+            dense = self._dense[np.ix_(self._idx, self._idx)]
+            dense.setflags(write=False)
+            self._dense = dense
+            self._idx = None
         return self._dense
 
     def log_dense(self) -> np.ndarray:
         """Elementwise log of dense(), with log 0 = -inf (no warning)."""
         if self._log is None:
             with np.errstate(divide="ignore"):
-                log = np.log(self._dense)
+                log = np.log(self.dense())
             log.setflags(write=False)
             self._log = log
         return self._log
@@ -316,7 +313,7 @@ class BiasMatrix:
                 self._epsilon = math.inf
             else:
                 iu = np.triu_indices(self.n, k=1)
-                p = self._dense[iu]
+                p = self.dense()[iu]
                 q = 1.0 - p
                 with np.errstate(divide="ignore"):
                     ratios = np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0), math.inf)
@@ -325,7 +322,7 @@ class BiasMatrix:
 
     def is_monotone(self) -> bool:
         """p[i][j] nondecreasing in j (i<j) and nonincreasing in i (i+1<j)."""
-        d = self._dense
+        d = self.dense()
         for i in range(self.n):
             for j in range(i + 1, self.n - 1):
                 if d[i, j] > d[i, j + 1] + 1e-15:
@@ -341,7 +338,10 @@ class BiasMatrix:
 
         Increasing labels keep the upper triangle upper, so the principal
         submatrix is the matrix the constructor would build and is taken as
-        it is.  A constant parent hands its constant_q() down.
+        it is.  It keeps this matrix's array and the label indices, and
+        gathers its entries on first use, so a caller that reads only its
+        size and constant_q() never pays for them: a constant parent hands
+        its constant_q() down.
         """
         idx = np.asarray(labels, dtype=np.int64) - 1
         if idx.ndim != 1 or (idx.size and (idx[0] < 0 or idx[-1] >= self.n
@@ -349,9 +349,15 @@ class BiasMatrix:
             raise ContractError(
                 f"submatrix needs strictly increasing labels in 1..{self.n}")
         q = self.constant_q()
-        return BiasMatrix._trusted(
-            self._dense[np.ix_(idx, idx)],
-            q if q is not None and idx.size >= 2 else _LAZY)
+        out = BiasMatrix.__new__(BiasMatrix)
+        out.n = int(idx.size)
+        out._dense = self._dense
+        out._idx = idx if self._idx is None else self._idx[idx]
+        out._log = None
+        out._epsilon = None
+        out._q = q if q is not None and idx.size >= 2 else _LAZY
+        out._sha = None
+        return out
 
     def constant_q(self) -> float | None:
         """The common upper-triangle value if the matrix is constant, else None."""
@@ -359,23 +365,23 @@ class BiasMatrix:
             if self.n < 2:
                 self._q = 1.0
             else:
-                vals = self._dense[np.triu_indices(self.n, k=1)]
+                vals = self.dense()[np.triu_indices(self.n, k=1)]
                 q = float(vals[0])
                 self._q = q if np.all(vals == q) else None
         return self._q
 
     def to_tuple(self) -> tuple:
         iu = np.triu_indices(self.n, k=1)
-        return tuple(float(v) for v in self._dense[iu])
+        return tuple(float(v) for v in self.dense()[iu])
 
     def __reduce__(self):
         # rebuilt through the constructor, so an unpickled matrix is read-only
-        return (BiasMatrix, (self._dense,))
+        return (BiasMatrix, (self.dense(),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiasMatrix):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._dense, other._dense)
+        return self.n == other.n and np.array_equal(self.dense(), other.dense())
 
     def __repr__(self) -> str:
         return f"BiasMatrix(n={self.n}, epsilon={self.epsilon:.6g})"
@@ -383,7 +389,7 @@ class BiasMatrix:
     def to_text(self) -> str:
         n = self.n
         # one repr per distinct bit pattern, so 0.0 and -0.0 stay apart
-        bits, which = np.unique(self._dense[np.triu_indices(n, k=1)].view(np.int64),
+        bits, which = np.unique(self.dense()[np.triu_indices(n, k=1)].view(np.int64),
                                 return_inverse=True)
         reprs = [repr(v) for v in bits.view(np.float64).tolist()]
         vals = [reprs[w] for w in which.tolist()]
@@ -397,6 +403,12 @@ class BiasMatrix:
             lines.append(f"p {i} " + f"\np {i} ".join(row))
             start = stop
         return "\n".join(lines) + "\n"
+
+    def _text_sha(self):
+        """The sha256 state after to_text(), computed once; callers copy it."""
+        if self._sha is None:
+            self._sha = hashlib.sha256(self.to_text().encode())
+        return self._sha
 
     @classmethod
     def from_text(cls, text: str) -> "BiasMatrix":
@@ -488,8 +500,7 @@ class BiasMatrix:
 
 def instance_fingerprint(p: BiasMatrix, ell: LocalizationVector | None) -> str:
     """Stable short hash of (n, p, ell) used to key experiment records."""
-    h = hashlib.sha256()
-    h.update(p.to_text().encode())
+    h = p._text_sha().copy()
     h.update(b"|")
     h.update(ell.to_text().encode() if ell is not None else b"none")
     return h.hexdigest()[:16]

@@ -3,8 +3,8 @@
 These are the straightforward versions of the block-update helpers: Python
 loops for the relabel map, the induced windows and the greedy extreme state,
 every sub-instance rebuilt through the validating ``BiasMatrix`` and
-``LocalizationVector`` constructors with ``constant_q`` recomputed from its
-entries, the bias-matrix text written one bounds-checked entry at a time, and
+``LocalizationVector`` constructors from an eagerly gathered submatrix with
+``constant_q`` recomputed from its entries, the bias-matrix text written one bounds-checked entry at a time, and
 Mallows ranks found by one ``searchsorted`` per column.  The fast paths must
 reproduce them exactly: equal arrays, the same exceptions and messages, and
 the same bytes.
@@ -42,10 +42,14 @@ def induced_localization(boundary, ell):
     return LocalizationVector(lo, hi)
 
 
+def submatrix(p, labels):
+    idx = np.asarray(labels, dtype=np.int64) - 1
+    return BiasMatrix(p.dense()[np.ix_(idx, idx)])
+
+
 def restrict_instance(boundary, p, ell):
     r = relabel_map(boundary)
-    idx = r - 1
-    sub_p = BiasMatrix(p.dense()[np.ix_(idx, idx)])
+    sub_p = submatrix(p, r)
     sub_ell = induced_localization(boundary, ell) if ell is not None else None
     return sub_p, sub_ell, r
 

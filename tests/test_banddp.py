@@ -223,8 +223,9 @@ def test_mallows_tables_are_shared_and_read_only():
     a = MallowsRejectionSampler(12, 0.7, None)
     b = MallowsRejectionSampler(12, 0.7, LocalizationVector.constant(12, 3))
     assert a._cdfs is b._cdfs and a._table is b._table
+    assert a._spread is b._spread
     assert not any(cdf.flags.writeable for cdf in a._cdfs)
-    assert not a._table.flags.writeable
+    assert not a._table.flags.writeable and not a._spread.flags.writeable
     # no row of ranks fits a chunk above n = 362, so no table is built
     wide = MallowsRejectionSampler(363, 0.7, None)
     assert wide._table is None
@@ -263,6 +264,38 @@ def test_mallows_rank_paths_match_reference(n, q, seed, ties):
     for r in range(min(8, table_rows)):
         assert np.array_equal(sampler._rows_from_uniforms(u[r:r + 1])[0],
                               want[r:r + 1])
+
+
+def column_ranks(sampler, u):
+    """The column searchsorted path: the count of each CDF's entries <= u."""
+    n = sampler.n
+    return np.column_stack([sampler._cdfs[n - pos - 1].searchsorted(col, side="right")
+                            for pos, col in enumerate(u.T)])
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.51, 0.75, 0.999])
+@pytest.mark.parametrize("n", [8, 255, 256, 362, 363])
+def test_mallows_single_rows_match_the_column_path(n, q, monkeypatch):
+    """The guessed and verified ranks of the table path are the column
+    searchsorted ranks on shared uniforms, CDF ties included, and single
+    rows are the reference rows; a guess forced wrong everywhere falls back
+    on the table rows and gives the same ranks."""
+    sampler = MallowsRejectionSampler(n, q, None)
+    for cdf in sampler._cdfs:
+        assert np.all(np.diff(cdf) >= 0)
+    u = uniforms_with_ties(sampler, np.random.default_rng(n), 40, ties=0.05)
+    want = block_oracle.mallows_rows(sampler._cdfs, u)
+    for r in range(len(u)):
+        assert np.array_equal(sampler._rows_from_uniforms(u[r:r + 1])[0],
+                              want[r:r + 1])
+    if n * n > banddp.ROW_CHUNK_ELEMENTS:
+        assert sampler._table is None
+        return
+    assert np.all(sampler._table[:, 1:] >= sampler._table[:, :-1])
+    ranks = column_ranks(sampler, u)
+    assert np.array_equal(sampler._table_ranks(u), ranks)
+    sampler._rate = math.nan
+    assert np.array_equal(sampler._table_ranks(u), ranks)
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
@@ -353,6 +386,25 @@ def test_dispatcher_strategies():
     with pytest.raises(CapExceeded):
         exact_localized_sampler(p40, LocalizationVector.constant(40, 14),
                                 window_cap=22)
+
+
+def test_mallows_gives_up_to_its_fallback_once():
+    # q = 0 has one row, the reversal, which ell = 1 rejects at once
+    ell = LocalizationVector.constant(8, 1)
+    built = []
+
+    def fallback():
+        built.append(EnumerationSampler(BiasMatrix.constant(8, 0.7), ell))
+        return built[-1]
+
+    sampler = MallowsRejectionSampler(8, 0.0, ell, fallback)
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for size in (3, 5):
+        assert np.array_equal(sampler.draw_rows(rng, size),
+                              built[0].draw_rows(ref_rng, size))
+    assert len(built) == 1 and sampler.strategy == "enumeration"
+    with pytest.raises(CapExceeded, match="window width 3 .* cap_window"):
+        MallowsRejectionSampler(8, 0.0, ell).draw_rows(rng, 1)
 
 
 def test_heat_bath_block_sample_contracts():

@@ -159,6 +159,24 @@ def test_burnin_rejects_start_outside_window(tmp_path):
     assert "ContractError" in man["error"]
 
 
+def test_sample_falls_back_on_the_band_dp(tmp_path):
+    # at q = 0.5 the rejection sampler accepts too few draws for ell = 9 and
+    # gives up; W = 19 fits the window cap, so the band DP draws instead
+    config = {"command": "sample", "n": 40,
+              "p": {"family": "constant-q", "q": 0.5}, "ell": 9, "samples": 3}
+    cfg = write_config(tmp_path, "s.json", config)
+    assert main(["--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    res = json.loads((tmp_path / "s" / "result.json").read_text())
+    assert res["verdict"]["passed"]
+    assert res["verdict"]["details"]["strategy"] == "band-dp"
+    # W = 25 does not fit, and the refusal names both knobs
+    cfg = write_config(tmp_path, "w.json", dict(config, ell=12))
+    assert main(["--config", cfg, "--out", str(tmp_path / "w")]) == 2
+    man = json.loads((tmp_path / "w" / "manifest.json").read_text())
+    assert "CapExceeded" in man["error"]
+    assert "widen ell" in man["error"] and "cap_window" in man["error"]
+
+
 def test_sample_and_chain_commands(tmp_path):
     cfg = write_config(tmp_path, "s.json", {
         "command": "sample", "n": 6, "p": {"family": "constant-q", "q": 0.7},

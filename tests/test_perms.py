@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import pickle
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import block_oracle as oracle
+from atshuffle.banddp import heat_bath_block_rows
+from atshuffle.chains import BlockSchedule
 from atshuffle.errors import ContractError, EmptySupport
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                              Permutation, apply_adjacent_transposition,
                              disconnecting_positions, embed,
-                             induced_localization, inverse_rows,
+                             induced_localization, instance_fingerprint,
+                             inverse_rows,
                              is_disconnecting, is_localized, localized_rows,
                              max_displacement,
                              max_localized_state,
@@ -334,6 +338,87 @@ def test_submatrix_needs_increasing_labels_and_carries_q():
     # a single label is constant by convention, whatever its parent
     assert c.submatrix([2]).constant_q() == p.submatrix([2]).constant_q() == 1.0
     assert p.submatrix([2, 5]).constant_q() == p.get(2, 5)
+
+
+LAZY_READS = {
+    "dense": lambda m: m.dense().tobytes(),
+    "read-only": lambda m: m.dense().flags.writeable,
+    "log_dense": lambda m: m.log_dense().tobytes(),
+    "get": lambda m: [m.get(i, j) for i in range(1, m.n + 1)
+                      for j in range(1, m.n + 1) if i != j],
+    "epsilon": lambda m: m.epsilon,
+    "constant_q": lambda m: m.constant_q(),
+    "is_monotone": lambda m: m.is_monotone(),
+    "to_tuple": lambda m: m.to_tuple(),
+    "to_text": lambda m: m.to_text(),
+    "repr": repr,
+    "pickle": lambda m: pickle.loads(pickle.dumps(m)).dense().tobytes(),
+    "fingerprint": lambda m: instance_fingerprint(m, None),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 30), family=st.sampled_from(FAMILIES),
+       seed=st.integers(0, 2 ** 32 - 1), nested=st.booleans())
+def test_lazy_submatrix_matches_eager_gather(n, family, seed, nested):
+    """Whatever reads a submatrix first, it reads the eager np.ix_ gather,
+    also for a submatrix of a submatrix, which stays lazy until read."""
+    rng = np.random.default_rng(seed)
+    p = family_bias(family, n, rng)
+    labels = np.flatnonzero(rng.random(n) < 0.7) + 1
+    inner = np.flatnonzero(rng.random(labels.size) < 0.7) + 1
+    if nested:
+        lazy = lambda: p.submatrix(labels).submatrix(inner)
+        want = oracle.submatrix(oracle.submatrix(p, labels), inner)
+    else:
+        lazy = lambda: p.submatrix(labels)
+        want = oracle.submatrix(p, labels)
+    for name, read in LAZY_READS.items():
+        sub = lazy()
+        assert sub._idx is not None, name
+        assert read(sub) == read(want), name
+    assert lazy() == want and want == lazy() and lazy() == lazy()
+    if want.n >= 2:
+        other = want.dense().copy()
+        other[0, 1] = other[1, 0] = 0.5 if other[0, 1] != 0.5 else 0.25
+        assert lazy() != BiasMatrix(np.triu(other))
+
+
+def test_constant_block_update_gathers_nothing(monkeypatch):
+    """A constant-q heat-bath update reads only the sub-instance's size and
+    its handed-down q, so no entry is ever gathered."""
+    n = 300
+    p = BiasMatrix.constant(n, 0.75)
+    ell = LocalizationVector.constant(n, 12)
+    sigma = localized_walk(ell, np.random.default_rng(3), 20 * n)
+    blocks = BlockSchedule.west_east(n).blocks()
+    want = [heat_bath_block_rows(sigma, block, p, ell,
+                                 np.random.default_rng(k), 2)
+            for k, (block,) in enumerate(blocks)]
+    p.constant_q()
+
+    def no_gather(*args):
+        raise AssertionError("a block update read bias entries")
+
+    monkeypatch.setattr(np, "ix_", no_gather)
+    monkeypatch.setattr(BiasMatrix, "dense", no_gather)
+    for k, (block,) in enumerate(blocks):
+        rows = heat_bath_block_rows(sigma, block, p, ell,
+                                    np.random.default_rng(k), 2)
+        assert np.array_equal(rows, want[k])
+
+
+def test_fingerprints_hash_the_text_once():
+    """A memoized fingerprint is the hash of the text it always was, for
+    every window on one matrix."""
+    p = BiasMatrix.random_biased(9, 0.5, np.random.default_rng(8))
+    for ell in (None, LocalizationVector.constant(9, 2),
+                LocalizationVector.constant(9, 3), None):
+        tail = ell.to_text().encode() if ell is not None else b"none"
+        want = hashlib.sha256(p.to_text().encode() + b"|" + tail)
+        assert instance_fingerprint(p, ell) == want.hexdigest()[:16]
+    assert p._text_sha().hexdigest() == \
+        hashlib.sha256(p.to_text().encode()).hexdigest()
 
 
 def reference_outcome(fn, ell):

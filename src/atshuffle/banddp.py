@@ -642,7 +642,7 @@ class MallowsRejectionSampler:
         entry that fails the check (a guess rounded across a CDF entry, a
         NaN guess, phi = 1) counts the entries of its own table row instead.
         """
-        size, n = u.shape
+        n = u.shape[1]
         guess = np.log1p(u * self._spread)
         guess *= self._rate
         np.floor(guess, out=guess)

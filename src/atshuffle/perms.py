@@ -351,8 +351,8 @@ class BiasMatrix:
         q = self.constant_q()
         out = BiasMatrix.__new__(BiasMatrix)
         out.n = int(idx.size)
-        out._dense = self._dense
-        out._idx = idx if self._idx is None else self._idx[idx]
+        out._dense = self.dense()
+        out._idx = idx
         out._log = None
         out._epsilon = None
         out._q = q if q is not None and idx.size >= 2 else _LAZY

@@ -35,8 +35,9 @@ ENUM_SAMPLER_CAP = 7
 # the rejection sampler turns at most this many uniforms into rows at a time,
 # which bounds its temporaries to about 1 MB each
 ROW_CHUNK_ELEMENTS = 1 << 17
-# a chunk of at least this many rows is turned into labels by one slab
-# decode, a smaller one row by row.  The slab wins from about 32-48 rows at
+# a chunk of at least this many rows takes its ranks by column searchsorted
+# and its labels by one slab decode, a smaller one guesses and verifies its
+# ranks and decodes row by row.  The slab wins from about 32-48 rows at
 # n = 20-300, but its cost per row grows as n^2 against the row loop's n, and
 # at the rows of a full chunk it loses from about n = 900; a chunk holds at
 # most ROW_CHUNK_ELEMENTS // n rows, so 160 confines the slab to n <= 819,
@@ -496,41 +497,39 @@ class EnumerationSampler:
 def _mallows_cdfs(n: int, q: float) -> tuple:
     """Read-only insertion CDFs, one per count of remaining labels (1..n).
 
-    Returns (cdfs, table, spread).  table and spread are None unless one
-    row's ranks fit a conversion chunk (n * n <= ROW_CHUNK_ELEMENTS); then
-    table holds the same CDFs as an (n, n + 1) array whose row pos is -inf,
-    then the CDF for m = n - pos remaining labels, padded with +inf, and
-    spread[pos] is phi^m - 1, the scale of that row's truncated-geometric
-    inverse CDF, capped at the largest finite float.
+    Returns (flat, cdfs, base, spread).  flat holds, for m = 1..n in turn, a
+    -inf and then the CDF for m remaining labels, and cdfs[m - 1] is a view
+    of that CDF.  Position pos draws among m = n - pos labels: base[pos] is
+    the flat index of the -inf before its CDF, and spread[pos] the scale of
+    its truncated-geometric inverse CDF, phi^m - 1 capped at the largest
+    finite float, or m at phi = 1.
     """
-    phi = (1.0 - q) / q
-    logphi = math.log(phi) if phi > 0 else NEG_INF
-    cdfs = []
-    for remaining in range(1, n + 1):
-        lw = np.arange(remaining) * logphi
+    logphi = math.log((1.0 - q) / q)
+    ms = np.arange(n, 0, -1)
+    base = (ms - 1) * (ms + 2) // 2
+    flat = np.full(n * (n + 3) // 2, NEG_INF)
+    blocks = list(zip(base.tolist(), ms.tolist()))
+    for b, m in blocks:
+        lw = np.arange(m) * logphi
         w = np.exp(lw - lw.max())
-        cdf = np.cumsum(w) / w.sum()
-        # a top rounded below 1 would give some u < 1 the rank `remaining`,
-        # which names no label; entries rounded above 1 would leave the top
-        # below them.  No u < 1 counts an entry >= 1, so setting the top to
-        # 1 and clipping those entries to it changes no rank, and the CDF is
+        cdf = flat[b + 1:b + 1 + m]
+        cdf[:] = np.cumsum(w) / w.sum()
+        # a top rounded below 1 would give some u < 1 the rank m, which
+        # names no label; entries rounded above 1 would leave the top below
+        # them.  No u < 1 counts an entry >= 1, so setting the top to 1 and
+        # clipping those entries to it changes no rank, and the CDF is
         # nondecreasing
         np.minimum(cdf, 1.0, out=cdf)
         cdf[-1] = 1.0
-        cdf.setflags(write=False)
-        cdfs.append(cdf)
-    table = spread = None
-    if n * n <= ROW_CHUNK_ELEMENTS:
-        table = np.full((n, n + 1), math.inf)
-        table[:, 0] = NEG_INF
-        for pos in range(n):
-            table[pos, 1:n - pos + 1] = cdfs[n - pos - 1]
-        table.setflags(write=False)
-        with np.errstate(over="ignore"):
-            spread = np.expm1(np.arange(n, 0, -1) * logphi)
-        spread = np.minimum(spread, np.finfo(np.float64).max)
-        spread.setflags(write=False)
-    return tuple(cdfs), table, spread
+    flat.setflags(write=False)
+    # views taken after the flag is cleared are read-only too
+    cdfs = tuple(flat[b + 1:b + 1 + m] for b, m in reversed(blocks))
+    with np.errstate(over="ignore"):
+        spread = (np.minimum(np.expm1(ms * logphi), np.finfo(np.float64).max)
+                  if logphi else ms.astype(np.float64))
+    base.setflags(write=False)
+    spread.setflags(write=False)
+    return flat, cdfs, base, spread
 
 
 def _slab_rows(ranks: np.ndarray) -> np.ndarray:
@@ -577,84 +576,64 @@ class MallowsRejectionSampler:
         self.ell = ell
         self._fallback = fallback
         self._instead = None
-        # label x may sit at positions _first[x].._last[x] (index 0 unused)
-        self._first = self._last = None
-        if ell is not None:
-            labels = np.arange(n + 1)
-            self._first = (labels - np.r_[0, ell.lo]).tolist()
-            self._last = (labels + np.r_[0, ell.hi]).tolist()
         if q <= 0.0 or q >= 1.0:
             self._degenerate = np.arange(1, n + 1) if q == 1.0 else np.arange(n, 0, -1)
-            self._cdfs = self._table = None
         else:
             self._degenerate = None
-            self._cdfs, self._table, self._spread = _mallows_cdfs(n, q)
+            self._flat, self._cdfs, self._base, self._spread = _mallows_cdfs(n, q)
             logphi = math.log((1.0 - q) / q)
-            # at phi = 1 the spread is 0, so every guess is 0
-            self._rate = 1.0 / logphi if logphi else 0.0
+            # at phi = 1 the CDFs are uniform and there is no log to take
+            self._rate = 1.0 / logphi if logphi else None
 
-    def _rows_from_uniforms(self, u: np.ndarray) -> tuple:
-        """Insertion rows of a (size, n) block of uniforms and which to keep.
+    def _rows_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """Insertion rows of a (size, n) block of uniforms.
 
         A rank is the count of CDF entries <= u, searchsorted(side="right")
-        on the sorted CDF.  A chunk with size * n * n <= ROW_CHUNK_ELEMENTS,
-        which bounds the table rows that _table_ranks may compare, takes its
-        ranks there; larger chunks search column by column.  A chunk of
-        SLAB_MIN_ROWS or more rows is decoded as one slab; smaller ones row
-        by row, where a windowed sampler stops a row at its first label
-        outside its window.  Rows not kept hold no permutation.
+        on the sorted CDF.  A chunk of SLAB_MIN_ROWS or more rows searches
+        column by column and is decoded as one slab; a smaller one guesses
+        and verifies each rank and is decoded row by row.
         """
         size, n = u.shape
-        if size * n * n <= ROW_CHUNK_ELEMENTS:
-            ranks = self._table_ranks(u).T
-        else:
+        if size >= SLAB_MIN_ROWS:
             ranks = np.empty((n, size), dtype=np.min_scalar_type(n - 1))
             for pos, col in enumerate(u.T):
                 ranks[pos] = self._cdfs[n - pos - 1].searchsorted(col, side="right")
-        if size >= SLAB_MIN_ROWS:
-            rows = _slab_rows(ranks)
-            return rows, self._accept(rows)
-        rows = np.zeros((size, n), dtype=np.int64)
-        keep = np.ones(size, dtype=bool)
-        for r, rk in enumerate(ranks.T.tolist()):
+            return _slab_rows(ranks)
+        rows = np.empty((size, n), dtype=np.int64)
+        for r, rk in enumerate(self._ranks(u).tolist()):
             avail = list(range(1, n + 1))
-            if self._first is None:
-                rows[r] = [avail.pop(k) for k in rk]
-                continue
-            row = []
-            for pos, k in enumerate(rk, 1):
-                x = avail.pop(k)
-                if not self._first[x] <= pos <= self._last[x]:
-                    keep[r] = False
-                    break
-                row.append(x)
-            else:
-                rows[r] = row
-        return rows, keep
+            rows[r] = [avail.pop(k) for k in rk]
+        return rows
 
-    def _table_ranks(self, u: np.ndarray) -> np.ndarray:
+    def _ranks(self, u: np.ndarray) -> np.ndarray:
         """The (size, n) ranks of a block of uniforms, in O(size n).
 
         Each rank is guessed from the truncated-geometric inverse CDF,
-        floor(log1p(u (phi^m - 1)) / log phi), clipped into [0, m - 1], and
-        checked against its table row: on a nondecreasing CDF,
-        cdf[k - 1] <= u < cdf[k] says that exactly k entries are <= u.  An
-        entry that fails the check (a guess rounded across a CDF entry, a
-        NaN guess, phi = 1) counts the entries of its own table row instead.
+        floor(log1p(u (phi^m - 1)) / log phi), or floor(u m) at phi = 1,
+        clipped into [0, m - 1], and checked against its CDF in the flat
+        array: on a nondecreasing CDF, cdf[k - 1] <= u < cdf[k] says that
+        exactly k entries are <= u, and at k = 0 the -inf before the CDF
+        stands in for cdf[-1].  Entries that fail the check (a guess rounded
+        across a CDF entry, a capped or NaN guess) are searched column by
+        column.
         """
         n = u.shape[1]
-        guess = np.log1p(u * self._spread)
-        guess *= self._rate
+        if self._rate is None:
+            guess = u * self._spread
+        else:
+            guess = np.log1p(u * self._spread)
+            guess *= self._rate
         np.floor(guess, out=guess)
         # fmin and fmax take the bound in place of a NaN guess
         np.fmin(guess, np.arange(n - 1, -1, -1), out=guess)
         k = np.fmax(guess, 0, out=guess).astype(np.intp)
-        # the flat table index of cdf[k - 1], or of the -inf before cdf[0]
-        at = k + np.arange(0, n * (n + 1), n + 1)
-        bad = ~((self._table.take(at) <= u) & (u < self._table.take(at + 1)))
+        at = k + self._base
+        bad = ~((self._flat.take(at) <= u) & (u < self._flat.take(at + 1)))
         if bad.any():
-            rows = self._table[np.broadcast_to(np.arange(n), u.shape)[bad], 1:]
-            k[bad] = (rows <= u[bad][:, None]).sum(axis=1)
+            for pos in np.flatnonzero(bad.any(axis=0)).tolist():
+                miss = bad[:, pos]
+                k[miss, pos] = self._cdfs[n - pos - 1].searchsorted(
+                    u[miss, pos], side="right")
         return k
 
     def _accept(self, rows: np.ndarray) -> np.ndarray:
@@ -689,10 +668,10 @@ class MallowsRejectionSampler:
             start = 0
             while start < batch and got < size:
                 stop = min(batch, start + size - got, start + chunk)
-                rows, keep = self._rows_from_uniforms(u[start:stop])
-                keep = rows[keep]
-                take = min(len(keep), size - got)
-                out[got:got + take] = keep[:take]
+                rows = self._rows_from_uniforms(u[start:stop])
+                rows = rows[self._accept(rows)]
+                take = min(len(rows), size - got)
+                out[got:got + take] = rows[:take]
                 got += take
                 start = stop
             tries += 1
@@ -710,6 +689,18 @@ class MallowsRejectionSampler:
         self._instead = self._fallback()
         self.strategy = self._instead.strategy
         return self._instead.draw_rows(rng, size)
+
+
+def check_draw_memory(size: int, n: int, key: str) -> None:
+    """Raise CapExceeded, naming the config key, if size draws of n labels
+    need more than measure.MEMORY_BUDGET bytes: 8 for each int64 label and
+    8 for the uniform or weight it is drawn from."""
+    need = 16 * size * n
+    if need > MEMORY_BUDGET:
+        raise CapExceeded(
+            f"{key} = {size} draws at n = {n} need about {need / 1e9:.1f} GB, "
+            f"above the {MEMORY_BUDGET / 1e9:.0f} GB budget "
+            f"(measure.MEMORY_BUDGET); lower {key}")
 
 
 class BandDPSampler:

@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .banddp import exact_localized_sampler
+from .banddp import check_draw_memory, exact_localized_sampler
 from .chains import (BlockSchedule, derive_rng, ensemble_chain_run,
                      ensemble_max_displacement, experiment_id,
                      write_checkpoint)
@@ -339,6 +339,7 @@ def _run_sample(cfg: RunConfig, outdir: str):
     p = _load_bias(cfg.values["p"], n, cfg.seed)
     ell = _load_ell(cfg.values.get("ell"), n)
     samples = cfg.values.get("samples", 100)
+    check_draw_memory(samples, n, "samples")
     kwargs = {}
     if cfg.cap_window is not None:
         kwargs["window_cap"] = cfg.cap_window

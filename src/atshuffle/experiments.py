@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .banddp import BandDP, DEFAULT_WINDOW_CAP, exact_localized_sampler
+from .banddp import (BandDP, DEFAULT_WINDOW_CAP, check_draw_memory,
+                     exact_localized_sampler)
 from .chains import (BlockSchedule, asep_pair_coalescence,
                      asep_rightmost_tail, asep_stationary, check_dense_kernel,
                      derive_rng, ensemble_chain_run,
@@ -508,6 +509,7 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
                 violations += 1
         passed = violations == 0
     else:
+        check_draw_memory(budget, n, "budget")
         cap = DEFAULT_WINDOW_CAP if window_cap is None else window_cap
         if boundary is not None:
             dp = BandDP(p, ell, pins=boundary.values(), window_cap=cap)
@@ -698,9 +700,10 @@ def block_decomposition_check(n: int, p: BiasMatrix,
 def asep_tail_check(n: int, k: int, q: float, rs=None,
                     cap_states: int = 200000) -> ExperimentResult:
     """Right-most particle tail of the ASEP stationary law vs exp(-eps' r/4)."""
+    if not (k >= 0 and 0.5 < q < 1.0):
+        raise ContractError(
+            f"needs k >= 0 and 1/2 < q < 1, got k = {k}, q = {q!r}")
     eps = q / (1.0 - q) - 1.0
-    if eps <= 0:
-        raise ContractError("needs q > 1/2")
     eps_p = min(eps, 1.0)
     r_min = (4.0 / eps_p) * math.log(2.0 / eps_p)
     if rs is None:
@@ -778,6 +781,8 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
             raise ContractError("coupling mode works on the constant-bias family")
         q = (float(family["q"]) if family["kind"] == "constant-q"
              else (1.0 + family["eps"]) / (2.0 + family["eps"]))
+        if not q > 0.5:
+            raise ContractError(f"coupling mode needs q > 1/2, got q = {q!r}")
         work = []
         for n in ns:
             k = n // 2

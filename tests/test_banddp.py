@@ -222,13 +222,19 @@ def test_mallows_pinned_stream(ell_width, size):
 def test_mallows_tables_are_shared_and_read_only():
     a = MallowsRejectionSampler(12, 0.7, None)
     b = MallowsRejectionSampler(12, 0.7, LocalizationVector.constant(12, 3))
-    assert a._cdfs is b._cdfs and a._table is b._table
-    assert a._spread is b._spread
-    assert not any(cdf.flags.writeable for cdf in a._cdfs)
-    assert not a._table.flags.writeable and not a._spread.flags.writeable
-    # no row of ranks fits a chunk above n = 362, so no table is built
+    assert a._flat is b._flat and a._cdfs is b._cdfs
+    assert a._base is b._base and a._spread is b._spread
+    for arr in (a._flat, a._base, a._spread, *a._cdfs):
+        assert not arr.flags.writeable
+    # each position's CDF is a view into the flat array, after a -inf
+    for pos, at in enumerate(a._base):
+        cdf = a._cdfs[12 - pos - 1]
+        assert cdf.base is a._flat and a._flat[at] == -math.inf
+        assert np.shares_memory(cdf, a._flat[at + 1:at + 13 - pos])
+        assert np.array_equal(cdf, a._flat[at + 1:at + 13 - pos])
+    assert a._flat.size == sum(m + 1 for m in range(1, 13))
+    # one size gate, the row count: any n draws single rows
     wide = MallowsRejectionSampler(363, 0.7, None)
-    assert wide._table is None
     assert sorted(wide.draw_rows(np.random.default_rng(0), 1)[0]) == \
         list(range(1, 364))
 
@@ -250,19 +256,18 @@ def uniforms_with_ties(sampler, rng, size, ties):
 @given(n=st.integers(8, 80), q=st.floats(0.5, 0.95),
        seed=st.integers(0, 2 ** 32 - 1), ties=st.floats(0.0, 0.5))
 def test_mallows_rank_paths_match_reference(n, q, seed, ties):
-    """Both rank paths, each forced by the chunk shape, give the reference
+    """Both paths, each chosen by the chunk's row count, give the reference
     rows on the same uniforms, including uniforms equal to a CDF entry."""
     sampler = MallowsRejectionSampler(n, q, None)
     rng = np.random.default_rng(seed)
-    table_rows = banddp.ROW_CHUNK_ELEMENTS // (n * n)
-    u = uniforms_with_ties(sampler, rng, table_rows + 1, ties)
+    u = uniforms_with_ties(sampler, rng, banddp.SLAB_MIN_ROWS, ties)
     want = block_oracle.mallows_rows(sampler._cdfs, u)
-    # one chunk too large for the table, one as large as fits, single rows
-    assert np.array_equal(sampler._rows_from_uniforms(u)[0], want)
-    assert np.array_equal(sampler._rows_from_uniforms(u[:table_rows])[0],
-                          want[:table_rows])
-    for r in range(min(8, table_rows)):
-        assert np.array_equal(sampler._rows_from_uniforms(u[r:r + 1])[0],
+    # one slab, the largest guessed chunk, single rows
+    for size in (banddp.SLAB_MIN_ROWS, banddp.SLAB_MIN_ROWS - 1):
+        assert np.array_equal(sampler._rows_from_uniforms(u[:size]),
+                              want[:size])
+    for r in range(8):
+        assert np.array_equal(sampler._rows_from_uniforms(u[r:r + 1]),
                               want[r:r + 1])
 
 
@@ -274,35 +279,44 @@ def column_ranks(sampler, u):
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.51, 0.75, 0.999])
-@pytest.mark.parametrize("n", [8, 255, 256, 362, 363])
+@pytest.mark.parametrize("n", [8, 255, 256, 362, 363, 500])
 def test_mallows_single_rows_match_the_column_path(n, q, monkeypatch):
-    """The guessed and verified ranks of the table path are the column
-    searchsorted ranks on shared uniforms, CDF ties included, and single
-    rows are the reference rows; a guess forced wrong everywhere falls back
-    on the table rows and gives the same ranks."""
+    """The guessed and verified ranks are the column searchsorted ranks on
+    shared uniforms, CDF ties included, and single rows are the reference
+    rows; a guess forced wrong everywhere is searched for and gives the
+    same ranks."""
     sampler = MallowsRejectionSampler(n, q, None)
     for cdf in sampler._cdfs:
         assert np.all(np.diff(cdf) >= 0)
     u = uniforms_with_ties(sampler, np.random.default_rng(n), 40, ties=0.05)
     want = block_oracle.mallows_rows(sampler._cdfs, u)
     for r in range(len(u)):
-        assert np.array_equal(sampler._rows_from_uniforms(u[r:r + 1])[0],
+        assert np.array_equal(sampler._rows_from_uniforms(u[r:r + 1]),
                               want[r:r + 1])
-    if n * n > banddp.ROW_CHUNK_ELEMENTS:
-        assert sampler._table is None
-        return
-    assert np.all(sampler._table[:, 1:] >= sampler._table[:, :-1])
     ranks = column_ranks(sampler, u)
-    assert np.array_equal(sampler._table_ranks(u), ranks)
-    sampler._rate = math.nan
-    assert np.array_equal(sampler._table_ranks(u), ranks)
+    assert np.array_equal(sampler._ranks(u), ranks)
+    monkeypatch.setattr(sampler, "_rate", math.nan)
+    assert np.array_equal(sampler._ranks(u), ranks)
+
+
+def test_mallows_guesses_hold_at_q_one_half(monkeypatch):
+    """At phi = 1 the guess floor(u m) is the rank: 300 single rows at
+    n = 300 search no CDF (88,075 of their 90,000 entries did when every
+    guess was 0)."""
+    n = 300
+    sampler = MallowsRejectionSampler(n, 0.5, None)
+    u = np.random.default_rng(36).random((300, n))
+    ranks = column_ranks(sampler, u)
+    monkeypatch.setattr(sampler, "_cdfs", None)
+    for r in range(len(u)):
+        assert np.array_equal(sampler._ranks(u[r:r + 1]), ranks[r:r + 1])
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
 def test_mallows_decode_paths_match_reference(n, monkeypatch):
     """Row by row below SLAB_MIN_ROWS and as one slab at it, the rows are
-    the reference rows, across the uint8/uint16 change of the slab dtype,
-    and a windowed sampler keeps exactly the localized ones."""
+    the reference rows, across the uint8/uint16 change of the slab dtype;
+    a windowed sampler builds the same rows and accepts the localized ones."""
     slabs = []
     slab_rows = banddp._slab_rows
     monkeypatch.setattr(banddp, "_slab_rows",
@@ -316,11 +330,10 @@ def test_mallows_decode_paths_match_reference(n, monkeypatch):
     local = localized_rows(want, windowed.ell)
     assert 20 < local.sum() < len(local) - 20
     for size in (banddp.SLAB_MIN_ROWS - 1, banddp.SLAB_MIN_ROWS):
-        rows, keep = plain._rows_from_uniforms(u[:size])
-        assert np.array_equal(rows, want[:size]) and keep.all()
-        rows, keep = windowed._rows_from_uniforms(u[:size])
-        assert np.array_equal(keep, local[:size])
-        assert np.array_equal(rows[keep], want[:size][local[:size]])
+        assert np.array_equal(plain._rows_from_uniforms(u[:size]), want[:size])
+        rows = windowed._rows_from_uniforms(u[:size])
+        assert np.array_equal(rows, want[:size])
+        assert np.array_equal(windowed._accept(rows), local[:size])
     assert slabs == [np.min_scalar_type(n - 1)] * 2
     assert slabs[0] == (np.uint8 if n <= 256 else np.uint16)
     # the largest label index, n - 1, in the slab's dtype: the reversal
@@ -338,8 +351,8 @@ def test_mallows_cdf_tops_are_one():
     want = block_oracle.mallows_rows(sampler._cdfs, u[:1])
     assert np.array_equal(np.sort(want[0]), np.arange(1, 301))
     for size in (1, banddp.SLAB_MIN_ROWS):
-        rows, keep = sampler._rows_from_uniforms(u[:size])
-        assert keep.all() and np.array_equal(rows, np.tile(want, (size, 1)))
+        assert np.array_equal(sampler._rows_from_uniforms(u[:size]),
+                              np.tile(want, (size, 1)))
 
 
 def reference_draws(sampler, rng, size):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from atshuffle import cli, experiments
+from atshuffle import banddp, cli, experiments
 from atshuffle.cli import RunConfig, generate_instance, main, run
 from atshuffle.errors import ContractError
 from atshuffle.perms import BiasMatrix
@@ -147,6 +147,30 @@ def test_band_dp_memory_cap_surfaces(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "wide")]) == 2
     man = json.loads((tmp_path / "wide" / "manifest.json").read_text())
     assert "CapExceeded" in man["error"] and "--cap-window" in man["error"]
+
+
+@pytest.mark.parametrize("raw, key", [
+    # the uniforms and rows of 10^9 draws at n = 100 used to end in numpy's
+    # "Unable to allocate 745. GiB", exit 1
+    ({"command": "sample", "n": 100, "p": {"family": "constant-q", "q": 0.75},
+      "samples": 10 ** 9}, "samples"),
+    ({"command": "disconnect", "n": 100,
+      "p": {"family": "constant-q", "q": 0.75}, "mode": "sampled",
+      "budget": 10 ** 9}, "budget"),
+])
+def test_draw_counts_past_the_memory_budget_exit_2(tmp_path, monkeypatch, raw,
+                                                   key):
+    def never(*args, **kwargs):
+        raise AssertionError("drew before the memory budget check")
+
+    for cls in (banddp.MallowsRejectionSampler, banddp.BandDPSampler,
+                banddp.EnumerationSampler):
+        monkeypatch.setattr(cls, "draw_rows", never)
+    cfg = write_config(tmp_path, "d.json", raw)
+    assert main(["--config", cfg, "--out", str(tmp_path / "d")]) == 2
+    man = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert "CapExceeded" in man["error"] and f"{key} = 1000000000" in man["error"]
+    assert "measure.MEMORY_BUDGET" in man["error"]
 
 
 def test_burnin_rejects_start_outside_window(tmp_path):
@@ -427,6 +451,12 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
     ({"command": "exact", "n": 4, "p": {"file": "missing-instance.txt"}},
      "cannot read p's file"),
     ({"command": "exact", "n": 4, "p": {"file": 3}}, "p's file must be a path"),
+    # math.comb's ValueError, and two divisions by zero, used to end in a
+    # traceback, exit 1
+    ({"command": "asep", "n": 6, "k": -1, "q": 0.75}, "needs k >= 0"),
+    ({"command": "asep", "n": 6, "k": 3, "q": 1}, "1/2 < q < 1, got k = 3, q = 1"),
+    ({"command": "mix", "ns": [8, 12], "p": {"family": "constant-q", "q": 0.5},
+      "budget": 2}, "coupling mode needs q > 1/2, got q = 0.5"),
 ])
 def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
                                                             message):

@@ -501,8 +501,8 @@ def _mallows_cdfs(n: int, q: float) -> tuple:
     -inf and then the CDF for m remaining labels, and cdfs[m - 1] is a view
     of that CDF.  Position pos draws among m = n - pos labels: base[pos] is
     the flat index of the -inf before its CDF, and spread[pos] the scale of
-    its truncated-geometric inverse CDF, phi^m - 1 capped at the largest
-    finite float, or m at phi = 1.
+    its truncated-geometric inverse CDF: phi^m - 1 at phi < 1, phi^-m - 1
+    at phi > 1 (phi^m itself overflows there), or m at phi = 1.
     """
     logphi = math.log((1.0 - q) / q)
     ms = np.arange(n, 0, -1)
@@ -524,9 +524,7 @@ def _mallows_cdfs(n: int, q: float) -> tuple:
     flat.setflags(write=False)
     # views taken after the flag is cleared are read-only too
     cdfs = tuple(flat[b + 1:b + 1 + m] for b, m in reversed(blocks))
-    with np.errstate(over="ignore"):
-        spread = (np.minimum(np.expm1(ms * logphi), np.finfo(np.float64).max)
-                  if logphi else ms.astype(np.float64))
+    spread = np.expm1(-ms * abs(logphi)) if logphi else ms.astype(np.float64)
     base.setflags(write=False)
     spread.setflags(write=False)
     return flat, cdfs, base, spread
@@ -609,20 +607,27 @@ class MallowsRejectionSampler:
         """The (size, n) ranks of a block of uniforms, in O(size n).
 
         Each rank is guessed from the truncated-geometric inverse CDF,
-        floor(log1p(u (phi^m - 1)) / log phi), or floor(u m) at phi = 1,
-        clipped into [0, m - 1], and checked against its CDF in the flat
-        array: on a nondecreasing CDF, cdf[k - 1] <= u < cdf[k] says that
-        exactly k entries are <= u, and at k = 0 the -inf before the CDF
-        stands in for cdf[-1].  Entries that fail the check (a guess rounded
-        across a CDF entry, a capped or NaN guess) are searched column by
-        column.
+        floor(log1p(u (phi^m - 1)) / log phi), which at phi > 1 is taken as
+        floor(m + log1p((1 - u) (phi^-m - 1)) / log phi) so that phi^m does
+        not overflow, or floor(u m) at phi = 1.  The guess is clipped into
+        [0, m - 1] and checked against its CDF in the flat array: on a
+        nondecreasing CDF, cdf[k - 1] <= u < cdf[k] says that exactly k
+        entries are <= u, and at k = 0 the -inf before the CDF stands in for
+        cdf[-1].  Entries that fail the check (a guess rounded across a CDF
+        entry, or a NaN guess) are searched column by column.
         """
         n = u.shape[1]
         if self._rate is None:
             guess = u * self._spread
-        else:
+        elif self._rate < 0:
             guess = np.log1p(u * self._spread)
             guess *= self._rate
+        else:
+            # u = 0 takes log1p(-1) = -inf where phi^-m underflows: rank 0
+            with np.errstate(divide="ignore"):
+                guess = np.log1p((1.0 - u) * self._spread)
+            guess *= self._rate
+            guess += np.arange(n, 0, -1)
         np.floor(guess, out=guess)
         # fmin and fmax take the bound in place of a NaN guess
         np.fmin(guess, np.arange(n - 1, -1, -1), out=guess)

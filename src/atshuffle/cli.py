@@ -53,13 +53,13 @@ from .chains import (BlockSchedule, derive_rng, ensemble_chain_run,
                      ensemble_max_displacement, experiment_id,
                      write_checkpoint)
 from .errors import CapExceeded, ContractError, EmptySupport, NotReversible
-from .experiments import (FAMILY_PARAMS, ExperimentResult, SeriesPoint,
-                          Verdict, asep_tail_check, block_decomposition_check,
+from .experiments import (FAMILY_PARAMS, ExperimentResult, Verdict,
+                          asep_tail_check, block_decomposition_check,
                           burn_in_profile, burn_in_scaling,
                           disconnect_probability, lower_bound_experiment,
                           make_family, mixing_scaling, spatial_decay_curve)
-from .measure import (build_transition_matrix, enumerate_stationary,
-                      spectral_gap)
+from .measure import (DEFAULT_ENUM_CAP, build_transition_matrix,
+                      enumerate_stationary, spectral_gap)
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                     Permutation, instance_fingerprint, localized_rows)
 
@@ -313,24 +313,19 @@ def _run_exact(cfg: RunConfig, outdir: str):
     n = cfg.values["n"]
     p = _load_bias(cfg.values["p"], n, cfg.seed)
     ell = _load_ell(cfg.values.get("ell"), n)
-    kwargs = {}
-    if cfg.cap_enum is not None:
-        kwargs["cap"] = cfg.cap_enum
-    mu = enumerate_stationary(n, p, ell, **kwargs)
-    P = build_transition_matrix(n, p, ell, mu=mu, **kwargs)
+    cap = DEFAULT_ENUM_CAP if cfg.cap_enum is None else cfg.cap_enum
+    mu = enumerate_stationary(n, p, ell, cap)
+    P = build_transition_matrix(n, p, ell, mu=mu)
     gap = spectral_gap(P, mu)
-    series = [SeriesPoint(i, float(pr), 0.0, 1)
-              for i, pr in enumerate(mu.probs)]
     verdict = Verdict(True, "detailed balance holds (checked at build)",
                       {"logZ": mu.logZ, "Z": float(np.exp(mu.logZ)),
                        "gap": gap, "states": len(mu)})
     res = ExperimentResult("exact", instance_fingerprint(p, ell),
-                           cfg.resolved(), series, verdict,
-                           {"support": mu.support.tolist()
-                            if len(mu) <= 5040 else "omitted"})
+                           cfg.resolved(), [], verdict,
+                           {"distribution": "distribution.csv"})
     paths = res.write(outdir, "result")
-    mu.to_csv(os.path.join(outdir, "distribution.csv"))
     paths.append(os.path.join(outdir, "distribution.csv"))
+    mu.to_csv(paths[-1])
     return res, paths
 
 
@@ -393,11 +388,11 @@ def _run_chain(cfg: RunConfig, outdir: str):
     with open(path, "w") as fh:
         for t, f, _ in recs:
             write_checkpoint(fh, t, Permutation(f, _validate=False), tracked)
-    series = [SeriesPoint(t, float(d), 0.0, 1) for t, _, d in recs]
     verdict = Verdict(True, "record-only trajectory",
                       {"final_max_displacement": recs[-1][2]})
     res = ExperimentResult("chain", instance_fingerprint(p, ell),
-                           cfg.resolved(), series, verdict, {"steps": steps})
+                           cfg.resolved(), [], verdict,
+                           {"steps": steps, "trajectory": "trajectory.jsonl"})
     paths = res.write(outdir, "result")
     paths.append(path)
     return res, paths
@@ -476,7 +471,8 @@ def _run_blockcheck(cfg: RunConfig, outdir: str):
         schedule = BlockSchedule.single(n, **cfg.pick("selection"))
     else:
         raise ContractError("blockcheck supports west-east or single schedules")
-    res = block_decomposition_check(n, p, ell, schedule)
+    res = block_decomposition_check(n, p, ell, schedule,
+                                    enum_cap=cfg.cap_enum)
     return res, res.write(outdir, "result")
 
 
@@ -484,7 +480,7 @@ def _run_mix(cfg: RunConfig, outdir: str):
     res = mixing_scaling(
         cfg.values["ns"] if "ns" in cfg.values else [cfg.values["n"]],
         _family_dict(cfg.values["p"]), seed=cfg.seed, jobs=cfg.jobs,
-        **cfg.pick("delta", "method", "budget"))
+        enum_cap=cfg.cap_enum, **cfg.pick("delta", "method", "budget"))
     paths = res.write(outdir, "result")
     for key, curve in res.meta.get("tv_curves", {}).items():
         cpath = os.path.join(outdir, f"tv_curve_n{key}.csv")

@@ -79,87 +79,31 @@ class ExperimentResult:
     verdict: Verdict
     meta: dict = field(default_factory=dict)
 
-    def _fields(self) -> dict:
-        """The record's top-level entries other than the series."""
+    def to_json_dict(self) -> dict:
         return {
             "schema": 1,
             "experiment": self.experiment,
             "fingerprint": self.fingerprint,
             "params": _plain(self.params),
+            "series": [pt.as_dict() for pt in self.series],
             "verdict": self.verdict.as_dict(),
             "meta": _plain(self.meta),
         }
 
-    def to_json_dict(self) -> dict:
-        return {**self._fields(),
-                "series": [pt.as_dict() for pt in self.series]}
-
     def write(self, outdir, stem: str) -> list:
-        """Write <stem>.json and <stem>.csv into outdir; returns the paths.
-
-        <stem>.json holds the bytes of ``json.dump(self.to_json_dict(), fh,
-        sort_keys=True, indent=1)`` and a newline.  The series, the one entry
-        that grows with the run, is formatted from ``repr`` of its columns
-        instead of going through json's pure-Python indenting encoder.
-        """
+        """Write <stem>.json and <stem>.csv into outdir; returns the paths."""
         import os
         os.makedirs(outdir, exist_ok=True)
         jpath = os.path.join(outdir, f"{stem}.json")
         cpath = os.path.join(outdir, f"{stem}.csv")
-        # the one line that starts with a single space and "series" holds the
-        # top-level series: nested keys sit deeper, and json escapes newlines
-        # inside strings
-        head, _, tail = json.dumps(
-            {**self._fields(), "series": None}, sort_keys=True,
-            indent=1).partition('\n "series": null')
-        with open(jpath, "w") as jfh, open(cpath, "w") as cfh:
-            jfh.write(head + '\n "series": ')
-            cfh.write("x,estimate,stderr\n")
-            for jtext, ctext in _series_texts(self.series):
-                jfh.write(jtext)
-                cfh.write(ctext)
-            jfh.write(tail + "\n")
+        with open(jpath, "w") as fh:
+            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        with open(cpath, "w") as fh:
+            fh.write("x,estimate,stderr\n")
+            for pt in self.series:
+                fh.write(f"{pt.x!r},{pt.estimate!r},{pt.stderr!r}\n")
         return [jpath, cpath]
-
-
-# series points formatted per write, so that the text held at once stays a
-# few MB whatever the length of the series
-_SERIES_CHUNK = 4096
-# one series point as json.dump(..., sort_keys=True, indent=1) nests it
-_POINT_JSON = ('  {\n   "estimate": %s,\n   "n_replicas": %s,\n'
-               '   "stderr": %s,\n   "x": %s\n  }')
-
-
-def _list_items(encoded: str) -> list:
-    """The item texts of the repr ``[a, b, ...]`` of a list of numbers."""
-    return encoded[1:-1].split(", ") if encoded != "[]" else []
-
-
-def _json_floats(encoded: str) -> str:
-    """json's spelling of the repr of a list of floats: it writes nan, inf
-    and -inf, which occur in no finite float's repr, as NaN, Infinity and
-    -Infinity, and every other float as repr does."""
-    return encoded.replace("nan", "NaN").replace("inf", "Infinity")
-
-
-def _series_texts(series: list):
-    """Yield (JSON, CSV) text pieces of a series: the JSON pieces join to
-    result.json's series entry, the CSV pieces to result.csv's rows."""
-    if not series:
-        yield "[]", ""
-        return
-    for start in range(0, len(series), _SERIES_CHUNK):
-        part = series[start:start + _SERIES_CHUNK]
-        xs = repr([float(pt.x) for pt in part])
-        ests = repr([float(pt.estimate) for pt in part])
-        ses = repr([float(pt.stderr) for pt in part])
-        reps = _list_items(repr([int(pt.n_replicas) for pt in part]))
-        jx, je, js = (_list_items(_json_floats(col)) for col in (xs, ests, ses))
-        points = ",\n".join(map(_POINT_JSON.__mod__, zip(je, reps, js, jx)))
-        rows = "".join(f"{x},{e},{s}\n" for x, e, s
-                       in zip(*map(_list_items, (xs, ests, ses))))
-        yield ("[\n" if start == 0 else ",\n") + points, rows
-    yield "\n ]", ""
 
 
 def _plain(obj):
@@ -181,13 +125,16 @@ def _se_bernoulli(phat: float, n: int) -> float:
     return math.sqrt(max(phat * (1.0 - phat), 1e-12) / max(n, 1))
 
 
-def _ols(x, y):
-    """Least squares line fit: slope, intercept, slope stderr, R^2."""
+def _ols(x, y) -> dict:
+    """Least squares line fit of y on x, as verdict details: slope, slope_se
+    (its stderr) and r2.  Fewer than two distinct x fit no line: all three
+    are None, and no_fit says why."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     m = len(x)
-    if m < 2:
-        return math.nan, math.nan, math.inf, 0.0
+    if len(np.unique(x)) < 2:
+        return {"slope": None, "slope_se": None, "r2": None,
+                "no_fit": "fewer than two distinct x: no line to fit"}
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
@@ -200,7 +147,7 @@ def _ols(x, y):
         se = 0.0
     sst = float(np.sum((y - ym) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / sst if sst > 0 else 1.0
-    return slope, intercept, se, r2
+    return {"slope": slope, "slope_se": se, "r2": r2}
 
 
 def geometric_bound(eps: float, k: float) -> float:
@@ -441,13 +388,13 @@ def localization_tail_check(n: int, p: BiasMatrix,
                           {"strategy": sampler.strategy})
         return ExperimentResult("localization_tail_check", fp, params,
                                 series, verdict, {})
-    slope, _, se_slope, r2 = _ols([x for x, _ in logs], [y for _, y in logs])
+    fit = _ols([x for x, _ in logs], [y for _, y in logs])
     target = -math.log1p(eps)
-    passed = slope <= target + 3.0 * se_slope
+    passed = (fit["slope"] is not None
+              and fit["slope"] <= target + 3.0 * fit["slope_se"])
     verdict = Verdict(passed,
                       "displacement tail rate decays at least like (1+eps)^-r",
-                      {"slope": slope, "slope_se": se_slope, "target": target,
-                       "r2": r2, "strategy": sampler.strategy})
+                      {**fit, "target": target, "strategy": sampler.strategy})
     return ExperimentResult("localization_tail_check", fp, params, series,
                             verdict, {})
 
@@ -531,7 +478,8 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
         passed = violations == 0
     verdict = Verdict(passed,
                       "P(k disconnecting) >= prod_m (1 - (1+eps)^-m)",
-                      {"violations": violations, "eps": _plain(eps)})
+                      {"violations": violations,
+                       "eps": eps if math.isfinite(eps) else "inf"})
     return ExperimentResult("disconnect_probability", fp, params, series,
                             verdict, {})
 
@@ -619,18 +567,20 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
     below = tvs[-1] <= threshold if tvs else True
     logs = [(pt.x, math.log(pt.estimate)) for pt in series if pt.estimate > 0]
     if identical or len(logs) < 3:
-        slope, se_slope, r2 = -math.inf, 0.0, 1.0
+        fit = {"slope": None, "slope_se": None, "r2": None,
+               "no_fit": "eta equals eta_bar: no decay to fit" if identical
+               else "fewer than three positive TVs to fit"}
         decay_ok = all(v == 0.0 for v in tvs) if identical else True
     else:
-        slope, _, se_slope, r2 = _ols([x for x, _ in logs],
-                                      [y for _, y in logs])
-        decay_ok = slope < 0 and r2 >= r2_min
+        fit = _ols([x for x, _ in logs], [y for _, y in logs])
+        decay_ok = (fit["slope"] is not None and fit["slope"] < 0
+                    and fit["r2"] >= r2_min)
     passed = monotone and below and decay_ok
     verdict = Verdict(passed,
                       f"TV nonincreasing in r, <= {threshold} at r_max, "
                       f"log-TV slope < 0 with R^2 >= {r2_min}",
                       {"monotone": monotone, "final_tv": tvs[-1] if tvs else 0.0,
-                       "slope": slope, "slope_se": se_slope, "r2": r2})
+                       **fit})
     return ExperimentResult("spatial_decay_curve", fp, params, series,
                             verdict, {})
 
@@ -641,18 +591,20 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
 
 def block_decomposition_check(n: int, p: BiasMatrix,
                               ell: LocalizationVector | None,
-                              schedule: BlockSchedule) -> ExperimentResult:
+                              schedule: BlockSchedule,
+                              enum_cap: int | None = None) -> ExperimentResult:
     """Exact check of gap(AT) >= chi^-1 * gap(block) * min gap(AT on a block)."""
     blocks = schedule.blocks()
     for blk in blocks:
         if len(blk) != 1:
             raise ContractError(
                 "decomposition check supports interval blocks only")
+    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     if ell is None and p.dense().min() > 0.0:
         # no window and no forbidden pair: all n! states carry weight, so
         # the dense block kernel can refuse before the enumeration
         check_dense_kernel(math.factorial(n))
-    mu = enumerate_stationary(n, p, ell)
+    mu = enumerate_stationary(n, p, ell, cap)
     # the dense block kernel refuses above the memory budget before any gap
     K = exact_block_kernel(n, p, ell, schedule, mu=mu)
     P = build_transition_matrix(n, p, ell, mu=mu)
@@ -670,7 +622,7 @@ def block_decomposition_check(n: int, p: BiasMatrix,
             if m <= 1:
                 gap = 1.0
             else:
-                mu_sub = enumerate_stationary(m, sub_p, sub_ell)
+                mu_sub = enumerate_stationary(m, sub_p, sub_ell, cap)
                 P_sub = build_transition_matrix(m, sub_p, sub_ell, mu=mu_sub)
                 gap = spectral_gap(P_sub, mu_sub)
             min_sub = min(min_sub, gap)
@@ -751,7 +703,8 @@ def _coalescence_worker(args):
 
 def mixing_scaling(ns, family: dict, delta: float = 0.25,
                    method: str = "coupling", budget: int = 16, seed: int = 0,
-                   jobs: int = 1, slope_window=(1.7, 2.3)) -> ExperimentResult:
+                   jobs: int = 1, slope_window=(1.7, 2.3),
+                   enum_cap: int | None = None) -> ExperimentResult:
     """Mixing-time scaling in n: exact small-n values or coupling estimates."""
     if method in ("coupling", "statistic") and len(set(ns)) < 2:
         raise ContractError(f"{method} mode fits a slope over n; it needs at "
@@ -762,20 +715,20 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
     meta = {}
     if method == "exact":
         meta["tv_curves"] = {}
+        cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
         for n in ns:    # refuse an oversized n before the first enumeration
-            check_enumerable(n)
+            check_enumerable(n, cap)
         for n in ns:
             p = make_family(n, family, seed)
-            mu = enumerate_stationary(n, p)
+            mu = enumerate_stationary(n, p, cap=cap)
             P = build_transition_matrix(n, p, mu=mu)
             t_mix, curve = exact_mixing_time(P, mu, delta)
             meta["tv_curves"][str(n)] = [float(v) for v in curve]
             series.append(SeriesPoint(n, float(t_mix), 0.0, 1))
-        slope, _, se_slope, r2 = _ols(np.log([pt.x for pt in series]),
-                                      np.log([max(pt.estimate, 1.0)
-                                              for pt in series]))
         verdict = Verdict(True, "record-only: exact small-n reference table",
-                          {"slope": slope, "slope_se": se_slope, "r2": r2})
+                          _ols(np.log([pt.x for pt in series]),
+                               np.log([max(pt.estimate, 1.0)
+                                       for pt in series])))
     elif method == "coupling":
         if family.get("kind") not in ("constant-q", "constant-eps"):
             raise ContractError("coupling mode works on the constant-bias family")
@@ -807,11 +760,10 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
                                       float(ts.std(ddof=1) / math.sqrt(len(ts))),
                                       budget))
             means.append(float(ts.mean()))
-        slope, _, se_slope, r2 = _ols(np.log(list(map(float, ns))), np.log(means))
+        fit = _ols(np.log(list(map(float, ns))), np.log(means))
         lo, hi = slope_window
-        passed = lo <= slope <= hi
-        verdict = Verdict(passed, f"log-log slope in [{lo}, {hi}]",
-                          {"slope": slope, "slope_se": se_slope, "r2": r2})
+        verdict = Verdict(lo <= fit["slope"] <= hi,
+                          f"log-log slope in [{lo}, {hi}]", fit)
         meta["starts"] = "right-packed vs left-packed (top/bottom sandwich)"
     elif method == "statistic":
         lbs, ubs = [], []
@@ -823,11 +775,11 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
             series.append(SeriesPoint(n, float(ub), 0.0, budget))
             meta[f"n{n}"] = info
         passed = all(lb <= ub for lb, ub in zip(lbs, ubs))
-        slope, _, se_slope, r2 = _ols(np.log(list(map(float, ns))),
-                                      np.log([max(u, 1.0) for u in ubs]))
+        fit = _ols(np.log(list(map(float, ns))),
+                   np.log([max(u, 1.0) for u in ubs]))
         verdict = Verdict(passed, "bracket consistency T_lb <= T_ub",
                           {"lower_bounds": lbs, "upper_bounds": ubs,
-                           "ub_slope": slope, "r2": r2})
+                           "ub_slope": fit["slope"], "r2": fit["r2"]})
         meta["starts"] = "identity vs reversal (selected, not maximized)"
     else:
         raise ContractError(f"unknown method {method}")

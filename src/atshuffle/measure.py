@@ -127,12 +127,16 @@ class DistributionTable:
         return float(self.probs[np.all(self.support == state, axis=1)].sum())
 
     def to_csv(self, path) -> None:
-        """Two columns: rank (by decreasing probability) and probability."""
-        order = np.argsort(-self.probs, kind="stable")
+        """Columns s1..sn and probability: one row per support state, in
+        support order, with the probability's repr, which reads back bit
+        for bit."""
+        n = self.support.shape[1]
+        row = "%d," * n + "%r\n"
         with open(path, "w") as fh:
-            fh.write("rank,probability\n" + "".join(
-                f"{rank},{pr!r}\n"
-                for rank, pr in enumerate(self.probs[order].tolist(), start=1)))
+            fh.write("".join(f"s{i}," for i in range(1, n + 1))
+                     + "probability\n" + "".join(
+                         row % (*state, pr) for state, pr
+                         in zip(self.support.tolist(), self.probs.tolist())))
 
 
 def check_enumerable(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:

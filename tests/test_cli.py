@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from atshuffle import banddp, cli, experiments
+from atshuffle import banddp, cli, experiments, measure
 from atshuffle.cli import RunConfig, generate_instance, main, run
 from atshuffle.errors import ContractError
 from atshuffle.perms import BiasMatrix
@@ -23,11 +23,18 @@ def test_exact_command(tmp_path):
     assert main(["--config", cfg, "--out", out]) == 0
     rec = json.loads((tmp_path / "run" / "result.json").read_text())
     assert rec["verdict"]["details"]["Z"] == pytest.approx(0.76, abs=1e-12)
-    assert len(rec["series"]) == 6
+    # the law is in distribution.csv, which result.json names
+    assert rec["series"] == []
+    assert rec["meta"] == {"distribution": "distribution.csv"}
     man = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert man["incomplete"] is False
     assert "runtime_s" in man and "started" in man
-    assert (tmp_path / "run" / "distribution.csv").exists()
+    header, *rows = (tmp_path / "run" / "distribution.csv").read_text() \
+        .splitlines()
+    assert header == "s1,s2,s3,probability"
+    assert len(rows) == 6 and rows[0].startswith("1,2,3,")
+    assert sum(float(row.split(",")[-1]) for row in rows) == \
+        pytest.approx(1.0, abs=1e-12)
     assert (tmp_path / "run" / "resolved_config.json").exists()
 
 
@@ -218,10 +225,11 @@ def test_sample_and_chain_commands(tmp_path):
             (tmp_path / "t" / "trajectory.jsonl").read_text().splitlines()]
     assert recs[0]["step"] == 0 and recs[-1]["step"] == 200
     assert "2" in recs[0]["projections"]
-    # the series and the verdict repeat each checkpoint's displacement
+    # result.json names the trajectory instead of repeating it as a series,
+    # and its verdict holds the last checkpoint's displacement
     res = json.loads((tmp_path / "t" / "result.json").read_text())
-    assert [(pt["x"], pt["estimate"]) for pt in res["series"]] == \
-        [(r["step"], r["max_displacement"]) for r in recs]
+    assert res["series"] == []
+    assert res["meta"] == {"steps": 200, "trajectory": "trajectory.jsonl"}
     assert res["verdict"]["details"]["final_max_displacement"] == \
         recs[-1]["max_displacement"]
 
@@ -609,6 +617,55 @@ def test_infinite_ell_entries_stay_accepted(tmp_path):
         "command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.7},
         "ell": [[math.inf, math.inf]] * 4})
     assert main(["--config", cfg, "--out", str(tmp_path / "e")]) == 0
+
+
+def _no_constant(token):
+    raise ValueError(f"result.json holds the non-JSON token {token}")
+
+
+@pytest.mark.parametrize("raw, details", [
+    # a -Infinity slope
+    ({"command": "spatial", "n": 20, "p": {"family": "constant-q", "q": 0.75},
+      "ell": 3, "eta": {"left": [1]}, "eta_bar": {"left": [1]},
+      "rs": [2, 4, 6]},
+     {"slope": None, "slope_se": None, "r2": None,
+      "no_fit": "eta equals eta_bar: no decay to fit"}),
+    # a NaN slope and an Infinity stderr from a fit over one size
+    ({"command": "mix", "ns": [3], "p": {"family": "constant-q", "q": 0.75},
+      "method": "exact"},
+     {"slope": None, "slope_se": None, "r2": None,
+      "no_fit": "fewer than two distinct x: no line to fit"}),
+    # an Infinity eps
+    ({"command": "disconnect", "n": 5,
+      "p": {"family": "totally-asymmetric"}, "mode": "exact"},
+     {"eps": "inf"}),
+])
+def test_results_with_no_finite_figure_are_strict_json(tmp_path, raw, details):
+    cfg = write_config(tmp_path, "s.json", raw)
+    assert main(["--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    rec = json.loads((tmp_path / "s" / "result.json").read_text(),
+                     parse_constant=_no_constant)
+    got = rec["verdict"]["details"]
+    assert {key: got[key] for key in details} == details
+
+
+@pytest.mark.parametrize("raw", [
+    {"command": "blockcheck", "n": 6, "p": {"family": "random-eps", "eps": 0.5}},
+    {"command": "mix", "ns": [5, 6], "p": {"family": "constant-q", "q": 0.75},
+     "method": "exact"},
+])
+def test_enumerating_commands_refuse_past_cap_enum_before_enumerating(
+        tmp_path, monkeypatch, raw):
+    # both used to enumerate all 720 states at n = 6, where exact refuses
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated before the cap check")
+
+    monkeypatch.setattr(measure, "_localized_perms", never)
+    cfg = write_config(tmp_path, "c.json", {**raw, "cap_enum": 3})
+    assert main(["--config", cfg, "--out", str(tmp_path / "c")]) == 2
+    man = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert "CapExceeded" in man["error"]
+    assert "n=6 exceeds the enumeration cap 3" in man["error"]
 
 
 def test_mix_exact_refuses_an_oversized_n_before_enumerating(tmp_path,

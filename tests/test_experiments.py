@@ -5,14 +5,13 @@ import json
 import math
 import os
 import tempfile
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atshuffle import chains, experiments
+from atshuffle import chains
 from atshuffle.chains import BlockSchedule, derive_rng, experiment_id
 from atshuffle.errors import ContractError
 from atshuffle.experiments import (ExperimentResult, SeriesPoint, Verdict,
@@ -478,15 +477,13 @@ EDGE_RESULT = ExperimentResult(
 
 
 @settings(max_examples=200, deadline=None)
-@given(res=RESULTS, chunk=st.integers(1, 4))
-@example(res=EDGE_RESULT, chunk=1)
-@example(res=EDGE_RESULT, chunk=4096)
-@example(res=ExperimentResult("e", "f", {}, [], Verdict(True, "b")), chunk=1)
-def test_write_matches_json_dump_and_the_row_loop(res, chunk):
-    # the series is written in chunks of any size; the JSON bytes are json's
-    # own and the CSV rows those of one f-string per point
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(experiments, "_SERIES_CHUNK", chunk):
+@given(res=RESULTS)
+@example(res=EDGE_RESULT)
+@example(res=ExperimentResult("e", "f", {}, [], Verdict(True, "b")))
+def test_write_matches_json_dump_and_the_row_loop(res):
+    # the JSON bytes are json's own and the CSV rows those of one f-string
+    # per point
+    with tempfile.TemporaryDirectory() as tmp:
         jpath, cpath = res.write(os.path.join(tmp, "out"), "r")
         with open(jpath) as fh:
             written_json = fh.read()

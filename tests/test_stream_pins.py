@@ -23,7 +23,8 @@ from atshuffle.banddp import (BandDP, MallowsRejectionSampler,
 from atshuffle.chains import (asep_monotone_audit_run, asep_pair_coalescence,
                               domination_audit_run, twin_chain_coupling_run)
 from atshuffle.cli import main
-from atshuffle.experiments import localization_tail_check
+from atshuffle.experiments import localization_tail_check, make_family
+from atshuffle.measure import enumerate_stationary
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
                              LocalizationVector, Permutation,
                              max_localized_state)
@@ -93,19 +94,21 @@ EXACT_CONFIG = {"command": "exact", "n": 8,
                 "p": {"family": "random-eps", "eps": 0.5}, "seed": 4}
 EXACT_GAP = 0.029170059140116833
 GAP_TOL = 1e-8
-EXACT_DIGEST = "c2855f554904811bdfc4d573743396378661c5d96cfbac45121a6e1deb00d694"
-# sha256 of the two tables of the same run; neither holds the gap
+EXACT_DIGEST = "fad677d386e655591f2298801ea83575b6646adb92c6c8ccd4dc798cfcd92644"
+# sha256 of the two tables of the same run; neither holds the gap, and
+# result.csv holds only its header, since the law is in distribution.csv
 EXACT_TABLE_DIGESTS = {
     "result.csv":
-        "fd2cf3096304d1def3a2722d419a479b0bb2049b37b0e9a1dc7150e9d5dd4550",
+        "6bce1e5d824435472e79f223d8d1ff037dc32002814b1dfe249c4d5b8c2823e7",
     "distribution.csv":
-        "9e551001124e3f487706b9435d87596f363eae51655c87497d4f9590b64123e5",
+        "7b468c017808d64a90c558f6e2e9c12b79a0d264e341db00df6e19a3108eff45",
 }
 
 # (config, sha256 of result.json) of CLI runs on exact supports and laws:
-# spatial TVs of cut laws and pair-cut laws, a block kernel, a small exact
-# run whose meta holds the support, a pinned disconnect table and the ASEP
-# enumeration crosscheck (recorded with tuple-list supports)
+# spatial TVs of cut laws and pair-cut laws, a block kernel, a small
+# windowed exact run, a pinned disconnect table and the ASEP enumeration
+# crosscheck (recorded with tuple-list supports; the exact run re-recorded
+# when its law moved from result.json to distribution.csv)
 EXACT_LAW_PINS = {
     "spatial-one-sided": (
         {"command": "spatial", "n": 60, "p": {"family": "constant-q", "q": Q},
@@ -126,7 +129,7 @@ EXACT_LAW_PINS = {
     "exact": (
         {"command": "exact", "n": 5,
          "p": {"family": "random-eps", "eps": 0.5}, "ell": 2},
-        "799aa772f692b6885ffee9da087141adbbabd720ae0ec53972db268ec80f0d4a"),
+        "cc82d0bcabaa122eebb22ebd1c5d8be174eb5c9c080f09f64785eeb1881e698f"),
     "disconnect": (
         {"command": "disconnect", "n": 7,
          "p": {"family": "random-eps", "eps": 0.5}, "ell": 2,
@@ -259,6 +262,31 @@ def test_cli_exact_tables_pinned(tmp_path):
     cli_artifact(tmp_path, EXACT_CONFIG, "result.csv")
     assert {name: hashlib.sha256((tmp_path / "o" / name).read_bytes())
             .hexdigest() for name in EXACT_TABLE_DIGESTS} == EXACT_TABLE_DIGESTS
+
+
+@pytest.mark.parametrize("config", [EXACT_CONFIG, EXACT_LAW_PINS["exact"][0]],
+                         ids=["n8", "n5-windowed"])
+def test_cli_exact_table_reads_back_to_the_law(tmp_path, config):
+    """distribution.csv holds each support state and its probability, in
+    support order, and reads back to the enumerated law bit for bit."""
+    n = config["n"]
+    header, *lines = cli_artifact(tmp_path, config, "distribution.csv") \
+        .decode().splitlines()
+    mu = enumerate_stationary(
+        n, make_family(n, {"kind": "random-eps", "eps": 0.5},
+                       config.get("seed", 0)),
+        LocalizationVector.constant(n, config["ell"]) if "ell" in config
+        else None)
+    assert header.split(",") == [f"s{i}" for i in range(1, n + 1)] + \
+        ["probability"]
+    cells = [line.split(",") for line in lines]
+    support = np.array([cell[:-1] for cell in cells], dtype=np.int64)
+    probs = np.array([float(cell[-1]) for cell in cells])
+    assert np.array_equal(support, mu.support)
+    assert probs.tobytes() == mu.probs.tobytes()
+    rec = json.loads((tmp_path / "o" / "result.json").read_bytes())
+    assert rec["meta"] == {"distribution": "distribution.csv"}
+    assert rec["verdict"]["details"]["states"] == len(mu)
 
 
 def test_band_dp_rows_pinned():

@@ -299,30 +299,29 @@ def test_mallows_single_rows_match_the_column_path(n, q, monkeypatch):
     assert np.array_equal(sampler._ranks(u), ranks)
 
 
+def assert_single_rows_search_no_cdf(monkeypatch, n, q, rows, seed):
+    """Every guessed rank of rows single rows is its column searchsorted
+    rank: with the CDFs gone, no entry falls back on a search."""
+    sampler = MallowsRejectionSampler(n, q, None)
+    u = np.random.default_rng(seed).random((rows, n))
+    ranks = column_ranks(sampler, u)
+    monkeypatch.setattr(sampler, "_cdfs", None)
+    for r in range(rows):
+        assert np.array_equal(sampler._ranks(u[r:r + 1]), ranks[r:r + 1])
+
+
 def test_mallows_guesses_hold_at_q_one_half(monkeypatch):
     """At phi = 1 the guess floor(u m) is the rank: 300 single rows at
     n = 300 search no CDF (88,075 of their 90,000 entries did when every
     guess was 0)."""
-    n = 300
-    sampler = MallowsRejectionSampler(n, 0.5, None)
-    u = np.random.default_rng(36).random((300, n))
-    ranks = column_ranks(sampler, u)
-    monkeypatch.setattr(sampler, "_cdfs", None)
-    for r in range(len(u)):
-        assert np.array_equal(sampler._ranks(u[r:r + 1]), ranks[r:r + 1])
+    assert_single_rows_search_no_cdf(monkeypatch, 300, 0.5, 300, 36)
 
 
 def test_mallows_guesses_hold_below_q_one_half(monkeypatch):
     """At phi > 1 the guess is taken from phi^-m, which cannot overflow: 20
     single rows at n = 900, q = 0.3 search no CDF (1,243 of their 18,000
     entries, all at positions <= 62, did while the guess used phi^m)."""
-    n = 900
-    sampler = MallowsRejectionSampler(n, 0.3, None)
-    u = np.random.default_rng(37).random((20, n))
-    ranks = column_ranks(sampler, u)
-    monkeypatch.setattr(sampler, "_cdfs", None)
-    for r in range(len(u)):
-        assert np.array_equal(sampler._ranks(u[r:r + 1]), ranks[r:r + 1])
+    assert_single_rows_search_no_cdf(monkeypatch, 900, 0.3, 20, 37)
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])

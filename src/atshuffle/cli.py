@@ -456,7 +456,7 @@ def _run_disconnect(cfg: RunConfig, outdir: str):
         boundary = _boundary_from_spec(cfg.values["boundary"], n, "boundary")
     res = disconnect_probability(
         p, ell, boundary, seed=cfg.seed, window_cap=cfg.cap_window,
-        **cfg.pick("ks", "mode", "budget"))
+        enum_cap=cfg.cap_enum, **cfg.pick("ks", "mode", "budget"))
     return res, res.write(outdir, "result")
 
 

@@ -321,8 +321,8 @@ def burn_in_scaling(ns, family: dict, T_mult: int = 8, replicas: int = 100,
 def localization_tail_check(n: int, p: BiasMatrix,
                             ell: LocalizationVector | None = None,
                             samples: int = 20000, seed: int = 0,
-                            mode: str | None = None,
-                            rs=None) -> ExperimentResult:
+                            mode: str | None = None, rs=None,
+                            enum_cap: int | None = None) -> ExperimentResult:
     """Geometric tail bounds for particle locations under the stationary law.
 
     Exact mode checks mu(sigma(1) not in [k]) <= (1+eps)^-k for every k and
@@ -338,7 +338,8 @@ def localization_tail_check(n: int, p: BiasMatrix,
     params = {"n": n, "mode": mode, "seed": seed, "samples": samples,
               "eps": eps if math.isfinite(eps) else "inf"}
     if mode == "exact":
-        mu = enumerate_stationary(n, p, ell)
+        mu = enumerate_stationary(
+            n, p, ell, DEFAULT_ENUM_CAP if enum_cap is None else enum_cap)
         # run_min[:, s - 1] > k: no particle of [k] in the first s positions
         run_min = np.minimum.accumulate(mu.support, axis=1)
         series = []
@@ -411,7 +412,8 @@ def _mass(probs: np.ndarray, mask: np.ndarray) -> float:
 def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
                            boundary: BoundaryAssignment | None = None,
                            ks=None, mode: str = "exact", budget: int = 20000,
-                           seed: int = 0, window_cap: int | None = None) -> ExperimentResult:
+                           seed: int = 0, window_cap: int | None = None,
+                           enum_cap: int | None = None) -> ExperimentResult:
     """Probability that position k splits the configuration, vs the product bound."""
     n = p.n
     eps = p.epsilon
@@ -436,7 +438,8 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
     series = []
     violations = 0
     if mode == "exact":
-        mu = enumerate_stationary(n, p, ell)
+        mu = enumerate_stationary(
+            n, p, ell, DEFAULT_ENUM_CAP if enum_cap is None else enum_cap)
         states = mu.support
         probs = mu.probs
         if boundary is not None:

@@ -234,11 +234,14 @@ def inverse_rows(F: np.ndarray) -> np.ndarray:
 
 
 def localized_rows(F: np.ndarray, ell: LocalizationVector) -> np.ndarray:
-    """is_localized for each row of an (R, n) stack of 1-based permutation rows."""
+    """is_localized for each row of an (R, n) stack of 1-based permutation rows:
+    every position holds a label F whose window [F - lo, F + hi] contains it."""
     if F.shape[1] != ell.n:
         raise ContractError("size mismatch between permutation and localization")
-    d = inverse_rows(F) - np.arange(1, ell.n + 1)
-    return np.all((d >= -ell.lo) & (d <= ell.hi), axis=1)
+    at = F - 1
+    pos = np.arange(1, ell.n + 1)
+    return np.all((F - ell.lo.take(at) <= pos) & (pos <= F + ell.hi.take(at)),
+                  axis=1)
 
 
 class BiasMatrix:

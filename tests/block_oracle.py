@@ -7,7 +7,8 @@ every sub-instance rebuilt through the validating ``BiasMatrix`` and
 ``constant_q`` recomputed from its entries, the bias-matrix text written one bounds-checked entry at a time, and
 Mallows ranks found by one ``searchsorted`` per column.  The fast paths must
 reproduce them exactly: equal arrays, the same exceptions and messages, and
-the same bytes.
+the same bytes.  The window check of whole rows is the inverse-based one:
+each label's position, read from the inverted rows, minus the label.
 """
 
 import math
@@ -15,7 +16,8 @@ import math
 import numpy as np
 
 from atshuffle.errors import ContractError, EmptySupport
-from atshuffle.perms import BiasMatrix, LocalizationVector, Permutation, is_localized
+from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
+                             inverse_rows, is_localized)
 
 
 def relabel_map(boundary):
@@ -111,3 +113,10 @@ def mallows_rows(cdfs, u):
         avail = list(range(1, n + 1))
         rows[r] = [avail.pop(k) for k in rk.tolist()]
     return rows
+
+
+def localized_rows(F, ell):
+    """Whether each row of an (R, n) stack keeps every label k within
+    [-lo[k], hi[k]] of its home, by the inverse rows."""
+    d = inverse_rows(F) - np.arange(1, ell.n + 1)
+    return np.all((d >= -ell.lo) & (d <= ell.hi), axis=1)

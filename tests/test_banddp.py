@@ -158,6 +158,17 @@ def test_empty_conditional_support():
         BandDP(p, ell, pins={4: 2}).log_partition()
 
 
+def assert_rows_follow_law(rows, mu, tol):
+    """Every row lies in mu's support, and each state's share of the rows is
+    within tol of its probability."""
+    cnt = Counter(tuple(int(v) for v in r) for r in rows)
+    support = list(map(tuple, mu.support.tolist()))
+    assert set(cnt) <= set(support)
+    worst = max(abs(cnt.get(s, 0) / len(rows) - pr)
+                for s, pr in zip(support, mu.probs))
+    assert worst < tol
+
+
 def test_mallows_rejection_matches_enumeration():
     q = 0.7
     p = BiasMatrix.constant(8, q)
@@ -165,12 +176,115 @@ def test_mallows_rejection_matches_enumeration():
     sampler = MallowsRejectionSampler(8, q, ell)
     rows = sampler.draw_rows(np.random.default_rng(15), 100000)
     mu = enumerate_stationary(8, p, ell)
-    cnt = Counter(tuple(int(v) for v in r) for r in rows)
-    support = list(map(tuple, mu.support.tolist()))
-    assert set(cnt) <= set(support)
-    worst = max(abs(cnt.get(s, 0) / 100000 - pr)
-                for s, pr in zip(support, mu.probs))
-    assert worst < 0.01
+    assert_rows_follow_law(rows, mu, 0.01)
+
+
+# tight at the east end: labels 6, 7 and 8 may sit only at positions 6-7,
+# 7-8 and 8, while labels 1 and 2 may take positions 1-3 and 1-4; the east
+# half has 6 places of slack against the west half's 13, short by more
+# than the window width 5
+EAST_TIGHT = LocalizationVector([0, 1, 2, 2, 2, 0, 0, 0],
+                                [2, 2, 2, 2, 2, 1, 1, 0])
+
+
+def test_mirrored_mallows_batch_matches_enumeration():
+    """An east-tight window is drawn mirrored; one batch of 100,000 rows,
+    decoded as slabs, follows the restricted law."""
+    q = 0.7
+    sampler = MallowsRejectionSampler(8, q, EAST_TIGHT)
+    assert sampler._mirror
+    rows = sampler.draw_rows(np.random.default_rng(52), 100000)
+    assert_rows_follow_law(
+        rows, enumerate_stationary(8, BiasMatrix.constant(8, q), EAST_TIGHT),
+        0.01)
+
+
+def test_mirrored_mallows_single_rows_match_enumeration():
+    """40,000 single-row draws, each stopped at its first placement outside
+    the mirrored window, follow the restricted law."""
+    q = 0.7
+    sampler = MallowsRejectionSampler(8, q, EAST_TIGHT)
+    assert sampler._mirror
+    rng = np.random.default_rng(53)
+    rows = np.concatenate([sampler.draw_rows(rng, 1) for _ in range(40000)])
+    assert_rows_follow_law(
+        rows, enumerate_stationary(8, BiasMatrix.constant(8, q), EAST_TIGHT),
+        0.01)
+
+
+def mirror_window(ell):
+    return LocalizationVector(ell.hi[::-1], ell.lo[::-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 40, 201])
+def test_symmetric_windows_never_mirror(n):
+    """A window that is its own mirror image, every constant one included,
+    ties and is drawn as it is; of an asymmetric window and its mirror image,
+    at most one is drawn mirrored."""
+    rng = np.random.default_rng(n)
+    for width in (0, 1, 3, 12, math.inf):
+        ell = LocalizationVector.constant(n, width)
+        assert not MallowsRejectionSampler(n, 0.7, ell)._mirror
+    for _ in range(20):
+        lo = rng.integers(0, 5, size=n)
+        ell = LocalizationVector(lo, lo[::-1])
+        assert np.array_equal(mirror_window(ell).lo, ell.lo)
+        assert not MallowsRejectionSampler(n, 0.7, ell)._mirror
+        ell = random_admissible_localization(n, rng, max_ell=4)
+        assert not (MallowsRejectionSampler(n, 0.7, ell)._mirror and
+                    MallowsRejectionSampler(n, 0.7, mirror_window(ell))._mirror)
+    assert MallowsRejectionSampler(8, 0.7, EAST_TIGHT)._mirror
+    assert not MallowsRejectionSampler(8, 0.7, mirror_window(EAST_TIGHT))._mirror
+
+
+def test_only_a_shortfall_past_the_window_width_mirrors():
+    """Block windows at n = 200, ell = 12 (width 25): eight east labels that
+    may not move west fall 96 places short and mirror; two labels cut by
+    one place do not, nor do 25, the window width, while 26 do."""
+    for cut, mirrors in ((slice(-8, None), True), (slice(-2, None), False)):
+        lo = np.full(200, 12)
+        lo[cut] = 0 if mirrors else 11
+        ell = LocalizationVector(lo, np.full(200, 12))
+        assert MallowsRejectionSampler(200, 0.75, ell)._mirror == mirrors
+    lo = np.full(200, 12)
+    lo[-25:] = 11
+    ell = LocalizationVector(lo, np.full(200, 12))
+    assert not MallowsRejectionSampler(200, 0.75, ell)._mirror
+    lo[-26] = 11
+    ell = LocalizationVector(lo, np.full(200, 12))
+    assert MallowsRejectionSampler(200, 0.75, ell)._mirror
+
+
+def test_mirrored_draws_are_the_mirrored_reference_rows():
+    """A block-sized window tight at its east end, as a heat-bath block
+    next to a placed boundary induces: its draws are the reverse complements
+    of the reference rows of the mirrored window on the same stream, single
+    rows, a small batch and a slab alike, and lie in the window."""
+    n = 200
+    lo = np.full(n, 12)
+    lo[-8:] = 0
+    ell = LocalizationVector(lo, np.full(n, 12))
+    sampler = MallowsRejectionSampler(n, 0.75, ell)
+    mirrored = MallowsRejectionSampler(n, 0.75, mirror_window(ell))
+    assert sampler._mirror and not mirrored._mirror
+    rng, ref_rng = np.random.default_rng(54), np.random.default_rng(54)
+    for size in (1,) * 10 + (20, banddp.SLAB_MIN_ROWS):
+        rows = sampler.draw_rows(rng, size)
+        ref = reference_draws(mirrored, ref_rng, size)
+        assert np.array_equal(rows, n + 1 - ref[:, ::-1])
+        assert localized_rows(rows, ell).all()
+    assert rng.random() == ref_rng.random()
+
+
+def test_a_single_row_stops_at_its_first_placement_outside_the_window():
+    sampler = MallowsRejectionSampler(8, 0.7, LocalizationVector.constant(8, 1))
+    avail = list(range(1, 9))
+    # label 1 at position 1, then label 4 at position 2, outside [3, 5]
+    assert sampler._place(avail, [0, 2, 0, 0, 0, 0, 0, 0], 1) is None
+    assert avail == [2, 3, 5, 6, 7, 8]
+    avail = list(range(1, 9))
+    assert sampler._place(avail, [1, 0, 0, 0, 0, 0, 0, 0], 1) == \
+        [2, 1, 3, 4, 5, 6, 7, 8]
 
 
 def test_mallows_degenerate_cases():
@@ -239,6 +353,17 @@ def test_mallows_tables_are_shared_and_read_only():
         list(range(1, 364))
 
 
+def decoded(sampler, u):
+    """The accepted rows of a block of uniforms, through the path draw_rows
+    takes for its row count: one slab at SLAB_MIN_ROWS rows or more, one row
+    at a time below."""
+    if len(u) >= banddp.SLAB_MIN_ROWS:
+        return sampler._slab(u)
+    rows, read = sampler._single_rows(u, len(u))
+    assert read == len(u)
+    return np.array(rows, dtype=np.int64).reshape(-1, sampler.n)
+
+
 def uniforms_with_ties(sampler, rng, size, ties):
     """(size, n) uniforms, each with chance ties equal to a CDF entry below
     the CDF's top, as a uniform below 1 can be."""
@@ -264,11 +389,9 @@ def test_mallows_rank_paths_match_reference(n, q, seed, ties):
     want = block_oracle.mallows_rows(sampler._cdfs, u)
     # one slab, the largest guessed chunk, single rows
     for size in (banddp.SLAB_MIN_ROWS, banddp.SLAB_MIN_ROWS - 1):
-        assert np.array_equal(sampler._rows_from_uniforms(u[:size]),
-                              want[:size])
+        assert np.array_equal(decoded(sampler, u[:size]), want[:size])
     for r in range(8):
-        assert np.array_equal(sampler._rows_from_uniforms(u[r:r + 1]),
-                              want[r:r + 1])
+        assert np.array_equal(decoded(sampler, u[r:r + 1]), want[r:r + 1])
 
 
 def column_ranks(sampler, u):
@@ -282,21 +405,23 @@ def column_ranks(sampler, u):
 @pytest.mark.parametrize("n", [8, 255, 256, 362, 363, 500])
 def test_mallows_single_rows_match_the_column_path(n, q, monkeypatch):
     """The guessed and verified ranks are the column searchsorted ranks on
-    shared uniforms, CDF ties included, and single rows are the reference
-    rows; a guess forced wrong everywhere is searched for and gives the
-    same ranks."""
+    shared uniforms, CDF ties included, also for a block of columns that
+    starts past position 0, and single rows are the reference rows; a guess
+    forced wrong everywhere is searched for and gives the same ranks."""
     sampler = MallowsRejectionSampler(n, q, None)
     for cdf in sampler._cdfs:
         assert np.all(np.diff(cdf) >= 0)
     u = uniforms_with_ties(sampler, np.random.default_rng(n), 40, ties=0.05)
     want = block_oracle.mallows_rows(sampler._cdfs, u)
     for r in range(len(u)):
-        assert np.array_equal(sampler._rows_from_uniforms(u[r:r + 1]),
-                              want[r:r + 1])
+        assert np.array_equal(decoded(sampler, u[r:r + 1]), want[r:r + 1])
     ranks = column_ranks(sampler, u)
     assert np.array_equal(sampler._ranks(u), ranks)
+    # the columns from position 5 on, ranked on their own
+    assert np.array_equal(sampler._ranks(u[:, 5:], 5), ranks[:, 5:])
     monkeypatch.setattr(sampler, "_rate", math.nan)
     assert np.array_equal(sampler._ranks(u), ranks)
+    assert np.array_equal(sampler._ranks(u[:, 5:], 5), ranks[:, 5:])
 
 
 def assert_single_rows_search_no_cdf(monkeypatch, n, q, rows, seed):
@@ -328,7 +453,7 @@ def test_mallows_guesses_hold_below_q_one_half(monkeypatch):
 def test_mallows_decode_paths_match_reference(n, monkeypatch):
     """Row by row below SLAB_MIN_ROWS and as one slab at it, the rows are
     the reference rows, across the uint8/uint16 change of the slab dtype;
-    a windowed sampler builds the same rows and accepts the localized ones."""
+    a windowed sampler keeps just the localized ones."""
     slabs = []
     slab_rows = banddp._slab_rows
     monkeypatch.setattr(banddp, "_slab_rows",
@@ -342,10 +467,9 @@ def test_mallows_decode_paths_match_reference(n, monkeypatch):
     local = localized_rows(want, windowed.ell)
     assert 20 < local.sum() < len(local) - 20
     for size in (banddp.SLAB_MIN_ROWS - 1, banddp.SLAB_MIN_ROWS):
-        assert np.array_equal(plain._rows_from_uniforms(u[:size]), want[:size])
-        rows = windowed._rows_from_uniforms(u[:size])
-        assert np.array_equal(rows, want[:size])
-        assert np.array_equal(windowed._accept(rows), local[:size])
+        assert np.array_equal(decoded(plain, u[:size]), want[:size])
+        assert np.array_equal(decoded(windowed, u[:size]),
+                              want[:size][local[:size]])
     assert slabs == [np.min_scalar_type(n - 1)] * 2
     assert slabs[0] == (np.uint8 if n <= 256 else np.uint16)
     # the largest label index, n - 1, in the slab's dtype: the reversal
@@ -363,7 +487,7 @@ def test_mallows_cdf_tops_are_one():
     want = block_oracle.mallows_rows(sampler._cdfs, u[:1])
     assert np.array_equal(np.sort(want[0]), np.arange(1, 301))
     for size in (1, banddp.SLAB_MIN_ROWS):
-        assert np.array_equal(sampler._rows_from_uniforms(u[:size]),
+        assert np.array_equal(decoded(sampler, u[:size]),
                               np.tile(want, (size, 1)))
 
 

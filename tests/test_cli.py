@@ -653,10 +653,13 @@ def test_results_with_no_finite_figure_are_strict_json(tmp_path, raw, details):
     {"command": "blockcheck", "n": 6, "p": {"family": "random-eps", "eps": 0.5}},
     {"command": "mix", "ns": [5, 6], "p": {"family": "constant-q", "q": 0.75},
      "method": "exact"},
+    {"command": "disconnect", "n": 6, "p": {"family": "random-eps", "eps": 0.5},
+     "mode": "exact"},
 ])
 def test_enumerating_commands_refuse_past_cap_enum_before_enumerating(
         tmp_path, monkeypatch, raw):
-    # both used to enumerate all 720 states at n = 6, where exact refuses
+    # each used to enumerate all 720 states at n = 6, where exact refuses;
+    # exact disconnect then passed
     def never(*args, **kwargs):
         raise AssertionError("enumerated before the cap check")
 

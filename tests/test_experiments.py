@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from atshuffle import chains
 from atshuffle.chains import BlockSchedule, derive_rng, experiment_id
-from atshuffle.errors import ContractError
+from atshuffle.errors import CapExceeded, ContractError
 from atshuffle.experiments import (ExperimentResult, SeriesPoint, Verdict,
                                    asep_tail_check, block_chain_mixing,
                                    block_decomposition_check, burn_in_profile,
@@ -89,6 +89,16 @@ def test_mixing_scaling_jobs_deterministic():
     parallel = mixing_scaling(jobs=2, **kwargs)
     assert [pt.as_dict() for pt in serial.series] == \
         [pt.as_dict() for pt in parallel.series]
+
+
+def test_exact_tails_and_disconnects_honour_the_enumeration_cap():
+    p = BiasMatrix.random_biased(6, 0.5, np.random.default_rng(0))
+    with pytest.raises(CapExceeded, match="n=6 exceeds the enumeration cap 3"):
+        localization_tail_check(6, p, None, mode="exact", enum_cap=3)
+    with pytest.raises(CapExceeded, match="n=6 exceeds the enumeration cap 3"):
+        disconnect_probability(p, mode="exact", enum_cap=3)
+    assert localization_tail_check(6, p, None, mode="exact",
+                                   enum_cap=4).verdict.passed
 
 
 def test_disconnect_probability_contracts():

@@ -71,6 +71,27 @@ def test_row_checks_match_the_permutation_checks(n, R, seed, max_ell):
         localized_rows(np.ones((R, n + 1), dtype=np.int64), ell)
 
 
+@pytest.mark.parametrize("n", [1, 8, 300])
+def test_localized_rows_matches_the_inverse_check(n):
+    """The gather check gives the inverse-based check's booleans on seeded
+    rows near the identity, inside and outside random admissible windows
+    and constant ones."""
+    rng = np.random.default_rng(n)
+    # the identity, then rows of random adjacent swaps
+    F = np.tile(np.arange(1, n + 1), (64, 1))
+    if n > 1:
+        for row in F[1:]:
+            for i in rng.integers(0, n - 1, size=int(rng.integers(0, 3 * n))):
+                row[i], row[i + 1] = row[i + 1], row[i]
+    for ell in (random_admissible_localization(n, rng, max_ell=3),
+                random_admissible_localization(n, rng, max_ell=6),
+                LocalizationVector.constant(n, 2), LocalizationVector.constant(n, 0)):
+        want = oracle.localized_rows(F, ell)
+        assert np.array_equal(localized_rows(F, ell), want)
+        if n > 1:
+            assert want.any() and not want.all()
+
+
 def test_disconnecting_examples():
     assert is_disconnecting(Permutation.identity(5), 3)
     assert not is_disconnecting(Permutation((2, 1, 3)), 1)

@@ -8,7 +8,9 @@ flat-indexed stepper must reproduce them byte for byte.  The band DP and
 kernel values were recorded with the argsort/searchsorted band DP and the
 state-by-state kernel build.  The Mallows values were recorded with the
 list.pop rank-to-label loop for every chunk and rejection only after a whole
-row was built.
+row was built; they hold with single rows stopped at their first placement
+outside the window.  The mirrored Mallows rows were recorded when windows
+tighter at the east end began to be drawn mirrored.
 """
 
 import hashlib
@@ -166,6 +168,12 @@ MALLOWS_ROW_PINS = {
         "2e59591291e9162b81f002d5971934f738aec4641769d06289c323846860be9c",
         0.7730328887658874),
 }
+# sha256 of MallowsRejectionSampler rows at n = 200, q = Q, ell = 12 but no
+# westward room for the last eight labels, a window drawn mirrored: 30 single
+# rows and then 200 rows, seed 61, and the generator's next uniform
+MIRRORED_ROW_PIN = (
+    "5bc0a640e9a39263db9e4547cb3347ea6b543018f047afa4ffbacc904a98cd6a",
+    0.43274104383861833)
 # sha256 of the int64 rows then the probs of band_dp_conditional_marginal at
 # n = 12 (103 rows)
 REGION_MARGINAL_DIGEST = (
@@ -341,3 +349,17 @@ def test_mallows_rows_pinned(key):
     assert rows.shape == (size * calls, n)
     assert (hashlib.sha256(rows.tobytes()).hexdigest(), rng.random()) \
         == MALLOWS_ROW_PINS[key]
+
+
+def test_mirrored_mallows_rows_pinned():
+    n = 200
+    lo = np.full(n, 12)
+    lo[-8:] = 0
+    sampler = MallowsRejectionSampler(
+        n, Q, LocalizationVector(lo, np.full(n, 12)))
+    assert sampler._mirror
+    rng = np.random.default_rng(61)
+    rows = np.concatenate([sampler.draw_rows(rng, 1) for _ in range(30)]
+                          + [sampler.draw_rows(rng, 200)])
+    assert (hashlib.sha256(rows.tobytes()).hexdigest(), rng.random()) \
+        == MIRRORED_ROW_PIN

@@ -233,8 +233,6 @@ def test_symmetric_windows_never_mirror(n):
         ell = random_admissible_localization(n, rng, max_ell=4)
         assert not (MallowsRejectionSampler(n, 0.7, ell)._mirror and
                     MallowsRejectionSampler(n, 0.7, mirror_window(ell))._mirror)
-    assert MallowsRejectionSampler(8, 0.7, EAST_TIGHT)._mirror
-    assert not MallowsRejectionSampler(8, 0.7, mirror_window(EAST_TIGHT))._mirror
 
 
 def test_only_a_shortfall_past_the_window_width_mirrors():

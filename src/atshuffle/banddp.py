@@ -550,22 +550,6 @@ def _slab_rows(ranks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _east_is_tighter(ell: LocalizationVector) -> bool:
-    """Whether the east half of the labels has less window slack, the sum of
-    lo + hi, than the west half, by more than the window width.
-
-    A window that is its own mirror image ties.  A smaller shortfall cuts a
-    place or two from a few windows and rarely rejects a row, so mirroring
-    it would gain nothing, while twin block chains, whose induced windows
-    differ by such cuts, would turn shared uniforms into rows of opposite
-    orientations and couple worse.
-    """
-    slack = ell.lo + ell.hi
-    half = ell.n // 2
-    width = ell.l_max_minus + ell.l_max_plus + 1
-    return int(slack[:half].sum()) - int(slack[ell.n - half:].sum()) > width
-
-
 class MallowsRejectionSampler:
     """Insertion sampling for constant-bias instances, rejecting off-band draws.
 
@@ -579,13 +563,12 @@ class MallowsRejectionSampler:
     in its place from then on, and strategy becomes its strategy; without
     one, giving up is a CapExceeded.
 
-    Rows are filled west to east, and a single row stops at its first
-    placement outside the window.  The reverse complement sigma -> w0 sigma
-    w0, row -> (n + 1 - row)[::-1], keeps inversion counts, so it keeps the
-    law, and it mirrors the window: lo' = hi[::-1], hi' = lo[::-1].  A window
-    much tighter at its east end (_east_is_tighter) is drawn mirrored and its
-    rows mapped back, so that the rows it rejects fail in their first
-    placements, not their last.
+    Labels the window forces home are put back, not drawn: the leading run
+    of labels with hi = 0 sits at positions 1, 2, ..., and the trailing run
+    with lo = 0 at n, n - 1, ....  They form no inversion, so the labels
+    between them keep the Mallows law in their own truncated window.  Rows
+    of those labels are filled west to east, and a single row stops at its
+    first placement outside the window.
     """
 
     strategy = "mallows-rejection"
@@ -598,97 +581,90 @@ class MallowsRejectionSampler:
         self.ell = ell
         self._fallback = fallback
         self._instead = None
-        self._mirror = ell is not None and _east_is_tighter(ell)
-        # the window in the orientation the rows are drawn in
-        self._frame = ell
-        if self._mirror:
-            self._frame = LocalizationVector._trusted(ell.hi[::-1].copy(),
-                                                      ell.lo[::-1].copy())
-        if q <= 0.0 or q >= 1.0:
-            # both rows are their own mirror images
-            self._degenerate = np.arange(1, n + 1) if q == 1.0 else np.arange(n, 0, -1)
+        # the drawn labels are west + 1 .. west + m, in the window of their
+        # own instance; the others sit at home
+        self._west, m = 0, n
+        self._window = None
+        if ell is not None:
+            self._west = int(np.logical_and.accumulate(ell.hi == 0).sum())
+            east = int(np.logical_and.accumulate(
+                ell.lo[self._west:][::-1] == 0).sum())
+            m = n - self._west - east
+            k = np.arange(m)
+            drawn = slice(self._west, self._west + m)
+            self._window = LocalizationVector._trusted(
+                np.minimum(ell.lo[drawn], k), np.minimum(ell.hi[drawn], k[::-1]))
+        self._m = m
+        if m == 0 or q <= 0.0 or q >= 1.0:
+            self._degenerate = np.arange(1, m + 1) if q == 1.0 else np.arange(m, 0, -1)
             return
         self._degenerate = None
-        self._flat, self._cdfs, self._base, self._spread = _mallows_cdfs(n, q)
+        self._flat, self._cdfs, self._base, self._spread = _mallows_cdfs(m, q)
         logphi = math.log((1.0 - q) / q)
         # at phi = 1 the CDFs are uniform and there is no log to take
         self._rate = 1.0 / logphi if logphi else None
         # the largest rank at each position, m - 1 for m labels left
-        self._top = np.arange(n - 1, -1, -1, dtype=np.float64)
-        labels = np.arange(1, n + 1)
-        if self._frame is None:
-            lo, hi = labels - 1, n - labels
+        self._top = np.arange(m - 1, -1, -1, dtype=np.float64)
+        labels = np.arange(1, m + 1)
+        if self._window is None:
+            lo, hi = labels - 1, m - labels
         else:
-            lo, hi = self._frame.lo, self._frame.hi
+            lo, hi = self._window.lo, self._window.hi
         # each label's first and last allowed position, indexed by the label
         self._first = [0, *(labels - lo).tolist()]
         self._last = [0, *(labels + hi).tolist()]
-        # a row tight at its west end fails within a window width, so single
-        # rows rank that many columns ahead of the rest
-        self._head = min(n, int(lo.max(initial=0) + hi.max(initial=0)) + 1)
 
     def _slab(self, u: np.ndarray) -> np.ndarray:
-        """The rows of a (size, n) block of uniforms that stay in the window.
+        """The rows of a (size, m) block of uniforms that stay in the window.
 
         A rank is the count of CDF entries <= u, searchsorted(side="right")
         on the sorted CDF, taken column by column; the rows are decoded as
         one slab and then checked whole.
         """
-        size, n = u.shape
-        ranks = np.empty((n, size), dtype=np.min_scalar_type(n - 1))
+        size, m = u.shape
+        ranks = np.empty((m, size), dtype=np.min_scalar_type(m - 1))
         for pos, col in enumerate(u.T):
-            ranks[pos] = self._cdfs[n - pos - 1].searchsorted(col, side="right")
+            ranks[pos] = self._cdfs[m - pos - 1].searchsorted(col, side="right")
         rows = _slab_rows(ranks)
-        if self._frame is None:
+        if self._window is None:
             return rows
-        return rows[localized_rows(rows, self._frame)]
+        return rows[localized_rows(rows, self._window)]
 
     def _single_rows(self, u: np.ndarray, need: int) -> tuple:
-        """The first need rows of a (size, n) block of uniforms that stay in
+        """The first need rows of a (size, m) block of uniforms that stay in
         the window, decoded one at a time, and the count of rows read.
 
-        The first row is ranked whole, as most windows accept most rows.  The
-        first head columns of the others are ranked in one call, and the rest
-        of such a row only once its first head placements lie in the window.
+        The first row is ranked on its own, as most windows accept most
+        rows, and the others in one call.
         """
-        n = self.n
         rows = []
         read = 0
-        for group, head in ((u[:1], n), (u[1:], self._head)):
-            if not len(group):
-                break
-            for r, ranks in enumerate(self._ranks(group[:, :head]).tolist()):
-                avail = list(range(1, n + 1))
-                row = self._place(avail, ranks, 1)
-                if row is not None and head < n:
-                    tail = self._place(
-                        avail,
-                        self._ranks(group[r:r + 1, head:], head)[0].tolist(),
-                        head + 1)
-                    row = None if tail is None else row + tail
+        for group in (u[:1], u[1:]):
+            for ranks in self._ranks(group).tolist():
                 read += 1
+                row = self._place(ranks)
                 if row is not None:
                     rows.append(row)
                     if len(rows) == need:
                         return rows, read
         return rows, read
 
-    def _place(self, avail: list, ranks: list, pos: int) -> list | None:
-        """Pop the labels of ranks from avail into positions pos, pos + 1,
-        ...; None at the first label placed outside its window."""
+    def _place(self, ranks: list) -> list | None:
+        """The labels that ranks picks, position by position; None at the
+        first label placed outside its window."""
         first = self._first
         last = self._last
+        avail = list(range(1, self._m + 1))
         row = []
-        for pos, k in enumerate(ranks, pos):
+        for pos, k in enumerate(ranks, 1):
             label = avail.pop(k)
             if not first[label] <= pos <= last[label]:
                 return None
             row.append(label)
         return row
 
-    def _ranks(self, u: np.ndarray, start: int = 0) -> np.ndarray:
-        """The ranks of a (size, w) block of uniforms for positions start ..
-        start + w - 1 (0-based), in O(size w).
+    def _ranks(self, u: np.ndarray) -> np.ndarray:
+        """The (size, m) ranks of a block of uniforms, in O(size m).
 
         Each rank is guessed from the truncated-geometric inverse CDF,
         floor(log1p(u (phi^m - 1)) / log phi), which at phi > 1 is taken as
@@ -700,31 +676,29 @@ class MallowsRejectionSampler:
         cdf[-1].  Entries that fail the check (a guess rounded across a CDF
         entry, or a NaN guess) are searched column by column.
         """
-        cols = slice(start, start + u.shape[1])
-        spread = self._spread[cols]
-        top = self._top[cols]
+        m = u.shape[1]
         if self._rate is None:
-            guess = u * spread
+            guess = u * self._spread
         elif self._rate < 0:
-            guess = np.log1p(u * spread)
+            guess = np.log1p(u * self._spread)
             guess *= self._rate
         else:
             # u = 0 takes log1p(-1) = -inf where phi^-m underflows: rank 0
             with np.errstate(divide="ignore"):
-                guess = np.log1p((1.0 - u) * spread)
+                guess = np.log1p((1.0 - u) * self._spread)
             guess *= self._rate
-            guess += top
+            guess += self._top
             guess += 1.0
         np.floor(guess, out=guess)
         # fmin and fmax take the bound in place of a NaN guess
-        np.fmin(guess, top, out=guess)
+        np.fmin(guess, self._top, out=guess)
         k = np.fmax(guess, 0, out=guess).astype(np.intp)
-        at = k + self._base[cols]
+        at = k + self._base
         bad = (self._flat.take(at) > u) | (u >= self._flat.take(at + 1))
         if bad.any():
             for pos in np.flatnonzero(bad.any(axis=0)).tolist():
                 miss = bad[:, pos]
-                k[miss, pos] = self._cdfs[self.n - start - pos - 1].searchsorted(
+                k[miss, pos] = self._cdfs[m - pos - 1].searchsorted(
                     u[miss, pos], side="right")
         return k
 
@@ -735,25 +709,27 @@ class MallowsRejectionSampler:
         depend on acceptance, but turns them into rows only in order, until
         the accepted rows suffice: SLAB_MIN_ROWS or more rows still needed,
         within a chunk, are decoded as one slab, fewer one row at a time.
+        A window that forces every label home draws no uniform.
         """
         if self._instead is not None:
             return self._instead.draw_rows(rng, size)
         if self._degenerate is not None:
             # the only row there is: accepted always or never
             rows = np.tile(self._degenerate, (size, 1))
-            if self.ell is not None and not np.all(localized_rows(rows, self.ell)):
+            if self._window is not None and not np.all(
+                    localized_rows(rows, self._window)):
                 return self._give_up(rng, size)
-            return rows
-        n = self.n
-        out = np.empty((size, n), dtype=np.int64)
-        chunk = max(1, ROW_CHUNK_ELEMENTS // n)
+            return self._put_back(rows)
+        m = self._m
+        out = np.empty((size, m), dtype=np.int64)
+        chunk = max(1, ROW_CHUNK_ELEMENTS // m)
         got = 0
         tries = 0
         while got < size:
             if tries >= self._MAX_TRIES:
                 return self._give_up(rng, size)
             batch = max(32, int((size - got) * 1.1))
-            u = rng.random((batch, n))
+            u = rng.random((batch, m))
             start = 0
             while start < batch and got < size:
                 stop = min(batch, start + chunk)
@@ -768,7 +744,16 @@ class MallowsRejectionSampler:
                     got += len(rows)
                 start = stop
             tries += 1
-        return n + 1 - out[:, ::-1] if self._mirror else out
+        return self._put_back(out)
+
+    def _put_back(self, rows: np.ndarray) -> np.ndarray:
+        """Rows of all n labels from rows of the drawn ones, with the forced
+        labels at home."""
+        if self._m == self.n:
+            return rows
+        full = np.tile(np.arange(1, self.n + 1), (len(rows), 1))
+        full[:, self._west:self._west + self._m] = rows + self._west
+        return full
 
     def _give_up(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """All size rows from the fallback sampler, which draws from now on."""
@@ -819,6 +804,9 @@ def exact_localized_sampler(p: BiasMatrix, ell: LocalizationVector | None,
     large n).
     """
     n = p.n
+    if ell is not None and ell.n != n:
+        raise ContractError(f"ell has {ell.n} entries, but the instance has "
+                            f"n = {n}")
     if n <= ENUM_SAMPLER_CAP:
         return EnumerationSampler(p, ell)
     q = p.constant_q()

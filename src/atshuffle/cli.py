@@ -250,22 +250,24 @@ def _load_bias(spec, n: int, seed: int) -> BiasMatrix:
     raise ContractError("p must be {'family': ...} or {'file': ...}")
 
 
-def _load_ell(spec, n: int | None) -> LocalizationVector | None:
+def _load_ell(spec, n: int) -> LocalizationVector | None:
     if spec is None:
         return None
     if isinstance(spec, dict) and "file" in spec:
-        return _parse_file(spec, "ell", LocalizationVector.from_text)
-    if _has_kind(spec, INT):
-        if n is None:
-            raise ContractError("constant localization needs n")
-        return LocalizationVector.constant(n, spec)
-    if isinstance(spec, list) and all(
+        ell = _parse_file(spec, "ell", LocalizationVector.from_text)
+    elif _has_kind(spec, INT):
+        ell = LocalizationVector.constant(n, spec)
+    elif isinstance(spec, list) and all(
             isinstance(pair, list) and len(pair) == 2
             and all(_has_kind(v, INT) or v == math.inf for v in pair)
             for pair in spec):
-        return LocalizationVector([a for a, _ in spec], [b for _, b in spec])
-    raise ContractError(f"ell must be null, an int, [[lo,hi],...], or a file; "
-                        f"got {spec!r}")
+        ell = LocalizationVector([a for a, _ in spec], [b for _, b in spec])
+    else:
+        raise ContractError(f"ell must be null, an int, [[lo,hi],...], or a "
+                            f"file; got {spec!r}")
+    if ell.n != n:
+        raise ContractError(f"ell has {ell.n} entries, but n = {n}")
+    return ell
 
 
 def _family_dict(spec) -> dict:
@@ -365,6 +367,8 @@ def _run_chain(cfg: RunConfig, outdir: str):
         raise ContractError("checkpoint_every must be >= 1")
     init = cfg.values.get("init", "reversal")
     tracked = cfg.values.get("tracked_ks", [])
+    if not all(1 <= k < n for k in tracked):
+        raise ContractError(f"tracked_ks must lie in 1..{n - 1}, got {tracked}")
     if init == "identity":
         start = Permutation.identity(n)
     elif init == "reversal":

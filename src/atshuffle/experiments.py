@@ -318,6 +318,11 @@ def burn_in_scaling(ns, family: dict, T_mult: int = 8, replicas: int = 100,
 # stationary localization tails
 # ---------------------------------------------------------------------------
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "sampled"):
+        raise ContractError(f"unknown mode {mode!r}; choose exact or sampled")
+
+
 def localization_tail_check(n: int, p: BiasMatrix,
                             ell: LocalizationVector | None = None,
                             samples: int = 20000, seed: int = 0,
@@ -334,6 +339,7 @@ def localization_tail_check(n: int, p: BiasMatrix,
         raise ContractError("tail bounds need a 0-positively biased instance")
     if mode is None:
         mode = "exact" if n <= DEFAULT_ENUM_CAP else "sampled"
+    _check_mode(mode)
     fp = instance_fingerprint(p, ell)
     params = {"n": n, "mode": mode, "seed": seed, "samples": samples,
               "eps": eps if math.isfinite(eps) else "inf"}
@@ -419,6 +425,7 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
     eps = p.epsilon
     if eps < 0:
         raise ContractError("needs a 0-positively biased instance")
+    _check_mode(mode)
     i_off = boundary.i if boundary is not None else 0
     k_lo, k_hi = 1, n
     if boundary is not None:
@@ -506,6 +513,7 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
     the common-disconnecting-point coupling, an upper bound on the TV.
     """
     n = p.n
+    _check_mode(mode)
     if eta.n != n or eta_bar.n != n or (eta.i, eta.j) != (eta_bar.i, eta_bar.j):
         raise ContractError("boundaries must pin the same positions")
     if not (eta.is_localized(ell) and eta_bar.is_localized(ell)):
@@ -536,7 +544,7 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
                     raise ContractError(f"r={r} leaves an empty far region")
                 tv = tv_distance(dpA.cut_law(cut), dpB.cut_law(cut))
             series.append(SeriesPoint(r, tv, 0.0, 1))
-    elif mode == "sampled":
+    else:
         rng = derive_rng(seed, experiment_id("spatial-coupling"))
         dpA = BandDP(p, ell, pins=eta.values(), window_cap=cap)
         dpB = BandDP(p, ell, pins=eta_bar.values(), window_cap=cap)
@@ -563,8 +571,6 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
             fail = 1.0 - float(np.mean(hit))
             series.append(SeriesPoint(r, fail, _se_bernoulli(fail, budget),
                                       budget))
-    else:
-        raise ContractError(f"unknown mode {mode}")
     tvs = [pt.estimate for pt in series]
     monotone = all(tvs[a + 1] <= tvs[a] + 1e-9 for a in range(len(tvs) - 1))
     below = tvs[-1] <= threshold if tvs else True

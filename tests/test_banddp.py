@@ -16,7 +16,7 @@ from atshuffle.banddp import (BandDP, BandDPSampler, EnumerationSampler,
                               band_dp_conditional_marginal, band_dp_partition,
                               band_dp_sample, exact_localized_sampler,
                               heat_bath_block_rows, heat_bath_block_sample)
-from atshuffle.errors import CapExceeded, EmptySupport
+from atshuffle.errors import CapExceeded, ContractError, EmptySupport
 from atshuffle.measure import enumerate_stationary, log_weight
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
                              LocalizationVector, Permutation, is_localized,
@@ -180,19 +180,19 @@ def test_mallows_rejection_matches_enumeration():
 
 
 # tight at the east end: labels 6, 7 and 8 may sit only at positions 6-7,
-# 7-8 and 8, while labels 1 and 2 may take positions 1-3 and 1-4; the east
-# half has 6 places of slack against the west half's 13, short by more
-# than the window width 5
+# 7-8 and 8, so the window forces them home, while labels 1 and 2 may take
+# positions 1-3 and 1-4
 EAST_TIGHT = LocalizationVector([0, 1, 2, 2, 2, 0, 0, 0],
                                 [2, 2, 2, 2, 2, 1, 1, 0])
 
 
 def test_mirrored_mallows_batch_matches_enumeration():
-    """An east-tight window is drawn mirrored; one batch of 100,000 rows,
-    decoded as slabs, follows the restricted law."""
+    """An east-tight window draws only labels 1-5 and puts 6, 7 and 8 back
+    home; one batch of 100,000 rows, decoded as slabs, follows the
+    restricted law."""
     q = 0.7
     sampler = MallowsRejectionSampler(8, q, EAST_TIGHT)
-    assert sampler._mirror
+    assert (sampler._west, sampler._m) == (0, 5)
     rows = sampler.draw_rows(np.random.default_rng(52), 100000)
     assert_rows_follow_law(
         rows, enumerate_stationary(8, BiasMatrix.constant(8, q), EAST_TIGHT),
@@ -200,11 +200,11 @@ def test_mirrored_mallows_batch_matches_enumeration():
 
 
 def test_mirrored_mallows_single_rows_match_enumeration():
-    """40,000 single-row draws, each stopped at its first placement outside
-    the mirrored window, follow the restricted law."""
+    """40,000 single-row draws of the east-tight window, each stopped at its
+    first placement outside the window, follow the restricted law."""
     q = 0.7
     sampler = MallowsRejectionSampler(8, q, EAST_TIGHT)
-    assert sampler._mirror
+    assert (sampler._west, sampler._m) == (0, 5)
     rng = np.random.default_rng(53)
     rows = np.concatenate([sampler.draw_rows(rng, 1) for _ in range(40000)])
     assert_rows_follow_law(
@@ -212,77 +212,51 @@ def test_mirrored_mallows_single_rows_match_enumeration():
         0.01)
 
 
-def mirror_window(ell):
-    return LocalizationVector(ell.hi[::-1], ell.lo[::-1])
+@pytest.mark.parametrize("q", [0.0, 0.75, 1.0])
+def test_a_window_that_forces_every_label_home_draws_no_uniform(q):
+    # at q = 0.75 the whole window used to be drawn and give up after 400
+    # tries of 32 rows
+    sampler = MallowsRejectionSampler(200, q, LocalizationVector.constant(200, 0))
+    rng = np.random.default_rng(55)
+    assert np.array_equal(sampler.draw_rows(rng, 3),
+                          np.tile(np.arange(1, 201), (3, 1)))
+    assert rng.random() == np.random.default_rng(55).random()
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 40, 201])
-def test_symmetric_windows_never_mirror(n):
-    """A window that is its own mirror image, every constant one included,
-    ties and is drawn as it is; of an asymmetric window and its mirror image,
-    at most one is drawn mirrored."""
-    rng = np.random.default_rng(n)
-    for width in (0, 1, 3, 12, math.inf):
-        ell = LocalizationVector.constant(n, width)
-        assert not MallowsRejectionSampler(n, 0.7, ell)._mirror
-    for _ in range(20):
-        lo = rng.integers(0, 5, size=n)
-        ell = LocalizationVector(lo, lo[::-1])
-        assert np.array_equal(mirror_window(ell).lo, ell.lo)
-        assert not MallowsRejectionSampler(n, 0.7, ell)._mirror
-        ell = random_admissible_localization(n, rng, max_ell=4)
-        assert not (MallowsRejectionSampler(n, 0.7, ell)._mirror and
-                    MallowsRejectionSampler(n, 0.7, mirror_window(ell))._mirror)
-
-
-def test_only_a_shortfall_past_the_window_width_mirrors():
-    """Block windows at n = 200, ell = 12 (width 25): eight east labels that
-    may not move west fall 96 places short and mirror; two labels cut by
-    one place do not, nor do 25, the window width, while 26 do."""
-    for cut, mirrors in ((slice(-8, None), True), (slice(-2, None), False)):
-        lo = np.full(200, 12)
-        lo[cut] = 0 if mirrors else 11
-        ell = LocalizationVector(lo, np.full(200, 12))
-        assert MallowsRejectionSampler(200, 0.75, ell)._mirror == mirrors
-    lo = np.full(200, 12)
-    lo[-25:] = 11
-    ell = LocalizationVector(lo, np.full(200, 12))
-    assert not MallowsRejectionSampler(200, 0.75, ell)._mirror
-    lo[-26] = 11
-    ell = LocalizationVector(lo, np.full(200, 12))
-    assert MallowsRejectionSampler(200, 0.75, ell)._mirror
-
-
-def test_mirrored_draws_are_the_mirrored_reference_rows():
-    """A block-sized window tight at its east end, as a heat-bath block
-    next to a placed boundary induces: its draws are the reverse complements
-    of the reference rows of the mirrored window on the same stream, single
-    rows, a small batch and a slab alike, and lie in the window."""
+@pytest.mark.parametrize("west, east", [(5, 0), (0, 8), (5, 8)])
+def test_forced_ends_are_put_back_around_the_middle_reference_rows(west, east):
+    """Block-sized windows whose first labels may not move east or whose
+    last labels may not move west, as a heat-bath block next to a placed
+    boundary induces: the draws are the reference rows of the labels in
+    between, in their own window on the same stream, with the forced labels
+    at home; single rows, a small batch and a slab alike."""
     n = 200
-    lo = np.full(n, 12)
-    lo[-8:] = 0
-    ell = LocalizationVector(lo, np.full(n, 12))
+    lo, hi = np.full(n, 12), np.full(n, 12)
+    hi[:west] = 0
+    lo[n - east:] = 0
+    ell = LocalizationVector(lo, hi)
     sampler = MallowsRejectionSampler(n, 0.75, ell)
-    mirrored = MallowsRejectionSampler(n, 0.75, mirror_window(ell))
-    assert sampler._mirror and not mirrored._mirror
+    middle = MallowsRejectionSampler(
+        n - west - east, 0.75,
+        LocalizationVector(lo[west:n - east], hi[west:n - east]))
     rng, ref_rng = np.random.default_rng(54), np.random.default_rng(54)
     for size in (1,) * 10 + (20, banddp.SLAB_MIN_ROWS):
         rows = sampler.draw_rows(rng, size)
-        ref = reference_draws(mirrored, ref_rng, size)
-        assert np.array_equal(rows, n + 1 - ref[:, ::-1])
+        ref = reference_draws(middle, ref_rng, size)
+        assert np.array_equal(rows[:, west:n - east], ref + west)
+        assert np.array_equal(rows[:, :west], np.tile(np.arange(1, west + 1),
+                                                      (size, 1)))
+        assert np.array_equal(rows[:, n - east:],
+                              np.tile(np.arange(n - east + 1, n + 1), (size, 1)))
         assert localized_rows(rows, ell).all()
     assert rng.random() == ref_rng.random()
 
 
 def test_a_single_row_stops_at_its_first_placement_outside_the_window():
     sampler = MallowsRejectionSampler(8, 0.7, LocalizationVector.constant(8, 1))
-    avail = list(range(1, 9))
     # label 1 at position 1, then label 4 at position 2, outside [3, 5]
-    assert sampler._place(avail, [0, 2, 0, 0, 0, 0, 0, 0], 1) is None
-    assert avail == [2, 3, 5, 6, 7, 8]
-    avail = list(range(1, 9))
-    assert sampler._place(avail, [1, 0, 0, 0, 0, 0, 0, 0], 1) == \
-        [2, 1, 3, 4, 5, 6, 7, 8]
+    assert sampler._place([0, 2, 0, 0, 0, 0, 0, 0]) is None
+    assert sampler._place([1, 0, 0, 0, 0, 0, 0, 0]) == [2, 1, 3, 4, 5, 6, 7, 8]
 
 
 def test_mallows_degenerate_cases():
@@ -403,9 +377,9 @@ def column_ranks(sampler, u):
 @pytest.mark.parametrize("n", [8, 255, 256, 362, 363, 500])
 def test_mallows_single_rows_match_the_column_path(n, q, monkeypatch):
     """The guessed and verified ranks are the column searchsorted ranks on
-    shared uniforms, CDF ties included, also for a block of columns that
-    starts past position 0, and single rows are the reference rows; a guess
-    forced wrong everywhere is searched for and gives the same ranks."""
+    shared uniforms, CDF ties included, and single rows are the reference
+    rows; a guess forced wrong everywhere is searched for and gives the same
+    ranks."""
     sampler = MallowsRejectionSampler(n, q, None)
     for cdf in sampler._cdfs:
         assert np.all(np.diff(cdf) >= 0)
@@ -415,11 +389,8 @@ def test_mallows_single_rows_match_the_column_path(n, q, monkeypatch):
         assert np.array_equal(decoded(sampler, u[r:r + 1]), want[r:r + 1])
     ranks = column_ranks(sampler, u)
     assert np.array_equal(sampler._ranks(u), ranks)
-    # the columns from position 5 on, ranked on their own
-    assert np.array_equal(sampler._ranks(u[:, 5:], 5), ranks[:, 5:])
     monkeypatch.setattr(sampler, "_rate", math.nan)
     assert np.array_equal(sampler._ranks(u), ranks)
-    assert np.array_equal(sampler._ranks(u[:, 5:], 5), ranks[:, 5:])
 
 
 def assert_single_rows_search_no_cdf(monkeypatch, n, q, rows, seed):
@@ -533,6 +504,15 @@ def test_dispatcher_strategies():
     with pytest.raises(CapExceeded):
         exact_localized_sampler(p40, LocalizationVector.constant(40, 14),
                                 window_cap=22)
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_dispatcher_refuses_a_window_of_another_size(n):
+    # the Mallows path used to end in numpy's ValueError on a broadcast
+    with pytest.raises(ContractError, match=f"ell has {n - 1} entries, but "
+                                            f"the instance has n = {n}"):
+        exact_localized_sampler(BiasMatrix.constant(n, 0.75),
+                                LocalizationVector.constant(n - 1, 9))
 
 
 def test_mallows_gives_up_to_its_fallback_once():

@@ -7,7 +7,7 @@ import pytest
 from atshuffle import banddp, cli, experiments, measure
 from atshuffle.cli import RunConfig, generate_instance, main, run
 from atshuffle.errors import ContractError
-from atshuffle.perms import BiasMatrix
+from atshuffle.perms import BiasMatrix, LocalizationVector
 
 
 def write_config(tmp_path, name, obj):
@@ -702,3 +702,75 @@ def test_blockcheck_refuses_its_dense_kernel_before_enumerating(tmp_path,
     assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 2
     man = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert "CapExceeded" in man["error"] and "362880 states" in man["error"]
+
+
+FAMILY = {"family": "constant-q", "q": 0.75}
+
+
+@pytest.mark.parametrize("raw", [
+    {"command": "exact", "n": 5, "p": FAMILY},
+    # sample used to exit 1 with numpy's ValueError, and burnin and chain
+    # exited 2 blaming the start for the window's length
+    {"command": "sample", "n": 30, "p": FAMILY, "samples": 3},
+    {"command": "chain", "n": 5, "p": FAMILY, "steps": 10},
+    {"command": "burnin", "n": 5, "p": FAMILY, "replicas": 2, "T": 10},
+    SPATIAL,
+    {"command": "disconnect", "n": 5, "p": FAMILY},
+    {"command": "blockcheck", "n": 5, "p": FAMILY},
+], ids=lambda raw: raw["command"])
+def test_an_ell_of_another_length_than_n_exits_2(tmp_path, raw):
+    n = raw["n"]
+    short = n * 2 // 3
+    cfg = write_config(tmp_path, "e.json", {**raw, "ell": [[9, 9]] * short})
+    assert main(["--config", cfg, "--out", str(tmp_path / "e")]) == 2
+    man = json.loads((tmp_path / "e" / "manifest.json").read_text())
+    assert "ContractError" in man["error"]
+    assert f"ell has {short} entries, but n = {n}" in man["error"]
+    assert not (tmp_path / "e" / "result.json").exists()
+
+
+def test_an_ell_file_of_another_length_than_n_exits_2(tmp_path):
+    path = tmp_path / "ell.txt"
+    path.write_text(LocalizationVector.constant(4, 1).to_text())
+    cfg = write_config(tmp_path, "f.json", {
+        "command": "exact", "n": 5, "p": FAMILY, "ell": {"file": str(path)}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "f")]) == 2
+    man = json.loads((tmp_path / "f" / "manifest.json").read_text())
+    assert "ell has 4 entries, but n = 5" in man["error"]
+
+
+@pytest.mark.parametrize("raw", [
+    # disconnect used to run the sampled mode, exit 0 and record the typo
+    {"command": "disconnect", "n": 5, "p": FAMILY},
+    SPATIAL,
+], ids=lambda raw: raw["command"])
+def test_an_unknown_mode_is_refused_before_any_work(tmp_path, monkeypatch,
+                                                    raw):
+    def never(*args, **kwargs):
+        raise AssertionError("worked before the mode check")
+
+    for name in ("exact_localized_sampler", "enumerate_stationary", "BandDP"):
+        monkeypatch.setattr(experiments, name, never)
+    cfg = write_config(tmp_path, "d.json", {**raw, "mode": "exactt"})
+    assert main(["--config", cfg, "--out", str(tmp_path / "d")]) == 2
+    man = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert "unknown mode 'exactt'; choose exact or sampled" in man["error"]
+    assert not (tmp_path / "d" / "result.json").exists()
+
+
+@pytest.mark.parametrize("tracked", [[0], [2, 8]])
+def test_chain_checks_tracked_ks_before_stepping(tmp_path, monkeypatch,
+                                                 tracked):
+    # n = 50, 2,000,000 steps and [0] used to run for 18.5 s, then exit 2
+    # with an empty trajectory.jsonl
+    def never(*args, **kwargs):
+        raise AssertionError("stepped before the tracked_ks check")
+
+    monkeypatch.setattr(cli, "ensemble_chain_run", never)
+    cfg = write_config(tmp_path, "c.json", {
+        "command": "chain", "n": 8, "p": FAMILY, "steps": 2000000,
+        "tracked_ks": tracked})
+    assert main(["--config", cfg, "--out", str(tmp_path / "c")]) == 2
+    man = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert f"tracked_ks must lie in 1..7, got {tracked}" in man["error"]
+    assert not (tmp_path / "c" / "trajectory.jsonl").exists()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atshuffle import chains
+from atshuffle import chains, experiments
 from atshuffle.chains import BlockSchedule, derive_rng, experiment_id
 from atshuffle.errors import CapExceeded, ContractError
 from atshuffle.experiments import (ExperimentResult, SeriesPoint, Verdict,
@@ -59,6 +59,17 @@ def test_localization_tail_exact_modes():
                                   mode="exact")
     assert res.verdict.passed
     assert all(pt.estimate == 0.0 for pt in res.series)
+
+
+@pytest.mark.parametrize("mode", ["exactt", "Sampled"])
+def test_localization_tail_refuses_an_unknown_mode(monkeypatch, mode):
+    # every mode but "exact" used to run the sampled check
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the mode check")
+
+    monkeypatch.setattr(experiments, "exact_localized_sampler", never)
+    with pytest.raises(ContractError, match="choose exact or sampled"):
+        localization_tail_check(6, BiasMatrix.constant(6, 0.75), mode=mode)
 
 
 def test_localization_tail_sampled_mode():
@@ -384,12 +395,14 @@ def test_block_chain_mixing_small():
 
 # digests of block_chain_mixing's sorted JSON record, with its coalesced
 # counts at t = 1..10 and meta, recorded before the block update path lost its
-# text round-trip; ell = 9 makes the heat-bath blocks use the Mallows sampler
+# text round-trip; ell = 9 makes the heat-bath blocks use the Mallows sampler,
+# and its pin was recorded again when that sampler began to put the labels a
+# block's window forces home back in place instead of drawing them
 BLOCK_PINS = {
     3: ("aa1fea2d5e43087270077f6e980f8a2cc111c79c8bdb514b3036c67fc20dfd89",
         [0, 5, 5, 7, 8, 8, 8, 8, 8, 8], {"max_time": 5, "median_time": 2.0}),
-    9: ("f3e1eb8c9c0a63daa356cb6410076bde0d0553267954612477c4fed5e2addd76",
-        [0, 3, 4, 5, 6, 8, 8, 8, 8, 8], {"max_time": 6, "median_time": 3.5}),
+    9: ("803ee4c4c790ee21e368c55bab6460359d6afa78ef6dae567d3295859121f465",
+        [0, 5, 5, 5, 6, 8, 8, 8, 8, 8], {"max_time": 6, "median_time": 2.0}),
 }
 
 
@@ -411,18 +424,18 @@ def test_block_chain_mixing_pinned_stream(ell_width, jobs):
 def test_block_chain_mixing_pinned_at_a_mallows_sized_block():
     # the n = 30 pins resample about 20 labels per block; here each block
     # draws on about 80 labels through the Mallows sampler's single rows;
-    # recorded before heat-bath blocks built trusted sub-instances
+    # recorded when that sampler began to put forced labels back in place
     n = 120
     res = block_chain_mixing(n, BiasMatrix.constant(n, 0.75),
                              LocalizationVector.constant(n, 12),
                              BlockSchedule.west_east(n), replicas=4,
                              step_cap=20, seed=12)
     assert [round(pt.estimate * 4) for pt in res.series[:10]] == \
-        [0, 0, 0, 1, 1, 2, 3, 3, 4, 4]
-    assert res.meta == {"max_time": 9, "median_time": 6.5}
+        [0, 0, 0, 1, 2, 4, 4, 4, 4, 4]
+    assert res.meta == {"max_time": 6, "median_time": 5.5}
     text = json.dumps(res.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "07313a120139c60be36409d8dd46abaaeb26db585f8be7489b47a92fdf6aefd7"
+        "e327a3d832a43b7fdb99c0df6f5205f08c0f9f262f394eef5da035b31d26b228"
 
 
 def test_block_chain_mixing_exact_gap_recorded():

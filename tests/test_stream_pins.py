@@ -9,8 +9,8 @@ kernel values were recorded with the argsort/searchsorted band DP and the
 state-by-state kernel build.  The Mallows values were recorded with the
 list.pop rank-to-label loop for every chunk and rejection only after a whole
 row was built; they hold with single rows stopped at their first placement
-outside the window.  The mirrored Mallows rows were recorded when windows
-tighter at the east end began to be drawn mirrored.
+outside the window.  The forced-end Mallows rows were recorded when labels
+a window forces home began to be put back instead of drawn.
 """
 
 import hashlib
@@ -169,11 +169,11 @@ MALLOWS_ROW_PINS = {
         0.7730328887658874),
 }
 # sha256 of MallowsRejectionSampler rows at n = 200, q = Q, ell = 12 but no
-# westward room for the last eight labels, a window drawn mirrored: 30 single
-# rows and then 200 rows, seed 61, and the generator's next uniform
+# westward room for the last eight labels, which the window forces home: 30
+# single rows and then 200 rows, seed 61, and the generator's next uniform
 MIRRORED_ROW_PIN = (
-    "5bc0a640e9a39263db9e4547cb3347ea6b543018f047afa4ffbacc904a98cd6a",
-    0.43274104383861833)
+    "fefd6a46429153341f2bf4854d7acb635211fe0b5cd4d2a304ee6e3f038c2789",
+    0.39169212071400217)
 # sha256 of the int64 rows then the probs of band_dp_conditional_marginal at
 # n = 12 (103 rows)
 REGION_MARGINAL_DIGEST = (
@@ -357,7 +357,7 @@ def test_mirrored_mallows_rows_pinned():
     lo[-8:] = 0
     sampler = MallowsRejectionSampler(
         n, Q, LocalizationVector(lo, np.full(n, 12)))
-    assert sampler._mirror
+    assert (sampler._west, sampler._m) == (0, 192)
     rng = np.random.default_rng(61)
     rows = np.concatenate([sampler.draw_rows(rng, 1) for _ in range(30)]
                           + [sampler.draw_rows(rng, 200)])

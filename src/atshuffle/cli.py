@@ -21,10 +21,11 @@ rejected, and so are configs missing a key the command needs).  Common keys:
     seed      master seed (the --seed flag wins)
     jobs, cap_enum, cap_window
               run settings, as the --jobs, --cap-enum and --cap-window flags
-              (a flag wins)
+              (a flag wins); see RUN_SETTINGS
 
 Only a command that reads a key accepts it: ns belongs to burnin and mix, and
-mix, lowerbound and asep take no ell (asep takes no p either).
+mix, lowerbound and asep take no ell (asep takes no p either).  A command
+that does not read a run setting accepts it only at its default.
 
 Every run echoes the resolved config into the output directory (itself a
 config that reruns the same run), writes the result JSON and CSV series, and
@@ -48,7 +49,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .banddp import check_draw_memory, exact_localized_sampler
+from .banddp import (DEFAULT_WINDOW_CAP, check_draw_memory,
+                     exact_localized_sampler)
 from .chains import (BlockSchedule, derive_rng, ensemble_chain_run,
                      ensemble_max_displacement, experiment_id,
                      write_checkpoint)
@@ -80,7 +82,7 @@ FREE = KeyRule(None)
 _COMMON_KEYS = {
     "command": FREE, "out": FREE,
     "n": KeyRule(INT, ">= 2", lambda v: v >= 2),
-    "seed": KeyRule(INT),
+    "seed": KeyRule(INT, ">= 0", lambda v: v >= 0),
     # run settings, as resolved_config.json records them; their flags win
     "jobs": KeyRule(INT, ">= 1", lambda v: v >= 1),
     "cap_enum": KeyRule(INT), "cap_window": KeyRule(INT),
@@ -108,7 +110,9 @@ CONFIG_KEYS = {command: {**_COMMON_KEYS, **keys} for command, keys in {
                 "mode": FREE,
                 "budget": KeyRule(INT, ">= 1", lambda v: v >= 1),
                 "threshold": KeyRule(NUMBER)},
-    "disconnect": {**_INSTANCE_KEYS, "ks": KeyRule(INTS), "mode": FREE,
+    "disconnect": {**_INSTANCE_KEYS,
+                   "ks": KeyRule(INTS, "non-empty", lambda v: v != []),
+                   "mode": FREE,
                    "budget": KeyRule(INT, ">= 1", lambda v: v >= 1),
                    "boundary": FREE},
     "blockcheck": {**_INSTANCE_KEYS, "schedule": FREE, "selection": FREE},
@@ -135,6 +139,18 @@ _REQUIRED_KEYS = {
     "mix": (("n", "ns"), "p"),
     "lowerbound": ("n", "p"),
 }
+# each run setting's default, and the (command, mode) pairs that read it,
+# mode None for every mode; any other command or mode takes only the default
+RUN_SETTINGS = {
+    "jobs": (1, (("mix", "coupling"),)),
+    "cap_enum": (DEFAULT_ENUM_CAP, (("exact", None), ("blockcheck", None),
+                                    ("disconnect", "exact"), ("mix", "exact"))),
+    "cap_window": (DEFAULT_WINDOW_CAP, (("sample", None), ("spatial", None),
+                                        ("disconnect", "sampled"))),
+}
+# the key whose value is the mode above, and the experiment's default for it;
+# the other commands have no mode (None)
+_MODE_KEYS = {"disconnect": ("mode", "exact"), "mix": ("method", "coupling")}
 
 
 def _has_kind(value, kind: str) -> bool:
@@ -148,9 +164,19 @@ def _has_kind(value, kind: str) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def _check(name: str, rule: KeyRule, value) -> None:
+    """Raise ContractError, naming the key or flag, unless value is of the
+    rule's kind and in its range."""
+    if rule.kind is not None and not _has_kind(value, rule.kind):
+        raise ContractError(f"{name} must be {rule.kind}, got {value!r}")
+    if rule.ok is not None and not rule.ok(value):
+        raise ContractError(f"{name} must be {rule.bound}, got {value!r}")
+
+
 class RunConfig:
-    """Validated, fully resolved run configuration: ``raw`` as given, and
-    ``values`` with number-kind values converted to float."""
+    """Validated, fully resolved run configuration: ``raw`` as given, with
+    the flags' values over the config's, ``values`` with number-kind values
+    converted to float, and the seed and run settings as plain ints."""
 
     def __init__(self, raw: dict, seed_override=None, cap_enum=None,
                  cap_window=None, jobs: int | None = None,
@@ -174,12 +200,7 @@ class RunConfig:
         self.values = {}
         for key, value in raw.items():
             rule = rules[key]
-            if rule.kind is not None and not _has_kind(value, rule.kind):
-                raise ContractError(
-                    f"config key {key} must be {rule.kind}, got {value!r}")
-            if rule.ok is not None and not rule.ok(value):
-                raise ContractError(
-                    f"config key {key} must be {rule.bound}, got {value!r}")
+            _check(f"config key {key}", rule, value)
             self.values[key] = float(value) if rule.kind == NUMBER else value
         spec = raw.get("p")
         if isinstance(spec, dict) and "family" in spec:
@@ -191,36 +212,43 @@ class RunConfig:
                 if key not in spec:
                     raise ContractError(
                         f"family {kind} needs the key {key!r} in p")
-                if not _has_kind(spec[key], NUMBER):
-                    raise ContractError(
-                        f"config key p.{key} must be {NUMBER}, "
-                        f"got {spec[key]!r}")
-        if jobs is not None and jobs < 1:
-            raise ContractError(f"--jobs must be >= 1, got {jobs}")
+                _check(f"config key p.{key}", KeyRule(NUMBER), spec[key])
+        flags = {"seed": seed_override, "jobs": jobs, "cap_enum": cap_enum,
+                 "cap_window": cap_window}
+        flags = {key: value for key, value in flags.items() if value is not None}
+        for key, value in flags.items():
+            _check(f"--{key.replace('_', '-')}", rules[key], value)
         self.command = command
-        self.raw = dict(raw)
         # a flag beats the config's value
-        self.seed = (seed_override if seed_override is not None
-                     else raw.get("seed", 0))
-        self.cap_enum = cap_enum if cap_enum is not None else raw.get("cap_enum")
-        self.cap_window = (cap_window if cap_window is not None
-                           else raw.get("cap_window"))
-        self.jobs = jobs if jobs is not None else raw.get("jobs", 1)
+        self.raw = {**raw, **flags}
+        mode = self.raw.get(*_MODE_KEYS.get(command, (None, None)))
+        for key, (default, readers) in RUN_SETTINGS.items():
+            if (self.raw.get(key, default) != default
+                    and (command, mode) not in readers):
+                where = command if mode is None else f"{command} in {mode} mode"
+                raise ContractError(
+                    f"{where} does not read the run setting {key}; it takes "
+                    f"only the default {default}, got {self.raw[key]!r}")
+        self.seed = self.raw.get("seed", 0)
+        self.jobs, self.cap_enum, self.cap_window = (
+            self.raw.get(key, default)
+            for key, (default, _) in RUN_SETTINGS.items())
         self.out = out or raw.get("out") or "atshuffle-out"
 
     def pick(self, *keys) -> dict:
         """The validated values of those keys that the config sets."""
         return {key: self.values[key] for key in keys if key in self.values}
 
+    def instance(self):
+        """The (n, p, ell) instance the config names; ell may be None."""
+        n = self.values["n"]
+        return (n, _load_bias(self.values["p"], n, self.seed),
+                _load_ell(self.values.get("ell"), n))
+
     def resolved(self) -> dict:
-        out = dict(self.raw)
-        out["seed"] = self.seed
-        out["jobs"] = self.jobs
-        if self.cap_enum is not None:
-            out["cap_enum"] = self.cap_enum
-        if self.cap_window is not None:
-            out["cap_window"] = self.cap_window
-        return out
+        """The config that reruns this run: the seed and jobs always, the
+        caps when a flag or the config sets them."""
+        return {**self.raw, "seed": self.seed, "jobs": self.jobs}
 
 
 def _parse_file(spec: dict, key: str, parse):
@@ -280,26 +308,15 @@ def _family_dict(spec) -> dict:
 
 def generate_instance(family: str, n: int, epsilon: float | None, seed: int,
                       path: str) -> str:
-    """Write a certified bias-matrix instance file; returns the path."""
-    rng = derive_rng(seed, experiment_id("generate-instance"))
-    if family == "constant-q":
-        if epsilon is None or epsilon < 0:
-            raise ContractError("constant-q generation needs epsilon >= 0")
-        p = BiasMatrix.constant_from_epsilon(n, epsilon)
-    elif family == "totally-asymmetric":
-        p = BiasMatrix.totally_asymmetric(n)
-    elif family == "random-eps":
-        if epsilon is None or epsilon < 0:
-            raise ContractError("random-eps generation needs epsilon >= 0")
-        p = BiasMatrix.random_biased(n, epsilon, rng)
-    elif family == "monotone-eps":
-        if epsilon is None or epsilon < 0:
-            raise ContractError("monotone-eps generation needs epsilon >= 0")
-        p = BiasMatrix.monotone_biased(n, epsilon, rng)
-    else:
-        raise ContractError(
-            "family must be constant-q, totally-asymmetric, random-eps, or "
-            "monotone-eps")
+    """Write a certified bias-matrix instance file, the instance that a
+    config with this family and seed runs (constant-q is given by its
+    epsilon); returns the path."""
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
+    kind = "constant-eps" if family == "constant-q" else family
+    if FAMILY_PARAMS.get(kind) and epsilon is None:
+        raise ContractError(f"{family} generation needs epsilon >= 0")
+    p = make_family(n, {"kind": kind, "eps": epsilon}, seed)
     if epsilon is not None and p.epsilon < epsilon - 1e-12:
         raise ContractError("generated instance misses the requested bias")
     with open(path, "w") as fh:
@@ -308,15 +325,13 @@ def generate_instance(family: str, n: int, epsilon: float | None, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (ExperimentResult-like record, artifacts)
+# command handlers; each returns its ExperimentResult-like record and the
+# paths of the artifacts it wrote besides result.json and result.csv
 # ---------------------------------------------------------------------------
 
 def _run_exact(cfg: RunConfig, outdir: str):
-    n = cfg.values["n"]
-    p = _load_bias(cfg.values["p"], n, cfg.seed)
-    ell = _load_ell(cfg.values.get("ell"), n)
-    cap = DEFAULT_ENUM_CAP if cfg.cap_enum is None else cfg.cap_enum
-    mu = enumerate_stationary(n, p, ell, cap)
+    n, p, ell = cfg.instance()
+    mu = enumerate_stationary(n, p, ell, cfg.cap_enum)
     P = build_transition_matrix(n, p, ell, mu=mu)
     gap = spectral_gap(P, mu)
     verdict = Verdict(True, "detailed balance holds (checked at build)",
@@ -325,22 +340,16 @@ def _run_exact(cfg: RunConfig, outdir: str):
     res = ExperimentResult("exact", instance_fingerprint(p, ell),
                            cfg.resolved(), [], verdict,
                            {"distribution": "distribution.csv"})
-    paths = res.write(outdir, "result")
-    paths.append(os.path.join(outdir, "distribution.csv"))
-    mu.to_csv(paths[-1])
-    return res, paths
+    path = os.path.join(outdir, "distribution.csv")
+    mu.to_csv(path)
+    return res, [path]
 
 
 def _run_sample(cfg: RunConfig, outdir: str):
-    n = cfg.values["n"]
-    p = _load_bias(cfg.values["p"], n, cfg.seed)
-    ell = _load_ell(cfg.values.get("ell"), n)
+    n, p, ell = cfg.instance()
     samples = cfg.values.get("samples", 100)
     check_draw_memory(samples, n, "samples")
-    kwargs = {}
-    if cfg.cap_window is not None:
-        kwargs["window_cap"] = cfg.cap_window
-    sampler = exact_localized_sampler(p, ell, **kwargs)
+    sampler = exact_localized_sampler(p, ell, window_cap=cfg.cap_window)
     rows = sampler.draw_rows(
         derive_rng(cfg.seed, experiment_id("sample")), samples)
     path = os.path.join(outdir, "samples.jsonl")
@@ -352,15 +361,11 @@ def _run_sample(cfg: RunConfig, outdir: str):
                       {"strategy": sampler.strategy})
     res = ExperimentResult("sample", instance_fingerprint(p, ell),
                            cfg.resolved(), [], verdict, {"samples": samples})
-    paths = res.write(outdir, "result")
-    paths.append(path)
-    return res, paths
+    return res, [path]
 
 
 def _run_chain(cfg: RunConfig, outdir: str):
-    n = cfg.values["n"]
-    p = _load_bias(cfg.values["p"], n, cfg.seed)
-    ell = _load_ell(cfg.values.get("ell"), n)
+    n, p, ell = cfg.instance()
     steps = cfg.values.get("steps", 10 * n * n)
     every = cfg.values.get("checkpoint_every", max(1, steps // 100))
     if every < 1:
@@ -397,15 +402,13 @@ def _run_chain(cfg: RunConfig, outdir: str):
     res = ExperimentResult("chain", instance_fingerprint(p, ell),
                            cfg.resolved(), [], verdict,
                            {"steps": steps, "trajectory": "trajectory.jsonl"})
-    paths = res.write(outdir, "result")
-    paths.append(path)
-    return res, paths
+    return res, [path]
 
 
 def _run_asep(cfg: RunConfig, outdir: str):
     res = asep_tail_check(cfg.values["n"], cfg.values["k"], cfg.values["q"],
                           **cfg.pick("rs"))
-    return res, res.write(outdir, "result")
+    return res, []
 
 
 def _run_burnin(cfg: RunConfig, outdir: str):
@@ -417,12 +420,11 @@ def _run_burnin(cfg: RunConfig, outdir: str):
             cfg.values["ns"], _family_dict(cfg.values["p"]), seed=cfg.seed,
             **cfg.pick("T_mult", "replicas", "quantile"))
     else:
-        n = cfg.values["n"]
+        n, p, ell = cfg.instance()
         res = burn_in_profile(
-            n, _load_bias(cfg.values["p"], n, cfg.seed), seed=cfg.seed,
-            ell=_load_ell(cfg.values.get("ell"), n),
+            n, p, seed=cfg.seed, ell=ell,
             **cfg.pick("init", "T", "replicas", "quantile"))
-    return res, res.write(outdir, "result")
+    return res, []
 
 
 def _boundary_from_spec(spec, n: int, key: str) -> BoundaryAssignment:
@@ -438,9 +440,7 @@ def _boundary_from_spec(spec, n: int, key: str) -> BoundaryAssignment:
 
 
 def _run_spatial(cfg: RunConfig, outdir: str):
-    n = cfg.values["n"]
-    p = _load_bias(cfg.values["p"], n, cfg.seed)
-    ell = _load_ell(cfg.values.get("ell"), n)
+    n, p, ell = cfg.instance()
     if ell is None:
         raise ContractError("spatial needs a localization vector")
     eta = _boundary_from_spec(cfg.values["eta"], n, "eta")
@@ -448,26 +448,22 @@ def _run_spatial(cfg: RunConfig, outdir: str):
     res = spatial_decay_curve(
         p, ell, eta, eta_bar, cfg.values["rs"], seed=cfg.seed,
         window_cap=cfg.cap_window, **cfg.pick("mode", "budget", "threshold"))
-    return res, res.write(outdir, "result")
+    return res, []
 
 
 def _run_disconnect(cfg: RunConfig, outdir: str):
-    n = cfg.values["n"]
-    p = _load_bias(cfg.values["p"], n, cfg.seed)
-    ell = _load_ell(cfg.values.get("ell"), n)
+    n, p, ell = cfg.instance()
     boundary = None
     if cfg.values.get("boundary") is not None:
         boundary = _boundary_from_spec(cfg.values["boundary"], n, "boundary")
     res = disconnect_probability(
         p, ell, boundary, seed=cfg.seed, window_cap=cfg.cap_window,
         enum_cap=cfg.cap_enum, **cfg.pick("ks", "mode", "budget"))
-    return res, res.write(outdir, "result")
+    return res, []
 
 
 def _run_blockcheck(cfg: RunConfig, outdir: str):
-    n = cfg.values["n"]
-    p = _load_bias(cfg.values["p"], n, cfg.seed)
-    ell = _load_ell(cfg.values.get("ell"), n)
+    n, p, ell = cfg.instance()
     kind = cfg.values.get("schedule", "west-east")
     if kind == "west-east":
         schedule = BlockSchedule.west_east(n, **cfg.pick("selection"))
@@ -477,7 +473,7 @@ def _run_blockcheck(cfg: RunConfig, outdir: str):
         raise ContractError("blockcheck supports west-east or single schedules")
     res = block_decomposition_check(n, p, ell, schedule,
                                     enum_cap=cfg.cap_enum)
-    return res, res.write(outdir, "result")
+    return res, []
 
 
 def _run_mix(cfg: RunConfig, outdir: str):
@@ -485,7 +481,7 @@ def _run_mix(cfg: RunConfig, outdir: str):
         cfg.values["ns"] if "ns" in cfg.values else [cfg.values["n"]],
         _family_dict(cfg.values["p"]), seed=cfg.seed, jobs=cfg.jobs,
         enum_cap=cfg.cap_enum, **cfg.pick("delta", "method", "budget"))
-    paths = res.write(outdir, "result")
+    paths = []
     for key, curve in res.meta.get("tv_curves", {}).items():
         cpath = os.path.join(outdir, f"tv_curve_n{key}.csv")
         with open(cpath, "w") as fh:
@@ -497,11 +493,10 @@ def _run_mix(cfg: RunConfig, outdir: str):
 
 
 def _run_lowerbound(cfg: RunConfig, outdir: str):
-    n = cfg.values["n"]
+    n, p, _ = cfg.instance()
     res = lower_bound_experiment(
-        n, _load_bias(cfg.values["p"], n, cfg.seed), seed=cfg.seed,
-        **cfg.pick("eta", "replicas", "threshold"))
-    return res, res.write(outdir, "result")
+        n, p, seed=cfg.seed, **cfg.pick("eta", "replicas", "threshold"))
+    return res, []
 
 
 _HANDLERS = {
@@ -539,6 +534,7 @@ def run(cfg: RunConfig) -> int:
     status = 0
     try:
         res, artifacts = _HANDLERS[cfg.command](cfg, outdir)
+        artifacts = res.write(outdir, "result") + artifacts
         manifest["incomplete"] = False
         manifest["artifacts"] = [os.path.basename(a) for a in artifacts]
         manifest["verdict"] = res.verdict.as_dict()

@@ -190,7 +190,8 @@ def make_family(n: int, family: dict, seed: int = 0) -> BiasMatrix:
     if kind == "monotone-eps":
         return BiasMatrix.monotone_biased(n, float(family["eps"]),
                                           derive_rng(seed, experiment_id("family"), n))
-    raise ContractError(f"unknown family kind {kind}")
+    raise ContractError(f"unknown family kind {kind!r}; choose from "
+                        + ", ".join(FAMILY_PARAMS))
 
 
 def regression_instances(seed: int = 20240801, count: int = 120,
@@ -327,7 +328,7 @@ def localization_tail_check(n: int, p: BiasMatrix,
                             ell: LocalizationVector | None = None,
                             samples: int = 20000, seed: int = 0,
                             mode: str | None = None, rs=None,
-                            enum_cap: int | None = None) -> ExperimentResult:
+                            enum_cap: int = DEFAULT_ENUM_CAP) -> ExperimentResult:
     """Geometric tail bounds for particle locations under the stationary law.
 
     Exact mode checks mu(sigma(1) not in [k]) <= (1+eps)^-k for every k and
@@ -344,8 +345,7 @@ def localization_tail_check(n: int, p: BiasMatrix,
     params = {"n": n, "mode": mode, "seed": seed, "samples": samples,
               "eps": eps if math.isfinite(eps) else "inf"}
     if mode == "exact":
-        mu = enumerate_stationary(
-            n, p, ell, DEFAULT_ENUM_CAP if enum_cap is None else enum_cap)
+        mu = enumerate_stationary(n, p, ell, enum_cap)
         # run_min[:, s - 1] > k: no particle of [k] in the first s positions
         run_min = np.minimum.accumulate(mu.support, axis=1)
         series = []
@@ -418,8 +418,9 @@ def _mass(probs: np.ndarray, mask: np.ndarray) -> float:
 def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
                            boundary: BoundaryAssignment | None = None,
                            ks=None, mode: str = "exact", budget: int = 20000,
-                           seed: int = 0, window_cap: int | None = None,
-                           enum_cap: int | None = None) -> ExperimentResult:
+                           seed: int = 0,
+                           window_cap: int = DEFAULT_WINDOW_CAP,
+                           enum_cap: int = DEFAULT_ENUM_CAP) -> ExperimentResult:
     """Probability that position k splits the configuration, vs the product bound."""
     n = p.n
     eps = p.epsilon
@@ -435,6 +436,9 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
         k_hi = n - boundary.j - ell.l_max_plus
     if ks is None:
         ks = list(range(k_lo, k_hi + 1))
+    if not ks:
+        raise ContractError(f"ks must be non-empty; the valid range is "
+                            f"[{k_lo}, {k_hi}]")
     for k in ks:
         if not k_lo <= k <= k_hi:
             raise ContractError(
@@ -445,8 +449,7 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
     series = []
     violations = 0
     if mode == "exact":
-        mu = enumerate_stationary(
-            n, p, ell, DEFAULT_ENUM_CAP if enum_cap is None else enum_cap)
+        mu = enumerate_stationary(n, p, ell, enum_cap)
         states = mu.support
         probs = mu.probs
         if boundary is not None:
@@ -467,13 +470,12 @@ def disconnect_probability(p: BiasMatrix, ell: LocalizationVector | None = None,
         passed = violations == 0
     else:
         check_draw_memory(budget, n, "budget")
-        cap = DEFAULT_WINDOW_CAP if window_cap is None else window_cap
         if boundary is not None:
-            dp = BandDP(p, ell, pins=boundary.values(), window_cap=cap)
+            dp = BandDP(p, ell, pins=boundary.values(), window_cap=window_cap)
             rows = dp.sample_rows(derive_rng(seed, experiment_id("disconnect")),
                                   budget)
         else:
-            sampler = exact_localized_sampler(p, ell, window_cap=cap)
+            sampler = exact_localized_sampler(p, ell, window_cap=window_cap)
             rows = sampler.draw_rows(derive_rng(seed, experiment_id("disconnect")),
                                      budget)
         run_max = np.maximum.accumulate(rows, axis=1)
@@ -503,7 +505,7 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
                         rs, mode: str = "exact", budget: int = 4000,
                         seed: int = 0, threshold: float = 0.05,
                         r2_min: float = 0.9,
-                        window_cap: int | None = None) -> ExperimentResult:
+                        window_cap: int = DEFAULT_WINDOW_CAP) -> ExperimentResult:
     """TV between the two boundary-conditioned laws on the far region A_r.
 
     Exact mode computes the law of the placed-set cut word, which is a
@@ -524,10 +526,9 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
               "seed": seed, "eta": eta.values(), "eta_bar": eta_bar.values()}
     series = []
     identical = eta.values() == eta_bar.values()
-    cap = DEFAULT_WINDOW_CAP if window_cap is None else window_cap
     if mode == "exact":
-        dpA = BandDP(p, ell, pins=eta.values(), window_cap=cap)
-        dpB = BandDP(p, ell, pins=eta_bar.values(), window_cap=cap)
+        dpA = BandDP(p, ell, pins=eta.values(), window_cap=window_cap)
+        dpB = BandDP(p, ell, pins=eta_bar.values(), window_cap=window_cap)
         for r in rs:
             m1, m2 = i + r, n - j - r
             if i and j:
@@ -545,9 +546,11 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
                 tv = tv_distance(dpA.cut_law(cut), dpB.cut_law(cut))
             series.append(SeriesPoint(r, tv, 0.0, 1))
     else:
+        # each boundary draws budget rows
+        check_draw_memory(budget, n, "budget")
         rng = derive_rng(seed, experiment_id("spatial-coupling"))
-        dpA = BandDP(p, ell, pins=eta.values(), window_cap=cap)
-        dpB = BandDP(p, ell, pins=eta_bar.values(), window_cap=cap)
+        dpA = BandDP(p, ell, pins=eta.values(), window_cap=window_cap)
+        dpB = BandDP(p, ell, pins=eta_bar.values(), window_cap=window_cap)
         rowsA = dpA.sample_rows(rng, budget)
         rowsB = dpB.sample_rows(rng, budget)
         runA = np.maximum.accumulate(rowsA, axis=1)
@@ -601,19 +604,18 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
 def block_decomposition_check(n: int, p: BiasMatrix,
                               ell: LocalizationVector | None,
                               schedule: BlockSchedule,
-                              enum_cap: int | None = None) -> ExperimentResult:
+                              enum_cap: int = DEFAULT_ENUM_CAP) -> ExperimentResult:
     """Exact check of gap(AT) >= chi^-1 * gap(block) * min gap(AT on a block)."""
     blocks = schedule.blocks()
     for blk in blocks:
         if len(blk) != 1:
             raise ContractError(
                 "decomposition check supports interval blocks only")
-    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     if ell is None and p.dense().min() > 0.0:
         # no window and no forbidden pair: all n! states carry weight, so
         # the dense block kernel can refuse before the enumeration
         check_dense_kernel(math.factorial(n))
-    mu = enumerate_stationary(n, p, ell, cap)
+    mu = enumerate_stationary(n, p, ell, enum_cap)
     # the dense block kernel refuses above the memory budget before any gap
     K = exact_block_kernel(n, p, ell, schedule, mu=mu)
     P = build_transition_matrix(n, p, ell, mu=mu)
@@ -631,7 +633,7 @@ def block_decomposition_check(n: int, p: BiasMatrix,
             if m <= 1:
                 gap = 1.0
             else:
-                mu_sub = enumerate_stationary(m, sub_p, sub_ell, cap)
+                mu_sub = enumerate_stationary(m, sub_p, sub_ell, enum_cap)
                 P_sub = build_transition_matrix(m, sub_p, sub_ell, mu=mu_sub)
                 gap = spectral_gap(P_sub, mu_sub)
             min_sub = min(min_sub, gap)
@@ -713,7 +715,7 @@ def _coalescence_worker(args):
 def mixing_scaling(ns, family: dict, delta: float = 0.25,
                    method: str = "coupling", budget: int = 16, seed: int = 0,
                    jobs: int = 1, slope_window=(1.7, 2.3),
-                   enum_cap: int | None = None) -> ExperimentResult:
+                   enum_cap: int = DEFAULT_ENUM_CAP) -> ExperimentResult:
     """Mixing-time scaling in n: exact small-n values or coupling estimates."""
     if method in ("coupling", "statistic") and len(set(ns)) < 2:
         raise ContractError(f"{method} mode fits a slope over n; it needs at "
@@ -724,12 +726,11 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
     meta = {}
     if method == "exact":
         meta["tv_curves"] = {}
-        cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
         for n in ns:    # refuse an oversized n before the first enumeration
-            check_enumerable(n, cap)
+            check_enumerable(n, enum_cap)
         for n in ns:
             p = make_family(n, family, seed)
-            mu = enumerate_stationary(n, p, cap=cap)
+            mu = enumerate_stationary(n, p, cap=enum_cap)
             P = build_transition_matrix(n, p, mu=mu)
             t_mix, curve = exact_mixing_time(P, mu, delta)
             meta["tv_curves"][str(n)] = [float(v) for v in curve]
@@ -863,6 +864,9 @@ def lower_bound_experiment(n: int, p: BiasMatrix, eta: float = 0.5,
     """
     if not 0.0 < eta < 1.0:
         raise ContractError("eta must lie in (0, 1)")
+    eps = p.epsilon
+    if eps < 0:
+        raise ContractError("the certificate needs a 0-positively biased instance")
     t_run = int(round((1.0 - eta) * n * n))
     s = int(math.isqrt(n))
     rng = derive_rng(seed, experiment_id("lower-bound"))
@@ -871,7 +875,6 @@ def lower_bound_experiment(n: int, p: BiasMatrix, eta: float = 0.5,
     hit = INV[:, 0] <= s
     est = float(np.mean(hit))
     se = _se_bernoulli(est, replicas)
-    eps = p.epsilon
     ref_cert = 1.0 - geometric_bound(eps, s)
     ref_mc = None
     ref_mc_se = None

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atshuffle import banddp, cli, experiments, measure
 from atshuffle.cli import RunConfig, generate_instance, main, run
@@ -96,7 +103,7 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     ({"command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.6}},
      ["--cap-enum", "100000"]),
     ({"command": "sample", "n": 12, "p": {"family": "random-eps", "eps": 0.5},
-      "ell": 2, "samples": 5}, ["--cap-window", "20", "--jobs", "2"]),
+      "ell": 2, "samples": 5}, ["--cap-window", "20", "--jobs", "1"]),
 ])
 def test_resolved_config_reruns(tmp_path, raw, flags):
     # resolved_config.json records the run settings, which configs used to
@@ -111,13 +118,21 @@ def test_resolved_config_reruns(tmp_path, raw, flags):
 
 
 def test_run_settings_from_config_and_flags():
-    raw = {"command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.6},
-           "jobs": 2, "cap_enum": 2, "cap_window": 9}
+    # sampled disconnect reads cap_window, and mix by coupling reads jobs;
+    # a setting left out resolves to its default
+    raw = {"command": "disconnect", "n": 4,
+           "p": {"family": "constant-q", "q": 0.6}, "mode": "sampled",
+           "jobs": 1, "cap_enum": measure.DEFAULT_ENUM_CAP, "cap_window": 9}
     cfg = RunConfig(raw)
-    assert (cfg.jobs, cfg.cap_enum, cfg.cap_window) == (2, 2, 9)
-    cfg = RunConfig(raw, cap_enum=7, cap_window=11, jobs=1)
-    assert (cfg.jobs, cfg.cap_enum, cfg.cap_window) == (1, 7, 11)
-    assert RunConfig({k: v for k, v in raw.items() if k != "jobs"}).jobs == 1
+    assert (cfg.jobs, cfg.cap_enum, cfg.cap_window) == (1, 8, 9)
+    cfg = RunConfig(raw, cap_window=11, jobs=1)
+    assert (cfg.jobs, cfg.cap_enum, cfg.cap_window) == (1, 8, 11)
+    assert RunConfig({k: v for k, v in raw.items() if "cap" not in k}) \
+        .cap_window == banddp.DEFAULT_WINDOW_CAP
+    mix = {"command": "mix", "ns": [4, 6],
+           "p": {"family": "constant-q", "q": 0.75}, "jobs": 2}
+    assert RunConfig(mix).jobs == 2 and RunConfig(mix, jobs=3).jobs == 3
+    assert RunConfig({k: v for k, v in mix.items() if k != "jobs"}).jobs == 1
     with pytest.raises(ContractError, match="config key jobs must be >= 1"):
         RunConfig({**raw, "jobs": 0})
 
@@ -164,6 +179,10 @@ def test_band_dp_memory_cap_surfaces(tmp_path):
     ({"command": "disconnect", "n": 100,
       "p": {"family": "constant-q", "q": 0.75}, "mode": "sampled",
       "budget": 10 ** 9}, "budget"),
+    # each boundary's draws used to reach BandDP.sample_rows: about 960 GB
+    ({"command": "spatial", "n": 60, "p": {"family": "constant-q", "q": 0.75},
+      "ell": 2, "eta": {"left": [1]}, "eta_bar": {"left": [3]}, "rs": [2],
+      "mode": "sampled", "budget": 10 ** 9}, "budget"),
 ])
 def test_draw_counts_past_the_memory_budget_exit_2(tmp_path, monkeypatch, raw,
                                                    key):
@@ -173,6 +192,7 @@ def test_draw_counts_past_the_memory_budget_exit_2(tmp_path, monkeypatch, raw,
     for cls in (banddp.MallowsRejectionSampler, banddp.BandDPSampler,
                 banddp.EnumerationSampler):
         monkeypatch.setattr(cls, "draw_rows", never)
+    monkeypatch.setattr(banddp.BandDP, "sample_rows", never)
     cfg = write_config(tmp_path, "d.json", raw)
     assert main(["--config", cfg, "--out", str(tmp_path / "d")]) == 2
     man = json.loads((tmp_path / "d" / "manifest.json").read_text())
@@ -375,6 +395,12 @@ def test_burnin_over_ns_refuses_ell(tmp_path):
     *[({"command": "mix", "ns": [8, 12],
         "p": {"family": "constant-q", "q": 0.75}, "budget": budget},
        "budget must be >= 2") for budget in (0, 1)],
+    # an empty ks used to pass with nothing checked
+    ({"command": "disconnect", "n": 5, "p": {"family": "constant-q", "q": 0.75},
+      "ks": []}, "ks must be non-empty"),
+    # a negative seed used to end in numpy's ValueError, exit 1
+    ({"command": "burnin", "n": 8, "p": {"family": "random-eps", "eps": 0.5},
+      "seed": -5}, "seed must be >= 0"),
 ])
 def test_missing_required_keys_are_config_errors(tmp_path, capsys, raw,
                                                  missing):
@@ -394,6 +420,42 @@ def test_jobs_below_one_is_a_config_error(tmp_path, capsys):
     assert main(["--config", cfg, "--jobs", "0",
                  "--out", str(tmp_path / "j")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_negative_seeds_exit_2(tmp_path, capsys):
+    # each used to end in numpy's "expected non-negative integer", exit 1
+    raw = {"command": "chain", "n": 4, "p": {"family": "random-eps",
+                                             "eps": 0.5}, "steps": 3}
+    with pytest.raises(ContractError, match="--seed must be >= 0, got -5"):
+        RunConfig(raw, seed_override=-5)
+    cfg = write_config(tmp_path, "s.json", raw)
+    assert main(["--config", cfg, "--seed", "-5",
+                 "--out", str(tmp_path / "s")]) == 2
+    assert main(["--generate-instance", "--family", "random-eps", "--n", "4",
+                 "--epsilon", "0.5", "--seed", "-1",
+                 "--out", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and "seed must be >= 0" in err
+
+
+@pytest.mark.parametrize("family", ["random-eps", "monotone-eps"])
+def test_generated_instance_is_the_configs_instance(tmp_path, family):
+    # generation used to draw on its own stream: the random-eps file had
+    # fingerprint 4274b4005efc3e2e, the config df4fe30177d8e6ad
+    out = str(tmp_path / "gen")
+    assert main(["--generate-instance", "--family", family, "--n", "8",
+                 "--epsilon", "0.5", "--seed", "7", "--out", out]) == 0
+    fingerprints = []
+    for name, p in [("family", {"family": family, "eps": 0.5}),
+                    ("file", {"file": os.path.join(out, f"{family}-n8.txt")})]:
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "command": "chain", "n": 8, "p": p, "steps": 1, "seed": 7})
+        assert main(["--config", cfg, "--out", str(tmp_path / name)]) == 0
+        fingerprints.append(json.loads(
+            (tmp_path / name / "result.json").read_text())["fingerprint"])
+    assert fingerprints[0] == fingerprints[1]
+    if family == "random-eps":
+        assert fingerprints[0] == "df4fe30177d8e6ad"
 
 
 def test_unknown_family_is_a_config_error():
@@ -465,6 +527,11 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
     ({"command": "asep", "n": 6, "k": 3, "q": 1}, "1/2 < q < 1, got k = 3, q = 1"),
     ({"command": "mix", "ns": [8, 12], "p": {"family": "constant-q", "q": 0.5},
       "budget": 2}, "coupling mode needs q > 1/2, got q = 0.5"),
+    # lowerbound's certificate needs eps >= 0: q = 0 used to end in a
+    # ZeroDivisionError, q = 0.3 in a failed verdict against it
+    *[({"command": "lowerbound", "n": 16,
+        "p": {"family": "constant-q", "q": q}, "replicas": 10},
+       "0-positively biased") for q in (0.0, 0.3)],
 ])
 def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
                                                             message):
@@ -774,3 +841,209 @@ def test_chain_checks_tracked_ks_before_stepping(tmp_path, monkeypatch,
     man = json.loads((tmp_path / "c" / "manifest.json").read_text())
     assert f"tracked_ks must lie in 1..7, got {tracked}" in man["error"]
     assert not (tmp_path / "c" / "trajectory.jsonl").exists()
+
+
+Q75 = {"family": "constant-q", "q": 0.75}
+RANDOM_EPS = {"family": "random-eps", "eps": 0.5}
+# a cheap config of each command, and of each mode of the commands whose
+# run settings depend on the mode
+SETTING_CONFIGS = {
+    "exact": {"command": "exact", "n": 4, "p": Q75},
+    "sample": {"command": "sample", "n": 8, "p": RANDOM_EPS, "ell": 2,
+               "samples": 5},
+    "chain": {"command": "chain", "n": 4, "p": Q75, "steps": 10},
+    "asep": {"command": "asep", "n": 6, "k": 2, "q": 0.7},
+    "burnin": {"command": "burnin", "n": 6, "p": Q75, "replicas": 2, "T": 10},
+    "spatial": {"command": "spatial", "n": 10, "p": Q75, "ell": 2,
+                "eta": {"left": [1]}, "eta_bar": {"left": [3]}, "rs": [2, 4]},
+    "disconnect-exact": {"command": "disconnect", "n": 4, "p": RANDOM_EPS},
+    "disconnect-sampled": {"command": "disconnect", "n": 8, "p": RANDOM_EPS,
+                           "ell": 2, "mode": "sampled", "budget": 20},
+    "blockcheck": {"command": "blockcheck", "n": 4, "p": Q75},
+    "mix-exact": {"command": "mix", "ns": [3, 4], "p": Q75, "method": "exact"},
+    "mix-coupling": {"command": "mix", "ns": [4, 6], "p": Q75, "budget": 2},
+    "mix-statistic": {"command": "mix", "ns": [4, 5], "p": Q75,
+                      "method": "statistic", "budget": 2},
+    "lowerbound": {"command": "lowerbound", "n": 4, "p": Q75, "replicas": 10},
+}
+# the (config, setting) pairs whose setting the run reads, and a value of
+# each setting that shows it does: caps of 1 refuse n = 4 and every band DP
+SETTING_READS = {("exact", "cap_enum"), ("blockcheck", "cap_enum"),
+                 ("disconnect-exact", "cap_enum"), ("mix-exact", "cap_enum"),
+                 ("sample", "cap_window"), ("spatial", "cap_window"),
+                 ("disconnect-sampled", "cap_window"),
+                 ("mix-coupling", "jobs")}
+HONOURED = {"jobs": 2, "cap_enum": 1, "cap_window": 1}
+
+
+class SerialPool:
+    """A stand-in ProcessPoolExecutor that records its worker bound."""
+
+    workers = []
+
+    def __init__(self, max_workers, **kwargs):
+        SerialPool.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_setting_configs_cover_every_command_and_setting():
+    commands = {raw["command"] for raw in SETTING_CONFIGS.values()}
+    assert commands == set(cli.COMMANDS)
+    assert set(HONOURED) == set(cli.RUN_SETTINGS)
+
+
+@pytest.mark.parametrize("source", ["key", "flag"])
+@pytest.mark.parametrize("setting", sorted(cli.RUN_SETTINGS))
+@pytest.mark.parametrize("name", SETTING_CONFIGS)
+def test_run_settings_only_where_read(tmp_path, monkeypatch, capsys, name,
+                                      setting, source):
+    # every command used to accept every setting, and to record one it never
+    # read in its manifest as if it had been used
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    SerialPool.workers = []
+
+    def call(value, out):
+        raw = dict(SETTING_CONFIGS[name])
+        flags = [f"--{setting.replace('_', '-')}", str(value)]
+        if source == "key":
+            raw[setting], flags = value, []
+        cfg = write_config(tmp_path, f"{out}.json", raw)
+        return main(["--config", cfg, "--out", str(tmp_path / out), *flags])
+
+    default = cli.RUN_SETTINGS[setting][0]
+    assert call(default, "default") in (0, 1)
+    resolved = json.loads((tmp_path / "default" / "resolved_config.json")
+                          .read_text())
+    assert resolved[setting] == default
+    capsys.readouterr()
+    value = HONOURED[setting]
+    status = call(value, "other")
+    if (name, setting) not in SETTING_READS:
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"run setting {setting}" in err
+        assert not (tmp_path / "other").exists()
+    elif setting == "jobs":
+        assert status in (0, 1) and SerialPool.workers == [value]
+        assert ((tmp_path / "default" / "result.json").read_bytes()
+                == (tmp_path / "other" / "result.json").read_bytes())
+    else:
+        assert status == 2
+        man = json.loads((tmp_path / "other" / "manifest.json").read_text())
+        assert "CapExceeded" in man["error"] and "cap 1" in man["error"]
+
+
+# the draw memory budget while fuzzing: at 16 bytes a label it puts the
+# edge at DRAW_BUDGET // (16 n) draws, 20,000 (the default budget) at n = 5
+DRAW_BUDGET = 16 * 5 * 20000
+BOUNDARIES = [{}, {"left": [1]}, {"left": [3]}, {"left": [1, 2]},
+              {"right": [4]}, {"left": [1], "right": [5]}, {"left": [9]},
+              {"rigth": [1]}, "x", None]
+# values of each config key, the same for every command that takes it: in
+# its range, just outside it, and of the wrong kind
+FUZZ_VALUES = {
+    "n": [2, 3, 5, 1, 0, "4", 4.0, True],
+    "ns": [[2, 3], [3, 5], [2, 4, 5], [4], [4, 4], [], [1, 4], 4],
+    "seed": [0, 7, -1, "7"],
+    "jobs": [1, 2, 0, 1.0],
+    "cap_enum": [8, 3, 9, 1.5],
+    "cap_window": [22, 3, 23, "22"],
+    "p": [Q75, RANDOM_EPS, *[{"family": "constant-q", "q": q}
+                             for q in (0.5, 1.0, 0.0, 0.3, 1.5)],
+          *[{"family": kind, "eps": eps} for kind in
+            ("constant-eps", "random-eps", "monotone-eps")
+            for eps in (0.0, 3.0, -0.5)],
+          {"family": "totally-asymmetric"}, {"family": "bogus"},
+          {"family": "constant-q"}, {"file": "missing.txt"}, 0.7],
+    "ell": [None, 0, 1, 2, -1, True, [[1, 1]] * 4, "x"],
+    "steps": [0, 5, 40, -1],
+    "checkpoint_every": [1, 3, 0],
+    "tracked_ks": [[], [1], [1, 2], [0], [9]],
+    "init": ["identity", "reversal", "random", "bogus", [2, 1, 3, 4], "4321"],
+    "k": [0, 1, 2, -1, 9],
+    "q": [0.51, 0.7, 0.99, 0.5, 1.0, 2, "x"],
+    "rs": [[1], [1, 2, 3], [2, 4], [], [-1], [50]],
+    "T_mult": [1, 2, 0, -1],
+    "replicas": [2, 5, 0, 1],
+    "quantile": [0.5, 0.99, 0, 1, 1.5],
+    "T": [0, 10, -1],
+    "eta": [0.25, 0.5, 0, 1, 1.5, *BOUNDARIES],
+    "eta_bar": BOUNDARIES,
+    "mode": ["exact", "sampled", "bogus", None],
+    "threshold": [0.05, 0.5, -1],
+    "ks": [[1], [2, 3], [], [0], [9]],
+    "boundary": BOUNDARIES,
+    "schedule": ["west-east", "single", "bogus"],
+    "selection": ["size", "uniform", "bogus"],
+    "delta": [0.25, 0.5, 0, 0.75],
+    "method": ["exact", "coupling", "statistic", "bogus"],
+}
+
+
+@st.composite
+def fuzzed_configs(draw, name):
+    """A config of SETTING_CONFIGS with up to three keys set to fuzz values
+    and maybe one key left out."""
+    raw = json.loads(json.dumps(SETTING_CONFIGS[name]))
+    command = raw["command"]
+    keys = [key for key in cli.CONFIG_KEYS[command]
+            if key not in ("command", "out")]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        if key == "budget" and command == "mix":
+            values = [2, 4, 0, 1]
+        elif key in ("samples", "budget"):      # around the budget's edge
+            n = raw.get("n")
+            edge = DRAW_BUDGET // (16 * (n if isinstance(n, int) and n > 0
+                                         else 4))
+            values = [1, 2, 20, edge, 0, edge + 1]
+        else:
+            values = FUZZ_VALUES[key]
+        raw[key] = draw(st.sampled_from(values))
+    for key in draw(st.lists(st.sampled_from(sorted(set(raw) - {"command"})),
+                             max_size=1)):
+        del raw[key]
+    return raw
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-finite {name} in result.json")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("name", SETTING_CONFIGS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_no_config_ends_in_a_traceback(name, data):
+    # a config exits 0 or 1 with a strict-JSON result, or 2 as a config
+    # error or with the error in the manifest; lowerbound at q = 0 used to
+    # end in a ZeroDivisionError, a negative seed in numpy's ValueError
+    raw = data.draw(fuzzed_configs(name))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(banddp, "MEMORY_BUDGET", DRAW_BUDGET), \
+            warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("ignore")
+        cfg = os.path.join(tmp, "c.json")
+        with open(cfg, "w") as fh:
+            json.dump(raw, fh)
+        out = os.path.join(tmp, "out")
+        status = main(["--config", cfg, "--out", out])
+        if status in (0, 1):
+            with open(os.path.join(out, "result.json")) as fh:
+                _strict_json(fh.read())
+        else:
+            assert status == 2, status
+            if "config error" not in err.getvalue():
+                with open(os.path.join(out, "manifest.json")) as fh:
+                    assert "error" in json.load(fh)

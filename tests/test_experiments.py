@@ -126,6 +126,13 @@ def test_disconnect_probability_contracts():
         disconnect_probability(BiasMatrix.constant(6, 0.7), ell, b, ks=[1])
     res = disconnect_probability(BiasMatrix.constant(6, 0.7), ell, b)
     assert res.verdict.passed
+    # no k to check used to pass: an empty ks, or a boundary that leaves the
+    # valid range empty
+    with pytest.raises(ContractError, match="ks must be non-empty"):
+        disconnect_probability(BiasMatrix.constant(4, 0.7), ks=[])
+    with pytest.raises(ContractError, match=r"valid range is \[4, 3\]"):
+        disconnect_probability(BiasMatrix.constant(6, 0.7), ell,
+                               BoundaryAssignment(6, (1, 2, 3), (5, 6)))
 
 
 def state_loop_mass(mu, keep, pins=None):

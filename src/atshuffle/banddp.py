@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -93,14 +94,15 @@ class BandDP:
             raise CapExceeded(
                 f"window width {self.W} exceeds cap {window_cap}; tighten the "
                 "localization vector or raise the cap")
-        need = ((self.n + 1) * math.comb(self.W - 1, self.Lp) * BYTES_PER_STATE
-                + 4 * (1 << (self.W - 1)))
-        if need > MEMORY_BUDGET:
+        # the layers and the position table
+        self.need_bytes = ((self.n + 1) * math.comb(self.W - 1, self.Lp)
+                           * BYTES_PER_STATE + 4 * (1 << (self.W - 1)))
+        if self.need_bytes > MEMORY_BUDGET:
             raise CapExceeded(
                 f"band DP at window width {self.W} and n = {self.n} needs about "
-                f"{need / 1e9:.1f} GB, above its {MEMORY_BUDGET / 1e9:.0f} GB "
-                "budget; tighten the localization vector (window_cap, "
-                "--cap-window on the CLI, bounds its width)")
+                f"{self.need_bytes / 1e9:.1f} GB, above its "
+                f"{MEMORY_BUDGET / 1e9:.0f} GB budget; tighten the localization "
+                "vector (window_cap, --cap-window on the CLI, bounds its width)")
         self.pin_at = np.zeros(self.n + 2, dtype=np.int64)
         if pins:
             for pos, lab in pins.items():
@@ -832,9 +834,74 @@ def exact_localized_sampler(p: BiasMatrix, ell: LocalizationVector | None,
         "window at this size; run the chain instead")
 
 
+class SamplerCache:
+    """Exact samplers of the sub-instances that the heat-bath block updates
+    of one instance (p, ell) meet, least recently used first.
+
+    Once p and ell are fixed, a block's start a and its interior labels in
+    increasing order, r, fix its sub-instance: sub_p = p.submatrix(r) and
+    the window induced with i = a - 1.  So an entry is keyed by (a, r) and
+    holds the sampler.  The entries take at most measure.MEMORY_BUDGET
+    bytes, counting the one being added: a band DP at its constructor's
+    estimate, any other sampler at the nbytes of its arrays.  A chain run
+    owns its cache, so worker processes share nothing.
+    """
+
+    def __init__(self):
+        self._entries = OrderedDict()   # key -> (sampler, bytes)
+        self.nbytes = 0                 # the entries' bytes
+        self._instance = None
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def bind(self, p: BiasMatrix, ell: LocalizationVector | None) -> None:
+        """Serve (p, ell) from now on; refuse any other instance."""
+        if self._instance is None:
+            self._instance = (p, ell)
+        elif self._instance[0] is not p or self._instance[1] is not ell:
+            raise ContractError("a sampler cache serves the block updates of "
+                                "one instance (p, ell)")
+
+    def get(self, key: tuple):
+        """The sampler under key, now the most recently used, or None."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key: tuple, sampler) -> None:
+        """Add sampler under key, evicting the least recently used entries
+        until it fits; one that does not fit alone is not kept."""
+        if isinstance(sampler, BandDPSampler):
+            size = sampler.dp.need_bytes
+        elif isinstance(sampler, EnumerationSampler):
+            size = sampler.table.support.nbytes + sampler.table.probs.nbytes
+        else:
+            size = sum(v.nbytes for v in vars(sampler).values()
+                       if isinstance(v, np.ndarray))
+        size += len(key[1])
+        while self._entries and self.nbytes + size > MEMORY_BUDGET:
+            self.nbytes -= self._entries.popitem(last=False)[1][1]
+        if size <= MEMORY_BUDGET:
+            self._entries[key] = (sampler, size)
+            self.nbytes += size
+
+    def drop(self, key: tuple) -> None:
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self.nbytes -= entry[1]
+
+
 def heat_bath_block_sample(sigma: Permutation, block: tuple, p: BiasMatrix,
                            ell: LocalizationVector | None,
-                           rng: np.random.Generator) -> Permutation:
+                           rng: np.random.Generator,
+                           cache: SamplerCache | None = None) -> Permutation:
     """Resample sigma on the interval block from the conditional measure.
 
     The complement assignment is turned into a boundary, the interior is
@@ -842,22 +909,45 @@ def heat_bath_block_sample(sigma: Permutation, block: tuple, p: BiasMatrix,
     biased), an exact conditional draw is taken there, and the draw is
     embedded back.  sigma outside the block is untouched.
     """
-    rows = heat_bath_block_rows(sigma, block, p, ell, rng, 1)
+    rows = heat_bath_block_rows(sigma, block, p, ell, rng, 1, cache)
     return Permutation(rows[0], _validate=False)
 
 
 def heat_bath_block_rows(sigma: Permutation, block: tuple, p: BiasMatrix,
                          ell: LocalizationVector | None,
-                         rng: np.random.Generator, size: int) -> np.ndarray:
+                         rng: np.random.Generator, size: int,
+                         cache: SamplerCache | None = None) -> np.ndarray:
+    """size heat-bath draws of sigma on block, one row each.
+
+    The sub-instance's sampler comes from cache, which a chain run keeps
+    across its updates; without one the update builds its sampler afresh.
+    The draws do not depend on which: a sampler keeps no state between
+    draws but its deterministic tables, except a rejection sampler that
+    gives up, which is dropped, so the next update pays its tries again.
+    """
     a, b = block
     n = sigma.n
     if not (1 <= a <= b <= n):
         raise ContractError("block must be a nonempty position interval")
     if ell is not None and not is_localized(sigma, ell):
         raise ContractError("state is outside the localized set")
-    boundary = BoundaryAssignment.from_permutation(sigma, a - 1, n - b)
-    sub_p, sub_ell, r = restrict_instance(boundary, p, ell)
-    sub_rows = exact_localized_sampler(sub_p, sub_ell).draw_rows(rng, size)
+    if cache is None:
+        cache = SamplerCache()
+    cache.bind(p, ell)
+    r = np.sort(sigma.forward[a - 1:b])
+    key = (a, r.tobytes())
+    sampler = cache.get(key)
+    fresh = sampler is None
+    if fresh:
+        boundary = BoundaryAssignment.from_permutation(sigma, a - 1, n - b)
+        sub_p, sub_ell, _ = restrict_instance(boundary, p, ell)
+        sampler = exact_localized_sampler(sub_p, sub_ell)
+    strategy = sampler.strategy
+    sub_rows = sampler.draw_rows(rng, size)
+    if sampler.strategy != strategy:
+        cache.drop(key)
+    elif fresh:
+        cache.put(key, sampler)
     rows = np.tile(sigma.forward, (size, 1))
     rows[:, a - 1:b] = r[sub_rows - 1]
     return rows

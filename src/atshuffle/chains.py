@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .banddp import BandDP, heat_bath_block_sample
+from .banddp import BandDP, SamplerCache, heat_bath_block_sample
 from .errors import CapExceeded, ContractError
 from .measure import (MEMORY_BUDGET, DistributionTable, TransitionMatrix,
                       _state_rows, _swap_kernel, check_detailed_balance,
@@ -411,7 +411,8 @@ def _segments_factorize(sigma: Permutation, segments: list,
 
 def block_step(sigma: Permutation, schedule: BlockSchedule, p: BiasMatrix,
                ell: LocalizationVector | None, rng: np.random.Generator,
-               choice: int | None = None) -> Permutation:
+               choice: int | None = None,
+               cache: SamplerCache | None = None) -> Permutation:
     """One heat-bath block update.
 
     A block is chosen from rng by schedule.probabilities(), unless choice
@@ -419,18 +420,22 @@ def block_step(sigma: Permutation, schedule: BlockSchedule, p: BiasMatrix,
     the conditional stationary law given the complement.  Multi-segment
     blocks resample segments independently when every occupant fits a single
     segment (the conditional law factorizes); otherwise the whole line is
-    resampled with the complement pinned.
+    resampled with the complement pinned.  cache keeps the segments'
+    samplers across the updates of a run.
     """
+    if schedule.n != sigma.n:
+        raise ContractError(f"the schedule is built for n = {schedule.n}, "
+                            f"but the state has n = {sigma.n}")
     blocks = schedule.blocks()
     if choice is None:
         choice = int(rng.choice(len(blocks), p=schedule.probabilities()))
     segments = blocks[choice]
     if len(segments) == 1:
-        return heat_bath_block_sample(sigma, segments[0], p, ell, rng)
+        return heat_bath_block_sample(sigma, segments[0], p, ell, rng, cache)
     if _segments_factorize(sigma, segments, ell):
         out = sigma
         for seg in segments:
-            out = heat_bath_block_sample(out, seg, p, ell, rng)
+            out = heat_bath_block_sample(out, seg, p, ell, rng, cache)
         return out
     # joint resample with the complement pinned (small instances only)
     if ell is None:
@@ -492,27 +497,39 @@ def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
 def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
                             ell: LocalizationVector | None, T: int, seed: int,
                             driver: str = "at",
-                            schedule: BlockSchedule | None = None):
+                            schedule: BlockSchedule | None = None,
+                            cache: SamplerCache | None = None):
     """Run two chains on identical draws; return the first meeting time.
 
-    Returns (t, aux) with t = None on timeout.  The at driver applies
-    ``at_step``'s rule to both chains, on the ``_audit_draws`` stream and
-    restricted when ell is given.  For the block driver each step gets its
-    own derived substream, so a rejection in one chain cannot desynchronize
-    later steps; coalescence is absorbing for both drivers.
+    Returns (t, aux) with t = None on timeout, and t = 0 for equal starts.
+    The at driver applies ``at_step``'s rule to both chains, on the
+    ``_audit_draws`` stream and restricted when ell is given.  For the block
+    driver each step gets its own derived substream, so a rejection in one
+    chain cannot desynchronize later steps, and both chains draw their
+    block samplers from cache (a fresh one by default), which a caller may
+    share between the runs of one instance; coalescence is absorbing for
+    both drivers.
     """
     if not x0a.n == x0b.n == p.n:
         raise ContractError("sizes must match")
     n = x0a.n
+    if driver not in ("at", "block"):
+        raise ContractError(f"unknown driver {driver!r}; choose at or block")
+    if driver == "block":
+        if schedule is None:
+            raise ContractError("block driver needs a schedule")
+        if schedule.n != n:
+            raise ContractError(f"the schedule is built for n = {schedule.n}, "
+                                f"but the starts have n = {n}")
+    if ell is not None and not (is_localized(x0a, ell)
+                                and is_localized(x0b, ell)):
+        raise ContractError("starts must be localized")
+    if np.array_equal(x0a.forward, x0b.forward):
+        return 0, {"driver": driver}
     if driver == "at":
-        if ell is not None and not (is_localized(x0a, ell)
-                                    and is_localized(x0b, ell)):
-            raise ContractError("starts must be localized")
         fa = x0a.forward.tolist()
         fb = x0b.forward.tolist()
         diff = sum(a != b for a, b in zip(fa, fb))
-        if diff == 0:
-            return 0, {"driver": driver}
         prob = p.dense().tolist()
         lo = ell.lo.tolist() if ell is not None else None
         hi = ell.hi.tolist() if ell is not None else None
@@ -534,26 +551,26 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
                 if diff == 0:
                     return t, {"driver": driver}
         return None, {"driver": driver}
-    if driver == "block":
-        if schedule is None:
-            raise ContractError("block driver needs a schedule")
-        a = Permutation(x0a.forward.copy(), _validate=False)
-        b = Permutation(x0b.forward.copy(), _validate=False)
-        pick_rng = derive_rng(seed, experiment_id("twin-blocks"))
-        count = len(schedule.blocks())
-        probs = schedule.probabilities()
-        for t in range(1, T + 1):
-            choice = int(pick_rng.choice(count, p=probs))
-            # one derived seed per step, consumed independently by each chain,
-            # so rejections cannot desynchronize the coupling
-            a = block_step(a, schedule, p, ell,
-                           derive_rng(seed, experiment_id("twin-step"), t), choice)
-            b = block_step(b, schedule, p, ell,
-                           derive_rng(seed, experiment_id("twin-step"), t), choice)
-            if np.array_equal(a.forward, b.forward):
-                return t, {"driver": driver}
-        return None, {"driver": driver}
-    raise ContractError(f"unknown driver {driver!r}; choose at or block")
+    if cache is None:
+        cache = SamplerCache()
+    a = Permutation(x0a.forward.copy(), _validate=False)
+    b = Permutation(x0b.forward.copy(), _validate=False)
+    pick_rng = derive_rng(seed, experiment_id("twin-blocks"))
+    count = len(schedule.blocks())
+    probs = schedule.probabilities()
+    for t in range(1, T + 1):
+        choice = int(pick_rng.choice(count, p=probs))
+        # one derived seed per step, consumed independently by each chain,
+        # so rejections cannot desynchronize the coupling
+        a = block_step(a, schedule, p, ell,
+                       derive_rng(seed, experiment_id("twin-step"), t), choice,
+                       cache)
+        b = block_step(b, schedule, p, ell,
+                       derive_rng(seed, experiment_id("twin-step"), t), choice,
+                       cache)
+        if np.array_equal(a.forward, b.forward):
+            return t, {"driver": driver}
+    return None, {"driver": driver}
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .banddp import (BandDP, DEFAULT_WINDOW_CAP, check_draw_memory,
-                     exact_localized_sampler)
+from .banddp import (BandDP, DEFAULT_WINDOW_CAP, SamplerCache,
+                     check_draw_memory, exact_localized_sampler)
 from .chains import (BlockSchedule, asep_pair_coalescence,
                      asep_rightmost_tail, asep_stationary, check_dense_kernel,
                      derive_rng, ensemble_chain_run,
@@ -908,7 +908,8 @@ def lower_bound_experiment(n: int, p: BiasMatrix, eta: float = 0.5,
 # ---------------------------------------------------------------------------
 
 # the shared part of every task of a block_chain_mixing pool, set once per
-# worker process by the pool initializer
+# worker process by the pool initializer, so that each worker has its own
+# copy of the run's sampler cache
 _block_instance = None
 
 
@@ -918,9 +919,10 @@ def _set_block_instance(instance):
 
 
 def _twin_block_time(instance, seed):
-    bottom, top, p, ell, schedule, step_cap = instance
+    bottom, top, p, ell, schedule, step_cap, cache = instance
     t, _ = twin_chain_coupling_run(bottom, top, p, ell, step_cap, seed,
-                                   driver="block", schedule=schedule)
+                                   driver="block", schedule=schedule,
+                                   cache=cache)
     return t
 
 
@@ -935,10 +937,15 @@ def block_chain_mixing(n: int, p: BiasMatrix, ell: LocalizationVector,
     """Twin restricted block chains from extreme starts: coalescence histogram.
 
     At enumerable sizes the exact inverse gap of the restricted block kernel
-    is recorded alongside.
+    is recorded alongside.  The replicas share one sampler cache per process,
+    as they update the same blocks of one instance.
     """
+    for key, value in (("replicas", replicas), ("step_cap", step_cap),
+                       ("jobs", jobs)):
+        if value < 1:
+            raise ContractError(f"{key} must be >= 1, got {value}")
     instance = (Permutation.identity(n), max_localized_state(ell), p, ell,
-                schedule, step_cap)
+                schedule, step_cap, SamplerCache())
     seeds = [int(derive_rng(seed, experiment_id("twin-block"), rep).integers(0, 2 ** 62))
              for rep in range(replicas)]
     if jobs > 1:

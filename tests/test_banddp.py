@@ -12,7 +12,7 @@ import block_oracle
 from banddp_oracle import ReferenceBandDP, random_bias_with_certain_pairs
 from atshuffle import banddp
 from atshuffle.banddp import (BandDP, BandDPSampler, EnumerationSampler,
-                              MallowsRejectionSampler,
+                              MallowsRejectionSampler, SamplerCache,
                               band_dp_conditional_marginal, band_dp_partition,
                               band_dp_sample, exact_localized_sampler,
                               heat_bath_block_rows, heat_bath_block_sample)
@@ -20,7 +20,8 @@ from atshuffle.errors import CapExceeded, ContractError, EmptySupport
 from atshuffle.measure import enumerate_stationary, log_weight
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
                              LocalizationVector, Permutation, is_localized,
-                             localized_rows, random_admissible_localization)
+                             localized_rows, max_localized_state,
+                             random_admissible_localization)
 
 
 def brute_conditional(mu, pins):
@@ -548,6 +549,56 @@ def test_heat_bath_block_sample_contracts():
     # whole-line block: a fresh exact draw, still localized
     out = heat_bath_block_sample(sigma, (1, 5), p, ell, np.random.default_rng(2))
     assert is_localized(out, ell)
+
+
+def test_sampler_cache_draws_as_fresh_samplers_and_drops_a_give_up(
+        monkeypatch):
+    # at q = 0.6 the east block of the far start has a window of width 17
+    # that accepts few rows, so with one try of 32 rows its Mallows sampler
+    # often gives up on the band DP
+    monkeypatch.setattr(MallowsRejectionSampler, "_MAX_TRIES", 1)
+    give_ups = []
+    real = MallowsRejectionSampler._give_up
+
+    def counted(self, rng, size):
+        give_ups.append(size)
+        return real(self, rng, size)
+
+    monkeypatch.setattr(MallowsRejectionSampler, "_give_up", counted)
+    n = 24
+    p = BiasMatrix.constant(n, 0.6)
+    ell = LocalizationVector.constant(n, 8)
+    sigma = max_localized_state(ell)
+    cache = SamplerCache()
+    for seed in range(12):
+        cached = heat_bath_block_rows(sigma, (8, 24), p, ell,
+                                      np.random.default_rng(seed), 1, cache)
+        fresh = heat_bath_block_rows(sigma, (8, 24), p, ell,
+                                     np.random.default_rng(seed), 1)
+        assert np.array_equal(cached, fresh), seed
+    # every update meets one sub-instance; its sampler is kept until it
+    # gives up, and the next update builds it again
+    assert 0 < len(give_ups) < 24
+    assert cache.hits > 0 and cache.misses > 1
+    assert cache.hits + cache.misses == 12
+
+
+def test_sampler_cache_serves_one_instance():
+    n = 10
+    ell = LocalizationVector.constant(n, 2)
+    sigma = Permutation.identity(n)
+    cache = SamplerCache()
+    p = BiasMatrix.constant(n, 0.7)
+    heat_bath_block_rows(sigma, (2, 9), p, ell, np.random.default_rng(0), 1,
+                         cache)
+    heat_bath_block_rows(sigma, (2, 9), p, ell, np.random.default_rng(1), 1,
+                         cache)
+    assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+    for other_p, other_ell in ((BiasMatrix.constant(n, 0.7), ell),
+                               (p, LocalizationVector.constant(n, 2))):
+        with pytest.raises(ContractError, match="one instance"):
+            heat_bath_block_rows(sigma, (2, 9), other_p, other_ell,
+                                 np.random.default_rng(0), 1, cache)
 
 
 def test_heat_bath_conditional_frequencies():

@@ -463,6 +463,38 @@ def test_twin_chain_coupling():
     assert t == 1
 
 
+def test_block_driver_refuses_a_schedule_for_another_n():
+    # a schedule for n = 8 used to resample only positions 1..8 of n = 12
+    # and time out
+    n = 12
+    p = BiasMatrix.constant(n, 0.75)
+    ell = LocalizationVector.constant(n, 3)
+    schedule = BlockSchedule.west_east(8)
+    with pytest.raises(ContractError, match="schedule is built for n = 8"):
+        twin_chain_coupling_run(Permutation.identity(n),
+                                max_localized_state(ell), p, ell, 50, 1,
+                                driver="block", schedule=schedule)
+    with pytest.raises(ContractError, match="schedule is built for n = 8"):
+        block_step(Permutation.identity(n), schedule, p, ell,
+                   np.random.default_rng(0))
+
+
+def test_block_driver_meets_equal_starts_at_time_zero():
+    n = 6
+    p = BiasMatrix.constant(n, 0.75)
+    ell = LocalizationVector.constant(n, 2)
+    schedule = BlockSchedule.west_east(n)
+    start = max_localized_state(ell)
+    for driver in ("at", "block"):
+        assert twin_chain_coupling_run(start, start, p, ell, 5, 1,
+                                       driver=driver,
+                                       schedule=schedule)[0] == 0
+    far = Permutation.reversal(n)
+    with pytest.raises(ContractError, match="starts must be localized"):
+        twin_chain_coupling_run(far, far, p, ell, 5, 1, driver="block",
+                                schedule=schedule)
+
+
 def _first_agreement(a, b, p, ell, T, seed):
     """The twin's meeting time by two at_step chains on its draw stream."""
     if a == b:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atshuffle import chains, experiments
+from atshuffle import banddp, chains, experiments
 from atshuffle.chains import BlockSchedule, derive_rng, experiment_id
 from atshuffle.errors import CapExceeded, ContractError
 from atshuffle.experiments import (ExperimentResult, SeriesPoint, Verdict,
@@ -443,6 +443,119 @@ def test_block_chain_mixing_pinned_at_a_mallows_sized_block():
     text = json.dumps(res.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "e327a3d832a43b7fdb99c0df6f5205f08c0f9f262f394eef5da035b31d26b228"
+
+
+# the twin block chains of a random-eps instance whose blocks draw through
+# the band DP (window width 13), each sub-instance's DP built once per process
+def test_block_chain_mixing_pinned_at_random_eps():
+    n = 120
+    p = BiasMatrix.random_biased(n, 0.25, np.random.default_rng(0))
+    ell = LocalizationVector.constant(n, 6)
+    for jobs in (1, 2):
+        res = block_chain_mixing(n, p, ell, BlockSchedule.west_east(n),
+                                 replicas=4, step_cap=4, seed=13, jobs=jobs)
+        assert [round(pt.estimate * 4) for pt in res.series] == [0, 3, 4, 4]
+        assert res.meta == {"max_time": 3, "median_time": 2.0}
+        text = json.dumps(res.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "16e134da600bc8e863cc23e9d6652f904820ef11e0c2df009a8a8689de59e2dd"
+
+
+@pytest.mark.parametrize("key", ["replicas", "step_cap", "jobs"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_block_chain_mixing_refuses_counts_below_one(key, value,
+                                                     monkeypatch):
+    # replicas = 0 used to record a NaN fraction, step_cap <= 0 a failed
+    # verdict, and jobs = 0 ran as 1
+    def no_work(ell):
+        raise AssertionError("work began before the refusal")
+
+    monkeypatch.setattr(experiments, "max_localized_state", no_work)
+    n = 12
+    with pytest.raises(ContractError, match=f"{key} must be >= 1"):
+        block_chain_mixing(n, BiasMatrix.constant(n, 0.75),
+                           LocalizationVector.constant(n, 3),
+                           BlockSchedule.west_east(n), **{key: value})
+
+
+class _RecordedCache(banddp.SamplerCache):
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.made.append(self)
+
+
+def _cached_run(monkeypatch, n, p, ell, **kwargs):
+    """block_chain_mixing's JSON record and the run's sampler cache."""
+    _RecordedCache.made = []
+    monkeypatch.setattr(experiments, "SamplerCache", _RecordedCache)
+    res = block_chain_mixing(n, p, ell, BlockSchedule.west_east(n), **kwargs)
+    (cache,) = _RecordedCache.made
+    return res.to_json_dict(), cache
+
+
+def _one_shot_run(monkeypatch, n, p, ell, **kwargs):
+    """block_chain_mixing's JSON record with a fresh sampler cache for every
+    block update."""
+    real = chains.heat_bath_block_sample
+    monkeypatch.setattr(
+        chains, "heat_bath_block_sample",
+        lambda sigma, block, p, ell, rng, cache=None: real(sigma, block, p,
+                                                           ell, rng))
+    res = block_chain_mixing(n, p, ell, BlockSchedule.west_east(n), **kwargs)
+    monkeypatch.setattr(chains, "heat_bath_block_sample", real)
+    return res.to_json_dict()
+
+
+def _cache_case(case):
+    if case == "band-dp":       # random-eps, sub-windows of width 9
+        n = 40
+        return (n, BiasMatrix.random_biased(n, 0.25, np.random.default_rng(1)),
+                LocalizationVector.constant(n, 4))
+    if case == "mallows":       # constant q, sub-windows of width 19
+        n, q, width = 30, 0.75, 9
+    else:   # sub-windows of width 17 that accept few rows
+        n, q, width = 24, 0.55, 8
+    return n, BiasMatrix.constant(n, q), LocalizationVector.constant(n, width)
+
+
+@pytest.mark.parametrize("case", ["mallows", "band-dp", "give-up"])
+def test_block_chain_mixing_cache_matches_one_shot_updates(case,
+                                                           monkeypatch):
+    give_ups = []
+    if case == "give-up":   # one try of 32 rows: some samplers give up
+        monkeypatch.setattr(banddp.MallowsRejectionSampler, "_MAX_TRIES", 1)
+        real = banddp.MallowsRejectionSampler._give_up
+        monkeypatch.setattr(
+            banddp.MallowsRejectionSampler, "_give_up",
+            lambda self, rng, size: give_ups.append(size) or real(self, rng,
+                                                                 size))
+    n, p, ell = _cache_case(case)
+    kwargs = dict(replicas=4, step_cap=6, seed=11)
+    cached, cache = _cached_run(monkeypatch, n, p, ell, **kwargs)
+    assert cached == _one_shot_run(monkeypatch, n, p, ell, **kwargs)
+    assert cache.hits > 0 and cache.misses > 0
+    # a sampler that gave up on its strategy is not kept
+    strategies = {sampler.strategy for sampler, _ in cache._entries.values()}
+    assert strategies == {"band-dp" if case == "band-dp"
+                          else "mallows-rejection"}
+    assert (len(give_ups) > 0) == (case == "give-up")
+
+
+@pytest.mark.parametrize("case, budget", [("mallows", 5000),
+                                          ("band-dp", 100000)])
+def test_block_chain_mixing_cache_stays_in_its_budget(case, budget,
+                                                      monkeypatch):
+    n, p, ell = _cache_case(case)
+    kwargs = dict(replicas=4, step_cap=6, seed=11)
+    roomy_run, roomy = _cached_run(monkeypatch, n, p, ell, **kwargs)
+    monkeypatch.setattr(banddp, "MEMORY_BUDGET", budget)
+    tight_run, tight = _cached_run(monkeypatch, n, p, ell, **kwargs)
+    assert tight_run == roomy_run
+    # the small budget holds fewer samplers, so more updates build one
+    assert roomy.nbytes > budget >= tight.nbytes > 0
+    assert tight.misses > roomy.misses and tight.hits > 0
 
 
 def test_block_chain_mixing_exact_gap_recorded():

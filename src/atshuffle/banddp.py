@@ -937,17 +937,15 @@ def heat_bath_block_rows(sigma: Permutation, block: tuple, p: BiasMatrix,
     r = np.sort(sigma.forward[a - 1:b])
     key = (a, r.tobytes())
     sampler = cache.get(key)
-    fresh = sampler is None
-    if fresh:
+    if sampler is None:
         boundary = BoundaryAssignment.from_permutation(sigma, a - 1, n - b)
         sub_p, sub_ell, _ = restrict_instance(boundary, p, ell)
         sampler = exact_localized_sampler(sub_p, sub_ell)
+        cache.put(key, sampler)
     strategy = sampler.strategy
     sub_rows = sampler.draw_rows(rng, size)
     if sampler.strategy != strategy:
         cache.drop(key)
-    elif fresh:
-        cache.put(key, sampler)
     rows = np.tile(sigma.forward, (size, 1))
     rows[:, a - 1:b] = r[sub_rows - 1]
     return rows

@@ -524,13 +524,15 @@ def _cache_case(case):
 def test_block_chain_mixing_cache_matches_one_shot_updates(case,
                                                            monkeypatch):
     give_ups = []
+    real = banddp.MallowsRejectionSampler._give_up
+
+    def counted(self, rng, size):
+        give_ups.append(size)
+        return real(self, rng, size)
+
+    monkeypatch.setattr(banddp.MallowsRejectionSampler, "_give_up", counted)
     if case == "give-up":   # one try of 32 rows: some samplers give up
         monkeypatch.setattr(banddp.MallowsRejectionSampler, "_MAX_TRIES", 1)
-        real = banddp.MallowsRejectionSampler._give_up
-        monkeypatch.setattr(
-            banddp.MallowsRejectionSampler, "_give_up",
-            lambda self, rng, size: give_ups.append(size) or real(self, rng,
-                                                                 size))
     n, p, ell = _cache_case(case)
     kwargs = dict(replicas=4, step_cap=6, seed=11)
     cached, cache = _cached_run(monkeypatch, n, p, ell, **kwargs)

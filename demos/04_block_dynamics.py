@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Heat-bath block dynamics and the spectral decomposition inequality.
 
-Two-block west/east schedules and interleaved segment schedules drive the
-multiscale analysis: the gap of the full chain is lower-bounded by the block
-gap times the worst within-block gap, and twin block chains from extreme
-starts coalesce in a handful of steps.
+Every block is a position interval.  The two-block west/east schedule
+drives the multiscale analysis, and the single-block schedule, which
+resamples the whole line, is its degenerate case: the gap of the full chain
+is lower-bounded by the block gap times the worst within-block gap, and twin
+block chains from extreme starts coalesce in a handful of steps.
 """
 
 import numpy as np
@@ -15,13 +16,13 @@ from atshuffle import (BiasMatrix, BlockSchedule, LocalizationVector,
                        spectral_gap, twin_chain_coupling_run)
 from atshuffle.experiments import block_chain_mixing, block_decomposition_check
 
-# Schedules: west/east blocks overlap in the middle third, interleaved
-# blocks overlap on length-M stretches; both cover every position twice at
-# most (chi = 2).
+# Schedules: the two west/east intervals overlap in the middle third, so
+# they cover every position twice at most (chi = 2); the single block covers
+# each position once (chi = 1).
 ws = BlockSchedule.west_east(12)
-il = BlockSchedule.interleaved(13, 1)
+single_12 = BlockSchedule.single(12)
 print(f"west/east blocks at n=12: {ws.blocks()}, chi = {ws.chi()}")
-print(f"interleaved blocks at n=13, M=1: {il.blocks()}, chi = {il.chi()}")
+print(f"single block at n=12: {single_12.blocks()}, chi = {single_12.chi()}")
 
 # The decomposition inequality, exactly, at n = 5.
 rng = np.random.default_rng(21)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .banddp import BandDP, SamplerCache, heat_bath_block_sample
+from .banddp import SamplerCache, heat_bath_block_sample
 from .errors import CapExceeded, ContractError
 from .measure import (MEMORY_BUDGET, DistributionTable, TransitionMatrix,
                       _state_rows, _swap_kernel, check_detailed_balance,
@@ -321,11 +321,10 @@ def asep_rightmost_tail(n: int, k: int, q: float, r: int) -> float:
 
 @dataclass(frozen=True)
 class BlockSchedule:
-    """A named collection of blocks; each block is a list of position intervals."""
+    """A named collection of blocks; each block is a position interval (a, b)."""
 
     kind: str
     n: int
-    M: int = 0
     selection: str = "size"  # "size" per heat-bath definition, or "uniform"
 
     def __post_init__(self):
@@ -335,43 +334,22 @@ class BlockSchedule:
 
     @classmethod
     def west_east(cls, n: int, selection: str = "size") -> "BlockSchedule":
-        return cls("west-east", n, 0, selection)
-
-    @classmethod
-    def interleaved(cls, n: int, M: int, selection: str = "size") -> "BlockSchedule":
-        if M < 1:
-            raise ContractError("segment scale M must be >= 1")
-        return cls("interleaved", n, M, selection)
+        return cls("west-east", n, selection)
 
     @classmethod
     def single(cls, n: int, selection: str = "size") -> "BlockSchedule":
-        return cls("single", n, 0, selection)
+        return cls("single", n, selection)
 
     def blocks(self) -> list:
-        n, M = self.n, self.M
+        n = self.n
         if self.kind == "west-east":
-            return [[(1, math.ceil(2 * n / 3))], [(max(n // 3, 1), n)]]
+            return [(1, math.ceil(2 * n / 3)), (max(n // 3, 1), n)]
         if self.kind == "single":
-            return [[(1, n)]]
-        if self.kind == "interleaved":
-            out = []
-            for offsets in ((0, 4), (3, 7)):
-                segs = []
-                i = 0
-                while True:
-                    a = (6 * i + offsets[0]) * M + 1
-                    b = min((6 * i + offsets[1]) * M, n)
-                    if a > n:
-                        break
-                    segs.append((a, b))
-                    i += 1
-                if segs:
-                    out.append(segs)
-            return out
+            return [(1, n)]
         raise ContractError(f"unknown schedule kind {self.kind}")
 
     def sizes(self) -> list:
-        return [sum(b - a + 1 for a, b in blk) for blk in self.blocks()]
+        return [b - a + 1 for a, b in self.blocks()]
 
     def probabilities(self) -> np.ndarray:
         """Block selection law: size-weighted, or uniform over blocks."""
@@ -383,30 +361,17 @@ class BlockSchedule:
 
     def chi(self) -> int:
         cover = np.zeros(self.n, dtype=np.int64)
-        for blk in self.blocks():
-            for a, b in blk:
-                cover[a - 1:b] += 1
+        for a, b in self.blocks():
+            cover[a - 1:b] += 1
         if np.any(cover == 0):
             raise ContractError("blocks do not cover all positions")
         return int(cover.max())
 
-
-def _segments_factorize(sigma: Permutation, segments: list,
-                        ell: LocalizationVector | None) -> bool:
-    """Whether the window of every block occupant touches exactly one segment.
-
-    Only then does the conditional law factorize over the segments.
-    """
-    if ell is None:
-        return len(segments) == 1
-    for a, b in segments:
-        for pos in range(a, b + 1):
-            lo, hi = ell.window(sigma.at(pos))
-            touch = [t for t, (aa, bb) in enumerate(segments)
-                     if not (hi < aa or lo > bb)]
-            if len(touch) != 1:
-                return False
-    return True
+    def check_size(self, n: int) -> None:
+        """Refuse an instance of size n unless the schedule is built for it."""
+        if self.n != n:
+            raise ContractError(f"the schedule is built for n = {self.n}, "
+                                f"but the instance has n = {n}")
 
 
 def block_step(sigma: Permutation, schedule: BlockSchedule, p: BiasMatrix,
@@ -417,35 +382,14 @@ def block_step(sigma: Permutation, schedule: BlockSchedule, p: BiasMatrix,
 
     A block is chosen from rng by schedule.probabilities(), unless choice
     gives its index, then its configuration is replaced by an exact draw from
-    the conditional stationary law given the complement.  Multi-segment
-    blocks resample segments independently when every occupant fits a single
-    segment (the conditional law factorizes); otherwise the whole line is
-    resampled with the complement pinned.  cache keeps the segments'
-    samplers across the updates of a run.
+    the conditional stationary law given the complement.  cache keeps the
+    blocks' samplers across the updates of a run.
     """
-    if schedule.n != sigma.n:
-        raise ContractError(f"the schedule is built for n = {schedule.n}, "
-                            f"but the state has n = {sigma.n}")
+    schedule.check_size(sigma.n)
     blocks = schedule.blocks()
     if choice is None:
         choice = int(rng.choice(len(blocks), p=schedule.probabilities()))
-    segments = blocks[choice]
-    if len(segments) == 1:
-        return heat_bath_block_sample(sigma, segments[0], p, ell, rng, cache)
-    if _segments_factorize(sigma, segments, ell):
-        out = sigma
-        for seg in segments:
-            out = heat_bath_block_sample(out, seg, p, ell, rng, cache)
-        return out
-    # joint resample with the complement pinned (small instances only)
-    if ell is None:
-        raise CapExceeded("joint multi-segment resampling needs a localization window")
-    in_block = set()
-    for a, b in segments:
-        in_block.update(range(a, b + 1))
-    pins = {pos: sigma.at(pos) for pos in range(1, sigma.n + 1)
-            if pos not in in_block}
-    return BandDP(p, ell, pins=pins).sample(rng)
+    return heat_bath_block_sample(sigma, blocks[choice], p, ell, rng, cache)
 
 
 def check_dense_kernel(states: int) -> None:
@@ -468,15 +412,15 @@ def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
     The kernel is built dense; above measure.MEMORY_BUDGET bytes it raises
     CapExceeded before allocating.
     """
+    schedule.check_size(n)
     if mu is None:
         mu = enumerate_stationary(n, p, ell)
     S = mu.support
     check_dense_kernel(len(S))
     P = np.zeros((len(S), len(S)))
-    for blk, wb in zip(schedule.blocks(), schedule.probabilities()):
+    for (a, b), wb in zip(schedule.blocks(), schedule.probabilities()):
         comp = np.ones(n, dtype=bool)
-        for a, b in blk:
-            comp[a - 1:b] = False
+        comp[a - 1:b] = False
         # states agreeing off the block share one complement row
         _, group = np.unique(S[:, comp], axis=0, return_inverse=True)
         order = np.argsort(group, kind="stable")
@@ -515,12 +459,12 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
     n = x0a.n
     if driver not in ("at", "block"):
         raise ContractError(f"unknown driver {driver!r}; choose at or block")
+    if T < 0:
+        raise ContractError(f"T must be >= 0, got {T}")
     if driver == "block":
         if schedule is None:
             raise ContractError("block driver needs a schedule")
-        if schedule.n != n:
-            raise ContractError(f"the schedule is built for n = {schedule.n}, "
-                                f"but the starts have n = {n}")
+        schedule.check_size(n)
     if ell is not None and not (is_localized(x0a, ell)
                                 and is_localized(x0b, ell)):
         raise ContractError("starts must be localized")

@@ -606,11 +606,7 @@ def block_decomposition_check(n: int, p: BiasMatrix,
                               schedule: BlockSchedule,
                               enum_cap: int = DEFAULT_ENUM_CAP) -> ExperimentResult:
     """Exact check of gap(AT) >= chi^-1 * gap(block) * min gap(AT on a block)."""
-    blocks = schedule.blocks()
-    for blk in blocks:
-        if len(blk) != 1:
-            raise ContractError(
-                "decomposition check supports interval blocks only")
+    schedule.check_size(n)
     if ell is None and p.dense().min() > 0.0:
         # no window and no forbidden pair: all n! states carry weight, so
         # the dense block kernel can refuse before the enumeration
@@ -623,8 +619,7 @@ def block_decomposition_check(n: int, p: BiasMatrix,
     gap_block = spectral_gap(K, mu)
     min_sub = math.inf
     sub_records = []
-    for blk in blocks:
-        a, b = blk[0]
+    for a, b in schedule.blocks():
         for left, right in dict.fromkeys((tuple(s[:a - 1]), tuple(s[b:]))
                                          for s in mu.support.tolist()):
             bnd = BoundaryAssignment(n, left, right)
@@ -944,6 +939,9 @@ def block_chain_mixing(n: int, p: BiasMatrix, ell: LocalizationVector,
                        ("jobs", jobs)):
         if value < 1:
             raise ContractError(f"{key} must be >= 1, got {value}")
+    if not 0.0 < success_frac <= 1.0:
+        raise ContractError(
+            f"success_frac must lie in (0, 1], got {success_frac!r}")
     instance = (Permutation.identity(n), max_localized_state(ell), p, ell,
                 schedule, step_cap, SamplerCache())
     seeds = [int(derive_rng(seed, experiment_id("twin-block"), rep).integers(0, 2 ** 62))

@@ -71,11 +71,8 @@ def reference_block_kernel(n, schedule, mu):
     states = mu.support
     m = len(states)
     P = np.zeros((m, m))
-    for blk, wb in zip(schedule.blocks(), schedule.probabilities()):
-        positions = []
-        for a, b in blk:
-            positions.extend(range(a, b + 1))
-        comp = [pos for pos in range(1, n + 1) if pos not in positions]
+    for (a, b), wb in zip(schedule.blocks(), schedule.probabilities()):
+        comp = [pos for pos in range(1, n + 1) if not a <= pos <= b]
         groups = {}
         for si, s in enumerate(states):
             key = tuple(s[pos - 1] for pos in comp)

@@ -187,7 +187,7 @@ EAST_TIGHT = LocalizationVector([0, 1, 2, 2, 2, 0, 0, 0],
                                 [2, 2, 2, 2, 2, 1, 1, 0])
 
 
-def test_mirrored_mallows_batch_matches_enumeration():
+def test_east_tight_forced_end_batch_matches_enumeration():
     """An east-tight window draws only labels 1-5 and puts 6, 7 and 8 back
     home; one batch of 100,000 rows, decoded as slabs, follows the
     restricted law."""
@@ -200,7 +200,7 @@ def test_mirrored_mallows_batch_matches_enumeration():
         0.01)
 
 
-def test_mirrored_mallows_single_rows_match_enumeration():
+def test_east_tight_forced_end_single_rows_match_enumeration():
     """40,000 single-row draws of the east-tight window, each stopped at its
     first placement outside the window, follow the restricted law."""
     q = 0.7

@@ -309,23 +309,16 @@ def test_asep_rightmost_tail_matches_enumeration():
 
 def test_block_schedules():
     ws = BlockSchedule.west_east(3)
-    assert ws.blocks() == [[(1, 2)], [(1, 3)]]
+    assert ws.blocks() == [(1, 2), (1, 3)]
     assert ws.chi() == 2
-    il = BlockSchedule.interleaved(13, 1)
-    assert il.blocks() == [[(1, 4), (7, 10), (13, 13)], [(4, 7), (10, 13)]]
-    assert il.chi() == 2
     assert BlockSchedule.single(5).chi() == 1
     for n in (6, 12, 30, 300):
         assert BlockSchedule.west_east(n).chi() == 2
-    for n, M in ((25, 2), (60, 3), (100, 4)):
-        sched = BlockSchedule.interleaved(n, M)
-        assert sched.chi() == 2
 
 
 def test_block_schedule_refuses_an_unknown_selection():
     # an unknown selection used to fall back to uniform without a word
-    for make in (BlockSchedule.west_east, BlockSchedule.single,
-                 lambda n, selection: BlockSchedule.interleaved(n, 1, selection)):
+    for make in (BlockSchedule.west_east, BlockSchedule.single):
         with pytest.raises(ContractError, match="unknown block selection 'bogus'"):
             make(6, selection="bogus")
     assert BlockSchedule.single(4, "uniform").probabilities().tolist() == [1.0]
@@ -351,7 +344,7 @@ def test_block_step_preserves_stationarity():
         probs = sizes / sizes.sum()
         picks = rng.choice(len(blocks), size=m, p=probs)
         for b_idx, count in Counter(int(x) for x in picks).items():
-            rows = heat_bath_block_rows(sigma, blocks[b_idx][0], p, ell,
+            rows = heat_bath_block_rows(sigma, blocks[b_idx], p, ell,
                                         rng, count)
             for row in rows:
                 cnt[tuple(int(v) for v in row)] += 1
@@ -362,20 +355,6 @@ def test_block_step_preserves_stationarity():
     chi2 = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
     pval = 1.0 - stats.chi2.cdf(chi2, int(keep.sum()) - 1)
     assert pval > 1e-3
-
-
-def test_block_step_interleaved_joint_vs_independent():
-    # at n=6, M=1 the B1 block has two segments; occupants can cross, so the
-    # joint pinned-DP path runs; stationarity is preserved either way
-    rng = np.random.default_rng(24)
-    n = 6
-    p = BiasMatrix.constant(n, 0.7)
-    ell = LocalizationVector.constant(n, 2)
-    sched = BlockSchedule.interleaved(n, 1)
-    sigma = Permutation.identity(n)
-    for _ in range(30):
-        sigma = block_step(sigma, sched, p, ell, rng)
-        assert is_localized(sigma, ell)
 
 
 def test_exact_block_kernel_matches_block_step_frequencies():
@@ -393,7 +372,7 @@ def test_exact_block_kernel_matches_block_step_frequencies():
     picks = rng.choice(len(blocks), size=R, p=sizes / sizes.sum())
     cnt = Counter()
     for b_idx, count in Counter(int(x) for x in picks).items():
-        rows = heat_bath_block_rows(start, blocks[b_idx][0], p, ell, rng, count)
+        rows = heat_bath_block_rows(start, blocks[b_idx], p, ell, rng, count)
         cnt.update(tuple(int(v) for v in r) for r in rows)
     row = K.matrix[K.states.tolist().index(list(start.to_tuple()))].toarray().ravel()
     observed = np.array([cnt.get(s, 0) for s in map(tuple, mu.support.tolist())],
@@ -426,8 +405,8 @@ def test_block_kernel_matches_the_reference_build(n, seed, data):
         return      # every localized state has weight 0
     selection = data.draw(st.sampled_from(["size", "uniform"]))
     schedule = data.draw(st.sampled_from([
-        BlockSchedule.west_east(n, selection), BlockSchedule.single(n, selection),
-        BlockSchedule.interleaved(n, 1, selection)]))
+        BlockSchedule.west_east(n, selection),
+        BlockSchedule.single(n, selection)]))
     K = exact_block_kernel(n, p, ell, schedule, mu=mu)
     ref = reference_block_kernel(n, schedule, mu)
     assert np.array_equal(K.matrix.toarray(), ref)
@@ -477,6 +456,19 @@ def test_block_driver_refuses_a_schedule_for_another_n():
     with pytest.raises(ContractError, match="schedule is built for n = 8"):
         block_step(Permutation.identity(n), schedule, p, ell,
                    np.random.default_rng(0))
+
+
+def test_twin_chain_coupling_refuses_a_negative_horizon():
+    # T = -3 used to return (None, ...), which reads as a timeout
+    n = 6
+    p = BiasMatrix.constant(n, 0.75)
+    ell = LocalizationVector.constant(n, 2)
+    for driver in ("at", "block"):
+        with pytest.raises(ContractError, match="T must be >= 0, got -3"):
+            twin_chain_coupling_run(Permutation.identity(n),
+                                    max_localized_state(ell), p, ell, -3, 1,
+                                    driver=driver,
+                                    schedule=BlockSchedule.west_east(n))
 
 
 def test_block_driver_meets_equal_starts_at_time_zero():

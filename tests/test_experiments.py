@@ -341,6 +341,25 @@ def test_block_decomposition_examples():
     assert abs(single.verdict.details["slack"]) < 1e-9
 
 
+@pytest.mark.parametrize("m", [3, 8])
+def test_block_checks_refuse_a_schedule_for_another_n(m, monkeypatch):
+    # at n = 5 a schedule for n = 3 never resampled positions 4 and 5, one
+    # for n = 8 reached past position n, and the check passed on either
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration began before the refusal")
+
+    monkeypatch.setattr(experiments, "enumerate_stationary", no_work)
+    monkeypatch.setattr(chains, "enumerate_stationary", no_work)
+    n = 5
+    p = BiasMatrix.constant(n, 0.6)
+    schedule = BlockSchedule.west_east(m)
+    message = f"schedule is built for n = {m}, but the instance has n = 5"
+    with pytest.raises(ContractError, match=message):
+        block_decomposition_check(n, p, None, schedule)
+    with pytest.raises(ContractError, match=message):
+        chains.exact_block_kernel(n, p, None, schedule)
+
+
 def test_block_decomposition_random_restricted():
     rng = np.random.default_rng(6)
     p = BiasMatrix.random_biased(5, 0.5, rng)
@@ -476,6 +495,21 @@ def test_block_chain_mixing_refuses_counts_below_one(key, value,
         block_chain_mixing(n, BiasMatrix.constant(n, 0.75),
                            LocalizationVector.constant(n, 3),
                            BlockSchedule.west_east(n), **{key: value})
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, 2.0, math.nan])
+def test_block_chain_mixing_refuses_a_success_frac_outside_the_unit_interval(
+        value, monkeypatch):
+    # -1 used to pass vacuously, and 2.0 and NaN to record a failed verdict
+    def no_work(ell):
+        raise AssertionError("work began before the refusal")
+
+    monkeypatch.setattr(experiments, "max_localized_state", no_work)
+    n = 12
+    with pytest.raises(ContractError, match=r"success_frac must lie in \(0, 1\]"):
+        block_chain_mixing(n, BiasMatrix.constant(n, 0.75),
+                           LocalizationVector.constant(n, 3),
+                           BlockSchedule.west_east(n), success_frac=value)
 
 
 class _RecordedCache(banddp.SamplerCache):

@@ -415,13 +415,13 @@ def test_constant_block_update_gathers_nothing(monkeypatch):
     blocks = BlockSchedule.west_east(n).blocks()
     want = [heat_bath_block_rows(sigma, block, p, ell,
                                  np.random.default_rng(k), 2)
-            for k, (block,) in enumerate(blocks)]
+            for k, block in enumerate(blocks)]
 
     def no_gather(*args):
         raise AssertionError("a block update gathered bias entries")
 
     monkeypatch.setattr(np, "ix_", no_gather)
-    for k, (block,) in enumerate(blocks):
+    for k, block in enumerate(blocks):
         rows = heat_bath_block_rows(sigma, block, p, ell,
                                     np.random.default_rng(k), 2)
         assert np.array_equal(rows, want[k])

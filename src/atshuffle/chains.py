@@ -2,13 +2,13 @@
 
 Two update orientations appear on purpose.  ``at_step``, the one scalar
 reference of the chain and, with a localization vector, of the restricted
-chain, follows the documented single-chain convention (swap iff
-u < p[behind][ahead]), as do the twin chains; the coupled steps use
-the order-based convention (the smaller label ends up ahead iff
-u < p[low][high]).  Both produce the same one-step kernel, but only the
-order-based form nests the events of the permutation chain inside the ASEP
-events, which is what makes the domination couplings preserve their
-invariants pathwise.
+chain, and the replica ensembles follow the documented single-chain
+convention (swap iff u < p[behind][ahead]); every coupling, the twin chains
+included, uses the order-based convention (the smaller label ends up ahead
+iff u < p[low][high]).  Both produce the same one-step kernel, but only the
+order-based form nests the chain's events inside the ASEP events and, at
+constant bias, keeps two unrestricted chains on one draw in the threshold
+order, which is what makes the couplings preserve their invariants pathwise.
 
 Every process is a deterministic function of a stream of UpdateDraw values;
 couplings are just several consumers of one stream.  The scalar drivers (the
@@ -446,13 +446,17 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
     """Run two chains on identical draws; return the first meeting time.
 
     Returns (t, aux) with t = None on timeout, and t = 0 for equal starts.
-    The at driver applies ``at_step``'s rule to both chains, on the
-    ``_audit_draws`` stream and restricted when ell is given.  For the block
-    driver each step gets its own derived substream, so a rejection in one
-    chain cannot desynchronize later steps, and both chains draw their
-    block samplers from cache (a fresh one by default), which a caller may
-    share between the runs of one instance; coalescence is absorbing for
-    both drivers.
+    The at driver applies the domination audit's order-based update to both
+    chains, on the ``_audit_draws`` stream and restricted when ell is given.
+    Unrestricted at constant bias, one draw keeps every threshold projection
+    of an ordered pair in order, so identity and reversal bracket every
+    chain and d(t) <= P(meeting time > t).  Restricted or non-constant twins
+    are not certified monotone (on random windows one draw broke that order
+    for up to 17 of about 2,000 ordered pairs).  For the block driver each
+    step gets its own derived substream, so a rejection in one chain cannot
+    desynchronize later steps, and both chains draw their block samplers
+    from cache (a fresh one by default), which a caller may share between
+    the runs of one instance; coalescence is absorbing for both drivers.
     """
     if not x0a.n == x0b.n == p.n:
         raise ContractError("sizes must match")
@@ -471,28 +475,14 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
     if np.array_equal(x0a.forward, x0b.forward):
         return 0, {"driver": driver}
     if driver == "at":
-        fa = x0a.forward.tolist()
-        fb = x0b.forward.tolist()
-        diff = sum(a != b for a, b in zip(fa, fb))
-        prob = p.dense().tolist()
-        lo = ell.lo.tolist() if ell is not None else None
-        hi = ell.hi.tolist() if ell is not None else None
+        fa, fb = x0a.forward.tolist(), x0b.forward.tolist()
+        step = _ordered_list_step(p, ell)
         rng = derive_rng(seed, experiment_id("twin-draws"))
         for t, edges, us in _audit_draws(rng, n, T):
             for e, u in zip(edges, us):
                 t += 1
-                i = e - 1
-                before = (fa[i] != fb[i]) + (fa[e] != fb[e])
-                for f in (fa, fb):
-                    a = f[i]
-                    b = f[e]
-                    if u < prob[b - 1][a - 1]:
-                        if lo is None or ((e + 1 - a) <= hi[a - 1]
-                                          and (b - e) <= lo[b - 1]):
-                            f[i] = b
-                            f[e] = a
-                diff += (fa[i] != fb[i]) + (fa[e] != fb[e]) - before
-                if diff == 0:
+                # both twins step; they can meet only on a step that swaps
+                if (step(fa, e, u) | step(fb, e, u)) and fa == fb:
                     return t, {"driver": driver}
         return None, {"driver": driver}
     if cache is None:
@@ -682,6 +672,27 @@ def asep_pair_coalescence(n: int, k: int, q: float, seed: int,
     return None
 
 
+def _ordered_list_step(p: BiasMatrix, ell: LocalizationVector | None):
+    """The coupled drivers' chain update on plain-list rows: step(f, e, u)
+    applies the order-based rule at edge e of f in place, restricted when
+    ell is given, and returns whether it swapped."""
+    prob = p.dense().tolist()
+    lo, hi = (None, None) if ell is None else (ell.lo.tolist(),
+                                               ell.hi.tolist())
+
+    def step(f: list, e: int, u: float) -> bool:
+        a, b = f[e - 1], f[e]
+        # the smaller label ends ahead iff u < p[low][high]
+        if (u >= prob[a - 1][b - 1] if a < b else u < prob[b - 1][a - 1]) \
+                and (lo is None or ((e + 1 - a) <= hi[a - 1]
+                                    and (b - e) <= lo[b - 1])):
+            f[e - 1], f[e] = b, a
+            return True
+        return False
+
+    return step
+
+
 def _audit_draws(rng: np.random.Generator, n: int, steps: int):
     """The scalar drivers' shared draws, chunk by chunk: (steps done, edges,
     us)."""
@@ -740,9 +751,7 @@ def _domination_audit(F: list, Y: list, p: BiasMatrix, q: float, ks: list,
     eta_mask = [sum(1 << j for j, k in enumerate(ks) if label <= k)
                 for label in range(n + 1)]
     y = [sum(row[i] << j for j, row in enumerate(Y)) for i in range(n)]
-    prob = p.dense().tolist()
-    lo = ell.lo.tolist() if ell is not None else None
-    hi = ell.hi.tolist() if ell is not None else None
+    step = _ordered_list_step(p, ell)
 
     def recount():
         D = [list(itertools.accumulate(
@@ -759,20 +768,8 @@ def _domination_audit(F: list, Y: list, p: BiasMatrix, q: float, ks: list,
             for e, u in zip(edges, us):
                 t += 1
                 i = e - 1
-                a = F[i]
-                b = F[e]
-                # order-based orientation: the smaller label ends ahead iff
-                # u < p[low][high]
-                swap = (u >= prob[a - 1][b - 1] if a < b
-                        else u < prob[b - 1][a - 1])
-                if swap and lo is not None:
-                    swap = (e + 1 - a) <= hi[a - 1] and (b - e) <= lo[b - 1]
-                if swap:
-                    F[i] = b
-                    F[e] = a
-                    changed = eta_mask[a] ^ eta_mask[b]
-                else:
-                    changed = 0
+                changed = (eta_mask[F[i]] ^ eta_mask[F[e]]
+                           if step(F, e, u) else 0)
                 yi = y[i]
                 movable = yi ^ y[e]
                 if movable:

@@ -712,6 +712,8 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
                    jobs: int = 1, slope_window=(1.7, 2.3),
                    enum_cap: int = DEFAULT_ENUM_CAP) -> ExperimentResult:
     """Mixing-time scaling in n: exact small-n values or coupling estimates."""
+    if not 0 < delta <= 0.5:
+        raise ContractError(f"delta must be in (0, 0.5], got {delta!r}")
     if method in ("coupling", "statistic") and len(set(ns)) < 2:
         raise ContractError(f"{method} mode fits a slope over n; it needs at "
                             f"least two distinct sizes, got {list(ns)}")
@@ -753,19 +755,16 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
                 times = list(ex.map(_coalescence_worker, work))
         else:
             times = [_coalescence_worker(w) for w in work]
-        idx = 0
-        means = []
-        for n in ns:
-            ts = times[idx:idx + budget]
-            idx += budget
+        for j, n in enumerate(ns):
+            ts = times[j * budget:(j + 1) * budget]
             if any(t is None for t in ts):
                 raise CapExceeded(f"coalescence budget exhausted at n={n}")
             ts = np.array(ts, dtype=np.float64)
             series.append(SeriesPoint(n, float(ts.mean()),
                                       float(ts.std(ddof=1) / math.sqrt(len(ts))),
                                       budget))
-            means.append(float(ts.mean()))
-        fit = _ols(np.log(list(map(float, ns))), np.log(means))
+        fit = _ols(np.log(list(map(float, ns))),
+                   np.log([pt.estimate for pt in series]))
         lo, hi = slope_window
         verdict = Verdict(lo <= fit["slope"] <= hi,
                           f"log-log slope in [{lo}, {hi}]", fit)
@@ -773,19 +772,19 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
     elif method == "statistic":
         lbs, ubs = [], []
         for n in ns:
-            p = make_family(n, family, seed)
-            lb, ub, info = _statistic_bracket(n, p, delta, budget, seed)
+            lb, ub, meta[f"n{n}"] = _statistic_bracket(
+                n, make_family(n, family, seed), delta, budget, seed)
             lbs.append(lb)
             ubs.append(ub)
             series.append(SeriesPoint(n, float(ub), 0.0, budget))
-            meta[f"n{n}"] = info
         passed = all(lb <= ub for lb, ub in zip(lbs, ubs))
         fit = _ols(np.log(list(map(float, ns))),
                    np.log([max(u, 1.0) for u in ubs]))
         verdict = Verdict(passed, "bracket consistency T_lb <= T_ub",
                           {"lower_bounds": lbs, "upper_bounds": ubs,
                            "ub_slope": fit["slope"], "r2": fit["r2"]})
-        meta["starts"] = "identity vs reversal (selected, not maximized)"
+        meta["starts"] = ("identity vs reversal, the extremes of every "
+                          "threshold projection")
     else:
         raise ContractError(f"unknown method {method}")
     return ExperimentResult(
@@ -798,7 +797,9 @@ def _statistic_bracket(n: int, p: BiasMatrix, delta: float, budget: int,
     """Bracket T_mix: statistic TV lower bound and twin-coalescence upper bound.
 
     The lower bound compares against exact reference draws, which only
-    constant-bias instances have at every n.
+    constant-bias instances have at every n.  The upper bound is the
+    ceil((1 - delta) m)-th smallest of m twin meeting times, rounded so that
+    a decimal delta such as 0.3 is not pushed up a rank by float error.
     """
     if p.constant_q() is None:
         raise ContractError("statistic mode needs a constant-bias family; "
@@ -837,9 +838,11 @@ def _statistic_bracket(n: int, p: BiasMatrix, delta: float, budget: int,
         if t is None:
             raise CapExceeded(f"twin coupling did not coalesce at n={n}")
         times.append(t)
-    t_ub = int(np.median(times))
+    t_ub = sorted(times)[math.ceil(round((1.0 - delta) * len(times), 9)) - 1]
     return t_lb, t_ub, {"grid": grid, "bias0": bias0,
-                        "coalescence_times": times}
+                        "coalescence_times": times,
+                        "t_lb_censored": t_lb == grid[-1],
+                        "ub_over_lb": t_ub / t_lb if t_lb else None}
 
 
 # ---------------------------------------------------------------------------

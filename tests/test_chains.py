@@ -488,7 +488,8 @@ def test_block_driver_meets_equal_starts_at_time_zero():
 
 
 def _first_agreement(a, b, p, ell, T, seed):
-    """The twin's meeting time by two at_step chains on its draw stream."""
+    """The twin's meeting time by two order-based scalar chains on its draw
+    stream."""
     if a == b:
         return 0
     rng = derive_rng(seed, experiment_id("twin-draws"))
@@ -496,7 +497,8 @@ def _first_agreement(a, b, p, ell, T, seed):
         for e, u in zip(edges, us):
             t += 1
             draw = UpdateDraw(t, e, u)
-            a, b = at_step(a, p, draw, ell), at_step(b, p, draw, ell)
+            a = chains._ordered_pair_update(a, p, draw, ell)
+            b = chains._ordered_pair_update(b, p, draw, ell)
             if a == b:
                 return t
     return None
@@ -505,7 +507,7 @@ def _first_agreement(a, b, p, ell, T, seed):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
        restricted=st.booleans(), T=st.integers(0, 1000))
-def test_twin_meets_when_two_at_step_chains_first_agree(n, seed, restricted,
+def test_twin_meets_when_two_ordered_chains_first_agree(n, seed, restricted,
                                                         T):
     rng = np.random.default_rng(seed)
     p = random_bias_with_certain_pairs(n, rng)
@@ -521,6 +523,69 @@ def test_twin_meets_when_two_at_step_chains_first_agree(n, seed, restricted,
         starts.append(sigma)
     t, _ = twin_chain_coupling_run(*starts, p, ell, T, seed)
     assert t == _first_agreement(*starts, p, ell, T, seed)
+
+
+def _threshold_order_run(bottom, top, step, rng, steps):
+    """Advance list rows bottom and top by step(f, e, u) on shared draws.
+
+    The start pair must be ordered.  Raises AssertionError, as
+    coupled_asep_step does, after the first draw that leaves some threshold
+    projection of bottom right of top's.
+    """
+    n = len(bottom)
+
+    def in_order():
+        return all(left_order_leq(eta_projection(Permutation(bottom), k),
+                                  eta_projection(Permutation(top), k))
+                   for k in range(1, n))
+
+    if not in_order():
+        raise ContractError("the start pair is not ordered")
+    edges = rng.integers(1, n, size=steps).tolist()
+    us = rng.random(steps).tolist()
+    for t, (e, u) in enumerate(zip(edges, us), 1):
+        step(bottom, e, u)
+        step(top, e, u)
+        if not in_order():
+            raise AssertionError(f"twins left the threshold order at step {t}")
+
+
+def _at_step_on_lists(p):
+    """at_step as an in-place step(f, e, u) on plain-list rows."""
+    def step(f, e, u):
+        f[:] = at_step(Permutation(f), p, UpdateDraw(0, e, u)).to_tuple()
+    return step
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 7), q=st.floats(0.05, 0.95), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ordered_list_step_keeps_twins_in_threshold_order(n, q, data, seed):
+    # an ordered start pair: bottom is top after moves that each put a
+    # smaller label ahead of a larger neighbour
+    top = list(data.draw(st.permutations(range(1, n + 1)), label="top"))
+    bottom = top.copy()
+    for i in data.draw(st.lists(st.integers(0, n - 2), max_size=3 * n),
+                       label="moves"):
+        if bottom[i] > bottom[i + 1]:
+            bottom[i], bottom[i + 1] = bottom[i + 1], bottom[i]
+    step = chains._ordered_list_step(BiasMatrix.constant(n, q), None)
+    _threshold_order_run(bottom, top, step, np.random.default_rng(seed), 150)
+
+
+def test_at_step_breaks_the_threshold_order_on_the_same_draws():
+    # the mutation check: draws that keep order-based twins in order break
+    # the order of twins on at_step's swap orientation (at step 17)
+    n = 5
+    p = BiasMatrix.constant(n, 0.75)
+
+    def run(step):
+        _threshold_order_run(list(range(1, n + 1)), list(range(n, 0, -1)),
+                             step, np.random.default_rng(1), 150)
+
+    run(chains._ordered_list_step(p, None))
+    with pytest.raises(AssertionError, match="threshold order"):
+        run(_at_step_on_lists(p))
 
 
 def test_coalesced_twins_never_separate():

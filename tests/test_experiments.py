@@ -401,6 +401,49 @@ def test_mixing_scaling_slope_modes_need_two_sizes(method, ns):
                        budget=4)
 
 
+@pytest.mark.parametrize("method", ["exact", "coupling", "statistic"])
+@pytest.mark.parametrize("delta", [-1.0, 0.0, 0.6, 2.0, math.nan])
+def test_mixing_scaling_refuses_a_delta_outside_zero_to_a_half(
+        monkeypatch, method, delta):
+    # statistic mode at delta 2.0 used to pass with T_lb [0, 0], and coupling
+    # mode recorded any delta
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before delta was checked")
+
+    for name in ("check_enumerable", "make_family", "derive_rng"):
+        monkeypatch.setattr(experiments, name, no_work)
+    with pytest.raises(ContractError, match=r"delta must be in \(0, 0.5\]"):
+        mixing_scaling([5, 6], {"kind": "constant-q", "q": 0.75},
+                       delta=delta, method=method, budget=4)
+
+
+def test_statistic_upper_bound_is_at_least_the_exact_mixing_time():
+    # order-based twins from identity and reversal give d(t) <= P(T > t), so
+    # the (1 - delta) quantile of T bounds t_mix(delta); 100 meetings per n
+    family = {"kind": "constant-q", "q": 0.75}
+    exact = mixing_scaling([5, 6], family, method="exact")
+    assert [pt.estimate for pt in exact.series] == [33.0, 60.0]
+    res = mixing_scaling([5, 6], family, method="statistic", budget=400)
+    lbs = res.verdict.details["lower_bounds"]
+    ubs = res.verdict.details["upper_bounds"]
+    assert all(ub >= pt.estimate for ub, pt in zip(ubs, exact.series))
+    for n, lb, ub in zip((5, 6), lbs, ubs):
+        times = sorted(res.meta[f"n{n}"]["coalescence_times"])
+        assert len(times) == 100 and ub == times[74]
+        assert res.meta[f"n{n}"]["ub_over_lb"] == ub / lb
+        assert res.meta[f"n{n}"]["t_lb_censored"] is False
+
+
+def test_statistic_mode_marks_a_censored_lower_bound():
+    # near q = 1/2 the particle-1 statistic is still far from its law at the
+    # grid's last point, 3 n^2
+    res = mixing_scaling([16, 24], {"kind": "constant-q", "q": 0.52},
+                         method="statistic", budget=8)
+    for n, lb in zip((16, 24), res.verdict.details["lower_bounds"]):
+        assert lb == 3 * n * n == res.meta[f"n{n}"]["grid"][-1]
+        assert res.meta[f"n{n}"]["t_lb_censored"] is True
+
+
 def test_lower_bound_experiment_small():
     p = BiasMatrix.constant(64, 0.75)
     res = lower_bound_experiment(64, p, eta=0.5, replicas=120, seed=8,

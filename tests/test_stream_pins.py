@@ -10,7 +10,10 @@ state-by-state kernel build.  The Mallows values were recorded with the
 list.pop rank-to-label loop for every chunk and rejection only after a whole
 row was built; they hold with single rows stopped at their first placement
 outside the window.  The forced-end Mallows rows were recorded when labels
-a window forces home began to be put back instead of drawn.
+a window forces home began to be put back instead of drawn.  The twin at
+meeting times and the statistic-mode mix results were recorded again when
+the twins took the domination audit's order-based update and T_ub became the
+(1 - delta) quantile of their meeting times.
 """
 
 import hashlib
@@ -39,27 +42,27 @@ MEETING_TIMES = {
     128: [59585, 58170, 59973, 59309],
 }
 # twin AT chains, identity against reversal at constant Q with T = 40 n^2,
-# meeting times for the seeds 1, 2 and 3 (recorded with the numpy-scalar
-# twin loop)
+# meeting times for the seeds 1, 2 and 3 (recorded when the twins took the
+# domination audit's order-based update)
 TWIN_MEETING_TIMES = {
-    32: [3827, 3765, 3720],
-    64: [16270, 15142, 16166],
-    128: [62848, 67547, 67415],
+    32: [3856, 4229, 3704],
+    64: [17208, 16372, 16192],
+    128: [64049, 69220, 63085],
 }
 # the restricted twin: n = 32, random-eps 0.5 (instance rng 0), ell = 3,
 # identity against max_localized_state, seed 1
-RESTRICTED_TWIN_TIME = 837
+RESTRICTED_TWIN_TIME = 658
 # sha256 of result.json of the CLI config MIX_CONFIG
 MIX_CONFIG = {"command": "mix", "ns": [32, 64, 128],
               "p": {"family": "constant-q", "q": Q}, "method": "coupling",
               "budget": 4, "seed": 11}
 MIX_DIGEST = "8bc32141de316c6680a2d8d13740a2c4e529c19fbebd40d26717a1f8ed99249b"
 # sha256 of result.json of CLI mix in statistic mode: T_lb [64, 216] <=
-# T_ub [145, 398]
+# T_ub [156, 515], the third of four order-based twin meeting times
 STATISTIC_CONFIG = {"command": "mix", "ns": [8, 12],
                     "p": {"family": "constant-q", "q": Q},
                     "method": "statistic", "budget": 8, "seed": 3}
-STATISTIC_DIGEST = "ed6880107907289038170ee736f3f1eee316b64a026d48360c4186e47a7af5c8"
+STATISTIC_DIGEST = "2f40f9994166ae4ac7c61b901a1973ca9402fc5aeb6a8b859a5e6da8fff84886"
 # (config, artifact, sha256) of CLI runs driven by ensemble_chain_run: burnin
 # spans three 2048-step draw chunks, chain takes the restricted branch and
 # fires 101 checkpoints
@@ -153,7 +156,7 @@ MALLOWS_CLI_PINS = {
         {"command": "mix", "ns": [32, 64],
          "p": {"family": "constant-q", "q": Q}, "method": "statistic",
          "budget": 8, "seed": 17},
-        "12d942d098a8c15e69be2507e2941d2ab2968f61466c7d0df394ab86b15b4e00"),
+        "9c3ee104a5384b9fe1bb10e43ffd0ee2e3556392cd82abdeb1d0b1513c994f34"),
 }
 # sha256 of MallowsRejectionSampler rows at q = Q and the generator's next
 # uniform after them: (n, ell, draws per call, calls, seed) -> pin

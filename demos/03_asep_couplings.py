@@ -4,19 +4,17 @@
 The k-particle projection of the permutation chain is not Markov for general
 biases, but on shared randomness it stays to the left of an exclusion
 process with q/(1-q) = 1 + epsilon.  This script shows the stationary law of
-that process, its right-most-particle tail, the monotone coupling, and a
-long audited domination run.
+that process, its right-most-particle tail, the meeting time of the monotone
+top/bottom coupling, and the audited long runs of both couplings.
 """
 
 import math
 
 import numpy as np
 
-from atshuffle import (AsepState, BiasMatrix, Permutation, UpdateDraw,
-                       asep_rightmost_tail, asep_stationary, asep_step,
-                       coupled_asep_step, coupled_domination_step,
-                       eta_projection, left_order_leq)
-from atshuffle.chains import asep_monotone_audit_run, domination_audit_run
+from atshuffle import BiasMatrix, asep_rightmost_tail, asep_stationary
+from atshuffle.chains import (asep_monotone_audit_run, asep_pair_coalescence,
+                              domination_audit_run)
 
 # Stationary law for 1 particle on 3 sites at q = 0.75: mass ratios 9:3:1.
 nu = asep_stationary(3, 1, 0.75)
@@ -33,30 +31,20 @@ for r in (4, 8, 12, 16, 20, 24):
     print(f"  r={r:2d}: P = {tail:.3e}  envelope exp(-eps' r/4) = "
           f"{math.exp(-eps_p * r / 4):.3e}")
 
-# The monotone coupling: shared edge and uniform keep the left order.
-Y = AsepState((0, 1, 1, 0, 0))
-Yp = AsepState((0, 1, 0, 1, 0))
-print(f"start: Y <= Y' is {left_order_leq(Y, Yp)}")
-rng = np.random.default_rng(0)
-for t in range(2000):
-    d = UpdateDraw(t, int(rng.integers(1, 5)), float(rng.random()))
-    Y, Yp = coupled_asep_step(Y, Yp, 0.75, d)
-print(f"after 2000 coupled steps the order still holds "
-      f"(asserted every step); coalesced: {Y == Yp}")
+# The monotone coupling: the right- and left-packed states, advanced on one
+# shared edge and uniform per step, stay ordered until they meet; the tail of
+# the meeting time bounds the distance to stationarity (the coupling
+# inequality), and the time grows like n^2.
+for n in (16, 32):
+    times = [asep_pair_coalescence(n, n // 2, 0.75, seed, 40 * n * n)
+             for seed in range(8)]
+    print(f"top/bottom meeting time at n={n}, k={n // 2}: mean "
+          f"{np.mean(times):.0f} steps, {np.mean(times) / n ** 2:.2f} n^2")
 
-# Domination of the shuffle's projections: chain and a family of exclusion
-# processes advance on one shared draw stream.
-n = 8
-p = BiasMatrix.constant(n, 0.8)  # epsilon = 4, so q = 0.75 is dominated
-sigma = Permutation.reversal(n)
-family = {kk: eta_projection(sigma, kk) for kk in (1, 2, 4, 7)}
-rng = np.random.default_rng(1)
-for t in range(5000):
-    d = UpdateDraw(t, int(rng.integers(1, n)), float(rng.random()))
-    sigma, family = coupled_domination_step(sigma, p, family, 0.75, d)
-print("5000 domination steps at n=8: invariant asserted on every step")
-
-# The audited long runs used by the acceptance suite, shortened here.
+# The audited long runs used by the acceptance suite, shortened here: the
+# order of the monotone pair, and the domination of the shuffle's
+# projections by a family of exclusion processes on one draw stream, are
+# checked after every step.
 rec = asep_monotone_audit_run(60, 30, 0.75, steps=50000, seed=2)
 print(f"monotone audit, 50k steps at n=60: {rec['violations']} violations")
 rec = domination_audit_run(60, BiasMatrix.constant(60, 0.75), 0.75,

@@ -10,11 +10,10 @@ desk-scale experiments with recorded verdicts.
 __version__ = "0.1.0"
 
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
-                    Permutation, apply_adjacent_transposition,
-                    disconnecting_positions, embed, instance_fingerprint,
-                    is_disconnecting, is_localized, max_displacement,
-                    max_localized_state, random_admissible_localization,
-                    relabel_map, restrict_instance)
+                    Permutation, instance_fingerprint, is_localized,
+                    max_displacement, max_localized_state,
+                    random_admissible_localization, relabel_map,
+                    restrict_instance)
 from .measure import (DistributionTable, TransitionMatrix,
                       build_transition_matrix, check_detailed_balance,
                       enumerate_stationary, exact_mixing_time, log_weight,
@@ -22,9 +21,7 @@ from .measure import (DistributionTable, TransitionMatrix,
 from .banddp import (BandDP, band_dp_conditional_marginal, band_dp_partition,
                      band_dp_sample, exact_localized_sampler,
                      heat_bath_block_sample)
-from .chains import (AsepState, BlockSchedule, UpdateDraw,
-                     asep_rightmost_tail, asep_stationary, asep_step, at_step,
-                     block_step, coupled_asep_step, coupled_domination_step,
-                     derive_rng, eta_projection, exact_block_kernel,
-                     left_order_leq, twin_chain_coupling_run)
+from .chains import (BlockSchedule, UpdateDraw, asep_rightmost_tail,
+                     asep_stationary, at_step, block_step, derive_rng,
+                     exact_block_kernel, twin_chain_coupling_run)
 from .errors import CapExceeded, ContractError, EmptySupport, NotReversible

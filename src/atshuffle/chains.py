@@ -10,10 +10,13 @@ order-based form nests the chain's events inside the ASEP events and, at
 constant bias, keeps two unrestricted chains on one draw in the threshold
 order, which is what makes the couplings preserve their invariants pathwise.
 
-Every process is a deterministic function of a stream of UpdateDraw values;
-couplings are just several consumers of one stream.  The scalar drivers (the
-twin chains and the audits) read theirs from ``_audit_draws`` as plain lists,
-in fixed chunks so that the stream does not depend on the horizon.
+``at_step`` reads one UpdateDraw (step count, edge, uniform variate) per
+update; the vectorized ensembles are tested against it on shared draws.
+Each coupled rule has one implementation: ``_ordered_list_step`` for the
+chain and ``_asep_edge`` for the exclusion process.  The scalar drivers (the
+twin chains and the audits) are deterministic functions of one shared stream
+of (edge, uniform) pairs, read from ``_audit_draws`` as plain lists in fixed
+chunks so that the stream does not depend on the horizon.
 Substreams are derived from a master seed via ``derive_rng(master, *keys)``,
 which feeds the integer tuple (master, key1, key2, ...) to numpy's
 SeedSequence.
@@ -98,136 +101,6 @@ def at_step(sigma: Permutation, p: BiasMatrix, draw: UpdateDraw,
                                  or _swap_keeps_localized(out, draw.edge, ell)):
         out.swap(draw.edge)
     return out
-
-
-def _ordered_pair_update(sigma: Permutation, p: BiasMatrix, draw: UpdateDraw,
-                         ell: LocalizationVector | None) -> Permutation:
-    """Coupling-orientation update: smaller label ends ahead iff u < p[lo][hi]."""
-    out = sigma.copy()
-    i = draw.edge
-    a, b = out.at(i), out.at(i + 1)
-    lo, hi = (a, b) if a < b else (b, a)
-    want_lo_ahead = draw.u < p.get(lo, hi)
-    if (want_lo_ahead and a > b) or (not want_lo_ahead and a < b):
-        if ell is None or _swap_keeps_localized(out, i, ell):
-            out.swap(i)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# ASEP
-# ---------------------------------------------------------------------------
-
-class AsepState:
-    """Occupancy vector with exactly k particles on n sites."""
-
-    __slots__ = ("occ", "n", "k")
-
-    def __init__(self, occ):
-        arr = np.asarray(occ, dtype=np.int8).copy()
-        if np.any((arr != 0) & (arr != 1)):
-            raise ContractError("occupancies must be 0/1")
-        self.occ = arr
-        self.n = int(arr.shape[0])
-        self.k = int(arr.sum())
-
-    @classmethod
-    def left_packed(cls, n: int, k: int) -> "AsepState":
-        if not 0 <= k <= n:
-            raise ContractError("k must lie in 0..n")
-        occ = np.zeros(n, dtype=np.int8)
-        occ[:k] = 1
-        return cls(occ)
-
-    @classmethod
-    def right_packed(cls, n: int, k: int) -> "AsepState":
-        if not 0 <= k <= n:
-            raise ContractError("k must lie in 0..n")
-        occ = np.zeros(n, dtype=np.int8)
-        occ[n - k:] = 1
-        return cls(occ)
-
-    def prefix_counts(self) -> np.ndarray:
-        return np.cumsum(self.occ)
-
-    def to_tuple(self) -> tuple:
-        return tuple(int(v) for v in self.occ)
-
-    def copy(self) -> "AsepState":
-        return AsepState(self.occ)
-
-    def __eq__(self, other):
-        if not isinstance(other, AsepState):
-            return NotImplemented
-        return np.array_equal(self.occ, other.occ)
-
-    def __repr__(self):
-        return f"AsepState({''.join(map(str, self.occ))})"
-
-
-def eta_projection(sigma: Permutation, k: int) -> AsepState:
-    """Occupancy vector marking positions holding particles with label <= k."""
-    if not 1 <= k < sigma.n:
-        raise ContractError("k must lie in 1..n-1")
-    return AsepState((sigma.forward <= k).astype(np.int8))
-
-
-def left_order_leq(Y: AsepState, Yp: AsepState) -> bool:
-    """Y is (weakly) to the left of Yp: prefix counts dominate everywhere."""
-    if Y.n != Yp.n or Y.k != Yp.k:
-        raise ContractError("states must share n and k")
-    return bool(np.all(Y.prefix_counts() >= Yp.prefix_counts()))
-
-
-def asep_step(Y: AsepState, q: float, draw: UpdateDraw) -> AsepState:
-    """One ASEP update: an occupied/empty edge resolves to (1,0) iff u < q."""
-    if not 0.0 < q < 1.0:
-        raise ContractError("q must lie in (0, 1)")
-    i = draw.edge
-    if not 1 <= i <= Y.n - 1:
-        raise ContractError("edge out of range")
-    out = Y.copy()
-    a, b = out.occ[i - 1], out.occ[i]
-    if a + b == 1:
-        left = 1 if draw.u < q else 0
-        out.occ[i - 1] = left
-        out.occ[i] = 1 - left
-    return out
-
-
-def coupled_asep_step(Y: AsepState, Yp: AsepState, q: float,
-                      draw: UpdateDraw) -> tuple:
-    """Monotone coupling: both states resolve the shared edge with the same u."""
-    if not left_order_leq(Y, Yp):
-        raise ContractError("precondition Y <= Yp fails")
-    out = (asep_step(Y, q, draw), asep_step(Yp, q, draw))
-    if not left_order_leq(out[0], out[1]):
-        raise AssertionError("monotone coupling violated the order")
-    return out
-
-
-def coupled_domination_step(sigma: Permutation, p: BiasMatrix, aseps: dict,
-                            q: float, draw: UpdateDraw,
-                            ell: LocalizationVector | None = None) -> tuple:
-    """Advance the chain and a family {k: AsepState} on one shared draw.
-
-    The chain uses the order-based convention, each ASEP resolves to (1,0)
-    iff u < q; with q/(1-q) <= 1+eps the projections stay dominated, and the
-    restricted variant (ell given) preserves the same invariant because only
-    in-order pairs ever get rejected.
-    """
-    eps = p.epsilon
-    if q / (1.0 - q) > 1.0 + eps + 1e-12:
-        raise ContractError("need q/(1-q) <= 1+eps for domination")
-    for k, Y in aseps.items():
-        if not left_order_leq(eta_projection(sigma, k), Y):
-            raise ContractError(f"precondition eta_{k} <= Y fails")
-    new_sigma = _ordered_pair_update(sigma, p, draw, ell)
-    new_aseps = {k: asep_step(Y, q, draw) for k, Y in aseps.items()}
-    for k, Y in new_aseps.items():
-        if not left_order_leq(eta_projection(new_sigma, k), Y):
-            raise AssertionError(f"domination invariant broken at k={k}")
-    return new_sigma, new_aseps
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +387,13 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
 def write_checkpoint(fh, step: int, sigma: Permutation, tracked_ks=()) -> None:
     """Line-delimited trajectory record: step, state, displacement, projections."""
     from .perms import max_displacement
+    f = sigma.forward.tolist()
     rec = {
         "step": step,
-        "permutation": list(sigma.to_tuple()),
+        "permutation": f,
         "max_displacement": max_displacement(sigma),
-        "projections": {str(k): eta_projection(sigma, k).to_tuple()
-                        for k in tracked_ks},
+        # eta_k marks the positions holding labels <= k
+        "projections": {str(k): [int(v <= k) for v in f] for k in tracked_ks},
     }
     fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -616,26 +490,45 @@ _DIFFERS = (0, 1, 1, 0)          # top and bottom disagree at the site
 _BOTTOM_MINUS_TOP = (0, 1, -1, 0)
 
 
+def _asep_edge(x: int, y: int, left: bool) -> tuple:
+    """The ASEP update of one edge: the new occupancy words of its sites.
+
+    Bit j of x and y is process j's occupancy of the edge's left and right
+    site.  Each process with one particle on the edge puts it on the left
+    site iff left (u < q); the others keep their bits.
+    """
+    movable = x ^ y
+    return (x | movable, y & ~movable) if left else (x & ~movable, y | movable)
+
+
 def _pair_moves() -> tuple:
     """One-edge transitions of a coupled pair, as two tables (u >= q, u < q).
 
     Entry ``x << 2 | y`` of a table gives the new codes of an edge whose sites
-    hold x and y, and the change in the number of disagreeing sites.  Each
-    process whose edge holds one particle moves it left iff u < q.
+    hold x and y, and the change in the number of disagreeing sites.
     """
     tables = ([], [])
     for left, table in enumerate(tables):
         for x in range(4):
             for y in range(4):
-                movable = x ^ y
-                nx, ny = (x | movable, y & ~movable) if left else \
-                    (x & ~movable, y | movable)
+                nx, ny = _asep_edge(x, y, left)
                 table.append((nx, ny, _DIFFERS[nx] + _DIFFERS[ny]
                               - _DIFFERS[x] - _DIFFERS[y]))
     return tuple(map(tuple, tables))
 
 
 _PAIR_MOVES = _pair_moves()
+
+
+def _packed_pair(n: int, k: int, q: float) -> tuple:
+    """The top (right-packed) and bottom (left-packed) k-particle rows of the
+    ASEP pair drivers, after refusing a k outside 0..n and a q outside
+    [0, 1]."""
+    if not 0 <= k <= n:
+        raise ContractError(f"k must lie in 0..n, got k = {k}, n = {n}")
+    if not 0.0 <= q <= 1.0:
+        raise ContractError(f"q must lie in [0, 1], got q = {q!r}")
+    return [int(i >= n - k) for i in range(n)], [int(i < k) for i in range(n)]
 
 
 def asep_pair_coalescence(n: int, k: int, q: float, seed: int,
@@ -645,8 +538,9 @@ def asep_pair_coalescence(n: int, k: int, q: float, seed: int,
     Step t draws the edge as ``random.Random(seed).randrange(n - 1)`` does
     (getrandbits with rejection), then its uniform with ``random()``.
     """
-    top = AsepState.right_packed(n, k).occ.tolist()
-    bot = AsepState.left_packed(n, k).occ.tolist()
+    if t_cap < 0:
+        raise ContractError(f"t_cap must be >= 0, got {t_cap}")
+    top, bot = _packed_pair(n, k, q)
     codes = [2 * a + b for a, b in zip(top, bot)]
     rnd = random.Random(seed)
     diff = sum(_DIFFERS[c] for c in codes)
@@ -716,12 +610,25 @@ def domination_audit_run(n: int, p: BiasMatrix, q: float, ks, steps: int,
     Violations, if any, are appended to log_path as line-delimited records
     with the step, edge, uniform variate, and both states.
     """
+    if n < 2:
+        raise ContractError(f"the audit needs n >= 2 labels, got n = {n}")
     sigma = start if start is not None else Permutation.reversal(n)
-    if sigma.n != n:
-        raise ContractError("start must be a permutation of n labels")
+    if not sigma.n == p.n == n:
+        raise ContractError("start and p must have n labels")
     if ell is not None and not is_localized(sigma, ell):
         raise ContractError("start must be localized")
+    eps = p.epsilon
+    # q/(1-q) <= 1+eps, multiplied out: q = 1 is dominated only at eps = inf
+    if not (0.0 <= q <= 1.0 and (eps == math.inf
+                                 or q <= (1.0 + eps + 1e-12) * (1.0 - q))):
+        raise ContractError("domination needs q in [0, 1] with q/(1-q) <= "
+                            f"1+eps, got q = {q!r}, eps = {eps!r}")
     ks = sorted(int(k) for k in ks)
+    if not ks or not all(1 <= k < n for k in ks):
+        raise ContractError(f"ks must be a nonempty list in 1..{n - 1}, "
+                            f"got {ks}")
+    if steps < 0:
+        raise ContractError(f"steps must be >= 0, got {steps}")
     F = sigma.forward.tolist()
     Y = [[int(v <= k) for v in F] for k in ks]
     violations = _domination_audit(F, Y, p, q, ks, steps, seed, ell, log_path)
@@ -741,10 +648,9 @@ def _domination_audit(F: list, Y: list, p: BiasMatrix, q: float, ks: list,
     first j sites) and the number of negative entries over all k.  A step at
     edge e changes only D_k[e], so it is recomputed from D_k[e - 1] and the
     new cell values; a full recount after every draw chunk cross-checks it.
+    The caller, as domination_audit_run does, checks q against p.epsilon.
     """
     n = len(F)
-    if q / (1.0 - q) > 1.0 + p.epsilon + 1e-12:
-        raise ContractError("need q/(1-q) <= 1+eps for domination")
     K = len(ks)
     # bit j of eta_mask[label] is set iff label <= ks[j]; bit j of y[i] is
     # Y[j][i], so one ASEP update moves every process on the edge at once
@@ -771,13 +677,9 @@ def _domination_audit(F: list, Y: list, p: BiasMatrix, q: float, ks: list,
                 changed = (eta_mask[F[i]] ^ eta_mask[F[e]]
                            if step(F, e, u) else 0)
                 yi = y[i]
-                movable = yi ^ y[e]
-                if movable:
-                    new_yi = yi | movable if u < q else yi & ~movable
-                    moved = new_yi ^ yi
-                    y[i] = new_yi
-                    y[e] ^= moved
-                    changed |= moved
+                if yi != y[e]:
+                    y[i], y[e] = _asep_edge(yi, y[e], u < q)
+                    changed |= y[i] ^ yi
                 if changed:
                     eta = eta_mask[F[i]]
                     yi = y[i]
@@ -806,8 +708,11 @@ def _domination_audit(F: list, Y: list, p: BiasMatrix, q: float, ks: list,
 def asep_monotone_audit_run(n: int, k: int, q: float, steps: int,
                             seed: int) -> dict:
     """Long coupled top/bottom ASEP run with an order audit after every step."""
-    top = AsepState.right_packed(n, k).occ.tolist()
-    bot = AsepState.left_packed(n, k).occ.tolist()
+    if n < 2:
+        raise ContractError(f"the audit needs n >= 2 sites, got n = {n}")
+    if steps < 0:
+        raise ContractError(f"steps must be >= 0, got {steps}")
+    top, bot = _packed_pair(n, k, q)
     violations = _monotone_audit(top, bot, q, steps, seed)
     return {"steps": steps, "audits": steps, "violations": violations}
 

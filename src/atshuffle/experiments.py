@@ -741,8 +741,9 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
             raise ContractError("coupling mode works on the constant-bias family")
         q = (float(family["q"]) if family["kind"] == "constant-q"
              else (1.0 + family["eps"]) / (2.0 + family["eps"]))
-        if not q > 0.5:
-            raise ContractError(f"coupling mode needs q > 1/2, got q = {q!r}")
+        if not 0.5 < q <= 1.0:
+            raise ContractError(f"coupling mode needs q in (1/2, 1], "
+                                f"got q = {q!r}")
         work = []
         for n in ns:
             k = n // 2

@@ -86,30 +86,10 @@ class Permutation:
         return f"Permutation({self.to_tuple()})"
 
 
-def apply_adjacent_transposition(sigma: Permutation, i: int) -> Permutation:
-    """Return sigma composed with the swap of positions (i, i+1)."""
-    out = sigma.copy()
-    out.swap(i)
-    return out
-
-
 def max_displacement(sigma: Permutation) -> int:
     """max over particles k of |position(k) - k|."""
     n = sigma.n
     return int(np.max(np.abs(sigma.inverse - np.arange(1, n + 1)))) if n else 0
-
-
-def is_disconnecting(sigma: Permutation, k: int) -> bool:
-    """True iff the first k positions hold exactly the particles {1..k}."""
-    if not 1 <= k <= sigma.n:
-        raise ContractError(f"position {k} out of range 1..{sigma.n}")
-    return int(np.max(sigma.forward[:k])) == k
-
-
-def disconnecting_positions(sigma: Permutation) -> list:
-    """All disconnecting positions, via a single running-max sweep."""
-    run = np.maximum.accumulate(sigma.forward)
-    return [int(k) for k in np.nonzero(run == np.arange(1, sigma.n + 1))[0] + 1]
 
 
 class LocalizationVector:
@@ -614,18 +594,6 @@ def restrict_instance(boundary: BoundaryAssignment, p: BiasMatrix,
     sub_p = p.submatrix(r)
     sub_ell = _induced(r, boundary.i, ell) if ell is not None else None
     return sub_p, sub_ell, r
-
-
-def embed(sub_sigma: Permutation, boundary: BoundaryAssignment,
-          r: np.ndarray) -> Permutation:
-    """Rebuild the full permutation from its relabeled interior sub_sigma."""
-    n = boundary.n
-    i = boundary.i
-    forward = np.empty(n, dtype=np.int64)
-    for pos, v in boundary.values().items():
-        forward[pos - 1] = v
-    forward[i:i + boundary.interior_size] = r[sub_sigma.forward - 1]
-    return Permutation(forward)
 
 
 def random_admissible_localization(n: int, rng: np.random.Generator,

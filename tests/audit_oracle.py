@@ -6,6 +6,7 @@ drivers, so on shared seeds both must flag the same steps and return the same
 meeting times.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -14,6 +15,31 @@ from atshuffle.chains import (derive_rng, experiment_id,
                               write_coupling_violation)
 
 CHUNK = 8192
+
+
+def ordered_update(F, e, u, dense, ell=None):
+    """The order-based chain update at edge e of row F, in place: the smaller
+    label ends ahead iff u < dense[low - 1, high - 1], and with ell a swap
+    that would leave the localized set is rejected.  Returns whether it
+    swapped."""
+    a = F[e - 1]
+    b = F[e]
+    pair_lo, pair_hi = (a, b) if a < b else (b, a)
+    want_lo_ahead = u < dense[pair_lo - 1, pair_hi - 1]
+    do_swap = (want_lo_ahead and a > b) or (not want_lo_ahead and a < b)
+    if do_swap and ell is not None:
+        do_swap = (e + 1 - a) <= ell.hi[a - 1] and (b - e) <= ell.lo[b - 1]
+    if do_swap:
+        F[e - 1] = b
+        F[e] = a
+    return do_swap
+
+
+def left_of(Y, Yp):
+    """Whether occupancy row Y is weakly left of Yp: every prefix of Y holds
+    at least as many particles as the same prefix of Yp."""
+    return all(a >= b for a, b in zip(itertools.accumulate(Y),
+                                      itertools.accumulate(Yp)))
 
 
 def domination_audit(F0, Y0, p, q, ks, steps, seed, ell=None, log_path=None):
@@ -26,8 +52,6 @@ def domination_audit(F0, Y0, p, q, ks, steps, seed, ell=None, log_path=None):
     ks = np.array(ks, dtype=np.int64)
     n = len(F)
     dense = p.dense()
-    lo = ell.lo if ell is not None else None
-    hi = ell.hi if ell is not None else None
     rng = derive_rng(seed, experiment_id("domination-audit"))
     flagged = []
     log_fh = open(log_path, "a") if log_path else None
@@ -37,16 +61,7 @@ def domination_audit(F0, Y0, p, q, ks, steps, seed, ell=None, log_path=None):
         us = rng.random(CHUNK)
         for e, u in zip(edges[:steps - t], us[:steps - t]):
             t += 1
-            a = F[e - 1]
-            b = F[e]
-            pair_lo, pair_hi = (a, b) if a < b else (b, a)
-            want_lo_ahead = u < dense[pair_lo - 1, pair_hi - 1]
-            do_swap = (want_lo_ahead and a > b) or (not want_lo_ahead and a < b)
-            if do_swap and lo is not None:
-                do_swap = (e + 1 - a) <= hi[a - 1] and (b - e) <= lo[b - 1]
-            if do_swap:
-                F[e - 1] = b
-                F[e] = a
+            ordered_update(F, e, u, dense, ell)
             s = Y[:, e - 1] + Y[:, e]
             active = s == 1
             if np.any(active):

@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
+from audit_oracle import left_of
 from atshuffle.banddp import (BandDP, band_dp_conditional_marginal,
                               band_dp_partition)
-from atshuffle.chains import (AsepState, UpdateDraw, asep_monotone_audit_run,
-                              coupled_asep_step, domination_audit_run,
-                              eta_projection, left_order_leq)
+from atshuffle.chains import (_asep_edge, _ordered_list_step,
+                              asep_monotone_audit_run, domination_audit_run)
 from atshuffle.experiments import (BlockSchedule, block_chain_mixing,
                                    block_decomposition_check,
                                    burn_in_scaling, disconnect_probability,
@@ -147,44 +147,23 @@ def _exhaustive_chain_asep_domination(n: int, p: BiasMatrix, q: float) -> int:
     us = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:]) if b > a]
     occ_by_k = {k: [s for s in itertools.product((0, 1), repeat=n)
                     if sum(s) == k] for k in range(1, n)}
+    step = _ordered_list_step(p, None)
     violations = 0
     for perm in itertools.permutations(range(1, n + 1)):
+        # the ASEP rows that the projections of perm dominate
+        dominated = {k: [Y for Y in occ_by_k[k]
+                         if left_of([int(v <= k) for v in perm], Y)]
+                     for k in range(1, n)}
         for e in range(1, n):
-            a, b = perm[e - 1], perm[e]
-            lo, hi = (a, b) if a < b else (b, a)
-            p_lo = dense[lo - 1, hi - 1]
             for u in us:
-                want_lo_ahead = u < p_lo
-                if (want_lo_ahead and a > b) or (not want_lo_ahead and a < b):
-                    new_perm = perm[:e - 1] + (b, a) + perm[e + 1:]
-                else:
-                    new_perm = perm
-                left = 1 if u < q else 0
-                for k in range(1, n):
-                    eta = tuple(1 if v <= k else 0 for v in perm)
-                    eta_new = tuple(1 if v <= k else 0 for v in new_perm)
-                    for Y in occ_by_k[k]:
-                        ok = True
-                        c1 = c2 = 0
-                        for i in range(n):
-                            c1 += eta[i]
-                            c2 += Y[i]
-                            if c1 < c2:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                        if Y[e - 1] + Y[e] == 1:
-                            Yn = Y[:e - 1] + (left, 1 - left) + Y[e + 1:]
-                        else:
-                            Yn = Y
-                        c1 = c2 = 0
-                        for i in range(n):
-                            c1 += eta_new[i]
-                            c2 += Yn[i]
-                            if c1 < c2:
-                                violations += 1
-                                break
+                new_perm = list(perm)
+                step(new_perm, e, u)
+                for k, rows in dominated.items():
+                    eta_new = [int(v <= k) for v in new_perm]
+                    for Y in rows:
+                        Yn = list(Y)
+                        Yn[e - 1], Yn[e] = _asep_edge(Y[e - 1], Y[e], u < q)
+                        violations += not left_of(eta_new, Yn)
     return violations
 
 
@@ -196,17 +175,20 @@ def test_criterion_5_coupling_invariants():
         for k in range(1, n):
             states = [s for s in itertools.product((0, 1), repeat=n)
                       if sum(s) == k]
-            for Ys in states:
-                for Yps in states:
-                    Y, Yp = AsepState(Ys), AsepState(Yps)
-                    if not left_order_leq(Y, Yp):
+            for Y in states:
+                for Yp in states:
+                    if not left_of(Y, Yp):
                         continue
+                    # the pair packed as the pair drivers pack it: bit 0
+                    # from Y, bit 1 from Yp
+                    words = [a | b << 1 for a, b in zip(Y, Yp)]
                     for e in range(1, n):
                         for u in (0.3, 0.9):
-                            try:
-                                coupled_asep_step(Y, Yp, 0.75,
-                                                  UpdateDraw(0, e, u))
-                            except AssertionError:
+                            w = words.copy()
+                            w[e - 1], w[e] = _asep_edge(w[e - 1], w[e],
+                                                        u < 0.75)
+                            if not left_of([x & 1 for x in w],
+                                           [x >> 1 for x in w]):
                                 asep_viol += 1
     # exhaustive chain x ASEP-family at n <= 6 (constant and random bias)
     dom_viol = _exhaustive_chain_asep_domination(

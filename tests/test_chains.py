@@ -1,3 +1,5 @@
+import io
+import json
 from collections import Counter
 
 import numpy as np
@@ -6,18 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from audit_oracle import left_of, ordered_update
 from banddp_oracle import random_bias_with_certain_pairs
 from kernel_oracle import (reference_asep_transition_matrix,
                            reference_asep_weights, reference_block_kernel)
 from atshuffle import chains
 from atshuffle.banddp import heat_bath_block_rows
-from atshuffle.chains import (AsepState, BlockSchedule, UpdateDraw,
+from atshuffle.chains import (BlockSchedule, UpdateDraw, _asep_edge,
                               _audit_draws, asep_rightmost_tail,
-                              asep_stationary, asep_step,
-                              asep_transition_matrix, at_step, block_step,
-                              derive_rng, ensemble_chain_run, eta_projection,
-                              exact_block_kernel, experiment_id,
-                              left_order_leq, twin_chain_coupling_run)
+                              asep_stationary, asep_transition_matrix,
+                              at_step, block_step, derive_rng,
+                              ensemble_chain_run, exact_block_kernel,
+                              experiment_id, twin_chain_coupling_run,
+                              write_checkpoint)
 from atshuffle.errors import CapExceeded, ContractError
 from atshuffle.measure import (build_transition_matrix, check_detailed_balance,
                                enumerate_stationary, spectral_gap)
@@ -219,25 +222,31 @@ def test_ensemble_contract_errors():
 
 
 def test_eta_projection_examples():
-    assert eta_projection(Permutation((3, 1, 2)), 2).to_tuple() == (0, 1, 1)
-    assert eta_projection(Permutation.identity(5), 2).to_tuple() == (1, 1, 0, 0, 0)
-    assert eta_projection(Permutation.reversal(4), 1).to_tuple() == (0, 0, 0, 1)
+    # the trajectory records eta_k: 1 at the positions of labels <= k
+    for sigma, k, eta in (((3, 1, 2), 2, [0, 1, 1]),
+                          ((1, 2, 3, 4, 5), 2, [1, 1, 0, 0, 0]),
+                          ((4, 3, 2, 1), 1, [0, 0, 0, 1])):
+        fh = io.StringIO()
+        write_checkpoint(fh, 0, Permutation(sigma), tracked_ks=[k])
+        assert json.loads(fh.getvalue())["projections"] == {str(k): eta}
 
 
 def test_left_order_examples():
-    assert left_order_leq(AsepState((1, 1, 0, 0)), AsepState((1, 0, 1, 0)))
-    Y = AsepState((1, 0, 1))
-    assert left_order_leq(Y, Y)
-    assert not left_order_leq(AsepState((0, 1)), AsepState((1, 0)))
-    with pytest.raises(ContractError):
-        left_order_leq(AsepState((1, 0)), AsepState((1, 1)))
+    # the proofs' prefix check
+    assert left_of((1, 1, 0, 0), (1, 0, 1, 0))
+    assert left_of((1, 0, 1), (1, 0, 1))
+    assert not left_of((0, 1), (1, 0))
 
 
 def test_asep_step_examples():
-    assert asep_step(AsepState((0, 1)), 0.75, UpdateDraw(0, 1, 0.3)).to_tuple() == (1, 0)
-    assert asep_step(AsepState((1, 0)), 0.75, UpdateDraw(0, 1, 0.8)).to_tuple() == (0, 1)
-    assert asep_step(AsepState((1, 1)), 0.75, UpdateDraw(0, 1, 0.1)).to_tuple() == (1, 1)
-    assert asep_step(AsepState((0, 0)), 0.75, UpdateDraw(0, 1, 0.9)).to_tuple() == (0, 0)
+    # one process: a lone particle on the edge goes left iff u < q
+    assert _asep_edge(0, 1, 0.3 < 0.75) == (1, 0)
+    assert _asep_edge(1, 0, 0.8 < 0.75) == (0, 1)
+    assert _asep_edge(1, 1, 0.1 < 0.75) == (1, 1)
+    assert _asep_edge(0, 0, 0.9 < 0.75) == (0, 0)
+    # bit j is process j: processes 2 and 3 move, 0 and 1 keep their sites
+    assert _asep_edge(0b0110, 0b1010, True) == (0b1110, 0b0010)
+    assert _asep_edge(0b0110, 0b1010, False) == (0b0010, 0b1110)
 
 
 def test_asep_stationary_examples():
@@ -492,13 +501,14 @@ def _first_agreement(a, b, p, ell, T, seed):
     stream."""
     if a == b:
         return 0
+    a, b = a.forward.tolist(), b.forward.tolist()
+    dense = p.dense()
     rng = derive_rng(seed, experiment_id("twin-draws"))
-    for t, edges, us in _audit_draws(rng, a.n, T):
+    for t, edges, us in _audit_draws(rng, len(a), T):
         for e, u in zip(edges, us):
             t += 1
-            draw = UpdateDraw(t, e, u)
-            a = chains._ordered_pair_update(a, p, draw, ell)
-            b = chains._ordered_pair_update(b, p, draw, ell)
+            ordered_update(a, e, u, dense, ell)
+            ordered_update(b, e, u, dense, ell)
             if a == b:
                 return t
     return None
@@ -528,16 +538,14 @@ def test_twin_meets_when_two_ordered_chains_first_agree(n, seed, restricted,
 def _threshold_order_run(bottom, top, step, rng, steps):
     """Advance list rows bottom and top by step(f, e, u) on shared draws.
 
-    The start pair must be ordered.  Raises AssertionError, as
-    coupled_asep_step does, after the first draw that leaves some threshold
-    projection of bottom right of top's.
+    The start pair must be ordered.  Raises AssertionError after the first
+    draw that leaves some threshold projection of bottom right of top's.
     """
     n = len(bottom)
 
     def in_order():
-        return all(left_order_leq(eta_projection(Permutation(bottom), k),
-                                  eta_projection(Permutation(top), k))
-                   for k in range(1, n))
+        return all(left_of([int(v <= k) for v in bottom],
+                           [int(v <= k) for v in top]) for k in range(1, n))
 
     if not in_order():
         raise ContractError("the start pair is not ordered")
@@ -609,8 +617,7 @@ def test_update_draw_contract():
 
 
 def test_checkpoint_and_audit_records(tmp_path):
-    import json
-    from atshuffle.chains import (domination_audit_run, write_checkpoint,
+    from atshuffle.chains import (domination_audit_run,
                                   write_coupling_violation)
     path = tmp_path / "traj.jsonl"
     with open(path, "w") as fh:

@@ -526,12 +526,16 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
     ({"command": "asep", "n": 6, "k": -1, "q": 0.75}, "needs k >= 0"),
     ({"command": "asep", "n": 6, "k": 3, "q": 1}, "1/2 < q < 1, got k = 3, q = 1"),
     ({"command": "mix", "ns": [8, 12], "p": {"family": "constant-q", "q": 0.5},
-      "budget": 2}, "coupling mode needs q > 1/2, got q = 0.5"),
+      "budget": 2}, "coupling mode needs q in (1/2, 1], got q = 0.5"),
     # lowerbound's certificate needs eps >= 0: q = 0 used to end in a
     # ZeroDivisionError, q = 0.3 in a failed verdict against it
     *[({"command": "lowerbound", "n": 16,
         "p": {"family": "constant-q", "q": q}, "replicas": 10},
        "0-positively biased") for q in (0.0, 0.3)],
+    # coupling mode builds no bias matrix, so q > 1 used to pass
+    ({"command": "mix", "ns": [8, 12], "p": {"family": "constant-q", "q": 1.5},
+      "method": "coupling", "budget": 4},
+     "coupling mode needs q in (1/2, 1], got q = 1.5"),
 ])
 def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
                                                             message):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -7,18 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import audit_oracle
+from audit_oracle import left_of
 from atshuffle import chains
-from atshuffle.chains import (AsepState, UpdateDraw, asep_monotone_audit_run,
-                              asep_pair_coalescence, coupled_asep_step,
-                              coupled_domination_step, domination_audit_run,
-                              eta_projection, left_order_leq)
+from atshuffle.chains import (_asep_edge, _ordered_list_step,
+                              asep_monotone_audit_run, asep_pair_coalescence,
+                              domination_audit_run)
 from atshuffle.errors import ContractError
 from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
                              is_localized, random_admissible_localization)
-
-
-def prefix_ok(Y, Yp):
-    return all(a >= b for a, b in zip(np.cumsum(Y), np.cumsum(Yp)))
 
 
 def occupancy_states(n, k):
@@ -32,7 +29,7 @@ def test_observation_two_cases_are_exhaustive():
             states = occupancy_states(n, k)
             for Y in states:
                 for Yp in states:
-                    if not prefix_ok(Y, Yp):
+                    if not left_of(Y, Yp):
                         continue
                     for i in range(n - 1):
                         for sa in (False, True):
@@ -43,7 +40,7 @@ def test_observation_two_cases_are_exhaustive():
                                     Ya[i], Ya[i + 1] = Ya[i + 1], Ya[i]
                                 if sb and Yb[i] + Yb[i + 1] == 1:
                                     Yb[i], Yb[i + 1] = Yb[i + 1], Yb[i]
-                                if prefix_ok(Ya, Yb):
+                                if left_of(Ya, Yb):
                                     continue
                                 pre = ((Y[i], Y[i + 1]), (Yp[i], Yp[i + 1]))
                                 post = ((Ya[i], Ya[i + 1]), (Yb[i], Yb[i + 1]))
@@ -54,35 +51,46 @@ def test_observation_two_cases_are_exhaustive():
                                 assert case1 or case2, (Y, Yp, i, post)
 
 
+def coupled_asep_step(Y, Yp, q, e, u):
+    """Both rows after the engine's ASEP edge rule at edge e on uniform u,
+    applied to the pair packed as two-bit words (bit 0 from Y, bit 1 from
+    Yp), as the pair drivers pack it."""
+    words = [a | b << 1 for a, b in zip(Y, Yp)]
+    words[e - 1], words[e] = _asep_edge(words[e - 1], words[e], u < q)
+    return [w & 1 for w in words], [w >> 1 for w in words]
+
+
+def asep_step(Y, q, e, u):
+    """Row Y after the engine's ASEP edge rule at edge e on uniform u."""
+    Y = list(Y)
+    Y[e - 1], Y[e] = _asep_edge(Y[e - 1], Y[e], u < q)
+    return Y
+
+
+def eta(f, k):
+    return [int(v <= k) for v in f]
+
+
 def test_coupled_asep_step_exhaustive():
     q = 0.75
     for n, k in ((4, 2), (5, 2), (5, 3)):
         states = occupancy_states(n, k)
         for Y in states:
             for Yp in states:
-                if not prefix_ok(Y, Yp):
+                if not left_of(Y, Yp):
                     continue
                 for e in range(1, n):
                     for u in (0.2, 0.8):
-                        Ya, Yb = coupled_asep_step(AsepState(Y), AsepState(Yp),
-                                                   q, UpdateDraw(0, e, u))
-                        assert left_order_leq(Ya, Yb)
+                        assert left_of(*coupled_asep_step(Y, Yp, q, e, u))
 
 
 def test_coupled_asep_step_equal_states_stay_equal():
     rng = np.random.default_rng(0)
-    Y = AsepState((0, 1, 0, 1, 1, 0))
-    Yp = Y.copy()
+    Y = Yp = [0, 1, 0, 1, 1, 0]
     for t in range(200):
-        d = UpdateDraw(t, int(rng.integers(1, 6)), float(rng.random()))
-        Y, Yp = coupled_asep_step(Y, Yp, 0.75, d)
-        assert Y == Yp
-
-
-def test_coupled_asep_precondition():
-    with pytest.raises(ContractError):
-        coupled_asep_step(AsepState((0, 1)), AsepState((1, 0)), 0.75,
-                          UpdateDraw(0, 1, 0.5))
+        Y, Yp = coupled_asep_step(Y, Yp, 0.75, int(rng.integers(1, 6)),
+                                  float(rng.random()))
+        assert Y == Yp and sum(Y) == 3
 
 
 def test_monotone_trajectory_audit():
@@ -100,19 +108,17 @@ def test_domination_exhaustive_small():
                   BiasMatrix.random_biased(n, 2.0, rng)):
             q = 0.75  # q/(1-q) = 3 <= 1 + eps for both instances
             all_states = {k: occupancy_states(n, k) for k in range(1, n)}
+            step = _ordered_list_step(p, None)
             for perm in itertools.permutations(range(1, n + 1)):
-                sigma = Permutation(perm)
-                for k in range(1, n):
-                    eta = eta_projection(sigma, k)
-                    for Ys in all_states[k]:
-                        Y = AsepState(Ys)
-                        if not left_order_leq(eta, Y):
-                            continue
-                        for e in range(1, n):
-                            for u in ugrid:
-                                coupled_domination_step(
-                                    sigma, p, {k: Y}, q,
-                                    UpdateDraw(0, e, float(u)))
+                for e in range(1, n):
+                    for u in map(float, ugrid):
+                        f = list(perm)
+                        step(f, e, u)
+                        for k in range(1, n):
+                            for Y in all_states[k]:
+                                if left_of(eta(perm, k), Y):
+                                    assert left_of(eta(f, k),
+                                                   asep_step(Y, q, e, u))
 
 
 def test_domination_exhaustive_restricted():
@@ -123,29 +129,27 @@ def test_domination_exhaustive_restricted():
     p = BiasMatrix.random_biased(n, 2.0, rng)
     for trial in range(5):
         ell = random_admissible_localization(n, rng, max_ell=2)
+        step = _ordered_list_step(p, ell)
         for perm in itertools.permutations(range(1, n + 1)):
-            sigma = Permutation(perm)
-            if not is_localized(sigma, ell):
+            if not is_localized(Permutation(perm), ell):
                 continue
-            for k in range(1, n):
-                eta = eta_projection(sigma, k)
-                for Ys in occupancy_states(n, k):
-                    Y = AsepState(Ys)
-                    if not left_order_leq(eta, Y):
-                        continue
-                    for e in range(1, n):
-                        for u in ugrid:
-                            coupled_domination_step(
-                                sigma, p, {k: Y}, 0.75,
-                                UpdateDraw(0, e, float(u)), ell=ell)
+            for e in range(1, n):
+                for u in map(float, ugrid):
+                    f = list(perm)
+                    step(f, e, u)
+                    assert is_localized(Permutation(f), ell)
+                    for k in range(1, n):
+                        for Y in occupancy_states(n, k):
+                            if left_of(eta(perm, k), Y):
+                                assert left_of(eta(f, k),
+                                               asep_step(Y, 0.75, e, u))
 
 
 def test_domination_rejects_too_large_q():
     p = BiasMatrix.constant(3, 0.6)  # eps = 0.5
-    sigma = Permutation.identity(3)
-    Y = eta_projection(sigma, 1)
-    with pytest.raises(ContractError):
-        coupled_domination_step(sigma, p, {1: Y}, 0.9, UpdateDraw(0, 1, 0.5))
+    with pytest.raises(ContractError, match="q/.1-q. <= 1.eps"):
+        domination_audit_run(3, p, 0.9, [1], 10, 0,
+                             start=Permutation.identity(3))
 
 
 def test_domination_trajectory_audit():
@@ -277,8 +281,8 @@ def test_monotone_audit_matches_full_recount(n, data, seed, steps, q, inject):
     if inject:
         top, bot = random_occupancy(n, k, rng), random_occupancy(n, k, rng)
     else:
-        top = AsepState.right_packed(n, k).occ.tolist()
-        bot = AsepState.left_packed(n, k).occ.tolist()
+        top = [int(i >= n - k) for i in range(n)]
+        bot = [int(i < k) for i in range(n)]
     flagged = []
     got = chains._monotone_audit(top, bot, q, steps, seed, flagged)
     assert (got, flagged) == audit_oracle.monotone_audit(top, bot, q, steps,
@@ -313,6 +317,46 @@ def test_pair_coalescence_matches_reference(n, data, q, seed, t_cap):
     k = data.draw(st.integers(0, n), label="k")
     assert asep_pair_coalescence(n, k, q, seed, t_cap) == \
         audit_oracle.pair_coalescence(n, k, q, seed, t_cap)
+
+
+@pytest.mark.parametrize("labels, q, ks, steps", [
+    (6, 1.0, [2], 100),     # used to divide by zero
+    (6, 1.5, [2], 100),     # used to run and report 65 violations
+    (6, math.nan, [2], 100),
+    (6, 0.75, [0], 100), (6, 0.75, [6], 100), (6, 0.75, [9], 100),
+    (6, 0.75, [-1], 100),
+    (6, 0.75, [], 100),     # used to audit nothing and pass
+    (6, 0.75, [2], -5),     # used to record "steps": -5
+    (8, 0.75, [2], 100),    # used to run on p's first six labels
+])
+def test_domination_audit_refuses_a_broken_contract(labels, q, ks, steps):
+    p = BiasMatrix.constant(labels, 0.75)
+    with pytest.raises(ContractError):
+        domination_audit_run(6, p, q, ks, steps, 0)
+
+
+def test_domination_audit_admits_q_one_only_at_infinite_eps():
+    rec = domination_audit_run(6, BiasMatrix.totally_asymmetric(6), 1.0, [2],
+                               100, 0)
+    assert rec["violations"] == 0
+
+
+@pytest.mark.parametrize("q, horizon", [
+    (1.5, 10), (-0.5, 10), (math.nan, 10), (0.75, -1)])
+def test_asep_drivers_refuse_a_bad_q_or_horizon(q, horizon):
+    with pytest.raises(ContractError):
+        asep_pair_coalescence(6, 3, q, 0, horizon)
+    with pytest.raises(ContractError):
+        asep_monotone_audit_run(6, 3, q, horizon, 0)
+
+
+def test_monotone_audit_refuses_a_single_site():
+    # numpy's integers(1, 1) used to raise ValueError: low >= high
+    with pytest.raises(ContractError, match="n >= 2"):
+        asep_monotone_audit_run(1, 0, 0.7, 10, 0)
+    # a single site has nothing to couple: the pair has already met
+    assert asep_pair_coalescence(1, 0, 0.7, 0, 10) == 0
+    assert asep_pair_coalescence(1, 1, 0.7, 0, 10) == 0
 
 
 def test_coupling_drivers_reject_bad_sizes():

@@ -36,9 +36,9 @@ ENUM_SAMPLER_CAP = 7
 # the rejection sampler turns at most this many uniforms into rows at a time,
 # which bounds its temporaries to about 1 MB each
 ROW_CHUNK_ELEMENTS = 1 << 17
-# a chunk of at least this many rows takes its ranks by column searchsorted
-# and its labels by one slab decode, a smaller one guesses and verifies its
-# ranks and decodes row by row.  The slab wins from about 32-48 rows at
+# a chunk of at least this many rows decodes its labels as one slab, a
+# smaller one row by row; both take their ranks from
+# MallowsRejectionSampler._ranks.  The slab wins from about 32-48 rows at
 # n = 20-300, but its cost per row grows as n^2 against the row loop's n, and
 # at the rows of a full chunk it loses from about n = 900; a chunk holds at
 # most ROW_CHUNK_ELEMENTS // n rows, so 160 confines the slab to n <= 819,
@@ -285,11 +285,17 @@ class BandDP:
         self._logZ = float(layers[-1][1][idx])
         return layers
 
+    def _onward(self, t: int, words: np.ndarray, nxt: np.ndarray):
+        """_moves from layer-t words of positive weight, as (j, x, sel, w):
+        w is the step's log weight plus nxt, the log completion weights of
+        layer t+1, at the word the step reaches.  A step of finite weight
+        lands on a word of that layer; one that misses has weight -inf, and
+        so has w, whatever stale position-table entry it reads (clipped)."""
+        pos = self._positions(self._fwd[t + 1][0])
+        for j, x, sel, dst, dw in self._moves(t, words):
+            yield j, x, sel, dw + nxt.take(pos[dst], mode="clip")
+
     def _backward(self):
-        # Every forward word has positive weight, so a step of finite weight
-        # always lands on a word of the next layer; a step that misses has
-        # weight -inf, and so has its contribution whatever stale table entry
-        # it reads (clipped into range).
         if self._bwd is not None:
             return self._bwd
         layers = self._forward()
@@ -300,12 +306,9 @@ class BandDP:
         bwd[self.n] = b
         for t in range(self.n - 1, -1, -1):
             masks = layers[t][0]
-            nxt_b = bwd[t + 1]
-            pos = self._positions(layers[t + 1][0])
             b = np.full(masks.size, NEG_INF)
-            for _, _, sel, dst, dw in self._moves(t, masks):
-                contrib = nxt_b.take(pos[dst], mode="clip") + dw
-                b[sel] = np.logaddexp(b[sel], contrib)
+            for _, _, sel, w in self._onward(t, masks, bwd[t + 1]):
+                b[sel] = np.logaddexp(b[sel], w)
             bwd[t] = b
         self._bwd = bwd
         return bwd
@@ -362,26 +365,20 @@ class BandDP:
                     logv + self._completion(t2, words), self.log_partition())
 
     def sample_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, n) array of exact draws, one permutation per row.
-
-        Rows sit on words of positive forward weight, so as in the backward
-        pass a stale table entry is read only by a step of weight -inf.
-        """
-        layers = self._forward()
+        """(size, n) array of exact draws, one permutation per row; rows sit
+        on words of positive forward weight."""
         bwd = self._backward()
         self.log_partition()
         R = size
         rows = np.empty((R, self.n), dtype=np.int64)
         cur = np.full(R, self._end_word, dtype=np.int64)
         for t in range(self.n):
-            nxt_b = bwd[t + 1]
-            pos = self._positions(layers[t + 1][0])
-            moves = list(self._moves(t, cur))
+            moves = list(self._onward(t, cur, bwd[t + 1]))
             # one row per candidate some draw can place; a draw's entry
             # stays -inf where it cannot place the candidate
             weights = np.full((len(moves), R), NEG_INF)
-            for c, (_, _, sel, dst, dw) in enumerate(moves):
-                weights[c, sel] = dw + nxt_b.take(pos[dst], mode="clip")
+            for c, (_, _, sel, w) in enumerate(moves):
+                weights[c, sel] = w
             wmax = weights.max(axis=0)
             if np.any(~np.isfinite(wmax)):
                 raise AssertionError("sampler reached a dead-end state")
@@ -391,9 +388,6 @@ class BandDP:
             slot, rows[:, t] = np.array([m[:2] for m in moves])[choice].T
             cur = (cur | (1 << slot)) >> 1
         return rows
-
-    def sample(self, rng: np.random.Generator) -> Permutation:
-        return Permutation(self.sample_rows(rng, 1)[0], _validate=False)
 
     def region_marginal(self, region: tuple, cap_states: int = 200000) -> DistributionTable:
         """Exact joint law of the particles at positions [region[0], region[1]].
@@ -617,16 +611,10 @@ class MallowsRejectionSampler:
         self._last = [0, *(labels + hi).tolist()]
 
     def _slab(self, u: np.ndarray) -> np.ndarray:
-        """The rows of a (size, m) block of uniforms that stay in the window.
-
-        A rank is the count of CDF entries <= u, searchsorted(side="right")
-        on the sorted CDF, taken column by column; the rows are decoded as
-        one slab and then checked whole.
-        """
-        size, m = u.shape
-        ranks = np.empty((m, size), dtype=np.min_scalar_type(m - 1))
-        for pos, col in enumerate(u.T):
-            ranks[pos] = self._cdfs[m - pos - 1].searchsorted(col, side="right")
+        """The rows of a (size, m) block of uniforms that stay in the window:
+        ranked by _ranks, decoded as one slab and then checked whole."""
+        ranks = self._ranks(u).T.astype(np.min_scalar_type(u.shape[1] - 1),
+                                        order="C")
         rows = _slab_rows(ranks)
         if self._window is None:
             return rows

@@ -201,6 +201,9 @@ class BlockSchedule:
     selection: str = "size"  # "size" per heat-bath definition, or "uniform"
 
     def __post_init__(self):
+        if self.kind not in ("west-east", "single"):
+            raise ContractError(f"unknown schedule kind {self.kind!r}; "
+                                "choose west-east or single")
         if self.selection not in ("size", "uniform"):
             raise ContractError(f"unknown block selection {self.selection!r}; "
                                 "choose size or uniform")
@@ -217,9 +220,7 @@ class BlockSchedule:
         n = self.n
         if self.kind == "west-east":
             return [(1, math.ceil(2 * n / 3)), (max(n // 3, 1), n)]
-        if self.kind == "single":
-            return [(1, n)]
-        raise ContractError(f"unknown schedule kind {self.kind}")
+        return [(1, n)]
 
     def sizes(self) -> list:
         return [b - a + 1 for a, b in self.blocks()]

@@ -24,8 +24,10 @@ rejected, and so are configs missing a key the command needs).  Common keys:
               (a flag wins); see RUN_SETTINGS
 
 Only a command that reads a key accepts it: ns belongs to burnin and mix, and
-mix, lowerbound and asep take no ell (asep takes no p either).  A command
-that does not read a run setting accepts it only at its default.
+mix, lowerbound and asep take no ell (asep takes no p either).  A key that
+only some modes read is refused in the others (KeyRule.modes), and burnin
+and mix take n or ns, not both.  A command that does not read a run setting
+accepts it only at its default.
 
 Every run echoes the resolved config into the output directory (itself a
 config that reruns the same run), writes the result JSON and CSV series, and
@@ -70,12 +72,14 @@ INT, INTS, NUMBER = "an integer", "a list of integers", "a finite number"
 
 
 class KeyRule(NamedTuple):
-    """A config key's kind (None: free-form, checked where it is read) and
-    range (a phrase for the error and the predicate it names), if any."""
+    """A config key's kind (None: free-form, checked where it is read),
+    range (a phrase for the error and the predicate it names), if any, and
+    the modes that read it (empty: every mode)."""
 
     kind: str | None
     bound: str | None = None
     ok: Callable | None = None
+    modes: tuple = ()
 
 
 FREE = KeyRule(None)
@@ -101,32 +105,38 @@ CONFIG_KEYS = {command: {**_COMMON_KEYS, **keys} for command, keys in {
     "asep": {"k": KeyRule(INT), "q": KeyRule(NUMBER),
              "rs": KeyRule(INTS, "non-empty", lambda v: v != [])},
     # the stderr of each burn-in checkpoint needs two replicas (ddof = 1)
-    "burnin": {**_INSTANCE_KEYS, **_NS_KEY, "T_mult": KeyRule(INT),
+    "burnin": {**_INSTANCE_KEYS, **_NS_KEY,
+               "T_mult": KeyRule(INT, modes=("ns",)),
                "replicas": KeyRule(INT, ">= 2", lambda v: v >= 2),
                "quantile": KeyRule(NUMBER, "in (0, 1)", lambda v: 0 < v < 1),
-               "init": FREE, "T": KeyRule(INT)},
+               "init": KeyRule(None, modes=("n",)),
+               "T": KeyRule(INT, modes=("n",))},
     "spatial": {**_INSTANCE_KEYS, "eta": FREE, "eta_bar": FREE,
                 "rs": KeyRule(INTS, "non-empty", lambda v: v != []),
                 "mode": FREE,
-                "budget": KeyRule(INT, ">= 1", lambda v: v >= 1),
+                "budget": KeyRule(INT, ">= 1", lambda v: v >= 1, ("sampled",)),
                 "threshold": KeyRule(NUMBER)},
     "disconnect": {**_INSTANCE_KEYS,
                    "ks": KeyRule(INTS, "non-empty", lambda v: v != []),
                    "mode": FREE,
-                   "budget": KeyRule(INT, ">= 1", lambda v: v >= 1),
+                   "budget": KeyRule(INT, ">= 1", lambda v: v >= 1,
+                                     ("sampled",)),
                    "boundary": FREE},
     "blockcheck": {**_INSTANCE_KEYS, "schedule": FREE, "selection": FREE},
     # mix and lowerbound run unrestricted chains: no ell; the stderr of
     # each mix fit needs two runs per size (ddof = 1)
     "mix": {"p": FREE, **_NS_KEY,
-            "delta": KeyRule(NUMBER, "in (0, 0.5]", lambda v: 0 < v <= 0.5),
-            "method": FREE, "budget": KeyRule(INT, ">= 2", lambda v: v >= 2)},
+            "delta": KeyRule(NUMBER, "in (0, 0.5]", lambda v: 0 < v <= 0.5,
+                             ("exact", "statistic")),
+            "method": FREE,
+            "budget": KeyRule(INT, ">= 2", lambda v: v >= 2,
+                              ("coupling", "statistic"))},
     "lowerbound": {"p": FREE, "eta": KeyRule(NUMBER),
                    "replicas": KeyRule(INT, ">= 1", lambda v: v >= 1),
                    "threshold": KeyRule(NUMBER)},
 }.items()}
 COMMANDS = tuple(CONFIG_KEYS)
-# keys a command cannot run without; a tuple means "one of these"
+# keys a command cannot run without; a tuple means "exactly one of these"
 _REQUIRED_KEYS = {
     "exact": ("n", "p"),
     "sample": ("n", "p"),
@@ -149,8 +159,10 @@ RUN_SETTINGS = {
                                         ("disconnect", "sampled"))),
 }
 # the key whose value is the mode above, and the experiment's default for it;
-# the other commands have no mode (None)
-_MODE_KEYS = {"disconnect": ("mode", "exact"), "mix": ("method", "coupling")}
+# burnin's mode is ns when the config gives ns and n otherwise, and the other
+# commands have no mode (None)
+_MODE_KEYS = {"disconnect": ("mode", "exact"), "spatial": ("mode", "exact"),
+              "mix": ("method", "coupling")}
 
 
 def _has_kind(value, kind: str) -> bool:
@@ -221,11 +233,26 @@ class RunConfig:
         self.command = command
         # a flag beats the config's value
         self.raw = {**raw, **flags}
-        mode = self.raw.get(*_MODE_KEYS.get(command, (None, None)))
+        for need in _REQUIRED_KEYS[command]:
+            if isinstance(need, tuple) and all(key in raw for key in need):
+                raise ContractError(
+                    f"{command} over {need[-1]} does not read the config key "
+                    f"{need[0]}; give one of {' or '.join(need)}")
+        if command == "burnin":
+            mode = "ns" if "ns" in raw else "n"
+        else:
+            mode = self.raw.get(*_MODE_KEYS.get(command, (None, None)))
+        for key in raw:
+            if rules[key].modes and mode not in rules[key].modes:
+                raise ContractError(f"{command} in {mode} mode does not read "
+                                    f"the config key {key}")
         for key, (default, readers) in RUN_SETTINGS.items():
             if (self.raw.get(key, default) != default
-                    and (command, mode) not in readers):
-                where = command if mode is None else f"{command} in {mode} mode"
+                    and (command, mode) not in readers
+                    and (command, None) not in readers):
+                # name the mode where another mode reads the setting
+                where = (f"{command} in {mode} mode"
+                         if any(c == command for c, _ in readers) else command)
                 raise ContractError(
                     f"{where} does not read the run setting {key}; it takes "
                     f"only the default {default}, got {self.raw[key]!r}")
@@ -464,13 +491,8 @@ def _run_disconnect(cfg: RunConfig, outdir: str):
 
 def _run_blockcheck(cfg: RunConfig, outdir: str):
     n, p, ell = cfg.instance()
-    kind = cfg.values.get("schedule", "west-east")
-    if kind == "west-east":
-        schedule = BlockSchedule.west_east(n, **cfg.pick("selection"))
-    elif kind == "single":
-        schedule = BlockSchedule.single(n, **cfg.pick("selection"))
-    else:
-        raise ContractError("blockcheck supports west-east or single schedules")
+    schedule = BlockSchedule(cfg.values.get("schedule", "west-east"), n,
+                             **cfg.pick("selection"))
     res = block_decomposition_check(n, p, ell, schedule,
                                     enum_cap=cfg.cap_enum)
     return res, []

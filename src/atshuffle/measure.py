@@ -7,7 +7,6 @@ pairs (totally asymmetric instances) are representable as -inf.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,15 +27,9 @@ MEMORY_BUDGET = 2 * 10 ** 9
 def log_weight(sigma, p: BiasMatrix) -> float:
     """log of prod_{i<j} p[sigma(i)][sigma(j)]; -inf if any factor is 0."""
     fwd = sigma.forward if isinstance(sigma, Permutation) else np.asarray(sigma)
-    n = len(fwd)
-    if n != p.n:
+    if len(fwd) != p.n:
         raise ContractError("size mismatch between permutation and bias matrix")
-    log = p.log_dense()
-    idx = fwd - 1
-    total = 0.0
-    for i in range(n - 1):
-        total += float(np.sum(log[idx[i], idx[i + 1:]]))
-    return total
+    return float(_log_weights_batch(fwd[None, :], p)[0])
 
 
 def _log_weights_batch(perms: np.ndarray, p: BiasMatrix) -> np.ndarray:
@@ -52,31 +45,29 @@ def _log_weights_batch(perms: np.ndarray, p: BiasMatrix) -> np.ndarray:
 
 
 def _localized_perms(n: int, ell: LocalizationVector | None) -> np.ndarray:
-    """(m, n) array of all localized permutations, lexicographic order."""
-    if ell is None:
-        rows = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
-        return rows
-    # depth-first fill of positions with per-position candidate sets
-    candidates = [[k for k in range(1, n + 1)
-                   if k - ell.lo[k - 1] <= pos <= k + ell.hi[k - 1]]
-                  for pos in range(1, n + 1)]
-    rows = []
-    used = np.zeros(n + 1, dtype=bool)
-    cur = np.empty(n, dtype=np.int64)
+    """(m, n) array of all localized permutations, lexicographic order.
 
-    def rec(pos):
-        if pos > n:
-            rows.append(cur.copy())
-            return
-        for k in candidates[pos - 1]:
-            if not used[k]:
-                used[k] = True
-                cur[pos - 1] = k
-                rec(pos + 1)
-                used[k] = False
-
-    rec(1)
-    return np.array(rows, dtype=np.int64)
+    Rows grow one position at a time: each row is extended by every label
+    that the position admits and the row has not placed, in increasing label
+    order, so the rows stay in lexicographic order.  A bitmask per row marks
+    its placed labels.  The rows grow in the smallest dtype that holds n and
+    are widened to int64 once, at the end.
+    """
+    labels = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
+    bit = np.left_shift(1, labels - 1, dtype=np.min_scalar_type((1 << n) - 1))
+    rows = np.zeros((1, 0), dtype=labels.dtype)
+    placed = np.zeros(1, dtype=bit.dtype)
+    for pos in range(1, n + 1):
+        admit = (slice(None) if ell is None
+                 else (labels - ell.lo <= pos) & (pos <= labels + ell.hi))
+        cands, cand_bit = labels[admit], bit[admit]
+        src, c = np.nonzero((placed[:, None] & cand_bit) == 0)
+        grown = np.empty((src.size, pos), dtype=rows.dtype)
+        np.take(rows, src, axis=0, out=grown[:, :-1], mode="clip")
+        grown[:, -1] = cands[c]
+        rows = grown
+        placed = placed[src] | cand_bit[c]
+    return rows.astype(np.int64)
 
 
 def _state_rows(rows) -> np.ndarray:

@@ -28,6 +28,12 @@ class Permutation:
     __slots__ = ("forward", "inverse", "n")
 
     def __init__(self, forward, _validate: bool = True):
+        if _validate:
+            given = np.asarray(forward)
+            # int64 would truncate a label that is not a whole number
+            if given.dtype.kind == "f" and not np.all(
+                    np.isfinite(given) & (np.floor(given) == given)):
+                raise ContractError("forward must list each label in 1..n once")
         fwd = np.array(forward, dtype=np.int64)
         n = int(fwd.shape[0])
         if _validate:
@@ -109,8 +115,8 @@ class LocalizationVector:
         if len(lo) != len(hi):
             raise ContractError("lo and hi must have equal length")
         n = len(lo)
-        if any((isinstance(x, float) and not math.isinf(x) and x != int(x)) or
-               (not math.isinf(x) and x < 0) for x in list(lo) + list(hi)):
+        # NaN fails both comparisons
+        if not all(x >= 0 and (math.isinf(x) or x % 1 == 0) for x in lo + hi):
             raise ContractError("localization entries must be nonnegative integers or inf")
         k = np.arange(1, n + 1)
         lo_arr = np.array([min(float(x), float(n)) for x in lo])
@@ -241,7 +247,8 @@ class BiasMatrix:
         n = up.shape[0]
         iu = np.triu_indices(n, k=1)
         vals = up[iu]
-        if np.any(vals < 0.0) or np.any(vals > 1.0):
+        # NaN fails both comparisons
+        if not np.all((vals >= 0.0) & (vals <= 1.0)):
             raise ContractError("bias entries must lie in [0, 1]")
         dense = np.ones((n, n), dtype=np.float64)
         dense[iu] = vals
@@ -437,10 +444,8 @@ class BiasMatrix:
 
     @classmethod
     def constant_from_epsilon(cls, n: int, eps: float) -> "BiasMatrix":
-        """Constant q with q/(1-q) = 1 + eps, i.e. q = (1+eps)/(2+eps)."""
-        if eps < 0:
-            raise ContractError("eps must be nonnegative")
-        return cls.constant(n, (1.0 + eps) / (2.0 + eps))
+        """Constant q with q/(1-q) = 1 + eps."""
+        return cls.constant(n, _q_from_epsilon(eps))
 
     @classmethod
     def totally_asymmetric(cls, n: int) -> "BiasMatrix":
@@ -451,9 +456,7 @@ class BiasMatrix:
     @classmethod
     def random_biased(cls, n: int, eps: float, rng: np.random.Generator) -> "BiasMatrix":
         """Each p[i][j], i<j, uniform on [(1+eps)/(2+eps), 1]."""
-        if eps < 0:
-            raise ContractError("eps must be nonnegative")
-        lo = (1.0 + eps) / (2.0 + eps)
+        lo = _q_from_epsilon(eps)
         up = np.zeros((n, n))
         iu = np.triu_indices(n, k=1)
         up[iu] = rng.uniform(lo, 1.0, size=len(iu[0]))
@@ -462,9 +465,7 @@ class BiasMatrix:
     @classmethod
     def monotone_biased(cls, n: int, eps: float, rng: np.random.Generator) -> "BiasMatrix":
         """eps-positively biased and monotone: running max of a random table."""
-        if eps < 0:
-            raise ContractError("eps must be nonnegative")
-        lo = (1.0 + eps) / (2.0 + eps)
+        lo = _q_from_epsilon(eps)
         up = np.zeros((n, n))
         iu = np.triu_indices(n, k=1)
         up[iu] = rng.uniform(lo, 1.0, size=len(iu[0]))
@@ -479,6 +480,14 @@ class BiasMatrix:
                     best = max(best, up[i, j - 1])
                 up[i, j] = best
         return cls(up)
+
+
+def _q_from_epsilon(eps: float) -> float:
+    """q with q/(1-q) = 1 + eps, i.e. (1+eps)/(2+eps), and 1 at eps = inf
+    (the totally asymmetric pair); a negative or NaN eps is refused."""
+    if not eps >= 0:
+        raise ContractError(f"eps must be nonnegative, got {eps!r}")
+    return 1.0 if math.isinf(eps) else (1.0 + eps) / (2.0 + eps)
 
 
 def instance_fingerprint(p: BiasMatrix, ell: LocalizationVector | None) -> str:
@@ -554,19 +563,14 @@ def relabel_map(boundary: BoundaryAssignment) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def induced_localization(boundary: BoundaryAssignment,
-                         ell: LocalizationVector) -> LocalizationVector:
-    """Localization windows induced on the relabeled interior instance.
+def _induced(r: np.ndarray, i: int, ell: LocalizationVector) -> LocalizationVector:
+    """Localization windows induced on the relabeled interior instance, from
+    the relabel map r and the left boundary size i.
 
     Raises EmptySupport if the boundary admits no localized completion
     (some induced window is empty or excludes displacement 0, which cannot
     happen for an extendable boundary).
     """
-    return _induced(relabel_map(boundary), boundary.i, ell)
-
-
-def _induced(r: np.ndarray, i: int, ell: LocalizationVector) -> LocalizationVector:
-    """induced_localization from the relabel map r and the left boundary size i."""
     m = r.size
     k = np.arange(1, m + 1)
     # label r(k) becomes interior particle k, at home in position k + i,

@@ -374,6 +374,26 @@ def column_ranks(sampler, u):
                             for pos, col in enumerate(u.T)])
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.75, 0.999])
+@pytest.mark.parametrize("n", [8, 255, 300])
+def test_mallows_slab_ranks_are_the_column_ranks(n, q, monkeypatch):
+    """A slab of SLAB_MIN_ROWS rows, with uniforms tied to CDF entries, is
+    decoded from the column searchsorted ranks, in the smallest unsigned
+    dtype that holds n - 1."""
+    sampler = MallowsRejectionSampler(n, q, None)
+    u = uniforms_with_ties(sampler, np.random.default_rng(n), banddp.SLAB_MIN_ROWS,
+                           ties=0.05)
+    slabs = []
+    slab_rows = banddp._slab_rows
+    monkeypatch.setattr(banddp, "_slab_rows",
+                        lambda ranks: slabs.append(ranks.copy()) or
+                        slab_rows(ranks))
+    rows = sampler._slab(u)
+    assert len(slabs) == 1 and slabs[0].dtype == np.min_scalar_type(n - 1)
+    assert np.array_equal(slabs[0], column_ranks(sampler, u).T)
+    assert np.array_equal(rows, block_oracle.mallows_rows(sampler._cdfs, u))
+
+
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.51, 0.75, 0.999])
 @pytest.mark.parametrize("n", [8, 255, 256, 362, 363, 500])
 def test_mallows_single_rows_match_the_column_path(n, q, monkeypatch):

@@ -333,6 +333,14 @@ def test_block_schedule_refuses_an_unknown_selection():
     assert BlockSchedule.single(4, "uniform").probabilities().tolist() == [1.0]
 
 
+def test_block_schedule_refuses_an_unknown_kind_when_built():
+    # an unknown kind used to construct and fail only in blocks()
+    for kind in ("bogus", None, ["single"]):
+        with pytest.raises(ContractError, match="unknown schedule kind"):
+            BlockSchedule(kind, 5)
+    assert BlockSchedule("single", 5) == BlockSchedule.single(5)
+
+
 def test_block_step_preserves_stationarity():
     # empirical one-block-step distribution from an exact sample stays exact
     rng = np.random.default_rng(23)

@@ -401,6 +401,37 @@ def test_burnin_over_ns_refuses_ell(tmp_path):
     # a negative seed used to end in numpy's ValueError, exit 1
     ({"command": "burnin", "n": 8, "p": {"family": "random-eps", "eps": 0.5},
       "seed": -5}, "seed must be >= 0"),
+    # a key the command's mode does not read used to be accepted and
+    # ignored: burnin at n ran T = 50 and ignored T_mult
+    ({"command": "burnin", "n": 8, "p": {"family": "constant-q", "q": 0.75},
+      "T_mult": 3, "T": 50},
+     "burnin in n mode does not read the config key T_mult"),
+    # burnin over ns ran reversal starts to T_mult n^2
+    ({"command": "burnin", "ns": [8, 12],
+      "p": {"family": "constant-q", "q": 0.75}, "T": 5},
+     "burnin in ns mode does not read the config key T"),
+    ({"command": "burnin", "ns": [8, 12],
+      "p": {"family": "constant-q", "q": 0.75}, "init": "identity"},
+     "burnin in ns mode does not read the config key init"),
+    # exact mix ran over ns and echoed n = 9, above the cap
+    ({"command": "mix", "n": 9, "ns": [4, 5],
+      "p": {"family": "constant-q", "q": 0.75}, "method": "exact"},
+     "mix over ns does not read the config key n"),
+    # coupling mix recorded a delta it never used, exact mix a budget
+    ({"command": "mix", "ns": [8, 12],
+      "p": {"family": "constant-q", "q": 0.75}, "delta": 0.01},
+     "mix in coupling mode does not read the config key delta"),
+    ({"command": "mix", "ns": [4, 5], "p": {"family": "constant-q", "q": 0.75},
+      "method": "exact", "budget": 9},
+     "mix in exact mode does not read the config key budget"),
+    # exact disconnect and spatial dropped a budget without a word
+    ({"command": "disconnect", "n": 5,
+      "p": {"family": "constant-q", "q": 0.75}, "budget": 9},
+     "disconnect in exact mode does not read the config key budget"),
+    ({"command": "spatial", "n": 10, "p": {"family": "constant-q", "q": 0.75},
+      "ell": 2, "eta": {"left": [1]}, "eta_bar": {"left": [3]},
+      "rs": [2, 4], "mode": "exact", "budget": 9},
+     "spatial in exact mode does not read the config key budget"),
 ])
 def test_missing_required_keys_are_config_errors(tmp_path, capsys, raw,
                                                  missing):

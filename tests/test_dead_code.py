@@ -2,9 +2,11 @@
 
 A definition counts as used when its name occurs in code outside its own
 definition, anywhere in ``src``, ``tests``, ``demos`` or ``bench``: as an
-attribute, or as an identifier-like string (``bench`` wraps its span targets
-by name), and, unless it is a method, also as a bare or imported name.  So a
+attribute, and, unless it is a method, also as a bare or imported name.  So a
 local variable that shares a method's name does not keep the method alive.
+An identifier-like string counts only in ``bench/spans.py``, the one file
+that wraps its targets by name; elsewhere such a string is data (a CLI
+command, a config key), and a method that shares its name is not called.
 Comments and docstrings do not count.  Dunder methods are called by Python
 itself and are exempt.
 """
@@ -16,6 +18,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "atshuffle")
+BY_NAME = os.path.join(ROOT, "bench", "spans.py")
 SEARCHED = ("src", "tests", "demos", "bench")
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -39,6 +42,7 @@ def definitions_and_references():
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
         in_package = path.startswith(PACKAGE + os.sep)
+        by_name = path == BY_NAME
         # ast.walk reaches a class before its body
         methods = set()
         for node in ast.walk(tree):
@@ -57,7 +61,8 @@ def definitions_and_references():
             elif kind is ast.alias:
                 references.append((node.name.rsplit(".", 1)[-1], True, path,
                                    node.lineno))
-            elif (kind is ast.Constant and isinstance(node.value, str)
+            elif (by_name and kind is ast.Constant
+                  and isinstance(node.value, str)
                   and IDENTIFIER.fullmatch(node.value)):
                 references.append((node.value, False, path, node.lineno))
     return definitions, references

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import block_oracle
+from atshuffle import measure
 from banddp_oracle import (random_bias_with_certain_pairs,
                            reference_transition_matrix)
 from atshuffle.chains import asep_stationary
@@ -23,6 +26,58 @@ def test_log_weight_examples():
     assert math.exp(log_weight(Permutation((2, 1, 3)), p)) == pytest.approx(0.144, abs=1e-15)
     pta = BiasMatrix.totally_asymmetric(2)
     assert log_weight(Permutation((2, 1)), pta) == -math.inf
+
+
+def test_log_weight_is_the_batch_weight_bit_for_bit():
+    # log_weight used to sum each position's row of factors first; on 174 of
+    # 450 such permutations it differed from the enumerated weights in the
+    # last bits
+    rng = np.random.default_rng(30)
+    for n in range(2, 11):
+        p = BiasMatrix.random_biased(n, 0.3, rng)
+        perms = np.array([rng.permutation(n) + 1 for _ in range(50)])
+        batch = measure._log_weights_batch(perms, p)
+        for row, want in zip(perms, batch):
+            assert log_weight(Permutation(row), p) == want
+            assert log_weight(row.tolist(), p) == want
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["none", "admissible", "any", "empty"]))
+def test_localized_perms_are_the_filtered_permutations_in_order(n, seed, kind):
+    """Row for row and in order, the enumeration is itertools.permutations
+    kept by the reference window check: without a window, under admissible
+    and arbitrary windows, and under windows that admit nothing, where
+    enumerate_stationary refuses the empty set.  Every window of the public
+    constructor holds its label's home, so the empty ones are built trusted,
+    with two labels confined to one position."""
+    rng = np.random.default_rng(seed)
+    ell = None
+    if kind == "admissible":
+        ell = random_admissible_localization(n, rng,
+                                             max_ell=int(rng.integers(0, n)))
+    elif kind == "any":
+        ell = LocalizationVector(*rng.integers(0, n, size=(2, n)))
+    elif kind == "empty":
+        if n < 2:
+            return
+        lo, hi = rng.integers(0, n, size=(2, n))
+        labels = rng.choice(n, 2, replace=False)
+        at = int(rng.integers(0, n))
+        lo[labels], hi[labels] = labels - at, at - labels
+        ell = LocalizationVector._trusted(lo, hi)
+    want = np.array(list(itertools.permutations(range(1, n + 1))),
+                    dtype=np.int64)
+    if ell is not None:
+        want = want[block_oracle.localized_rows(want, ell)]
+    got = measure._localized_perms(n, ell)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert got.shape[1] == n and np.array_equal(got, want)
+    if kind == "empty":
+        assert len(got) == 0
+        with pytest.raises(ContractError, match="empty localized set"):
+            enumerate_stationary(n, BiasMatrix.constant(n, 0.7), ell)
 
 
 def test_enumerate_stationary_examples():

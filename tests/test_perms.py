@@ -13,8 +13,7 @@ from atshuffle.banddp import heat_bath_block_rows
 from atshuffle.chains import BlockSchedule
 from atshuffle.errors import ContractError, EmptySupport
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
-                             Permutation, induced_localization,
-                             instance_fingerprint, inverse_rows, is_localized,
+                             Permutation, instance_fingerprint, inverse_rows, is_localized,
                              localized_rows, max_displacement,
                              max_localized_state,
                              random_admissible_localization, relabel_map,
@@ -174,7 +173,7 @@ def test_induced_localization_truncation_example():
     # n=6, boundary on both ends, constant windows: induced maxima shrink
     ell = LocalizationVector.constant(6, 2)
     b = BoundaryAssignment(6, (2,), (5,))
-    sub_ell = induced_localization(b, ell)
+    _, sub_ell, _ = restrict_instance(b, BiasMatrix.constant(6, 0.7), ell)
     assert sub_ell.n == 4
     assert sub_ell.is_admissible()
     assert sub_ell.l_max <= 2
@@ -186,7 +185,7 @@ def test_induced_localization_rejects_impossible_boundary():
     ell = LocalizationVector([0, 0, 0, 0], [2, 2, 2, 2])
     b = BoundaryAssignment(4, (), (2,))
     with pytest.raises(EmptySupport):
-        induced_localization(b, ell)
+        restrict_instance(b, BiasMatrix.constant(4, 0.7), ell)
 
 
 def test_localization_vector_basics():
@@ -239,6 +238,43 @@ def test_bias_matrix_families_and_serialization():
     bad = p.to_text().replace(f"epsilon {p.epsilon!r}", "epsilon 0.9")
     with pytest.raises(ContractError):
         BiasMatrix.from_text(bad)
+
+
+def test_value_types_refuse_values_they_cannot_represent():
+    # a NaN entry passed the [0, 1] check: constant(4, nan) read epsilon
+    # inf and constant_q() None, and the domination audit ran on it
+    up = np.zeros((3, 3))
+    up[np.triu_indices(3, k=1)] = (0.7, math.nan, 0.8)
+    with pytest.raises(ContractError, match="must lie in"):
+        BiasMatrix(up)
+    with pytest.raises(ContractError, match="must lie in"):
+        BiasMatrix.constant(4, math.nan)
+    # a NaN eps passed every eps < 0 check
+    rng = np.random.default_rng(0)
+    for make in (BiasMatrix.constant_from_epsilon,
+                 lambda n, eps: BiasMatrix.random_biased(n, eps, rng),
+                 lambda n, eps: BiasMatrix.monotone_biased(n, eps, rng)):
+        with pytest.raises(ContractError, match="eps must be nonnegative"):
+            make(4, math.nan)
+    # eps = inf used to build NaN entries, or to end in numpy's
+    # OverflowError for the random families; it is q = 1
+    tas = BiasMatrix.constant_from_epsilon(4, math.inf)
+    assert tas == BiasMatrix.totally_asymmetric(4)
+    assert tas.constant_q() == 1.0 and math.isinf(tas.epsilon)
+    assert BiasMatrix.random_biased(4, math.inf, rng) == tas
+    assert BiasMatrix.monotone_biased(4, math.inf, rng) == tas
+    # int64 used to truncate labels: [1.9, 2.2] became [1, 2]
+    for forward in ([1.9, 2.2], [1.0, math.nan], [math.inf, 1.0]):
+        with pytest.raises(ContractError, match="each label"):
+            Permutation(forward)
+    assert Permutation([2.0, 1.0]).to_tuple() == (2, 1)
+    # numpy's ValueError used to escape on a NaN window
+    for lo, hi in (([math.nan], [0]), ([0], [math.nan]), ([-math.inf], [0]),
+                   ([1.5, 0], [0, 0])):
+        with pytest.raises(ContractError, match="nonnegative integers"):
+            LocalizationVector(lo, hi)
+    assert LocalizationVector([math.inf, 1.0], [1, math.inf]).to_tuple() == \
+        ((0, 1), (1, 0))
 
 
 def test_max_localized_state():
@@ -317,10 +353,9 @@ def test_block_instance_matches_reference(n, family, window, localized, seed,
     try:
         want_p, want_ell, _ = oracle.restrict_instance(b, p, ell)
     except EmptySupport as exc:
-        for fn in (restrict_instance, lambda b, p, ell: induced_localization(b, ell)):
-            with pytest.raises(EmptySupport) as got:
-                fn(b, p, ell)
-            assert str(got.value) == str(exc)
+        with pytest.raises(EmptySupport) as got:
+            restrict_instance(b, p, ell)
+        assert str(got.value) == str(exc)
         return
     sub_p, sub_ell, r = restrict_instance(b, p, ell)
     assert np.array_equal(r, want_r)
@@ -332,11 +367,10 @@ def test_block_instance_matches_reference(n, family, window, localized, seed,
     if ell is None:
         assert sub_ell is None
         return
-    for got_ell in (sub_ell, induced_localization(b, ell)):
-        assert got_ell.n == want_ell.n
-        assert got_ell.lo.dtype == got_ell.hi.dtype == np.int64
-        assert np.array_equal(got_ell.lo, want_ell.lo)
-        assert np.array_equal(got_ell.hi, want_ell.hi)
+    assert sub_ell.n == want_ell.n
+    assert sub_ell.lo.dtype == sub_ell.hi.dtype == np.int64
+    assert np.array_equal(sub_ell.lo, want_ell.lo)
+    assert np.array_equal(sub_ell.hi, want_ell.hi)
 
 
 def test_submatrix_needs_increasing_labels_and_carries_q():

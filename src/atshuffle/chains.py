@@ -14,9 +14,10 @@ order, which is what makes the couplings preserve their invariants pathwise.
 update; the vectorized ensembles are tested against it on shared draws.
 Each coupled rule has one implementation: ``_ordered_list_step`` for the
 chain and ``_asep_edge`` for the exclusion process.  The scalar drivers (the
-twin chains and the audits) are deterministic functions of one shared stream
-of (edge, uniform) pairs, read from ``_audit_draws`` as plain lists in fixed
-chunks so that the stream does not depend on the horizon.
+twin chains, the domination and monotone audits and the ASEP pair
+coalescence) are deterministic functions of one shared stream of (edge,
+uniform) pairs, read from ``_audit_draws`` as plain lists in fixed chunks so
+that the stream does not depend on the horizon.
 Substreams are derived from a master seed via ``derive_rng(master, *keys)``,
 which feeds the integer tuple (master, key1, key2, ...) to numpy's
 SeedSequence.
@@ -28,7 +29,6 @@ import contextlib
 import itertools
 import json
 import math
-import random
 import zlib
 from dataclasses import dataclass
 
@@ -534,36 +534,28 @@ def _packed_pair(n: int, k: int, q: float) -> tuple:
 
 def asep_pair_coalescence(n: int, k: int, q: float, seed: int,
                           t_cap: int) -> int | None:
-    """Meeting time of the monotone top/bottom ASEP coupling (shared draws).
-
-    Step t draws the edge as ``random.Random(seed).randrange(n - 1)`` does
-    (getrandbits with rejection), then its uniform with ``random()``.
-    """
+    """Meeting time of the monotone top/bottom ASEP coupling (shared draws)."""
     if t_cap < 0:
         raise ContractError(f"t_cap must be >= 0, got {t_cap}")
     top, bot = _packed_pair(n, k, q)
     codes = [2 * a + b for a, b in zip(top, bot)]
-    rnd = random.Random(seed)
     diff = sum(_DIFFERS[c] for c in codes)
     if diff == 0:
         return 0
-    m = n - 1
-    bits = m.bit_length()
-    getrandbits = rnd.getrandbits
-    uniform = rnd.random
     to_right, to_left = _PAIR_MOVES
-    for t in range(1, t_cap + 1):
-        i = getrandbits(bits)
-        while i >= m:
-            i = getrandbits(bits)
-        key = codes[i] << 2 | codes[i + 1]
-        x, y, change = to_left[key] if uniform() < q else to_right[key]
-        codes[i] = x
-        codes[i + 1] = y
-        if change:
-            diff += change
-            if not diff:
-                return t
+    rng = derive_rng(seed, experiment_id("asep-coalescence"))
+    for t, edges, us in _audit_draws(rng, n, t_cap):
+        for e, u in zip(edges, us):
+            t += 1
+            i = e - 1
+            key = codes[i] << 2 | codes[e]
+            x, y, change = to_left[key] if u < q else to_right[key]
+            codes[i] = x
+            codes[e] = y
+            if change:
+                diff += change
+                if not diff:
+                    return t
     return None
 
 

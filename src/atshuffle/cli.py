@@ -33,8 +33,12 @@ Every run echoes the resolved config into the output directory (itself a
 config that reruns the same run), writes the result JSON and CSV series, and
 a manifest listing seeds, code version, timestamps, and the verdict.  Result
 files carry no timestamps, so a rerun with the same config and master seed
-is byte-identical; wall-clock metadata lives only in the manifest.  Replica
-r of experiment e draws its stream from SeedSequence([master, crc32(e), r]).
+is byte-identical; wall-clock metadata lives only in the manifest.  Every
+draw comes from ``chains.derive_rng(master, crc32(e), *keys)``, where e names
+the experiment and its keys, if any, are a size n and a replica index.  An
+ensemble draws all its replicas from one stream; mix by coupling or statistic
+seeds replica r at size n with the first integer of the stream keyed (n, r),
+and the coupled driver derives its own streams from that seed.
 """
 
 from __future__ import annotations
@@ -58,10 +62,11 @@ from .chains import (BlockSchedule, derive_rng, ensemble_chain_run,
                      write_checkpoint)
 from .errors import CapExceeded, ContractError, EmptySupport, NotReversible
 from .experiments import (FAMILY_PARAMS, ExperimentResult, Verdict,
-                          asep_tail_check, block_decomposition_check,
-                          burn_in_profile, burn_in_scaling,
-                          disconnect_probability, lower_bound_experiment,
-                          make_family, mixing_scaling, spatial_decay_curve)
+                          _start_rows, asep_tail_check,
+                          block_decomposition_check, burn_in_profile,
+                          burn_in_scaling, disconnect_probability,
+                          lower_bound_experiment, make_family, mixing_scaling,
+                          spatial_decay_curve)
 from .measure import (DEFAULT_ENUM_CAP, build_transition_matrix,
                       enumerate_stationary, spectral_gap)
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
@@ -401,17 +406,8 @@ def _run_chain(cfg: RunConfig, outdir: str):
     tracked = cfg.values.get("tracked_ks", [])
     if not all(1 <= k < n for k in tracked):
         raise ContractError(f"tracked_ks must lie in 1..{n - 1}, got {tracked}")
-    if init == "identity":
-        start = Permutation.identity(n)
-    elif init == "reversal":
-        start = Permutation.reversal(n)
-    elif _has_kind(init, INTS) and sorted(init) == list(range(1, n + 1)):
-        start = Permutation(init)
-    else:
-        raise ContractError(f"unknown start {init!r}; choose identity, "
-                            f"reversal or a permutation of 1..{n} as a list")
     rng = derive_rng(cfg.seed, experiment_id("chain"))
-    rows = start.forward[None, :]
+    rows = _start_rows(n, init, 1, rng)
     path = os.path.join(outdir, "trajectory.jsonl")
     marks = list(range(0, steps + 1, every))
     recs = []

@@ -28,9 +28,9 @@ from .measure import (DEFAULT_ENUM_CAP, build_transition_matrix,
                       check_enumerable, enumerate_stationary,
                       exact_mixing_time, spectral_gap, tv_distance)
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
-                    Permutation, instance_fingerprint, inverse_rows,
-                    max_localized_state, random_admissible_localization,
-                    restrict_instance)
+                    Permutation, _q_from_epsilon, instance_fingerprint,
+                    inverse_rows, max_localized_state,
+                    random_admissible_localization, restrict_instance)
 
 # Calibrated once on the constant-bias reference family (q = 0.75, reversal
 # start, t = 8 n^2, 150 replicas, master seed 20240801; observed 99th-pct max
@@ -226,7 +226,13 @@ def regression_instances(seed: int = 20240801, count: int = 120,
 # ---------------------------------------------------------------------------
 
 def _start_rows(n: int, init, replicas: int, rng) -> np.ndarray:
-    if isinstance(init, Permutation):
+    """The start rows of a replica ensemble: "identity", "reversal",
+    "random" (one uniform permutation per replica, drawn from rng), or one
+    permutation of 1..n, given as a Permutation or as a list of ints."""
+    if (isinstance(init, list) and all(type(v) is int for v in init)
+            and sorted(init) == list(range(1, n + 1))):
+        init = Permutation(init)
+    if isinstance(init, Permutation) and init.n == n:
         return np.tile(init.forward, (replicas, 1))
     if init == "identity":
         return np.tile(np.arange(1, n + 1), (replicas, 1))
@@ -234,7 +240,8 @@ def _start_rows(n: int, init, replicas: int, rng) -> np.ndarray:
         return np.tile(np.arange(n, 0, -1), (replicas, 1))
     if init == "random":
         return np.array([rng.permutation(n) + 1 for _ in range(replicas)])
-    raise ContractError(f"unknown start {init}")
+    raise ContractError(f"unknown start {init!r}; choose identity, reversal, "
+                        f"random or a permutation of 1..{n} as a list")
 
 
 def burn_in_profile(n: int, p: BiasMatrix, init="reversal", T: int | None = None,
@@ -740,7 +747,7 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
         if family.get("kind") not in ("constant-q", "constant-eps"):
             raise ContractError("coupling mode works on the constant-bias family")
         q = (float(family["q"]) if family["kind"] == "constant-q"
-             else (1.0 + family["eps"]) / (2.0 + family["eps"]))
+             else _q_from_epsilon(float(family["eps"])))
         if not 0.5 < q <= 1.0:
             raise ContractError(f"coupling mode needs q in (1/2, 1], "
                                 f"got q = {q!r}")
@@ -809,7 +816,7 @@ def _statistic_bracket(n: int, p: BiasMatrix, delta: float, budget: int,
     replicas = max(200, budget)
     grid = sorted({max(1, int(c * n * n)) for c in
                    (0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)})
-    starts = np.tile(np.arange(n, 0, -1), (replicas, 1))
+    starts = _start_rows(n, "reversal", replicas, rng)
     hist = {}
 
     def snap(t, F, INV):
@@ -869,7 +876,7 @@ def lower_bound_experiment(n: int, p: BiasMatrix, eta: float = 0.5,
     t_run = int(round((1.0 - eta) * n * n))
     s = int(math.isqrt(n))
     rng = derive_rng(seed, experiment_id("lower-bound"))
-    starts = np.tile(np.arange(n, 0, -1), (replicas, 1))
+    starts = _start_rows(n, "reversal", replicas, rng)
     F, INV = ensemble_chain_run(p, starts, t_run, rng)
     hit = INV[:, 0] <= s
     est = float(np.mean(hit))

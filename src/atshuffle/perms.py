@@ -30,9 +30,11 @@ class Permutation:
     def __init__(self, forward, _validate: bool = True):
         if _validate:
             given = np.asarray(forward)
-            # int64 would truncate a label that is not a whole number
-            if given.dtype.kind == "f" and not np.all(
-                    np.isfinite(given) & (np.floor(given) == given)):
+            # int64 would parse a string of digits, take a bool as 0 or 1
+            # and truncate a label that is not a whole number
+            if given.dtype.kind not in "iuf" or (
+                    given.dtype.kind == "f" and not np.all(
+                        np.isfinite(given) & (np.floor(given) == given))):
                 raise ContractError("forward must list each label in 1..n once")
         fwd = np.array(forward, dtype=np.int64)
         n = int(fwd.shape[0])

@@ -7,7 +7,6 @@ meeting times.
 """
 
 import itertools
-import random
 
 import numpy as np
 
@@ -105,8 +104,8 @@ def monotone_audit(top0, bot0, q, steps, seed):
 
 
 def pair_coalescence(n, k, q, seed, t_cap):
-    """Meeting time of the top/bottom ASEP coupling on random.Random(seed)."""
-    rnd = random.Random(seed)
+    """Meeting time of the top/bottom ASEP coupling on the chunked draws of
+    the "asep-coalescence" stream."""
     top = [0] * n
     bot = [0] * n
     for v in range(n - k, n):
@@ -116,17 +115,21 @@ def pair_coalescence(n, k, q, seed, t_cap):
     diff = sum(1 for a, b in zip(top, bot) if a != b)
     if diff == 0:
         return 0
-    for t in range(1, t_cap + 1):
-        i = rnd.randrange(0, n - 1)
-        u = rnd.random()
-        left = 1 if u < q else 0
-        before = int(top[i] != bot[i]) + int(top[i + 1] != bot[i + 1])
-        for Y in (top, bot):
-            if Y[i] + Y[i + 1] == 1:
-                Y[i] = left
-                Y[i + 1] = 1 - left
-        after = int(top[i] != bot[i]) + int(top[i + 1] != bot[i + 1])
-        diff += after - before
-        if diff == 0:
-            return t
+    rng = derive_rng(seed, experiment_id("asep-coalescence"))
+    t = 0
+    while t < t_cap:
+        edges = rng.integers(1, n, size=CHUNK)
+        us = rng.random(CHUNK)
+        for e, u in zip(edges[:t_cap - t], us[:t_cap - t]):
+            t += 1
+            left = 1 if u < q else 0
+            before = int(top[e - 1] != bot[e - 1]) + int(top[e] != bot[e])
+            for Y in (top, bot):
+                if Y[e - 1] + Y[e] == 1:
+                    Y[e - 1] = left
+                    Y[e] = 1 - left
+            after = int(top[e - 1] != bot[e - 1]) + int(top[e] != bot[e])
+            diff += after - before
+            if diff == 0:
+                return t
     return None

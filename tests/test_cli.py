@@ -261,6 +261,25 @@ def test_sample_and_chain_commands(tmp_path):
     first = (tmp_path / "l" / "trajectory.jsonl").read_text().splitlines()[0]
     assert json.loads(first)["permutation"] == [2, 4, 1, 3]
 
+    # a random start, which burnin took and chain used to refuse
+    cfg = write_config(tmp_path, "r.json", {
+        "command": "chain", "n": 8, "p": {"family": "constant-q", "q": 0.7},
+        "init": "random", "steps": 10})
+    assert main(["--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    first = (tmp_path / "r" / "trajectory.jsonl").read_text().splitlines()[0]
+    assert sorted(json.loads(first)["permutation"]) == list(range(1, 9))
+
+
+def test_burnin_runs_from_a_listed_start(tmp_path):
+    # chain took a permutation list and burnin used to refuse it; the t = 0
+    # checkpoint is the start's max displacement, 2 (labels 4 and 1)
+    cfg = write_config(tmp_path, "b.json", {
+        "command": "burnin", "n": 6, "p": {"family": "constant-q", "q": 0.7},
+        "init": [2, 4, 1, 3, 6, 5], "replicas": 2, "T": 10})
+    assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    res = json.loads((tmp_path / "b" / "result.json").read_text())
+    assert res["series"][0]["x"] == 0 and res["series"][0]["estimate"] == 2
+
 
 def test_asep_burnin_blockcheck_lowerbound_spatial(tmp_path):
     runs = [
@@ -567,6 +586,10 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
     ({"command": "mix", "ns": [8, 12], "p": {"family": "constant-q", "q": 1.5},
       "method": "coupling", "budget": 4},
      "coupling mode needs q in (1/2, 1], got q = 1.5"),
+    # burnin reads its start with chain's rule and refuses the same values
+    *[({"command": "burnin", "n": 4, "p": {"family": "constant-q", "q": 0.7},
+        "T": 10, "replicas": 2, "init": init}, "unknown start")
+      for init in (7, "bogus", "4321", [1, 2, 2, 4], [1, 2, 3], [1, 2, 3, True])],
 ])
 def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
                                                             message):

@@ -391,6 +391,21 @@ def test_mixing_scaling_coupling_small():
     assert res.verdict.passed, res.verdict.details
 
 
+def test_mixing_scaling_coupling_takes_q_from_eps_as_the_instances_do():
+    # eps = inf used to give q = nan and be refused; it is q = 1
+    tas = mixing_scaling([4, 6], {"kind": "constant-eps", "eps": math.inf},
+                         method="coupling", budget=2)
+    assert [pt.x for pt in tas.series] == [4, 6]
+    for eps in (0.5, 1.0, 3.0):
+        by_eps, by_q = (mixing_scaling([4, 6], family, method="coupling",
+                                       budget=2, seed=5)
+                        for family in ({"kind": "constant-eps", "eps": eps},
+                                       {"kind": "constant-q", "q":
+                                        BiasMatrix.constant_from_epsilon(
+                                            2, eps).constant_q()}))
+        assert by_eps.series == by_q.series
+
+
 @pytest.mark.parametrize("method, ns", [("coupling", [16]),
                                         ("coupling", [16, 16]),
                                         ("statistic", [8, 8])])

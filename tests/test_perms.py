@@ -268,6 +268,10 @@ def test_value_types_refuse_values_they_cannot_represent():
         with pytest.raises(ContractError, match="each label"):
             Permutation(forward)
     assert Permutation([2.0, 1.0]).to_tuple() == (2, 1)
+    # int64 used to parse strings of digits: ["2", "1"] became (2, 1)
+    for forward in (["2", "1"], ["1"], [True], [None, 1]):
+        with pytest.raises(ContractError, match="each label"):
+            Permutation(forward)
     # numpy's ValueError used to escape on a NaN window
     for lo, hi in (([math.nan], [0]), ([0], [math.nan]), ([-math.inf], [0]),
                    ([1.5, 0], [0, 0])):

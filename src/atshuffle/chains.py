@@ -33,7 +33,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .banddp import SamplerCache, heat_bath_block_sample
 from .errors import CapExceeded, ContractError
@@ -286,6 +285,7 @@ def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
     The kernel is built dense; above measure.MEMORY_BUDGET bytes it raises
     CapExceeded before allocating.
     """
+    import scipy.sparse as sp
     schedule.check_size(n)
     if mu is None:
         mu = enumerate_stationary(n, p, ell)
@@ -427,6 +427,9 @@ def ensemble_chain_run(p: BiasMatrix, starts: np.ndarray, steps: int,
     # C order, so the flat view below aliases F instead of copying it
     F = np.array(starts, dtype=np.int64, order="C")
     R, n = F.shape
+    if p.n != n:
+        raise ContractError(f"p is for n = {p.n}, but the start rows have "
+                            f"n = {n}")
     if not np.array_equal(np.sort(F, axis=1),
                           np.broadcast_to(np.arange(1, n + 1), F.shape)):
         raise ContractError("every start row must be a permutation of 1..n")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -759,6 +758,7 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
                 work.append((n, k, q, int(derive_rng(seed, experiment_id(
                     "asep-coalescence"), n, rep).integers(0, 2 ** 62)), t_cap))
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as ex:
                 times = list(ex.map(_coalescence_worker, work))
         else:
@@ -958,6 +958,7 @@ def block_chain_mixing(n: int, p: BiasMatrix, ell: LocalizationVector,
     seeds = [int(derive_rng(seed, experiment_id("twin-block"), rep).integers(0, 2 ** 62))
              for rep in range(replicas)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=_set_block_instance,
                                  initargs=(instance,)) as ex:
             times = list(ex.map(_twin_block_worker, seeds))

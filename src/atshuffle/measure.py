@@ -10,13 +10,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import CapExceeded, ContractError, NotReversible
 from .perms import BiasMatrix, LocalizationVector, Permutation
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_ENUM_CAP = 8
 HARD_ENUM_CAP = 10
@@ -215,6 +217,7 @@ def _swap_kernel(digits: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
     swapped word is a state and differs from the word; otherwise the state
     stays.
     """
+    import scipy.sparse as sp
     m, n = digits.shape
     if n < 2:       # no edge: every state stays
         return sp.identity(m, format="csr")
@@ -279,6 +282,7 @@ def spectral_gap(P: TransitionMatrix, mu: DistributionTable,
     converge it raises CapExceeded naming dense_cutoff.  A singleton chain
     has gap 1 by convention.
     """
+    import scipy.sparse as sp
     m = len(P.states)
     if m == 1:
         return 1.0
@@ -295,6 +299,7 @@ def spectral_gap(P: TransitionMatrix, mu: DistributionTable,
         eigs = np.linalg.eigvalsh(Sd)
         lam2 = float(eigs[-2])
     else:
+        import scipy.sparse.linalg as spla
         S = S.tocsr()
         v = root / np.linalg.norm(root)
 

@@ -219,6 +219,13 @@ def test_ensemble_contract_errors():
                                 checkpoint_fn=lambda t, F, INV: seen.append(t))
     assert seen == [0] and np.array_equal(F, starts)
     assert np.array_equal(INV, starts)
+    # a bias matrix of another size used to end in numpy's broadcast error
+    for m in (3, 6):
+        with pytest.raises(ContractError,
+                           match=f"p is for n = {m}, but the start rows "
+                                 "have n = 4"):
+            ensemble_chain_run(BiasMatrix.constant(m, 0.6), starts, 10,
+                               derive_rng(1))
 
 
 def test_eta_projection_examples():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -965,7 +966,8 @@ def test_run_settings_only_where_read(tmp_path, monkeypatch, capsys, name,
                                       setting, source):
     # every command used to accept every setting, and to record one it never
     # read in its manifest as if it had been used
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    # experiments imports the pool from concurrent.futures where jobs > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     SerialPool.workers = []
 
     def call(value, out):

@@ -538,6 +538,31 @@ def test_block_chain_mixing_pinned_at_random_eps():
             "16e134da600bc8e863cc23e9d6652f904820ef11e0c2df009a8a8689de59e2dd"
 
 
+# the bench's blockdyn instance (n = 300, ell = 12, constant q = 0.75), so
+# that a change to the twin block driver's work shows whether it moved a
+# meeting time
+BENCH_SHAPED_PINS = {
+    26: ([0, 4, 5, 9, 10], {"max_time": 5, "median_time": 3.5},
+         "86245117b7a76b6fa3171e635588b11f8ed269929f3b08c8b2019c7396c6301b"),
+    27: ([0, 6, 8, 10, 10], {"max_time": 4, "median_time": 2.0},
+         "d8d6e64d1dba989a90dee29bf2f04f528308cc8a030b6ddc2d1e8ff17b4b1c6c"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_SHAPED_PINS))
+def test_block_chain_mixing_pinned_at_the_bench_instance(seed):
+    n = 300
+    res = block_chain_mixing(n, BiasMatrix.constant(n, 0.75),
+                             LocalizationVector.constant(n, 12),
+                             BlockSchedule.west_east(n), replicas=10,
+                             step_cap=50, success_frac=0.95, seed=seed)
+    counts, meta, digest = BENCH_SHAPED_PINS[seed]
+    assert [round(pt.estimate * 10) for pt in res.series[:5]] == counts
+    assert res.meta == meta
+    text = json.dumps(res.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("key", ["replicas", "step_cap", "jobs"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_block_chain_mixing_refuses_counts_below_one(key, value,
@@ -680,6 +705,14 @@ def test_burn_in_profile_identity_start_stays_local():
                           seed=11)
     assert res.verdict.passed
     assert res.series[-1].estimate <= 6.0 * math.log(48)
+
+
+def test_burn_in_profile_refuses_a_bias_matrix_of_another_size():
+    # this call used to end in numpy's broadcast ValueError
+    with pytest.raises(ContractError, match="p is for n = 6, but the start "
+                                            "rows have n = 4"):
+        burn_in_profile(4, BiasMatrix.constant(6, 0.7), "reversal", T=10,
+                        replicas=2)
 
 
 def test_result_records_are_deterministic():

@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                     Permutation, instance_fingerprint, is_localized,
-                    max_displacement, max_localized_state,
-                    random_admissible_localization, relabel_map,
+                    max_displacement, max_localized_state, relabel_map,
                     restrict_instance)
 from .measure import (DistributionTable, TransitionMatrix,
                       build_transition_matrix, check_detailed_balance,
@@ -21,7 +20,7 @@ from .measure import (DistributionTable, TransitionMatrix,
 from .banddp import (BandDP, band_dp_conditional_marginal, band_dp_partition,
                      band_dp_sample, exact_localized_sampler,
                      heat_bath_block_sample)
-from .chains import (BlockSchedule, UpdateDraw, asep_rightmost_tail,
-                     asep_stationary, at_step, block_step, derive_rng,
-                     exact_block_kernel, twin_chain_coupling_run)
+from .chains import (BlockSchedule, asep_rightmost_tail, asep_stationary,
+                     block_step, derive_rng, exact_block_kernel,
+                     twin_chain_coupling_run)
 from .errors import CapExceeded, ContractError, EmptySupport, NotReversible

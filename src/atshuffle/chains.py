@@ -1,23 +1,20 @@
 """The stochastic processes and their couplings.
 
-Two update orientations appear on purpose.  ``at_step``, the one scalar
-reference of the chain and, with a localization vector, of the restricted
-chain, and the replica ensembles follow the documented single-chain
-convention (swap iff u < p[behind][ahead]); every coupling, the twin chains
-included, uses the order-based convention (the smaller label ends up ahead
-iff u < p[low][high]).  Both produce the same one-step kernel, but only the
-order-based form nests the chain's events inside the ASEP events and, at
+Two update orientations appear on purpose, each with one implementation in
+the package.  The replica ensembles of ``ensemble_chain_run`` follow the
+documented single-chain convention (swap iff u < p[behind][ahead]), also for
+the restricted chain; every coupling, the twin chains included, uses the
+order-based convention (the smaller label ends up ahead iff u < p[low][high])
+of ``_ordered_list_step``.  Both produce the same one-step kernel, but only
+the order-based form nests the chain's events inside the ASEP events and, at
 constant bias, keeps two unrestricted chains on one draw in the threshold
 order, which is what makes the couplings preserve their invariants pathwise.
 
-``at_step`` reads one UpdateDraw (step count, edge, uniform variate) per
-update; the vectorized ensembles are tested against it on shared draws.
-Each coupled rule has one implementation: ``_ordered_list_step`` for the
-chain and ``_asep_edge`` for the exclusion process.  The scalar drivers (the
-twin chains, the domination and monotone audits and the ASEP pair
-coalescence) are deterministic functions of one shared stream of (edge,
-uniform) pairs, read from ``_audit_draws`` as plain lists in fixed chunks so
-that the stream does not depend on the horizon.
+The coupled exclusion-process rule is written once, as ``_asep_edge``.  The
+scalar drivers (the twin chains, the domination and monotone audits and the
+ASEP pair coalescence) are deterministic functions of one shared stream of
+(edge, uniform) pairs, read from ``_audit_draws`` as plain lists in fixed
+chunks so that the stream does not depend on the horizon.
 Substreams are derived from a master seed via ``derive_rng(master, *keys)``,
 which feeds the integer tuple (master, key1, key2, ...) to numpy's
 SeedSequence.
@@ -51,55 +48,6 @@ def derive_rng(master: int, *keys: int) -> np.random.Generator:
 def experiment_id(name: str) -> int:
     """Stable integer id of an experiment name (crc32)."""
     return zlib.crc32(name.encode())
-
-
-@dataclass(frozen=True)
-class UpdateDraw:
-    """One step of shared randomness: edge index, uniform variate, step count."""
-
-    t: int
-    edge: int
-    u: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.u < 1.0:
-            raise ContractError("u must lie in [0, 1)")
-        if self.edge < 1:
-            raise ContractError("edge must be >= 1")
-
-
-# ---------------------------------------------------------------------------
-# single-site steps
-# ---------------------------------------------------------------------------
-
-def _swap_keeps_localized(sigma: Permutation, edge: int,
-                          ell: LocalizationVector) -> bool:
-    """Whether swapping (edge, edge+1) keeps sigma in the localized set.
-
-    Only the two moved particles can leave their windows, and only on the
-    side they move toward.
-    """
-    a, b = sigma.at(edge), sigma.at(edge + 1)
-    return (edge + 1 - a) <= int(ell.hi[a - 1]) and (b - edge) <= int(ell.lo[b - 1])
-
-
-def at_step(sigma: Permutation, p: BiasMatrix, draw: UpdateDraw,
-            ell: LocalizationVector | None = None) -> Permutation:
-    """One adjacent-transposition update; swap iff u < p[behind][ahead].
-
-    With ell, sigma must lie in the localized set, and a swap that would
-    leave it is rejected in place (the restricted chain).
-    """
-    if not 1 <= draw.edge <= sigma.n - 1:
-        raise ContractError("edge out of range")
-    if ell is not None and not is_localized(sigma, ell):
-        raise ContractError("state is outside the localized set")
-    out = sigma.copy()
-    a, b = out.at(draw.edge), out.at(draw.edge + 1)
-    if draw.u < p.get(b, a) and (ell is None
-                                 or _swap_keeps_localized(out, draw.edge, ell)):
-        out.swap(draw.edge)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ from .measure import (DEFAULT_ENUM_CAP, build_transition_matrix,
                       exact_mixing_time, spectral_gap, tv_distance)
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                     Permutation, _q_from_epsilon, instance_fingerprint,
-                    inverse_rows, max_localized_state,
-                    random_admissible_localization, restrict_instance)
+                    inverse_rows, max_localized_state, restrict_instance)
 
 # Calibrated once on the constant-bias reference family (q = 0.75, reversal
 # start, t = 8 n^2, 150 replicas, master seed 20240801; observed 99th-pct max
@@ -191,33 +190,6 @@ def make_family(n: int, family: dict, seed: int = 0) -> BiasMatrix:
                                           derive_rng(seed, experiment_id("family"), n))
     raise ContractError(f"unknown family kind {kind!r}; choose from "
                         + ", ".join(FAMILY_PARAMS))
-
-
-def regression_instances(seed: int = 20240801, count: int = 120,
-                         ns=(3, 4, 5, 6), eps_values=(0.2, 0.5, 1.0),
-                         with_ell: bool = True, max_ell: int = 3):
-    """The fixed randomized regression set (seeds live in this signature)."""
-    rng = derive_rng(seed, experiment_id("regression-set"))
-    out = []
-    i = 0
-    while len(out) < count:
-        n = int(ns[i % len(ns)])
-        eps = float(eps_values[(i // len(ns)) % len(eps_values)])
-        fam = i % 4
-        if fam == 0:
-            p = BiasMatrix.constant_from_epsilon(n, eps)
-        elif fam == 1:
-            p = BiasMatrix.random_biased(n, eps, rng)
-        elif fam == 2:
-            p = BiasMatrix.monotone_biased(n, eps, rng)
-        else:
-            p = BiasMatrix.totally_asymmetric(n)
-        ell = None
-        if with_ell and i % 2 == 1:
-            ell = random_admissible_localization(n, rng, max_ell=max_ell)
-        out.append({"name": f"reg{i:03d}", "n": n, "eps": eps, "p": p, "ell": ell})
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

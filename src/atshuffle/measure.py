@@ -255,20 +255,20 @@ def _swap_kernel(digits: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
 def build_transition_matrix(n: int, p: BiasMatrix,
                             ell: LocalizationVector | None = None,
                             cap: int = DEFAULT_ENUM_CAP,
-                            mu: DistributionTable | None = None,
-                            check_balance: bool = True) -> TransitionMatrix:
+                            mu: DistributionTable | None = None) -> TransitionMatrix:
     """Exact one-step kernel of the adjacent transposition chain.
 
     An edge i in [n-1] is chosen uniformly; the two particles there end up
     with a ahead of b with probability p[a][b].  Proposals leaving the
     localized set are rejected in place (their mass joins the diagonal).
+    The kernel is checked for detailed balance against mu before it is
+    returned.
     """
     if mu is None:
         mu = enumerate_stationary(n, p, ell, cap=cap)
     out = TransitionMatrix(mu.support, _swap_kernel(mu.support - 1, p.dense()))
-    if check_balance:
-        check_detailed_balance(out, mu)
-        out.reversible = True
+    check_detailed_balance(out, mu)
+    out.reversible = True
     return out
 
 

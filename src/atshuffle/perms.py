@@ -2,9 +2,9 @@
 
 Positions and particle labels are 1-based everywhere in the public API;
 internal numpy arrays are 0-indexed but never leak.  A permutation sigma is
-stored together with its inverse, so ``sigma.at(i)`` (particle in position i)
-and ``sigma.position(k)`` (position of particle k) are both O(1) and adjacent
-swaps keep the two arrays in sync.
+stored as its forward row alone, ``sigma.forward[i - 1]`` being the particle
+in position i; ``inverse_rows`` gives the positions of the particles for a
+stack of such rows.
 """
 
 from __future__ import annotations
@@ -23,18 +23,23 @@ _LAZY = object()
 
 
 class Permutation:
-    """A bijection on {1..n} with forward and inverse arrays maintained jointly."""
+    """A bijection on {1..n}, stored as its forward row."""
 
-    __slots__ = ("forward", "inverse", "n")
+    __slots__ = ("forward", "n")
 
     def __init__(self, forward, _validate: bool = True):
         if _validate:
-            given = np.asarray(forward)
+            try:
+                given = np.asarray(forward)
+            except ValueError:      # a ragged nested list
+                given = None
             # int64 would parse a string of digits, take a bool as 0 or 1
-            # and truncate a label that is not a whole number
-            if given.dtype.kind not in "iuf" or (
-                    given.dtype.kind == "f" and not np.all(
-                        np.isfinite(given) & (np.floor(given) == given))):
+            # and truncate a label that is not a whole number; a scalar or a
+            # nested list is no row of labels
+            if (given is None or given.ndim != 1
+                    or given.dtype.kind not in "iuf"
+                    or (given.dtype.kind == "f" and not np.all(
+                        np.isfinite(given) & (np.floor(given) == given)))):
                 raise ContractError("forward must list each label in 1..n once")
         fwd = np.array(forward, dtype=np.int64)
         n = int(fwd.shape[0])
@@ -44,10 +49,7 @@ class Permutation:
             counts = np.bincount(fwd, minlength=n + 1)
             if np.any(counts[1:] != 1):
                 raise ContractError("forward must list each label in 1..n once")
-        inv = np.empty(n, dtype=np.int64)
-        inv[fwd - 1] = np.arange(1, n + 1)
         self.forward = fwd
-        self.inverse = inv
         self.n = n
 
     @classmethod
@@ -64,24 +66,6 @@ class Permutation:
             raise ContractError(f"position {i} out of range 1..{self.n}")
         return int(self.forward[i - 1])
 
-    def position(self, k: int) -> int:
-        """Position of particle k."""
-        if not 1 <= k <= self.n:
-            raise ContractError(f"label {k} out of range 1..{self.n}")
-        return int(self.inverse[k - 1])
-
-    def swap(self, i: int) -> None:
-        """In-place adjacent transposition at positions (i, i+1)."""
-        if not 1 <= i <= self.n - 1:
-            raise ContractError(f"edge {i} out of range 1..{self.n - 1}")
-        a, b = self.forward[i - 1], self.forward[i]
-        self.forward[i - 1], self.forward[i] = b, a
-        self.inverse[a - 1] = i + 1
-        self.inverse[b - 1] = i
-
-    def copy(self) -> "Permutation":
-        return Permutation(self.forward.copy(), _validate=False)
-
     def to_tuple(self) -> tuple:
         return tuple(self.forward.tolist())
 
@@ -95,9 +79,10 @@ class Permutation:
 
 
 def max_displacement(sigma: Permutation) -> int:
-    """max over particles k of |position(k) - k|."""
+    """max over particles k of |position(k) - k|: the particle at position i
+    is |i - forward[i]| from home."""
     n = sigma.n
-    return int(np.max(np.abs(sigma.inverse - np.arange(1, n + 1)))) if n else 0
+    return int(np.max(np.abs(sigma.forward - np.arange(1, n + 1)))) if n else 0
 
 
 class LocalizationVector:
@@ -312,19 +297,6 @@ class BiasMatrix:
                 self._epsilon = float(np.min(ratios) - 1.0)
         return self._epsilon
 
-    def is_monotone(self) -> bool:
-        """p[i][j] nondecreasing in j (i<j) and nonincreasing in i (i+1<j)."""
-        d = self.dense()
-        for i in range(self.n):
-            for j in range(i + 1, self.n - 1):
-                if d[i, j] > d[i, j + 1] + 1e-15:
-                    return False
-        for i in range(self.n - 2):
-            for j in range(i + 2, self.n):
-                if d[i, j] < d[i + 1, j] - 1e-15:
-                    return False
-        return True
-
     def submatrix(self, labels) -> "BiasMatrix":
         """Bias matrix on strictly increasing labels (1-based).
 
@@ -514,6 +486,11 @@ class BoundaryAssignment:
 
     def __post_init__(self):
         labels = list(self.left) + list(self.right)
+        # values() would truncate a float label and read a bool as 0 or 1
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in labels):
+            raise ContractError(
+                f"boundary labels must be integers, got {labels!r}")
         if len(set(labels)) != len(labels):
             raise ContractError("boundary assignment must be injective")
         if any(not 1 <= v <= self.n for v in labels):
@@ -600,29 +577,6 @@ def restrict_instance(boundary: BoundaryAssignment, p: BiasMatrix,
     sub_p = p.submatrix(r)
     sub_ell = _induced(r, boundary.i, ell) if ell is not None else None
     return sub_p, sub_ell, r
-
-
-def random_admissible_localization(n: int, rng: np.random.Generator,
-                                   max_ell: int | None = None) -> LocalizationVector:
-    """Random n-admissible localization vector, admissible by construction.
-
-    Window starts k - lo[k] and ends k + hi[k] are built as nondecreasing
-    random walks; max_ell caps every entry.
-    """
-    cap = n if max_ell is None else max_ell
-    lo = np.empty(n, dtype=np.int64)
-    hi = np.empty(n, dtype=np.int64)
-    start = 1
-    for k in range(1, n + 1):
-        lowest = max(start, k - cap)
-        start = int(rng.integers(lowest, k + 1))
-        lo[k - 1] = k - start
-    end = n
-    for k in range(n, 0, -1):
-        highest = min(end, k + cap)
-        end = int(rng.integers(k, highest + 1))
-        hi[k - 1] = end - k
-    return LocalizationVector(lo, hi)
 
 
 def max_localized_state(ell: LocalizationVector) -> Permutation:

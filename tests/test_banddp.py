@@ -10,6 +10,7 @@ from scipy import stats
 
 import block_oracle
 from banddp_oracle import ReferenceBandDP, random_bias_with_certain_pairs
+from chain_oracle import random_admissible_localization
 from atshuffle import banddp
 from atshuffle.banddp import (BandDP, BandDPSampler, EnumerationSampler,
                               MallowsRejectionSampler, SamplerCache,
@@ -20,8 +21,7 @@ from atshuffle.errors import CapExceeded, ContractError, EmptySupport
 from atshuffle.measure import enumerate_stationary, log_weight
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
                              LocalizationVector, Permutation, is_localized,
-                             localized_rows, max_localized_state,
-                             random_admissible_localization)
+                             localized_rows, max_localized_state)
 
 
 def brute_conditional(mu, pins):

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 import audit_oracle
 from audit_oracle import left_of
+from chain_oracle import random_admissible_localization
 from atshuffle import chains
 from atshuffle.chains import (_asep_edge, _ordered_list_step,
                               asep_monotone_audit_run, asep_pair_coalescence,
                               domination_audit_run)
 from atshuffle.errors import ContractError
 from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
-                             is_localized, random_admissible_localization)
+                             is_localized)
 
 
 def occupancy_states(n, k):

@@ -1,9 +1,12 @@
-"""Every function, method and class of the package has a caller.
+"""Every function, method and class of the package has a caller outside the
+tests.
 
 A definition counts as used when its name occurs in code outside its own
-definition, anywhere in ``src``, ``tests``, ``demos`` or ``bench``: as an
-attribute, and, unless it is a method, also as a bare or imported name.  So a
-local variable that shares a method's name does not keep the method alive.
+definition, anywhere in ``src``, ``demos`` or ``bench``: as an attribute,
+and, unless it is a method, also as a bare or imported name.  So a local
+variable that shares a method's name does not keep the method alive.  Uses
+in ``tests`` do not count, since code that only the tests call belongs in a
+tests oracle, and neither do the re-exports of ``atshuffle/__init__.py``.
 An identifier-like string counts only in ``bench/spans.py``, the one file
 that wraps its targets by name; elsewhere such a string is data (a CLI
 command, a config key), and a method that shares its name is not called.
@@ -19,7 +22,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "atshuffle")
 BY_NAME = os.path.join(ROOT, "bench", "spans.py")
-SEARCHED = ("src", "tests", "demos", "bench")
+REEXPORTS = os.path.join(PACKAGE, "__init__.py")
+SEARCHED = ("src", "demos", "bench")
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -73,7 +77,8 @@ def unreferenced():
     definitions, references = definitions_and_references()
     uses = {}
     for name, bare, path, line in references:
-        uses.setdefault(name, []).append((bare, path, line))
+        if path != REEXPORTS:
+            uses.setdefault(name, []).append((bare, path, line))
     return sorted(
         f"{os.path.relpath(path, ROOT)}:{first} {name}"
         for name, is_method, path, first, last in definitions

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chain_oracle import (random_admissible_localization,
+                          regression_instances)
 from atshuffle import banddp, chains, experiments
 from atshuffle.chains import BlockSchedule, derive_rng, experiment_id
 from atshuffle.errors import CapExceeded, ContractError
@@ -21,13 +23,12 @@ from atshuffle.experiments import (ExperimentResult, SeriesPoint, Verdict,
                                    disconnect_product_bound,
                                    localization_tail_check,
                                    lower_bound_experiment, mixing_scaling,
-                                   regression_instances, spatial_decay_curve)
+                                   spatial_decay_curve)
 from atshuffle.banddp import BandDP
 from atshuffle.measure import enumerate_stationary, tv_distance
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
                              LocalizationVector, Permutation,
-                             instance_fingerprint,
-                             random_admissible_localization)
+                             instance_fingerprint)
 
 
 def enum_region_tv(n, p, ell, eta_a, eta_b, region):

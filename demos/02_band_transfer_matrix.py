@@ -41,7 +41,7 @@ print(f"n={n}, window 6: restricted logZ = {logz200:.3f} "
 # Exact sampling: every draw is localized, and a seed pins the draw.
 sigma = band_dp_sample(p200, ell200, np.random.default_rng(3))
 print(f"one exact draw: localized = {is_localized(sigma, ell200)}, "
-      f"max displacement = {max_displacement(sigma)}")
+      f"max displacement = {max_displacement(sigma.forward[None])[0]}")
 again = band_dp_sample(p200, ell200, np.random.default_rng(3))
 print(f"same seed reproduces the draw: {sigma.to_tuple() == again.to_tuple()}")
 

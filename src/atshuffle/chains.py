@@ -36,8 +36,8 @@ from .errors import CapExceeded, ContractError
 from .measure import (MEMORY_BUDGET, DistributionTable, TransitionMatrix,
                       _state_rows, _swap_kernel, check_detailed_balance,
                       enumerate_stationary)
-from .perms import (BiasMatrix, LocalizationVector, Permutation, inverse_rows,
-                    is_localized, localized_rows)
+from .perms import (BiasMatrix, LocalizationVector, Permutation, _is_integer,
+                    is_localized, localized_rows, max_displacement)
 
 
 def derive_rng(master: int, *keys: int) -> np.random.Generator:
@@ -148,6 +148,9 @@ class BlockSchedule:
     selection: str = "size"  # "size" per heat-bath definition, or "uniform"
 
     def __post_init__(self):
+        if not _is_integer(self.n) or self.n < 1:
+            raise ContractError(f"a schedule needs an integer n >= 1, "
+                                f"got {self.n!r}")
         if self.kind not in ("west-east", "single"):
             raise ContractError(f"unknown schedule kind {self.kind!r}; "
                                 "choose west-east or single")
@@ -333,14 +336,14 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
 # trajectory records
 # ---------------------------------------------------------------------------
 
-def write_checkpoint(fh, step: int, sigma: Permutation, tracked_ks=()) -> None:
-    """Line-delimited trajectory record: step, state, displacement, projections."""
-    from .perms import max_displacement
-    f = sigma.forward.tolist()
+def write_checkpoint(fh, step: int, row: np.ndarray, tracked_ks=()) -> None:
+    """Trajectory record of a forward row: step, state, displacement,
+    projections."""
+    f = row.tolist()
     rec = {
         "step": step,
         "permutation": f,
-        "max_displacement": max_displacement(sigma),
+        "max_displacement": int(max_displacement(row[None])[0]),
         # eta_k marks the positions holding labels <= k
         "projections": {str(k): [int(v <= k) for v in f] for k in tracked_ks},
     }
@@ -365,10 +368,9 @@ def ensemble_chain_run(p: BiasMatrix, starts: np.ndarray, steps: int,
     """Advance R independent chains in lockstep (vectorized over replicas).
 
     starts is an (R, n) array of forward rows, each a permutation of 1..n and
-    in the localized set when ell is given.  checkpoint_fn(t, F, INV) is
-    called at each step index in checkpoints (0 means before any step), each
-    of which must lie in [0, steps]; INV is the exact inverse of that step's
-    F.  Returns the final (F, INV).
+    in the localized set when ell is given.  checkpoint_fn(t, F) is called at
+    each step index in checkpoints (0 means before any step), each of which
+    must lie in [0, steps].  Returns the final F.
     """
     if steps < 0:
         raise ContractError("steps must be >= 0")
@@ -389,7 +391,7 @@ def ensemble_chain_run(p: BiasMatrix, starts: np.ndarray, steps: int,
     if checkpoint_fn is None:
         marks = []
     if marks and marks[0] == 0:
-        checkpoint_fn(0, F, inverse_rows(F))
+        checkpoint_fn(0, F)
         marks.pop(0)
     # p[b][a] at flat index b*(n+1) + a of a zero-padded copy of p.dense()
     stride = n + 1
@@ -421,14 +423,9 @@ def ensemble_chain_run(p: BiasMatrix, starts: np.ndarray, steps: int,
             Fn[i] = np.where(do, a, b)
             t += 1
             if marks and marks[0] == t:
-                checkpoint_fn(t, F, inverse_rows(F))
+                checkpoint_fn(t, F)
                 marks.pop(0)
-    return F, inverse_rows(F)
-
-
-def ensemble_max_displacement(INV: np.ndarray) -> np.ndarray:
-    n = INV.shape[1]
-    return np.max(np.abs(INV - np.arange(1, n + 1)[None, :]), axis=1)
+    return F
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,7 @@ from . import __version__
 from .banddp import (DEFAULT_WINDOW_CAP, check_draw_memory,
                      exact_localized_sampler)
 from .chains import (BlockSchedule, derive_rng, ensemble_chain_run,
-                     ensemble_max_displacement, experiment_id,
-                     write_checkpoint)
+                     experiment_id, write_checkpoint)
 from .errors import CapExceeded, ContractError, EmptySupport, NotReversible
 from .experiments import (FAMILY_PARAMS, ExperimentResult, Verdict,
                           _start_rows, asep_tail_check,
@@ -70,7 +69,7 @@ from .experiments import (FAMILY_PARAMS, ExperimentResult, Verdict,
 from .measure import (DEFAULT_ENUM_CAP, build_transition_matrix,
                       enumerate_stationary, spectral_gap)
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
-                    Permutation, instance_fingerprint, localized_rows)
+                    instance_fingerprint, localized_rows, max_displacement)
 
 # the kind of a config key, as its type error names it
 INT, INTS, NUMBER = "an integer", "a list of integers", "a finite number"
@@ -412,16 +411,16 @@ def _run_chain(cfg: RunConfig, outdir: str):
     marks = list(range(0, steps + 1, every))
     recs = []
 
-    def snap(t, F, INV):
-        recs.append((t, F[0].copy(), int(ensemble_max_displacement(INV)[0])))
+    def snap(t, F):
+        recs.append((t, F[0].copy()))
 
     ensemble_chain_run(p, rows, steps, rng, ell=ell, checkpoints=marks,
                        checkpoint_fn=snap)
     with open(path, "w") as fh:
-        for t, f, _ in recs:
-            write_checkpoint(fh, t, Permutation(f, _validate=False), tracked)
-    verdict = Verdict(True, "record-only trajectory",
-                      {"final_max_displacement": recs[-1][2]})
+        for t, f in recs:
+            write_checkpoint(fh, t, f, tracked)
+    verdict = Verdict(True, "record-only trajectory", {
+        "final_max_displacement": int(max_displacement(recs[-1][1][None])[0])})
     res = ExperimentResult("chain", instance_fingerprint(p, ell),
                            cfg.resolved(), [], verdict,
                            {"steps": steps, "trajectory": "trajectory.jsonl"})

@@ -19,8 +19,7 @@ from .banddp import (BandDP, DEFAULT_WINDOW_CAP, SamplerCache,
                      check_draw_memory, exact_localized_sampler)
 from .chains import (BlockSchedule, asep_pair_coalescence,
                      asep_rightmost_tail, asep_stationary, check_dense_kernel,
-                     derive_rng, ensemble_chain_run,
-                     ensemble_max_displacement, exact_block_kernel,
+                     derive_rng, ensemble_chain_run, exact_block_kernel,
                      experiment_id, twin_chain_coupling_run)
 from .errors import CapExceeded, ContractError, EmptySupport
 from .measure import (DEFAULT_ENUM_CAP, build_transition_matrix,
@@ -28,7 +27,7 @@ from .measure import (DEFAULT_ENUM_CAP, build_transition_matrix,
                       exact_mixing_time, spectral_gap, tv_distance)
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                     Permutation, _q_from_epsilon, instance_fingerprint,
-                    inverse_rows, max_localized_state, restrict_instance)
+                    max_displacement, max_localized_state, restrict_instance)
 
 # Calibrated once on the constant-bias reference family (q = 0.75, reversal
 # start, t = 8 n^2, 150 replicas, master seed 20240801; observed 99th-pct max
@@ -224,6 +223,11 @@ def burn_in_profile(n: int, p: BiasMatrix, init="reversal", T: int | None = None
     The verdict compares the terminal displacement quantile against
     c0_log * log(n), c0_log from the frozen calibration.
     """
+    # the stderr of each checkpoint needs two replicas (ddof = 1)
+    if replicas < 2:
+        raise ContractError(f"replicas must be >= 2, got {replicas}")
+    if not 0.0 < quantile < 1.0:
+        raise ContractError(f"quantile must lie in (0, 1), got {quantile!r}")
     if T is None:
         T = 8 * n * n
     if checkpoints is None:
@@ -233,8 +237,8 @@ def burn_in_profile(n: int, p: BiasMatrix, init="reversal", T: int | None = None
     starts = _start_rows(n, init, replicas, rng)
     profile = {}
 
-    def snap(t, F, INV):
-        profile[t] = ensemble_max_displacement(INV).copy()
+    def snap(t, F):
+        profile[t] = max_displacement(F)
 
     ensemble_chain_run(p, starts, T, rng, ell=ell, checkpoints=checkpoints,
                        checkpoint_fn=snap)
@@ -356,7 +360,8 @@ def localization_tail_check(n: int, p: BiasMatrix,
     rng = derive_rng(seed, experiment_id("localization-tail"))
     rows = sampler.draw_rows(rng, samples)
     R = rows.shape[0]
-    disp = np.abs(inverse_rows(rows) - np.arange(1, n + 1)[None, :])
+    # each row holds the displacements of its particles, in position order
+    disp = np.abs(rows - np.arange(1, n + 1))
     if rs is None:
         rs = list(range(1, 9))
     series = []
@@ -791,8 +796,8 @@ def _statistic_bracket(n: int, p: BiasMatrix, delta: float, budget: int,
     starts = _start_rows(n, "reversal", replicas, rng)
     hist = {}
 
-    def snap(t, F, INV):
-        hist[t] = INV[:, 0].copy()
+    def snap(t, F):
+        hist[t] = np.argmax(F == 1, axis=1) + 1
 
     ensemble_chain_run(p, starts, grid[-1], rng, checkpoints=grid,
                        checkpoint_fn=snap)
@@ -842,6 +847,8 @@ def lower_bound_experiment(n: int, p: BiasMatrix, eta: float = 0.5,
     """
     if not 0.0 < eta < 1.0:
         raise ContractError("eta must lie in (0, 1)")
+    if replicas < 1:
+        raise ContractError(f"replicas must be >= 1, got {replicas}")
     eps = p.epsilon
     if eps < 0:
         raise ContractError("the certificate needs a 0-positively biased instance")
@@ -849,8 +856,8 @@ def lower_bound_experiment(n: int, p: BiasMatrix, eta: float = 0.5,
     s = int(math.isqrt(n))
     rng = derive_rng(seed, experiment_id("lower-bound"))
     starts = _start_rows(n, "reversal", replicas, rng)
-    F, INV = ensemble_chain_run(p, starts, t_run, rng)
-    hit = INV[:, 0] <= s
+    F = ensemble_chain_run(p, starts, t_run, rng)
+    hit = np.argmax(F == 1, axis=1) + 1 <= s
     est = float(np.mean(hit))
     se = _se_bernoulli(est, replicas)
     ref_cert = 1.0 - geometric_bound(eps, s)

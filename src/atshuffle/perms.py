@@ -3,8 +3,7 @@
 Positions and particle labels are 1-based everywhere in the public API;
 internal numpy arrays are 0-indexed but never leak.  A permutation sigma is
 stored as its forward row alone, ``sigma.forward[i - 1]`` being the particle
-in position i; ``inverse_rows`` gives the positions of the particles for a
-stack of such rows.
+in position i, and an ensemble as the (R, n) stack of such rows.
 """
 
 from __future__ import annotations
@@ -78,11 +77,11 @@ class Permutation:
         return f"Permutation({self.to_tuple()})"
 
 
-def max_displacement(sigma: Permutation) -> int:
-    """max over particles k of |position(k) - k|: the particle at position i
-    is |i - forward[i]| from home."""
-    n = sigma.n
-    return int(np.max(np.abs(sigma.forward - np.arange(1, n + 1)))) if n else 0
+def max_displacement(F: np.ndarray) -> np.ndarray:
+    """max over particles k of |position(k) - k| for each row of an (R, n)
+    stack of forward rows: the particle at position i is |i - F[r, i]| from
+    home, and a row holds each particle once."""
+    return np.max(np.abs(F - np.arange(1, F.shape[1] + 1)), axis=1)
 
 
 class LocalizationVector:
@@ -196,14 +195,6 @@ class LocalizationVector:
 def is_localized(sigma: Permutation, ell: LocalizationVector) -> bool:
     """True iff position(k) - k lies in [-lo[k], hi[k]] for every particle k."""
     return bool(localized_rows(sigma.forward[None, :], ell)[0])
-
-
-def inverse_rows(F: np.ndarray) -> np.ndarray:
-    """Row-wise inverses of an (R, n) stack of 1-based permutation rows."""
-    R, n = F.shape
-    INV = np.empty_like(F)
-    INV[np.arange(R)[:, None], F - 1] = np.arange(1, n + 1)[None, :]
-    return INV
 
 
 def localized_rows(F: np.ndarray, ell: LocalizationVector) -> np.ndarray:
@@ -444,16 +435,11 @@ class BiasMatrix:
         iu = np.triu_indices(n, k=1)
         up[iu] = rng.uniform(lo, 1.0, size=len(iu[0]))
         # p[i][j] = max over {i' >= i, j' <= j, i' < j'}: nondecreasing in j,
-        # nonincreasing in i, still within [lo, 1]
-        for i in range(n - 2, -1, -1):
-            for j in range(i + 1, n):
-                best = up[i, j]
-                if i + 1 < j:
-                    best = max(best, up[i + 1, j])
-                if j - 1 > i:
-                    best = max(best, up[i, j - 1])
-                up[i, j] = best
-        return cls(up)
+        # nonincreasing in i, still within [lo, 1].  The running maxima span
+        # the whole rectangle i' >= i, j' <= j, but the zeros on and below
+        # the diagonal never win over up[i, j] >= lo > 0.
+        up = np.maximum.accumulate(up, axis=1)
+        return cls(np.maximum.accumulate(up[::-1], axis=0)[::-1])
 
 
 def _q_from_epsilon(eps: float) -> float:
@@ -462,6 +448,11 @@ def _q_from_epsilon(eps: float) -> float:
     if not eps >= 0:
         raise ContractError(f"eps must be nonnegative, got {eps!r}")
     return 1.0 if math.isinf(eps) else (1.0 + eps) / (2.0 + eps)
+
+
+def _is_integer(v) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def instance_fingerprint(p: BiasMatrix, ell: LocalizationVector | None) -> str:
@@ -485,10 +476,11 @@ class BoundaryAssignment:
     right: tuple
 
     def __post_init__(self):
-        labels = list(self.left) + list(self.right)
         # values() would truncate a float label and read a bool as 0 or 1
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in labels):
+        if not _is_integer(self.n):
+            raise ContractError(f"n must be an integer, got {self.n!r}")
+        labels = list(self.left) + list(self.right)
+        if not all(map(_is_integer, labels)):
             raise ContractError(
                 f"boundary labels must be integers, got {labels!r}")
         if len(set(labels)) != len(labels):

@@ -17,7 +17,7 @@ import numpy as np
 
 from atshuffle.errors import ContractError, EmptySupport
 from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
-                             inverse_rows, is_localized)
+                             is_localized)
 
 
 def relabel_map(boundary):
@@ -118,5 +118,5 @@ def mallows_rows(cdfs, u):
 def localized_rows(F, ell):
     """Whether each row of an (R, n) stack keeps every label k within
     [-lo[k], hi[k]] of its home, by the inverse rows."""
-    d = inverse_rows(F) - np.arange(1, ell.n + 1)
+    d = np.argsort(F, axis=1) + 1 - np.arange(1, ell.n + 1)
     return np.all((d >= -ell.lo) & (d <= ell.hi), axis=1)

@@ -5,7 +5,9 @@ convention, one permutation and one draw at a time; the vectorized stepper
 ``atshuffle.chains.ensemble_chain_run`` must follow it on shared draws.
 ``regression_instances`` is the fixed randomized instance set of the
 detailed-balance checks, built with ``random_admissible_localization``, and
-``is_monotone`` tests Fill's monotonicity condition on a bias matrix.
+``is_monotone`` tests Fill's monotonicity condition on a bias matrix, and
+``monotone_biased`` builds the monotone family by the straightforward
+double loop on the same draws as ``BiasMatrix.monotone_biased``.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ import numpy as np
 from atshuffle.chains import derive_rng, experiment_id
 from atshuffle.errors import ContractError
 from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
-                             is_localized)
+                             _q_from_epsilon, is_localized)
 
 
 @dataclass(frozen=True)
@@ -126,3 +128,20 @@ def is_monotone(p: BiasMatrix) -> bool:
             if d[i, j] < d[i + 1, j] - 1e-15:
                 return False
     return True
+
+
+def monotone_biased(n: int, eps: float, rng: np.random.Generator) -> BiasMatrix:
+    """p[i][j] = max of a random table over {i' >= i, j' <= j, i' < j'},
+    filled one entry at a time from row n - 2 up."""
+    up = np.zeros((n, n))
+    iu = np.triu_indices(n, k=1)
+    up[iu] = rng.uniform(_q_from_epsilon(eps), 1.0, size=len(iu[0]))
+    for i in range(n - 2, -1, -1):
+        for j in range(i + 1, n):
+            best = up[i, j]
+            if i + 1 < j:
+                best = max(best, up[i + 1, j])
+            if j - 1 > i:
+                best = max(best, up[i, j - 1])
+            up[i, j] = best
+    return BiasMatrix(up)

@@ -81,11 +81,11 @@ def test_at_step_frequencies_match_exact_kernel():
     for s in range(50):
         scalar = at_step(scalar, p, UpdateDraw(s, int(edges[s, 0]),
                                                float(us[s, 0])))
-    F, _ = ensemble_chain_run(p, start.forward[None, :], 50, derive_rng(99, 0))
+    F = ensemble_chain_run(p, start.forward[None, :], 50, derive_rng(99, 0))
     assert tuple(F[0]) == scalar.to_tuple()
     R = 10 ** 6
-    rows, _ = ensemble_chain_run(p, np.tile(start.forward, (R, 1)), 1,
-                                 np.random.default_rng(200))
+    rows = ensemble_chain_run(p, np.tile(start.forward, (R, 1)), 1,
+                              np.random.default_rng(200))
     assert _one_step_chi_square(rows, mu, P, start) > 1e-3
 
 
@@ -98,8 +98,8 @@ def test_restricted_step_frequencies_match_exact_kernel():
     P = build_transition_matrix(n, p, ell, mu=mu)
     start = Permutation((2, 1, 3, 4))
     R = 10 ** 6
-    rows, _ = ensemble_chain_run(p, np.tile(start.forward, (R, 1)), 1,
-                                 np.random.default_rng(201), ell=ell)
+    rows = ensemble_chain_run(p, np.tile(start.forward, (R, 1)), 1,
+                              np.random.default_rng(201), ell=ell)
     assert _one_step_chi_square(rows, mu, P, start) > 1e-3
 
 
@@ -118,10 +118,9 @@ def test_ensemble_stepper_matches_scalar_stepper():
     for s in range(steps):
         sigma = at_step(sigma, p,
                         UpdateDraw(s, int(edges[s, 0]), float(us[s, 0])), ell)
-    F, INV = ensemble_chain_run(p, Permutation((2, 1, 3, 5, 4)).forward[None, :],
-                                steps, derive_rng(7, 1), ell=ell)
+    F = ensemble_chain_run(p, Permutation((2, 1, 3, 5, 4)).forward[None, :],
+                           steps, derive_rng(7, 1), ell=ell)
     assert tuple(F[0]) == sigma.to_tuple()
-    assert tuple(INV[0]) == tuple(np.argsort(sigma.forward) + 1)
     # like the restricted at_step, the ensemble refuses starts outside the set
     starts = np.stack([Permutation.identity(n).forward,
                        Permutation.reversal(n).forward])
@@ -183,17 +182,14 @@ def test_ensemble_stepper_matches_scalar_oracle(n, R, data, seed, steps,
                                chunk)
     seen = []
 
-    def snap(t, F, INV):
+    def snap(t, F):
         assert [tuple(r) for r in F.tolist()] == history[t]
-        assert np.array_equal(INV, np.argsort(F, axis=1) + 1)
         seen.append(t)
 
-    F, INV = ensemble_chain_run(p, starts, steps, derive_rng(seed, 1), ell=ell,
-                                checkpoints=marks, checkpoint_fn=snap,
-                                chunk=chunk)
+    F = ensemble_chain_run(p, starts, steps, derive_rng(seed, 1), ell=ell,
+                           checkpoints=marks, checkpoint_fn=snap, chunk=chunk)
     assert seen == sorted(set(marks))
     assert [tuple(r) for r in F.tolist()] == history[steps]
-    assert np.array_equal(INV, np.argsort(F, axis=1) + 1)
     # the caller's starts are never written to
     assert np.array_equal(starts, before)
 
@@ -206,7 +202,7 @@ def test_ensemble_contract_errors():
     for marks in ([-1], [0, 11], [11]):
         with pytest.raises(ContractError, match="checkpoints"):
             ensemble_chain_run(p, starts, 10, derive_rng(1), checkpoints=marks,
-                               checkpoint_fn=lambda t, F, INV: None)
+                               checkpoint_fn=lambda t, F: None)
     for bad in ([1, 2, 2, 4], [0, 1, 2, 3], [1, 2, 3, 5]):
         rows = starts.copy()
         rows[1] = bad
@@ -214,10 +210,9 @@ def test_ensemble_contract_errors():
             ensemble_chain_run(p, rows, 10, derive_rng(1))
     # zero steps with checkpoint 0 fires once and returns the starts
     seen = []
-    F, INV = ensemble_chain_run(p, starts, 0, derive_rng(1), checkpoints=[0],
-                                checkpoint_fn=lambda t, F, INV: seen.append(t))
+    F = ensemble_chain_run(p, starts, 0, derive_rng(1), checkpoints=[0],
+                           checkpoint_fn=lambda t, F: seen.append(t))
     assert seen == [0] and np.array_equal(F, starts)
-    assert np.array_equal(INV, starts)
     # a bias matrix of another size used to end in numpy's broadcast error
     for m in (3, 6):
         with pytest.raises(ContractError,
@@ -233,7 +228,7 @@ def test_eta_projection_examples():
                           ((1, 2, 3, 4, 5), 2, [1, 1, 0, 0, 0]),
                           ((4, 3, 2, 1), 1, [0, 0, 0, 1])):
         fh = io.StringIO()
-        write_checkpoint(fh, 0, Permutation(sigma), tracked_ks=[k])
+        write_checkpoint(fh, 0, np.array(sigma), tracked_ks=[k])
         assert json.loads(fh.getvalue())["projections"] == {str(k): eta}
 
 
@@ -329,6 +324,17 @@ def test_block_schedules():
     assert BlockSchedule.single(5).chi() == 1
     for n in (6, 12, 30, 300):
         assert BlockSchedule.west_east(n).chi() == 2
+
+
+def test_block_schedule_refuses_an_n_that_is_no_integer_of_at_least_one():
+    # west_east(0) gave NaN probabilities, west_east(4.5) the block
+    # (1.0, 4.5), west_east(-3).chi() numpy's ValueError, and True was n = 1
+    for n in (0, -3, 4.5, 4.0, True, "4"):
+        for make in (BlockSchedule.west_east, BlockSchedule.single):
+            with pytest.raises(ContractError, match="integer n >= 1"):
+                make(n)
+    assert BlockSchedule.west_east(np.int64(3)).blocks() == [(1, 2), (1, 3)]
+    assert BlockSchedule.single(1).chi() == 1
 
 
 def test_block_schedule_refuses_an_unknown_selection():
@@ -635,7 +641,7 @@ def test_checkpoint_and_audit_records(tmp_path):
                                   write_coupling_violation)
     path = tmp_path / "traj.jsonl"
     with open(path, "w") as fh:
-        write_checkpoint(fh, 7, Permutation((2, 1, 3)), tracked_ks=[1, 2])
+        write_checkpoint(fh, 7, np.array([2, 1, 3]), tracked_ks=[1, 2])
     rec = json.loads(path.read_text())
     assert rec["step"] == 7
     assert rec["permutation"] == [2, 1, 3]

@@ -716,6 +716,29 @@ def test_burn_in_profile_refuses_a_bias_matrix_of_another_size():
                         replicas=2)
 
 
+@pytest.mark.parametrize("run, message", [
+    # a NaN stderr, which is no valid JSON
+    (lambda p: burn_in_profile(4, p, T=10, replicas=1),
+     "replicas must be >= 2"),
+    # numpy's ValueError
+    (lambda p: burn_in_profile(4, p, T=10, replicas=2, quantile=1.0),
+     r"quantile must lie in \(0, 1\)"),
+    (lambda p: burn_in_profile(4, p, T=10, replicas=2, quantile=math.nan),
+     r"quantile must lie in \(0, 1\)"),
+    # ZeroDivisionError
+    (lambda p: lower_bound_experiment(4, p, replicas=0),
+     "replicas must be >= 1"),
+])
+def test_ensemble_experiments_refuse_what_the_cli_refuses(monkeypatch, run,
+                                                          message):
+    def never(*args, **kwargs):
+        raise AssertionError("stepped before the contract check")
+
+    monkeypatch.setattr(experiments, "ensemble_chain_run", never)
+    with pytest.raises(ContractError, match=message):
+        run(BiasMatrix.constant(4, 0.7))
+
+
 def test_result_records_are_deterministic():
     p = BiasMatrix.constant(5, 0.7)
     a = localization_tail_check(5, p, None, mode="exact").to_json_dict()

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import block_oracle as oracle
+import chain_oracle
 from chain_oracle import is_monotone, random_admissible_localization
 from atshuffle.banddp import heat_bath_block_rows
-from atshuffle.chains import BlockSchedule, ensemble_max_displacement
+from atshuffle.chains import BlockSchedule
 from atshuffle.errors import ContractError, EmptySupport
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
-                             Permutation, instance_fingerprint, inverse_rows, is_localized,
+                             Permutation, instance_fingerprint, is_localized,
                              localized_rows, max_displacement,
                              max_localized_state, relabel_map,
                              restrict_instance)
@@ -36,10 +37,8 @@ def test_row_checks_match_the_permutation_checks(n, R, seed, max_ell):
     F = np.array([rng.permutation(n) + 1 if r % 2 else
                   max_localized_state(ell).forward for r in range(R)],
                  dtype=np.int64).reshape(R, n)
-    INV = inverse_rows(F)
     ok = localized_rows(F, ell)
     assert ok.dtype == bool and ok.shape == (R,)
-    assert np.array_equal(INV, np.argsort(F, axis=1) + 1)
     for row, flag in zip(F, ok):
         assert flag == is_localized(Permutation(row), ell)
     with pytest.raises(ContractError, match="size mismatch"):
@@ -68,9 +67,11 @@ def test_localized_rows_matches_the_inverse_check(n):
 
 
 def test_max_displacement_examples():
-    assert max_displacement(Permutation.identity(7)) == 0
-    assert max_displacement(Permutation((4, 3, 2, 1))) == 3
-    assert max_displacement(Permutation((2, 1, 3))) == 1
+    assert max_displacement(Permutation.identity(7).forward[None])[0] == 0
+    assert max_displacement(Permutation((4, 3, 2, 1)).forward[None])[0] == 3
+    assert max_displacement(Permutation((2, 1, 3)).forward[None])[0] == 1
+    rows = np.array([[1, 2, 3], [3, 2, 1], [2, 1, 3]])
+    assert max_displacement(rows).tolist() == [0, 2, 1]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -80,8 +81,9 @@ def test_max_displacement_from_the_row_matches_the_inverse(row):
     # the particle at position i is |i - forward[i]| from home, so the row
     # gives the maximum over particles that the inverse gives
     row = np.array(row, dtype=np.int64)
-    assert max_displacement(Permutation(row)) == \
-        ensemble_max_displacement(inverse_rows(row[None]))[0]
+    positions = np.argsort(row) + 1
+    assert max_displacement(row[None])[0] == \
+        np.max(np.abs(positions - np.arange(1, len(row) + 1)))
 
 
 def test_relabel_map_examples():
@@ -224,6 +226,16 @@ def test_bias_matrix_families_and_serialization():
         BiasMatrix.from_text(bad)
 
 
+def test_monotone_family_matches_the_loop_bit_for_bit():
+    # the running maxima replace an O(n^2) Python loop
+    for n, seed, eps in itertools.product(range(40), range(5),
+                                          (0.0, 0.3, 2.0, math.inf)):
+        got = BiasMatrix.monotone_biased(n, eps, np.random.default_rng(seed))
+        want = chain_oracle.monotone_biased(n, eps,
+                                            np.random.default_rng(seed))
+        assert got.dense().tobytes() == want.dense().tobytes(), (n, seed, eps)
+
+
 def test_value_types_refuse_values_they_cannot_represent():
     # a NaN entry passed the [0, 1] check: constant(4, nan) read epsilon
     # inf and constant_q() None, and the domination audit ran on it
@@ -268,6 +280,12 @@ def test_value_types_refuse_values_they_cannot_represent():
         with pytest.raises(ContractError, match="must be integers"):
             BoundaryAssignment(4, (), left)
     assert BoundaryAssignment(4, (np.int64(2),), ()).values() == {1: 2}
+    # a float n raised TypeError from range() in values(), and True was
+    # taken as n = 1
+    for n, left in ((4.0, (1,)), (True, ()), ("4", (1,))):
+        with pytest.raises(ContractError, match="n must be an integer"):
+            BoundaryAssignment(n, left, ())
+    assert BoundaryAssignment(np.int64(4), (), (4,)).values() == {4: 4}
     # numpy's ValueError used to escape on a NaN window
     for lo, hi in (([math.nan], [0]), ([0], [math.nan]), ([-math.inf], [0]),
                    ([1.5, 0], [0, 0])):
@@ -284,7 +302,7 @@ def test_max_localized_state():
     mx = max_localized_state(ell)
     assert mx.to_tuple() == (3, 4, 1, 2, 5)
     assert is_localized(mx, ell)
-    assert max_displacement(mx) == 2
+    assert max_displacement(mx.forward[None])[0] == 2
     # every small particle sits at its deadline for constant windows
     assert mx.to_tuple().index(1) + 1 == 3
     # the single-particle projection is extreme: no localized state puts

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CapExceeded, ContractError, EmptySupport
 from .measure import MEMORY_BUDGET, DistributionTable, enumerate_stationary
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
-                    Permutation, is_localized, localized_rows,
+                    Permutation, _is_integer, is_localized, localized_rows,
                     restrict_instance)
 
 DEFAULT_WINDOW_CAP = 22
@@ -367,6 +367,9 @@ class BandDP:
     def sample_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n) array of exact draws, one permutation per row; rows sit
         on words of positive forward weight."""
+        check_draw_size(size)
+        if size == 0:
+            return np.empty((0, self.n), dtype=np.int64)
         bwd = self._backward()
         self.log_partition()
         R = size
@@ -451,6 +454,8 @@ def band_dp_sample(p: BiasMatrix, ell: LocalizationVector,
                    rng: np.random.Generator, size: int | None = None,
                    window_cap: int = DEFAULT_WINDOW_CAP):
     """Exact draws from mu conditioned on the localized set."""
+    if size is not None:
+        check_draw_size(size)
     dp = BandDP(p, ell, window_cap=window_cap)
     rows = dp.sample_rows(rng, 1 if size is None else size)
     if size is None:
@@ -485,6 +490,7 @@ class EnumerationSampler:
         self.table = enumerate_stationary(p.n, p, ell, cap=max(ENUM_SAMPLER_CAP, p.n))
 
     def draw_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        check_draw_size(size)
         idx = rng.choice(len(self.table), size=size, p=self.table.probs)
         return self.table.support[idx]
 
@@ -544,6 +550,26 @@ def _slab_rows(ranks: np.ndarray) -> np.ndarray:
     rows = v.T.astype(np.int64, order="C")
     rows += 1
     return rows
+
+
+def _skip_doubles(rng: np.random.Generator, tail: np.ndarray) -> None:
+    """Move rng past tail.size uniforms, as if it had filled tail with them.
+
+    A PCG64 jumps ahead, one step per double (O'Neill's O(log k) advance),
+    and then gets back the buffered 32-bit half that advance clears; any
+    other bit generator fills tail and the values are discarded.
+    """
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64:
+        rng.random(out=tail)
+        return
+    before = bg.state
+    bg.advance(tail.size)
+    if before["has_uint32"]:
+        after = bg.state
+        after["has_uint32"] = before["has_uint32"]
+        after["uinteger"] = before["uinteger"]
+        bg.state = after
 
 
 class MallowsRejectionSampler:
@@ -622,22 +648,15 @@ class MallowsRejectionSampler:
 
     def _single_rows(self, u: np.ndarray, need: int) -> tuple:
         """The first need rows of a (size, m) block of uniforms that stay in
-        the window, decoded one at a time, and the count of rows read.
-
-        The first row is ranked on its own, as most windows accept most
-        rows, and the others in one call.
-        """
+        the window, decoded one at a time, and the count of rows read."""
         rows = []
-        read = 0
-        for group in (u[:1], u[1:]):
-            for ranks in self._ranks(group).tolist():
-                read += 1
-                row = self._place(ranks)
-                if row is not None:
-                    rows.append(row)
-                    if len(rows) == need:
-                        return rows, read
-        return rows, read
+        for read, ranks in enumerate(self._ranks(u).tolist(), 1):
+            row = self._place(ranks)
+            if row is not None:
+                rows.append(row)
+                if len(rows) == need:
+                    return rows, read
+        return rows, len(u)
 
     def _place(self, ranks: list) -> list | None:
         """The labels that ranks picks, position by position; None at the
@@ -695,12 +714,15 @@ class MallowsRejectionSampler:
     def draw_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """size accepted rows.
 
-        Each try draws uniforms for a full batch, so the stream does not
-        depend on acceptance, but turns them into rows only in order, until
-        the accepted rows suffice: SLAB_MIN_ROWS or more rows still needed,
-        within a chunk, are decoded as one slab, fewer one row at a time.
-        A window that forces every label home draws no uniform.
+        Each try owns the uniforms of a full batch of the stream, so the
+        stream does not depend on acceptance, but generates and decodes them
+        only in order, until the accepted rows suffice, and then moves rng
+        past the rest (_skip_doubles).  SLAB_MIN_ROWS or more rows still
+        needed, within a chunk, are decoded as one slab, fewer one row at a
+        time; a try's first row is decoded alone, as most windows accept
+        most rows.  A window that forces every label home draws no uniform.
         """
+        check_draw_size(size)
         if self._instead is not None:
             return self._instead.draw_rows(rng, size)
         if self._degenerate is not None:
@@ -713,18 +735,26 @@ class MallowsRejectionSampler:
         m = self._m
         out = np.empty((size, m), dtype=np.int64)
         chunk = max(1, ROW_CHUNK_ELEMENTS // m)
+        # the first try's batch is the largest
+        buf = np.empty((max(32, int(size * 1.1)), m))
         got = 0
         tries = 0
         while got < size:
             if tries >= self._MAX_TRIES:
                 return self._give_up(rng, size)
             batch = max(32, int((size - got) * 1.1))
-            u = rng.random((batch, m))
-            start = 0
+            u = buf[:batch]
+            start = filled = 0
             while start < batch and got < size:
                 stop = min(batch, start + chunk)
-                if min(stop - start, size - got) >= SLAB_MIN_ROWS:
+                slab = min(stop - start, size - got) >= SLAB_MIN_ROWS
+                if slab:
                     stop = min(stop, start + size - got)
+                elif start == 0:
+                    stop = 1
+                rng.random(out=u[filled:stop])
+                filled = stop
+                if slab:
                     rows = self._slab(u[start:stop])
                 else:
                     rows, used = self._single_rows(u[start:stop], size - got)
@@ -733,6 +763,8 @@ class MallowsRejectionSampler:
                     out[got:got + len(rows)] = rows
                     got += len(rows)
                 start = stop
+            if filled < batch:
+                _skip_doubles(rng, u[filled:])
             tries += 1
         return self._put_back(out)
 
@@ -757,6 +789,12 @@ class MallowsRejectionSampler:
         self._instead = self._fallback()
         self.strategy = self._instead.strategy
         return self._instead.draw_rows(rng, size)
+
+
+def check_draw_size(size) -> None:
+    """Refuse a draw count that is not an integer >= 0 with ContractError."""
+    if not _is_integer(size) or size < 0:
+        raise ContractError(f"size must be an integer >= 0, got {size!r}")
 
 
 def check_draw_memory(size: int, n: int, key: str) -> None:
@@ -917,6 +955,7 @@ def heat_bath_block_rows(sigma: Permutation, block: tuple, p: BiasMatrix,
     n = sigma.n
     if not (1 <= a <= b <= n):
         raise ContractError("block must be a nonempty position interval")
+    check_draw_size(size)
     if ell is not None and not is_localized(sigma, ell):
         raise ContractError("state is outside the localized set")
     if cache is None:

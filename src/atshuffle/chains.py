@@ -183,6 +183,13 @@ class BlockSchedule:
         count = len(self.blocks())
         return np.full(count, 1.0 / count)
 
+    def cdf(self) -> np.ndarray:
+        """The normalized CDF of probabilities(), as Generator.choice
+        builds it."""
+        cdf = self.probabilities().cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
     def chi(self) -> int:
         cover = np.zeros(self.n, dtype=np.int64)
         for a, b in self.blocks():
@@ -210,10 +217,16 @@ def block_step(sigma: Permutation, schedule: BlockSchedule, p: BiasMatrix,
     blocks' samplers across the updates of a run.
     """
     schedule.check_size(sigma.n)
-    blocks = schedule.blocks()
     if choice is None:
-        choice = int(rng.choice(len(blocks), p=schedule.probabilities()))
-    return heat_bath_block_sample(sigma, blocks[choice], p, ell, rng, cache)
+        choice = _pick_block(rng, schedule.cdf())
+    return heat_bath_block_sample(sigma, schedule.blocks()[choice], p, ell,
+                                  rng, cache)
+
+
+def _pick_block(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """A block index drawn from one uniform of rng on a schedule's cdf(),
+    the draw and index of Generator.choice(len(cdf), p=probabilities())."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def check_dense_kernel(states: int) -> None:
@@ -278,8 +291,10 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
     chain and d(t) <= P(meeting time > t).  Restricted or non-constant twins
     are not certified monotone (on random windows one draw broke that order
     for up to 17 of about 2,000 ordered pairs).  For the block driver each
-    step gets its own derived substream, so a rejection in one chain cannot
-    desynchronize later steps, and both chains draw their block samplers
+    step gets its own derived substream, which both chains read from its
+    start (the second after a rewind), so a rejection in one chain cannot
+    desynchronize later steps; its block is picked on the schedule's cdf(),
+    built once per run, and both chains draw their block samplers
     from cache (a fresh one by default), which a caller may share between
     the runs of one instance; coalescence is absorbing for both drivers.
     """
@@ -288,6 +303,8 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
     n = x0a.n
     if driver not in ("at", "block"):
         raise ContractError(f"unknown driver {driver!r}; choose at or block")
+    if not _is_integer(T):
+        raise ContractError(f"T must be an integer, got {T!r}")
     if T < 0:
         raise ContractError(f"T must be >= 0, got {T}")
     if driver == "block":
@@ -315,18 +332,17 @@ def twin_chain_coupling_run(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
     a = Permutation(x0a.forward.copy(), _validate=False)
     b = Permutation(x0b.forward.copy(), _validate=False)
     pick_rng = derive_rng(seed, experiment_id("twin-blocks"))
-    count = len(schedule.blocks())
-    probs = schedule.probabilities()
+    cdf = schedule.cdf()
+    step_id = experiment_id("twin-step")
     for t in range(1, T + 1):
-        choice = int(pick_rng.choice(count, p=probs))
-        # one derived seed per step, consumed independently by each chain,
+        choice = _pick_block(pick_rng, cdf)
+        # one derived stream per step, consumed from its start by each chain,
         # so rejections cannot desynchronize the coupling
-        a = block_step(a, schedule, p, ell,
-                       derive_rng(seed, experiment_id("twin-step"), t), choice,
-                       cache)
-        b = block_step(b, schedule, p, ell,
-                       derive_rng(seed, experiment_id("twin-step"), t), choice,
-                       cache)
+        rng = derive_rng(seed, step_id, t)
+        start = rng.bit_generator.state
+        a = block_step(a, schedule, p, ell, rng, choice, cache)
+        rng.bit_generator.state = start
+        b = block_step(b, schedule, p, ell, rng, choice, cache)
         if np.array_equal(a.forward, b.forward):
             return t, {"driver": driver}
     return None, {"driver": driver}

@@ -26,8 +26,9 @@ from .measure import (DEFAULT_ENUM_CAP, build_transition_matrix,
                       check_enumerable, enumerate_stationary,
                       exact_mixing_time, spectral_gap, tv_distance)
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
-                    Permutation, _q_from_epsilon, instance_fingerprint,
-                    max_displacement, max_localized_state, restrict_instance)
+                    Permutation, _is_integer, _q_from_epsilon,
+                    instance_fingerprint, max_displacement,
+                    max_localized_state, restrict_instance)
 
 # Calibrated once on the constant-bias reference family (q = 0.75, reversal
 # start, t = 8 n^2, 150 replicas, master seed 20240801; observed 99th-pct max
@@ -231,7 +232,9 @@ def burn_in_profile(n: int, p: BiasMatrix, init="reversal", T: int | None = None
     if T is None:
         T = 8 * n * n
     if checkpoints is None:
-        checkpoints = sorted({0, T // 8, T // 4, T // 2, (3 * T) // 4, T})
+        checkpoints = {0, T // 8, T // 4, T // 2, (3 * T) // 4}
+    # the verdict is read at T
+    checkpoints = sorted({*checkpoints, T})
     c0 = BURNIN_THRESHOLDS["c0_log"]
     rng = derive_rng(seed, experiment_id("burn-in"), n)
     starts = _start_rows(n, init, replicas, rng)
@@ -249,7 +252,7 @@ def burn_in_profile(n: int, p: BiasMatrix, init="reversal", T: int | None = None
                                   float(d.std(ddof=1) / math.sqrt(len(d))),
                                   replicas))
     threshold = c0 * math.log(max(n, 2))
-    final = profile[max(profile)]
+    final = profile[T]
     frac_above = float(np.mean(final > threshold))
     tol = 3.0 * _se_bernoulli(1.0 - quantile, replicas)
     passed = frac_above <= (1.0 - quantile) + tol
@@ -927,6 +930,8 @@ def block_chain_mixing(n: int, p: BiasMatrix, ell: LocalizationVector,
     """
     for key, value in (("replicas", replicas), ("step_cap", step_cap),
                        ("jobs", jobs)):
+        if not _is_integer(value):
+            raise ContractError(f"{key} must be an integer, got {value!r}")
         if value < 1:
             raise ContractError(f"{key} must be >= 1, got {value}")
     if not 0.0 < success_frac <= 1.0:

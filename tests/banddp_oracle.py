@@ -1,4 +1,5 @@
-"""Reference oracle for the band DP passes and the exact one-step kernel.
+"""Reference oracle for the band DP passes, the exact one-step kernel and
+the Mallows tries.
 
 ``ReferenceBandDP`` keeps the straightforward passes on top of the engine's
 constructor and window helpers: per-candidate interaction tables built one
@@ -10,6 +11,10 @@ over a dict frontier of (word, partial row) pairs.
 ``reference_transition_matrix`` is the per-state dict-of-tuples kernel build.
 The fast paths must reproduce these: the same layer words, bit-identical
 backward layers, draws and kernels, and forward log weights within 1e-12.
+``full_batch_draw_rows`` is ``MallowsRejectionSampler.draw_rows`` with each
+try's whole batch of uniforms generated up front by one ``rng.random`` call;
+the lazy draws must give the same rows and leave the generator in the same
+state.
 """
 
 import math
@@ -17,10 +22,11 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from atshuffle.banddp import NEG_INF, BandDP
+from atshuffle.banddp import (NEG_INF, ROW_CHUNK_ELEMENTS, SLAB_MIN_ROWS,
+                              BandDP)
 from atshuffle.errors import EmptySupport
 from atshuffle.measure import DistributionTable
-from atshuffle.perms import BiasMatrix
+from atshuffle.perms import BiasMatrix, localized_rows
 
 
 def group_logsumexp(keys, vals):
@@ -308,3 +314,41 @@ def reference_transition_matrix(n, p, mu):
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
     matrix.sum_duplicates()
     return matrix
+
+
+def full_batch_draw_rows(sampler, rng, size):
+    """sampler.draw_rows(rng, size) with every try's batch of uniforms drawn
+    whole, before any of its rows is decoded."""
+    if sampler._instead is not None:
+        return sampler._instead.draw_rows(rng, size)
+    if sampler._degenerate is not None:
+        rows = np.tile(sampler._degenerate, (size, 1))
+        if sampler._window is not None and not np.all(
+                localized_rows(rows, sampler._window)):
+            return sampler._give_up(rng, size)
+        return sampler._put_back(rows)
+    m = sampler._m
+    out = np.empty((size, m), dtype=np.int64)
+    chunk = max(1, ROW_CHUNK_ELEMENTS // m)
+    got = 0
+    tries = 0
+    while got < size:
+        if tries >= sampler._MAX_TRIES:
+            return sampler._give_up(rng, size)
+        batch = max(32, int((size - got) * 1.1))
+        u = rng.random((batch, m))
+        start = 0
+        while start < batch and got < size:
+            stop = min(batch, start + chunk)
+            if min(stop - start, size - got) >= SLAB_MIN_ROWS:
+                stop = min(stop, start + size - got)
+                rows = sampler._slab(u[start:stop])
+            else:
+                rows, used = sampler._single_rows(u[start:stop], size - got)
+                stop = start + used
+            if len(rows):
+                out[got:got + len(rows)] = rows
+                got += len(rows)
+            start = stop
+        tries += 1
+    return sampler._put_back(out)

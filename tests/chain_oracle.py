@@ -8,13 +8,17 @@ detailed-balance checks, built with ``random_admissible_localization``, and
 ``is_monotone`` tests Fill's monotonicity condition on a bias matrix, and
 ``monotone_biased`` builds the monotone family by the straightforward
 double loop on the same draws as ``BiasMatrix.monotone_biased``.
+``twin_block_meeting_time`` is the twin block loop of
+``twin_chain_coupling_run`` with each step's generator derived once per twin
+and each block picked by ``Generator.choice``; the driver must meet at the
+same times.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from atshuffle.chains import derive_rng, experiment_id
+from atshuffle.chains import block_step, derive_rng, experiment_id
 from atshuffle.errors import ContractError
 from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
                              _q_from_epsilon, is_localized)
@@ -145,3 +149,25 @@ def monotone_biased(n: int, eps: float, rng: np.random.Generator) -> BiasMatrix:
                 best = max(best, up[i, j - 1])
             up[i, j] = best
     return BiasMatrix(up)
+
+
+def twin_block_meeting_time(x0a: Permutation, x0b: Permutation, p: BiasMatrix,
+                            ell: LocalizationVector | None, T: int, seed: int,
+                            schedule):
+    """First t <= T at which two block chains from x0a and x0b agree, or
+    None; 0 for equal starts."""
+    if np.array_equal(x0a.forward, x0b.forward):
+        return 0
+    a, b = x0a, x0b
+    pick_rng = derive_rng(seed, experiment_id("twin-blocks"))
+    count = len(schedule.blocks())
+    probs = schedule.probabilities()
+    for t in range(1, T + 1):
+        choice = int(pick_rng.choice(count, p=probs))
+        a = block_step(a, schedule, p, ell,
+                       derive_rng(seed, experiment_id("twin-step"), t), choice)
+        b = block_step(b, schedule, p, ell,
+                       derive_rng(seed, experiment_id("twin-step"), t), choice)
+        if np.array_equal(a.forward, b.forward):
+            return t
+    return None

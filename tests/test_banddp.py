@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from collections import Counter
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import block_oracle
-from banddp_oracle import ReferenceBandDP, random_bias_with_certain_pairs
+from banddp_oracle import (ReferenceBandDP, full_batch_draw_rows,
+                           random_bias_with_certain_pairs)
 from chain_oracle import random_admissible_localization
 from atshuffle import banddp
 from atshuffle.banddp import (BandDP, BandDPSampler, EnumerationSampler,
@@ -507,6 +509,101 @@ def test_windowed_mallows_draws_are_the_filtered_reference_rows():
     assert rng.random() == ref_rng.random()
 
 
+def _mallows_pair(n, q, width, fallback=False):
+    """Two samplers of one instance, so that a give-up in one leaves the
+    other as it was; the band DP is the fallback when fallback is set."""
+    ell = width if isinstance(width, LocalizationVector) else (
+        None if width is None else LocalizationVector.constant(n, width))
+
+    def make():
+        build = None
+        if fallback:
+            build = functools.partial(BandDPSampler, BiasMatrix.constant(n, q),
+                                      ell)
+        return MallowsRejectionSampler(n, q, ell, build)
+
+    return make(), make()
+
+
+def _plain_state(value):
+    """A bit generator's state with its arrays as lists, for ==."""
+    if isinstance(value, dict):
+        return {k: _plain_state(v) for k, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _assert_draws_as_full_batches(sampler, ref, rng, ref_rng, sizes):
+    for size in sizes:
+        assert np.array_equal(sampler.draw_rows(rng, size),
+                              full_batch_draw_rows(ref, ref_rng, size)), size
+        assert _plain_state(rng.bit_generator.state) == \
+            _plain_state(ref_rng.bit_generator.state), size
+    assert rng.integers(0, 7, size=5).tolist() == \
+        ref_rng.integers(0, 7, size=5).tolist()
+    assert rng.random() == ref_rng.random()
+
+
+MALLOWS_TRY_CASES = {
+    # n = 300, ell = 12 accepts its first row more than 99% of the time
+    "one row": ((300, 0.75, 12), (1,) * 12),
+    "rows below the slab": ((300, 0.75, 12), (2, 31, 33,
+                                              banddp.SLAB_MIN_ROWS - 1)),
+    "a slab": ((300, 0.75, 12), (banddp.SLAB_MIN_ROWS, 500)),
+    "no window": ((60, 0.7, None), (1, 5, 200)),
+    # about 0.7% of rows accepted: a row takes several tries of 32
+    "rejects over several tries": ((40, 0.6, 5), (1, 1, 3, 40)),
+    "forced ends": ((8, 0.7, EAST_TIGHT), (1, 1, 7, 300)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALLOWS_TRY_CASES))
+def test_lazy_tries_draw_as_full_batches(case):
+    """Each try generates only the rows it reads and jumps over the rest of
+    its batch: the rows, the generator state after each draw and the next
+    draws are those of full batches."""
+    (n, q, width), sizes = MALLOWS_TRY_CASES[case]
+    sampler, ref = _mallows_pair(n, q, width)
+    # a try below the slab decodes its first row alone
+    tries = []
+    single = sampler._single_rows
+    sampler._single_rows = lambda u, need: (tries.append(len(u) == 1)
+                                            or single(u, need))
+    _assert_draws_as_full_batches(sampler, ref, np.random.default_rng(61),
+                                  np.random.default_rng(61), sizes)
+    if case == "rejects over several tries":
+        assert sum(tries) > 2 * len(sizes)
+
+
+def test_lazy_tries_give_up_as_full_batches():
+    # q = 1/2 and ell = 4 at n = 20 accept no row in 400 tries
+    sampler, ref = _mallows_pair(20, 0.5, 4, fallback=True)
+    _assert_draws_as_full_batches(sampler, ref, np.random.default_rng(62),
+                                  np.random.default_rng(62), (1, 3))
+    assert sampler.strategy == ref.strategy == "band-dp"
+
+
+def test_lazy_tries_keep_the_buffered_half_word():
+    """integers(0, 7) leaves a 32-bit half of a PCG64 output buffered, which
+    PCG64.advance clears; the skip puts it back."""
+    sampler, ref = _mallows_pair(300, 0.75, 12)
+    rng, ref_rng = np.random.default_rng(63), np.random.default_rng(63)
+    for size in (1, 1, 20):
+        rng.integers(0, 7)
+        ref_rng.integers(0, 7)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        _assert_draws_as_full_batches(sampler, ref, rng, ref_rng, (size,))
+
+
+def test_lazy_tries_draw_as_full_batches_on_another_bit_generator():
+    # MT19937 has no jump by a count of doubles; its skipped rows are drawn
+    sampler, ref = _mallows_pair(300, 0.75, 12)
+
+    def mt():
+        return np.random.Generator(np.random.MT19937(64))
+
+    _assert_draws_as_full_batches(sampler, ref, mt(), mt(), (1, 1, 20))
+
+
 def test_dispatcher_strategies():
     rng = np.random.default_rng(16)
     assert exact_localized_sampler(
@@ -601,6 +698,62 @@ def test_sampler_cache_draws_as_fresh_samplers_and_drops_a_give_up(
     assert 0 < len(give_ups) < 24
     assert cache.hits > 0 and cache.misses > 1
     assert cache.hits + cache.misses == 12
+
+
+SIZED_SAMPLERS = {
+    "enumeration": (5, lambda: EnumerationSampler(
+        BiasMatrix.constant(5, 0.7), LocalizationVector.constant(5, 2))),
+    "mallows-rejection": (40, lambda: MallowsRejectionSampler(
+        40, 0.7, LocalizationVector.constant(40, 12))),
+    "mallows-forced-home": (40, lambda: MallowsRejectionSampler(
+        40, 0.7, LocalizationVector.constant(40, 0))),
+    "band-dp": (30, lambda: BandDPSampler(
+        BiasMatrix.constant(30, 0.7), LocalizationVector.constant(30, 3))),
+}
+BAD_SIZES = (-1, -5, 1.5, 2.0, True, "3", None)
+
+
+@pytest.mark.parametrize("kind", sorted(SIZED_SAMPLERS))
+def test_every_sampler_draws_no_rows_at_size_zero_and_refuses_bad_sizes(kind):
+    # the band DP used to raise numpy's zero-size reduction error at size 0,
+    # and every sampler numpy's "negative dimensions" at a negative size
+    n, make = SIZED_SAMPLERS[kind]
+    sampler = make()
+    rng = np.random.default_rng(65)
+    rows = sampler.draw_rows(rng, 0)
+    assert rows.shape == (0, n) and rows.dtype == np.int64
+    assert sampler.draw_rows(rng, np.int64(0)).shape == (0, n)
+    for size in BAD_SIZES:
+        with pytest.raises(ContractError, match="size must be an integer >= 0"):
+            sampler.draw_rows(rng, size)
+    assert rng.random() == np.random.default_rng(65).random()
+
+
+def test_band_dp_draws_and_block_rows_take_the_same_sizes():
+    n = 30
+    p = BiasMatrix.constant(n, 0.7)
+    ell = LocalizationVector.constant(n, 3)
+    rng = np.random.default_rng(66)
+    assert BandDP(p, ell).sample_rows(rng, 0).shape == (0, n)
+    assert band_dp_sample(p, ell, rng, size=0) == []
+    # a block of ten positions under ell = 3 is a band-DP sub-instance
+    sigma = Permutation.identity(n)
+    cache = SamplerCache()
+    rows = heat_bath_block_rows(sigma, (6, 15), p, ell, rng, 0, cache)
+    assert rows.shape == (0, n) and rows.dtype == np.int64
+    assert [e[0].strategy for e in cache._entries.values()] == ["band-dp"]
+    for size in BAD_SIZES:
+        for draw in (lambda: BandDP(p, ell).sample_rows(rng, size),
+                     lambda: heat_bath_block_rows(sigma, (6, 15), p, ell, rng,
+                                                  size)):
+            with pytest.raises(ContractError,
+                               match="size must be an integer >= 0"):
+                draw()
+        if size is not None:    # band_dp_sample's None draws one Permutation
+            with pytest.raises(ContractError,
+                               match="size must be an integer >= 0"):
+                band_dp_sample(p, ell, rng, size=size)
+    assert rng.random() == np.random.default_rng(66).random()
 
 
 def test_sampler_cache_serves_one_instance():

@@ -10,7 +10,8 @@ from scipy import stats
 
 from audit_oracle import left_of, ordered_update
 from banddp_oracle import random_bias_with_certain_pairs
-from chain_oracle import UpdateDraw, at_step, random_admissible_localization
+from chain_oracle import (UpdateDraw, at_step, random_admissible_localization,
+                          twin_block_meeting_time)
 from kernel_oracle import (reference_asep_transition_matrix,
                            reference_asep_weights, reference_block_kernel)
 from atshuffle import chains
@@ -471,6 +472,44 @@ def test_twin_chain_coupling():
     assert t == 1
 
 
+# (p, ell, second start) of the twin block loop, the first start being the
+# identity: constant bias on Mallows sub-instances, random-eps on band-DP
+# (windowed) and enumerated (unrestricted) sub-instances
+TWIN_BLOCK_CASES = {
+    "constant, window": lambda: (BiasMatrix.constant(40, 0.75),
+                                 LocalizationVector.constant(40, 9)),
+    "constant, no window": lambda: (BiasMatrix.constant(40, 0.75), None),
+    "random-eps, window": lambda: (
+        BiasMatrix.random_biased(24, 0.5, np.random.default_rng(7)),
+        LocalizationVector.constant(24, 4)),
+    "random-eps, no window": lambda: (
+        BiasMatrix.random_biased(7, 0.5, np.random.default_rng(8)), None),
+}
+
+
+@pytest.mark.parametrize("selection", ["size", "uniform"])
+@pytest.mark.parametrize("kind", ["west-east", "single"])
+@pytest.mark.parametrize("case", sorted(TWIN_BLOCK_CASES))
+def test_block_driver_meets_when_the_reference_twin_loop_does(case, kind,
+                                                             selection):
+    """One derived generator per step, rewound for the second twin, and a
+    block picked from the schedule's CDF meet at the times of a loop that
+    derives each twin's generator and picks with Generator.choice."""
+    p, ell = TWIN_BLOCK_CASES[case]()
+    n = p.n
+    schedule = BlockSchedule(kind, n, selection)
+    top = Permutation.reversal(n) if ell is None else max_localized_state(ell)
+    times = []
+    for seed in range(4):
+        t, _ = twin_chain_coupling_run(Permutation.identity(n), top, p, ell,
+                                       12, seed, driver="block",
+                                       schedule=schedule)
+        assert t == twin_block_meeting_time(Permutation.identity(n), top, p,
+                                            ell, 12, seed, schedule), seed
+        times.append(t)
+    assert any(t is not None and t > 1 for t in times) or kind == "single"
+
+
 def test_block_driver_refuses_a_schedule_for_another_n():
     # a schedule for n = 8 used to resample only positions 1..8 of n = 12
     # and time out
@@ -496,6 +535,20 @@ def test_twin_chain_coupling_refuses_a_negative_horizon():
         with pytest.raises(ContractError, match="T must be >= 0, got -3"):
             twin_chain_coupling_run(Permutation.identity(n),
                                     max_localized_state(ell), p, ell, -3, 1,
+                                    driver=driver,
+                                    schedule=BlockSchedule.west_east(n))
+
+
+@pytest.mark.parametrize("T", [5.5, 5.0, True, "5", None])
+def test_twin_chain_coupling_refuses_a_horizon_that_is_not_an_integer(T):
+    # T = 5.5 used to raise a slicing TypeError
+    n = 6
+    p = BiasMatrix.constant(n, 0.75)
+    ell = LocalizationVector.constant(n, 2)
+    for driver in ("at", "block"):
+        with pytest.raises(ContractError, match="T must be an integer"):
+            twin_chain_coupling_run(Permutation.identity(n),
+                                    max_localized_state(ell), p, ell, T, 1,
                                     driver=driver,
                                     schedule=BlockSchedule.west_east(n))
 

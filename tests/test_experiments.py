@@ -581,6 +581,22 @@ def test_block_chain_mixing_refuses_counts_below_one(key, value,
                            BlockSchedule.west_east(n), **{key: value})
 
 
+@pytest.mark.parametrize("key", ["replicas", "step_cap", "jobs"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "4", None])
+def test_block_chain_mixing_refuses_counts_that_are_not_integers(key, value,
+                                                                 monkeypatch):
+    # replicas = 2.5 used to raise TypeError from range
+    def no_work(ell):
+        raise AssertionError("work began before the refusal")
+
+    monkeypatch.setattr(experiments, "max_localized_state", no_work)
+    n = 12
+    with pytest.raises(ContractError, match=f"{key} must be an integer"):
+        block_chain_mixing(n, BiasMatrix.constant(n, 0.75),
+                           LocalizationVector.constant(n, 3),
+                           BlockSchedule.west_east(n), **{key: value})
+
+
 @pytest.mark.parametrize("value", [-1.0, 0.0, 2.0, math.nan])
 def test_block_chain_mixing_refuses_a_success_frac_outside_the_unit_interval(
         value, monkeypatch):
@@ -706,6 +722,26 @@ def test_burn_in_profile_identity_start_stays_local():
                           seed=11)
     assert res.verdict.passed
     assert res.series[-1].estimate <= 6.0 * math.log(48)
+
+
+@pytest.mark.parametrize("checkpoints", [[3], [], [0, 3, 20]])
+def test_burn_in_profile_reads_its_verdict_at_T(checkpoints):
+    # checkpoints=[3] used to read final_quantile and frac_above at t = 3,
+    # and checkpoints=[] to raise max()'s ValueError on an empty sequence
+    n, T = 8, 512
+    p = BiasMatrix.constant(n, 0.75)
+    res = burn_in_profile(n, p, T=T, checkpoints=checkpoints, replicas=20,
+                          seed=5)
+    # the checkpoints do not touch the stream, so T reads as in a default run
+    default = burn_in_profile(n, p, T=T, replicas=20, seed=5)
+    assert res.meta["checkpoints"] == sorted({*checkpoints, T})
+    assert res.series[-1].x == T
+    assert res.verdict.as_dict() == default.verdict.as_dict()
+    assert res.meta["final_mean"] == default.meta["final_mean"]
+    if 3 in checkpoints:
+        # from the reversal, three steps leave the labels far from home
+        at3 = next(pt for pt in res.series if pt.x == 3)
+        assert at3.estimate > res.verdict.details["final_quantile"]
 
 
 def test_burn_in_profile_refuses_a_bias_matrix_of_another_size():

@@ -34,8 +34,8 @@ import numpy as np
 from .banddp import SamplerCache, heat_bath_block_sample
 from .errors import CapExceeded, ContractError
 from .measure import (MEMORY_BUDGET, DistributionTable, TransitionMatrix,
-                      _state_rows, _swap_kernel, check_detailed_balance,
-                      enumerate_stationary)
+                      _require_balance, _state_rows, _swap_kernel,
+                      check_detailed_balance, enumerate_stationary)
 from .perms import (BiasMatrix, LocalizationVector, Permutation, _is_integer,
                     is_localized, localized_rows, max_displacement)
 
@@ -253,6 +253,8 @@ def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
     schedule.check_size(n)
     if mu is None:
         mu = enumerate_stationary(n, p, ell)
+    elif mu.support.shape[1] != n:
+        raise ContractError("size mismatch")
     S = mu.support
     check_dense_kernel(len(S))
     P = np.zeros((len(S), len(S)))
@@ -267,8 +269,7 @@ def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
             probs = mu.probs[members]
             P[np.ix_(members, members)] += wb * (probs / probs.sum())
     out = TransitionMatrix(S, sp.csr_matrix(P))
-    check_detailed_balance(out, mu)
-    out.reversible = True
+    _require_balance(out, mu)
     return out
 
 

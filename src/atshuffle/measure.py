@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -153,6 +153,8 @@ def enumerate_stationary(n: int, p: BiasMatrix, ell: LocalizationVector | None =
     support: the set of positive-weight states is closed under the chain, so
     kernels and spectral quantities live there.
     """
+    if n < 1:
+        raise ContractError(f"n must be >= 1, got {n}")
     check_enumerable(n, cap)
     if n > cap:
         warnings.warn(f"enumerating n={n} states above the soft cap {cap}")
@@ -176,11 +178,15 @@ def enumerate_stationary(n: int, p: BiasMatrix, ell: LocalizationVector | None =
 
 @dataclass
 class TransitionMatrix:
-    """Sparse row-stochastic kernel over states, rows as in DistributionTable."""
+    """Sparse row-stochastic kernel over states, rows as in DistributionTable.
+
+    law is the distribution the kernel was last found in detailed balance
+    with, None until then.
+    """
 
     states: np.ndarray
     matrix: sp.csr_matrix
-    reversible: bool = False
+    law: DistributionTable | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.states = _state_rows(self.states)
@@ -190,6 +196,10 @@ class TransitionMatrix:
 
     def __len__(self):
         return len(self.states)
+
+    @property
+    def reversible(self) -> bool:
+        return self.law is not None
 
 
 def check_detailed_balance(P: TransitionMatrix, mu: DistributionTable,
@@ -208,6 +218,19 @@ def check_detailed_balance(P: TransitionMatrix, mu: DistributionTable,
         x, y = (tuple(P.states[i].tolist()) for i in (M.row[worst], M.col[worst]))
         raise NotReversible(
             f"detailed balance fails for pair {x} -> {y}: relative error {rel[worst]:.3e}")
+
+
+def _require_balance(P: TransitionMatrix, mu: DistributionTable) -> None:
+    """check_detailed_balance(P, mu), remembered: P.law becomes mu, and the
+    law P already holds (the same table, or equal states and probs) is taken
+    again in O(m) without a second check."""
+    law = P.law
+    if law is not None and (law is mu or (
+            np.array_equal(law.support, mu.support)
+            and np.array_equal(law.probs, mu.probs))):
+        return
+    check_detailed_balance(P, mu)
+    P.law = mu
 
 
 def _swap_kernel(digits: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
@@ -266,29 +289,81 @@ def build_transition_matrix(n: int, p: BiasMatrix,
     """
     if mu is None:
         mu = enumerate_stationary(n, p, ell, cap=cap)
+    elif p.n != n or mu.support.shape[1] != n:
+        raise ContractError("size mismatch")
     out = TransitionMatrix(mu.support, _swap_kernel(mu.support - 1, p.dense()))
-    check_detailed_balance(out, mu)
-    out.reversible = True
+    _require_balance(out, mu)
     return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed by numpy's own loop, not BLAS, so the bits do not depend
+    on the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _lanczos_top(S, v: np.ndarray, tol: float) -> float:
+    """Largest eigenvalue of the deflated operator x -> S x - v (v . S x).
+
+    A plain three-term Lanczos recurrence from a fixed start vector, with no
+    stored basis and no reorthogonalization: a Ritz value with a small
+    residual bound is accurate after orthogonality is lost (Paige 1976), and
+    the lost orthogonality only adds ghost copies of converged values.  Every
+    10 steps the top Ritz pair (theta, s) of the tridiagonal matrix is taken;
+    the recurrence stops when beta |s_k| <= tol |theta|, ARPACK's relative
+    tol, or when beta falls to rounding level (S has norm 1, so the Krylov
+    space is then invariant).  After 100 m steps it raises CapExceeded.
+    """
+    from scipy.linalg import eigh_tridiagonal
+    m = len(v)
+    q = np.random.default_rng(0).standard_normal(m)
+    q -= v * _dot(v, q)
+    q /= math.sqrt(_dot(q, q))
+    q_prev = np.zeros(m)
+    alpha: list = []
+    beta: list = []
+    b = 0.0
+    for k in range(1, 100 * m + 1):
+        w = S @ q
+        w -= v * _dot(v, w)
+        w -= b * q_prev
+        a = _dot(q, w)
+        w -= a * q
+        b = math.sqrt(_dot(w, w))
+        alpha.append(a)
+        beta.append(b)
+        breakdown = b <= m * np.finfo(float).eps
+        if breakdown or k % 10 == 0:
+            theta, s = eigh_tridiagonal(alpha, beta[:-1], select="i",
+                                        select_range=(k - 1, k - 1))
+            if breakdown or b * abs(s[-1, 0]) <= tol * abs(theta[0]):
+                return float(theta[0])
+        q_prev, q = q, w / b
+    raise CapExceeded(
+        f"Lanczos did not converge on {m} states; raise dense_cutoff "
+        f"above {m} to use the dense eigensolver")
 
 
 def spectral_gap(P: TransitionMatrix, mu: DistributionTable,
                  dense_cutoff: int = 5000, tol: float = 1e-9) -> float:
-    """1 - lambda_2 of a reversible kernel, via the symmetrized matrix.
+    """1 - lambda_2 of a kernel reversible for mu, via the symmetrized matrix.
 
-    Uses a full symmetric eigendecomposition below dense_cutoff states and
-    Lanczos iteration with the top eigenvector deflated above it, started
-    from a fixed vector so that reruns give the same bits; if Lanczos does not
-    converge it raises CapExceeded naming dense_cutoff.  A singleton chain
-    has gap 1 by convention.
+    mu must be the law P is in detailed balance with (ContractError or
+    NotReversible before any work otherwise), and tol a positive finite
+    number.  Up to dense_cutoff states a full symmetric eigendecomposition
+    gives lambda_2; above it a Lanczos recurrence with the top eigenvector
+    deflated does, to relative residual tol, with the same bits under any
+    BLAS thread count (_lanczos_top).  If the recurrence does not converge in
+    100 steps per state it raises CapExceeded naming dense_cutoff.  A
+    singleton chain has gap 1 by convention.
     """
+    if not 0.0 < tol < math.inf:
+        raise ContractError(f"tol must be a positive finite number, got {tol!r}")
+    _require_balance(P, mu)
     import scipy.sparse as sp
     m = len(P.states)
     if m == 1:
         return 1.0
-    if not P.reversible:
-        check_detailed_balance(P, mu)
-        P.reversible = True
     root = np.sqrt(mu.probs)
     D = sp.diags(root)
     Dinv = sp.diags(1.0 / root)
@@ -299,25 +374,7 @@ def spectral_gap(P: TransitionMatrix, mu: DistributionTable,
         eigs = np.linalg.eigvalsh(Sd)
         lam2 = float(eigs[-2])
     else:
-        import scipy.sparse.linalg as spla
-        S = S.tocsr()
-        v = root / np.linalg.norm(root)
-
-        def matvec(x):
-            y = S @ x
-            return y - v * (v @ y)
-
-        op = spla.LinearOperator((m, m), matvec=matvec, dtype=np.float64)
-        v0 = np.random.default_rng(0).standard_normal(m)
-        v0 -= v * (v @ v0)
-        try:
-            vals = spla.eigsh(op, k=1, which="LA", tol=tol, v0=v0,
-                              return_eigenvectors=False, maxiter=100 * m)
-        except spla.ArpackNoConvergence as exc:
-            raise CapExceeded(
-                f"Lanczos did not converge on {m} states; raise dense_cutoff "
-                f"above {m} to use the dense eigensolver") from exc
-        lam2 = float(vals[0])
+        lam2 = _lanczos_top(S.tocsr(), root / math.sqrt(_dot(root, root)), tol)
     return 1.0 - lam2
 
 
@@ -344,11 +401,16 @@ def exact_mixing_time(P: TransitionMatrix, mu: DistributionTable, delta: float,
     """Smallest t with max over starts x0 of TV(P^t(x0, .), mu) <= delta.
 
     Returns (t_mix, tv_curve) where tv_curve[t] is the worst-case TV after t
-    steps for t = 0..t_mix.  Rows are propagated in memory-bounded batches;
-    per-row TV is nonincreasing in t, so a finished batch stays under delta.
+    steps for t = 0..t_mix.  mu must be the law P is in detailed balance
+    with, as for spectral_gap, and t_cap >= 0.  Rows are propagated in
+    memory-bounded batches; per-row TV is nonincreasing in t, so a finished
+    batch stays under delta.
     """
     if not 0.0 < delta <= 0.5:
         raise ContractError("delta must lie in (0, 1/2]")
+    if t_cap < 0:
+        raise ContractError(f"t_cap must be >= 0, got {t_cap}")
+    _require_balance(P, mu)
     m = len(P.states)
     if m == 1:
         return 0, [0.0]

@@ -678,15 +678,24 @@ def test_non_integer_values_are_config_errors(tmp_path, capsys, key, value):
 
 
 def test_exact_gap_non_convergence_exits_2(tmp_path, monkeypatch):
-    import scipy.sparse.linalg as spla
+    import functools
 
-    def stalled(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", [], [])
+    import numpy as np
+    import scipy.linalg
 
-    # n = 8 has 40320 states, above the dense cutoff, so the gap uses eigsh
-    monkeypatch.setattr(spla, "eigsh", stalled)
+    def stalled(d, e, **kwargs):
+        # a Ritz vector ending in 1 leaves the residual bound at beta
+        s = np.zeros((len(d), 1))
+        s[-1] = 1.0
+        return np.array([0.5]), s
+
+    # the gap runs the Lanczos recurrence at n = 4, whose 24 states are below
+    # the dense cutoff, and the recurrence never converges
+    monkeypatch.setattr(cli, "spectral_gap",
+                        functools.partial(measure.spectral_gap, dense_cutoff=0))
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", stalled)
     cfg = write_config(tmp_path, "g.json", {
-        "command": "exact", "n": 8, "p": {"family": "constant-q", "q": 0.6}})
+        "command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.6}})
     assert main(["--config", cfg, "--out", str(tmp_path / "g")]) == 2
     man = json.loads((tmp_path / "g" / "manifest.json").read_text())
     assert "CapExceeded" in man["error"] and "dense_cutoff" in man["error"]

@@ -97,6 +97,11 @@ def test_enumerate_stationary_examples():
     assert only.probs[0] == 1.0
 
 
+def test_enumeration_refuses_n_0():
+    with pytest.raises(ContractError, match="n must be >= 1"):
+        enumerate_stationary(0, BiasMatrix.constant(0, 0.6))
+
+
 def test_enumeration_cap():
     p = BiasMatrix.constant(11, 0.6)
     with pytest.raises(CapExceeded):
@@ -195,19 +200,107 @@ def test_spectral_gap_iterative_is_deterministic():
 
 
 def test_spectral_gap_non_convergence_is_a_cap(monkeypatch):
-    import scipy.sparse.linalg as spla
+    import scipy.linalg
 
-    def stalled(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", [], [])
+    calls = []
 
-    monkeypatch.setattr(spla, "eigsh", stalled)
+    def stalled(d, e, **kwargs):
+        # a Ritz vector ending in 1 leaves the residual bound at beta
+        calls.append(len(d))
+        s = np.zeros((len(d), 1))
+        s[-1] = 1.0
+        return np.array([0.5]), s
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", stalled)
     p = BiasMatrix.constant(4, 0.7)
     mu = enumerate_stationary(4, p)
     P = build_transition_matrix(4, p, mu=mu)
     with pytest.raises(CapExceeded, match="dense_cutoff.*24|24.*dense_cutoff"):
         spectral_gap(P, mu, dense_cutoff=1)
-    # the dense path never calls eigsh
+    # the recurrence ran its 100 m steps, looking every 10th
+    assert calls == list(range(10, 2401, 10))
+    # the dense path never runs the recurrence
     assert 0.0 < spectral_gap(P, mu) < 2.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(2, 7),
+       family=st.sampled_from(["constant", "random-eps", "monotone",
+                               "eps-inf", "certain-pairs"]),
+       window=st.none() | st.integers(1, 6), block=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lanczos_gap_matches_the_dense_gap(n, family, window, block, seed):
+    from atshuffle.chains import BlockSchedule, exact_block_kernel
+    rng = np.random.default_rng(seed)
+    p = {"constant": lambda: BiasMatrix.constant(n, rng.uniform(0.5, 1.0)),
+         "random-eps": lambda: BiasMatrix.random_biased(n, 0.5, rng),
+         "monotone": lambda: BiasMatrix.monotone_biased(n, 0.3, rng),
+         "eps-inf": lambda: BiasMatrix.random_biased(n, math.inf, rng),
+         "certain-pairs": lambda: random_bias_with_certain_pairs(n, rng),
+         }[family]()
+    if n == 7 and (window is None or window > 3):
+        window = 3      # the dense solver takes seconds above 2,000 states
+    ell = None if window is None else LocalizationVector.constant(
+        n, min(window, n - 1))
+    try:
+        mu = enumerate_stationary(n, p, ell)
+    except ContractError:
+        return      # every localized state has weight 0
+    K = (exact_block_kernel(n, p, ell, BlockSchedule.west_east(n), mu=mu)
+         if block else build_transition_matrix(n, p, ell, mu=mu))
+    gap = spectral_gap(K, mu, dense_cutoff=0)
+    assert abs(gap - spectral_gap(K, mu)) <= 1e-12
+    assert spectral_gap(K, mu, dense_cutoff=0) == gap
+
+
+def test_a_kernel_takes_only_its_own_law():
+    p4 = BiasMatrix.constant(4, 0.7)
+    mu4 = enumerate_stationary(4, p4)
+    nu4 = enumerate_stationary(4, BiasMatrix.constant(4, 0.9))
+    mu5 = enumerate_stationary(5, BiasMatrix.constant(5, 0.7))
+    P4 = build_transition_matrix(4, p4, mu=mu4)
+    assert P4.law is mu4 and P4.reversible
+    for cutoff in (5000, 0):
+        with pytest.raises(NotReversible):
+            spectral_gap(P4, nu4, dense_cutoff=cutoff)
+        with pytest.raises(ContractError, match="state list"):
+            spectral_gap(P4, mu5, dense_cutoff=cutoff)
+    with pytest.raises(NotReversible):
+        exact_mixing_time(P4, nu4, 0.25)
+    with pytest.raises(ContractError, match="state list"):
+        exact_mixing_time(P4, mu5, 0.25)
+    with pytest.raises(ContractError, match="size mismatch"):
+        build_transition_matrix(4, p4, mu=mu5)
+    with pytest.raises(ContractError, match="size mismatch"):
+        build_transition_matrix(5, p4, mu=mu5)
+    # the refusals leave the remembered law alone
+    assert P4.law is mu4
+    # an equal law is taken without a second balance check
+    copy = DistributionTable(mu4.support.copy(), mu4.probs.copy(), mu4.logZ)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "check_detailed_balance", None)
+        assert spectral_gap(P4, copy) == spectral_gap(P4, mu4)
+        assert exact_mixing_time(P4, copy, 0.25)[0] > 0
+    # a kernel built without a law is checked at first use
+    from atshuffle.measure import TransitionMatrix
+    bare = TransitionMatrix(P4.states, P4.matrix)
+    assert bare.law is None and not bare.reversible
+    with pytest.raises(NotReversible):
+        spectral_gap(bare, nu4)
+    assert bare.law is None
+    assert spectral_gap(bare, mu4) == spectral_gap(P4, mu4)
+    assert bare.law is mu4
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_spectral_gap_refuses_a_bad_tol(tol):
+    p = BiasMatrix.constant(4, 0.7)
+    mu = enumerate_stationary(4, p)
+    P = build_transition_matrix(4, p, mu=mu)
+    for cutoff in (5000, 0):
+        with pytest.raises(ContractError, match="tol"):
+            spectral_gap(P, mu, dense_cutoff=cutoff, tol=tol)
+
 
 def test_tv_distance():
     p = BiasMatrix.constant(2, 0.6)
@@ -238,6 +331,11 @@ def test_exact_mixing_time():
     assert exact_mixing_time(P0, mu0, 0.25)[0] == 0
     with pytest.raises(ContractError):
         exact_mixing_time(P, mu, 0.7)
+    with pytest.raises(ContractError, match="t_cap"):
+        exact_mixing_time(P, mu, 0.25, t_cap=-1)
+    # t_cap = 0 is a cap, not a refusal
+    with pytest.raises(CapExceeded, match="step cap 0"):
+        exact_mixing_time(P, mu, 0.25, t_cap=0)
 
 
 def test_exact_mixing_time_monotone_in_delta():

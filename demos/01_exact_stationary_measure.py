@@ -32,7 +32,7 @@ print(f"mu(identity) = {mu.prob_of((1, 2, 3)):.6f}")
 
 # The kernel picks a uniform edge and orders the pair by the bias; it is
 # reversible for mu, which build_transition_matrix verifies on the spot.
-P = build_transition_matrix(n, p, mu=mu)
+P = build_transition_matrix(p, mu)
 print(f"kernel is reversible: {P.reversible}; spectral gap = "
       f"{spectral_gap(P, mu):.6f}")
 
@@ -51,7 +51,7 @@ rng = np.random.default_rng(7)
 p6 = BiasMatrix.random_biased(6, 0.5, rng)
 ell6 = LocalizationVector.constant(6, 2)
 mu6 = enumerate_stationary(6, p6, ell6)
-P6 = build_transition_matrix(6, p6, ell6, mu=mu6)
+P6 = build_transition_matrix(p6, mu6)
 print(f"n=6 random instance restricted to window 2: {len(mu6)} states, "
       f"gap = {spectral_gap(P6, mu6):.4f}")
 

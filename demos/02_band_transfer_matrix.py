@@ -7,16 +7,15 @@ exact partition functions, exact samples, and exact conditional marginals
 at sizes far beyond enumeration.
 """
 
-import math
 import time
 
 import numpy as np
 
-from atshuffle import (BandDP, BiasMatrix, BoundaryAssignment,
-                       LocalizationVector, band_dp_conditional_marginal,
-                       band_dp_partition, band_dp_sample, enumerate_stationary,
+from atshuffle import (BiasMatrix, BoundaryAssignment, LocalizationVector,
+                       band_dp_conditional_marginal, band_dp_partition,
+                       band_dp_sample, enumerate_stationary,
                        exact_localized_sampler, heat_bath_block_sample,
-                       max_displacement, Permutation, is_localized)
+                       is_localized, max_displacement)
 
 rng = np.random.default_rng(11)
 

@@ -7,10 +7,6 @@ before n^2 steps, the chain localizes to a logarithmic band after burn-in,
 and boundary influence decays exponentially inside the localized set.
 """
 
-import math
-
-import numpy as np
-
 from atshuffle import BiasMatrix, BoundaryAssignment, LocalizationVector
 from atshuffle.experiments import (burn_in_profile, localization_tail_check,
                                    lower_bound_experiment, mixing_scaling,

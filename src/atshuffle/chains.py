@@ -35,7 +35,7 @@ from .banddp import SamplerCache, heat_bath_block_sample
 from .errors import CapExceeded, ContractError
 from .measure import (MEMORY_BUDGET, DistributionTable, TransitionMatrix,
                       _require_balance, _state_rows, _swap_kernel,
-                      check_detailed_balance, enumerate_stationary)
+                      check_detailed_balance)
 from .perms import (BiasMatrix, LocalizationVector, Permutation, _is_integer,
                     is_localized, localized_rows, max_displacement)
 
@@ -241,20 +241,16 @@ def check_dense_kernel(states: int) -> None:
             "localization vector")
 
 
-def exact_block_kernel(n: int, p: BiasMatrix, ell: LocalizationVector | None,
-                       schedule: BlockSchedule,
-                       mu: DistributionTable | None = None) -> TransitionMatrix:
-    """Exact heat-bath block kernel by enumeration (small n).
+def exact_block_kernel(mu: DistributionTable,
+                       schedule: BlockSchedule) -> TransitionMatrix:
+    """Exact heat-bath block kernel on mu's support (small n).
 
     The kernel is built dense; above measure.MEMORY_BUDGET bytes it raises
     CapExceeded before allocating.
     """
     import scipy.sparse as sp
+    n = mu.support.shape[1]
     schedule.check_size(n)
-    if mu is None:
-        mu = enumerate_stationary(n, p, ell)
-    elif mu.support.shape[1] != n:
-        raise ContractError("size mismatch")
     S = mu.support
     check_dense_kernel(len(S))
     P = np.zeros((len(S), len(S)))

@@ -363,7 +363,7 @@ def generate_instance(family: str, n: int, epsilon: float | None, seed: int,
 def _run_exact(cfg: RunConfig, outdir: str):
     n, p, ell = cfg.instance()
     mu = enumerate_stationary(n, p, ell, cfg.cap_enum)
-    P = build_transition_matrix(n, p, ell, mu=mu)
+    P = build_transition_matrix(p, mu)
     gap = spectral_gap(P, mu)
     verdict = Verdict(True, "detailed balance holds (checked at build)",
                       {"logZ": mu.logZ, "Z": float(np.exp(mu.logZ)),

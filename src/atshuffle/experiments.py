@@ -599,8 +599,8 @@ def block_decomposition_check(n: int, p: BiasMatrix,
         check_dense_kernel(math.factorial(n))
     mu = enumerate_stationary(n, p, ell, enum_cap)
     # the dense block kernel refuses above the memory budget before any gap
-    K = exact_block_kernel(n, p, ell, schedule, mu=mu)
-    P = build_transition_matrix(n, p, ell, mu=mu)
+    K = exact_block_kernel(mu, schedule)
+    P = build_transition_matrix(p, mu)
     gap_at = spectral_gap(P, mu)
     gap_block = spectral_gap(K, mu)
     min_sub = math.inf
@@ -615,7 +615,7 @@ def block_decomposition_check(n: int, p: BiasMatrix,
                 gap = 1.0
             else:
                 mu_sub = enumerate_stationary(m, sub_p, sub_ell, enum_cap)
-                P_sub = build_transition_matrix(m, sub_p, sub_ell, mu=mu_sub)
+                P_sub = build_transition_matrix(sub_p, mu_sub)
                 gap = spectral_gap(P_sub, mu_sub)
             min_sub = min(min_sub, gap)
             sub_records.append({"block": [a, b], "eta": list(left) + list(right),
@@ -714,7 +714,7 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
         for n in ns:
             p = make_family(n, family, seed)
             mu = enumerate_stationary(n, p, cap=enum_cap)
-            P = build_transition_matrix(n, p, mu=mu)
+            P = build_transition_matrix(p, mu)
             t_mix, curve = exact_mixing_time(P, mu, delta)
             meta["tv_curves"][str(n)] = [float(v) for v in curve]
             series.append(SeriesPoint(n, float(t_mix), 0.0, 1))
@@ -966,7 +966,7 @@ def block_chain_mixing(n: int, p: BiasMatrix, ell: LocalizationVector,
     if n <= DEFAULT_ENUM_CAP:
         mu = enumerate_stationary(n, p, ell)
         try:
-            K = exact_block_kernel(n, p, ell, schedule, mu=mu)
+            K = exact_block_kernel(mu, schedule)
         except CapExceeded:     # a dense kernel above the memory budget
             pass
         else:

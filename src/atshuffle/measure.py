@@ -115,6 +115,10 @@ class DistributionTable:
         return len(self.support)
 
     def prob_of(self, state) -> float:
+        """Probability of state, a Permutation or a row of labels; 0.0 off
+        the support."""
+        if isinstance(state, Permutation):
+            state = state.forward
         if np.shape(state) != self.support.shape[1:]:
             return 0.0
         return float(self.probs[np.all(self.support == state, axis=1)].sum())
@@ -275,21 +279,18 @@ def _swap_kernel(digits: np.ndarray, table: np.ndarray) -> sp.csr_matrix:
     return matrix
 
 
-def build_transition_matrix(n: int, p: BiasMatrix,
-                            ell: LocalizationVector | None = None,
-                            cap: int = DEFAULT_ENUM_CAP,
-                            mu: DistributionTable | None = None) -> TransitionMatrix:
-    """Exact one-step kernel of the adjacent transposition chain.
+def build_transition_matrix(p: BiasMatrix,
+                            mu: DistributionTable) -> TransitionMatrix:
+    """Exact one-step kernel of the adjacent transposition chain on mu's
+    support.
 
     An edge i in [n-1] is chosen uniformly; the two particles there end up
     with a ahead of b with probability p[a][b].  Proposals leaving the
-    localized set are rejected in place (their mass joins the diagonal).
-    The kernel is checked for detailed balance against mu before it is
-    returned.
+    support (the localized set of enumerate_stationary) are rejected in place
+    (their mass joins the diagonal).  The kernel is checked for detailed
+    balance against mu before it is returned.
     """
-    if mu is None:
-        mu = enumerate_stationary(n, p, ell, cap=cap)
-    elif p.n != n or mu.support.shape[1] != n:
+    if mu.support.shape[1] != p.n:
         raise ContractError("size mismatch")
     out = TransitionMatrix(mu.support, _swap_kernel(mu.support - 1, p.dense()))
     _require_balance(out, mu)
@@ -340,42 +341,31 @@ def _lanczos_top(S, v: np.ndarray, tol: float) -> float:
                 return float(theta[0])
         q_prev, q = q, w / b
     raise CapExceeded(
-        f"Lanczos did not converge on {m} states; raise dense_cutoff "
-        f"above {m} to use the dense eigensolver")
+        f"Lanczos did not converge on {m} states in {100 * m} steps at "
+        f"tol={tol!r}; raise tol")
 
 
 def spectral_gap(P: TransitionMatrix, mu: DistributionTable,
-                 dense_cutoff: int = 5000, tol: float = 1e-9) -> float:
+                 tol: float = 1e-9) -> float:
     """1 - lambda_2 of a kernel reversible for mu, via the symmetrized matrix.
 
     mu must be the law P is in detailed balance with (ContractError or
     NotReversible before any work otherwise), and tol a positive finite
-    number.  Up to dense_cutoff states a full symmetric eigendecomposition
-    gives lambda_2; above it a Lanczos recurrence with the top eigenvector
-    deflated does, to relative residual tol, with the same bits under any
-    BLAS thread count (_lanczos_top).  If the recurrence does not converge in
-    100 steps per state it raises CapExceeded naming dense_cutoff.  A
-    singleton chain has gap 1 by convention.
+    number.  A Lanczos recurrence with the top eigenvector deflated gives
+    lambda_2 to relative residual tol, with the same bits under any BLAS
+    thread count (_lanczos_top).  If it does not converge in 100 steps per
+    state it raises CapExceeded naming tol.  A singleton chain has gap 1 by
+    convention.
     """
     if not 0.0 < tol < math.inf:
         raise ContractError(f"tol must be a positive finite number, got {tol!r}")
     _require_balance(P, mu)
     import scipy.sparse as sp
-    m = len(P.states)
-    if m == 1:
+    if len(P.states) == 1:
         return 1.0
     root = np.sqrt(mu.probs)
-    D = sp.diags(root)
-    Dinv = sp.diags(1.0 / root)
-    S = D @ P.matrix @ Dinv
-    if m <= dense_cutoff:
-        Sd = S.toarray()
-        Sd = 0.5 * (Sd + Sd.T)
-        eigs = np.linalg.eigvalsh(Sd)
-        lam2 = float(eigs[-2])
-    else:
-        lam2 = _lanczos_top(S.tocsr(), root / math.sqrt(_dot(root, root)), tol)
-    return 1.0 - lam2
+    S = (sp.diags(root) @ P.matrix @ sp.diags(1.0 / root)).tocsr()
+    return 1.0 - _lanczos_top(S, root / math.sqrt(_dot(root, root)), tol)
 
 
 def tv_distance(a: DistributionTable, b: DistributionTable) -> float:

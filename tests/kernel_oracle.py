@@ -1,11 +1,14 @@
-"""Reference oracle for the exact ASEP law and kernel and the block kernel.
+"""Reference oracle for the exact ASEP law and kernel, the block kernel and
+the spectral gap.
 
 These are the straightforward state-by-state builds: the ASEP weights count
 the (1 before 0) pairs one state at a time, the ASEP kernel looks up each
 swapped occupancy tuple in a dict, and the heat-bath block kernel groups the
 states by their complement tuple in a dict and fills the dense kernel one
 row at a time.  The shared swap-kernel builder and the grouped block kernel
-must reproduce them bit for bit.
+must reproduce them bit for bit.  The gap is read off a full eigendecomposition
+of the dense symmetrized kernel, which measure.spectral_gap's Lanczos
+recurrence must match to rounding.
 """
 
 import math
@@ -83,3 +86,13 @@ def reference_block_kernel(n, schedule, mu):
             for si in members:
                 P[si, members] += wb * probs
     return P
+
+
+def dense_gap(P, mu):
+    """1 - lambda_2 of the kernel P reversible for mu, from eigvalsh of
+    D P D^-1 with D = diag(sqrt(mu)), symmetrized; 1 for a singleton."""
+    if len(mu.probs) == 1:
+        return 1.0
+    root = np.sqrt(mu.probs)
+    S = root[:, None] * P.matrix.toarray() / root[None, :]
+    return 1.0 - float(np.linalg.eigvalsh(0.5 * (S + S.T))[-2])

@@ -804,7 +804,7 @@ def test_heat_bath_preserves_stationarity_exactly():
         p = BiasMatrix.random_biased(n, 0.5, rng)
         ell = random_admissible_localization(n, rng, max_ell=2)
         mu = enumerate_stationary(n, p, ell)
-        K = exact_block_kernel(n, p, ell, BlockSchedule.west_east(n), mu=mu)
+        K = exact_block_kernel(mu, BlockSchedule.west_east(n))
         after = mu.probs @ K.matrix
         assert np.allclose(after, mu.probs, atol=1e-12)
 

@@ -56,7 +56,8 @@ def test_tracing_installs_and_restores_every_target():
     tracer = spans.Tracer()
     with spans.installed(tracer):
         assert measure.build_transition_matrix is not original
-        measure.build_transition_matrix(3, BiasMatrix.constant(3, 0.6))
+        p = BiasMatrix.constant(3, 0.6)
+        measure.build_transition_matrix(p, measure.enumerate_stationary(3, p))
     assert measure.build_transition_matrix is original
     summary = tracer.summary()
     assert summary["measure.build_transition_matrix"]["calls"] == 1

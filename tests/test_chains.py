@@ -24,7 +24,7 @@ from atshuffle.chains import (BlockSchedule, _asep_edge, _audit_draws,
                               write_checkpoint)
 from atshuffle.errors import CapExceeded, ContractError
 from atshuffle.measure import (build_transition_matrix, check_detailed_balance,
-                               enumerate_stationary, spectral_gap)
+                               enumerate_stationary)
 from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
                              is_localized, max_localized_state)
 
@@ -72,7 +72,7 @@ def test_at_step_frequencies_match_exact_kernel():
     n = 4
     p = BiasMatrix.random_biased(n, 0.5, rng)
     mu = enumerate_stationary(n, p)
-    P = build_transition_matrix(n, p, mu=mu)
+    P = build_transition_matrix(p, mu)
     start = Permutation((3, 1, 4, 2))
     # the scalar step and the ensemble step implement the same rule
     probe = derive_rng(99, 0)
@@ -96,7 +96,7 @@ def test_restricted_step_frequencies_match_exact_kernel():
     p = BiasMatrix.random_biased(n, 0.5, rng)
     ell = LocalizationVector.constant(n, 1)
     mu = enumerate_stationary(n, p, ell)
-    P = build_transition_matrix(n, p, ell, mu=mu)
+    P = build_transition_matrix(p, mu)
     start = Permutation((2, 1, 3, 4))
     R = 10 ** 6
     rows = ensemble_chain_run(p, np.tile(start.forward, (R, 1)), 1,
@@ -394,7 +394,7 @@ def test_exact_block_kernel_matches_block_step_frequencies():
     ell = LocalizationVector.constant(n, 2)
     mu = enumerate_stationary(n, p, ell)
     schedule = BlockSchedule.west_east(n)
-    K = exact_block_kernel(n, p, ell, schedule, mu=mu)
+    K = exact_block_kernel(mu, schedule)
     start = Permutation((2, 1, 4, 3))
     R = 10 ** 6
     blocks = schedule.blocks()
@@ -437,7 +437,7 @@ def test_block_kernel_matches_the_reference_build(n, seed, data):
     schedule = data.draw(st.sampled_from([
         BlockSchedule.west_east(n, selection),
         BlockSchedule.single(n, selection)]))
-    K = exact_block_kernel(n, p, ell, schedule, mu=mu)
+    K = exact_block_kernel(mu, schedule)
     ref = reference_block_kernel(n, schedule, mu)
     assert np.array_equal(K.matrix.toarray(), ref)
 
@@ -723,6 +723,6 @@ def test_exact_block_kernel_refuses_above_the_memory_budget(monkeypatch):
     schedule = BlockSchedule.west_east(n)
     monkeypatch.setattr(chains, "MEMORY_BUDGET", 4607)
     with pytest.raises(CapExceeded, match="24 states.*4608 byte.*4607 byte"):
-        exact_block_kernel(n, p, None, schedule, mu=mu)
+        exact_block_kernel(mu, schedule)
     monkeypatch.setattr(chains, "MEMORY_BUDGET", 4608)
-    assert exact_block_kernel(n, p, None, schedule, mu=mu).states is mu.support
+    assert exact_block_kernel(mu, schedule).states is mu.support

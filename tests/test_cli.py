@@ -678,8 +678,6 @@ def test_non_integer_values_are_config_errors(tmp_path, capsys, key, value):
 
 
 def test_exact_gap_non_convergence_exits_2(tmp_path, monkeypatch):
-    import functools
-
     import numpy as np
     import scipy.linalg
 
@@ -689,16 +687,13 @@ def test_exact_gap_non_convergence_exits_2(tmp_path, monkeypatch):
         s[-1] = 1.0
         return np.array([0.5]), s
 
-    # the gap runs the Lanczos recurrence at n = 4, whose 24 states are below
-    # the dense cutoff, and the recurrence never converges
-    monkeypatch.setattr(cli, "spectral_gap",
-                        functools.partial(measure.spectral_gap, dense_cutoff=0))
+    # the Lanczos recurrence behind the gap at n = 4 never converges
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", stalled)
     cfg = write_config(tmp_path, "g.json", {
         "command": "exact", "n": 4, "p": {"family": "constant-q", "q": 0.6}})
     assert main(["--config", cfg, "--out", str(tmp_path / "g")]) == 2
     man = json.loads((tmp_path / "g" / "manifest.json").read_text())
-    assert "CapExceeded" in man["error"] and "dense_cutoff" in man["error"]
+    assert "CapExceeded" in man["error"] and "tol" in man["error"]
 
 
 SPATIAL = {"command": "spatial", "n": 8,

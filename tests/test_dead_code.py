@@ -1,5 +1,5 @@
 """Every function, method and class of the package has a caller outside the
-tests.
+tests, and every module reads every name it imports.
 
 A definition counts as used when its name occurs in code outside its own
 definition, anywhere in ``src``, ``demos`` or ``bench``: as an attribute,
@@ -12,6 +12,11 @@ that wraps its targets by name; elsewhere such a string is data (a CLI
 command, a config key), and a method that shares its name is not called.
 Comments and docstrings do not count.  Dunder methods are called by Python
 itself and are exempt.
+
+An imported name is read when it occurs as a bare name anywhere in the
+module's code, in ``src``, ``demos``, ``tests`` or ``bench``.  ``from
+__future__`` imports switch on language features and are exempt, as are the
+re-exports of ``atshuffle/__init__.py``.
 """
 
 import ast
@@ -24,12 +29,13 @@ PACKAGE = os.path.join(ROOT, "src", "atshuffle")
 BY_NAME = os.path.join(ROOT, "bench", "spans.py")
 REEXPORTS = os.path.join(PACKAGE, "__init__.py")
 SEARCHED = ("src", "demos", "bench")
+IMPORTING = ("src", "demos", "tests", "bench")
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def python_files():
-    for top in SEARCHED:
+def python_files(tops=SEARCHED):
+    for top in tops:
         for folder, _, files in os.walk(os.path.join(ROOT, top)):
             for name in sorted(files):
                 if name.endswith(".py"):
@@ -93,3 +99,30 @@ def test_every_definition_is_referenced_outside_itself():
     elapsed = time.perf_counter() - start
     assert dead == []
     assert elapsed < 1.0, f"the scan took {elapsed:.2f} s"
+
+
+def unread_imports():
+    """The names a module imports and never reads, as "path:line name"."""
+    unread = []
+    for path in python_files(IMPORTING):
+        if path == REEXPORTS:
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        imported, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    # import a.b binds a
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        unread += [f"{os.path.relpath(path, ROOT)}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    return sorted(unread)
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []

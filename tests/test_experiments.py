@@ -1,6 +1,5 @@
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
@@ -27,8 +26,7 @@ from atshuffle.experiments import (ExperimentResult, SeriesPoint, Verdict,
 from atshuffle.banddp import BandDP
 from atshuffle.measure import enumerate_stationary, tv_distance
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
-                             LocalizationVector, Permutation,
-                             instance_fingerprint)
+                             LocalizationVector, instance_fingerprint)
 
 
 def enum_region_tv(n, p, ell, eta_a, eta_b, region):
@@ -349,16 +347,16 @@ def test_block_checks_refuse_a_schedule_for_another_n(m, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("enumeration began before the refusal")
 
-    monkeypatch.setattr(experiments, "enumerate_stationary", no_work)
-    monkeypatch.setattr(chains, "enumerate_stationary", no_work)
     n = 5
     p = BiasMatrix.constant(n, 0.6)
+    mu = enumerate_stationary(n, p)
+    monkeypatch.setattr(experiments, "enumerate_stationary", no_work)
     schedule = BlockSchedule.west_east(m)
     message = f"schedule is built for n = {m}, but the instance has n = 5"
     with pytest.raises(ContractError, match=message):
         block_decomposition_check(n, p, None, schedule)
     with pytest.raises(ContractError, match=message):
-        chains.exact_block_kernel(n, p, None, schedule)
+        chains.exact_block_kernel(mu, schedule)
 
 
 def test_block_decomposition_random_restricted():

@@ -11,6 +11,7 @@ from atshuffle import measure
 from banddp_oracle import (random_bias_with_certain_pairs,
                            reference_transition_matrix)
 from chain_oracle import random_admissible_localization
+from kernel_oracle import dense_gap
 from atshuffle.chains import asep_stationary
 from atshuffle.errors import CapExceeded, ContractError, NotReversible
 from atshuffle.measure import (DistributionTable, build_transition_matrix,
@@ -113,7 +114,7 @@ def test_enumeration_cap():
 def test_transition_matrix_n2():
     p = BiasMatrix.constant(2, 0.6)
     mu = enumerate_stationary(2, p)
-    P = build_transition_matrix(2, p, mu=mu)
+    P = build_transition_matrix(p, mu)
     assert P.reversible
     i12, i21 = P.states.tolist().index([1, 2]), P.states.tolist().index([2, 1])
     assert P.matrix[i12, i21] == pytest.approx(0.4)
@@ -126,7 +127,7 @@ def test_rejection_mass_goes_to_diagonal():
     p = BiasMatrix.constant(3, 0.6)
     ell = LocalizationVector.constant(3, 1)
     mu = enumerate_stationary(3, p, ell)
-    P = build_transition_matrix(3, p, ell, mu=mu)
+    P = build_transition_matrix(p, mu)
     s = P.states.tolist().index([2, 1, 3])
     assert (2, 3, 1) not in [tuple(x) for x in mu.support]
     # edge 1: stay with p[2][1] = 0.4; edge 2: the swap is rejected entirely
@@ -142,7 +143,7 @@ def test_detailed_balance_random_instances():
         ell = random_admissible_localization(n, rng, max_ell=2) \
             if rng.random() < 0.5 else None
         mu = enumerate_stationary(n, p, ell)
-        P = build_transition_matrix(n, p, ell, mu=mu)
+        P = build_transition_matrix(p, mu)
         assert P.reversible
 
 
@@ -161,20 +162,21 @@ def test_spectral_gap_range_and_singleton():
     rng = np.random.default_rng(1)
     p = BiasMatrix.random_biased(5, 0.2, rng)
     mu = enumerate_stationary(5, p)
-    P = build_transition_matrix(5, p, mu=mu)
+    P = build_transition_matrix(p, mu)
     g = spectral_gap(P, mu)
     assert 0.0 < g < 2.0
     # singleton restricted chain has gap 1 by convention
     ell0 = LocalizationVector.constant(4, 0)
     p4 = BiasMatrix.constant(4, 0.8)
     mu0 = enumerate_stationary(4, p4, ell0)
-    P0 = build_transition_matrix(4, p4, ell0, mu=mu0)
+    P0 = build_transition_matrix(p4, mu0)
     assert spectral_gap(P0, mu0) == 1.0
 
 
 def test_chains_without_an_edge_stay_put():
     # one site has no edge to swap across, so the kernel is the identity
-    P = build_transition_matrix(1, BiasMatrix.constant(1, 0.6))
+    p1 = BiasMatrix.constant(1, 0.6)
+    P = build_transition_matrix(p1, enumerate_stationary(1, p1))
     assert P.states.tolist() == [[1]] and P.matrix.toarray().tolist() == [[1.0]]
     for k in (0, 1):
         assert asep_stationary(1, k, 0.6).probs.tolist() == [1.0]
@@ -183,19 +185,17 @@ def test_chains_without_an_edge_stay_put():
 def test_spectral_gap_iterative_matches_dense():
     p = BiasMatrix.constant(5, 0.7)
     mu = enumerate_stationary(5, p)
-    P = build_transition_matrix(5, p, mu=mu)
-    dense = spectral_gap(P, mu)
-    iterative = spectral_gap(P, mu, dense_cutoff=1)
-    assert iterative == pytest.approx(dense, abs=1e-7)
+    P = build_transition_matrix(p, mu)
+    assert abs(spectral_gap(P, mu) - dense_gap(P, mu)) <= 1e-12
 
 
 def test_spectral_gap_iterative_is_deterministic():
     p = BiasMatrix.random_biased(6, 0.3, np.random.default_rng(3))
     mu = enumerate_stationary(6, p)
-    P = build_transition_matrix(6, p, mu=mu)
-    first = spectral_gap(P, mu, dense_cutoff=0)
-    assert spectral_gap(P, mu, dense_cutoff=0) == first
-    assert first == pytest.approx(spectral_gap(P, mu), abs=1e-9)
+    P = build_transition_matrix(p, mu)
+    first = spectral_gap(P, mu)
+    assert spectral_gap(P, mu) == first
+    assert abs(first - dense_gap(P, mu)) <= 1e-12
 
 
 
@@ -214,22 +214,23 @@ def test_spectral_gap_non_convergence_is_a_cap(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", stalled)
     p = BiasMatrix.constant(4, 0.7)
     mu = enumerate_stationary(4, p)
-    P = build_transition_matrix(4, p, mu=mu)
-    with pytest.raises(CapExceeded, match="dense_cutoff.*24|24.*dense_cutoff"):
-        spectral_gap(P, mu, dense_cutoff=1)
+    P = build_transition_matrix(p, mu)
+    with pytest.raises(CapExceeded, match="24 states.*tol"):
+        spectral_gap(P, mu)
     # the recurrence ran its 100 m steps, looking every 10th
     assert calls == list(range(10, 2401, 10))
-    # the dense path never runs the recurrence
-    assert 0.0 < spectral_gap(P, mu) < 2.0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(n=st.integers(2, 7),
        family=st.sampled_from(["constant", "random-eps", "monotone",
                                "eps-inf", "certain-pairs"]),
-       window=st.none() | st.integers(1, 6), block=st.booleans(),
+       window=st.none() | st.integers(1, 6),
+       schedule=st.sampled_from([None, "west_east", "single"]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_lanczos_gap_matches_the_dense_gap(n, family, window, block, seed):
+def test_lanczos_gap_matches_the_dense_gap(n, family, window, schedule, seed):
+    # a single-block kernel has rank one, so the recurrence breaks down on
+    # its first step and must still return the gap 1
     from atshuffle.chains import BlockSchedule, exact_block_kernel
     rng = np.random.default_rng(seed)
     p = {"constant": lambda: BiasMatrix.constant(n, rng.uniform(0.5, 1.0)),
@@ -239,18 +240,18 @@ def test_lanczos_gap_matches_the_dense_gap(n, family, window, block, seed):
          "certain-pairs": lambda: random_bias_with_certain_pairs(n, rng),
          }[family]()
     if n == 7 and (window is None or window > 3):
-        window = 3      # the dense solver takes seconds above 2,000 states
+        window = 3      # the dense oracle takes seconds above 2,000 states
     ell = None if window is None else LocalizationVector.constant(
         n, min(window, n - 1))
     try:
         mu = enumerate_stationary(n, p, ell)
     except ContractError:
         return      # every localized state has weight 0
-    K = (exact_block_kernel(n, p, ell, BlockSchedule.west_east(n), mu=mu)
-         if block else build_transition_matrix(n, p, ell, mu=mu))
-    gap = spectral_gap(K, mu, dense_cutoff=0)
-    assert abs(gap - spectral_gap(K, mu)) <= 1e-12
-    assert spectral_gap(K, mu, dense_cutoff=0) == gap
+    K = (build_transition_matrix(p, mu) if schedule is None else
+         exact_block_kernel(mu, getattr(BlockSchedule, schedule)(n)))
+    gap = spectral_gap(K, mu)
+    assert abs(gap - dense_gap(K, mu)) <= 1e-12
+    assert spectral_gap(K, mu) == gap
 
 
 def test_a_kernel_takes_only_its_own_law():
@@ -258,21 +259,18 @@ def test_a_kernel_takes_only_its_own_law():
     mu4 = enumerate_stationary(4, p4)
     nu4 = enumerate_stationary(4, BiasMatrix.constant(4, 0.9))
     mu5 = enumerate_stationary(5, BiasMatrix.constant(5, 0.7))
-    P4 = build_transition_matrix(4, p4, mu=mu4)
+    P4 = build_transition_matrix(p4, mu4)
     assert P4.law is mu4 and P4.reversible
-    for cutoff in (5000, 0):
-        with pytest.raises(NotReversible):
-            spectral_gap(P4, nu4, dense_cutoff=cutoff)
-        with pytest.raises(ContractError, match="state list"):
-            spectral_gap(P4, mu5, dense_cutoff=cutoff)
+    with pytest.raises(NotReversible):
+        spectral_gap(P4, nu4)
+    with pytest.raises(ContractError, match="state list"):
+        spectral_gap(P4, mu5)
     with pytest.raises(NotReversible):
         exact_mixing_time(P4, nu4, 0.25)
     with pytest.raises(ContractError, match="state list"):
         exact_mixing_time(P4, mu5, 0.25)
     with pytest.raises(ContractError, match="size mismatch"):
-        build_transition_matrix(4, p4, mu=mu5)
-    with pytest.raises(ContractError, match="size mismatch"):
-        build_transition_matrix(5, p4, mu=mu5)
+        build_transition_matrix(p4, mu5)
     # the refusals leave the remembered law alone
     assert P4.law is mu4
     # an equal law is taken without a second balance check
@@ -296,10 +294,9 @@ def test_a_kernel_takes_only_its_own_law():
 def test_spectral_gap_refuses_a_bad_tol(tol):
     p = BiasMatrix.constant(4, 0.7)
     mu = enumerate_stationary(4, p)
-    P = build_transition_matrix(4, p, mu=mu)
-    for cutoff in (5000, 0):
-        with pytest.raises(ContractError, match="tol"):
-            spectral_gap(P, mu, dense_cutoff=cutoff, tol=tol)
+    P = build_transition_matrix(p, mu)
+    with pytest.raises(ContractError, match="tol"):
+        spectral_gap(P, mu, tol=tol)
 
 
 def test_tv_distance():
@@ -315,7 +312,7 @@ def test_tv_distance():
 def test_exact_mixing_time():
     p = BiasMatrix.constant(2, 0.6)
     mu = enumerate_stationary(2, p)
-    P = build_transition_matrix(2, p, mu=mu)
+    P = build_transition_matrix(p, mu)
     t, curve = exact_mixing_time(P, mu, 0.25)
     assert t == 1
     assert curve[0] == pytest.approx(0.6)
@@ -327,7 +324,7 @@ def test_exact_mixing_time():
     ell0 = LocalizationVector.constant(3, 0)
     p3 = BiasMatrix.constant(3, 0.9)
     mu0 = enumerate_stationary(3, p3, ell0)
-    P0 = build_transition_matrix(3, p3, ell0, mu=mu0)
+    P0 = build_transition_matrix(p3, mu0)
     assert exact_mixing_time(P0, mu0, 0.25)[0] == 0
     with pytest.raises(ContractError):
         exact_mixing_time(P, mu, 0.7)
@@ -342,7 +339,7 @@ def test_exact_mixing_time_monotone_in_delta():
     rng = np.random.default_rng(2)
     p = BiasMatrix.random_biased(4, 0.3, rng)
     mu = enumerate_stationary(4, p)
-    P = build_transition_matrix(4, p, mu=mu)
+    P = build_transition_matrix(p, mu)
     times = [exact_mixing_time(P, mu, d)[0] for d in (0.05, 0.1, 0.25, 0.5)]
     assert times == sorted(times, reverse=True)
 
@@ -350,7 +347,7 @@ def test_exact_mixing_time_monotone_in_delta():
 def test_exact_mixing_time_batched_matches_unbatched():
     p = BiasMatrix.constant(4, 0.65)
     mu = enumerate_stationary(4, p)
-    P = build_transition_matrix(4, p, mu=mu)
+    P = build_transition_matrix(p, mu)
     t_full, curve_full = exact_mixing_time(P, mu, 0.25)
     t_batch, curve_batch = exact_mixing_time(P, mu, 0.25, batch_bytes=24 * 7)
     assert t_full == t_batch
@@ -374,7 +371,7 @@ def test_kernel_matches_the_reference_build(n, seed, data):
         # any state order, not only the lexicographic one
         order = rng.permutation(len(mu.support))
         mu = DistributionTable(mu.support[order], mu.probs[order], mu.logZ)
-    fast = build_transition_matrix(n, p, ell, mu=mu)
+    fast = build_transition_matrix(p, mu)
     ref = reference_transition_matrix(n, p, mu)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(fast.matrix, name), getattr(ref, name)
@@ -384,7 +381,7 @@ def test_kernel_matches_the_reference_build(n, seed, data):
 def test_kernel_shares_the_read_only_support():
     p = BiasMatrix.constant(4, 0.7)
     mu = enumerate_stationary(4, p)
-    P = build_transition_matrix(4, p, mu=mu)
+    P = build_transition_matrix(p, mu)
     assert P.states is mu.support
     assert mu.support.dtype == np.int64 and mu.support.shape == (24, 4)
     with pytest.raises(ValueError, match="read-only"):
@@ -407,6 +404,18 @@ def test_table_rows_and_their_edges():
     assert DistributionTable([1, 2], [1.0], 0.0).support.tolist() == [[1, 2]]
     # supports of different widths share no row
     assert tv_distance(t, DistributionTable([(1, 2, 3)], [1.0], 0.0)) == 1.0
+
+
+def test_prob_of_takes_a_permutation_as_log_weight_does():
+    p = BiasMatrix.constant(3, 0.7)
+    mu = enumerate_stationary(3, p)
+    for state in itertools.permutations(range(1, 4)):
+        want = math.exp(log_weight(state, p) - mu.logZ)
+        assert mu.prob_of(Permutation(state)) == mu.prob_of(state)
+        assert mu.prob_of(Permutation(state)) == pytest.approx(want, rel=1e-12)
+    # weights 0.343, 0.147 (twice), 0.063 (twice) and 0.027 sum to 0.79
+    assert mu.prob_of(Permutation.identity(3)) == pytest.approx(0.343 / 0.79)
+    assert mu.prob_of(Permutation.identity(4)) == 0.0
 
 
 def dict_tv(a, b):

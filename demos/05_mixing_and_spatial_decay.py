@@ -36,7 +36,8 @@ p = BiasMatrix.constant(n, 0.75)
 lb = lower_bound_experiment(n, p, eta=0.5, replicas=200, seed=2)
 d = lb.verdict.details
 print(f"n={n}: P(pos(1) <= sqrt n at t = n^2/2) = {d['estimate']:.4f}, "
-      f"stationary >= {d['stationary_certified']:.6f} (certified)")
+      f"stationary >= {d['stationary_certified']:.6f} (certified), "
+      f"= {d['stationary_exact']:.6f} (exact)")
 
 # Burn-in: the 99th-percentile max displacement at t = 8 n^2 sits at the
 # logarithmic scale regardless of the start.

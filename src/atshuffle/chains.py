@@ -54,6 +54,14 @@ def experiment_id(name: str) -> int:
 # ASEP stationary law
 # ---------------------------------------------------------------------------
 
+def _check_asep(n: int, k: int, q: float) -> None:
+    """Refuse a k outside 0..n and a q outside [0, 1], NaN included."""
+    if not 0 <= k <= n:
+        raise ContractError(f"k must lie in 0..n, got k = {k}, n = {n}")
+    if not 0.0 <= q <= 1.0:
+        raise ContractError(f"q must lie in [0, 1], got q = {q!r}")
+
+
 def _asep_states(n: int, k: int) -> np.ndarray:
     """The k-particle occupancy rows on n sites, in combinations order."""
     sites = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
@@ -69,18 +77,20 @@ def asep_stationary(n: int, k: int, q: float,
     The exponent counts pairs i<j with Y(i)=1, Y(j)=0; the opposite
     orientation fails detailed balance (a single-edge check gives
     nu(1,0)/nu(0,1) = q/(1-q)), so the orientation here is fixed by an
-    explicit detailed-balance verification at construction.
+    explicit detailed-balance verification at construction.  At q = 1,
+    the weights' limit, it is the point mass on the left-packed row.
     """
-    if not 0.0 < q < 1.0:
-        raise ContractError("q must lie in (0, 1)")
-    if not 0 <= k <= n:
-        raise ContractError("bad particle count")
+    if not 0.0 < q <= 1.0:
+        raise ContractError(f"q must lie in (0, 1], got q = {q!r}")
+    _check_asep(n, k, q)
     if math.comb(n, k) > cap_states:
         raise CapExceeded(
             f"binomial({n},{k}) exceeds the state cap; use asep_rightmost_tail "
             "for tail queries")
-    log_rho = math.log(q) - math.log(1.0 - q)
     occ = _asep_states(n, k)
+    if q == 1.0:    # combinations order puts the left-packed row first
+        return DistributionTable(occ, np.eye(1, len(occ))[0], math.inf)
+    log_rho = math.log(q) - math.log(1.0 - q)
     # pairs (1 before 0): for each particle, the holes to its right
     holes_after = np.cumsum(occ[:, ::-1] == 0, axis=1)[:, ::-1]
     logw = np.sum(occ * holes_after, axis=1) * log_rho
@@ -94,6 +104,7 @@ def asep_stationary(n: int, k: int, q: float,
 def asep_transition_matrix(n: int, k: int, q: float,
                            states=None) -> TransitionMatrix:
     """Exact one-step ASEP kernel on the k-particle occupancy states (rows)."""
+    _check_asep(n, k, q)
     occ = _state_rows(_asep_states(n, k) if states is None else states)
     # a particle hops right with probability 1 - q and left with q
     table = np.array([[1.0, 1.0 - q], [q, 1.0]])
@@ -101,10 +112,10 @@ def asep_transition_matrix(n: int, k: int, q: float,
 
 
 def _log_q_binomial(m: int, k: int, phi: float) -> float:
-    """log Gaussian binomial [m choose k]_phi (phi in (0,1])."""
+    """log Gaussian binomial [m choose k]_phi (phi > 0)."""
     if k < 0 or k > m:
         return -math.inf
-    logphi = math.log(phi) if phi > 0 else -math.inf
+    logphi = math.log(phi)
     prev = np.zeros(1)
     for mm in range(1, m + 1):
         top = min(mm, k)
@@ -123,11 +134,14 @@ def asep_rightmost_tail(n: int, k: int, q: float, r: int) -> float:
 
     Uses P(all particles within [m]) = [m choose k]_phi / [n choose k]_phi
     with phi = (1-q)/q, which follows from the pair-counting form of the
-    stationary weights.
+    stationary weights.  q must lie in (0, 1]; at q = 1 every particle is
+    packed left.
     """
+    if not 0.0 < q <= 1.0:
+        raise ContractError(f"q must lie in (0, 1], got q = {q!r}")
     if r <= 0:
         return 1.0
-    if k + r > n:
+    if k + r > n or k == 0 or q == 1.0:
         return 0.0
     phi = (1.0 - q) / q
     log_head = _log_q_binomial(k + r - 1, k, phi)
@@ -484,12 +498,8 @@ _PAIR_MOVES = _pair_moves()
 
 def _packed_pair(n: int, k: int, q: float) -> tuple:
     """The top (right-packed) and bottom (left-packed) k-particle rows of the
-    ASEP pair drivers, after refusing a k outside 0..n and a q outside
-    [0, 1]."""
-    if not 0 <= k <= n:
-        raise ContractError(f"k must lie in 0..n, got k = {k}, n = {n}")
-    if not 0.0 <= q <= 1.0:
-        raise ContractError(f"q must lie in [0, 1], got q = {q!r}")
+    ASEP pair drivers, after _check_asep."""
+    _check_asep(n, k, q)
     return [int(i >= n - k) for i in range(n)], [int(i < k) for i in range(n)]
 
 

@@ -18,13 +18,15 @@ import numpy as np
 from .banddp import (BandDP, DEFAULT_WINDOW_CAP, SamplerCache,
                      check_draw_memory, exact_localized_sampler)
 from .chains import (BlockSchedule, asep_pair_coalescence,
-                     asep_rightmost_tail, asep_stationary, check_dense_kernel,
-                     derive_rng, ensemble_chain_run, exact_block_kernel,
-                     experiment_id, twin_chain_coupling_run)
+                     asep_rightmost_tail, asep_stationary,
+                     asep_transition_matrix, check_dense_kernel, derive_rng,
+                     ensemble_chain_run, exact_block_kernel, experiment_id,
+                     twin_chain_coupling_run)
 from .errors import CapExceeded, ContractError, EmptySupport
-from .measure import (DEFAULT_ENUM_CAP, build_transition_matrix,
-                      check_enumerable, enumerate_stationary,
-                      exact_mixing_time, spectral_gap, tv_distance)
+from .measure import (DEFAULT_ENUM_CAP, _mixing_time_from,
+                      build_transition_matrix, check_enumerable,
+                      enumerate_stationary, exact_mixing_time, spectral_gap,
+                      tv_distance)
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                     Permutation, _is_integer, _q_from_epsilon,
                     instance_fingerprint, max_displacement,
@@ -782,41 +784,24 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
 
 def _statistic_bracket(n: int, p: BiasMatrix, delta: float, budget: int,
                        seed: int):
-    """Bracket T_mix: statistic TV lower bound and twin-coalescence upper bound.
+    """Bracket T_mix: label 1's exact lower bound, twin-coalescence upper.
 
-    The lower bound compares against exact reference draws, which only
-    constant-bias instances have at every n.  The upper bound is the
-    ceil((1 - delta) m)-th smallest of m twin meeting times, rounded so that
-    a decimal delta such as 0.3 is not pushed up a rank by float error.
+    At constant bias q label 1's position is the one-particle exclusion
+    process (Benjamini, Berger, Hoffman and Mossel, Trans. AMS 357, 2005).
+    T_lb is the first t at which its TV from both the identity and the
+    reversal falls to delta; a projection's TV never exceeds the chain's, so
+    T_lb <= t_mix(delta).  T_ub is the ceil((1 - delta) m)-th smallest of m
+    twin meeting times, rounded so that a decimal delta such as 0.3 is not
+    pushed up a rank by float error.
     """
-    if p.constant_q() is None:
-        raise ContractError("statistic mode needs a constant-bias family; "
-                            "this instance has no reference sampler")
-    rng = derive_rng(seed, experiment_id("statistic-mode"), n)
-    replicas = max(200, budget)
-    grid = sorted({max(1, int(c * n * n)) for c in
-                   (0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)})
-    starts = _start_rows(n, "reversal", replicas, rng)
-    hist = {}
-
-    def snap(t, F):
-        hist[t] = np.argmax(F == 1, axis=1) + 1
-
-    ensemble_chain_run(p, starts, grid[-1], rng, checkpoints=grid,
-                       checkpoint_fn=snap)
-    ref_rows = exact_localized_sampler(p, None).draw_rows(rng, 20000)
-    Rr = ref_rows.shape[0]
-    inv1 = np.argmax(ref_rows == 1, axis=1) + 1
-    ref_counts = np.bincount(inv1, minlength=n + 1)[1:] / Rr
-    null_a = np.bincount(inv1[:Rr // 2], minlength=n + 1)[1:] / (Rr // 2)
-    null_b = np.bincount(inv1[Rr // 2:], minlength=n + 1)[1:] / (Rr - Rr // 2)
-    bias0 = 0.5 * float(np.sum(np.abs(null_a - null_b)))
-    t_lb = 0
-    for t in grid:
-        emp = np.bincount(hist[t], minlength=n + 1)[1:] / replicas
-        tv = 0.5 * float(np.sum(np.abs(emp - ref_counts)))
-        if tv > delta + bias0:
-            t_lb = t
+    q = p.constant_q()
+    if q is None:
+        raise ContractError("statistic mode needs a constant-bias family: "
+                            "label 1's position is a Markov chain only at "
+                            "constant bias")
+    nu = asep_stationary(n, 1, q)
+    t_lb, _ = _mixing_time_from(asep_transition_matrix(n, 1, q, nu.support),
+                                nu, delta, [np.eye(n)[[0, n - 1]]])
     times = []
     for rep in range(max(4, budget // 4)):
         t, _ = twin_chain_coupling_run(
@@ -827,9 +812,7 @@ def _statistic_bracket(n: int, p: BiasMatrix, delta: float, budget: int,
             raise CapExceeded(f"twin coupling did not coalesce at n={n}")
         times.append(t)
     t_ub = sorted(times)[math.ceil(round((1.0 - delta) * len(times), 9)) - 1]
-    return t_lb, t_ub, {"grid": grid, "bias0": bias0,
-                        "coalescence_times": times,
-                        "t_lb_censored": t_lb == grid[-1],
+    return t_lb, t_ub, {"coalescence_times": times,
                         "ub_over_lb": t_ub / t_lb if t_lb else None}
 
 
@@ -846,7 +829,9 @@ def lower_bound_experiment(n: int, p: BiasMatrix, eta: float = 0.5,
     Estimates P(position of particle 1 <= sqrt(n) at t = (1-eta) n^2) and
     contrasts it with the stationary probability of the same event, which is
     certified >= 1 - (1+eps)^(-sqrt n) by the geometric location bound and
-    estimated by exact sampling when the instance allows it.
+    computed exactly when the instance allows it: at constant bias from the
+    one-particle exclusion law, otherwise by enumeration up to
+    DEFAULT_ENUM_CAP.
     """
     if not 0.0 < eta < 1.0:
         raise ContractError("eta must lie in (0, 1)")
@@ -864,26 +849,23 @@ def lower_bound_experiment(n: int, p: BiasMatrix, eta: float = 0.5,
     est = float(np.mean(hit))
     se = _se_bernoulli(est, replicas)
     ref_cert = 1.0 - geometric_bound(eps, s)
-    ref_mc = None
-    ref_mc_se = None
-    try:
-        sampler = exact_localized_sampler(p, None)
-        rows = sampler.draw_rows(rng, 20000)
-        pos1 = np.argmax(rows == 1, axis=1) + 1
-        ref_mc = float(np.mean(pos1 <= s))
-        ref_mc_se = _se_bernoulli(ref_mc, rows.shape[0])
-    except CapExceeded:
-        pass
-    ref_ok = ref_cert >= ref_min or (
-        ref_mc is not None and ref_mc - 3.0 * ref_mc_se >= ref_min)
-    passed = (est <= threshold + 3.0 * se) and ref_ok
+    q = p.constant_q()
+    if q is not None:
+        ref_exact = 1.0 - asep_rightmost_tail(n, 1, q, s)
+    elif n <= DEFAULT_ENUM_CAP:
+        mu = enumerate_stationary(n, p)
+        ref_exact = _mass(mu.probs, np.argmax(mu.support == 1, axis=1) < s)
+    else:
+        ref_exact = None
+    passed = (est <= threshold + 3.0 * se
+              and max(ref_cert, ref_exact or 0.0) >= ref_min)
     series = [SeriesPoint(t_run, est, se, replicas)]
     verdict = Verdict(passed,
                       f"P(pos(1) <= sqrt n at t=(1-eta)n^2) <= {threshold} "
                       f"while stationary P >= {ref_min}",
                       {"estimate": est, "stderr": se,
                        "stationary_certified": ref_cert,
-                       "stationary_mc": ref_mc, "stationary_mc_se": ref_mc_se})
+                       "stationary_exact": ref_exact})
     return ExperimentResult(
         "lower_bound_experiment", instance_fingerprint(p, None),
         {"n": n, "eta": eta, "replicas": replicas, "seed": seed,

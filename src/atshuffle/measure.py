@@ -396,22 +396,27 @@ def exact_mixing_time(P: TransitionMatrix, mu: DistributionTable, delta: float,
     memory-bounded batches; per-row TV is nonincreasing in t, so a finished
     batch stays under delta.
     """
+    m = len(P.states)
+    batch = max(1, min(m, int(batch_bytes // (16 * m))))
+    return _mixing_time_from(P, mu, delta, (
+        np.eye(min(batch, m - lo), m, lo) for lo in range(0, m, batch)), t_cap)
+
+
+def _mixing_time_from(P: TransitionMatrix, mu: DistributionTable, delta: float,
+                      batches, t_cap: int = 10 ** 6):
+    """exact_mixing_time over the start laws in batches, (b, m) arrays of
+    laws on P's states; each batch runs at least as long as those before."""
     if not 0.0 < delta <= 0.5:
         raise ContractError("delta must lie in (0, 1/2]")
     if t_cap < 0:
         raise ContractError(f"t_cap must be >= 0, got {t_cap}")
     _require_balance(P, mu)
-    m = len(P.states)
-    if m == 1:
+    if len(P.states) == 1:
         return 0, [0.0]
     matT = P.matrix.T.tocsr()
-    batch = max(1, min(m, int(batch_bytes // (16 * m))))
     curve: list = []
     t_needed = 0
-    for lo in range(0, m, batch):
-        hi = min(lo + batch, m)
-        rows = np.zeros((hi - lo, m))
-        rows[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+    for rows in batches:
         t = 0
         tv = _tv_rows_to_mu(rows, mu.probs)
         while True:

@@ -261,8 +261,8 @@ def test_criterion_8_quadratic_scaling():
            "vs stationary >= 0.99)",
            scale.verdict.passed and lower.verdict.passed and elapsed < 1800.0,
            f"slope {slope:.3f}, early-hit {d['estimate']:.4f}, stationary "
-           f"certified {d['stationary_certified']:.5f} / MC "
-           f"{d['stationary_mc']:.5f}, {elapsed:.0f}s")
+           f"certified {d['stationary_certified']:.5f} / exact "
+           f"{d['stationary_exact']:.5f}, {elapsed:.0f}s")
     # the coalescence stream is pinned: this slope must repeat bit for bit
     assert slope == 2.0487184533436773
 

@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -316,6 +318,73 @@ def test_asep_rightmost_tail_matches_enumeration():
                                 default=0) >= k + r)
             assert asep_rightmost_tail(n, k, q, r) == pytest.approx(direct, abs=1e-12)
     assert asep_rightmost_tail(3, 1, 0.75, 1) == pytest.approx(4 / 13, abs=1e-12)
+
+
+def test_asep_rightmost_tail_edge_values():
+    # q = 1 gave NaN with a RuntimeWarning, k = 0 gave -0.0, q = 0 raised
+    # ZeroDivisionError and a NaN q returned NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, k, r in ((5, 1, 1), (6, 2, 3), (9, 4, 5)):
+            tail = asep_rightmost_tail(n, k, 1.0, r)
+            assert tail == 0.0 and math.copysign(1.0, tail) == 1.0
+            assert tail == 1.0 - asep_stationary(n, k, 1.0).probs[0]
+        assert asep_rightmost_tail(5, 1, 1.0, 0) == 1.0
+        for q in (0.3, 0.75, 1.0):
+            tail = asep_rightmost_tail(6, 0, q, 2)
+            assert tail == 0.0 and math.copysign(1.0, tail) == 1.0
+    for q in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ContractError, match=r"q must lie in \(0, 1\]"):
+            asep_rightmost_tail(6, 2, q, 1)
+
+
+def test_asep_stationary_at_q_one_is_the_left_packed_point_mass():
+    for n, k in ((1, 1), (4, 0), (5, 2), (6, 3)):
+        nu = asep_stationary(n, k, 1.0)
+        assert nu.probs[0] == 1.0 and nu.probs.sum() == 1.0
+        assert nu.support[0].tolist() == [1] * k + [0] * (n - k)
+        check_detailed_balance(
+            asep_transition_matrix(n, k, 1.0, nu.support), nu)
+        # the limit of the weights as q rises to 1
+        near = asep_stationary(n, k, 1.0 - 1e-9)
+        assert np.abs(near.probs - nu.probs).max() < 1e-8
+    for q in (0.0, 1.5, math.nan):
+        with pytest.raises(ContractError, match=r"q must lie in \(0, 1\]"):
+            asep_stationary(5, 2, q)
+
+
+@pytest.mark.parametrize("n, k, q, message", [
+    (4, 1, 1.5, r"q must lie in \[0, 1\]"),
+    (4, 1, -0.1, r"q must lie in \[0, 1\]"),
+    (4, 1, math.nan, r"q must lie in \[0, 1\]"),
+    (4, 5, 0.7, r"k must lie in 0..n, got k = 5, n = 4"),
+    (4, -1, 0.7, r"k must lie in 0..n"),
+])
+def test_asep_kernel_refuses_what_it_cannot_build(n, k, q, message):
+    # q = 1.5 gave a kernel with an entry of -1/6 that passed the row-sum
+    # check, and k = 5 on 4 sites failed inside numpy; the pair drivers
+    # refuse both with the same words
+    with pytest.raises(ContractError, match=message):
+        asep_transition_matrix(n, k, q)
+    with pytest.raises(ContractError, match=message):
+        chains.asep_pair_coalescence(n, k, q, seed=1, t_cap=10)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("q", [0.3, 0.75])
+def test_label_one_lumps_to_the_one_particle_exclusion_process(n, q):
+    # at constant bias label 1's position is a Markov chain: the AT kernel
+    # lumped by it is the one-particle ASEP kernel, and the stationary law
+    # pushes forward to the one-particle ASEP law
+    p = BiasMatrix.constant(n, q)
+    mu = enumerate_stationary(n, p)
+    pos = np.argmax(mu.support == 1, axis=1)
+    lumped = build_transition_matrix(p, mu).matrix @ np.eye(n)[pos]
+    asep = asep_transition_matrix(n, 1, q).matrix.toarray()
+    assert np.abs(lumped - asep[pos]).max() < 1e-15
+    nu = asep_stationary(n, 1, q)
+    assert np.abs(np.bincount(pos, weights=mu.probs, minlength=n)
+                  - nu.probs).max() < 1e-15
 
 
 def test_block_schedules():

@@ -537,11 +537,11 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
       "replicas": 4, "T": -5}, "steps must be >= 0"),
     ({"command": "chain", "n": 6, "p": {"family": "constant-q", "q": 0.7},
       "steps": 40, "checkpoint_every": 0}, "checkpoint_every"),
-    # statistic mode has no reference draws for a non-constant family; it
+    # statistic mode has no exact label-1 law for a non-constant family; it
     # used to record lower bounds of 0 and pass
     ({"command": "mix", "ns": [8, 12],
       "p": {"family": "random-eps", "eps": 0.5}, "method": "statistic",
-      "budget": 8, "seed": 3}, "no reference sampler"),
+      "budget": 8, "seed": 3}, "only at constant bias"),
     # a slope over one size used to be recorded as NaN, exit 1
     ({"command": "mix", "n": 8, "p": {"family": "constant-q", "q": 0.75}},
      "two distinct sizes"),

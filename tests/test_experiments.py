@@ -24,7 +24,8 @@ from atshuffle.experiments import (ExperimentResult, SeriesPoint, Verdict,
                                    lower_bound_experiment, mixing_scaling,
                                    spatial_decay_curve)
 from atshuffle.banddp import BandDP
-from atshuffle.measure import enumerate_stationary, tv_distance
+from atshuffle.measure import (build_transition_matrix, enumerate_stationary,
+                               exact_mixing_time, tv_distance)
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
                              LocalizationVector, instance_fingerprint)
 
@@ -445,17 +446,50 @@ def test_statistic_upper_bound_is_at_least_the_exact_mixing_time():
         times = sorted(res.meta[f"n{n}"]["coalescence_times"])
         assert len(times) == 100 and ub == times[74]
         assert res.meta[f"n{n}"]["ub_over_lb"] == ub / lb
-        assert res.meta[f"n{n}"]["t_lb_censored"] is False
 
 
-def test_statistic_mode_marks_a_censored_lower_bound():
-    # near q = 1/2 the particle-1 statistic is still far from its law at the
-    # grid's last point, 3 n^2
+def test_statistic_lower_bound_is_exact_near_one_half():
+    # near q = 1/2 the sampled lower bound stopped at its grid's last point,
+    # 3 n^2 (768 and 1728); label 1's exact law runs on past it
     res = mixing_scaling([16, 24], {"kind": "constant-q", "q": 0.52},
                          method="statistic", budget=8)
-    for n, lb in zip((16, 24), res.verdict.details["lower_bounds"]):
-        assert lb == 3 * n * n == res.meta[f"n{n}"]["grid"][-1]
-        assert res.meta[f"n{n}"]["t_lb_censored"] is True
+    assert res.verdict.details["lower_bounds"] == [919, 3352]
+    assert set(res.meta["n16"]) == {"coalescence_times", "ub_over_lb"}
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.75, 0.9])
+def test_statistic_lower_bound_is_at_most_the_exact_mixing_time(q):
+    # label 1's position is a projection of the chain, whose TV never
+    # exceeds the chain's; from the identity and the reversal alone it still
+    # bounds the worst start
+    deltas = (0.1, 0.25, 0.5)
+    # the worst-start TV curve to t_mix(0.1) gives t_mix at every delta
+    curves = []
+    for n in (4, 5, 6):
+        p = BiasMatrix.constant(n, q)
+        mu = enumerate_stationary(n, p)
+        curves.append(exact_mixing_time(build_transition_matrix(p, mu), mu,
+                                        deltas[0])[1])
+    lbs = []
+    for delta in deltas:
+        res = mixing_scaling([4, 5, 6], {"kind": "constant-q", "q": q},
+                             delta=delta, method="statistic", budget=4)
+        lb = res.verdict.details["lower_bounds"]
+        t_mix = [min(t for t, tv in enumerate(c) if tv <= delta)
+                 for c in curves]
+        assert all(0 < a <= b for a, b in zip(lb, t_mix))
+        lbs.append(lb)
+    assert all(a >= b >= c for a, b, c in zip(*lbs))
+
+
+@pytest.mark.parametrize("q", [1.0, 0.3])
+def test_statistic_mode_runs_at_a_total_and_a_reversed_bias(q):
+    res = mixing_scaling([8, 12], {"kind": "constant-q", "q": q},
+                         method="statistic", budget=8, seed=3)
+    lbs = res.verdict.details["lower_bounds"]
+    assert res.verdict.passed and 0 < lbs[0] < lbs[1]
+    assert all(lb <= ub for lb, ub in
+               zip(lbs, res.verdict.details["upper_bounds"]))
 
 
 def test_lower_bound_experiment_small():
@@ -464,6 +498,29 @@ def test_lower_bound_experiment_small():
                                  ref_min=0.95)
     assert res.verdict.passed, res.verdict.details
     assert res.verdict.details["stationary_certified"] > 0.99
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
+@pytest.mark.parametrize("kind", ["constant", "total", "random-eps"])
+def test_lower_bound_stationary_side_is_the_enumerated_mass(n, kind):
+    # the stationary side was a sample of 20,000 rows; it is now label 1's
+    # exact law, which must equal the enumerated mass of pos(1) <= sqrt n
+    p = {"constant": BiasMatrix.constant(n, 0.7),
+         "total": BiasMatrix.constant(n, 1.0),
+         "random-eps": BiasMatrix.random_biased(
+             n, 0.5, np.random.default_rng(n))}[kind]
+    mu = enumerate_stationary(n, p)
+    s = math.isqrt(n)
+    direct = float(mu.probs[np.argmax(mu.support == 1, axis=1) < s].sum())
+    res = lower_bound_experiment(n, p, replicas=2, seed=1)
+    assert res.verdict.details["stationary_exact"] == pytest.approx(
+        direct, abs=1e-12)
+
+
+def test_lower_bound_stationary_side_is_null_past_the_enumeration_cap():
+    p = BiasMatrix.random_biased(16, 0.5, np.random.default_rng(0))
+    res = lower_bound_experiment(16, p, replicas=2, seed=1)
+    assert res.verdict.details["stationary_exact"] is None
 
 
 def test_block_chain_mixing_small():

@@ -39,6 +39,9 @@ PROBE = textwrap.dedent("""
         "sample": {"command": "sample", "n": 40,
                    "p": {"family": "random-eps", "eps": 0.5}, "ell": 3,
                    "samples": 20, "seed": 1},
+        "lowerbound": {"command": "lowerbound", "n": 32,
+                       "p": {"family": "constant-q", "q": 0.75},
+                       "replicas": 10, "seed": 6},
         "exact": {"command": "exact", "n": 4,
                   "p": {"family": "random-eps", "eps": 0.5}, "seed": 4},
     }
@@ -63,6 +66,8 @@ def test_scipy_loads_only_for_a_kernel(tmp_path):
     assert seen["import"] == []
     assert seen["burnin"] == [0, []]
     assert seen["sample"] == [0, []]
+    # label 1's exact stationary side is a closed form, not a kernel
+    assert seen["lowerbound"] == [0, []]
     code, loaded = seen["exact"]
     assert code == 0 and "scipy.sparse" in loaded
     assert "concurrent.futures.process" not in loaded

@@ -16,7 +16,11 @@ the twins took the domination audit's order-based update and T_ub became the
 (1 - delta) quantile of their meeting times.  The ASEP pair coalescence times
 and the coupling-mode mix result were recorded again when the coalescence
 moved from a stdlib ``random.Random`` stream to the numpy ``_audit_draws``
-stream that the other scalar drivers read.
+stream that the other scalar drivers read.  The statistic-mode mix results
+and the lowerbound results were recorded again when label 1's exact
+one-particle exclusion law replaced the sampled lower bound and the 20,000
+Mallows rows of both stationary references; T_ub and lowerbound's estimate
+kept their bits.
 """
 
 import hashlib
@@ -59,12 +63,12 @@ MIX_CONFIG = {"command": "mix", "ns": [32, 64, 128],
               "p": {"family": "constant-q", "q": Q}, "method": "coupling",
               "budget": 4, "seed": 11}
 MIX_DIGEST = "13be305acace6642e38bff516e293ba82c3a2652c66be3b63c102634c0496a1e"
-# sha256 of result.json of CLI mix in statistic mode: T_lb [64, 216] <=
+# sha256 of result.json of CLI mix in statistic mode: T_lb [92, 246] <=
 # T_ub [156, 515], the third of four order-based twin meeting times
 STATISTIC_CONFIG = {"command": "mix", "ns": [8, 12],
                     "p": {"family": "constant-q", "q": Q},
                     "method": "statistic", "budget": 8, "seed": 3}
-STATISTIC_DIGEST = "2f40f9994166ae4ac7c61b901a1973ca9402fc5aeb6a8b859a5e6da8fff84886"
+STATISTIC_DIGEST = "3195823e9800bc8afa12a02badc7e866dcec0342c5e17f3faad3e9475c50217f"
 # (config, artifact, sha256) of CLI runs driven by ensemble_chain_run: burnin
 # spans three 2048-step draw chunks, chain takes the restricted branch and
 # fires 101 checkpoints
@@ -76,7 +80,7 @@ ENSEMBLE_PINS = {
     "lowerbound": ({"command": "lowerbound", "n": 32,
                     "p": {"family": "constant-q", "q": Q}, "seed": 6},
                    "result.json",
-                   "1d73528fb9b175568d2a8d3a9056c2dd92f7b5ab1864259ccb37e9e1f96d99c5"),
+                   "59384caa1db434df102bac83cc6ec84c709bb4830afb92f2e2e8234a4d729512"),
     "chain": ({"command": "chain", "n": 12,
                "p": {"family": "random-eps", "eps": 0.5}, "ell": 2,
                "init": "identity", "steps": 3000, "tracked_ks": [3, 6],
@@ -147,19 +151,19 @@ EXACT_LAW_PINS = {
         {"command": "asep", "n": 12, "k": 5, "q": 0.7},
         "f9a65e3538bb5e9c683dbea9ef3b1517886c86ccff4d4bb93882626bf45c8e5c"),
 }
-# sha256 of result.json of CLI runs that draw 20,000 unwindowed Mallows rows:
-# lowerbound's stationary_mc at n = 128 and mix statistic's reference law of
-# particle 1's position
-MALLOWS_CLI_PINS = {
+# sha256 of result.json of CLI runs that read label 1's exact stationary
+# law: lowerbound's stationary_exact at n = 128 and mix statistic's exact
+# lower bound T_lb
+LABEL_ONE_LAW_PINS = {
     "lowerbound": (
         {"command": "lowerbound", "n": 128,
          "p": {"family": "constant-q", "q": Q}, "replicas": 100, "seed": 13},
-        "16e1fcfe549842cc1fe6b828dad0517bac9b8f7355caa107e23d20a63cbf2cd1"),
+        "330f2c63b9128252117c530f4d27e353c35ecce338fb22eacc84fcea411e1087"),
     "statistic": (
         {"command": "mix", "ns": [32, 64],
          "p": {"family": "constant-q", "q": Q}, "method": "statistic",
          "budget": 8, "seed": 17},
-        "9c3ee104a5384b9fe1bb10e43ffd0ee2e3556392cd82abdeb1d0b1513c994f34"),
+        "a068c67646e927508c7f4c4cceb85ec3d8b9e7e1c750a67af2601a413928aa7d"),
 }
 # sha256 of MallowsRejectionSampler rows at q = Q and the generator's next
 # uniform after them: (n, ell, draws per call, calls, seed) -> pin
@@ -336,9 +340,9 @@ def test_exact_tail_record_pinned():
     assert hashlib.sha256(record).hexdigest() == TAIL_RECORD_DIGEST
 
 
-@pytest.mark.parametrize("name", sorted(MALLOWS_CLI_PINS))
-def test_cli_mallows_results_pinned(tmp_path, name):
-    config, digest = MALLOWS_CLI_PINS[name]
+@pytest.mark.parametrize("name", sorted(LABEL_ONE_LAW_PINS))
+def test_cli_label_one_law_results_pinned(tmp_path, name):
+    config, digest = LABEL_ONE_LAW_PINS[name]
     assert cli_artifact_digest(tmp_path, config, "result.json") == digest
 
 

@@ -140,8 +140,9 @@ class BandDP:
         particles[c] from window slot slots[c], and weigh(c, words) is the log
         weight of that placement from each word, the prefix sum plus a
         subset sum of log p[y][x] over the word's set bits read from two
-        half-word tables.  The tables double in ascending bit order, so their
-        entries are the same bits as when built one candidate at a time.
+        half-word tables.  Each table doubles in place in ascending bit
+        order: entries 2^k .. 2^(k+1) - 1 are entries 0 .. 2^k - 1 plus bit
+        k's coefficient, the same bits as when built one candidate at a time.
         """
         pos = t + 1
         base = self._base(t)
@@ -159,12 +160,14 @@ class BandDP:
         coefs[:, inside] = self._log[yi[None, :], xs[:, None] - 1]
         coefs[np.arange(slots.size), slots] = 0.0
         wlo = self.W // 2
-        tab_lo = np.zeros((slots.size, 1))
-        for b in range(wlo):
-            tab_lo = np.concatenate([tab_lo, tab_lo + coefs[:, b:b + 1]], axis=1)
-        tab_hi = np.zeros((slots.size, 1))
-        for b in range(wlo, self.W):
-            tab_hi = np.concatenate([tab_hi, tab_hi + coefs[:, b:b + 1]], axis=1)
+        tabs = []
+        for start, stop in ((0, wlo), (wlo, self.W)):
+            tab = np.zeros((slots.size, 1 << (stop - start)))
+            for k in range(stop - start):
+                np.add(tab[:, :1 << k], coefs[:, start + k, None],
+                       out=tab[:, 1 << k:2 << k])
+            tabs.append(tab)
+        tab_lo, tab_hi = tabs
         pre = self._prefix[xs - 1, max(base - 1, 0)]
         lo_mask = (1 << wlo) - 1
 
@@ -285,17 +288,13 @@ class BandDP:
         self._logZ = float(layers[-1][1][idx])
         return layers
 
-    def _onward(self, t: int, words: np.ndarray, nxt: np.ndarray):
-        """_moves from layer-t words of positive weight, as (j, x, sel, w):
-        w is the step's log weight plus nxt, the log completion weights of
-        layer t+1, at the word the step reaches.  A step of finite weight
-        lands on a word of that layer; one that misses has weight -inf, and
-        so has w, whatever stale position-table entry it reads (clipped)."""
-        pos = self._positions(self._fwd[t + 1][0])
-        for j, x, sel, dst, dw in self._moves(t, words):
-            yield j, x, sel, dw + nxt.take(pos[dst], mode="clip")
-
     def _backward(self):
+        """Log completion weights per layer, aligned with the forward words.
+
+        A step of finite weight from a layer-t word lands on a word of layer
+        t+1; one that misses has weight -inf, and so has its completion,
+        whatever stale position-table entry it reads (clipped).
+        """
         if self._bwd is not None:
             return self._bwd
         layers = self._forward()
@@ -306,9 +305,11 @@ class BandDP:
         bwd[self.n] = b
         for t in range(self.n - 1, -1, -1):
             masks = layers[t][0]
+            pos = self._positions(layers[t + 1][0])
             b = np.full(masks.size, NEG_INF)
-            for _, _, sel, w in self._onward(t, masks, bwd[t + 1]):
-                b[sel] = np.logaddexp(b[sel], w)
+            for _, _, sel, dst, dw in self._moves(t, masks):
+                b[sel] = np.logaddexp(b[sel],
+                                      dw + bwd[t + 1].take(pos[dst], mode="clip"))
             bwd[t] = b
         self._bwd = bwd
         return bwd
@@ -365,31 +366,53 @@ class BandDP:
                     logv + self._completion(t2, words), self.log_partition())
 
     def sample_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, n) array of exact draws, one permutation per row; rows sit
-        on words of positive forward weight."""
+        """(size, n) array of exact draws, one permutation per row.
+
+        Forward filtering, backward sampling (Carter and Kohn, Biometrika 81,
+        1994): each draw starts at the end word of layer n and, for t = n-1
+        down to 0, picks a layer-t predecessor of its word d and the
+        placement that leads from it, with probability proportional to the
+        predecessor's forward weight times the step's weight.  The
+        predecessor inverts one placement: slot 0 leaves d << 1, and slot
+        j >= 1, when bit j-1 of d is set, ((d ^ 2^(j-1)) << 1) | 1.  One
+        that is no word of layer t (found through the position table with
+        the stale-entry check) has weight zero.  Each layer reads one
+        uniform per draw, so a row reads n; no backward pass is built.
+        """
         check_draw_size(size)
         if size == 0:
             return np.empty((0, self.n), dtype=np.int64)
-        bwd = self._backward()
+        layers = self._forward()
         self.log_partition()
-        R = size
-        rows = np.empty((R, self.n), dtype=np.int64)
-        cur = np.full(R, self._end_word, dtype=np.int64)
-        for t in range(self.n):
-            moves = list(self._onward(t, cur, bwd[t + 1]))
-            # one row per candidate some draw can place; a draw's entry
-            # stays -inf where it cannot place the candidate
-            weights = np.full((len(moves), R), NEG_INF)
-            for c, (_, _, sel, w) in enumerate(moves):
-                weights[c, sel] = w
+        rows = np.empty((size, self.n), dtype=np.int64)
+        cur = np.full(size, self._end_word, dtype=np.int64)
+        for t in range(self.n - 1, -1, -1):
+            masks, logv = layers[t]
+            pos = self._positions(masks)
+            slots, xs, weigh = self._layer_tables(t)
+            # one row per candidate; a draw's entry is -inf where the
+            # candidate leads to its word from no layer-t word
+            weights = np.empty((len(slots), size))
+            preds = np.empty((len(slots), size), dtype=np.int64)
+            for c, j in enumerate(slots):
+                if j == 0:
+                    w, hit = cur << 1, True
+                else:
+                    w = ((cur ^ (1 << (j - 1))) << 1) | 1
+                    hit = (cur >> (j - 1)) & 1 == 1
+                idx = pos.take(w, mode="clip")
+                hit = hit & (masks.take(idx, mode="clip") == w)
+                weights[c] = np.where(hit, logv.take(idx, mode="clip")
+                                      + weigh(c, w), NEG_INF)
+                preds[c] = w
             wmax = weights.max(axis=0)
             if np.any(~np.isfinite(wmax)):
                 raise AssertionError("sampler reached a dead-end state")
             cdf = np.cumsum(np.exp(weights - wmax), axis=0)
-            u = rng.random(R) * cdf[-1]
-            choice = np.minimum((u >= cdf).sum(axis=0), len(moves) - 1)
-            slot, rows[:, t] = np.array([m[:2] for m in moves])[choice].T
-            cur = (cur | (1 << slot)) >> 1
+            u = rng.random(size) * cdf[-1]
+            choice = np.minimum((u >= cdf).sum(axis=0), len(slots) - 1)
+            rows[:, t] = np.take(xs, choice)
+            cur = preds[choice, np.arange(size)]
         return rows
 
     def region_marginal(self, region: tuple, cap_states: int = 200000) -> DistributionTable:
@@ -441,7 +464,7 @@ def _law(rows: np.ndarray, keys: np.ndarray, logw: np.ndarray, logZ: float):
     logw -= logw.max()
     probs = np.exp(logw)
     probs /= probs.sum()
-    return DistributionTable(rows[keys], probs, logZ)
+    return DistributionTable._trusted(rows[keys], probs, logZ)
 
 
 def band_dp_partition(p: BiasMatrix, ell: LocalizationVector,

@@ -89,14 +89,16 @@ def asep_stationary(n: int, k: int, q: float,
             "for tail queries")
     occ = _asep_states(n, k)
     if q == 1.0:    # combinations order puts the left-packed row first
-        return DistributionTable(occ, np.eye(1, len(occ))[0], math.inf)
+        return DistributionTable._trusted(occ, np.eye(1, len(occ))[0],
+                                          math.inf)
     log_rho = math.log(q) - math.log(1.0 - q)
     # pairs (1 before 0): for each particle, the holes to its right
     holes_after = np.cumsum(occ[:, ::-1] == 0, axis=1)[:, ::-1]
     logw = np.sum(occ * holes_after, axis=1) * log_rho
     m = logw.max()
     w = np.exp(logw - m)
-    table = DistributionTable(occ, w / w.sum(), float(m + math.log(w.sum())))
+    table = DistributionTable._trusted(occ, w / w.sum(),
+                                       float(m + math.log(w.sum())))
     check_detailed_balance(asep_transition_matrix(n, k, q, table.support), table)
     return table
 

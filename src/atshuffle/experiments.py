@@ -792,21 +792,25 @@ def _statistic_bracket(n: int, p: BiasMatrix, delta: float, budget: int,
     reversal falls to delta; a projection's TV never exceeds the chain's, so
     T_lb <= t_mix(delta).  T_ub is the ceil((1 - delta) m)-th smallest of m
     twin meeting times, rounded so that a decimal delta such as 0.3 is not
-    pushed up a rank by float error.
+    pushed up a rank by float error.  The twins may take 40 n^2 / |2q - 1|
+    steps, as coupling mode's pairs do; unbiased twins meet only after order
+    n^3 log n steps, so q = 1/2 is refused before any work.
     """
     q = p.constant_q()
     if q is None:
         raise ContractError("statistic mode needs a constant-bias family: "
                             "label 1's position is a Markov chain only at "
                             "constant bias")
-    nu = asep_stationary(n, 1, q)
-    t_lb, _ = _mixing_time_from(asep_transition_matrix(n, 1, q, nu.support),
-                                nu, delta, [np.eye(n)[[0, n - 1]]])
+    if q == 0.5:
+        raise ContractError("statistic mode needs a biased family, got "
+                            "q = 0.5: unbiased twins meet only after order "
+                            "n^3 log n steps")
+    t_lb = _label_one_lower_bound(n, q, delta)
     times = []
     for rep in range(max(4, budget // 4)):
         t, _ = twin_chain_coupling_run(
             Permutation.identity(n), Permutation.reversal(n), p, None,
-            T=int(40 * n * n), seed=int(derive_rng(
+            T=int(40 * n * n / abs(2 * q - 1)), seed=int(derive_rng(
                 seed, experiment_id("twin-ub"), n, rep).integers(0, 2 ** 62)))
         if t is None:
             raise CapExceeded(f"twin coupling did not coalesce at n={n}")
@@ -814,6 +818,16 @@ def _statistic_bracket(n: int, p: BiasMatrix, delta: float, budget: int,
     t_ub = sorted(times)[math.ceil(round((1.0 - delta) * len(times), 9)) - 1]
     return t_lb, t_ub, {"coalescence_times": times,
                         "ub_over_lb": t_ub / t_lb if t_lb else None}
+
+
+def _label_one_lower_bound(n: int, q: float, delta: float) -> int:
+    """The first t at which label 1's position at constant bias q, started
+    from the identity and from the reversal, is within TV delta of its
+    stationary law in both."""
+    nu = asep_stationary(n, 1, q)
+    t_lb, _ = _mixing_time_from(asep_transition_matrix(n, 1, q, nu.support),
+                                nu, delta, [np.eye(n)[[0, n - 1]]])
+    return t_lb
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,22 @@ class DistributionTable:
     logZ: float
 
     def __post_init__(self):
+        self._check()
+        if _row_ranks(self.support).max() != len(self) - 1:
+            raise ContractError("support entries must be distinct")
+
+    @classmethod
+    def _trusted(cls, support, probs, logZ: float) -> "DistributionTable":
+        """A table of rows distinct by construction: checked as the public
+        constructor checks it, but for the sort that proves them distinct."""
+        out = cls.__new__(cls)
+        out.support, out.probs, out.logZ = support, probs, logZ
+        out._check()
+        return out
+
+    def _check(self):
+        """Rows as read-only int64, probs as float64, aligned and summing
+        to 1 within 1e-12."""
         self.support = _state_rows(self.support)
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if len(self.support) != len(self.probs):
@@ -108,8 +124,6 @@ class DistributionTable:
         s = float(self.probs.sum())
         if abs(s - 1.0) > 1e-12:
             raise ContractError(f"probabilities sum to {s}, not 1")
-        if _row_ranks(self.support).max() != len(self) - 1:
-            raise ContractError("support entries must be distinct")
 
     def __len__(self):
         return len(self.support)
@@ -126,14 +140,22 @@ class DistributionTable:
     def to_csv(self, path) -> None:
         """Columns s1..sn and probability: one row per support state, in
         support order, with the probability's repr, which reads back bit
-        for bit."""
+        for bit.
+
+        A row's label columns come from a lookup of "k," cells over the
+        label range, gathered as one fixed-width string per row; the NUL
+        padding of cells narrower than the widest is dropped at the end.
+        """
         n = self.support.shape[1]
-        row = "%d," * n + "%r\n"
+        lo, hi = int(self.support.min()), int(self.support.max())
+        cells = np.array([f"{k}," for k in range(lo, hi + 1)])
+        labels = cells[self.support - lo].view(f"<U{n * cells.itemsize // 4}")
         with open(path, "w") as fh:
             fh.write("".join(f"s{i}," for i in range(1, n + 1))
-                     + "probability\n" + "".join(
-                         row % (*state, pr) for state, pr
-                         in zip(self.support.tolist(), self.probs.tolist())))
+                     + "probability\n" + "".join([
+                         state + repr(pr) + "\n" for state, pr
+                         in zip(labels.ravel().tolist(), self.probs.tolist())
+                     ]).replace("\0", ""))
 
 
 def check_enumerable(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
@@ -177,7 +199,7 @@ def enumerate_stationary(n: int, p: BiasMatrix, ell: LocalizationVector | None =
     w = np.exp(logw - m)
     Z = float(w.sum())
     logZ = math.log(Z) + m
-    return DistributionTable(perms, w / Z, logZ)
+    return DistributionTable._trusted(perms, w / Z, logZ)
 
 
 @dataclass

@@ -4,13 +4,17 @@ the Mallows tries.
 ``ReferenceBandDP`` keeps the straightforward passes on top of the engine's
 constructor and window helpers: per-candidate interaction tables built one
 candidate at a time, a forward step that concatenates every transition and
-collapses duplicate words by argsort and reduceat, a backward pass and
-sampler that find next-layer words with ``searchsorted``, a cut-pair law that
-pushes each word of the first cut alone to the second, and a region marginal
-over a dict frontier of (word, partial row) pairs.
+collapses duplicate words by argsort and reduceat, a backward pass that
+finds next-layer words with ``searchsorted``, a forward-filtering,
+backward-sampling sampler that looks each draw's predecessors up in dicts
+of the forward steps, a cut-pair law that pushes each word of the first cut
+alone to the second, and a region marginal over a dict frontier of (word,
+partial row) pairs.
 ``reference_transition_matrix`` is the per-state dict-of-tuples kernel build.
 The fast paths must reproduce these: the same layer words, bit-identical
-backward layers, draws and kernels, and forward log weights within 1e-12.
+backward layers and kernels, forward log weights within 1e-12, and the same
+draws from the same uniforms (a draw could differ only where a uniform falls
+within the forward weights' rounding of a CDF step).
 ``full_batch_draw_rows`` is ``MallowsRejectionSampler.draw_rows`` with each
 try's whole batch of uniforms generated up front by one ``rng.random`` call;
 the lazy draws must give the same rows and leave the generator in the same
@@ -198,39 +202,35 @@ class ReferenceBandDP(BandDP):
                 np.array(probs)[order])
 
     def sample_rows(self, rng, size):
+        """Forward filtering, backward sampling, one draw at a time.
+
+        Each layer maps every word forward through every candidate, and a
+        dict per candidate sends the word reached back to the forward weight
+        of the word it came from times the step weight; a draw reads its
+        predecessors there, with no inverted placement.
+        """
         layers = self._forward()
-        bwd = self._backward()
         self.log_partition()
-        R = size
-        rows = np.empty((R, self.n), dtype=np.int64)
-        cur = np.full(R, self._end_word, dtype=np.int64)
-        for t in range(self.n):
-            base = self._base(t)
-            nxt_masks = layers[t + 1][0]
-            nxt_b = bwd[t + 1]
-            cands = self._slot_candidates(t)
-            weights = np.full((R, len(cands)), NEG_INF)
-            dsts = np.empty((R, len(cands)), dtype=np.int64)
-            for c, (j, x) in enumerate(cands):
-                valid = (cur >> j) & 1 == 0
-                if j > 0:
-                    valid &= (cur & 1) == 1
-                tabs = self._interaction_tables(base, x)
-                dw = self._step_weight(cur, base, x, tabs)
-                dst = (cur | (1 << j)) >> 1
-                idx = np.searchsorted(nxt_masks, dst)
-                ok = idx < nxt_masks.size
-                idx = np.minimum(idx, nxt_masks.size - 1)
-                ok &= nxt_masks[idx] == dst
-                weights[:, c] = np.where(valid & ok, dw + nxt_b[idx], NEG_INF)
-                dsts[:, c] = dst
-            wmax = weights.max(axis=1)
-            probs = np.exp(weights - wmax[:, None])
-            cdf = np.cumsum(probs, axis=1)
-            u = rng.random(R) * cdf[:, -1]
-            choice = np.minimum((u[:, None] >= cdf).sum(axis=1), len(cands) - 1)
-            rows[:, t] = np.array([x for _, x in cands], dtype=np.int64)[choice]
-            cur = dsts[np.arange(R), choice]
+        rows = np.empty((size, self.n), dtype=np.int64)
+        cur = [self._end_word] * size
+        for t in range(self.n - 1, -1, -1):
+            masks, logv = layers[t]
+            back = []
+            for _, x, sel, dst, dw in self._transitions(t, masks):
+                back.append((x, {int(d): (float(v), int(w)) for d, v, w
+                                 in zip(dst, logv[sel] + dw, masks[sel])}))
+            u = rng.random(size)
+            for r in range(size):
+                weights, steps = [], []
+                for x, to in back:
+                    if cur[r] in to:
+                        v, w = to[cur[r]]
+                        weights.append(v)
+                        steps.append((x, w))
+                weights = np.array(weights)
+                cdf = np.cumsum(np.exp(weights - weights.max()))
+                choice = min(int(np.sum(u[r] * cdf[-1] >= cdf)), len(cdf) - 1)
+                rows[r, t], cur[r] = steps[choice]
         return rows
 
     def region_marginal(self, region, cap_states=200000):

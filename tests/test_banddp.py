@@ -95,23 +95,63 @@ def test_sampler_determinism_and_membership():
             == tuple(range(1, 7))
 
 
+def chi2_pvalue(rows, mu, pins=None):
+    """p-value of Pearson's chi-square of rows against mu conditioned on the
+    pins, over the states expected at least 5 times; every row must be a
+    state of positive conditional mass."""
+    keep = np.ones(len(mu), dtype=bool)
+    for pos, label in (pins or {}).items():
+        keep &= mu.support[:, pos - 1] == label
+    cnt = Counter(map(tuple, rows.tolist()))
+    support = list(map(tuple, mu.support[keep].tolist()))
+    assert set(cnt) <= set(support)
+    observed = np.array([cnt.get(s, 0) for s in support], dtype=float)
+    expected = mu.probs[keep] / mu.probs[keep].sum() * len(rows)
+    big = expected >= 5
+    chi2 = float(np.sum((observed[big] - expected[big]) ** 2 / expected[big]))
+    return 1.0 - stats.chi2.cdf(chi2, int(big.sum()) - 1)
+
+
 def test_sampler_goodness_of_fit():
     # n=6, q=0.7, ell=2: one million draws against the enumerated law
     p = BiasMatrix.constant(6, 0.7)
     ell = LocalizationVector.constant(6, 2)
     mu = enumerate_stationary(6, p, ell)
-    dp = BandDP(p, ell)
-    R = 10 ** 6
-    rows = dp.sample_rows(np.random.default_rng(13), R)
-    cnt = Counter(tuple(int(v) for v in r) for r in rows)
-    support = list(map(tuple, mu.support.tolist()))
-    assert set(cnt) <= set(support)
-    observed = np.array([cnt.get(s, 0) for s in support], dtype=float)
-    expected = mu.probs * R
-    keep = expected >= 5
-    chi2 = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
-    pval = 1.0 - stats.chi2.cdf(chi2, int(keep.sum()) - 1)
-    assert pval > 1e-3
+    rows = BandDP(p, ell).sample_rows(np.random.default_rng(13), 10 ** 6)
+    assert chi2_pvalue(rows, mu) > 1e-3
+
+
+@pytest.mark.parametrize("n, width, pins", [
+    (7, 2, {}), (8, 2, {}), (7, 3, {2: 3, 6: 5}), (8, 2, {1: 2, 8: 7})])
+def test_backward_sampled_rows_follow_the_enumerated_law(n, width, pins):
+    # random-eps 0.5 instances, windowed and pinned, 200,000 draws each
+    p = BiasMatrix.random_biased(n, 0.5, np.random.default_rng(n + width))
+    ell = LocalizationVector.constant(n, width)
+    rows = BandDP(p, ell, pins=pins).sample_rows(np.random.default_rng(17),
+                                                 200000)
+    assert chi2_pvalue(rows, enumerate_stationary(n, p, ell), pins) > 1e-3
+
+
+def test_draws_never_build_the_backward_pass(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a draw built the backward pass")
+
+    monkeypatch.setattr(BandDP, "_backward", refuse)
+    n = 20
+    p = BiasMatrix.random_biased(n, 0.5, np.random.default_rng(3))
+    ell = LocalizationVector.constant(n, 3)
+    rng = np.random.default_rng(4)
+    row = BandDP(p, ell).sample_rows(rng, 1)[0]
+    BandDP(p, ell, pins={5: int(row[4])}).sample_rows(rng, 3)
+    band_dp_sample(p, ell, rng)
+    band_dp_sample(p, ell, rng, size=2)
+    BandDPSampler(p, ell).draw_rows(rng, 2)
+    # a 10-position block at ell = 3 draws through a band DP sampler
+    cache = SamplerCache()
+    heat_bath_block_rows(Permutation(row), (6, 15), p, ell, rng, 2, cache)
+    assert [s.strategy for s, _ in cache._entries.values()] == ["band-dp"]
+    with pytest.raises(AssertionError, match="backward pass"):
+        BandDP(p, ell).cut_law(4)
 
 
 def test_conditional_marginal_matches_enumeration():

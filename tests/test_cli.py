@@ -592,6 +592,10 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
     *[({"command": "burnin", "n": 4, "p": {"family": "constant-q", "q": 0.7},
         "T": 10, "replicas": 2, "init": init}, "unknown start")
       for init in (7, "bogus", "4321", [1, 2, 2, 4], [1, 2, 3], [1, 2, 3, True])],
+    # statistic mode's unbiased twins used to give up at n = 32, exit 2
+    # only after the exact lower bound was computed
+    ({"command": "mix", "ns": [16, 32], "p": {"family": "constant-q", "q": 0.5},
+      "method": "statistic"}, "needs a biased family, got q = 0.5"),
 ])
 def test_bad_horizons_exit_2_with_the_error_in_the_manifest(tmp_path, raw,
                                                             message):

@@ -472,14 +472,46 @@ def test_statistic_lower_bound_is_at_most_the_exact_mixing_time(q):
                                         deltas[0])[1])
     lbs = []
     for delta in deltas:
-        res = mixing_scaling([4, 5, 6], {"kind": "constant-q", "q": q},
-                             delta=delta, method="statistic", budget=4)
-        lb = res.verdict.details["lower_bounds"]
+        lb = [experiments._label_one_lower_bound(n, q, delta)
+              for n in (4, 5, 6)]
+        if q != 0.5:    # statistic mode refuses unbiased twins
+            res = mixing_scaling([4, 5, 6], {"kind": "constant-q", "q": q},
+                                 delta=delta, method="statistic", budget=4)
+            assert res.verdict.details["lower_bounds"] == lb
         t_mix = [min(t for t, tv in enumerate(c) if tv <= delta)
                  for c in curves]
         assert all(0 < a <= b for a, b in zip(lb, t_mix))
         lbs.append(lb)
     assert all(a >= b >= c for a, b, c in zip(*lbs))
+
+
+@pytest.mark.parametrize("family", [{"kind": "constant-q", "q": 0.5},
+                                    {"kind": "constant-eps", "eps": 0.0}])
+def test_statistic_mode_refuses_unbiased_twins_before_any_work(
+        family, monkeypatch):
+    # its twins stopped at 40 n^2 steps and gave up at n = 32 after the
+    # exact T_lb was computed; unbiased twins meet after order n^3 log n
+    def refuse(*args, **kwargs):
+        raise AssertionError("statistic mode started work at q = 1/2")
+
+    monkeypatch.setattr(experiments, "twin_chain_coupling_run", refuse)
+    monkeypatch.setattr(experiments, "asep_stationary", refuse)
+    with pytest.raises(ContractError, match="q = 0.5"):
+        mixing_scaling([16, 32], family, method="statistic")
+
+
+def test_statistic_twins_run_to_a_horizon_scaled_by_the_bias(monkeypatch):
+    horizons = []
+
+    def record(*args, T, seed):
+        horizons.append(T)
+        return 1, None
+
+    monkeypatch.setattr(experiments, "twin_chain_coupling_run", record)
+    mixing_scaling([8, 12], {"kind": "constant-q", "q": 0.6},
+                   method="statistic", budget=4)
+    assert horizons == [int(40 * n * n / abs(2 * 0.6 - 1))
+                        for n in (8, 8, 8, 8, 12, 12, 12, 12)]
 
 
 @pytest.mark.parametrize("q", [1.0, 0.3])

@@ -12,6 +12,7 @@ from banddp_oracle import (random_bias_with_certain_pairs,
                            reference_transition_matrix)
 from chain_oracle import random_admissible_localization
 from kernel_oracle import dense_gap
+from atshuffle.banddp import BandDP
 from atshuffle.chains import asep_stationary
 from atshuffle.errors import CapExceeded, ContractError, NotReversible
 from atshuffle.measure import (DistributionTable, build_transition_matrix,
@@ -404,6 +405,45 @@ def test_table_rows_and_their_edges():
     assert DistributionTable([1, 2], [1.0], 0.0).support.tolist() == [[1, 2]]
     # supports of different widths share no row
     assert tv_distance(t, DistributionTable([(1, 2, 3)], [1.0], 0.0)) == 1.0
+
+
+@pytest.mark.parametrize("rows", [[(1, 12, 3), (12, 1, 3), (3, 100, -2)],
+                                  list(itertools.permutations(range(1, 5)))])
+def test_csv_rows_are_the_format_loop_rows(tmp_path, rows):
+    # labels of one, two and three characters, and a sign, in one table
+    probs = np.random.default_rng(len(rows)).random(len(rows))
+    table = DistributionTable(rows, probs / probs.sum(), 0.0)
+    table.to_csv(tmp_path / "t.csv")
+    n = len(rows[0])
+    loop = "".join(("%d," * n + "%r\n") % (*state, pr) for state, pr
+                   in zip(table.support.tolist(), table.probs.tolist()))
+    assert (tmp_path / "t.csv").read_text() == \
+        "".join(f"s{i}," for i in range(1, n + 1)) + "probability\n" + loop
+
+
+def test_tables_built_distinct_skip_only_the_distinctness_sort(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("rows built distinct were sorted again")
+
+    monkeypatch.setattr(measure, "_row_ranks", refuse)
+    p = BiasMatrix.random_biased(5, 0.5, np.random.default_rng(2))
+    mu = enumerate_stationary(5, p, LocalizationVector.constant(5, 2))
+    laws = [mu, asep_stationary(6, 2, 0.7), asep_stationary(4, 1, 1.0),
+            BandDP(p, LocalizationVector.constant(5, 2)).cut_law(2)]
+    # the other checks stay
+    with pytest.raises(ContractError, match="sum"):
+        DistributionTable._trusted([(1, 2), (2, 1)], [0.5, 0.25], 0.0)
+    monkeypatch.undo()
+    for law in laws:
+        again = DistributionTable(law.support.copy(), law.probs.copy(), law.logZ)
+        assert not law.support.flags.writeable
+        assert np.array_equal(again.support, law.support)
+        assert again.probs.tobytes() == law.probs.tobytes()
+    # the public constructor still sorts, and refuses a duplicated row
+    with pytest.raises(ContractError, match="distinct"):
+        DistributionTable(np.concatenate([mu.support, mu.support[:1]]),
+                          np.append(mu.probs[1:], [mu.probs[0] / 2] * 2),
+                          mu.logZ)
 
 
 def test_prob_of_takes_a_permutation_as_log_weight_does():

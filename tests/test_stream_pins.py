@@ -20,7 +20,8 @@ stream that the other scalar drivers read.  The statistic-mode mix results
 and the lowerbound results were recorded again when label 1's exact
 one-particle exclusion law replaced the sampled lower bound and the 20,000
 Mallows rows of both stationary references; T_ub and lowerbound's estimate
-kept their bits.
+kept their bits.  The band DP rows and the CLI sample on the band DP were
+recorded again when the draws became forward filtering, backward sampling.
 """
 
 import hashlib
@@ -88,15 +89,16 @@ ENSEMBLE_PINS = {
               "7b408915326db1ed718b682789c8c343cfd28350b9f1cca3bdc1ba74e9477d8b"),
 }
 # sha256 of BandDP.sample_rows at n = 24, W = 19 and the generator's next
-# uniform after it
-BAND_DP_ROWS = ("a75c86707a3d22ed2c2046f3aa7b5833c4476e62dcd277a6392e35c36428ca30",
+# uniform after it (the rows recorded again when the draws became forward
+# filtering, backward sampling; each row still reads n uniforms)
+BAND_DP_ROWS = ("c58211109c9662dc568c370854823da7e64446cc0144dac5ad8010cccbc77098",
                 0.4963587251624958)
 # sha256 of samples.jsonl of CLI sample on the band DP (band-dp strategy at
-# W = 15)
+# W = 15; recorded again with the backward-sampled rows)
 SAMPLE_CONFIG = {"command": "sample", "n": 100,
                  "p": {"family": "random-eps", "eps": 0.5}, "ell": 7,
                  "samples": 200, "seed": 9}
-SAMPLE_DIGEST = "b77ea7bc023a97d4a1a222609fc53677882f08f43b14bc1c71b9c0d792aa2eaf"
+SAMPLE_DIGEST = "c8c380ac1d0f08d14b7853a1743c615fc37eaa05f8ae8056367a8e6278ab3372"
 # result.json of CLI exact at n = 8 (40,320 states) and its gap, which the
 # Lanczos recurrence gives with the same bits under any BLAS thread count
 # (recorded when the recurrence replaced ARPACK's eigsh, which gave a gap

@@ -73,6 +73,10 @@ class BandDP:
     the same engine compute conditional partition functions, conditional
     samples, and conditional marginals.
 
+    Any window will do, admissible or not: the layers need only that each
+    particle's window lies within Lm below and Lp above its home, and each
+    placement checks the placed particle's own window.
+
     Every layer word has exactly Lp set bits among its low W - 1 bits, so a
     layer holds at most C(W - 1, Lp) words; the constructor refuses instances
     whose layers would not fit MEMORY_BUDGET.
@@ -82,8 +86,6 @@ class BandDP:
                  pins: dict | None = None, window_cap: int = DEFAULT_WINDOW_CAP):
         if p.n != ell.n:
             raise ContractError("size mismatch between bias matrix and localization")
-        if not ell.is_admissible():
-            raise ContractError("band DP requires an admissible localization vector")
         self.n = p.n
         self.p = p
         self.ell = ell
@@ -93,7 +95,8 @@ class BandDP:
         if self.W > window_cap:
             raise CapExceeded(
                 f"window width {self.W} exceeds cap {window_cap}; tighten the "
-                "localization vector or raise the cap")
+                "localization vector or raise cap_window (--cap-window on the "
+                f"CLI) to {self.W}")
         # the layers and the position table
         self.need_bytes = ((self.n + 1) * math.comb(self.W - 1, self.Lp)
                            * BYTES_PER_STATE + 4 * (1 << (self.W - 1)))
@@ -518,43 +521,6 @@ class EnumerationSampler:
         return self.table.support[idx]
 
 
-@functools.lru_cache(maxsize=32)
-def _mallows_cdfs(n: int, q: float) -> tuple:
-    """Read-only insertion CDFs, one per count of remaining labels (1..n).
-
-    Returns (flat, cdfs, base, spread).  flat holds, for m = 1..n in turn, a
-    -inf and then the CDF for m remaining labels, and cdfs[m - 1] is a view
-    of that CDF.  Position pos draws among m = n - pos labels: base[pos] is
-    the flat index of the -inf before its CDF, and spread[pos] the scale of
-    its truncated-geometric inverse CDF: phi^m - 1 at phi < 1, phi^-m - 1
-    at phi > 1 (phi^m itself overflows there), or m at phi = 1.
-    """
-    logphi = math.log((1.0 - q) / q)
-    ms = np.arange(n, 0, -1)
-    base = (ms - 1) * (ms + 2) // 2
-    flat = np.full(n * (n + 3) // 2, NEG_INF)
-    blocks = list(zip(base.tolist(), ms.tolist()))
-    for b, m in blocks:
-        lw = np.arange(m) * logphi
-        w = np.exp(lw - lw.max())
-        cdf = flat[b + 1:b + 1 + m]
-        cdf[:] = np.cumsum(w) / w.sum()
-        # a top rounded below 1 would give some u < 1 the rank m, which
-        # names no label; entries rounded above 1 would leave the top below
-        # them.  No u < 1 counts an entry >= 1, so setting the top to 1 and
-        # clipping those entries to it changes no rank, and the CDF is
-        # nondecreasing
-        np.minimum(cdf, 1.0, out=cdf)
-        cdf[-1] = 1.0
-    flat.setflags(write=False)
-    # views taken after the flag is cleared are read-only too
-    cdfs = tuple(flat[b + 1:b + 1 + m] for b, m in reversed(blocks))
-    spread = np.expm1(-ms * abs(logphi)) if logphi else ms.astype(np.float64)
-    base.setflags(write=False)
-    spread.setflags(write=False)
-    return flat, cdfs, base, spread
-
-
 def _slab_rows(ranks: np.ndarray) -> np.ndarray:
     """Rows of labels 1..n from an (n, size) array of insertion ranks.
 
@@ -644,12 +610,15 @@ class MallowsRejectionSampler:
             self._degenerate = np.arange(1, m + 1) if q == 1.0 else np.arange(m, 0, -1)
             return
         self._degenerate = None
-        self._flat, self._cdfs, self._base, self._spread = _mallows_cdfs(m, q)
         logphi = math.log((1.0 - q) / q)
-        # at phi = 1 the CDFs are uniform and there is no log to take
-        self._rate = 1.0 / logphi if logphi else None
         # the largest rank at each position, m - 1 for m labels left
         self._top = np.arange(m - 1, -1, -1, dtype=np.float64)
+        # the scale of each position's inverse CDF: phi^m - 1 at phi < 1,
+        # phi^-m - 1 at phi > 1 (phi^m itself overflows there), or m at
+        # phi = 1, where the ranks are uniform and there is no log to take
+        ms = self._top + 1
+        self._spread = np.expm1(-ms * abs(logphi)) if logphi else ms
+        self._rate = 1.0 / logphi if logphi else None
         labels = np.arange(1, m + 1)
         if self._window is None:
             lo, hi = labels - 1, m - labels
@@ -698,17 +667,12 @@ class MallowsRejectionSampler:
     def _ranks(self, u: np.ndarray) -> np.ndarray:
         """The (size, m) ranks of a block of uniforms, in O(size m).
 
-        Each rank is guessed from the truncated-geometric inverse CDF,
+        With m labels left, rank g has probability proportional to phi^g, a
+        truncated-geometric law, and a rank is its inverse CDF at u:
         floor(log1p(u (phi^m - 1)) / log phi), which at phi > 1 is taken as
         floor(m + log1p((1 - u) (phi^-m - 1)) / log phi) so that phi^m does
-        not overflow, or floor(u m) at phi = 1.  The guess is clipped into
-        [0, m - 1] and checked against its CDF in the flat array: on a
-        nondecreasing CDF, cdf[k - 1] <= u < cdf[k] says that exactly k
-        entries are <= u, and at k = 0 the -inf before the CDF stands in for
-        cdf[-1].  Entries that fail the check (a guess rounded across a CDF
-        entry, or a NaN guess) are searched column by column.
+        not overflow, or floor(u m) at phi = 1, clipped into [0, m - 1].
         """
-        m = u.shape[1]
         if self._rate is None:
             guess = u * self._spread
         elif self._rate < 0:
@@ -724,15 +688,7 @@ class MallowsRejectionSampler:
         np.floor(guess, out=guess)
         # fmin and fmax take the bound in place of a NaN guess
         np.fmin(guess, self._top, out=guess)
-        k = np.fmax(guess, 0, out=guess).astype(np.intp)
-        at = k + self._base
-        bad = (self._flat.take(at) > u) | (u >= self._flat.take(at + 1))
-        if bad.any():
-            for pos in np.flatnonzero(bad.any(axis=0)).tolist():
-                miss = bad[:, pos]
-                k[miss, pos] = self._cdfs[m - pos - 1].searchsorted(
-                    u[miss, pos], side="right")
-        return k
+        return np.fmax(guess, 0, out=guess).astype(np.intp)
 
     def draw_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """size accepted rows.
@@ -875,7 +831,8 @@ def exact_localized_sampler(p: BiasMatrix, ell: LocalizationVector | None,
             return BandDPSampler(p, ell, window_cap=window_cap)
         raise CapExceeded(
             f"window width {W} exceeds cap {window_cap} and the instance is not "
-            "constant-bias; no exact sampler available")
+            "constant-bias; no exact sampler available: tighten ell, or raise "
+            f"cap_window (--cap-window on the CLI) to {W}")
     if q is not None:
         return MallowsRejectionSampler(n, q, None)
     raise CapExceeded(

@@ -643,8 +643,7 @@ def block_decomposition_check(n: int, p: BiasMatrix,
 # ASEP stationary tails
 # ---------------------------------------------------------------------------
 
-def asep_tail_check(n: int, k: int, q: float, rs=None,
-                    cap_states: int = 200000) -> ExperimentResult:
+def asep_tail_check(n: int, k: int, q: float, rs=None) -> ExperimentResult:
     """Right-most particle tail of the ASEP stationary law vs exp(-eps' r/4)."""
     if not (k >= 0 and 0.5 < q < 1.0):
         raise ContractError(
@@ -666,7 +665,7 @@ def asep_tail_check(n: int, k: int, q: float, rs=None,
                 violations += 1
     exact_crosscheck = None
     if math.comb(n, k) <= 20000:
-        nu = asep_stationary(n, k, q, cap_states=cap_states)
+        nu = asep_stationary(n, k, q)
         # the rightmost occupied site of each state, 0 for the empty one
         rightmost = np.max(nu.support * np.arange(1, n + 1), axis=1)
         worst = 0.0

@@ -166,7 +166,9 @@ def check_enumerable(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
     """
     if n > min(cap + 2, HARD_ENUM_CAP):
         raise CapExceeded(
-            f"n={n} exceeds the enumeration cap {cap}; use the band DP "
+            f"n={n} exceeds the enumeration cap {cap}: raise cap_enum "
+            "(--cap-enum on the CLI), which admits n up to cap_enum + 2 and "
+            f"never above {HARD_ENUM_CAP}, or use the band DP "
             "(band_dp_partition / band_dp_sample) for localized instances")
 
 

@@ -5,13 +5,20 @@ loops for the relabel map, the induced windows and the greedy extreme state,
 every sub-instance rebuilt through the validating ``BiasMatrix`` and
 ``LocalizationVector`` constructors from an eagerly gathered submatrix with
 ``constant_q`` recomputed from its entries, the bias-matrix text written one bounds-checked entry at a time, and
-Mallows ranks found by one ``searchsorted`` per column.  The fast paths must
-reproduce them exactly: equal arrays, the same exceptions and messages, and
-the same bytes.  The window check of whole rows is the inverse-based one:
-each label's position, read from the inverted rows, minus the label.
+Mallows ranks found by one ``searchsorted`` per column in cumsum CDF tables.
+The fast paths must reproduce them exactly: equal arrays, the same
+exceptions and messages, and the same bytes.  The one exception is a
+Mallows rank at a uniform on a table entry or within an ulp of one, where
+the sampler's closed-form inverse CDF and the rounded table may disagree;
+``exact_mallows_ranks`` reads the exact rational CDFs instead.  The window
+check of whole rows is the inverse-based one: each label's position, read
+from the inverted rows, minus the label.
 """
 
+import bisect
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -102,14 +109,51 @@ def max_localized_state(ell):
     return sigma
 
 
+def mallows_cdfs(n, q):
+    """Insertion CDFs by cumulative sums, cdfs[m - 1] for m labels left.
+
+    Each top is set to 1, and entries rounded above it are clipped to it: a
+    top rounded below 1 would give some u < 1 the rank m, which names no
+    label.
+    """
+    logphi = math.log((1.0 - q) / q)
+    cdfs = []
+    for m in range(1, n + 1):
+        lw = np.arange(m) * logphi
+        w = np.exp(lw - lw.max())
+        cdf = np.minimum(np.cumsum(w) / w.sum(), 1.0)
+        cdf[-1] = 1.0
+        cdfs.append(cdf)
+    return cdfs
+
+
+def mallows_ranks(cdfs, u):
+    """The (size, n) ranks of a block of uniforms: the count of each
+    position's CDF entries <= u, one searchsorted per column."""
+    n = u.shape[1]
+    return np.column_stack([cdfs[n - pos - 1].searchsorted(col, side="right")
+                            for pos, col in enumerate(u.T)])
+
+
+def exact_mallows_ranks(q, u):
+    """The ranks of a (size, n) block of uniforms on the exact rational
+    CDFs, with phi the double (1 - q) / q and each uniform taken exactly."""
+    phi = Fraction((1.0 - q) / q)
+    n = u.shape[1]
+    ranks = np.empty(u.shape, dtype=np.int64)
+    for pos in range(n):
+        sums = list(itertools.accumulate(phi ** g for g in range(n - pos)))
+        cdf = [s / sums[-1] for s in sums]
+        for r, x in enumerate(u[:, pos].tolist()):
+            ranks[r, pos] = bisect.bisect_right(cdf, Fraction(x))
+    return ranks
+
+
 def mallows_rows(cdfs, u):
     """Insertion rows from a (size, n) block of uniforms, column by column."""
     size, n = u.shape
-    ranks = np.empty((n, size), dtype=np.int64)
-    for pos, col in enumerate(u.T):
-        ranks[pos] = cdfs[n - pos - 1].searchsorted(col, side="right")
     rows = np.empty((size, n), dtype=np.int64)
-    for r, rk in enumerate(ranks.T):
+    for r, rk in enumerate(mallows_ranks(cdfs, u)):
         avail = list(range(1, n + 1))
         rows[r] = [avail.pop(k) for k in rk.tolist()]
     return rows

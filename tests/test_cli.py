@@ -230,6 +230,57 @@ def test_sample_falls_back_on_the_band_dp(tmp_path):
     assert "widen ell" in man["error"] and "cap_window" in man["error"]
 
 
+# not admissible: label 1 may reach position 3, but label 2 no further
+# than position 2
+ANY_ELL = [[0, 2], [1, 0], [2, 2], [0, 1], [2, 0], [1, 2], [2, 1], [0, 2],
+           [2, 0], [1, 1]]
+
+
+@pytest.mark.parametrize("raw", [
+    {"command": "sample", "n": 10, "p": {"family": "random-eps", "eps": 0.5},
+     "ell": ANY_ELL, "samples": 20},
+    {"command": "spatial", "n": 10, "p": {"family": "constant-q", "q": 0.75},
+     "ell": ANY_ELL, "eta": {"left": [1]}, "eta_bar": {"left": [3]},
+     "rs": [2, 3]},
+    {"command": "spatial", "n": 10, "p": {"family": "constant-q", "q": 0.75},
+     "ell": ANY_ELL, "eta": {"left": [1]}, "eta_bar": {"left": [3]},
+     "rs": [2, 3], "mode": "sampled", "budget": 50},
+    {"command": "disconnect", "n": 10,
+     "p": {"family": "constant-q", "q": 0.75}, "ell": ANY_ELL,
+     "mode": "sampled", "budget": 50},
+], ids=["sample", "spatial", "spatial-sampled", "disconnect-sampled"])
+def test_band_dp_commands_run_on_a_window_that_is_not_admissible(tmp_path,
+                                                                 raw):
+    # each used to exit 2: "band DP requires an admissible localization
+    # vector"; spatial's verdict on these two distances may fail, exit 1
+    assert not LocalizationVector(*zip(*ANY_ELL)).is_admissible()
+    cfg = write_config(tmp_path, "a.json", raw)
+    assert main(["--config", cfg, "--out", str(tmp_path / "a")]) in (0, 1)
+    man = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert "error" not in man
+    assert (tmp_path / "a" / "result.json").exists()
+
+
+@pytest.mark.parametrize("raw, flag", [
+    ({"command": "exact", "n": 11, "p": {"family": "constant-q", "q": 0.6}},
+     "--cap-enum"),
+    ({"command": "blockcheck", "n": 6,
+      "p": {"family": "random-eps", "eps": 0.5}, "cap_enum": 3}, "--cap-enum"),
+    # the band DP's own refusal: W = 5 against a cap of 3
+    ({"command": "spatial", "n": 8, "p": {"family": "constant-q", "q": 0.75},
+      "ell": 2, "eta": {"left": [1]}, "eta_bar": {"left": [3]}, "rs": [2, 3],
+      "cap_window": 3}, "--cap-window"),
+    # the dispatcher's: W = 25 and no constant bias to fall back on
+    ({"command": "sample", "n": 40, "p": {"family": "random-eps", "eps": 0.5},
+      "ell": 12, "samples": 1}, "--cap-window"),
+], ids=["exact", "blockcheck", "spatial", "sample"])
+def test_cap_refusals_name_their_flag(tmp_path, raw, flag):
+    cfg = write_config(tmp_path, "c.json", raw)
+    assert main(["--config", cfg, "--out", str(tmp_path / "c")]) == 2
+    man = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert "CapExceeded" in man["error"] and flag in man["error"]
+
+
 def test_sample_and_chain_commands(tmp_path):
     cfg = write_config(tmp_path, "s.json", {
         "command": "sample", "n": 6, "p": {"family": "constant-q", "q": 0.7},

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import OrderedDict
 
 import numpy as np
@@ -53,6 +54,33 @@ BYTES_PER_STATE = 24
 SORT_FRACTION = 8
 
 NEG_INF = -math.inf
+
+# what sys.getsizeof gives an empty 1-d ndarray and each further dimension,
+# an empty tuple and list, the slot of a list entry, a LocalizationVector
+# without its arrays and an int below 2^30: the parts of a sampler's nbytes
+_ARRAY_HEAD = sys.getsizeof(np.empty(0))
+_ARRAY_DIM = sys.getsizeof(np.empty((0, 0))) - _ARRAY_HEAD
+_TUPLE_HEAD = sys.getsizeof(())
+_LIST_HEAD = sys.getsizeof([])
+_LIST_SLOT = sys.getsizeof([0]) - _LIST_HEAD
+_VECTOR_HEAD = sys.getsizeof(LocalizationVector.__new__(LocalizationVector))
+_INT_BYTES = sys.getsizeof(1 << 29)
+
+
+def _held_bytes(*parts) -> int:
+    """sys.getsizeof of parts, each with what it holds, by arithmetic alone:
+    an ndarray with its data, a LocalizationVector with its two arrays, and
+    a list of ints below 2^30 built at its exact length; None holds
+    nothing."""
+    total = 0
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            total += _ARRAY_HEAD + _ARRAY_DIM * (part.ndim - 1) + part.nbytes
+        elif isinstance(part, LocalizationVector):
+            total += _VECTOR_HEAD + _held_bytes(part.lo, part.hi)
+        elif isinstance(part, list):
+            total += _LIST_HEAD + len(part) * (_LIST_SLOT + _INT_BYTES)
+    return total
 
 
 def _placeable(words: np.ndarray, j: int) -> np.ndarray:
@@ -437,7 +465,9 @@ class BandDP:
             if words.size > cap_states:
                 raise CapExceeded(
                     f"region marginal needs {words.size} partial states, "
-                    f"cap is {cap_states}")
+                    f"cap is {cap_states}; raise cap_states of "
+                    "region_marginal or band_dp_conditional_marginal (no CLI "
+                    "option sets it), or narrow the region")
         logw = logv + self._completion(b, words)
         if not np.isfinite(logw).any():
             raise EmptySupport("empty conditional support on the region")
@@ -508,12 +538,14 @@ def band_dp_conditional_marginal(p: BiasMatrix, ell: LocalizationVector,
 # ---------------------------------------------------------------------------
 
 class EnumerationSampler:
-    """Categorical draws from the fully enumerated restricted measure."""
+    """Categorical draws from the fully enumerated restricted measure;
+    nbytes is the table's."""
 
     strategy = "enumeration"
 
     def __init__(self, p: BiasMatrix, ell: LocalizationVector | None):
         self.table = enumerate_stationary(p.n, p, ell, cap=max(ENUM_SAMPLER_CAP, p.n))
+        self.nbytes = _held_bytes(self.table.support, self.table.probs)
 
     def draw_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
         check_draw_size(size)
@@ -580,6 +612,9 @@ class MallowsRejectionSampler:
     between them keep the Mallows law in their own truncated window.  Rows
     of those labels are filled west to east, and a single row stops at its
     first placement outside the window.
+
+    nbytes counts the arrays, windows and position lists the sampler keeps;
+    the fallback shares its instance with the caller and is not counted.
     """
 
     strategy = "mallows-rejection"
@@ -608,6 +643,7 @@ class MallowsRejectionSampler:
         self._m = m
         if m == 0 or q <= 0.0 or q >= 1.0:
             self._degenerate = np.arange(1, m + 1) if q == 1.0 else np.arange(m, 0, -1)
+            self.nbytes = _held_bytes(ell, self._window, self._degenerate)
             return
         self._degenerate = None
         logphi = math.log((1.0 - q) / q)
@@ -625,8 +661,10 @@ class MallowsRejectionSampler:
         else:
             lo, hi = self._window.lo, self._window.hi
         # each label's first and last allowed position, indexed by the label
-        self._first = [0, *(labels - lo).tolist()]
-        self._last = [0, *(labels + hi).tolist()]
+        self._first = [0] + (labels - lo).tolist()
+        self._last = [0] + (labels + hi).tolist()
+        self.nbytes = _held_bytes(ell, self._window, self._top, self._spread,
+                                  self._first, self._last)
 
     def _slab(self, u: np.ndarray) -> np.ndarray:
         """The rows of a (size, m) block of uniforms that stay in the window:
@@ -789,11 +827,22 @@ def check_draw_memory(size: int, n: int, key: str) -> None:
 
 
 class BandDPSampler:
+    """Draws from a BandDP, which keeps its forward layers between draws."""
+
     strategy = "band-dp"
 
     def __init__(self, p: BiasMatrix, ell: LocalizationVector,
                  window_cap: int = DEFAULT_WINDOW_CAP):
-        self.dp = BandDP(p, ell, window_cap=window_cap)
+        dp = self.dp = BandDP(p, ell, window_cap=window_cap)
+        # the layers and position table at the constructor's estimate, with
+        # the headers of their arrays and tuples, and the arrays of the DP
+        # and of its instance
+        self.nbytes = (dp.need_bytes
+                       + (dp.n + 1) * (2 * _ARRAY_HEAD + _TUPLE_HEAD
+                                       + _LIST_SLOT)
+                       + _LIST_HEAD + _ARRAY_HEAD
+                       + _held_bytes(ell, dp.pin_at, dp._prefix, p.dense(),
+                                     p.log_dense()))
 
     def draw_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.dp.sample_rows(rng, size)
@@ -848,9 +897,10 @@ class SamplerCache:
     increasing order, r, fix its sub-instance: sub_p = p.submatrix(r) and
     the window induced with i = a - 1.  So an entry is keyed by (a, r) and
     holds the sampler.  The entries take at most measure.MEMORY_BUDGET
-    bytes, counting the one being added: a band DP at its constructor's
-    estimate, any other sampler at the nbytes of its arrays.  A chain run
-    owns its cache, so worker processes share nothing.
+    bytes, counting the one being added, each at its sampler's nbytes: what
+    the sampler keeps, with a band DP's layers at its constructor's
+    estimate.  A chain run owns its cache, so worker processes share
+    nothing.
     """
 
     def __init__(self):
@@ -884,14 +934,7 @@ class SamplerCache:
     def put(self, key: tuple, sampler) -> None:
         """Add sampler under key, evicting the least recently used entries
         until it fits; one that does not fit alone is not kept."""
-        if isinstance(sampler, BandDPSampler):
-            size = sampler.dp.need_bytes
-        elif isinstance(sampler, EnumerationSampler):
-            size = sampler.table.support.nbytes + sampler.table.probs.nbytes
-        else:
-            size = sum(v.nbytes for v in vars(sampler).values()
-                       if isinstance(v, np.ndarray))
-        size += len(key[1])
+        size = sampler.nbytes + len(key[1])
         while self._entries and self.nbytes + size > MEMORY_BUDGET:
             self.nbytes -= self._entries.popitem(last=False)[1][1]
         if size <= MEMORY_BUDGET:

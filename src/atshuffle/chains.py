@@ -14,7 +14,9 @@ The coupled exclusion-process rule is written once, as ``_asep_edge``.  The
 scalar drivers (the twin chains, the domination and monotone audits and the
 ASEP pair coalescence) are deterministic functions of one shared stream of
 (edge, uniform) pairs, read from ``_audit_draws`` as plain lists in fixed
-chunks so that the stream does not depend on the horizon.
+chunks so that the stream does not depend on the horizon.  The two top/bottom
+pair drivers read each uniform decoded as its offset into ``_PAIR_MOVES``, so
+that a step is one table lookup.
 Substreams are derived from a master seed via ``derive_rng(master, *keys)``,
 which feeds the integer tuple (master, key1, key2, ...) to numpy's
 SeedSequence.
@@ -85,8 +87,9 @@ def asep_stationary(n: int, k: int, q: float,
     _check_asep(n, k, q)
     if math.comb(n, k) > cap_states:
         raise CapExceeded(
-            f"binomial({n},{k}) exceeds the state cap; use asep_rightmost_tail "
-            "for tail queries")
+            f"binomial({n},{k}) = {math.comb(n, k)} states exceed "
+            f"asep_stationary's cap_states = {cap_states}; raise cap_states, "
+            "or use asep_rightmost_tail for tail queries")
     occ = _asep_states(n, k)
     if q == 1.0:    # combinations order puts the left-packed row first
         return DistributionTable._trusted(occ, np.eye(1, len(occ))[0],
@@ -480,19 +483,20 @@ def _asep_edge(x: int, y: int, left: bool) -> tuple:
 
 
 def _pair_moves() -> tuple:
-    """One-edge transitions of a coupled pair, as two tables (u >= q, u < q).
+    """One-edge transitions of a coupled pair, as one 32-entry table.
 
-    Entry ``x << 2 | y`` of a table gives the new codes of an edge whose sites
-    hold x and y, and the change in the number of disagreeing sites.
+    Entry ``16 * [u < q] | x << 2 | y`` gives the new codes of an edge whose
+    sites hold x and y, and the change in the number of disagreeing sites;
+    the draw's offset ``16 * [u < q]`` comes from ``_audit_draws``.
     """
-    tables = ([], [])
-    for left, table in enumerate(tables):
+    table = []
+    for left in (False, True):
         for x in range(4):
             for y in range(4):
                 nx, ny = _asep_edge(x, y, left)
                 table.append((nx, ny, _DIFFERS[nx] + _DIFFERS[ny]
                               - _DIFFERS[x] - _DIFFERS[y]))
-    return tuple(map(tuple, tables))
+    return tuple(table)
 
 
 _PAIR_MOVES = _pair_moves()
@@ -515,14 +519,13 @@ def asep_pair_coalescence(n: int, k: int, q: float, seed: int,
     diff = sum(_DIFFERS[c] for c in codes)
     if diff == 0:
         return 0
-    to_right, to_left = _PAIR_MOVES
+    moves = _PAIR_MOVES
     rng = derive_rng(seed, experiment_id("asep-coalescence"))
-    for t, edges, us in _audit_draws(rng, n, t_cap):
-        for e, u in zip(edges, us):
+    for t, edges, lefts in _audit_draws(rng, n, t_cap, q):
+        for e, left in zip(edges, lefts):
             t += 1
             i = e - 1
-            key = codes[i] << 2 | codes[e]
-            x, y, change = to_left[key] if u < q else to_right[key]
+            x, y, change = moves[left | codes[i] << 2 | codes[e]]
             codes[i] = x
             codes[e] = y
             if change:
@@ -553,15 +556,23 @@ def _ordered_list_step(p: BiasMatrix, ell: LocalizationVector | None):
     return step
 
 
-def _audit_draws(rng: np.random.Generator, n: int, steps: int):
+def _audit_draws(rng: np.random.Generator, n: int, steps: int,
+                 q: float | None = None):
     """The scalar drivers' shared draws, chunk by chunk: (steps done, edges,
-    us)."""
+    us).
+
+    Given q, for a driver that reads a uniform u only as u < q, each u comes
+    decoded as its ``_PAIR_MOVES`` offset 16 * [u < q]; the rng calls are the
+    same either way.
+    """
     t = 0
     while t < steps:
-        edges = rng.integers(1, n, size=_AUDIT_CHUNK).tolist()
-        us = rng.random(_AUDIT_CHUNK).tolist()
         take = min(_AUDIT_CHUNK, steps - t)
-        yield t, edges[:take], us[:take]
+        edges = rng.integers(1, n, size=_AUDIT_CHUNK)[:take]
+        us = rng.random(_AUDIT_CHUNK)[:take]
+        if q is not None:
+            us = (us < q) * 16
+        yield t, edges.tolist(), us.tolist()
         t += take
 
 
@@ -701,17 +712,16 @@ def _monotone_audit(top: list, bot: list, q: float, steps: int, seed: int,
 
     D, negative = recount()
     violations = 0
-    to_right, to_left = _PAIR_MOVES
+    moves, rise = _PAIR_MOVES, _BOTTOM_MINUS_TOP
     rng = derive_rng(seed, experiment_id("asep-monotone-audit"))
-    for t, edges, us in _audit_draws(rng, n, steps):
-        for e, u in zip(edges, us):
+    for t, edges, lefts in _audit_draws(rng, n, steps, q):
+        for e, left in zip(edges, lefts):
             t += 1
             i = e - 1
-            key = codes[i] << 2 | codes[e]
-            x, y, _ = to_left[key] if u < q else to_right[key]
+            x, y, _ = moves[left | codes[i] << 2 | codes[e]]
             codes[i] = x
             codes[e] = y
-            d = D[i] + _BOTTOM_MINUS_TOP[x]
+            d = D[i] + rise[x]
             old = D[e]
             if d != old:
                 D[e] = d

@@ -732,12 +732,13 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
             raise ContractError(f"coupling mode needs q in (1/2, 1], "
                                 f"got q = {q!r}")
         work = []
+        horizons = {n: int(40 * n * n / (2 * q - 1)) for n in ns}
         for n in ns:
             k = n // 2
-            t_cap = int(40 * n * n / (2 * q - 1))
             for rep in range(budget):
                 work.append((n, k, q, int(derive_rng(seed, experiment_id(
-                    "asep-coalescence"), n, rep).integers(0, 2 ** 62)), t_cap))
+                    "asep-coalescence"), n, rep).integers(0, 2 ** 62)),
+                    horizons[n]))
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -747,7 +748,11 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
         for j, n in enumerate(ns):
             ts = times[j * budget:(j + 1) * budget]
             if any(t is None for t in ts):
-                raise CapExceeded(f"coalescence budget exhausted at n={n}")
+                raise CapExceeded(
+                    f"a coalescence pair at n={n} did not meet within its "
+                    f"horizon of 40 n^2/(2q - 1) = {horizons[n]} steps, "
+                    "which no setting raises (budget is the pair count); "
+                    "use a smaller n or a q farther from 1/2")
             ts = np.array(ts, dtype=np.float64)
             series.append(SeriesPoint(n, float(ts.mean()),
                                       float(ts.std(ddof=1) / math.sqrt(len(ts))),
@@ -806,13 +811,18 @@ def _statistic_bracket(n: int, p: BiasMatrix, delta: float, budget: int,
                             "n^3 log n steps")
     t_lb = _label_one_lower_bound(n, q, delta)
     times = []
+    horizon = int(40 * n * n / abs(2 * q - 1))
     for rep in range(max(4, budget // 4)):
         t, _ = twin_chain_coupling_run(
             Permutation.identity(n), Permutation.reversal(n), p, None,
-            T=int(40 * n * n / abs(2 * q - 1)), seed=int(derive_rng(
+            T=horizon, seed=int(derive_rng(
                 seed, experiment_id("twin-ub"), n, rep).integers(0, 2 ** 62)))
         if t is None:
-            raise CapExceeded(f"twin coupling did not coalesce at n={n}")
+            raise CapExceeded(
+                f"twin coupling did not coalesce at n={n} within its horizon "
+                f"of 40 n^2/|2q - 1| = {horizon} steps, which no setting "
+                "raises (budget sets the twin count); use a smaller n or a q "
+                "farther from 1/2")
         times.append(t)
     t_ub = sorted(times)[math.ceil(round((1.0 - delta) * len(times), 9)) - 1]
     return t_lb, t_ub, {"coalescence_times": times,

@@ -454,7 +454,8 @@ def _mixing_time_from(P: TransitionMatrix, mu: DistributionTable, delta: float,
             if t >= t_cap:
                 raise CapExceeded(
                     f"mixing time exceeds the step cap {t_cap}; last worst-case TV "
-                    f"{worst:.6g}")
+                    f"{worst:.6g}; raise t_cap of exact_mixing_time (no CLI "
+                    "option sets it, in exact or statistic mix)")
             rows = (matT @ rows.T).T
             tv = _tv_rows_to_mu(rows, mu.probs)
             t += 1

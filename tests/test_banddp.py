@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -867,6 +868,86 @@ def test_every_sampler_draws_no_rows_at_size_zero_and_refuses_bad_sizes(kind):
         with pytest.raises(ContractError, match="size must be an integer >= 0"):
             sampler.draw_rows(rng, size)
     assert rng.random() == np.random.default_rng(65).random()
+
+
+def held_by_attributes(sampler) -> int:
+    """sys.getsizeof summed over what a sampler's attributes hold, each object
+    once: arrays (with the array they view), lists and tuples with their
+    entries, and the attributes of any other object.  Scalar attributes and
+    the rejection sampler's fallback, a partial over the instance that the
+    sampler shares with its caller, are not counted."""
+    seen = set()
+
+    def entry(v):
+        if id(v) in seen:
+            return 0
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            return sys.getsizeof(v) + attribute(v.base)
+        if isinstance(v, (list, tuple)):
+            return sys.getsizeof(v) + sum(map(entry, v))
+        if isinstance(v, (int, float)):
+            return sys.getsizeof(v)
+        return attributes(v)
+
+    def attribute(v):
+        if v is None or isinstance(v, (int, float, str, functools.partial)):
+            return 0
+        return entry(v)
+
+    def attributes(obj):
+        slots = getattr(type(obj), "__slots__", ())
+        values = [getattr(obj, s) for s in slots] + list(
+            getattr(obj, "__dict__", {}).values())
+        return sum(map(attribute, values))
+
+    return attributes(sampler)
+
+
+@pytest.mark.parametrize("kind", sorted(SIZED_SAMPLERS) + [
+    "mallows-n300", "mallows-unwindowed", "mallows-q-one", "band-dp-w7"])
+def test_sampler_nbytes_counts_everything_it_holds(kind):
+    makers = {k: make for k, (_, make) in SIZED_SAMPLERS.items()}
+    makers.update({
+        # blockdyn's scale: its arrays hold 4,800 of the ~29,700 bytes
+        "mallows-n300": lambda: MallowsRejectionSampler(
+            300, 0.55, LocalizationVector.constant(300, 12)),
+        "mallows-unwindowed": lambda: MallowsRejectionSampler(40, 0.7, None),
+        "mallows-q-one": lambda: MallowsRejectionSampler(
+            40, 1.0, LocalizationVector.constant(40, 3)),
+        "band-dp-w7": lambda: BandDPSampler(
+            BiasMatrix.random_biased(12, 0.5, np.random.default_rng(3)),
+            LocalizationVector.constant(12, 3)),
+    })
+    sampler = makers[kind]()
+    if isinstance(sampler, BandDPSampler):
+        sampler.draw_rows(np.random.default_rng(67), 3)     # its layers
+    held = held_by_attributes(sampler)
+    assert 0 < held <= sampler.nbytes
+    if kind == "mallows-n300":
+        arrays = sum(v.nbytes for v in vars(sampler).values()
+                     if isinstance(v, np.ndarray))
+        assert arrays == 4800 and held > 6 * arrays
+
+
+def test_sampler_cache_evicts_by_sampler_nbytes(monkeypatch):
+    n, ell = 300, LocalizationVector.constant(300, 12)
+    samplers = [MallowsRejectionSampler(n, q, ell) for q in (0.55, 0.6, 0.65)]
+    keys = [(1, bytes([j])) for j in range(3)]
+    size = samplers[0].nbytes + 1
+    assert all(s.nbytes + 1 == size for s in samplers)
+    # two entries fit; the third evicts the least recently used
+    monkeypatch.setattr(banddp, "MEMORY_BUDGET", 2 * size + size // 2)
+    cache = SamplerCache()
+    for key, sampler in zip(keys, samplers):
+        cache.put(key, sampler)
+    assert list(cache._entries) == keys[1:] and cache.nbytes == 2 * size
+    assert cache.get(keys[0]) is None and cache.get(keys[1]) is samplers[1]
+    # one that does not fit alone is not kept
+    monkeypatch.setattr(banddp, "MEMORY_BUDGET", size - 1)
+    cache = SamplerCache()
+    cache.put(keys[0], samplers[0])
+    assert len(cache) == 0 and cache.nbytes == 0
 
 
 def test_band_dp_draws_and_block_rows_take_the_same_sizes():

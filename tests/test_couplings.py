@@ -320,6 +320,93 @@ def test_pair_coalescence_matches_reference(n, data, q, seed, t_cap):
         audit_oracle.pair_coalescence(n, k, q, seed, t_cap)
 
 
+CHUNK_STEPS = 2 * 8192 + 17     # three draw chunks, the last one short
+
+
+@pytest.mark.parametrize("n, q", [(48, 0.6), (56, 0.6), (64, 0.75),
+                                  (64, 0.6)])
+def test_pair_coalescence_meets_the_reference_past_a_draw_chunk(n, q):
+    # mix's horizon, 40 n^2/(2q - 1); these pairs meet after 10,000-44,000
+    # steps, so their directions come from two or more decoded chunks
+    t_cap = int(40 * n * n / (2 * q - 1))
+    for seed in (1, 2):
+        want = audit_oracle.pair_coalescence(n, n // 2, q, seed, t_cap)
+        assert want > 8192
+        assert asep_pair_coalescence(n, n // 2, q, seed, t_cap) == want
+
+
+def test_pair_coalescence_stops_with_the_reference_in_a_short_chunk():
+    # at a cap of three chunks, the last one short, seed 1 meets at 10,725
+    # and seed 2 (17,836 at mix's horizon) does not meet
+    want = [audit_oracle.pair_coalescence(40, 20, 0.6, seed, CHUNK_STEPS)
+            for seed in (1, 2)]
+    assert want == [10725, None]
+    assert [asep_pair_coalescence(40, 20, 0.6, seed, CHUNK_STEPS)
+            for seed in (1, 2)] == want
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+@pytest.mark.parametrize("n", [2, 9, 20])
+def test_pair_coalescence_at_a_total_bias_matches_the_reference(n, q):
+    # u < 0 never holds and u < 1 always does: every particle moves one way
+    for k in range(n + 1):
+        assert asep_pair_coalescence(n, k, q, 3, 40 * n * n) == \
+            audit_oracle.pair_coalescence(n, k, q, 3, 40 * n * n)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("inject", [False, True])
+def test_monotone_audit_matches_the_reference_over_three_chunks(q, inject):
+    n, k = 16, 6
+    if inject:
+        top = [int(i < k) for i in range(n)]    # out of order at the start
+        bot = [int(i >= n - k) for i in range(n)]
+    else:
+        top, bot = chains._packed_pair(n, k, q)
+    flagged = []
+    got = chains._monotone_audit(list(top), list(bot), q, CHUNK_STEPS, 7,
+                                 flagged)
+    assert (got, flagged) == audit_oracle.monotone_audit(top, bot, q,
+                                                         CHUNK_STEPS, 7)
+    assert (got > 0) == inject
+
+
+def _swapped_halves(monkeypatch):
+    moves = chains._PAIR_MOVES
+    monkeypatch.setattr(chains, "_PAIR_MOVES", moves[16:] + moves[:16])
+
+
+def _offsets_from_u_at_least_q(monkeypatch):
+    real = chains._audit_draws
+
+    def flipped(rng, n, steps, q=None):
+        for t, edges, draws in real(rng, n, steps, q):
+            # 16 * [u >= q] in place of 16 * [u < q]
+            yield t, edges, draws if q is None else [16 - d for d in draws]
+
+    monkeypatch.setattr(chains, "_audit_draws", flipped)
+
+
+@pytest.mark.parametrize("mutate", [_swapped_halves,
+                                    _offsets_from_u_at_least_q])
+def test_the_oracles_catch_a_reversed_direction(mutate, monkeypatch):
+    # each mutant moves the particles right where the rule moves them left;
+    # at k = n/2 that is the rule on the holes, with top and bottom
+    # exchanged, and gives the same meeting times, so k = 4 of 12 sites
+    n, k, q, t_cap = 12, 4, 0.75, 40 * 12 ** 2 * 2
+    top = [int(i < k) for i in range(n)]
+    bot = [int(i >= n - k) for i in range(n)]
+    want = [audit_oracle.pair_coalescence(n, k, q, seed, t_cap)
+            for seed in range(5)]
+    want_audit = audit_oracle.monotone_audit(top, bot, q, 500, 5)
+    mutate(monkeypatch)
+    assert [asep_pair_coalescence(n, k, q, seed, t_cap)
+            for seed in range(5)] != want
+    flagged = []
+    got = chains._monotone_audit(list(top), list(bot), q, 500, 5, flagged)
+    assert (got, flagged) != want_audit
+
+
 @pytest.mark.parametrize("labels, q, ks, steps", [
     (6, 1.0, [2], 100),     # used to divide by zero
     (6, 1.5, [2], 100),     # used to run and report 65 violations

@@ -514,6 +514,58 @@ def test_statistic_twins_run_to_a_horizon_scaled_by_the_bias(monkeypatch):
                         for n in (8, 8, 8, 8, 12, 12, 12, 12)]
 
 
+def _cap_region_marginal(monkeypatch):
+    p, ell = BiasMatrix.constant(12, 0.7), LocalizationVector.constant(12, 2)
+    BandDP(p, ell).region_marginal((3, 6), cap_states=11)
+
+
+def _cap_asep_stationary(monkeypatch):
+    experiments.asep_stationary(10, 5, 0.7, cap_states=100)
+
+
+def _cap_exact_mixing_time(monkeypatch):
+    p = BiasMatrix.constant(4, 0.7)
+    mu = enumerate_stationary(4, p)
+    exact_mixing_time(build_transition_matrix(p, mu), mu, 0.25, t_cap=3)
+
+
+def _cap_coupling_mix(monkeypatch):
+    # a real pair meets long before its horizon
+    monkeypatch.setattr(experiments, "asep_pair_coalescence",
+                        lambda *args: None)
+    mixing_scaling([8, 16], {"kind": "constant-q", "q": 0.75},
+                   method="coupling", budget=2)
+
+
+def _cap_statistic_mix(monkeypatch):
+    monkeypatch.setattr(experiments, "twin_chain_coupling_run",
+                        lambda *args, T, seed: (None, {}))
+    mixing_scaling([8, 16], {"kind": "constant-q", "q": 0.25},
+                   method="statistic", budget=4)
+
+
+@pytest.mark.parametrize("run, knob", [
+    (_cap_region_marginal, r"cap is 11; raise cap_states of region_marginal "
+     r"or band_dp_conditional_marginal \(no CLI option sets it\)"),
+    (_cap_asep_stationary, r"252 states exceed asep_stationary's "
+     r"cap_states = 100; raise cap_states"),
+    (_cap_exact_mixing_time, r"step cap 3; .*raise t_cap of "
+     r"exact_mixing_time \(no CLI option sets it, in exact or statistic "
+     r"mix\)"),
+    (_cap_coupling_mix, r"at n=8 .* horizon of 40 n\^2/\(2q - 1\) = 5120 "
+     r"steps, which no setting raises \(budget is the pair count\); use a "
+     r"smaller n or a q farther from 1/2"),
+    (_cap_statistic_mix, r"at n=8 within its horizon of 40 n\^2/\|2q - 1\| "
+     r"= 5120 steps, which no setting raises \(budget sets the twin "
+     r"count\); use a smaller n or a q farther from 1/2"),
+], ids=["region_marginal", "asep_stationary", "exact_mixing_time",
+        "coupling_mix", "statistic_mix"])
+def test_every_cap_names_its_knob_or_says_there_is_none(run, knob,
+                                                        monkeypatch):
+    with pytest.raises(CapExceeded, match=knob):
+        run(monkeypatch)
+
+
 @pytest.mark.parametrize("q", [1.0, 0.3])
 def test_statistic_mode_runs_at_a_total_and_a_reversed_bias(q):
     res = mixing_scaling([8, 12], {"kind": "constant-q", "q": q},
@@ -766,8 +818,8 @@ def test_block_chain_mixing_cache_matches_one_shot_updates(case,
     assert (len(give_ups) > 0) == (case == "give-up")
 
 
-# a Mallows sampler holds a few hundred bytes, so its budget is half what
-# the roomy run keeps (None)
+# a Mallows sampler here holds a few thousand bytes, so its budget is half
+# what the roomy run keeps (None)
 @pytest.mark.parametrize("case, budget", [("mallows", None),
                                           ("band-dp", 100000)])
 def test_block_chain_mixing_cache_stays_in_its_budget(case, budget,

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                     Permutation, instance_fingerprint, is_localized,
-                    max_displacement, max_localized_state, relabel_map,
+                    max_displacement, max_localized_state,
                     restrict_instance)
 from .measure import (DistributionTable, TransitionMatrix,
                       build_transition_matrix, check_detailed_balance,

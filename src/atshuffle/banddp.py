@@ -815,9 +815,12 @@ def check_draw_size(size) -> None:
 
 
 def check_draw_memory(size: int, n: int, key: str) -> None:
-    """Raise CapExceeded, naming the config key, if size draws of n labels
-    need more than measure.MEMORY_BUDGET bytes: 8 for each int64 label and
-    8 for the uniform or weight it is drawn from."""
+    """Raise ContractError, naming the config key, if size is below 1, and
+    CapExceeded if size draws of n labels need more than
+    measure.MEMORY_BUDGET bytes: 8 for each int64 label and 8 for the
+    uniform or weight it is drawn from."""
+    if size < 1:
+        raise ContractError(f"{key} must be >= 1, got {size!r}")
     need = 16 * size * n
     if need > MEMORY_BUDGET:
         raise CapExceeded(
@@ -953,9 +956,9 @@ def heat_bath_block_sample(sigma: Permutation, block: tuple, p: BiasMatrix,
                            cache: SamplerCache | None = None) -> Permutation:
     """Resample sigma on the interval block from the conditional measure.
 
-    The complement assignment is turned into a boundary, the interior is
-    relabeled to a standalone instance (which stays epsilon-positively
-    biased), an exact conditional draw is taken there, and the draw is
+    The block's labels, in increasing order, make a standalone instance
+    (which stays epsilon-positively biased, with the windows sigma outside
+    the block induces), an exact draw is taken there, and the draw is
     embedded back.  sigma outside the block is untouched.
     """
     rows = heat_bath_block_rows(sigma, block, p, ell, rng, 1, cache)
@@ -981,6 +984,8 @@ def heat_bath_block_rows(sigma: Permutation, block: tuple, p: BiasMatrix,
     check_draw_size(size)
     if ell is not None and not is_localized(sigma, ell):
         raise ContractError("state is outside the localized set")
+    if p.n != n:
+        raise ContractError(f"p has n = {p.n}, but the state has n = {n}")
     if cache is None:
         cache = SamplerCache()
     cache.bind(p, ell)
@@ -988,9 +993,7 @@ def heat_bath_block_rows(sigma: Permutation, block: tuple, p: BiasMatrix,
     key = (a, r.tobytes())
     sampler = cache.get(key)
     if sampler is None:
-        boundary = BoundaryAssignment.from_permutation(sigma, a - 1, n - b)
-        sub_p, sub_ell, _ = restrict_instance(boundary, p, ell)
-        sampler = exact_localized_sampler(sub_p, sub_ell)
+        sampler = exact_localized_sampler(*restrict_instance(p, ell, a, r))
         cache.put(key, sampler)
     strategy = sampler.strategy
     sub_rows = sampler.draw_rows(rng, size)

@@ -105,11 +105,13 @@ CONFIG_KEYS = {command: {**_COMMON_KEYS, **keys} for command, keys in {
     "sample": {**_INSTANCE_KEYS,
                "samples": KeyRule(INT, ">= 1", lambda v: v >= 1)},
     "chain": {**_INSTANCE_KEYS, "steps": KeyRule(INT), "init": FREE,
-              "checkpoint_every": KeyRule(INT), "tracked_ks": KeyRule(INTS)},
+              "checkpoint_every": KeyRule(INT, ">= 1", lambda v: v >= 1),
+              "tracked_ks": KeyRule(INTS)},
     "asep": {"k": KeyRule(INT), "q": KeyRule(NUMBER),
              "rs": KeyRule(INTS, "non-empty", lambda v: v != [])},
-    # the stderr of each burn-in checkpoint needs two replicas (ddof = 1)
-    "burnin": {**_INSTANCE_KEYS, **_NS_KEY,
+    # the stderr of each burn-in checkpoint needs two replicas (ddof = 1);
+    # over ns the chains run unrestricted
+    "burnin": {"p": FREE, "ell": KeyRule(None, modes=("n",)), **_NS_KEY,
                "T_mult": KeyRule(INT, modes=("ns",)),
                "replicas": KeyRule(INT, ">= 2", lambda v: v >= 2),
                "quantile": KeyRule(NUMBER, "in (0, 1)", lambda v: 0 < v < 1),
@@ -399,8 +401,6 @@ def _run_chain(cfg: RunConfig, outdir: str):
     n, p, ell = cfg.instance()
     steps = cfg.values.get("steps", 10 * n * n)
     every = cfg.values.get("checkpoint_every", max(1, steps // 100))
-    if every < 1:
-        raise ContractError("checkpoint_every must be >= 1")
     init = cfg.values.get("init", "reversal")
     tracked = cfg.values.get("tracked_ks", [])
     if not all(1 <= k < n for k in tracked):
@@ -435,9 +435,6 @@ def _run_asep(cfg: RunConfig, outdir: str):
 
 def _run_burnin(cfg: RunConfig, outdir: str):
     if "ns" in cfg.values:
-        if cfg.values.get("ell") is not None:
-            raise ContractError("burnin over ns runs unrestricted chains; "
-                                "drop ell or run each n with its own config")
         res = burn_in_scaling(
             cfg.values["ns"], _family_dict(cfg.values["p"]), seed=cfg.seed,
             **cfg.pick("T_mult", "replicas", "quantile"))

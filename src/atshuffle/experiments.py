@@ -361,6 +361,7 @@ def localization_tail_check(n: int, p: BiasMatrix,
         return ExperimentResult("localization_tail_check", fp, params,
                                 series, verdict, {})
     # sampled mode
+    check_draw_memory(samples, n, "samples")
     sampler = exact_localized_sampler(p, ell)
     rng = derive_rng(seed, experiment_id("localization-tail"))
     rows = sampler.draw_rows(rng, samples)
@@ -514,9 +515,12 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
               "seed": seed, "eta": eta.values(), "eta_bar": eta_bar.values()}
     series = []
     identical = eta.values() == eta_bar.values()
+    if mode == "sampled":
+        # each boundary draws budget rows
+        check_draw_memory(budget, n, "budget")
+    dpA = BandDP(p, ell, pins=eta.values(), window_cap=window_cap)
+    dpB = BandDP(p, ell, pins=eta_bar.values(), window_cap=window_cap)
     if mode == "exact":
-        dpA = BandDP(p, ell, pins=eta.values(), window_cap=window_cap)
-        dpB = BandDP(p, ell, pins=eta_bar.values(), window_cap=window_cap)
         for r in rs:
             m1, m2 = i + r, n - j - r
             if i and j:
@@ -534,11 +538,7 @@ def spatial_decay_curve(p: BiasMatrix, ell: LocalizationVector,
                 tv = tv_distance(dpA.cut_law(cut), dpB.cut_law(cut))
             series.append(SeriesPoint(r, tv, 0.0, 1))
     else:
-        # each boundary draws budget rows
-        check_draw_memory(budget, n, "budget")
         rng = derive_rng(seed, experiment_id("spatial-coupling"))
-        dpA = BandDP(p, ell, pins=eta.values(), window_cap=window_cap)
-        dpB = BandDP(p, ell, pins=eta_bar.values(), window_cap=window_cap)
         rowsA = dpA.sample_rows(rng, budget)
         rowsB = dpB.sample_rows(rng, budget)
         runA = np.maximum.accumulate(rowsA, axis=1)
@@ -608,11 +608,12 @@ def block_decomposition_check(n: int, p: BiasMatrix,
     min_sub = math.inf
     sub_records = []
     for a, b in schedule.blocks():
-        for left, right in dict.fromkeys((tuple(s[:a - 1]), tuple(s[b:]))
-                                         for s in mu.support.tolist()):
-            bnd = BoundaryAssignment(n, left, right)
-            sub_p, sub_ell, _ = restrict_instance(bnd, p, ell)
-            m = bnd.interior_size
+        m = b - a + 1
+        # each boundary (left, right), with the labels it leaves the block
+        interiors = {(tuple(s[:a - 1]), tuple(s[b:])): s[a - 1:b]
+                     for s in mu.support.tolist()}
+        for (left, right), labels in interiors.items():
+            sub_p, sub_ell = restrict_instance(p, ell, a, sorted(labels))
             if m <= 1:
                 gap = 1.0
             else:
@@ -704,6 +705,9 @@ def mixing_scaling(ns, family: dict, delta: float = 0.25,
     if method in ("coupling", "statistic") and len(set(ns)) < 2:
         raise ContractError(f"{method} mode fits a slope over n; it needs at "
                             f"least two distinct sizes, got {list(ns)}")
+    if method in ("coupling", "statistic") and budget < 2:
+        raise ContractError(f"{method} mode needs budget >= 2 runs per size, "
+                            f"got {budget!r}")
     params = {"ns": list(map(int, ns)), "family": family, "delta": delta,
               "method": method, "budget": budget, "seed": seed}
     series = []

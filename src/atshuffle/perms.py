@@ -498,10 +498,6 @@ class BoundaryAssignment:
     def j(self) -> int:
         return len(self.right)
 
-    @property
-    def interior_size(self) -> int:
-        return self.n - self.i - self.j
-
     def values(self) -> dict:
         """Position -> particle map over A^c."""
         out = {pos: int(v) for pos, v in zip(range(1, self.i + 1), self.left)}
@@ -516,59 +512,44 @@ class BoundaryAssignment:
                 return False
         return True
 
-    @classmethod
-    def from_permutation(cls, sigma: Permutation, i: int, j: int) -> "BoundaryAssignment":
-        fwd = sigma.to_tuple()
-        right = fwd[sigma.n - j:] if j > 0 else ()
-        return cls(sigma.n, fwd[:i], right)
 
+def restrict_instance(p: BiasMatrix, ell: LocalizationVector | None,
+                      a: int, labels):
+    """The sub-instance of a block: (sub bias matrix, sub localization).
 
-def relabel_map(boundary: BoundaryAssignment) -> np.ndarray:
-    """The increasing bijection r from [n-i-j] onto [n] minus the boundary labels.
-
-    Returned as an int array with r[x-1] = r(x), labels 1-based.
-    """
-    free = np.ones(boundary.n + 1, dtype=bool)
-    free[0] = False
-    free[[*boundary.left, *boundary.right]] = False
-    return np.flatnonzero(free)
-
-
-def _induced(r: np.ndarray, i: int, ell: LocalizationVector) -> LocalizationVector:
-    """Localization windows induced on the relabeled interior instance, from
-    the relabel map r and the left boundary size i.
+    labels are the block's labels in increasing order, r, filling positions
+    a, a + 1, ...; label r(k) becomes sub-label k.  The sub bias matrix is
+    q[k][k'] = p[r(k)][r(k')], and the sub localization is the one the
+    boundary outside the block induces (None stays None).  A permutation
+    whose block holds labels has the sub-row np.searchsorted(labels, block)
+    + 1 there.
 
     Raises EmptySupport if the boundary admits no localized completion
     (some induced window is empty or excludes displacement 0, which cannot
     happen for an extendable boundary).
     """
+    if ell is not None and ell.n != p.n:
+        raise ContractError(f"ell has {ell.n} entries, but p has n = {p.n}")
+    r = np.asarray(labels, dtype=np.int64)
     m = r.size
+    if not 1 <= a <= p.n - m + 1:
+        raise ContractError(f"{m} labels from position {a} do not fit "
+                            f"in 1..{p.n}")
+    sub_p = p.submatrix(r)
+    if ell is None:
+        return sub_p, None
     k = np.arange(1, m + 1)
-    # label r(k) becomes interior particle k, at home in position k + i,
-    # which is shift places left of its old home r(k)
-    shift = r - k - i
+    # label r(k) becomes sub-label k, at home in position k + a - 1, which
+    # is shift places left of its old home r(k)
+    shift = r - k - (a - 1)
     raw_lo = ell.lo[r - 1] - shift
     raw_hi = ell.hi[r - 1] + shift
     bad = np.flatnonzero((raw_lo < 0) | (raw_hi < 0))
     if bad.size:
         raise EmptySupport(
             f"boundary admits no localized completion (particle {int(r[bad[0]])})")
-    return LocalizationVector._trusted(np.minimum(raw_lo, k - 1),
-                                       np.minimum(raw_hi, m - k))
-
-
-def restrict_instance(boundary: BoundaryAssignment, p: BiasMatrix,
-                      ell: LocalizationVector | None):
-    """Relabeled interior instance: (sub bias matrix, sub localization, r map).
-
-    The sub bias matrix is q[k][k'] = p[r(k)][r(k')]; the sub localization is
-    the induced one (None stays None).  A permutation that agrees with the
-    boundary has the relabeled interior np.searchsorted(r, interior) + 1.
-    """
-    r = relabel_map(boundary)
-    sub_p = p.submatrix(r)
-    sub_ell = _induced(r, boundary.i, ell) if ell is not None else None
-    return sub_p, sub_ell, r
+    return sub_p, LocalizationVector._trusted(np.minimum(raw_lo, k - 1),
+                                              np.minimum(raw_hi, m - k))
 
 
 def max_localized_state(ell: LocalizationVector) -> Permutation:

@@ -1,7 +1,8 @@
 """Reference oracle for heat-bath block instances and Mallows ranks.
 
 These are the straightforward versions of the block-update helpers: Python
-loops for the relabel map, the induced windows and the greedy extreme state,
+loops for the relabel map (a boundary's free labels, which the package
+reads from the block itself), the induced windows and the greedy extreme state,
 every sub-instance rebuilt through the validating ``BiasMatrix`` and
 ``LocalizationVector`` constructors from an eagerly gathered submatrix with
 ``constant_q`` recomputed from its entries, the bias-matrix text written one bounds-checked entry at a time, and
@@ -23,8 +24,14 @@ from fractions import Fraction
 import numpy as np
 
 from atshuffle.errors import ContractError, EmptySupport
-from atshuffle.perms import (BiasMatrix, LocalizationVector, Permutation,
-                             is_localized)
+from atshuffle.perms import (BiasMatrix, BoundaryAssignment,
+                             LocalizationVector, Permutation, is_localized)
+
+
+def boundary_of(sigma, i, j):
+    """The boundary sigma's first i and last j positions pin."""
+    fwd = sigma.to_tuple()
+    return BoundaryAssignment(sigma.n, fwd[:i], fwd[sigma.n - j:] if j else ())
 
 
 def relabel_map(boundary):
@@ -35,8 +42,8 @@ def relabel_map(boundary):
 
 def induced_localization(boundary, ell):
     r = relabel_map(boundary)
-    m = boundary.interior_size
     i = boundary.i
+    m = boundary.n - i - boundary.j
     lo = np.empty(m, dtype=np.int64)
     hi = np.empty(m, dtype=np.int64)
     for k in range(1, m + 1):

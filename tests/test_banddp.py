@@ -995,6 +995,16 @@ def test_sampler_cache_serves_one_instance():
                                  np.random.default_rng(0), 1, cache)
 
 
+def test_block_update_refuses_a_bias_matrix_of_another_size():
+    # an 8-label p used to resample a 6-label state from its labels 2..4
+    sigma = Permutation.identity(6)
+    for ell in (None, LocalizationVector.constant(6, 2)):
+        with pytest.raises(ContractError,
+                           match="p has n = 8, but the state has n = 6"):
+            heat_bath_block_rows(sigma, (2, 4), BiasMatrix.constant(8, 0.7),
+                                 ell, np.random.default_rng(0), 1)
+
+
 def test_heat_bath_conditional_frequencies():
     # n=5, q=0.7, ell=2, block [2,4]: draws match the enumerated conditional
     p = BiasMatrix.constant(5, 0.7)

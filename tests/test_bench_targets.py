@@ -10,7 +10,9 @@ import os
 import re
 
 from atshuffle import measure
-from atshuffle.perms import BiasMatrix
+from atshuffle.chains import BlockSchedule
+from atshuffle.experiments import block_chain_mixing
+from atshuffle.perms import BiasMatrix, LocalizationVector
 
 SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench", "spans.py")
@@ -62,3 +64,18 @@ def test_tracing_installs_and_restores_every_target():
     summary = tracer.summary()
     assert summary["measure.build_transition_matrix"]["calls"] == 1
     assert summary["measure.enumerate_stationary"]["counters"]["states"] == 6
+
+
+def test_each_sampler_cache_miss_builds_one_sub_instance():
+    # restrict_instance runs once per miss, with the sampler it feeds, so
+    # its per-layer call count stays the number of sub-instances built
+    spans = load_spans()
+    n = 40
+    ell = LocalizationVector.constant(n, 4)
+    with spans.installed(spans.Tracer()) as tracer:
+        block_chain_mixing(n, BiasMatrix.constant(n, 0.75), ell,
+                           BlockSchedule.west_east(n), replicas=3, step_cap=10)
+    summary = tracer.summary()
+    built = summary["perms.restrict_instance"]["calls"]
+    assert built > 0
+    assert built == summary["banddp.exact_localized_sampler"]["calls"]

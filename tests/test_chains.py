@@ -595,6 +595,14 @@ def test_block_driver_refuses_a_schedule_for_another_n():
                    np.random.default_rng(0))
 
 
+def test_block_step_refuses_a_bias_matrix_of_another_size():
+    # an 8-label p used to drive the block updates of a 6-label state
+    with pytest.raises(ContractError,
+                       match="p has n = 8, but the state has n = 6"):
+        block_step(Permutation.identity(6), BlockSchedule.west_east(6),
+                   BiasMatrix.constant(8, 0.7), None, np.random.default_rng(0))
+
+
 def test_twin_chain_coupling_refuses_a_negative_horizon():
     # T = -3 used to return (None, ...), which reads as a timeout
     n = 6

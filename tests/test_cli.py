@@ -403,16 +403,20 @@ def test_failed_verdict_exit_status(tmp_path):
         assert code == 1
 
 
-def test_burnin_over_ns_refuses_ell(tmp_path):
-    # ell used to be dropped silently when the config had ns
-    cfg = write_config(tmp_path, "bns.json", {
-        "command": "burnin", "ns": [8, 12],
-        "p": {"family": "constant-q", "q": 0.75}, "ell": 1, "replicas": 4,
-        "T_mult": 1})
-    assert main(["--config", cfg, "--out", str(tmp_path / "bns")]) == 2
-    man = json.loads((tmp_path / "bns" / "manifest.json").read_text())
-    assert "ContractError" in man["error"] and "ell" in man["error"]
-    assert not (tmp_path / "bns" / "result.json").exists()
+def test_burnin_over_ns_refuses_ell(tmp_path, capsys):
+    # ell used to be dropped silently when the config had ns; over ns the
+    # chains run unrestricted, so even a null ell is a key no mode reads
+    for ell in (1, None):
+        raw = {"command": "burnin", "ns": [8, 12],
+               "p": {"family": "constant-q", "q": 0.75}, "ell": ell,
+               "replicas": 4, "T_mult": 1}
+        with pytest.raises(ContractError, match="burnin in ns mode does not "
+                                                "read the config key ell"):
+            RunConfig(raw)
+        cfg = write_config(tmp_path, "bns.json", raw)
+        assert main(["--config", cfg, "--out", str(tmp_path / "bns")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "bns").exists()
 
 
 @pytest.mark.parametrize("raw, missing", [
@@ -504,6 +508,10 @@ def test_burnin_over_ns_refuses_ell(tmp_path):
       "ell": 2, "eta": {"left": [1]}, "eta_bar": {"left": [3]},
       "rs": [2, 4], "mode": "exact", "budget": 9},
      "spatial in exact mode does not read the config key budget"),
+    # a chain checkpointed every 0 steps used to be refused only after its
+    # output directory was written
+    ({"command": "chain", "n": 6, "p": {"family": "constant-q", "q": 0.7},
+      "steps": 40, "checkpoint_every": 0}, "checkpoint_every must be >= 1"),
 ])
 def test_missing_required_keys_are_config_errors(tmp_path, capsys, raw,
                                                  missing):
@@ -586,8 +594,9 @@ def test_unexpected_exception_is_recorded_in_manifest(tmp_path, monkeypatch):
 @pytest.mark.parametrize("raw, message", [
     ({"command": "burnin", "n": 8, "p": {"family": "constant-q", "q": 0.75},
       "replicas": 4, "T": -5}, "steps must be >= 0"),
+    # chain's steps has no key range: the stepper refuses a negative count
     ({"command": "chain", "n": 6, "p": {"family": "constant-q", "q": 0.7},
-      "steps": 40, "checkpoint_every": 0}, "checkpoint_every"),
+      "steps": -1}, "steps must be >= 0"),
     # statistic mode has no exact label-1 law for a non-constant family; it
     # used to record lower bounds of 0 and pass
     ({"command": "mix", "ns": [8, 12],

@@ -917,6 +917,42 @@ def test_ensemble_experiments_refuse_what_the_cli_refuses(monkeypatch, run,
         run(BiasMatrix.constant(4, 0.7))
 
 
+Q75 = {"kind": "constant-q", "q": 0.75}
+SPATIAL = (BiasMatrix.constant(8, 0.75), LocalizationVector.constant(8, 2),
+           BoundaryAssignment(8, (1,), ()), BoundaryAssignment(8, (2,), ()))
+
+
+@pytest.mark.parametrize("run, message", [
+    # coupling mode recorded a NaN stderr at budget 1, and NaN means and a
+    # silently failed verdict at budget 0
+    *[(lambda budget=budget: mixing_scaling([8, 12], Q75, budget=budget),
+       "coupling mode needs budget >= 2") for budget in (0, 1)],
+    (lambda: mixing_scaling([8, 12], Q75, method="statistic", budget=1),
+     "statistic mode needs budget >= 2"),
+    # the sampled estimators recorded NaN estimates on no draws
+    (lambda: localization_tail_check(6, BiasMatrix.constant(6, 0.75),
+                                     samples=0, mode="sampled"),
+     "samples must be >= 1"),
+    (lambda: disconnect_probability(BiasMatrix.constant(6, 0.75),
+                                    mode="sampled", budget=0),
+     "budget must be >= 1"),
+    (lambda: spatial_decay_curve(*SPATIAL, [1, 2], mode="sampled", budget=0),
+     "budget must be >= 1"),
+    (lambda: banddp.check_draw_memory(-1, 6, "budget"),
+     "budget must be >= 1, got -1"),
+])
+def test_sampled_estimators_refuse_draw_counts_they_cannot_use(
+        monkeypatch, run, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the draw count was checked")
+
+    for name in ("derive_rng", "exact_localized_sampler", "BandDP",
+                 "twin_chain_coupling_run", "_label_one_lower_bound"):
+        monkeypatch.setattr(experiments, name, no_work)
+    with pytest.raises(ContractError, match=message):
+        run()
+
+
 def test_result_records_are_deterministic():
     p = BiasMatrix.constant(5, 0.7)
     a = localization_tail_check(5, p, None, mode="exact").to_json_dict()

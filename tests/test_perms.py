@@ -17,8 +17,7 @@ from atshuffle.errors import ContractError, EmptySupport
 from atshuffle.perms import (BiasMatrix, BoundaryAssignment, LocalizationVector,
                              Permutation, instance_fingerprint, is_localized,
                              localized_rows, max_displacement,
-                             max_localized_state, relabel_map,
-                             restrict_instance)
+                             max_localized_state, restrict_instance)
 
 
 def test_is_localized_examples():
@@ -87,9 +86,10 @@ def test_max_displacement_from_the_row_matches_the_inverse(row):
 
 
 def test_relabel_map_examples():
-    assert list(relabel_map(BoundaryAssignment(4, (2,), ()))) == [1, 3, 4]
-    assert list(relabel_map(BoundaryAssignment(5, (1,), (5,)))) == [2, 3, 4]
-    assert list(relabel_map(BoundaryAssignment(3, (), ()))) == [1, 2, 3]
+    # the oracle's relabel map, the reference for a block's labels
+    assert list(oracle.relabel_map(BoundaryAssignment(4, (2,), ()))) == [1, 3, 4]
+    assert list(oracle.relabel_map(BoundaryAssignment(5, (1,), (5,)))) == [2, 3, 4]
+    assert list(oracle.relabel_map(BoundaryAssignment(3, (), ()))) == [1, 2, 3]
 
 
 def test_relabel_map_identity_on_middle_range():
@@ -103,25 +103,25 @@ def test_relabel_map_identity_on_middle_range():
             continue
         i = int(rng.integers(0, n - 1))
         j = int(rng.integers(0, n - i))
-        b = BoundaryAssignment.from_permutation(sigma, i, j)
-        r = relabel_map(b)
+        r = oracle.relabel_map(oracle.boundary_of(sigma, i, j))
         m = n - i - j
         for k in range(1 + ell.l_max_minus, m - ell.l_max_plus + 1):
             assert r[k - 1] == k + i
 
 
-def restricted(sigma, b, p, ell):
-    """The relabeled interior of sigma plus its instance."""
-    sub_p, sub_ell, r = restrict_instance(b, p, ell)
-    interior = sigma.forward[b.i:b.i + b.interior_size]
-    return Permutation(np.searchsorted(r, interior) + 1), sub_p, sub_ell, r
+def restricted(sigma, a, b, p, ell):
+    """The relabeled block (a, b) of sigma plus its instance and labels."""
+    block = sigma.forward[a - 1:b]
+    r = np.sort(block)
+    sub_p, sub_ell = restrict_instance(p, ell, a, r)
+    return Permutation(np.searchsorted(r, block) + 1), sub_p, sub_ell, r
 
 
 def test_restrict_example_and_round_trip():
     p = BiasMatrix.constant(4, 0.6)
     ell = LocalizationVector.constant(4, math.inf)
-    b = BoundaryAssignment(4, (2,), ())
-    sub, _, _, r = restricted(Permutation((2, 3, 1, 4)), b, p, ell)
+    # label 2 pinned at position 1
+    sub, _, _, r = restricted(Permutation((2, 3, 1, 4)), 2, 4, p, ell)
     assert sub.to_tuple() == (2, 1, 3)
     assert r[sub.forward - 1].tolist() == [3, 1, 4]
 
@@ -136,19 +136,18 @@ def test_restrict_round_trip_random():
             continue
         i = int(rng.integers(0, n - 1))
         j = int(rng.integers(0, n - i))
-        b = BoundaryAssignment.from_permutation(sigma, i, j)
+        a, b = i + 1, n - j
         p = BiasMatrix.random_biased(n, 0.5, rng)
-        sub, sub_p, sub_ell, r = restricted(sigma, b, p, ell)
+        sub, sub_p, sub_ell, r = restricted(sigma, a, b, p, ell)
         # the interior relabeled back is sigma's interior
-        assert np.array_equal(r[sub.forward - 1],
-                              sigma.forward[b.i:b.i + b.interior_size])
+        assert np.array_equal(r[sub.forward - 1], sigma.forward[a - 1:b])
         # locality maintained with shrunken maxima, admissibility kept
         assert is_localized(sub, sub_ell)
         assert sub_ell.is_admissible()
         assert sub_ell.l_max_minus <= ell.l_max_minus
         assert sub_ell.l_max_plus <= ell.l_max_plus
         # measure map: q[k][k'] = p[r(k)][r(k')]
-        m = b.interior_size
+        m = b - a + 1
         for k1 in range(1, m + 1):
             for k2 in range(1, m + 1):
                 if k1 != k2:
@@ -158,8 +157,9 @@ def test_restrict_round_trip_random():
 def test_induced_localization_truncation_example():
     # n=6, boundary on both ends, constant windows: induced maxima shrink
     ell = LocalizationVector.constant(6, 2)
-    b = BoundaryAssignment(6, (2,), (5,))
-    _, sub_ell, _ = restrict_instance(b, BiasMatrix.constant(6, 0.7), ell)
+    # labels 2 and 5 pinned at positions 1 and 6
+    _, sub_ell = restrict_instance(BiasMatrix.constant(6, 0.7), ell, 2,
+                                   [1, 3, 4, 6])
     assert sub_ell.n == 4
     assert sub_ell.is_admissible()
     assert sub_ell.l_max <= 2
@@ -169,9 +169,24 @@ def test_induced_localization_rejects_impossible_boundary():
     # particle 2 pinned to position 4 forces every completion to shift left,
     # impossible with lo = 0 windows
     ell = LocalizationVector([0, 0, 0, 0], [2, 2, 2, 2])
-    b = BoundaryAssignment(4, (), (2,))
     with pytest.raises(EmptySupport):
-        restrict_instance(b, BiasMatrix.constant(4, 0.7), ell)
+        restrict_instance(BiasMatrix.constant(4, 0.7), ell, 1, [1, 3, 4])
+
+
+def test_restrict_instance_refuses_mismatched_sizes():
+    # an 8-entry ell used to give the windows of a 6-label instance, and a
+    # boundary of another n a sub-instance with the wrong labels
+    p = BiasMatrix.constant(6, 0.7)
+    with pytest.raises(ContractError, match="ell has 8 entries, but p has n = 6"):
+        restrict_instance(p, LocalizationVector.constant(8, 2), 2, [1, 3, 4])
+    for a, labels in ((5, [1, 2, 3]), (0, [1, 2]), (7, [2]),
+                      (2, [1, 2, 3, 4, 5, 6])):
+        with pytest.raises(ContractError, match="do not fit in 1..6"):
+            restrict_instance(p, None, a, labels)
+    # labels not strictly increasing in 1..n are the submatrix's to refuse
+    for labels in ([3, 2], [0, 1], [5, 7]):
+        with pytest.raises(ContractError, match="strictly increasing"):
+            restrict_instance(p, None, 2, labels)
 
 
 def test_localization_vector_basics():
@@ -364,19 +379,19 @@ def test_block_instance_matches_reference(n, family, window, localized, seed,
     else:
         sigma = Permutation(rng.permutation(n) + 1)
     i = data.draw(st.integers(0, n))
-    b = BoundaryAssignment.from_permutation(sigma, i, data.draw(st.integers(0, n - i)))
-    want_r = oracle.relabel_map(b)
-    r = relabel_map(b)
-    assert r.dtype == want_r.dtype and np.array_equal(r, want_r)
+    j = data.draw(st.integers(0, n - i))
+    # the block i + 1 .. n - j and its labels, as a block update takes them
+    labels = np.sort(sigma.forward[i:n - j])
+    b = oracle.boundary_of(sigma, i, j)
+    assert np.array_equal(labels, oracle.relabel_map(b))
     try:
         want_p, want_ell, _ = oracle.restrict_instance(b, p, ell)
     except EmptySupport as exc:
         with pytest.raises(EmptySupport) as got:
-            restrict_instance(b, p, ell)
+            restrict_instance(p, ell, i + 1, labels)
         assert str(got.value) == str(exc)
         return
-    sub_p, sub_ell, r = restrict_instance(b, p, ell)
-    assert np.array_equal(r, want_r)
+    sub_p, sub_ell = restrict_instance(p, ell, i + 1, labels)
     assert sub_p.dense().tobytes() == want_p.dense().tobytes()
     assert not sub_p.dense().flags.writeable
     assert sub_p.constant_q() == oracle.constant_q(want_p)
